@@ -10,8 +10,8 @@ checking on representations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction  # noqa: F401  (kept out: exact arithmetic is mod p)
 
 import numpy as np
 
@@ -75,7 +75,12 @@ class BoundQuiverAlgebra:
     max_path_length: int = 24
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % q == 0 for q in range(2, min(self.p, 1000)) if q * q <= self.p):
+        if (self.p - 1) ** 2 >= la.INT64_BOUND:
+            raise AlgebraError(
+                f"field characteristic {self.p} is too large for exact int64 arithmetic"
+            )
+        # Exact: the cap above keeps isqrt(p) below about 55,000.
+        if self.p < 2 or any(self.p % q == 0 for q in range(2, math.isqrt(self.p) + 1)):
             raise AlgebraError(f"field characteristic {self.p} is not prime")
         for rel in self.relations:
             if not rel:
@@ -257,9 +262,16 @@ class Rep:
 
 
 class RepMap:
-    """A morphism of representations: one matrix per vertex, intertwining."""
+    """A morphism of representations: one matrix per vertex, intertwining.
 
-    def __init__(self, source: Rep, target: Rep, blocks, check: bool = True):
+    The public constructor reduces every block mod p, checks its shape and
+    checks that the blocks intertwine.  Maps built inside the package from
+    blocks that are valid by construction (arithmetic on maps, hom bases,
+    direct sums, kernels, cokernels, images, duals) go through `_trusted`,
+    which skips that work.
+    """
+
+    def __init__(self, source: Rep, target: Rep, blocks):
         if source.algebra is not target.algebra and source.algebra != target.algebra:
             raise AlgebraError("morphism between representations of different algebras")
         self.source = source
@@ -276,8 +288,26 @@ class RepMap:
             m.setflags(write=False)
             bl.append(m)
         self.blocks = tuple(bl)
-        if check and not self.intertwines():
+        if not self.intertwines():
             raise AlgebraError("blocks do not intertwine the arrow maps")
+
+    @classmethod
+    def _trusted(cls, source: Rep, target: Rep, blocks) -> "RepMap":
+        """Build a map from blocks known to be valid, checking nothing.
+
+        Invariant, kept by the caller: each block is an int64 array with
+        entries in [0, p), of shape (target.dims[i], source.dims[i]), and
+        the blocks intertwine the arrow maps.  The blocks are made
+        read-only here, so the caller must not write to them afterwards.
+        """
+        f = cls.__new__(cls)
+        f.source = source
+        f.target = target
+        f.p = source.algebra.p
+        for b in blocks:
+            b.setflags(write=False)
+        f.blocks = tuple(blocks)
+        return f
 
     def intertwines(self) -> bool:
         q = self.source.algebra.quiver
@@ -291,27 +321,31 @@ class RepMap:
 
     @staticmethod
     def zero(source: Rep, target: Rep) -> "RepMap":
-        return RepMap(source, target, [None] * source.algebra.n_vertices, check=False)
+        return RepMap._trusted(
+            source, target, [la.zeros(t, s) for s, t in zip(source.dims, target.dims)]
+        )
 
     @staticmethod
     def identity(m: Rep) -> "RepMap":
-        return RepMap(m, m, [la.eye(d) for d in m.dims], check=False)
+        return RepMap._trusted(m, m, [la.eye(d) for d in m.dims])
 
     def compose(self, first: "RepMap") -> "RepMap":
         """self o first."""
         if first.target is not self.source and first.target.dims != self.source.dims:
             raise AlgebraError("composition shape mismatch")
         blocks = [la.matmul(b2, b1, self.p) for b1, b2 in zip(first.blocks, self.blocks)]
-        return RepMap(first.source, self.target, blocks, check=False)
+        return RepMap._trusted(first.source, self.target, blocks)
 
     def add(self, other: "RepMap") -> "RepMap":
+        if other.source.dims != self.source.dims or other.target.dims != self.target.dims:
+            raise AlgebraError("sum of maps of different shapes")
         blocks = [np.mod(a + b, self.p) for a, b in zip(self.blocks, other.blocks)]
-        return RepMap(self.source, self.target, blocks, check=False)
+        return RepMap._trusted(self.source, self.target, blocks)
 
     def scale(self, c: int) -> "RepMap":
-        return RepMap(
-            self.source, self.target, [np.mod(c * b, self.p) for b in self.blocks], check=False
-        )
+        c = int(c) % self.p
+        blocks = [np.mod(c * b, self.p) for b in self.blocks]
+        return RepMap._trusted(self.source, self.target, blocks)
 
     def neg(self) -> "RepMap":
         return self.scale(self.p - 1)
@@ -334,8 +368,7 @@ class RepMap:
     def inverse(self) -> "RepMap":
         if not self.is_isomorphism():
             raise AlgebraError("not invertible")
-        return RepMap(self.target, self.source, [la.inv(b, self.p) for b in self.blocks],
-                      check=False)
+        return RepMap._trusted(self.target, self.source, [la.inv(b, self.p) for b in self.blocks])
 
     def flat(self) -> np.ndarray:
         """All block entries as one vector (for span computations)."""
@@ -388,14 +421,14 @@ def hom_space(m: Rep, n: Rep) -> list[RepMap]:
                     rows.append(row)
     mat = la.vstack([r.reshape(1, -1) for r in rows], total)
     ns = la.nullspace(mat, p) if mat.shape[0] else la.eye(total)
-    out = []
-    for k in range(ns.shape[1]):
-        vec = ns[:, k]
-        blocks = []
-        for (i, r, c), off in zip(layout, offsets):
-            blocks.append(vec[off : off + r * c].reshape(r, c))
-        out.append(RepMap(m, n, blocks, check=False))
-    return out
+    # One contiguous row per basis map, so each block is a view of it.
+    vecs = np.ascontiguousarray(ns.T)
+    return [
+        RepMap._trusted(
+            m, n, [vec[off : off + r * c].reshape(r, c) for (_, r, c), off in zip(layout, offsets)]
+        )
+        for vec in vecs
+    ]
 
 
 def hom_dim(m: Rep, n: Rep) -> int:
@@ -403,12 +436,18 @@ def hom_dim(m: Rep, n: Rep) -> int:
 
 
 def map_from_coords(basis: list[RepMap], coords) -> RepMap:
+    """sum_k coords[k] * basis[k], one combination per vertex."""
     if not basis:
         raise AlgebraError("empty basis")
-    acc = basis[0].scale(int(coords[0]))
-    for b, c in zip(basis[1:], coords[1:]):
-        acc = acc.add(b.scale(int(c)))
-    return acc
+    f0, k = basis[0], len(basis)
+    c = np.mod(np.asarray(coords, dtype=np.int64), f0.p).reshape(1, -1)
+    if c.shape != (1, k):
+        raise AlgebraError(f"{k} basis maps but {c.size} coordinates")
+    blocks = []
+    for i, b0 in enumerate(f0.blocks):
+        stacked = np.stack([f.blocks[i] for f in basis]).reshape(k, -1)
+        blocks.append(la.matmul(c, stacked, f0.p).reshape(b0.shape))
+    return RepMap._trusted(f0.source, f0.target, blocks)
 
 
 def coords_in_basis(basis: list[RepMap], f: RepMap, p: int) -> np.ndarray | None:
@@ -451,8 +490,8 @@ def direct_sum(reps: list[Rep], name: str | None = None):
             prj[:, offs[i] : offs[i] + r.dims[i]] = la.eye(r.dims[i])
             inc_blocks.append(inc)
             prj_blocks.append(prj)
-        incls.append(RepMap(r, total, inc_blocks, check=False))
-        projs.append(RepMap(total, r, prj_blocks, check=False))
+        incls.append(RepMap._trusted(r, total, inc_blocks))
+        projs.append(RepMap._trusted(total, r, prj_blocks))
         for i in range(nv):
             offs[i] += r.dims[i]
     return total, incls, projs
@@ -460,14 +499,6 @@ def direct_sum(reps: list[Rep], name: str | None = None):
 
 def zero_rep(alg: BoundQuiverAlgebra) -> Rep:
     return Rep(alg, "0", [0] * alg.n_vertices)
-
-
-def stack_map(maps: list[RepMap], target: Rep, incls: list[RepMap]) -> RepMap:
-    """Map into a direct sum from componentwise maps (same source)."""
-    acc = RepMap.zero(maps[0].source, target)
-    for f, inc in zip(maps, incls):
-        acc = acc.add(inc.compose(f))
-    return acc
 
 
 def standard_modules(alg: BoundQuiverAlgebra):
@@ -598,7 +629,7 @@ def dual_rep(m: Rep, op_alg: BoundQuiverAlgebra | None = None, name: str | None 
 
 def dual_map(f: RepMap, dsrc: Rep, dtgt: Rep) -> RepMap:
     """Dual of f: given duals of f.target (dsrc) and f.source (dtgt)."""
-    return RepMap(dsrc, dtgt, [b.T for b in f.blocks], check=False)
+    return RepMap._trusted(dsrc, dtgt, [b.T for b in f.blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +713,16 @@ def _poly_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
+def _poly_mulmod(a: np.ndarray, b: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
+    """a * b mod f.  Coefficients are multiplied and summed as Python ints:
+    a sum of several (p-1)^2 terms can pass 2^63 for the larger fields."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a.tolist()):
+        for j, y in enumerate(b.tolist()):
+            prod[i + j] += x * y
+    return _poly_mod(np.array([c % p for c in prod], dtype=np.int64), f, p)
+
+
 def _poly_powmod_x(q: int, f: np.ndarray, p: int) -> np.ndarray:
     """x^q mod f, square-and-multiply on coefficient vectors."""
     result = np.array([1], dtype=np.int64)
@@ -690,8 +731,8 @@ def _poly_powmod_x(q: int, f: np.ndarray, p: int) -> np.ndarray:
     e = q
     while e:
         if e & 1:
-            result = _poly_mod(np.polymul(result[::-1], base[::-1])[::-1], f, p)
-        base = _poly_mod(np.polymul(base[::-1], base[::-1])[::-1], f, p)
+            result = _poly_mulmod(result, base, f, p)
+        base = _poly_mulmod(base, base, f, p)
         e >>= 1
     return result
 
@@ -880,7 +921,7 @@ def decompose_with_maps(m: Rep, atlas: "IndecSet"):
             if sol is None:
                 raise AlgebraError("split complement projection failed")
             k_prj_blocks.append(sol)
-        k_prj = RepMap(cur, comp, k_prj_blocks, check=False)
+        k_prj = RepMap._trusted(cur, comp, k_prj_blocks)
         chain_inc = chain_inc.compose(k_inc)
         chain_prj = k_prj.compose(chain_prj)
         cur = comp

@@ -22,9 +22,9 @@ from .algebra import (
     dual_map,
     dual_rep,
     hom_space,
+    map_from_coords,
     opposite_algebra,
     standard_modules_projective_only,
-    stack_map,
     zero_rep,
 )
 
@@ -58,7 +58,7 @@ def kernel(f: RepMap) -> tuple[Rep, RepMap]:
             raise AlgebraError("kernel arrow map failed (not a subrepresentation?)")
         maps[aid] = sol
     k = Rep(alg, f"ker({f.source.name})", dims, maps)
-    return k, RepMap(k, f.source, incs, check=False)
+    return k, RepMap._trusted(k, f.source, incs)
 
 
 def cokernel(f: RepMap) -> tuple[Rep, RepMap]:
@@ -78,7 +78,7 @@ def cokernel(f: RepMap) -> tuple[Rep, RepMap]:
             raise AlgebraError("cokernel arrow map failed")
         maps[aid] = sol.T.copy()
     c = Rep(alg, f"coker({f.target.name})", dims, maps)
-    return c, RepMap(f.target, c, projs, check=False)
+    return c, RepMap._trusted(f.target, c, projs)
 
 
 def image(f: RepMap) -> tuple[Rep, RepMap, RepMap]:
@@ -103,7 +103,7 @@ def image(f: RepMap) -> tuple[Rep, RepMap, RepMap]:
             raise AlgebraError("image arrow map failed")
         maps[aid] = sol
     im = Rep(alg, f"im({f.source.name})", dims, maps)
-    return im, RepMap(im, f.target, monos, check=False), RepMap(f.source, im, epis, check=False)
+    return im, RepMap._trusted(im, f.target, monos), RepMap._trusted(f.source, im, epis)
 
 
 @dataclass
@@ -295,10 +295,7 @@ def _map_from_projective(pv: Rep, v: str, m: Rep, x: np.ndarray) -> RepMap:
     sol = la.solve(cols, x.reshape(-1, 1), pv.algebra.p)
     if sol is None:
         raise AlgebraError("generator not reachable from the projective")
-    acc = basis[0].scale(int(sol[0, 0]))
-    for b, c in zip(basis[1:], sol[1:, 0]):
-        acc = acc.add(b.scale(int(c)))
-    return acc
+    return map_from_coords(basis, sol[:, 0])
 
 
 def syzygy(m: Rep) -> tuple[Rep, Conflation]:
@@ -382,10 +379,9 @@ class Ext1:
         """A representative Omega C -> A of the class with these coordinates."""
         coords = np.asarray(coords, dtype=np.int64)
         full = la.matmul(self._lift, coords.reshape(-1, 1), self.p)[:, 0]
-        acc = RepMap.zero(self.omega, self.a)
-        for h, ccoef in zip(self.hom_omega_a, full):
-            acc = acc.add(h.scale(int(ccoef)))
-        return acc
+        if not self.hom_omega_a:
+            return RepMap.zero(self.omega, self.a)
+        return map_from_coords(self.hom_omega_a, full)
 
     def realize(self, coords) -> Conflation:
         """A conflation A >-> E ->> C representing the class."""
@@ -408,9 +404,7 @@ class Ext1:
             sol = None
         if sol is None:
             raise AlgebraError("projective lifting failed")
-        h = RepMap.zero(self.cover_conf.b, conf.b)
-        for lft, ccoef in zip(lifts, sol[:, 0]):
-            h = h.add(lft.scale(int(ccoef)))
+        h = map_from_coords(lifts, sol[:, 0])
         # h o omega_inc lands in ker(defl) = im(infl); divide by the inflation
         rest = h.compose(self.omega_inc)
         blocks = []
@@ -639,7 +633,7 @@ def is_right_minimal(f: RepMap) -> bool:
     Equivalent: the right ideal {h in End(source) : f h = 0} sits inside
     the radical.
     """
-    from .algebra import end_radical, map_from_coords
+    from .algebra import end_radical
 
     endos = homs(f.source, f.source)
     if not endos:
@@ -660,7 +654,7 @@ def is_right_minimal(f: RepMap) -> bool:
 
 
 def is_left_minimal(f: RepMap) -> bool:
-    from .algebra import end_radical, map_from_coords
+    from .algebra import end_radical
 
     endos = homs(f.target, f.target)
     if not endos:

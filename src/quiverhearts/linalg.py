@@ -3,6 +3,14 @@
 All matrices are numpy int64 arrays with entries reduced into [0, p).
 A linear map F^n -> F^m is an (m, n) matrix acting on column vectors.
 Zero-dimensional shapes like (0, n) and (m, 0) are legal everywhere.
+
+int64 bound: a product of two reduced entries is at most (p-1)^2, so a
+sum of n such products is exact while n*(p-1)^2 < 2^63.  Fields are
+only accepted when (p-1)^2 < 2^63 (p < ~3.04e9), which keeps every
+single product, the rref row update and a scaled matrix exact; `matmul`
+sums longer products in chunks that stay under the bound.  Any other sum
+of products must go through `matmul` or reduce as it goes (polynomial
+products in `algebra` use Python ints).
 """
 
 from __future__ import annotations
@@ -26,9 +34,25 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+INT64_BOUND = 2**63
+
+
+def _chunked_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p when inner*(p-1)^2 reaches INT64_BOUND: sum the inner
+    dimension in chunks that stay below it, reducing after each."""
+    step = (INT64_BOUND - 1) // (p - 1) ** 2
+    if step == 0:
+        raise ValueError(f"p = {p} is too large for exact int64 arithmetic")
+    acc = np.mod(a[..., :step] @ b[:step], p)
+    for lo in range(step, a.shape[-1], step):
+        acc = np.mod(acc + np.mod(a[..., lo : lo + step] @ b[lo : lo + step], p), p)
+    return acc
+
+
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # int64 is safe: entries < p <= ~10^4 and inner dims stay small here.
-    return np.mod(a @ b, p)
+    if a.shape[-1] * (p - 1) ** 2 < INT64_BOUND:
+        return np.mod(a @ b, p)
+    return _chunked_dot(a, b, p)
 
 
 def inv_scalar(x: int, p: int) -> int:
@@ -37,25 +61,34 @@ def inv_scalar(x: int, p: int) -> int:
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p; returns (R, pivot column indices)."""
-    r = np.mod(np.array(a, dtype=np.int64), p)
+    r = np.mod(np.asarray(a, dtype=np.int64), p)
     rows, cols = r.shape
+    if rows == 0 or cols == 0:
+        return r, []
+    if rows == 1:
+        nz = r[0].nonzero()[0]
+        if not len(nz):
+            return r, []
+        col = int(nz[0])
+        r[0] = np.mod(r[0] * inv_scalar(r[0, col], p), p)
+        return r, [col]
     pivots: list[int] = []
     lead = 0
     for col in range(cols):
         if lead >= rows:
             break
-        piv = None
-        for i in range(lead, rows):
-            if r[i, col] % p:
-                piv = i
-                break
-        if piv is None:
+        nz = r[lead:, col].nonzero()[0]
+        if not len(nz):
             continue
-        r[[lead, piv]] = r[[piv, lead]]
+        piv = lead + int(nz[0])
+        if piv != lead:
+            r[[lead, piv]] = r[[piv, lead]]
         r[lead] = np.mod(r[lead] * inv_scalar(r[lead, col], p), p)
-        for i in range(rows):
-            if i != lead and r[i, col]:
-                r[i] = np.mod(r[i] - r[i, col] * r[lead], p)
+        # Clear the pivot column in every other row at once; the pivot row
+        # is zero left of `col`, so only columns from `col` on change.
+        factors = r[:, col].copy()
+        factors[lead] = 0
+        r[:, col:] = np.mod(r[:, col:] - np.outer(factors, r[lead, col:]), p)
         pivots.append(col)
         lead += 1
     return r, pivots
@@ -119,16 +152,6 @@ def inv(a: np.ndarray, p: int) -> np.ndarray | None:
 
 def is_invertible(a: np.ndarray, p: int) -> bool:
     return a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]
-
-
-def in_row_span(rows_mat: np.ndarray, v: np.ndarray, p: int) -> bool:
-    """Is the vector v in the row span of rows_mat?"""
-    v = np.mod(np.asarray(v, dtype=np.int64).reshape(1, -1), p)
-    if not v.any():
-        return True
-    if rows_mat.shape[0] == 0:
-        return False
-    return rank(rows_mat, p) == rank(np.concatenate([rows_mat, v]), p)
 
 
 def quotient_map(w_cols: np.ndarray, n: int, p: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from .algebra import (
     RepMap,
     decompose,
     direct_sum,
+    map_from_coords,
     zero_rep,
 )
 from .cotorsion import (
@@ -459,10 +460,9 @@ def verify_localization(model: LocalizationModel, rng: np.random.Generator) -> d
 
 
 def _random_combination(basis, src, tgt, rng, p) -> RepMap:
-    f = RepMap.zero(src, tgt)
-    for b in basis:
-        f = f.add(b.scale(int(rng.integers(0, p))))
-    return f
+    if not basis:
+        return RepMap.zero(src, tgt)
+    return map_from_coords(basis, [int(rng.integers(0, p)) for _ in basis])
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,7 @@ def test_3_ext_dimensions_match_bruteforce():
 # 4. Cocone membership against bounded exhaustive search.
 
 
+@pytest.mark.slow
 def test_4_cocone_matches_exhaustive_search():
     rng = np.random.default_rng(4)
     for atlas in (fx.a2_atlas(2), fx.a3_atlas(2)):

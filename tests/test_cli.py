@@ -120,6 +120,31 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+COMPOSITE = 1022117  # 1009 * 1013
+
+
+@pytest.mark.parametrize("how", ["problem-file", "--field on a file", "--field on a demo"])
+def test_composite_field_is_rejected(capsys, tmp_path, ex61_file, how):
+    if how == "problem-file":
+        path = tmp_path / "composite.qh"
+        path.write_text(f"field {COMPOSITE}\nquiver\n  vertices x\nmodule m\n  dims 1\n")
+        argv = ("check", str(path))
+    elif how == "--field on a file":
+        argv = ("check", ex61_file, "--field", str(COMPOSITE))
+    else:
+        argv = ("demo", "ex61", "check", "--field", str(COMPOSITE))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert f"field characteristic {COMPOSITE} is not prime" in err
+
+
+def test_field_size_limits(capsys):
+    code, out, _ = run(capsys, "demo", "ex61", "check", "--field", str(2**31 - 1))
+    assert code == 0 and "atlas heuristics: ok" in out
+    code, _, err = run(capsys, "demo", "ex61", "check", "--field", str(2**61 - 1))
+    assert code == 2 and "too large for exact int64 arithmetic" in err
+
+
 def test_demo_check(capsys):
     code, out, _ = run(capsys, "demo", "ex61", "check")
     assert code == 0

@@ -180,6 +180,7 @@ def test_ext_oracle_auslander():
             assert ext1_dim(c, a) == oracles.ext1_dim_bruteforce(c, a), (c.name, a.name)
 
 
+@pytest.mark.slow
 def test_cocone_vs_bruteforce_a3():
     atlas = fx.a3_atlas(2)
     projs = ct.projectives_of(atlas)
@@ -197,6 +198,7 @@ def test_cocone_vs_bruteforce_a3():
                     conf.validate()
 
 
+@pytest.mark.slow
 def test_cone_vs_bruteforce_a3():
     atlas = fx.a3_atlas(2)
     projs = ct.projectives_of(atlas)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,3 +101,106 @@ def test_zero_dims():
     assert la.nullspace(b, p).shape == (0, 0)
     q = la.quotient_map(la.zeros(3, 0), 3, p)
     assert q.shape == (3, 3)
+
+
+# ---------------------------------------------------------------------------
+# The vectorised rref against the plain row loop it replaced.
+
+
+def rref_reference(a, p):
+    """Row-by-row Gauss-Jordan elimination mod p."""
+    r = np.mod(np.array(a, dtype=np.int64), p)
+    rows, cols = r.shape
+    pivots = []
+    lead = 0
+    for col in range(cols):
+        if lead >= rows:
+            break
+        piv = None
+        for i in range(lead, rows):
+            if r[i, col] % p:
+                piv = i
+                break
+        if piv is None:
+            continue
+        r[[lead, piv]] = r[[piv, lead]]
+        r[lead] = np.mod(r[lead] * la.inv_scalar(r[lead, col], p), p)
+        for i in range(rows):
+            if i != lead and r[i, col]:
+                r[i] = np.mod(r[i] - r[i, col] * r[lead], p)
+        pivots.append(col)
+        lead += 1
+    return r, pivots
+
+
+SHAPES = {
+    "0xn": st.tuples(st.just(0), st.integers(0, 6)),
+    "nx0": st.tuples(st.integers(0, 6), st.just(0)),
+    "1x1": st.just((1, 1)),
+    "1xn": st.tuples(st.just(1), st.integers(1, 8)),
+    "nx1": st.tuples(st.integers(1, 8), st.just(1)),
+    "mxn": st.tuples(st.integers(0, 8), st.integers(0, 8)),
+}
+
+
+def entries(p, shape):
+    # Unreduced entries too: every kernel reduces its input first.
+    m, n = shape
+    return st.lists(st.integers(-p, 2 * p), min_size=m * n, max_size=m * n).map(
+        lambda xs: np.array(xs, dtype=np.int64).reshape(m, n)
+    )
+
+
+def same(x, y):
+    if isinstance(x, tuple):
+        return len(x) == len(y) and all(same(a, b) for a, b in zip(x, y))
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+    return x == y
+
+
+@pytest.mark.parametrize("kind", sorted(SHAPES))
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_kernels_equal_reference_rref(kind, p, data):
+    a = data.draw(SHAPES[kind].flatmap(lambda s: entries(p, s)))
+    b = data.draw(entries(p, (a.shape[0], data.draw(st.integers(0, 3)))))
+    kernels = {
+        "rref": lambda: la.rref(a, p),
+        "rank": lambda: la.rank(a, p),
+        "nullspace": lambda: la.nullspace(a, p),
+        "solve": lambda: la.solve(a, b, p),
+        "quotient_map": lambda: la.quotient_map(a, a.shape[0], p),
+    }
+    for name, kernel in kernels.items():
+        got = kernel()
+        with mock.patch.object(la, "rref", rref_reference):
+            want = kernel()
+        assert same(got, want), name
+
+
+# ---------------------------------------------------------------------------
+# int64 bound: sums of products are exact for every accepted prime.
+
+P31 = 2**31 - 1
+
+
+def test_matmul_does_not_wrap_at_p31():
+    a = np.full((1, 4), P31 - 1, dtype=np.int64)
+    b = np.full((4, 1), P31 - 1, dtype=np.int64)
+    assert la.matmul(a, b, P31).tolist() == [[4]]
+
+
+@pytest.mark.parametrize("p", [P31, 3037000493])
+def test_long_products_match_python_ints(p):
+    rng = np.random.default_rng(7)
+    a = rng.integers(0, p, size=(3, 9), dtype=np.int64)
+    b = rng.integers(0, p, size=(9, 2), dtype=np.int64)
+    exact = [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a]
+    assert la.matmul(a, b, p).tolist() == exact
+
+
+def test_matmul_refuses_a_prime_past_the_bound():
+    p = 2**61 - 1
+    with pytest.raises(ValueError, match="too large"):
+        la.matmul(la.eye(2), la.eye(2), p)
