@@ -12,10 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg as la
+from .workspace import WORKSPACE
 
 
 class AlgebraError(ValueError):
@@ -37,14 +39,24 @@ class Quiver:
             if s not in self.vertices or t not in self.vertices:
                 raise AlgebraError(f"arrow {aid} has undeclared endpoint")
 
+    # Lookup tables, built once per quiver; fields, equality and hash are
+    # unchanged (cached_property writes to the instance dict directly).
+    @cached_property
+    def _arrow_by_id(self) -> dict[str, tuple[str, str, str]]:
+        return {a[0]: a for a in self.arrows}
+
+    @cached_property
+    def _vertex_pos(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.vertices)}
+
     def arrow(self, aid: str) -> tuple[str, str, str]:
-        for a in self.arrows:
-            if a[0] == aid:
-                return a
-        raise AlgebraError(f"unknown arrow {aid}")
+        try:
+            return self._arrow_by_id[aid]
+        except KeyError:
+            raise AlgebraError(f"unknown arrow {aid}") from None
 
     def vertex_index(self, v: str) -> int:
-        return self.vertices.index(v)
+        return self._vertex_pos[v]
 
 
 # A path is a tuple of arrow ids, applied left to right:
@@ -73,6 +85,14 @@ class BoundQuiverAlgebra:
     p: int
     relations: tuple[Relation, ...] = ()
     max_path_length: int = 24
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Content keys hash the algebra on every memo lookup.
+        return hash((self.quiver, self.p, self.relations, self.max_path_length))
 
     def __post_init__(self):
         if (self.p - 1) ** 2 >= la.INT64_BOUND:
@@ -216,6 +236,15 @@ class Rep:
             m.setflags(write=False)
             maps[aid] = m
         self.arrow_maps = maps
+
+    @cached_property
+    def key(self) -> tuple:
+        """Exact content: (algebra, dims, arrow-map bytes in arrow order).
+
+        Computed on first use; a Rep's matrices are read-only, so it stays
+        valid.  Names are not part of it.
+        """
+        return (self.algebra, self.dims, tuple(m.tobytes() for m in self.arrow_maps.values()))
 
     @property
     def total_dim(self) -> int:
@@ -386,9 +415,18 @@ def _hom_unknown_layout(m: Rep, n: Rep) -> list[tuple[int, int, int]]:
 
 
 def hom_space(m: Rep, n: Rep) -> list[RepMap]:
-    """Deterministic basis of Hom(m, n) by solving the intertwining equations."""
+    """Deterministic basis of Hom(m, n), memoised by the content of m and n.
+
+    The maps are rebound to the caller's m and n on every call.
+    """
     if m.algebra != n.algebra:
         raise AlgebraError("hom between representations over different algebras")
+    basis = WORKSPACE.memo("hom_space", (m.key, n.key), _hom_blocks, m, n)
+    return [RepMap._trusted(m, n, blocks) for blocks in basis]
+
+
+def _hom_blocks(m: Rep, n: Rep) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Hom(m, n) basis blocks, read-only, by solving the intertwining equations."""
     p = m.algebra.p
     q = m.algebra.quiver
     layout = _hom_unknown_layout(m, n)
@@ -398,7 +436,7 @@ def hom_space(m: Rep, n: Rep) -> list[RepMap]:
         offsets.append(total)
         total += r * c
     if total == 0:
-        return []
+        return ()
     rows = []
     for aid, s, t in q.arrows:
         i, j = q.vertex_index(s), q.vertex_index(t)
@@ -423,12 +461,11 @@ def hom_space(m: Rep, n: Rep) -> list[RepMap]:
     ns = la.nullspace(mat, p) if mat.shape[0] else la.eye(total)
     # One contiguous row per basis map, so each block is a view of it.
     vecs = np.ascontiguousarray(ns.T)
-    return [
-        RepMap._trusted(
-            m, n, [vec[off : off + r * c].reshape(r, c) for (_, r, c), off in zip(layout, offsets)]
-        )
+    vecs.setflags(write=False)
+    return tuple(
+        tuple(vec[off : off + r * c].reshape(r, c) for (_, r, c), off in zip(layout, offsets))
         for vec in vecs
-    ]
+    )
 
 
 def hom_dim(m: Rep, n: Rep) -> int:
@@ -887,8 +924,30 @@ def decompose_with_maps(m: Rep, atlas: "IndecSet"):
 
     Returns a list of (atlas member, inclusion, projection) with
     projection o inclusion = id on the member and the inclusions/projections
-    forming a biproduct decomposition of m.
+    forming a biproduct decomposition of m.  Memoised by the content of m
+    and the atlas (member names and content); the maps are rebound to the
+    caller's m and atlas members.
     """
+    key = (m.key, atlas.key)
+    parts = WORKSPACE.memo("decompose_with_maps", key, _decomposition_blocks, m, atlas)
+    out = []
+    for name, inc_blocks, prj_blocks in parts:
+        member = atlas.by_name[name]
+        out.append(
+            (member, RepMap._trusted(member, m, inc_blocks), RepMap._trusted(m, member, prj_blocks))
+        )
+    return out
+
+
+def _decomposition_blocks(m: Rep, atlas: "IndecSet") -> tuple:
+    return tuple(
+        (member.name, inc.blocks, prj.blocks)
+        for member, inc, prj in _decompose_with_maps(m, atlas)
+    )
+
+
+def _decompose_with_maps(m: Rep, atlas: "IndecSet"):
+    """The split-search behind `decompose_with_maps`, uncached."""
     out = []
     cur = m
     # embed/project chain back to the original m
@@ -998,6 +1057,11 @@ class IndecSet:
             for v, rep in std[kind].items():
                 if not any(is_isomorphic(rep, m)[0] for m in self.members):
                     raise AlgebraError(f"atlas misses the {kind} at vertex {v}")
+
+    @cached_property
+    def key(self) -> tuple:
+        """Member names and content, in member order."""
+        return tuple((r.name, r.key) for r in self.members)
 
     def __iter__(self):
         return iter(self.members)

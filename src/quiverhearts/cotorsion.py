@@ -35,8 +35,6 @@ from .homology import (
     conflation_from_infl,
     ext1_dim,
     homs,
-    is_injective_module,
-    is_projective,
     minimal_left_approximation,
     minimal_right_approximation,
 )

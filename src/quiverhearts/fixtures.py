@@ -34,10 +34,6 @@ class Fixture:
         return Subcategory(self.atlas, self.subcats[name])
 
 
-def _one(r: int, c: int):
-    return [[1 if (i == j) else 0 for j in range(c)] for i in range(r)]
-
-
 def auslander_a3_algebra(p: int = DEFAULT_P) -> BoundQuiverAlgebra:
     q = Quiver(
         vertices=("1", "2", "3", "4", "5", "6"),

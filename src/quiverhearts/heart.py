@@ -41,17 +41,6 @@ from .homology import (
 )
 
 
-def _solve_in_homs(basis: list[RepMap], target: RepMap, p: int) -> RepMap | None:
-    """Write `target` as a combination of `basis`, returned as a RepMap."""
-    if not basis:
-        return RepMap.zero(target.source, target.target) if target.is_zero() else None
-    flat = np.stack([b.flat() for b in basis], axis=1)
-    sol = la.solve(flat, target.flat().reshape(-1, 1), p)
-    if sol is None:
-        return None
-    return map_from_coords(basis, sol[:, 0])
-
-
 def solve_through(f: RepMap, g: RepMap) -> RepMap | None:
     """h with g o h = f, if one exists (f: X->Z, g: Y->Z)."""
     basis = homs(f.source, g.source)
@@ -95,8 +84,8 @@ class QuotientCategory:
         """(full basis, quotient map coords->quotient coords, representatives)."""
         key = (id(x), id(y))
         got = self._hom_cache.get(key)
-        if got is not None:
-            return got
+        if got is not None and got[0] is x and got[1] is y:
+            return got[2]
         basis = homs(x, y)
         n = len(basis)
         cols = []
@@ -121,7 +110,8 @@ class QuotientCategory:
             if chosen.shape[1] == qmap.shape[0]:
                 break
         data = (basis, qmap, reps)
-        self._hom_cache[key] = data
+        # Holding x and y keeps their ids from being reused while cached.
+        self._hom_cache[key] = (x, y, data)
         return data
 
     def qdim(self, x: Rep, y: Rep) -> int:
@@ -173,23 +163,13 @@ class QuotientCategory:
 
 
 # ---------------------------------------------------------------------------
-# Gabriel quivers of quotient categories, DOT export, graph isomorphism.
+# Gabriel quivers of quotient categories, graph isomorphism.
 
 
 @dataclass
 class GabrielQuiver:
     nodes: tuple[str, ...]
     arrows: dict = field(default_factory=dict)  # (src, tgt) -> multiplicity
-
-    def to_dot(self, title: str = "quiver") -> str:
-        lines = [f'digraph "{title}" {{']
-        for n in self.nodes:
-            lines.append(f'  "{n}";')
-        for (s, t), k in sorted(self.arrows.items()):
-            for _ in range(k):
-                lines.append(f'  "{s}" -> "{t}";')
-        lines.append("}")
-        return "\n".join(lines)
 
 
 def _local_radical(qc: QuotientCategory, x: Rep) -> list[RepMap]:
@@ -388,26 +368,6 @@ def gamma_hom(m: "GammaModule", n: "GammaModule") -> list[np.ndarray]:
     return [ns[:, j].reshape(n.dim, m.dim) for j in range(ns.shape[1])]
 
 
-def gamma_iso(m: GammaModule, n: GammaModule, seed: int = 11) -> bool:
-    if m.dim != n.dim:
-        return False
-    if m.dim == 0:
-        return True
-    basis = gamma_hom(m, n)
-    if not basis:
-        return False
-    acc = sum(basis) % m.p
-    if la.is_invertible(acc, m.p):
-        return True
-    rng = np.random.default_rng(seed)
-    for _ in range(200):
-        coeffs = rng.integers(0, m.p, size=len(basis))
-        cand = sum(int(c) * b for c, b in zip(coeffs, basis)) % m.p
-        if la.is_invertible(cand, m.p):
-            return True
-    return False
-
-
 class PhiModel:
     """Phi(X) = Ext^1(G, X) as a right module over Gamma = End(G)/[P].
 
@@ -440,7 +400,7 @@ class PhiModel:
                 raise AlgebraError("syzygy restriction failed for Gamma element")
             self._omega_acts.append(w)
         self._ext_cache: dict[int, Ext1] = {}
-        self._mod_cache: dict[int, GammaModule] = {}
+        self._mod_cache: dict[tuple, GammaModule] = {}  # by Rep.key
 
     def _ext(self, x: Rep) -> Ext1:
         got = self._ext_cache.get(id(x))
@@ -459,12 +419,12 @@ class PhiModel:
         return la.matmul(e.qmap, sol, self.p)[:, 0]
 
     def module(self, x: Rep) -> GammaModule:
-        got = self._mod_cache.get(id(x))
+        got = self._mod_cache.get(x.key)
         if got is not None:
             return got
         if x.is_zero():
             mod = GammaModule(0, [la.zeros(0, 0) for _ in self.gamma_basis], self.p)
-            self._mod_cache[id(x)] = mod
+            self._mod_cache[x.key] = mod
             return mod
         e = self._ext(x)
         acts = []
@@ -479,7 +439,7 @@ class PhiModel:
                 np.stack(cols, axis=1) if e.dim else la.zeros(0, 0)
             )
         mod = GammaModule(e.dim, acts, self.p)
-        self._mod_cache[id(x)] = mod
+        self._mod_cache[x.key] = mod
         return mod
 
     def phi_map(self, f: RepMap) -> np.ndarray:

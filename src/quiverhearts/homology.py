@@ -4,11 +4,14 @@ Everything here is exact linear algebra over F_p: kernels and cokernels are
 computed vertexwise, short exact sequences are represented as Conflation
 objects, Ext^1(C, A) is the cokernel of Hom(P0, A) -> Hom(syzygy, A) for a
 projective cover P0 of C, and approximations by a subcategory are built
-from Hom bases and greedily stripped to minimal ones.
+from Hom bases and greedily stripped to minimal ones.  Syzygies, Ext^1
+dimensions and minimal approximations are memoised by module content in
+the shared `Workspace`, like the Hom bases themselves.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,19 +30,12 @@ from .algebra import (
     standard_modules_projective_only,
     zero_rep,
 )
-
-_HOM_CACHE: dict[tuple[int, int], tuple[Rep, Rep, list[RepMap]]] = {}
+from .workspace import WORKSPACE
 
 
 def homs(m: Rep, n: Rep) -> list[RepMap]:
-    """Cached deterministic basis of Hom(m, n)."""
-    key = (id(m), id(n))
-    got = _HOM_CACHE.get(key)
-    if got is not None and got[0] is m and got[1] is n:
-        return got[2]
-    basis = hom_space(m, n)
-    _HOM_CACHE[key] = (m, n, basis)
-    return basis
+    """Deterministic basis of Hom(m, n) (`hom_space`, memoised by content)."""
+    return hom_space(m, n)
 
 
 def kernel(f: RepMap) -> tuple[Rep, RepMap]:
@@ -150,11 +146,6 @@ def conflation_from_infl(infl: RepMap) -> Conflation:
 def conflation_from_defl(defl: RepMap) -> Conflation:
     _, inc = kernel(defl)
     return Conflation(inc, defl).validate()
-
-
-def split_conflation(a: Rep, c: Rep) -> Conflation:
-    b, incs, projs = direct_sum([a, c])
-    return Conflation(incs[0], projs[1])
 
 
 def pushout(f: RepMap, g: RepMap):
@@ -299,10 +290,27 @@ def _map_from_projective(pv: Rep, v: str, m: Rep, x: np.ndarray) -> RepMap:
 
 
 def syzygy(m: Rep) -> tuple[Rep, Conflation]:
-    """(Omega m, conflation Omega m >-> P ->> m) from a projective cover."""
-    p_rep, epi = projective_cover(m)
-    conf = conflation_from_defl(epi)
-    return conf.a, conf
+    """(Omega m, conflation Omega m >-> P ->> m) from a projective cover.
+
+    Memoised by the content of m.  Every call gets its own Omega m and P
+    (copies sharing the stored read-only matrices) and a deflation onto
+    the caller's m.
+    """
+    omega, cover, infl_blocks, defl_blocks = WORKSPACE.memo("syzygy", m.key, _syzygy_parts, m)
+    omega, cover = copy.copy(omega), copy.copy(cover)
+    infl = RepMap._trusted(omega, cover, infl_blocks)
+    return omega, Conflation(infl, RepMap._trusted(cover, m, defl_blocks))
+
+
+def _syzygy_parts(m: Rep) -> tuple:
+    conf = _syzygy(m)
+    return conf.a, conf.b, conf.infl.blocks, conf.defl.blocks
+
+
+def _syzygy(m: Rep) -> Conflation:
+    """Omega m >-> P ->> m from a projective cover, uncached."""
+    _, epi = projective_cover(m)
+    return conflation_from_defl(epi)
 
 
 def injective_envelope(m: Rep) -> tuple[Rep, RepMap]:
@@ -329,11 +337,6 @@ def is_projective(m: Rep) -> bool:
     """Lifting-free test: Ext^1(m, syzygy) would do, but a cover split works."""
     p_rep, epi = projective_cover(m)
     return p_rep.total_dim == m.total_dim
-
-
-def is_injective_module(m: Rep) -> bool:
-    i_rep, _ = injective_envelope(m)
-    return i_rep.total_dim == m.total_dim
 
 
 # ---------------------------------------------------------------------------
@@ -423,20 +426,13 @@ class Ext1:
         return la.matmul(self.qmap, sol2, self.p)[:, 0]
 
 
-_EXT_DIM_CACHE: dict[tuple[int, int], tuple[Rep, Rep, int]] = {}
-
-
 def ext1_dim(c: Rep, a: Rep) -> int:
-    key = (id(c), id(a))
-    got = _EXT_DIM_CACHE.get(key)
-    if got is not None and got[0] is c and got[1] is a:
-        return got[2]
-    if c.is_zero() or a.is_zero():
-        d = 0
-    else:
-        d = Ext1(c, a).dim
-    _EXT_DIM_CACHE[key] = (c, a, d)
-    return d
+    """dim Ext^1(c, a), memoised by the content of c and a."""
+    return WORKSPACE.memo("ext1_dim", (c.key, a.key), _ext1_dim, c, a)
+
+
+def _ext1_dim(c: Rep, a: Rep) -> int:
+    return 0 if c.is_zero() or a.is_zero() else Ext1(c, a).dim
 
 
 def ext_dim(c: Rep, a: Rep, n: int) -> int:
@@ -519,42 +515,6 @@ class Approximation:
     side: str  # "right" | "left"
 
 
-def _is_right_approx(parts, obj: Rep, members: list[Rep], p: int) -> bool:
-    for m in members:
-        targets = [h for h in homs(m, obj) if not h.is_zero()]
-        if not targets:
-            continue
-        cols = []
-        for member, comp in parts:
-            for u in homs(m, member):
-                cols.append(comp.compose(u).flat())
-        if not cols:
-            return False
-        mat = np.stack(cols, axis=1)
-        for h in targets:
-            if la.solve(mat, h.flat().reshape(-1, 1), p) is None:
-                return False
-    return True
-
-
-def _is_left_approx(parts, obj: Rep, members: list[Rep], p: int) -> bool:
-    for m in members:
-        targets = [h for h in homs(obj, m) if not h.is_zero()]
-        if not targets:
-            continue
-        cols = []
-        for member, comp in parts:
-            for u in homs(member, m):
-                cols.append(u.compose(comp).flat())
-        if not cols:
-            return False
-        mat = np.stack(cols, axis=1)
-        for h in targets:
-            if la.solve(mat, h.flat().reshape(-1, 1), p) is None:
-                return False
-    return True
-
-
 def _assemble(parts, obj: Rep, side: str) -> Approximation:
     alg = obj.algebra
     if not parts:
@@ -573,10 +533,6 @@ def _assemble(parts, obj: Rep, side: str) -> Approximation:
     return Approximation(obj, total, f, list(parts), side)
 
 
-_approx_cache: dict = {}
-_approx_keep: list = []  # pin keyed objects so id()-based keys stay unique
-
-
 def minimal_right_approximation(members: list[Rep], obj: Rep) -> Approximation:
     """Minimal right approximation of obj by finite sums from `members`.
 
@@ -584,47 +540,85 @@ def minimal_right_approximation(members: list[Rep], obj: Rep) -> Approximation:
     while the factorization property survives; by nilpotency of the radical
     the greedy endpoint is right minimal.
     """
-    key = ("right", tuple(sorted(id(m) for m in members)), id(obj))
-    cached = _approx_cache.get(key)
-    if cached is not None:
-        return cached
-    _approx_keep.append((tuple(members), obj))
-    p = obj.algebra.p
-    parts = [(m, h) for m in members for h in homs(m, obj)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(parts)):
-            trial = parts[:i] + parts[i + 1 :]
-            if _is_right_approx(trial, obj, members, p):
-                parts = trial
-                changed = True
-                break
-    result = _assemble(parts, obj, "right")
-    _approx_cache[key] = result
-    return result
+    return _approximation("right", members, obj)
 
 
 def minimal_left_approximation(members: list[Rep], obj: Rep) -> Approximation:
-    key = ("left", tuple(sorted(id(m) for m in members)), id(obj))
-    cached = _approx_cache.get(key)
-    if cached is not None:
-        return cached
-    _approx_keep.append((tuple(members), obj))
+    return _approximation("left", members, obj)
+
+
+def _approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:
+    """Memoised by side, the members' names and content in order, and the
+    content of obj.  The parts and the map are rebound to the caller's
+    members and obj, around a fresh copy of the stored sum."""
+    key = (side, tuple((m.name, m.key) for m in members), obj.key)
+    total, idx, part_blocks, map_blocks = WORKSPACE.memo(
+        "approximation", key, _approximation_parts, side, members, obj
+    )
+    total = copy.copy(total)
+    if side == "right":
+        parts = [
+            (members[i], RepMap._trusted(members[i], obj, b)) for i, b in zip(idx, part_blocks)
+        ]
+        f = RepMap._trusted(total, obj, map_blocks)
+    else:
+        parts = [
+            (members[i], RepMap._trusted(obj, members[i], b)) for i, b in zip(idx, part_blocks)
+        ]
+        f = RepMap._trusted(obj, total, map_blocks)
+    return Approximation(obj, total, f, parts, side)
+
+
+def _approximation_parts(side: str, members: list[Rep], obj: Rep) -> tuple:
+    approx = _minimal_approximation(side, members, obj)
+    idx = tuple(members.index(m) for m, _ in approx.parts)  # Reps compare by identity
+    return approx.total, idx, tuple(h.blocks for _, h in approx.parts), approx.map.blocks
+
+
+def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:
+    """The greedy strip behind the minimal approximations, uncached.
+
+    A set of parts approximates obj when, for every member m, each nonzero
+    map m -> obj (right) or obj -> m (left) is a combination of the
+    composites of the parts with maps between m and their members.  Those
+    composites do not change between trials, so they are built once.
+    """
     p = obj.algebra.p
-    parts = [(m, h) for m in members for h in homs(obj, m)]
+    right = side == "right"
+
+    def toward(x: Rep, y: Rep) -> list[RepMap]:
+        """Hom(x, y) on the right side, Hom(y, x) on the left."""
+        return homs(x, y) if right else homs(y, x)
+
+    parts = [(x, h) for x in members for h in toward(x, obj)]
+    checks = []  # per member with a nonzero map: (targets, composite columns per part)
+    for m in members:
+        targets = [h.flat() for h in toward(m, obj) if not h.is_zero()]
+        if targets:
+            cols = [
+                [(comp.compose(u) if right else u.compose(comp)).flat() for u in toward(m, x)]
+                for x, comp in parts
+            ]
+            checks.append((np.stack(targets, axis=1), cols))
+
+    def approximates(keep: list[int]) -> bool:
+        for targets, cols in checks:
+            kept = [c for i in keep for c in cols[i]]
+            if not kept or la.solve(np.stack(kept, axis=1), targets, p) is None:
+                return False
+        return True
+
+    keep = list(range(len(parts)))
     changed = True
     while changed:
         changed = False
-        for i in range(len(parts)):
-            trial = parts[:i] + parts[i + 1 :]
-            if _is_left_approx(trial, obj, members, p):
-                parts = trial
+        for i in range(len(keep)):
+            trial = keep[:i] + keep[i + 1 :]
+            if approximates(trial):
+                keep = trial
                 changed = True
                 break
-    result = _assemble(parts, obj, "left")
-    _approx_cache[key] = result
-    return result
+    return _assemble([parts[i] for i in keep], obj, side)
 
 
 def is_right_minimal(f: RepMap) -> bool:

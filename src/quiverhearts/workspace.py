@@ -1,0 +1,53 @@
+"""One memo for results that depend only on module content.
+
+A module's content key (`Rep.key`) is its algebra, its dimension vector
+and the bytes of its arrow maps, compared by equality, so two `Rep`s with
+the same matrices share entries whatever their names or ids.  Each memo
+site in `algebra` and `homology` stores plain read-only blocks under a key
+that holds everything its result depends on (member names too, where the
+result names them) and rebinds them to the caller's objects on every
+lookup, so no stored value refers to a caller's `Rep`.
+"""
+
+from __future__ import annotations
+
+
+class Workspace:
+    """Named memo tables with hit and miss counts per table."""
+
+    def __init__(self):
+        self.tables: dict[str, dict] = {}
+        self.hits: dict[str, int] = {}
+        self.misses: dict[str, int] = {}
+
+    def memo(self, table: str, key, compute, *args):
+        """The stored value of `key` in `table`, else `compute(*args)`, stored."""
+        entries = self.tables.get(table)
+        if entries is None:
+            entries = self.tables[table] = {}
+            self.hits[table] = self.misses[table] = 0
+        try:
+            value = entries[key]
+        except KeyError:
+            value = compute(*args)
+            entries[key] = value
+            self.misses[table] += 1
+            return value
+        self.hits[table] += 1
+        return value
+
+    def stats(self) -> dict[str, dict[str, int]]:
+        """Per table: hits, misses and stored entries."""
+        return {
+            t: {"hits": self.hits[t], "misses": self.misses[t], "entries": len(e)}
+            for t, e in sorted(self.tables.items())
+        }
+
+    def clear(self) -> None:
+        """Drop every entry and reset the counts."""
+        self.tables.clear()
+        self.hits.clear()
+        self.misses.clear()
+
+
+WORKSPACE = Workspace()

@@ -1,0 +1,218 @@
+"""The content-addressed memo: same answers as the uncached paths, results
+bound to the caller's objects, one miss per distinct content key, and no
+growth when the same instance is certified again."""
+
+import numpy as np
+import pytest
+
+from quiverhearts import algebra as al
+from quiverhearts import cotorsion as ct
+from quiverhearts import fixtures as fx
+from quiverhearts import heart as ht
+from quiverhearts import homology as ho
+from quiverhearts.algebra import BoundQuiverAlgebra, IndecSet, Quiver, Rep, direct_sum, zero_rep
+from quiverhearts.mutation import verify_main_theorem
+from quiverhearts.workspace import WORKSPACE
+
+
+def nakayama_atlas(n: int, k: int) -> IndecSet:
+    """Interval modules of A_n / rad^k: [i, j] with j - i < k."""
+    vertices = tuple(str(v) for v in range(1, n + 1))
+    arrows = tuple((f"a{v}", str(v), str(v + 1)) for v in range(1, n))
+    relations = tuple(
+        ((1, tuple(f"a{v}" for v in range(s, s + k))),) for s in range(1, n - k + 1)
+    )
+    alg = BoundQuiverAlgebra(Quiver(vertices, arrows), 101, relations)
+    members = []
+    for i in range(1, n + 1):
+        for j in range(i, min(i + k - 1, n) + 1):
+            dims = [1 if i <= v <= j else 0 for v in range(1, n + 1)]
+            maps = {f"a{v}": [[1]] for v in range(i, j)}
+            members.append(Rep(alg, "/".join(map(str, range(i, j + 1))), dims, maps))
+    return IndecSet(members)
+
+
+ATLASES = {"ex61": lambda: fx.ex61().atlas, "A4/rad^2": lambda: nakayama_atlas(4, 2)}
+
+
+@pytest.fixture(params=sorted(ATLASES), scope="module")
+def atlas(request):
+    return ATLASES[request.param]()
+
+
+def same_blocks(xs, ys) -> bool:
+    xs, ys = list(xs), list(ys)
+    return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
+
+
+def same_rep(a: Rep, b: Rep) -> bool:
+    return a.name == b.name and a.key == b.key
+
+
+def test_hom_space_matches_uncached(atlas):
+    WORKSPACE.clear()
+    for m in atlas:
+        for n in atlas:
+            want = al._hom_blocks(m, n)
+            for _ in range(2):  # a miss, then a hit
+                got = al.hom_space(m, n)
+                assert len(got) == len(want)
+                assert all(same_blocks(f.blocks, w) for f, w in zip(got, want))
+
+
+def test_syzygy_matches_uncached(atlas):
+    WORKSPACE.clear()
+    for m in atlas:
+        want = ho._syzygy(m)
+        for _ in range(2):
+            omega, conf = ho.syzygy(m)
+            assert omega is conf.a
+            assert same_rep(conf.a, want.a) and same_rep(conf.b, want.b)
+            assert same_blocks(conf.infl.blocks, want.infl.blocks)
+            assert same_blocks(conf.defl.blocks, want.defl.blocks)
+
+
+def test_ext1_dim_matches_uncached(atlas):
+    WORKSPACE.clear()
+    for c in atlas:
+        for a in atlas:
+            want = ho._ext1_dim(c, a)
+            assert ho.ext1_dim(c, a) == want == ho.ext1_dim(c, a)
+
+
+def test_decompose_with_maps_matches_uncached(atlas):
+    WORKSPACE.clear()
+    ms = atlas.members
+    sums = [ms[0], direct_sum([ms[1], ms[-1]])[0], direct_sum([ms[2], ms[2], ms[3]])[0]]
+    for m in sums:
+        want = al._decompose_with_maps(m, atlas)
+        for _ in range(2):
+            got = al.decompose_with_maps(m, atlas)
+            assert [x.name for x, _, _ in got] == [x.name for x, _, _ in want]
+            for (_, inc, prj), (_, winc, wprj) in zip(got, want):
+                assert same_blocks(inc.blocks, winc.blocks)
+                assert same_blocks(prj.blocks, wprj.blocks)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_approximations_match_uncached(atlas, side):
+    WORKSPACE.clear()
+    approx = {"right": ho.minimal_right_approximation, "left": ho.minimal_left_approximation}
+    members = ct.projectives_of(atlas).members if side == "right" else ct.injectives_of(
+        atlas
+    ).members
+    for obj in atlas:
+        want = ho._minimal_approximation(side, members, obj)
+        for _ in range(2):
+            got = approx[side](members, obj)
+            assert got.side == side
+            assert same_rep(got.total, want.total)
+            assert same_blocks(got.map.blocks, want.map.blocks)
+            assert [m.name for m, _ in got.parts] == [m.name for m, _ in want.parts]
+            assert all(
+                same_blocks(h.blocks, w.blocks) for (_, h), (_, w) in zip(got.parts, want.parts)
+            )
+
+
+def test_results_are_bound_to_the_callers_objects():
+    atlas = fx.ex61().atlas
+    m = atlas["2/34"]
+    a, b = m.renamed("a"), m.renamed("b")
+    WORKSPACE.clear()
+    for x in (a, b):
+        assert all(f.source is x and f.target is x for f in al.hom_space(x, x))
+    assert WORKSPACE.stats()["hom_space"]["misses"] == 1
+
+    omega1, conf1 = ho.syzygy(a)
+    omega2, conf2 = ho.syzygy(b)
+    assert conf1.defl.target is a and conf2.defl.target is b
+    assert omega1 is not omega2 and conf1.b is not conf2.b
+    assert conf1.infl.source is omega1 and conf1.infl.target is conf1.defl.source
+
+    s, _, _ = direct_sum([atlas["1"], m])
+    for member, inc, prj in al.decompose_with_maps(s, atlas):
+        assert member is atlas[member.name]
+        assert inc.source is member and inc.target is s
+        assert prj.source is s and prj.target is member
+
+    members = ct.projectives_of(atlas).members
+    twins = [x.renamed(x.name + "'") for x in members]
+    for mem in (members, twins):
+        r = ho.minimal_right_approximation(mem, a)
+        assert r.obj is a and r.map.target is a and r.map.source is r.total
+        assert all(any(x is y for y in mem) and h.target is a for x, h in r.parts)
+    # names are part of the key: the renamed members get their own entry
+    names = {x.name for x, _ in ho.minimal_right_approximation(twins, a).parts}
+    assert names and all(n.endswith("'") for n in names)
+
+
+def test_misses_equal_distinct_content_keys():
+    atlas = nakayama_atlas(5, 3)
+    objs = atlas.members[:6] + [x.renamed(x.name + "*") for x in atlas.members[:3]]
+    distinct = {m.key for m in objs}
+    assert len(distinct) == 6 < len(objs)
+    WORKSPACE.clear()
+    for m in objs:
+        for n in objs:
+            al.hom_space(m, n)
+    assert WORKSPACE.stats()["hom_space"]["misses"] == len(distinct) ** 2
+    for m in objs:
+        ho.syzygy(m)
+    assert WORKSPACE.stats()["syzygy"]["misses"] == len(distinct)
+
+
+def test_certifying_a_fresh_copy_adds_nothing():
+    first = fx.ex61()
+    rep1 = verify_main_theorem(first.atlas, first.subcat_obj("C"), first.subcat_obj("D"))
+    before = WORKSPACE.stats()
+    second = fx.ex61()
+    assert second.atlas is not first.atlas
+    rep2 = verify_main_theorem(second.atlas, second.subcat_obj("C"), second.subcat_obj("D"))
+    after = WORKSPACE.stats()
+    assert rep1["ok"] and rep2["ok"]
+    assert set(after) == set(before)
+    for table, counts in before.items():
+        assert after[table]["misses"] == counts["misses"], table
+        assert after[table]["entries"] == counts["entries"], table
+        assert after[table]["hits"] > counts["hits"], table
+
+
+def rep_taking_id(freed: int, make) -> Rep:
+    """A Rep from `make`, preferring one that lands on the freed id (CPython
+    usually hands a freed object's memory to the next one of its size)."""
+    keep = []
+    for _ in range(1000):
+        y = make()
+        if id(y) == freed:
+            break
+        keep.append(y)
+    return y
+
+
+def test_phi_module_ignores_a_reused_id():
+    """A zero module's cached Phi-module is not handed to a later Rep that
+    gets the same id."""
+    fixture = fx.ex61()
+    pm = ht.PhiModel(fixture.subcat_obj("C"))
+    member = fixture.atlas["2"]
+    assert ho.ext1_dim(pm.g, member) == 1
+    z = zero_rep(fixture.algebra)
+    assert pm.module(z).dim == 0
+    freed = id(z)
+    del z
+    y = rep_taking_id(freed, lambda: member.renamed("y"))
+    assert pm.module(y).dim == ho.ext1_dim(pm.g, y) == 1
+
+
+def test_quotient_hom_data_ignores_a_reused_id():
+    """An empty cached Hom is not handed to a later Rep that gets the same id."""
+    atlas = fx.ex61().atlas
+    qc = ht.QuotientCategory(atlas.members, [])
+    b = atlas["2"]
+    a = next(x for x in atlas if not al.hom_space(x, b))
+    x = a.renamed("x")
+    assert qc.qdim(x, b) == 0
+    freed = id(x)
+    del x
+    w = rep_taking_id(freed, lambda: b.renamed("w"))
+    assert qc.qdim(w, b) == len(al.hom_space(w, b)) > 0
