@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -494,6 +494,32 @@ def coords_in_basis(basis: list[RepMap], f: RepMap, p: int) -> np.ndarray | None
     mat = np.stack([b.flat() for b in basis], axis=1)
     sol = la.solve(mat, f.flat().reshape(-1, 1), p)
     return None if sol is None else sol[:, 0]
+
+
+def composite_columns(outer: list[RepMap], inner: list[RepMap]) -> np.ndarray:
+    """The flat columns of every composite v o u, u in `inner`, v in `outer`.
+
+    For maps inner[k]: X -> T and outer[j]: T -> Y (typically Hom bases),
+    column k * len(outer) + j is (outer[j] o inner[k]).flat(), the order
+    of the loops `for u in inner: for v in outer`.  Each vertex where X, T
+    and Y are all nonzero costs one stacked product, (1, a, y, t) @
+    (b, 1, t, x) -> (b, a, y, x), in place of a * b `compose` calls; the
+    other vertices contribute zero (or no) entries.  With either list
+    empty there is no column, and the result is (0, 0).
+    """
+    if not outer or not inner:
+        return la.zeros(0, 0)
+    a, b, p = len(outer), len(inner), outer[0].p
+    shapes = [(*v0.shape, u0.shape[1]) for v0, u0 in zip(outer[0].blocks, inner[0].blocks)]
+    out = la.zeros(a * b, sum(y * x for y, _, x in shapes))
+    off = 0
+    for i, (y, t, x) in enumerate(shapes):
+        if y and t and x:
+            v = np.array([g.blocks[i] for g in outer])
+            u = np.array([f.blocks[i] for f in inner])
+            out[:, off : off + y * x] = la.matmul(v[None], u[:, None], p).reshape(a * b, y * x)
+        off += y * x
+    return out.T
 
 
 def direct_sum(reps: list[Rep], name: str | None = None):

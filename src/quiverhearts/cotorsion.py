@@ -13,9 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import linalg as la
 from .algebra import (
     AlgebraError,
     IndecSet,
@@ -29,7 +26,6 @@ from .algebra import (
     zero_rep,
 )
 from .homology import (
-    Approximation,
     Conflation,
     conflation_from_defl,
     conflation_from_infl,

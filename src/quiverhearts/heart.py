@@ -21,8 +21,8 @@ from .algebra import (
     IndecSet,
     Rep,
     RepMap,
+    composite_columns,
     coords_in_basis,
-    decompose,
     direct_sum,
     map_from_coords,
     zero_rep,
@@ -32,11 +32,9 @@ from .homology import (
     Conflation,
     Ext1,
     conflation_from_defl,
-    factors_through,
     homs,
     pullback,
     pullback_conflation,
-    pushout_conflation,
     syzygy,
 )
 
@@ -47,8 +45,7 @@ def solve_through(f: RepMap, g: RepMap) -> RepMap | None:
     p = f.source.algebra.p
     if not basis:
         return RepMap.zero(f.source, g.source) if f.is_zero() else None
-    flat = np.stack([g.compose(b).flat() for b in basis], axis=1)
-    sol = la.solve(flat, f.flat().reshape(-1, 1), p)
+    sol = la.solve(composite_columns([g], basis), f.flat().reshape(-1, 1), p)
     if sol is None:
         return None
     return map_from_coords(basis, sol[:, 0])
@@ -60,8 +57,7 @@ def solve_extend(f: RepMap, g: RepMap) -> RepMap | None:
     p = f.source.algebra.p
     if not basis:
         return RepMap.zero(g.target, f.target) if f.is_zero() else None
-    flat = np.stack([b.compose(g).flat() for b in basis], axis=1)
-    sol = la.solve(flat, f.flat().reshape(-1, 1), p)
+    sol = la.solve(composite_columns(basis, [g]), f.flat().reshape(-1, 1), p)
     if sol is None:
         return None
     return map_from_coords(basis, sol[:, 0])
@@ -88,27 +84,22 @@ class QuotientCategory:
             return got[2]
         basis = homs(x, y)
         n = len(basis)
-        cols = []
-        for t in self.ideal:
-            for u in homs(x, t):
-                for v in homs(t, y):
-                    c = coords_in_basis(basis, v.compose(u), self.p)
-                    if c is None:
-                        raise AlgebraError("ideal composite outside hom space")
-                    cols.append(c)
-        img = np.stack(cols, axis=1) if cols else la.zeros(n, 0)
+        flat_dim = sum(a * b for a, b in zip(x.dims, y.dims))
+        # Every ideal composite v o u, solved against the basis in one go.
+        comps = la.hstack(
+            [composite_columns(homs(t, y), homs(x, t)) for t in self.ideal], flat_dim
+        )
+        img = la.zeros(n, 0)
+        if n and comps.shape[1]:
+            img = la.solve(np.stack([b.flat() for b in basis], axis=1), comps, self.p)
+        elif comps.any():  # Hom(x, y) = 0, so every composite must vanish
+            img = None
+        if img is None:
+            raise AlgebraError("ideal composite outside hom space")
         qmap = la.quotient_map(img, n, self.p)
-        # representatives: basis maps whose classes form a quotient basis
-        reps = []
-        chosen = la.zeros(qmap.shape[0], 0)
-        for i, b in enumerate(basis):
-            cls = qmap[:, i : i + 1]
-            trial = np.concatenate([chosen, cls], axis=1)
-            if la.rank(trial, self.p) > chosen.shape[1]:
-                chosen = trial
-                reps.append(b)
-            if chosen.shape[1] == qmap.shape[0]:
-                break
+        # representatives: the basis maps at the pivot columns of rref(qmap),
+        # the first whose classes span the quotient
+        reps = [basis[i] for i in la.rref(qmap, self.p)[1]]
         data = (basis, qmap, reps)
         # Holding x and y keeps their ids from being reused while cached.
         self._hom_cache[key] = (x, y, data)

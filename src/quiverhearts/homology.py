@@ -21,12 +21,13 @@ from .algebra import (
     AlgebraError,
     Rep,
     RepMap,
+    composite_columns,
     direct_sum,
     dual_map,
     dual_rep,
+    end_radical,
     hom_space,
     map_from_coords,
-    opposite_algebra,
     standard_modules_projective_only,
     zero_rep,
 )
@@ -358,22 +359,19 @@ class Ext1:
         self.omega_inc = self.cover_conf.infl  # Omega C >-> P0
         self.cover_epi = self.cover_conf.defl  # P0 ->> C
         self.hom_omega_a = homs(self.omega, a)
-        restricted = [h.compose(self.omega_inc) for h in homs(self.cover_conf.b, a)]
         n = len(self.hom_omega_a)
         if n == 0:
             self.qmap = la.zeros(0, 0)
             self.dim = 0
             return
         flat = np.stack([h.flat() for h in self.hom_omega_a], axis=1)
-        img_coords = []
-        for r in restricted:
-            sol = la.solve(flat, r.flat().reshape(-1, 1), self.p)
-            if sol is None:
+        # The restrictions h o omega_inc of Hom(P0, A), solved in one go.
+        restricted = composite_columns(homs(self.cover_conf.b, a), [self.omega_inc])
+        img = la.zeros(n, 0)
+        if restricted.shape[1]:
+            img = la.solve(flat, restricted, self.p)
+            if img is None:
                 raise AlgebraError("restriction left Hom(Omega C, A)")
-            img_coords.append(sol[:, 0])
-        img = (
-            np.stack(img_coords, axis=1) if img_coords else la.zeros(n, 0)
-        )
         self.qmap = la.quotient_map(img, n, self.p)  # (dim, n)
         self.dim = self.qmap.shape[0]
         self._lift = la.right_inverse(self.qmap, self.p) if self.dim else la.zeros(n, 0)
@@ -456,16 +454,12 @@ def factors_through(f: RepMap, through: list[Rep]) -> bool:
     target_flat = f.flat()
     if not target_flat.size or f.is_zero():
         return True
-    cols = []
-    for t in through:
-        into = homs(f.source, t)
-        outof = homs(t, f.target)
-        for u in into:
-            for v in outof:
-                cols.append(v.compose(u).flat())
-    if not cols:
+    mat = la.hstack(
+        [composite_columns(homs(t, f.target), homs(f.source, t)) for t in through],
+        target_flat.size,
+    )
+    if not mat.shape[1]:
         return False
-    mat = np.stack(cols, axis=1)
     return la.solve(mat, target_flat.reshape(-1, 1), f.p) is not None
 
 
@@ -473,17 +467,16 @@ def factor_witness(f: RepMap, through: list[Rep]):
     """(T, u: X -> T, v: T -> Y) with v u = f, or None."""
     target_flat = f.flat()
     pairs = []
-    cols = []
+    blocks = []
     for t in through:
-        for u in homs(f.source, t):
-            for v in homs(t, f.target):
-                pairs.append((t, u, v))
-                cols.append(v.compose(u).flat())
-    if not cols:
+        into, outof = homs(f.source, t), homs(t, f.target)
+        pairs += [(t, u, v) for u in into for v in outof]  # the column order
+        blocks.append(composite_columns(outof, into))
+    if not pairs:
         return None if target_flat.any() else (zero_rep(f.source.algebra),
                                                RepMap.zero(f.source, zero_rep(f.source.algebra)),
                                                RepMap.zero(zero_rep(f.source.algebra), f.target))
-    mat = np.stack(cols, axis=1)
+    mat = la.hstack(blocks, target_flat.size)
     sol = la.solve(mat, target_flat.reshape(-1, 1), f.p)
     if sol is None:
         return None
@@ -491,12 +484,9 @@ def factor_witness(f: RepMap, through: list[Rep]):
     if not used:
         z = zero_rep(f.source.algebra)
         return z, RepMap.zero(f.source, z), RepMap.zero(z, f.target)
-    total, incs, projs = direct_sum([t for (t, _, _), _ in used])
-    u_acc = RepMap.zero(f.source, total)
-    v_acc = RepMap.zero(total, f.target)
-    for ((t, u, v), c), inc, prj in zip(used, incs, projs):
-        u_acc = u_acc.add(inc.compose(u.scale(c)))
-        v_acc = v_acc.add(v.compose(prj))
+    total, _, _ = direct_sum([t for (t, _, _), _ in used])
+    u_acc = _joined(f.source, total, [u.scale(c) for (_, u, _), c in used], "left")
+    v_acc = _joined(f.target, total, [v for (_, _, v), _ in used], "right")
     return total, u_acc, v_acc
 
 
@@ -515,21 +505,30 @@ class Approximation:
     side: str  # "right" | "left"
 
 
+def _joined(obj: Rep, total: Rep, maps: list[RepMap], side: str) -> RepMap:
+    """The map total -> obj (right) or obj -> total (left) that is maps[k]
+    on the k-th summand of the direct sum `total`.
+
+    Its blocks are the maps' blocks side by side (right) or stacked (left):
+    the entries of the sum of maps[k] o projection[k] (right) or of
+    inclusion[k] o maps[k] (left) over the direct-sum structure maps.
+    """
+    axis = 1 if side == "right" else 0
+    blocks = [
+        np.concatenate([h.blocks[i] for h in maps], axis=axis) for i in range(len(obj.dims))
+    ]
+    if side == "right":
+        return RepMap._trusted(total, obj, blocks)
+    return RepMap._trusted(obj, total, blocks)
+
+
 def _assemble(parts, obj: Rep, side: str) -> Approximation:
-    alg = obj.algebra
     if not parts:
-        z = zero_rep(alg)
+        z = zero_rep(obj.algebra)
         f = RepMap.zero(z, obj) if side == "right" else RepMap.zero(obj, z)
         return Approximation(obj, z, f, [], side)
-    total, incs, projs = direct_sum([m for m, _ in parts])
-    if side == "right":
-        f = RepMap.zero(total, obj)
-        for (m, comp), prj in zip(parts, projs):
-            f = f.add(comp.compose(prj))
-    else:
-        f = RepMap.zero(obj, total)
-        for (m, comp), inc in zip(parts, incs):
-            f = f.add(inc.compose(comp))
+    total, _, _ = direct_sum([m for m, _ in parts])
+    f = _joined(obj, total, [h for _, h in parts], side)
     return Approximation(obj, total, f, list(parts), side)
 
 
@@ -581,7 +580,12 @@ def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approxima
     A set of parts approximates obj when, for every member m, each nonzero
     map m -> obj (right) or obj -> m (left) is a combination of the
     composites of the parts with maps between m and their members.  Those
-    composites do not change between trials, so they are built once.
+    composites do not change between trials, so they are built once, as
+    one column block per (m, member) with the part behind each column.
+
+    Keeping more parts keeps more columns, so `approximates` is monotone:
+    a part that could not be dropped from a larger set cannot be dropped
+    from a smaller one, and one pass in order finds the greedy endpoint.
     """
     p = obj.algebra.p
     right = side == "right"
@@ -590,79 +594,69 @@ def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approxima
         """Hom(x, y) on the right side, Hom(y, x) on the left."""
         return homs(x, y) if right else homs(y, x)
 
-    parts = [(x, h) for x in members for h in toward(x, obj)]
-    checks = []  # per member with a nonzero map: (targets, composite columns per part)
-    for m in members:
-        targets = [h.flat() for h in toward(m, obj) if not h.is_zero()]
-        if targets:
-            cols = [
-                [(comp.compose(u) if right else u.compose(comp)).flat() for u in toward(m, x)]
-                for x, comp in parts
-            ]
-            checks.append((np.stack(targets, axis=1), cols))
+    to_obj = [toward(x, obj) for x in members]
+    parts = [(x, h) for x, hs in zip(members, to_obj) for h in hs]
+    checks = []  # per member with a nonzero map: (targets, columns, part of each column)
+    for m, m_to_obj in zip(members, to_obj):
+        targets = [h.flat() for h in m_to_obj if not h.is_zero()]
+        if not targets:
+            continue
+        blocks, owner, start = [], [], 0
+        for x, x_to_obj in zip(members, to_obj):
+            links = toward(m, x) if x_to_obj else []
+            if links:
+                ids = start + np.arange(len(x_to_obj))
+                if right:  # columns comp o u, u-major: the part varies fastest
+                    blocks.append(composite_columns(x_to_obj, links))
+                    owner.append(np.tile(ids, len(links)))
+                else:  # columns u o comp, comp-major
+                    blocks.append(composite_columns(links, x_to_obj))
+                    owner.append(np.repeat(ids, len(links)))
+            start += len(x_to_obj)
+        targets = np.stack(targets, axis=1)
+        cols = la.hstack(blocks, targets.shape[0])
+        checks.append((targets, cols, np.concatenate(owner) if owner else np.arange(0)))
 
-    def approximates(keep: list[int]) -> bool:
-        for targets, cols in checks:
-            kept = [c for i in keep for c in cols[i]]
-            if not kept or la.solve(np.stack(kept, axis=1), targets, p) is None:
+    def approximates(keep: np.ndarray) -> bool:
+        for targets, cols, owner in checks:
+            kept = cols[:, keep[owner]]
+            if not kept.shape[1] or la.solve(kept, targets, p) is None:
                 return False
         return True
 
-    keep = list(range(len(parts)))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            trial = keep[:i] + keep[i + 1 :]
-            if approximates(trial):
-                keep = trial
-                changed = True
-                break
-    return _assemble([parts[i] for i in keep], obj, side)
+    keep = np.ones(len(parts), dtype=bool)
+    for i in range(len(parts)):
+        keep[i] = False
+        if not approximates(keep):
+            keep[i] = True
+    return _assemble([pt for pt, k in zip(parts, keep) if k], obj, side)
 
 
 def is_right_minimal(f: RepMap) -> bool:
-    """f right minimal iff every g with f g = f is invertible.
-
-    Equivalent: the right ideal {h in End(source) : f h = 0} sits inside
-    the radical.
-    """
-    from .algebra import end_radical
-
-    endos = homs(f.source, f.source)
-    if not endos:
-        return True
-    comp_flat = np.stack([f.compose(g).flat() for g in endos], axis=1)
-    ker = la.nullspace(comp_flat, f.p)
-    if ker.shape[1] == 0:
-        return True
-    _, rad = end_radical(f.source)
-    if not rad:
-        return False
-    rad_flat = np.stack([r.flat() for r in rad], axis=1)
-    for j in range(ker.shape[1]):
-        h = map_from_coords(endos, ker[:, j])
-        if la.solve(rad_flat, h.flat().reshape(-1, 1), f.p) is None:
-            return False
-    return True
+    """f right minimal iff every g with f g = f is invertible."""
+    return _is_minimal(f, "right")
 
 
 def is_left_minimal(f: RepMap) -> bool:
-    from .algebra import end_radical
+    """f left minimal iff every g with g f = f is invertible."""
+    return _is_minimal(f, "left")
 
-    endos = homs(f.target, f.target)
+
+def _is_minimal(f: RepMap, side: str) -> bool:
+    """Right (left) minimality of f: the one-sided ideal of endomorphisms h
+    of its source (target) with f h = 0 (h f = 0) sits inside the radical."""
+    right = side == "right"
+    x = f.source if right else f.target
+    endos = homs(x, x)
     if not endos:
         return True
-    comp_flat = np.stack([g.compose(f).flat() for g in endos], axis=1)
+    comp_flat = composite_columns([f], endos) if right else composite_columns(endos, [f])
     ker = la.nullspace(comp_flat, f.p)
     if ker.shape[1] == 0:
         return True
-    _, rad = end_radical(f.target)
+    _, rad = end_radical(x)
     if not rad:
         return False
+    endo_flat = np.stack([g.flat() for g in endos], axis=1)
     rad_flat = np.stack([r.flat() for r in rad], axis=1)
-    for j in range(ker.shape[1]):
-        h = map_from_coords(endos, ker[:, j])
-        if la.solve(rad_flat, h.flat().reshape(-1, 1), f.p) is None:
-            return False
-    return True
+    return la.solve(rad_flat, la.matmul(endo_flat, ker, f.p), f.p) is not None

@@ -11,6 +11,12 @@ single product, the rref row update and a scaled matrix exact; `matmul`
 sums longer products in chunks that stay under the bound.  Any other sum
 of products must go through `matmul` or reduce as it goes (polynomial
 products in `algebra` use Python ints).
+
+Stacked operands: `matmul` also takes arrays of shape (..., m, n) and
+(..., n, k), broadcast over the leading axes as `@` does.  The bound is
+the same, on the contracted axis n alone: each output entry is one sum
+of n products, whatever the number of stacked matrices, and the chunks
+slice that axis (the last of `a`, the second to last of `b`).
 """
 
 from __future__ import annotations
@@ -43,9 +49,9 @@ def _chunked_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     step = (INT64_BOUND - 1) // (p - 1) ** 2
     if step == 0:
         raise ValueError(f"p = {p} is too large for exact int64 arithmetic")
-    acc = np.mod(a[..., :step] @ b[:step], p)
+    acc = np.mod(a[..., :step] @ b[..., :step, :], p)
     for lo in range(step, a.shape[-1], step):
-        acc = np.mod(acc + np.mod(a[..., lo : lo + step] @ b[lo : lo + step], p), p)
+        acc = np.mod(acc + np.mod(a[..., lo : lo + step] @ b[..., lo : lo + step, :], p), p)
     return acc
 
 
@@ -197,3 +203,12 @@ def vstack(mats: list[np.ndarray], cols: int) -> np.ndarray:
     if not mats:
         return zeros(0, cols)
     return np.concatenate([m for m in mats], axis=0)
+
+
+def hstack(mats: list[np.ndarray], rows: int) -> np.ndarray:
+    """The matrices side by side, skipping those without columns (their row
+    count may differ); (rows, 0) when none has a column."""
+    mats = [m for m in mats if m.shape[1]]
+    if not mats:
+        return zeros(rows, 0)
+    return np.concatenate(mats, axis=1)

@@ -17,7 +17,6 @@ the identities, object by object and on hom bases.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +49,7 @@ from .cotorsion import (
     satisfies_rcp,
     subcat,
 )
-from .duality import DualContext, dual_context
+from .duality import dual_context
 from .heart import (
     GabrielQuiver,
     HeartModel,

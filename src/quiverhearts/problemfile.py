@@ -24,7 +24,7 @@ Parsing is round-trip stable: parse -> serialize -> parse is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import BoundQuiverAlgebra, IndecSet, Quiver, Rep
 

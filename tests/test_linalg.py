@@ -200,6 +200,25 @@ def test_long_products_match_python_ints(p):
     assert la.matmul(a, b, p).tolist() == exact
 
 
+@pytest.mark.parametrize("p", [P31, 3037000493])
+def test_stacked_products_match_each_slice(p):
+    # Broadcast stacks, as `composite_columns` multiplies them; the inner
+    # dimension 7 needs chunks at both primes.
+    rng = np.random.default_rng(11)
+    a = rng.integers(0, p, size=(1, 3, 2, 7), dtype=np.int64)
+    b = rng.integers(0, p, size=(4, 1, 7, 5), dtype=np.int64)
+    a[0, 0] = b[0, 0] = p - 1
+    got = la.matmul(a, b, p)
+    assert got.shape == (4, 3, 2, 5)
+    for k in range(4):
+        for j in range(3):
+            x, y = a[0, j], b[k, 0]
+            assert np.array_equal(got[k, j], la.matmul(x, y, p))
+            exact = [[sum(int(s) * int(t) for s, t in zip(row, col)) % p for col in y.T]
+                     for row in x]
+            assert got[k, j].tolist() == exact
+
+
 def test_matmul_refuses_a_prime_past_the_bound():
     p = 2**61 - 1
     with pytest.raises(ValueError, match="too large"):

@@ -1,5 +1,7 @@
-"""The benchmark's tracer still finds every target it wraps."""
+"""Tooling checks: the benchmark's tracer still finds every target it wraps,
+and the package imports nothing it does not use (no linter is installed)."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +23,29 @@ def test_benchmark_tracer_installs():
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads (`__all__` counts as a read)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    modules = sorted((ROOT / "src" / "quiverhearts").glob("*.py"))
+    unused = [u for path in modules for u in unused_imports(path)]
+    assert not unused, unused

@@ -15,14 +15,14 @@ from quiverhearts.mutation import verify_main_theorem
 from quiverhearts.workspace import WORKSPACE
 
 
-def nakayama_atlas(n: int, k: int) -> IndecSet:
-    """Interval modules of A_n / rad^k: [i, j] with j - i < k."""
+def nakayama_atlas(n: int, k: int, p: int = 101) -> IndecSet:
+    """Interval modules of A_n / rad^k over F_p: [i, j] with j - i < k."""
     vertices = tuple(str(v) for v in range(1, n + 1))
     arrows = tuple((f"a{v}", str(v), str(v + 1)) for v in range(1, n))
     relations = tuple(
         ((1, tuple(f"a{v}" for v in range(s, s + k))),) for s in range(1, n - k + 1)
     )
-    alg = BoundQuiverAlgebra(Quiver(vertices, arrows), 101, relations)
+    alg = BoundQuiverAlgebra(Quiver(vertices, arrows), p, relations)
     members = []
     for i in range(1, n + 1):
         for j in range(i, min(i + k - 1, n) + 1):
