@@ -296,7 +296,7 @@ class RepMap:
     The public constructor reduces every block mod p, checks its shape and
     checks that the blocks intertwine.  Maps built inside the package from
     blocks that are valid by construction (arithmetic on maps, hom bases,
-    direct sums, kernels, cokernels, images, duals) go through `_trusted`,
+    matrices of components, kernels, cokernels, images, duals) go through `_trusted`,
     which skips that work.
     """
 
@@ -522,42 +522,56 @@ def composite_columns(outer: list[RepMap], inner: list[RepMap]) -> np.ndarray:
     return out.T
 
 
-def direct_sum(reps: list[Rep], name: str | None = None):
-    """Block-diagonal sum; returns (sum, inclusions, projections)."""
+def direct_sum(reps: list[Rep], name: str | None = None) -> Rep:
+    """Block-diagonal sum; maps into, out of or between sums are built by
+    `matrix_map` from their components."""
     if not reps:
         raise AlgebraError("direct_sum of empty list needs an algebra; use zero_rep")
     alg = reps[0].algebra
-    nv = alg.n_vertices
-    dims = [sum(r.dims[i] for r in reps) for i in range(nv)]
+    dims = [sum(r.dims[i] for r in reps) for i in range(alg.n_vertices)]
     maps = {}
     q = alg.quiver
     for aid, s, t in q.arrows:
         i, j = q.vertex_index(s), q.vertex_index(t)
-        blocks = [r.arrow_maps[aid] for r in reps]
         m = la.zeros(dims[j], dims[i])
         ro = co = 0
-        for r, b in zip(reps, blocks):
-            m[ro : ro + r.dims[j], co : co + r.dims[i]] = b
+        for r in reps:
+            m[ro : ro + r.dims[j], co : co + r.dims[i]] = r.arrow_maps[aid]
             ro += r.dims[j]
             co += r.dims[i]
         maps[aid] = m
-    total = Rep(alg, name or "(" + "+".join(r.name for r in reps) + ")", dims, maps)
-    incls, projs = [], []
-    offs = [0] * nv
-    for r in reps:
-        inc_blocks, prj_blocks = [], []
-        for i in range(nv):
-            inc = la.zeros(dims[i], r.dims[i])
-            prj = la.zeros(r.dims[i], dims[i])
-            inc[offs[i] : offs[i] + r.dims[i], :] = la.eye(r.dims[i])
-            prj[:, offs[i] : offs[i] + r.dims[i]] = la.eye(r.dims[i])
-            inc_blocks.append(inc)
-            prj_blocks.append(prj)
-        incls.append(RepMap._trusted(r, total, inc_blocks))
-        projs.append(RepMap._trusted(total, r, prj_blocks))
-        for i in range(nv):
-            offs[i] += r.dims[i]
-    return total, incls, projs
+    return Rep(alg, name or "(" + "+".join(r.name for r in reps) + ")", dims, maps)
+
+
+def matrix_map(source: Rep, target: Rep, rows) -> RepMap:
+    """The map between direct sums with components rows[j][k]: summand k of
+    `source` -> summand j of `target`, None meaning zero.
+
+    `source` and `target` are the sums of those summands in order (a single
+    module is a sum of one).  Every row and every column needs one given
+    component to fix its summand; give an all-zero one as `RepMap.zero`.
+    Each block is the component blocks joined side by side and stacked.
+    """
+    col_dims = [next(f.source.dims for f in col if f is not None) for col in zip(*rows)]
+    row_dims = [next(f.target.dims for f in row if f is not None) for row in rows]
+    blocks = []
+    for i, shape in enumerate(zip(target.dims, source.dims)):
+        block = np.concatenate(
+            [
+                np.concatenate(
+                    [
+                        la.zeros(rd[i], cd[i]) if f is None else f.blocks[i]
+                        for f, cd in zip(row, col_dims)
+                    ],
+                    axis=1,
+                )
+                for row, rd in zip(rows, row_dims)
+            ]
+        )
+        if block.shape != shape:
+            raise AlgebraError(f"components make a {block.shape} block, expected {shape}")
+        blocks.append(block)
+    return RepMap._trusted(source, target, blocks)
 
 
 def zero_rep(alg: BoundQuiverAlgebra) -> Rep:
@@ -571,51 +585,20 @@ def standard_modules(alg: BoundQuiverAlgebra):
     (including the trivial path); injective(v) is its dual over the
     opposite algebra.
     """
-    pb = path_basis(alg)
     q = alg.quiver
-    projectives, simples = {}, {}
+    simples = {}
     for v in q.vertices:
-        # basis: trivial path at v, plus basis paths with source v
-        idxs = [i for i in pb.basis if pb.paths[i][1] == v]
-        vert_of = {None: v}
-        slots: list[tuple[str, int | None]] = [(v, None)] + [
-            (pb.paths[i][2], i) for i in idxs
-        ]
-        dims = [0] * alg.n_vertices
-        local_index = []
-        for w, i in slots:
-            vi = q.vertex_index(w)
-            local_index.append((vi, dims[vi]))
-            dims[vi] += 1
-        maps = {}
-        for aid, s, t in q.arrows:
-            si, ti = q.vertex_index(s), q.vertex_index(t)
-            m = la.zeros(dims[ti], dims[si])
-            for slot, (w, i) in enumerate(slots):
-                if w != s:
-                    continue
-                new_path = (aid,) if i is None else pb.paths[i][0] + (aid,)
-                # reduce new_path in the quotient basis
-                pidx = _path_index(pb, new_path)
-                if pidx is None:
-                    continue
-                src_col = local_index[slot][1]
-                for bidx, coeff in pb.reduce_path(pidx).items():
-                    tslot = slots.index((pb.paths[bidx][2], bidx))
-                    m[local_index[tslot][1], src_col] = coeff % alg.p
-            maps[aid] = m
-        projectives[v] = Rep(alg, f"P({v})", dims, maps).validate()
         sd = [0] * alg.n_vertices
         sd[q.vertex_index(v)] = 1
         simples[v] = Rep(alg, f"S({v})", sd)
     op = opposite_algebra(alg)
-    op_proj = {v: _op_projective(op, v) for v in q.vertices}
+    op_proj = standard_modules_projective_only(op)
     injectives = {v: dual_rep(op_proj[v], alg, f"I({v})").validate() for v in q.vertices}
-    return {"projective": projectives, "injective": injectives, "simple": simples}
-
-
-def _op_projective(op_alg: BoundQuiverAlgebra, v: str) -> Rep:
-    return standard_modules_projective_only(op_alg)[v]
+    return {
+        "projective": dict(standard_modules_projective_only(alg)),
+        "injective": injectives,
+        "simple": simples,
+    }
 
 
 _STD_PROJ_CACHE: dict[BoundQuiverAlgebra, dict[str, Rep]] = {}

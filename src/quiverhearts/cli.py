@@ -33,14 +33,17 @@ from .cotorsion import (
     satisfies_rcp,
     verify_cotorsion_pair,
 )
-from .heart import GabrielQuiver, HeartModel
+from .heart import GabrielQuiver, HeartModel, QuotientCategory, gabriel_quiver
 from .mutation import (
     LocalizationModel,
     MutationInput,
     TwinData,
     classify_r,
+    dual_localization_model,
     ext2_rigidity_criterion,
+    reversed_quiver,
     right_mutation,
+    verify_localization,
     verify_main_theorem,
 )
 from .problemfile import ProblemFileError, parse_path
@@ -218,8 +221,6 @@ def cmd_heart(ctx: Context) -> int:
     model = HeartModel.build(pair, ctx.atlas)
     names = model.heart_object_names()
     ctx.say("heart objects: " + " ".join(sorted(names)))
-    from .heart import gabriel_quiver
-
     qv = gabriel_quiver(model.quotient)
     for (s, t), k in sorted(qv.arrows.items()):
         ctx.say(f"arrow: {s} -> {t} x{k}")
@@ -251,8 +252,6 @@ def cmd_localize(ctx: Context) -> int:
     qv = model.localized_quiver()
     for (s, t), k in sorted(qv.arrows.items()):
         ctx.say(f"arrow: {s} -> {t} x{k}")
-    from .mutation import verify_localization
-
     report = verify_localization(model, ctx.rng())
     for key in ("density", "fullness", "faithfulness", "inversion"):
         ctx.say(f"{key}: {_bool(report[key])}")
@@ -295,8 +294,6 @@ def cmd_classify_morphism(ctx: Context) -> int:
     ctx.args.names = saved
     inp = MutationInput(ctx.atlas, c, d).validate()
     twin = TwinData.build(inp)
-    from .heart import QuotientCategory
-
     qc = QuotientCategory(list(ctx.atlas.members), [])
     basis = qc.qbasis(ctx.atlas[src], ctx.atlas[tgt])
     if not basis:
@@ -316,8 +313,6 @@ def cmd_export_dot(ctx: Context) -> int:
     if what == "heart":
         sub = ctx.pick_subcat(0, default="C")
         pair = cotorsion_pair_from_rigid(sub)
-        from .heart import gabriel_quiver
-
         qv = gabriel_quiver(HeartModel.build(pair, ctx.atlas).quotient)
     elif what in ("localized", "localized-dual"):
         c, d = ctx.pick_pair()
@@ -325,8 +320,6 @@ def cmd_export_dot(ctx: Context) -> int:
         if what == "localized":
             qv = LocalizationModel.build(inp).localized_quiver()
         else:
-            from .mutation import dual_localization_model, reversed_quiver
-
             twin = TwinData.build(inp)
             qv = reversed_quiver(
                 dual_localization_model(ctx.atlas, twin.m_mut, twin.n).localized_quiver()

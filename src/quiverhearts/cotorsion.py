@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import (
     AlgebraError,
@@ -33,6 +34,7 @@ from .homology import (
     homs,
     minimal_left_approximation,
     minimal_right_approximation,
+    syzygy,
 )
 
 
@@ -75,6 +77,27 @@ class Subcategory:
     def issubset(self, other: "Subcategory") -> bool:
         return set(self.names) <= set(other.names)
 
+    # Derived data, built once per object (cached_property writes to the
+    # instance dict directly, so the frozen fields, equality and hash stay).
+    @cached_property
+    def rigid_pair(self) -> "CotorsionPair":
+        """The cotorsion pair (self, self-perp) of a rigid class with the
+        projectives, with its witnesses."""
+        return cotorsion_pair_from_rigid(self)
+
+    @cached_property
+    def omega_generators(self) -> list[tuple[Rep, Conflation]]:
+        """Generators of Omega(self), each with its conflation rep >-> P ->> D:
+        the nonzero syzygies of the members, then the projectives."""
+        gens = []
+        for m in self.members:
+            om, conf = syzygy(m)
+            if not om.is_zero():
+                gens.append((om, conf))
+        for pv in projectives_of(self.atlas).members:
+            gens.append((pv, conflation_from_infl(RepMap.identity(pv))))
+        return gens
+
     def __iter__(self):
         return iter(self.members)
 
@@ -91,30 +114,24 @@ def full_subcat(atlas: IndecSet) -> Subcategory:
 
 
 def projectives_of(atlas: IndecSet) -> Subcategory:
-    alg = atlas.members[0].algebra
-    std = standard_modules(alg)
-    names = []
-    for v, p in std["projective"].items():
-        for m in atlas:
-            if m.dims == p.dims and is_isomorphic(m, p)[0]:
-                names.append(m.name)
-                break
-        else:
-            raise AlgebraError(f"projective at {v} missing from atlas")
-    return Subcategory(atlas, tuple(names))
+    return _standard_class(atlas, "projective")
 
 
 def injectives_of(atlas: IndecSet) -> Subcategory:
-    alg = atlas.members[0].algebra
-    std = standard_modules(alg)
+    return _standard_class(atlas, "injective")
+
+
+def _standard_class(atlas: IndecSet, kind: str) -> Subcategory:
+    """The atlas members isomorphic to the standard modules of this kind."""
+    std = standard_modules(atlas.members[0].algebra)
     names = []
-    for v, i in std["injective"].items():
+    for v, s in std[kind].items():
         for m in atlas:
-            if m.dims == i.dims and is_isomorphic(m, i)[0]:
+            if m.dims == s.dims and is_isomorphic(m, s)[0]:
                 names.append(m.name)
                 break
         else:
-            raise AlgebraError(f"injective at {v} missing from atlas")
+            raise AlgebraError(f"{kind} at {v} missing from atlas")
     return Subcategory(atlas, tuple(names))
 
 
@@ -360,7 +377,7 @@ def cocone_membership_bruteforce(
     max_extra = 2 * max((m.total_dim for m in bp.atlas), default=0)
     cap = cap if cap is not None else x.total_dim + max_extra
     for combo in _candidate_sums(bp.members, cap):
-        total, _, _ = direct_sum(combo)
+        total = direct_sum(combo)
         if total.total_dim < x.total_dim:
             continue
         for f in _all_maps(x, total):
@@ -381,7 +398,7 @@ def cone_membership_bruteforce(
     max_extra = 2 * max((m.total_dim for m in bpp.atlas), default=0)
     cap = cap if cap is not None else x.total_dim + max_extra
     for combo in _candidate_sums(bpp.members, cap):
-        total, _, _ = direct_sum(combo)
+        total = direct_sum(combo)
         if total.total_dim < x.total_dim:
             continue
         for f in _all_maps(total, x):
@@ -419,7 +436,7 @@ def _star_bruteforce(x: Rep, u: Subcategory, v: Subcategory) -> bool:
         else:
             cap = member.total_dim
             for combo in _candidate_sums(u.members, cap):
-                total, _, _ = direct_sum(combo)
+                total = direct_sum(combo)
                 for f in _all_maps(total, member):
                     if f.is_injective():
                         conf = conflation_from_infl(f)

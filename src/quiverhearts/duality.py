@@ -44,12 +44,6 @@ class DualContext:
         return Conflation(self.dmap(conf.defl), self.dmap(conf.infl))
 
 
-_CTX_CACHE: dict[int, DualContext] = {}
-
-
 def dual_context(atlas: IndecSet) -> DualContext:
-    ctx = _CTX_CACHE.get(id(atlas))
-    if ctx is None:
-        ctx = DualContext(atlas)
-        _CTX_CACHE[id(atlas)] = ctx
-    return ctx
+    """A fresh transport of `atlas` onto the opposite algebra."""
+    return DualContext(atlas)

@@ -11,6 +11,7 @@ model where they are plain linear algebra.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,17 +22,28 @@ from .algebra import (
     IndecSet,
     Rep,
     RepMap,
+    _radical_of_span,
     composite_columns,
     coords_in_basis,
+    decompose_with_maps,
     direct_sum,
     map_from_coords,
+    matrix_map,
     zero_rep,
 )
-from .cotorsion import CotorsionPair, Subcategory, cocone_objects, is_rigid
+from .cotorsion import (
+    CotorsionPair,
+    Subcategory,
+    _left_witness,
+    cocone_objects,
+    is_rigid,
+    projectives_of,
+)
 from .homology import (
     Conflation,
     Ext1,
     conflation_from_defl,
+    ext1_dim,
     homs,
     pullback,
     pullback_conflation,
@@ -165,8 +177,6 @@ class GabrielQuiver:
 
 def _local_radical(qc: QuotientCategory, x: Rep) -> list[RepMap]:
     """Radical of End(x)/[ideal] via the trace form on the regular representation."""
-    from .algebra import _radical_of_span
-
     reps = qc.qbasis(x, x)
     if not reps:
         return []
@@ -221,8 +231,6 @@ def gabriel_quiver(qc: QuotientCategory) -> GabrielQuiver:
 
 def quivers_isomorphic(q1: GabrielQuiver, q2: GabrielQuiver) -> bool:
     """Brute-force digraph isomorphism with arrow multiplicities."""
-    import itertools
-
     if len(q1.nodes) != len(q2.nodes):
         return False
     n2 = list(q2.nodes)
@@ -279,8 +287,6 @@ class CohomologicalH:
         if x is self.atlas.by_name.get(x.name):
             wl = self.pair.witness_left(x.name)  # X >-> V^X ->> U^X
         else:
-            from .cotorsion import _left_witness
-
             wl = _left_witness(self.pair.u, self.pair.v, x)
         vx = wl.b
         wr = self._right_witness_of(vx)  # V0 >-> U0 ->> V^X
@@ -293,24 +299,17 @@ class CohomologicalH:
 
     def _right_witness_of(self, b: Rep) -> Conflation:
         """V0 >-> U0 ->> b assembled summand-wise from the pair's witnesses."""
-        from .algebra import decompose_with_maps
-
         if b.is_zero():
             z = zero_rep(b.algebra)
             return Conflation(RepMap.zero(z, z), RepMap.zero(z, b))
         triples = decompose_with_maps(b, self.atlas)
         parts = [self.pair.witness_right(m.name) for m, _, _ in triples]
-        mids = [c.b for c in parts]
-        tops = [c.a for c in parts]
-        mid, mid_incs, mid_prjs = direct_sum(mids)
-        top, _top_incs, top_prjs = direct_sum(tops)
-        infl = RepMap.zero(top, mid)
-        defl = RepMap.zero(mid, b)
-        for part, (_member, inc, _prj), mi, tp, mp in zip(
-            parts, triples, mid_incs, top_prjs, mid_prjs
-        ):
-            infl = infl.add(mi.compose(part.infl).compose(tp))
-            defl = defl.add(inc.compose(part.defl).compose(mp))
+        mid = direct_sum([c.b for c in parts])
+        top = direct_sum([c.a for c in parts])
+        n = len(parts)
+        diagonal = [[c.infl if j == k else None for k in range(n)] for j, c in enumerate(parts)]
+        infl = matrix_map(top, mid, diagonal)
+        defl = matrix_map(mid, b, [[inc.compose(c.defl) for c, (_, inc, _) in zip(parts, triples)]])
         return Conflation(infl, defl).validate()
 
     def h_map(self, f: RepMap, hx: HObject | None = None, hy: HObject | None = None) -> RepMap:
@@ -371,9 +370,7 @@ class PhiModel:
         self.c = c
         self.atlas = c.atlas
         self.p = c.atlas.members[0].algebra.p
-        self.g, self._g_incs, self._g_prjs = direct_sum(c.members)
-        from .cotorsion import projectives_of
-
+        self.g = direct_sum(c.members)
         self.projectives = projectives_of(c.atlas)
         stable = QuotientCategory([self.g], self.projectives.members)
         self.gamma_basis = stable.qbasis(self.g, self.g)
@@ -593,9 +590,9 @@ def realize_heart_kernel(model: HeartModel, g: RepMap) -> tuple[Rep, RepMap, Rep
 def realize_ses_in_heart(model: HeartModel, g: RepMap) -> Conflation:
     """Conflation K_g >-> B + W_C ->> C realizing 0 -> ker -> B -> C -> 0."""
     kobj, to_b, wc = realize_heart_kernel(model, g)
-    total, incs, prjs = direct_sum([g.source, wc])
+    total = direct_sum([g.source, wc])
     wr = model.h._right_witness_of(g.target)
-    defl = g.compose(prjs[0]).add(wr.defl.compose(prjs[1]))
+    defl = matrix_map(total, g.target, [[g, wr.defl]])
     conf = conflation_from_defl(defl)
     return conf.validate()
 
@@ -625,8 +622,6 @@ class SyzygyApproximation:
 
 def syzygy_approximation(pair: CotorsionPair, x: Rep, atlas: IndecSet) -> SyzygyApproximation:
     """The right Omega(U)-approximation deflation U0 ->> X of the pair."""
-    from .cotorsion import _left_witness
-
     if x is atlas.by_name.get(x.name):
         wl = pair.witness_left(x.name)
     else:
@@ -639,8 +634,6 @@ def syzygy_approximation(pair: CotorsionPair, x: Rep, atlas: IndecSet) -> Syzygy
 
 def omega_subcat(c: Subcategory) -> Subcategory:
     """Omega(C) = CoCone(P, C) as atlas object set."""
-    from .cotorsion import cocone_objects, projectives_of
-
     return cocone_objects(projectives_of(c.atlas), c)
 
 
@@ -656,8 +649,6 @@ def verify_syzygy_approximation(pair: CotorsionPair, x: Rep, atlas: IndecSet) ->
 
 def verify_factors_through_p(pair: CotorsionPair, x: Rep, b: Rep, atlas: IndecSet) -> bool:
     """If Ext^1(T0, B) = 0 then Hom(g0, B) is surjective."""
-    from .homology import ext1_dim
-
     sa = syzygy_approximation(pair, x, atlas)
     if ext1_dim(sa.t0_conf.b, b) != 0:
         return True  # hypothesis empty; nothing to check

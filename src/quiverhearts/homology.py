@@ -28,6 +28,7 @@ from .algebra import (
     end_radical,
     hom_space,
     map_from_coords,
+    matrix_map,
     standard_modules_projective_only,
     zero_rep,
 )
@@ -152,20 +153,22 @@ def conflation_from_defl(defl: RepMap) -> Conflation:
 def pushout(f: RepMap, g: RepMap):
     """Pushout of B <--f-- A --g--> C.
 
-    Returns (P, iB: B -> P, iC: C -> P) with iB f = iC g.
+    Returns (P, iB: B -> P, iC: C -> P, proj) with iB f = iC g, where proj:
+    B + C ->> P is the cokernel of [f; -g] and the legs are its columns.
     """
     if f.source is not g.source and f.source.dims != g.source.dims:
         raise AlgebraError("pushout legs must share a source")
-    bc, incs, projs = direct_sum([f.target, g.target])
-    u = incs[0].compose(f).sub(incs[1].compose(g))
-    p_rep, proj = cokernel(u)
-    return p_rep, proj.compose(incs[0]), proj.compose(incs[1]), proj, (bc, incs, projs)
+    bc = direct_sum([f.target, g.target])
+    p_rep, proj = cokernel(matrix_map(f.source, bc, [[f], [g.neg()]]))
+    ib = RepMap._trusted(f.target, p_rep, [b[:, :d] for b, d in zip(proj.blocks, f.target.dims)])
+    ic = RepMap._trusted(g.target, p_rep, [b[:, d:] for b, d in zip(proj.blocks, f.target.dims)])
+    return p_rep, ib, ic, proj
 
 
 def pushout_couniversal(po, b_map: RepMap, c_map: RepMap) -> RepMap:
     """Map out of a pushout induced by b_map, c_map with b_map f = c_map g."""
-    p_rep, _, _, proj, (bc, incs, projs) = po
-    comb = b_map.compose(projs[0]).add(c_map.compose(projs[1]))
+    p_rep, _, _, proj = po
+    comb = matrix_map(proj.source, b_map.target, [[b_map, c_map]])
     p = b_map.p
     blocks = []
     for pj, cb in zip(proj.blocks, comb.blocks):
@@ -179,20 +182,22 @@ def pushout_couniversal(po, b_map: RepMap, c_map: RepMap) -> RepMap:
 def pullback(f: RepMap, g: RepMap):
     """Pullback of B --f--> D <--g-- C.
 
-    Returns (P, pB: P -> B, pC: P -> C, inc, biproduct data) with f pB = g pC.
+    Returns (P, pB: P -> B, pC: P -> C, inc) with f pB = g pC, where inc:
+    P >-> B + C is the kernel of [f | -g] and the legs are its rows.
     """
     if f.target is not g.target and f.target.dims != g.target.dims:
         raise AlgebraError("pullback legs must share a target")
-    bc, incs, projs = direct_sum([f.source, g.source])
-    u = f.compose(projs[0]).sub(g.compose(projs[1]))
-    p_rep, inc = kernel(u)
-    return p_rep, projs[0].compose(inc), projs[1].compose(inc), inc, (bc, incs, projs)
+    bc = direct_sum([f.source, g.source])
+    p_rep, inc = kernel(matrix_map(bc, f.target, [[f, g.neg()]]))
+    pb = RepMap._trusted(p_rep, f.source, [b[:d] for b, d in zip(inc.blocks, f.source.dims)])
+    pc = RepMap._trusted(p_rep, g.source, [b[d:] for b, d in zip(inc.blocks, f.source.dims)])
+    return p_rep, pb, pc, inc
 
 
 def pullback_universal(pb, b_map: RepMap, c_map: RepMap) -> RepMap:
     """Map into a pullback induced by b_map, c_map with f b_map = g c_map."""
-    p_rep, _, _, inc, (bc, incs, projs) = pb
-    comb = incs[0].compose(b_map).add(incs[1].compose(c_map))
+    p_rep, _, _, inc = pb
+    comb = matrix_map(b_map.source, inc.target, [[b_map], [c_map]])
     p = b_map.p
     blocks = []
     for bi, cb in zip(inc.blocks, comb.blocks):
@@ -262,10 +267,8 @@ def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
             f = _map_from_projective(pv, v, m, lift[:, col])
             parts.append(pv)
             part_maps.append(f)
-    total, incs, prjs = direct_sum(parts)
-    epi = part_maps[0].compose(prjs[0])
-    for f, pr in zip(part_maps[1:], prjs[1:]):
-        epi = epi.add(f.compose(pr))
+    total = direct_sum(parts)
+    epi = matrix_map(total, m, [part_maps])
     if not epi.is_surjective():
         raise AlgebraError("projective cover construction not surjective")
     return total, RepMap(total, m, epi.blocks)
@@ -484,9 +487,9 @@ def factor_witness(f: RepMap, through: list[Rep]):
     if not used:
         z = zero_rep(f.source.algebra)
         return z, RepMap.zero(f.source, z), RepMap.zero(z, f.target)
-    total, _, _ = direct_sum([t for (t, _, _), _ in used])
-    u_acc = _joined(f.source, total, [u.scale(c) for (_, u, _), c in used], "left")
-    v_acc = _joined(f.target, total, [v for (_, _, v), _ in used], "right")
+    total = direct_sum([t for (t, _, _), _ in used])
+    u_acc = matrix_map(f.source, total, [[u.scale(c)] for (_, u, _), c in used])
+    v_acc = matrix_map(total, f.target, [[v for (_, _, v), _ in used]])
     return total, u_acc, v_acc
 
 
@@ -505,30 +508,16 @@ class Approximation:
     side: str  # "right" | "left"
 
 
-def _joined(obj: Rep, total: Rep, maps: list[RepMap], side: str) -> RepMap:
-    """The map total -> obj (right) or obj -> total (left) that is maps[k]
-    on the k-th summand of the direct sum `total`.
-
-    Its blocks are the maps' blocks side by side (right) or stacked (left):
-    the entries of the sum of maps[k] o projection[k] (right) or of
-    inclusion[k] o maps[k] (left) over the direct-sum structure maps.
-    """
-    axis = 1 if side == "right" else 0
-    blocks = [
-        np.concatenate([h.blocks[i] for h in maps], axis=axis) for i in range(len(obj.dims))
-    ]
-    if side == "right":
-        return RepMap._trusted(total, obj, blocks)
-    return RepMap._trusted(obj, total, blocks)
-
-
 def _assemble(parts, obj: Rep, side: str) -> Approximation:
     if not parts:
         z = zero_rep(obj.algebra)
         f = RepMap.zero(z, obj) if side == "right" else RepMap.zero(obj, z)
         return Approximation(obj, z, f, [], side)
-    total, _, _ = direct_sum([m for m, _ in parts])
-    f = _joined(obj, total, [h for _, h in parts], side)
+    total = direct_sum([m for m, _ in parts])
+    if side == "right":
+        f = matrix_map(total, obj, [[h for _, h in parts]])
+    else:
+        f = matrix_map(obj, total, [[h] for _, h in parts])
     return Approximation(obj, total, f, list(parts), side)
 
 

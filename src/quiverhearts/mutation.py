@@ -30,6 +30,7 @@ from .algebra import (
     decompose,
     direct_sum,
     map_from_coords,
+    matrix_map,
     zero_rep,
 )
 from .cotorsion import (
@@ -42,10 +43,8 @@ from .cotorsion import (
     cocone_objects,
     cone_membership,
     cone_objects,
-    cotorsion_pair_from_rigid,
     is_rigid,
     perp_right,
-    projectives_of,
     satisfies_rcp,
     subcat,
 )
@@ -80,18 +79,6 @@ from .homology import (
 
 # ---------------------------------------------------------------------------
 # Mutation of rigid subcategories.
-
-
-_pair_cache: dict = {}
-
-
-def _rigid_pair(sub: Subcategory) -> CotorsionPair:
-    key = (id(sub.atlas), sub.names)
-    got = _pair_cache.get(key)
-    if got is None:
-        got = cotorsion_pair_from_rigid(sub)
-        _pair_cache[key] = got
-    return got
 
 
 @dataclass(frozen=True)
@@ -192,26 +179,6 @@ class HdApproximation:
         return self.conf.defl
 
 
-_gen_cache: dict = {}
-
-
-def _omega_generators(inner: Subcategory):
-    """(rep, conflation rep >-> P ->> D-part) generators of Omega(inner)."""
-    key = (id(inner.atlas), inner.names)
-    got = _gen_cache.get(key)
-    if got is not None:
-        return got
-    gens = []
-    for m in inner.members:
-        om, conf = syzygy(m)
-        if not om.is_zero():
-            gens.append((om, conf))
-    for pv in projectives_of(inner.atlas).members:
-        gens.append((pv, conflation_from_infl(RepMap.identity(pv))))
-    _gen_cache[key] = gens
-    return gens
-
-
 def right_hd_approximation(
     outer_pair: CotorsionPair,
     inner: Subcategory,
@@ -230,25 +197,24 @@ def right_hd_approximation(
         z = zero_rep(x.algebra)
         conf = Conflation(RepMap.zero(z, u0_conf.b), u0_conf.defl)
         return _validated(conf, conf, x, outer_pair, inner, check_membership)
-    gens = _omega_generators(inner)
+    gens = inner.omega_generators
     confs = {id(g): c for g, c in gens}
     approx = minimal_right_approximation([g for g, _ in gens], y0)
     if not approx.map.is_surjective():
         raise AlgebraError("failed clause: approximation by syzygies is not a deflation")
     parts = approx.parts
-    v1, _v1_incs, v1_prjs = direct_sum([g for g, _ in parts])
-    mids = [confs[id(g)].b for g, _ in parts]
-    ends = [confs[id(g)].c for g, _ in parts]
-    p1, p1_incs, p1_prjs = direct_sum(mids)
-    d1, d1_incs, _ = direct_sum(ends)
-    f1 = RepMap.zero(v1, y0)
-    h1 = RepMap.zero(v1, p1)
-    pd = RepMap.zero(p1, d1)
-    for (g, comp), vp, pi, pp, di in zip(parts, v1_prjs, p1_incs, p1_prjs, d1_incs):
-        gc = confs[id(g)]
-        f1 = f1.add(comp.compose(vp))
-        h1 = h1.add(pi.compose(gc.infl).compose(vp))
-        pd = pd.add(di.compose(gc.defl).compose(pp))
+    gcs = [confs[id(g)] for g, _ in parts]  # per part g: g >-> P ->> D-part
+    v1 = direct_sum([g for g, _ in parts])
+    p1 = direct_sum([gc.b for gc in gcs])
+    d1 = direct_sum([gc.c for gc in gcs])
+    n = len(gcs)
+    f1 = matrix_map(v1, y0, [[comp for _, comp in parts]])
+    h1 = matrix_map(
+        v1, p1, [[gc.infl if j == k else None for k in range(n)] for j, gc in enumerate(gcs)]
+    )
+    pd = matrix_map(
+        p1, d1, [[gc.defl if j == k else None for k in range(n)] for j, gc in enumerate(gcs)]
+    )
     y1_conf = conflation_from_defl(f1)  # Y1 >-> V1 ->> Y0
     into_p1 = h1.compose(y1_conf.infl)
     if not into_p1.is_injective():
@@ -329,7 +295,7 @@ class LocalizationModel:
     @classmethod
     def build(cls, inp: MutationInput, heart: HeartModel | None = None) -> "LocalizationModel":
         inp.validate()
-        pair = heart.pair if heart is not None else _rigid_pair(inp.c)
+        pair = heart.pair if heart is not None else inp.c.rigid_pair
         if heart is None:
             heart = HeartModel.build(pair, inp.atlas)
         cmut = right_mutation(inp)
@@ -536,8 +502,7 @@ def reflection(twin: TwinData, b: Rep) -> Reflection:
 
 def coreflection(twin: TwinData, b: Rep) -> HdApproximation:
     """B- ->> B with B- in H_D = CoCone(C', D) and kernel in C'-perp."""
-    pair_d = _rigid_pair(twin.inp.d)
-    return right_hd_approximation(pair_d, twin.cmut, b, twin.inp.atlas)
+    return right_hd_approximation(twin.inp.d.rigid_pair, twin.cmut, b, twin.inp.atlas)
 
 
 def verify_reflection_property(twin: TwinData, refl: Reflection) -> bool:

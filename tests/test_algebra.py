@@ -93,21 +93,21 @@ def test_atlas_members_indecomposable():
 
 def test_direct_sum_decomposable():
     atlas = fx.auslander_a3_atlas()
-    s, _, _ = direct_sum([atlas["3/5"], atlas["2/4"]])
+    s = direct_sum([atlas["3/5"], atlas["2/4"]])
     assert not is_indecomposable(s)
 
 
 def test_decompose_roundtrip():
     atlas = fx.auslander_a3_atlas()
     picks = [atlas["3/5/6"], atlas["2/34"], atlas["2/34"], atlas["5"]]
-    s, _, _ = direct_sum(picks)
+    s = direct_sum(picks)
     counts = decompose(s, atlas)
     assert counts == {"3/5/6": 1, "2/34": 2, "5": 1}
 
 
 def test_decompose_with_maps_biproduct():
     atlas = fx.auslander_a3_atlas()
-    s, _, _ = direct_sum([atlas["1/2"], atlas["4/5"]])
+    s = direct_sum([atlas["1/2"], atlas["4/5"]])
     parts = decompose_with_maps(s, atlas)
     assert sorted(m.name for m, _, _ in parts) == ["1/2", "4/5"]
     for m, inc, prj in parts:
@@ -185,7 +185,7 @@ def test_largest_accepted_prime_is_exact():
     assert is_indecomposable(s1)
     # End(S1 + S2) = F_p x F_p: its elements have split minimal polynomials
     # of degree 2, whose irreducibility test multiplies degree-1 residues.
-    total, _, _ = direct_sum([s1, s2])
+    total = direct_sum([s1, s2])
     assert not is_indecomposable(total)
     # A Kronecker module with End = F_p[x]/(x^2 - c) = F_{p^2} for a
     # non-square c: its End/rad has an irreducible minimal polynomial.

@@ -19,6 +19,7 @@ from quiverhearts import heart as ht
 from quiverhearts import homology as ho
 from quiverhearts import linalg as la
 from quiverhearts.algebra import Rep, RepMap
+from test_direct_sums import structure_maps
 from test_workspace import nakayama_atlas
 
 PRIMES = [2, 3, 101, 2**31 - 1]
@@ -35,8 +36,8 @@ def objects(atlas) -> list[Rep]:
     m = atlas.by_name
     return [
         m["2/34/5"], m["2/34"], m["3/5"], m["4/5"], m["3"], m["6"],
-        al.direct_sum([m["2/34/5"], m["2/34"], m["3"]], "S1")[0],
-        al.direct_sum([m["3/5"], m["34/5"], m["2/3"]], "S2")[0],
+        al.direct_sum([m["2/34/5"], m["2/34"], m["3"]], "S1"),
+        al.direct_sum([m["3/5"], m["34/5"], m["2/3"]], "S2"),
         al.zero_rep(atlas.members[0].algebra),
     ]
 
@@ -146,7 +147,8 @@ def assemble_reference(parts, obj: Rep, side: str) -> ho.Approximation:
         z = al.zero_rep(obj.algebra)
         f = RepMap.zero(z, obj) if side == "right" else RepMap.zero(obj, z)
         return ho.Approximation(obj, z, f, [], side)
-    total, incs, projs = al.direct_sum([m for m, _ in parts])
+    total = al.direct_sum([m for m, _ in parts])
+    incs, projs = structure_maps([m for m, _ in parts], total)
     if side == "right":
         f = RepMap.zero(total, obj)
         for (_, comp), prj in zip(parts, projs):
@@ -204,7 +206,7 @@ def member_lists(atlas, side: str) -> list[list[Rep]]:
     other members have several maps and leave the strip a choice."""
     ends = ct.projectives_of(atlas) if side == "right" else ct.injectives_of(atlas)
     ms = atlas.members
-    sums = [al.direct_sum(ms[:3], "S")[0], al.direct_sum(ms[2::3], "T")[0]]
+    sums = [al.direct_sum(ms[:3], "S"), al.direct_sum(ms[2::3], "T")]
     return [ends.members, ms, ms[1::2], sums + ms[:4] + ms[-4:]]
 
 
@@ -292,7 +294,8 @@ def factor_witness_reference(f: RepMap, through: list[Rep]):
     used = [(pairs[i], int(c)) for i, c in enumerate(sol[:, 0]) if c]
     if not used:
         return "zero"
-    total, incs, projs = al.direct_sum([t for (t, _, _), _ in used])
+    total = al.direct_sum([t for (t, _, _), _ in used])
+    incs, projs = structure_maps([t for (t, _, _), _ in used], total)
     u_acc = RepMap.zero(f.source, total)
     v_acc = RepMap.zero(total, f.target)
     for ((_, u, v), c), inc, prj in zip(used, incs, projs):

@@ -91,7 +91,7 @@ def test_ext1_realize_and_coords_roundtrip():
     assert list(coords) == [1]
     # the zero class realizes as a split extension
     conf0 = ext.realize([0])
-    s, _, _ = direct_sum([atlas["2"], atlas["1"]])
+    s = direct_sum([atlas["2"], atlas["1"]])
     iso, _ = is_isomorphic(conf0.b, s)
     assert iso
     assert list(ext.coords_of(conf0)) == [0]
@@ -125,7 +125,7 @@ def test_pushout_pullback_conflation():
     g = RepMap.zero(atlas["3"], conf.c)
     conf3, pmap = ho.pullback_conflation(conf, g)
     conf3.validate()
-    s, _, _ = direct_sum([conf.a, atlas["3"]])
+    s = direct_sum([conf.a, atlas["3"]])
     iso, _ = is_isomorphic(conf3.b, s)
     assert iso
 

@@ -1,11 +1,15 @@
 """Mutation, intermediate categories, localization, and the round trips."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from quiverhearts.cotorsion import (
     cone_objects,
     cocone_objects,
+    full_subcat,
     is_rigid,
     perp_right,
     satisfies_rcp,
@@ -26,7 +30,6 @@ from quiverhearts.mutation import (
     MutationInput,
     PseudoMoritaData,
     TwinData,
-    _rigid_pair,
     a_objects,
     check_g1_property,
     classify_r,
@@ -187,10 +190,10 @@ def test_localized_quiver_shape(fx, model):
 
 def test_dual_heart_objects_panel(fx, twin):
     ctx = dual_context(fx.atlas)
-    hm = HeartModel.build(_rigid_pair(ctx.dsub(twin.m_mut)), ctx.datlas)
+    hm = HeartModel.build(ctx.dsub(twin.m_mut).rigid_pair, ctx.datlas)
     assert set(hm.heart_object_names()) == set(fx.subcats["heart_mut"])
     # the heart of the mutated pair has the same nonzero objects
-    hm2 = HeartModel.build(_rigid_pair(twin.cmut), fx.atlas)
+    hm2 = HeartModel.build(twin.cmut.rigid_pair, fx.atlas)
     assert set(hm2.heart_object_names()) == set(fx.subcats["heart_mut"])
 
 
@@ -340,3 +343,26 @@ def test_main_theorem_rejects_inadmissible_input(fx):
     rep = verify_main_theorem(fx.atlas, bad, fx.subcat_obj("D"))
     assert rep["ok"] is False
     assert rep["checks"]["classes_admissible"] is False
+
+
+def test_certificate_keeps_no_atlas_alive():
+    # Derived data lives on the Subcategory objects, not in module caches.
+    f = ex61()
+    rep = verify_main_theorem(f.atlas, f.subcat_obj("C"), f.subcat_obj("D"))
+    assert rep["ok"], rep["checks"]
+    ref = weakref.ref(f.atlas)
+    del f, rep
+    gc.collect()
+    assert ref() is None
+
+
+def test_omega_generators_are_over_the_callers_algebra():
+    # Atlases rebuilt over alternating fields are freed and their ids reused.
+    for i in range(30):
+        p = 2 if i % 2 else 101
+        atlas = a3_atlas(p)
+        alg = atlas.members[0].algebra
+        gens = full_subcat(atlas).omega_generators
+        assert gens
+        for g, conf in gens:
+            assert g.algebra == alg and conf.b.algebra == alg and conf.c.algebra == alg

@@ -49,3 +49,30 @@ def test_no_unused_imports():
     modules = sorted((ROOT / "src" / "quiverhearts").glob("*.py"))
     unused = [u for path in modules for u in unused_imports(path)]
     assert not unused, unused
+
+
+def deferred_imports(path: Path) -> list[str]:
+    """Imports inside functions from a module the file also imports at top
+    level: that module is loaded already, so no import cycle needs them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+
+    def modules(node) -> set[str]:
+        if isinstance(node, ast.Import):
+            return {alias.name for alias in node.names}
+        if isinstance(node, ast.ImportFrom):
+            return {"." * node.level + (node.module or "")}
+        return set()
+
+    top = set().union(*(modules(node) for node in tree.body))
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                found |= {f"{path.name}:{node.lineno} {m}" for m in modules(node) & top}
+    return sorted(found)
+
+
+def test_no_deferred_imports_of_loaded_modules():
+    modules = sorted((ROOT / "src" / "quiverhearts").glob("*.py"))
+    deferred = [d for path in modules for d in deferred_imports(path)]
+    assert not deferred, deferred
