@@ -12,15 +12,13 @@ Exit codes: 0 success / claim verified, 1 claim falsified, 2 usage or
 input error, 3 a capped search was inconclusive.
 
 All output is deterministic: collections are sorted before printing and
-every randomized check draws from a generator seeded by --seed.
+no check draws on --seed, which is still accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
 
 from . import fixtures
 from .algebra import AlgebraError, hom_dim, is_isomorphic, standard_modules
@@ -104,9 +102,6 @@ class Context:
 
     def say(self, line: str = ""):
         self.out.append(line)
-
-    def rng(self):
-        return np.random.default_rng(self.args.seed)
 
     def _param(self, key: str) -> str | None:
         return self.task.get(key) if self.task else None
@@ -252,7 +247,7 @@ def cmd_localize(ctx: Context) -> int:
     qv = model.localized_quiver()
     for (s, t), k in sorted(qv.arrows.items()):
         ctx.say(f"arrow: {s} -> {t} x{k}")
-    report = verify_localization(model, ctx.rng())
+    report = verify_localization(model)
     for key in ("density", "fullness", "faithfulness", "inversion"):
         ctx.say(f"{key}: {_bool(report[key])}")
     ctx.say(f"verified: {_bool(report['ok'])}")
@@ -263,7 +258,7 @@ def cmd_localize(ctx: Context) -> int:
 
 def cmd_verify_main_theorem(ctx: Context) -> int:
     c, d = ctx.pick_pair()
-    report = verify_main_theorem(ctx.atlas, c, d, seed=ctx.args.seed)
+    report = verify_main_theorem(ctx.atlas, c, d)
     for key in sorted(report["panels"]):
         ctx.say(f"panel {key}: " + " ".join(sorted(report["panels"][key])))
     for key in sorted(report["checks"]):
@@ -351,7 +346,6 @@ def _flag_parser(prog: str) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog=prog, add_help=False)
     ap.add_argument("names", nargs="*")
     ap.add_argument("--field", type=int, default=None)
-    ap.add_argument("--cap", type=int, default=None)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--print-panels", action="store_true")
     ap.add_argument("--dot", default=None)
@@ -392,11 +386,6 @@ def _run(argv: list[str]) -> tuple[int, list[str]]:
     task = next(
         (tasks[n] for n in sorted(tasks) if tasks[n].command == command), None
     )
-    if task:
-        if ns.cap is None and task.get("cap"):
-            ns.cap = int(task.get("cap"))
-        if task.get("seed") and ns.seed == 0:
-            ns.seed = int(task.get("seed"))
     ctx = Context(fx, ns, task=task)
     code = HANDLERS[command](ctx)
     return code, ctx.out
@@ -407,7 +396,7 @@ def _usage_lines() -> list[str]:
         "usage: quiverhearts <command> <problem-file> [names...] [flags]",
         "       quiverhearts demo ex61|ex62 <command> [names...] [flags]",
         "commands: " + " ".join(COMMANDS),
-        "flags: --field <p> --cap <n> --seed <n> --print-panels --dot <path>",
+        "flags: --field <p> --seed <n> --print-panels --dot <path>",
     ]
 
 

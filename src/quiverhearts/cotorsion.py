@@ -136,25 +136,27 @@ def _standard_class(atlas: IndecSet, kind: str) -> Subcategory:
 
 
 def perp_right(c: Subcategory) -> Subcategory:
-    keep = [
-        x.name
-        for x in c.atlas
-        if all(ext1_dim(m, x) == 0 for m in c.members)
-    ]
-    return Subcategory(c.atlas, tuple(keep))
+    """Atlas objects X with Ext^1(c, X) = 0."""
+    return _perp("right", c)
 
 
 def perp_left(c: Subcategory) -> Subcategory:
+    """Atlas objects X with Ext^1(X, c) = 0."""
+    return _perp("left", c)
+
+
+def _perp(side: str, c: Subcategory) -> Subcategory:
+    right = side == "right"
     keep = [
         x.name
         for x in c.atlas
-        if all(ext1_dim(x, m) == 0 for m in c.members)
+        if all((ext1_dim(m, x) if right else ext1_dim(x, m)) == 0 for m in c.members)
     ]
     return Subcategory(c.atlas, tuple(keep))
 
 
 def is_rigid(c: Subcategory) -> bool:
-    return all(ext1_dim(a, b) == 0 for a in c.members for b in c.members)
+    return is_corigid_pairwise(c, c)
 
 
 def is_corigid_pairwise(c: Subcategory, d: Subcategory) -> bool:
@@ -164,35 +166,27 @@ def is_corigid_pairwise(c: Subcategory, d: Subcategory) -> bool:
 
 def satisfies_rcp(c: Subcategory) -> tuple[bool, dict]:
     """Contains all projectives, rigid, fully contravariantly finite."""
-    report = {}
-    projs = projectives_of(c.atlas)
-    report["contains_projectives"] = projs.issubset(c)
-    report["rigid"] = is_rigid(c)
-    cf = True
-    for x in c.atlas:
-        approx = minimal_right_approximation(c.members, x)
-        if not approx.map.is_surjective():
-            cf = False
-            break
-    report["fully_contravariantly_finite"] = cf
-    report["summand_closed"] = True  # structural: membership by indecomposables
-    return all(report.values()), report
+    return _rcp("right", c)
 
 
 def satisfies_rcp_dual(v: Subcategory) -> tuple[bool, dict]:
     """Contains all injectives, rigid, fully covariantly finite."""
+    return _rcp("left", v)
+
+
+def _rcp(side: str, c: Subcategory) -> tuple[bool, dict]:
+    """Every atlas object has a right (left) c-approximation that is a
+    deflation (inflation); the report keys name the side."""
+    right = side == "right"
     report = {}
-    injs = injectives_of(v.atlas)
-    report["contains_injectives"] = injs.issubset(v)
-    report["rigid"] = is_rigid(v)
-    cf = True
-    for x in v.atlas:
-        approx = minimal_left_approximation(v.members, x)
-        if not approx.map.is_injective():
-            cf = False
-            break
-    report["fully_covariantly_finite"] = cf
-    report["summand_closed"] = True
+    if right:
+        report["contains_projectives"] = projectives_of(c.atlas).issubset(c)
+    else:
+        report["contains_injectives"] = injectives_of(c.atlas).issubset(c)
+    report["rigid"] = is_rigid(c)
+    finite = all(_approximation(side, c.members, x)[1] for x in c.atlas)
+    report["fully_contravariantly_finite" if right else "fully_covariantly_finite"] = finite
+    report["summand_closed"] = True  # structural: membership by indecomposables
     return all(report.values()), report
 
 
@@ -203,37 +197,57 @@ class CotorsionPair:
     # per atlas object name: (V_B >-> U_B ->> B, B >-> V^B ->> U^B)
     witnesses: dict = field(default_factory=dict)
 
-    def witness_right(self, name: str) -> Conflation:
-        return self.witnesses[name][0]
+    def witness(self, side: str, b: Rep) -> Conflation:
+        """The right (left) witness of b: stored for an atlas member, built
+        for any other module."""
+        if b is self.u.atlas.by_name.get(b.name):
+            return self.witnesses[b.name][0 if side == "right" else 1]
+        return _witness(side, self.u, self.v, b)
 
-    def witness_left(self, name: str) -> Conflation:
-        return self.witnesses[name][1]
 
-
-def _right_witness(u: Subcategory, v: Subcategory, b: Rep) -> Conflation:
-    """V_B >-> U_B ->> B with U_B in add u and V_B in add v."""
-    approx = minimal_right_approximation(u.members, b)
-    if not approx.map.is_surjective():
-        raise AlgebraError(f"right approximation of {b.name} is not a deflation")
-    conf = conflation_from_defl(approx.map)
-    if not v.contains(conf.a):
+def _witness(side: str, u: Subcategory, v: Subcategory, b: Rep) -> Conflation:
+    """V_B >-> U_B ->> B (right) or B >-> V^B ->> U^B (left), with U_B, U^B in
+    add u and V_B, V^B in add v."""
+    right = side == "right"
+    f, ok = _approximation(side, (u if right else v).members, b)
+    if not ok:
+        kind = "a deflation" if right else "an inflation"
+        raise AlgebraError(f"{side} approximation of {b.name} is not {kind}")
+    conf, end = _conflation(side, f)
+    if not (v if right else u).contains(end):
+        end_name, cls = ("kernel", "second") if right else ("cokernel", "first")
         raise AlgebraError(
-            f"kernel of the right approximation of {b.name} is not in the second class"
+            f"{end_name} of the {side} approximation of {b.name} is not in the {cls} class"
         )
     return conf
 
 
-def _left_witness(u: Subcategory, v: Subcategory, b: Rep) -> Conflation:
-    """B >-> V^B ->> U^B with V^B in add v and U^B in add u."""
-    approx = minimal_left_approximation(v.members, b)
-    if not approx.map.is_injective():
-        raise AlgebraError(f"left approximation of {b.name} is not an inflation")
-    conf = conflation_from_infl(approx.map)
-    if not u.contains(conf.c):
-        raise AlgebraError(
-            f"cokernel of the left approximation of {b.name} is not in the first class"
-        )
-    return conf
+def _approximation(side: str, members: list[Rep], b: Rep) -> tuple[RepMap, bool]:
+    """The minimal right (left) approximation of b by sums of `members`, and
+    whether it is surjective (injective)."""
+    if side == "right":
+        f = minimal_right_approximation(members, b).map
+        return f, f.is_surjective()
+    f = minimal_left_approximation(members, b).map
+    return f, f.is_injective()
+
+
+def _conflation(side: str, f: RepMap) -> tuple[Conflation, Rep]:
+    """K >-> A -f->> B with K for a surjective f (right), B >-f-> A ->> K
+    with K for an injective f (left)."""
+    if side == "right":
+        conf = conflation_from_defl(f)
+        return conf, conf.a
+    conf = conflation_from_infl(f)
+    return conf, conf.c
+
+
+def _zero_conflation(side: str, x: Rep) -> Conflation:
+    """0 >-> 0 ->> x (right) or x >-> 0 ->> 0 (left), for a zero x."""
+    z = zero_rep(x.algebra)
+    if side == "right":
+        return Conflation(RepMap.zero(z, z), RepMap.zero(z, x))
+    return Conflation(RepMap.zero(x, z), RepMap.zero(z, z))
 
 
 def build_cotorsion_pair(u: Subcategory, v: Subcategory) -> CotorsionPair:
@@ -242,7 +256,7 @@ def build_cotorsion_pair(u: Subcategory, v: Subcategory) -> CotorsionPair:
         raise AlgebraError("Ext^1(first class, second class) does not vanish")
     witnesses = {}
     for b in u.atlas:
-        witnesses[b.name] = (_right_witness(u, v, b), _left_witness(u, v, b))
+        witnesses[b.name] = (_witness("right", u, v, b), _witness("left", u, v, b))
     return CotorsionPair(u, v, witnesses)
 
 
@@ -277,9 +291,7 @@ def verify_cotorsion_pair(u: Subcategory, v: Subcategory) -> tuple[bool, dict]:
 # Cone / CoCone membership.
 
 
-def cocone_membership(
-    x: Rep, bp: Subcategory, bpp: Subcategory, cap: int | None = None
-) -> tuple[bool, Conflation | None]:
+def cocone_membership(x: Rep, bp: Subcategory, bpp: Subcategory) -> tuple[bool, Conflation | None]:
     """X in CoCone(bp, bpp): a conflation X >-> B' ->> B'' with ends in the classes.
 
     Criterion: the minimal left bp-approximation is injective with cokernel
@@ -288,39 +300,33 @@ def cocone_membership(
     summands).  Without that hypothesis a positive answer is still a
     witness; a negative answer falls back to bounded search.
     """
-    if x.is_zero():
-        z = zero_rep(x.algebra)
-        return True, Conflation(RepMap.zero(x, z), RepMap.zero(z, z))
-    approx = minimal_left_approximation(bp.members, x)
-    if approx.map.is_injective():
-        conf = conflation_from_infl(approx.map)
-        if bpp.contains(conf.c):
-            return True, conf
-    if is_corigid_pairwise(bpp, bp):
-        return False, None
-    found = cocone_membership_bruteforce(x, bp, bpp, cap=cap)
-    return (found is not None), found
+    return _membership("left", x, bp, bpp)
 
 
-def cone_membership(
-    x: Rep, bp: Subcategory, bpp: Subcategory, cap: int | None = None
-) -> tuple[bool, Conflation | None]:
+def cone_membership(x: Rep, bp: Subcategory, bpp: Subcategory) -> tuple[bool, Conflation | None]:
     """X in Cone(bp, bpp): a conflation B' >-> B'' ->> X.
 
     Dual criterion: minimal right bpp-approximation surjective with kernel
     in add(bp); exact when Ext^1(bpp, bp) = 0.
     """
+    return _membership("right", x, bp, bpp)
+
+
+def _membership(
+    side: str, x: Rep, bp: Subcategory, bpp: Subcategory
+) -> tuple[bool, Conflation | None]:
+    right = side == "right"
     if x.is_zero():
-        z = zero_rep(x.algebra)
-        return True, Conflation(RepMap.zero(z, z), RepMap.zero(z, x))
-    approx = minimal_right_approximation(bpp.members, x)
-    if approx.map.is_surjective():
-        conf = conflation_from_defl(approx.map)
-        if bp.contains(conf.a):
+        return True, _zero_conflation(side, x)
+    f, ok = _approximation(side, (bpp if right else bp).members, x)
+    if ok:
+        conf, end = _conflation(side, f)
+        if (bp if right else bpp).contains(end):
             return True, conf
     if is_corigid_pairwise(bpp, bp):
         return False, None
-    found = cone_membership_bruteforce(x, bp, bpp, cap=cap)
+    search = cone_membership_bruteforce if right else cocone_membership_bruteforce
+    found = search(x, bp, bpp)
     return (found is not None), found
 
 
@@ -367,47 +373,45 @@ def _all_maps(x: Rep, b: Rep):
         yield map_from_coords(basis, coords)
 
 
-def cocone_membership_bruteforce(
-    x: Rep, bp: Subcategory, bpp: Subcategory, cap: int | None = None
+def _search(
+    side: str, x: Rep, members: list[Rep], max_total: int, into_x: bool, end_class: Subcategory
 ) -> Conflation | None:
-    """Exhaustive search over conflations X >-> B' ->> B'' up to a size cap."""
-    if x.is_zero():
-        z = zero_rep(x.algebra)
-        return Conflation(RepMap.zero(x, z), RepMap.zero(z, z))
-    max_extra = 2 * max((m.total_dim for m in bp.atlas), default=0)
-    cap = cap if cap is not None else x.total_dim + max_extra
-    for combo in _candidate_sums(bp.members, cap):
+    """The first conflation with deflation (right) or inflation (left) a map
+    S -> x (into_x) or x -> S, S a sum of `members` of total dimension at
+    most max_total, whose far end lies in add(end_class); every map is tried."""
+    for combo in _candidate_sums(members, max_total):
         total = direct_sum(combo)
-        if total.total_dim < x.total_dim:
+        src, tgt = (total, x) if into_x else (x, total)
+        # a surjection needs dim src >= dim tgt, an injection dim src <= dim tgt
+        d_src, d_tgt = src.total_dim, tgt.total_dim
+        if (d_src < d_tgt) if side == "right" else (d_src > d_tgt):
             continue
-        for f in _all_maps(x, total):
-            if not f.is_injective():
-                continue
-            conf = conflation_from_infl(f)
-            if bpp.contains(conf.c):
-                return conf
+        for f in _all_maps(src, tgt):
+            if f.is_surjective() if side == "right" else f.is_injective():
+                conf, end = _conflation(side, f)
+                if end_class.contains(end):
+                    return conf
     return None
 
 
-def cone_membership_bruteforce(
-    x: Rep, bp: Subcategory, bpp: Subcategory, cap: int | None = None
-) -> Conflation | None:
+def cocone_membership_bruteforce(x: Rep, bp: Subcategory, bpp: Subcategory) -> Conflation | None:
+    """Exhaustive search over conflations X >-> B' ->> B'' with B' of total
+    dimension at most dim X plus twice the largest atlas dimension."""
+    return _bruteforce("left", x, bp, bpp)
+
+
+def cone_membership_bruteforce(x: Rep, bp: Subcategory, bpp: Subcategory) -> Conflation | None:
+    """Exhaustive search over conflations B' >-> B'' ->> X, bounded as above."""
+    return _bruteforce("right", x, bp, bpp)
+
+
+def _bruteforce(side: str, x: Rep, bp: Subcategory, bpp: Subcategory) -> Conflation | None:
+    right = side == "right"
     if x.is_zero():
-        z = zero_rep(x.algebra)
-        return Conflation(RepMap.zero(z, z), RepMap.zero(z, x))
-    max_extra = 2 * max((m.total_dim for m in bpp.atlas), default=0)
-    cap = cap if cap is not None else x.total_dim + max_extra
-    for combo in _candidate_sums(bpp.members, cap):
-        total = direct_sum(combo)
-        if total.total_dim < x.total_dim:
-            continue
-        for f in _all_maps(total, x):
-            if not f.is_surjective():
-                continue
-            conf = conflation_from_defl(f)
-            if bp.contains(conf.a):
-                return conf
-    return None
+        return _zero_conflation(side, x)
+    sums, end_class = (bpp, bp) if right else (bp, bpp)
+    max_total = x.total_dim + 2 * max((m.total_dim for m in sums.atlas), default=0)
+    return _search(side, x, sums.members, max_total, right, end_class)
 
 
 def star_membership(x: Rep, pair: CotorsionPair) -> bool:
@@ -428,24 +432,11 @@ def star_membership(x: Rep, pair: CotorsionPair) -> bool:
 
 def _star_bruteforce(x: Rep, u: Subcategory, v: Subcategory) -> bool:
     # search for U0 >-> X ->> V0 directly (add-closure: check each summand)
-    for name, _mult in decompose(x, u.atlas).items():
+    for name in decompose(x, u.atlas):
         member = u.atlas[name]
-        found = False
         if u.contains(member) or v.contains(member):
-            found = True
-        else:
-            cap = member.total_dim
-            for combo in _candidate_sums(u.members, cap):
-                total = direct_sum(combo)
-                for f in _all_maps(total, member):
-                    if f.is_injective():
-                        conf = conflation_from_infl(f)
-                        if v.contains(conf.c):
-                            found = True
-                            break
-                if found:
-                    break
-        if not found:
+            continue
+        if _search("left", member, u.members, member.total_dim, True, v) is None:
             return False
     return True
 

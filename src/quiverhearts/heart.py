@@ -29,12 +29,11 @@ from .algebra import (
     direct_sum,
     map_from_coords,
     matrix_map,
-    zero_rep,
 )
 from .cotorsion import (
     CotorsionPair,
     Subcategory,
-    _left_witness,
+    _zero_conflation,
     cocone_objects,
     is_rigid,
     projectives_of,
@@ -53,26 +52,38 @@ from .homology import (
 
 def solve_through(f: RepMap, g: RepMap) -> RepMap | None:
     """h with g o h = f, if one exists (f: X->Z, g: Y->Z)."""
-    basis = homs(f.source, g.source)
-    p = f.source.algebra.p
-    if not basis:
-        return RepMap.zero(f.source, g.source) if f.is_zero() else None
-    sol = la.solve(composite_columns([g], basis), f.flat().reshape(-1, 1), p)
-    if sol is None:
-        return None
-    return map_from_coords(basis, sol[:, 0])
+    return _solve("right", f, g)
 
 
 def solve_extend(f: RepMap, g: RepMap) -> RepMap | None:
     """h with h o g = f, if one exists (g: X->Y, f: X->Z)."""
-    basis = homs(g.target, f.target)
-    p = f.source.algebra.p
+    return _solve("left", f, g)
+
+
+def _solve(side: str, f: RepMap, g: RepMap) -> RepMap | None:
+    """h composed with g on the right (g o h = f) or on the left (h o g = f)."""
+    right = side == "right"
+    src, tgt = (f.source, g.source) if right else (g.target, f.target)
+    basis = homs(src, tgt)
     if not basis:
-        return RepMap.zero(g.target, f.target) if f.is_zero() else None
-    sol = la.solve(composite_columns(basis, [g]), f.flat().reshape(-1, 1), p)
+        return RepMap.zero(src, tgt) if f.is_zero() else None
+    cols = composite_columns([g], basis) if right else composite_columns(basis, [g])
+    sol = la.solve(cols, f.flat().reshape(-1, 1), f.source.algebra.p)
     if sol is None:
         return None
     return map_from_coords(basis, sol[:, 0])
+
+
+def is_approximation(side: str, members: list[Rep], f: RepMap) -> bool:
+    """Every map from a member into the target of f factors through f
+    (right), or every map from the source of f into a member extends along
+    f (left)."""
+    right = side == "right"
+    for m in members:
+        for h in homs(m, f.target) if right else homs(f.source, m):
+            if (solve_through(h, f) if right else solve_extend(h, f)) is None:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +140,10 @@ class QuotientCategory:
 
     def is_ideal(self, f: RepMap) -> bool:
         return not self.qcoords(f).any()
+
+    def qmatrix(self, x: Rep, y: Rep) -> np.ndarray:
+        """Quotient coordinates of the Hom(x, y) basis maps, as columns."""
+        return self._hom_data(x, y)[1]
 
     def qbasis(self, x: Rep, y: Rep) -> list[RepMap]:
         """Representative morphisms whose classes form a basis."""
@@ -284,10 +299,7 @@ class CohomologicalH:
             res = HObject(x, x, RepMap.identity(x))
             self._cache[id(x)] = res
             return res
-        if x is self.atlas.by_name.get(x.name):
-            wl = self.pair.witness_left(x.name)  # X >-> V^X ->> U^X
-        else:
-            wl = _left_witness(self.pair.u, self.pair.v, x)
+        wl = self.pair.witness("left", x)  # X >-> V^X ->> U^X
         vx = wl.b
         wr = self._right_witness_of(vx)  # V0 >-> U0 ->> V^X
         conf, _ = pullback_conflation(wr, wl.infl)  # V0 >-> B^- ->> X
@@ -300,10 +312,9 @@ class CohomologicalH:
     def _right_witness_of(self, b: Rep) -> Conflation:
         """V0 >-> U0 ->> b assembled summand-wise from the pair's witnesses."""
         if b.is_zero():
-            z = zero_rep(b.algebra)
-            return Conflation(RepMap.zero(z, z), RepMap.zero(z, b))
+            return _zero_conflation("right", b)
         triples = decompose_with_maps(b, self.atlas)
-        parts = [self.pair.witness_right(m.name) for m, _, _ in triples]
+        parts = [self.pair.witness("right", m) for m, _, _ in triples]
         mid = direct_sum([c.b for c in parts])
         top = direct_sum([c.a for c in parts])
         n = len(parts)
@@ -620,12 +631,9 @@ class SyzygyApproximation:
         return self.u0_conf.infl
 
 
-def syzygy_approximation(pair: CotorsionPair, x: Rep, atlas: IndecSet) -> SyzygyApproximation:
+def syzygy_approximation(pair: CotorsionPair, x: Rep) -> SyzygyApproximation:
     """The right Omega(U)-approximation deflation U0 ->> X of the pair."""
-    if x is atlas.by_name.get(x.name):
-        wl = pair.witness_left(x.name)
-    else:
-        wl = _left_witness(pair.u, pair.v, x)
+    wl = pair.witness("left", x)
     t0 = wl.b
     _y0, cover_conf = syzygy(t0)
     u0_conf, u0_to_p0 = pullback_conflation(cover_conf, wl.infl)
@@ -637,25 +645,18 @@ def omega_subcat(c: Subcategory) -> Subcategory:
     return cocone_objects(projectives_of(c.atlas), c)
 
 
-def verify_syzygy_approximation(pair: CotorsionPair, x: Rep, atlas: IndecSet) -> bool:
+def verify_syzygy_approximation(pair: CotorsionPair, x: Rep) -> bool:
     """f0 is a right Omega(U)-approximation: every U -> X factors through it."""
-    sa = syzygy_approximation(pair, x, atlas)
-    for u in omega_subcat(pair.u).members:
-        for h in homs(u, x):
-            if solve_through(h, sa.f0) is None:
-                return False
-    return True
+    sa = syzygy_approximation(pair, x)
+    return is_approximation("right", omega_subcat(pair.u).members, sa.f0)
 
 
-def verify_factors_through_p(pair: CotorsionPair, x: Rep, b: Rep, atlas: IndecSet) -> bool:
+def verify_factors_through_p(pair: CotorsionPair, x: Rep, b: Rep) -> bool:
     """If Ext^1(T0, B) = 0 then Hom(g0, B) is surjective."""
-    sa = syzygy_approximation(pair, x, atlas)
+    sa = syzygy_approximation(pair, x)
     if ext1_dim(sa.t0_conf.b, b) != 0:
         return True  # hypothesis empty; nothing to check
-    for h in homs(sa.g0.source, b):
-        if solve_extend(h, sa.g0) is None:
-            return False
-    return True
+    return is_approximation("left", [b], sa.g0)
 
 
 def check_syzygyepi(model: HeartModel, g: RepMap) -> bool:
@@ -665,8 +666,4 @@ def check_syzygyepi(model: HeartModel, g: RepMap) -> bool:
         raise AlgebraError("precondition violation: g is not a deflation")
     if not heart_epi(model, g):
         raise AlgebraError("precondition violation: g is not an epimorphism in the heart")
-    for x in omega_subcat(model.pair.u).members:
-        for h in homs(x, g.target):
-            if solve_through(h, g) is None:
-                return False
-    return True
+    return is_approximation("right", omega_subcat(model.pair.u).members, g)

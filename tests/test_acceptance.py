@@ -228,10 +228,10 @@ def test_6_pipeline_clauses_every_object(ex61, twin, model):
 def test_6_syzygy_approximation_exhaustive(ex61, model):
     hm = model.heart
     for x in ex61.atlas:
-        assert ht.verify_syzygy_approximation(hm.pair, x, ex61.atlas), x.name
+        assert ht.verify_syzygy_approximation(hm.pair, x), x.name
     for x in ex61.atlas:
         for b in ex61.atlas:
-            assert ht.verify_factors_through_p(hm.pair, x, b, ex61.atlas), (
+            assert ht.verify_factors_through_p(hm.pair, x, b), (
                 x.name,
                 b.name,
             )
@@ -297,7 +297,7 @@ def _exhaustive_faithfulness(model):
 
 def test_7_localization_certificates(model, dual_model):
     for idx, mdl in enumerate((model, dual_model)):
-        rep = verify_localization(mdl, np.random.default_rng(7))
+        rep = verify_localization(mdl)
         assert rep["density"], idx
         assert rep["fullness"], idx
         assert rep["inversion"], idx

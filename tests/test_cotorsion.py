@@ -1,12 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from quiverhearts import cotorsion as ct
 from quiverhearts import fixtures as fx
 from quiverhearts import oracles
-from quiverhearts.algebra import AlgebraError
-from quiverhearts.homology import ext1_dim
+from quiverhearts.algebra import AlgebraError, decompose, direct_sum
+from quiverhearts.homology import conflation_from_defl, conflation_from_infl, ext1_dim
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +212,122 @@ def test_cone_vs_bruteforce_a3():
                 assert got == (brute is not None), (x.name, bp.names, bpp.names)
                 if got:
                     conf.validate()
+
+
+# ---------------------------------------------------------------------------
+# The shared exhaustive search against one search per conflation shape.
+#
+# The references below enumerate the same sums and maps in the same order as
+# `cotorsion._search`, each written out for its own shape, so the first
+# conflation found must be the same map, not only the same yes/no answer.
+
+
+def cocone_search_reference(x, bp, bpp):
+    """X >-> B' ->> B'': injections from x into sums of bp."""
+    cap = x.total_dim + 2 * max(m.total_dim for m in bp.atlas)
+    for combo in ct._candidate_sums(bp.members, cap):
+        total = direct_sum(combo)
+        if total.total_dim < x.total_dim:
+            continue
+        for f in ct._all_maps(x, total):
+            if f.is_injective():
+                conf = conflation_from_infl(f)
+                if bpp.contains(conf.c):
+                    return conf
+    return None
+
+
+def cone_search_reference(x, bp, bpp):
+    """B' >-> B'' ->> X: surjections onto x from sums of bpp."""
+    cap = x.total_dim + 2 * max(m.total_dim for m in bpp.atlas)
+    for combo in ct._candidate_sums(bpp.members, cap):
+        total = direct_sum(combo)
+        if total.total_dim < x.total_dim:
+            continue
+        for f in ct._all_maps(total, x):
+            if f.is_surjective():
+                conf = conflation_from_defl(f)
+                if bp.contains(conf.a):
+                    return conf
+    return None
+
+
+def star_search_reference(x, u, v):
+    """U0 >-> X' ->> V0 for every summand X' of x outside u and v."""
+    for name in decompose(x, u.atlas):
+        member = u.atlas[name]
+        if u.contains(member) or v.contains(member):
+            continue
+        found = False
+        for combo in ct._candidate_sums(u.members, member.total_dim):
+            for f in ct._all_maps(direct_sum(combo), member):
+                if f.is_injective() and v.contains(conflation_from_infl(f).c):
+                    found = True
+                    break
+            if found:
+                break
+        if not found:
+            return False
+    return True
+
+
+def same_conflation(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    return all(
+        g.source.dims == w.source.dims
+        and g.target.dims == w.target.dims
+        and np.array_equal(g.flat(), w.flat())
+        for g, w in ((got.infl, want.infl), (got.defl, want.defl))
+    )
+
+
+def complete_pairs(atlas):
+    """Every complete cotorsion pair (U, U-perp) of the atlas."""
+    pairs = []
+    for r in range(len(atlas.names) + 1):
+        for chosen in itertools.combinations(atlas.names, r):
+            u = ct.subcat(atlas, chosen)
+            v = ct.perp_right(u)
+            if ct.verify_cotorsion_pair(u, v)[0]:
+                pairs.append(ct.build_cotorsion_pair(u, v))
+    return pairs
+
+
+def test_shared_search_matches_per_shape_searches_a3():
+    atlas = fx.a3_atlas(2)
+    pairs = complete_pairs(atlas)
+    assert len(pairs) == 5
+    # neither class rigid: star_membership reaches its search branch
+    searched = [pr for pr in pairs if not ct.is_rigid(pr.u) and not ct.is_rigid(pr.v)]
+    assert len(searched) == 3
+    for pair in searched:
+        for x in atlas:
+            assert ct.star_membership(x, pair) == star_search_reference(x, pair.u, pair.v), (
+                x.name, pair.u.names)
+    example = next(pr for pr in searched if pr.u.names == ("1", "1/2/3", "2/3", "3"))
+    assert [x.name for x in atlas if not ct.star_membership(x, example)] == ["2"]
+    # There the search only ever answers no (for `2`).  Single-object classes
+    # also give answers it finds: the non-split U0 >-> X ->> V0 of A3.
+    singles = [ct.subcat(atlas, [n]) for n in atlas.names]
+    found = set()
+    for u in singles:
+        for v in singles:
+            for x in atlas:
+                got = ct._star_bruteforce(x, u, v)
+                assert got == star_search_reference(x, u, v), (x.name, u.names, v.names)
+                if got and not (u.contains(x) or v.contains(x)):
+                    found.add((u.names[0], x.name, v.names[0]))
+    assert found == {
+        ("2", "1/2", "1"), ("2/3", "1/2/3", "1"), ("3", "1/2/3", "1/2"), ("3", "2/3", "2")
+    }
+    # Cone and CoCone on the example's classes both ways round (the other two
+    # pairs take seconds to enumerate and add no new shape)
+    for bp, bpp in ((example.u, example.v), (example.v, example.u)):
+        for x in atlas:
+            assert same_conflation(
+                ct.cocone_membership_bruteforce(x, bp, bpp), cocone_search_reference(x, bp, bpp)
+            ), ("cocone", x.name, bp.names)
+            assert same_conflation(
+                ct.cone_membership_bruteforce(x, bp, bpp), cone_search_reference(x, bp, bpp)
+            ), ("cone", x.name, bp.names)

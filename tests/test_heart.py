@@ -204,13 +204,13 @@ def test_kernel_module_matches(ex61, model):
 
 def test_syzygy_approximation_exhaustive(ex61, model):
     for x in ex61.atlas:
-        assert ht.verify_syzygy_approximation(model.pair, x, ex61.atlas), x.name
+        assert ht.verify_syzygy_approximation(model.pair, x), x.name
 
 
 def test_factors_through_p(ex61, model):
     for x in list(ex61.atlas)[:6]:
         for b in list(ex61.atlas)[:6]:
-            assert ht.verify_factors_through_p(model.pair, x, b, ex61.atlas)
+            assert ht.verify_factors_through_p(model.pair, x, b)
 
 
 def test_syzygyepi(ex61, model):

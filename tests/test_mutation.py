@@ -172,10 +172,38 @@ def test_kernel_class_objects(fx, model):
 
 
 def test_localization_certificate(model):
-    rep = verify_localization(model, np.random.default_rng(0))
+    rep = verify_localization(model)
     assert rep["ok"]
     assert rep["s_a_inverted"] >= 1
     assert rep["non_s_a_separated"] >= 1
+
+
+def test_faithfulness_catches_r_changed_on_one_basis_map(model, monkeypatch):
+    # Sending one basis map outside [C'] to zero breaks faithfulness: the exact
+    # check must see it for every such map, not only for lucky samples.
+    q = model.quotient
+    objs = [x for x in q.objects if not q.is_zero_object(x)]
+    honest = model.r_map
+    changed = [
+        (b1, b2, u.flat())
+        for b1 in objs
+        for b2 in objs
+        for u in homs(b1, b2)
+        if not q.is_ideal(u)
+    ]
+    assert len(changed) >= 5
+    for b1, b2, flat in changed:
+
+        def r_map(a, b1=b1, b2=b2, flat=flat):
+            image = honest(a)
+            if a.source is b1 and a.target is b2 and np.array_equal(a.flat(), flat):
+                return image.scale(0)
+            return image
+
+        monkeypatch.setattr(model, "r_map", r_map)
+        assert not verify_localization(model)["faithfulness"], (b1.name, b2.name)
+    monkeypatch.undo()
+    assert verify_localization(model)["faithfulness"]
 
 
 def test_localized_quiver_shape(fx, model):
@@ -201,7 +229,7 @@ def test_dual_localization_model(fx, twin):
     dm = dual_localization_model(fx.atlas, twin.m_mut, twin.n)
     assert set(dm.cmut.names) == set(twin.m.names)
     assert set(dm.object_names()) == set(fx.subcats["heart_mut_localized"])
-    rep = verify_localization(dm, np.random.default_rng(1))
+    rep = verify_localization(dm)
     assert rep["ok"]
     assert rep["a_objects"] == ("4",)
 
@@ -257,7 +285,7 @@ def test_randomized_instances():
         lhs, rhs = mutation_condition_equivalence(inp, twin.cmut)
         assert lhs and rhs
         pm = PseudoMoritaData.build(twin)
-        rep = verify_pseudo_morita(pm, naturality_samples=25, rng=rng)
+        rep = verify_pseudo_morita(pm)
         assert rep["ok"], (c.names, d.names, rep)
         done += 1
         if done >= 10:

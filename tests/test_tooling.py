@@ -1,5 +1,6 @@
 """Tooling checks: the benchmark's tracer still finds every target it wraps,
-and the package imports nothing it does not use (no linter is installed)."""
+the package imports nothing it does not use (no linter is installed), and
+the certificate modules draw no random numbers."""
 
 import ast
 import subprocess
@@ -76,3 +77,28 @@ def test_no_deferred_imports_of_loaded_modules():
     modules = sorted((ROOT / "src" / "quiverhearts").glob("*.py"))
     deferred = [d for path in modules for d in deferred_imports(path)]
     assert not deferred, deferred
+
+
+def named(path: Path) -> set[str]:
+    """Every identifier a module reads, binds, passes as a keyword or
+    takes as a parameter."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.arg):
+            found.add(node.arg)
+        elif isinstance(node, ast.keyword) and node.arg:
+            found.add(node.arg)
+    return found
+
+
+def test_certificates_draw_no_random_numbers():
+    # The localization and round-trip checks are exact over whole hom
+    # spaces; a generator in these modules would bring sampling back.
+    banned = {"rng", "default_rng", "naturality_samples"}
+    for name in ("mutation.py", "heart.py"):
+        found = named(ROOT / "src" / "quiverhearts" / name) & banned
+        assert not found, (name, sorted(found))
