@@ -730,124 +730,14 @@ def end_radical(m: Rep) -> tuple[list[RepMap], list[RepMap]]:
     return endos, rad
 
 
-def _poly_mod(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
-    """f mod g for coefficient vectors (lowest degree first), g monic-ish."""
-    f = np.mod(f.copy(), p)
-    dg = len(g) - 1
-    lg_inv = la.inv_scalar(int(g[-1]), p)
-    while len(f) - 1 >= dg and f.any():
-        df = len(f) - 1
-        if not f[-1]:
-            f = f[:-1]
-            continue
-        c = (int(f[-1]) * lg_inv) % p
-        shift = df - dg
-        sub = np.concatenate([la.zeros(1, shift)[0], np.mod(c * g, p)])
-        f = np.mod(f - sub[: len(f)], p)
-        f = f[:-1]
-    while len(f) > 1 and not f[-1]:
-        f = f[:-1]
-    return f
+def is_indecomposable(m: Rep) -> bool:
+    """End(m) local?  rad via trace form, then a field test on End/rad.
 
-
-def _poly_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    a, b = np.mod(a, p), np.mod(b, p)
-    while b.any() and len(b) > 0:
-        a, b = b, _poly_mod(a, b, p)
-        if not b.any():
-            break
-    return a
-
-
-def _poly_mulmod(a: np.ndarray, b: np.ndarray, f: np.ndarray, p: int) -> np.ndarray:
-    """a * b mod f.  Coefficients are multiplied and summed as Python ints:
-    a sum of several (p-1)^2 terms can pass 2^63 for the larger fields."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a.tolist()):
-        for j, y in enumerate(b.tolist()):
-            prod[i + j] += x * y
-    return _poly_mod(np.array([c % p for c in prod], dtype=np.int64), f, p)
-
-
-def _poly_powmod_x(q: int, f: np.ndarray, p: int) -> np.ndarray:
-    """x^q mod f, square-and-multiply on coefficient vectors."""
-    result = np.array([1], dtype=np.int64)
-    base = np.array([0, 1], dtype=np.int64)
-    base = _poly_mod(base, f, p)
-    e = q
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(f: np.ndarray, p: int) -> bool:
-    """Irreducibility of a monic poly over F_p (Rabin's test)."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    xqn = _poly_powmod_x(p**n, f, p)
-    # check x^{p^n} == x mod f
-    xx = _poly_mod(np.array([0, 1], dtype=np.int64), f, p)
-    a = np.zeros(max(len(xqn), len(xx)), dtype=np.int64)
-    a[: len(xqn)] += xqn
-    a[: len(xx)] -= xx
-    if np.mod(a, p).any():
-        return False
-    # for each prime divisor r of n: gcd(x^{p^{n/r}} - x, f) must be constant
-    for r in _prime_divisors(n):
-        xq = _poly_powmod_x(p ** (n // r), f, p)
-        b = np.zeros(max(len(xq), 2), dtype=np.int64)
-        b[: len(xq)] += xq
-        b[1] -= 1
-        g = _poly_gcd(f, np.mod(b, p), p)
-        if len(g) - 1 >= 1 and g.any():
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _min_poly(mat: np.ndarray, p: int) -> np.ndarray:
-    """Minimal polynomial of a square matrix over F_p (lowest degree first)."""
-    n = mat.shape[0]
-    powers = [la.eye(n)]
-    for _ in range(n):
-        powers.append(la.matmul(powers[-1], mat, p))
-    vecs = np.stack([m.reshape(-1) for m in powers], axis=1)
-    for d in range(1, n + 2):
-        sub = vecs[:, : d + 1]
-        ns = la.nullspace(sub, p)
-        for k in range(ns.shape[1]):
-            if ns[d, k]:
-                coeffs = np.mod(ns[:, k] * la.inv_scalar(int(ns[d, k]), p), p)
-                return coeffs[: d + 1]
-    raise AlgebraError("minimal polynomial not found")  # pragma: no cover
-
-
-def is_indecomposable(m: Rep, trials: int = 20, seed: int = 0) -> bool:
-    """End(m) local?  rad via trace form, then field test on End/rad.
-
-    End/rad is a field iff it is commutative and some element has an
-    irreducible minimal polynomial of degree dim(End/rad); random elements
-    of a finite field are primitive with high probability, so `trials`
-    draws give a Monte Carlo test with one-sided error.
+    End/rad is semisimple; it is a field iff it is commutative and has a
+    single factor.  A commutative semisimple F_p-algebra is a product of
+    fields, and its Frobenius x -> x^p is F_p-linear with one fixed
+    dimension per factor (Berlekamp's subalgebra), so the test is exact:
+    rank(Frob - id) = dim(End/rad) - 1.
     """
     if m.is_zero():
         raise AlgebraError("zero module is neither decomposable nor indecomposable")
@@ -863,49 +753,27 @@ def is_indecomposable(m: Rep, trials: int = 20, seed: int = 0) -> bool:
     if qdim == 1:
         return True
     # structure constants of the quotient: lift basis, multiply, project
-    lift = la.right_inverse(qmap, p)
-    basis_mats = []
-    for j in range(qdim):
-        coords = lift[:, j]
-        acc = la.zeros(*mats[0].shape)
-        for c, mt in zip(coords, mats):
-            acc = np.mod(acc + int(c) * mt, p)
-        basis_mats.append(acc)
-
     flat = np.stack([mt.reshape(-1) for mt in mats], axis=1)
-
-    def coords_of_mat(mat: np.ndarray) -> np.ndarray:
-        sol = la.solve(flat, mat.reshape(-1, 1), p)
-        if sol is None:
-            raise AlgebraError("product left the endomorphism algebra")
-        return sol[:, 0]
-
-    # multiplication table in quotient coordinates
-    mult = {}
-    for i in range(qdim):
-        for j in range(qdim):
-            prod = la.matmul(basis_mats[i], basis_mats[j], p)
-            mult[(i, j)] = la.matmul(qmap, coords_of_mat(prod).reshape(-1, 1), p)[:, 0]
-    # commutativity
-    for i in range(qdim):
-        for j in range(i + 1, qdim):
-            if not np.array_equal(mult[(i, j)], mult[(j, i)]):
-                return False
-    # field test: look for an element with irreducible min poly of degree qdim
-    rng = np.random.default_rng(seed)
-    reg = [la.zeros(qdim, qdim) for _ in range(qdim)]
-    for i in range(qdim):
-        for j in range(qdim):
-            reg[i][:, j] = mult[(i, j)]  # left multiplication by basis i
-    for _ in range(trials):
-        coords = rng.integers(0, p, size=qdim)
-        lmat = la.zeros(qdim, qdim)
-        for c, r in zip(coords, reg):
-            lmat = np.mod(lmat + int(c) * r, p)
-        mp = _min_poly(lmat, p)
-        if len(mp) - 1 == qdim and _is_irreducible(mp, p):
-            return True
-    return False
+    n = mats[0].shape[0]
+    basis = la.matmul(flat, la.right_inverse(qmap, p), p).T.reshape(qdim, n, n)
+    prods = la.matmul(basis[:, None], basis[None, :], p)  # prods[i, j] = e_i e_j
+    sol = la.solve(flat, prods.reshape(qdim * qdim, -1).T, p)
+    if sol is None:
+        raise AlgebraError("product left the endomorphism algebra")
+    # left[i][:, j] = coordinates of e_i e_j: left multiplication by e_i
+    left = la.matmul(qmap, sol, p).reshape(qdim, qdim, qdim).transpose(1, 0, 2)
+    if not np.array_equal(left, left.transpose(2, 1, 0)):
+        return False  # not commutative
+    # column i of Frob is e_i^p = left[i]^(p-1) e_i, by square-and-multiply
+    power, step, e = np.broadcast_to(la.eye(qdim), left.shape), left, p - 1
+    while e:
+        if e & 1:
+            power = la.matmul(power, step, p)
+        step = la.matmul(step, step, p)
+        e >>= 1
+    idx = np.arange(qdim)
+    frob = power[idx, :, idx].T
+    return la.rank(np.mod(frob - la.eye(qdim), p), p) == qdim - 1
 
 
 def _find_split_pair(x: Rep, m: Rep) -> tuple[RepMap, RepMap] | None:
@@ -1006,12 +874,15 @@ def decompose(m: Rep, atlas: "IndecSet") -> dict[str, int]:
     return counts
 
 
-def is_isomorphic(m: Rep, n: Rep, seed: int = 0) -> tuple[bool, RepMap | None]:
+def is_isomorphic(m: Rep, n: Rep) -> tuple[bool, RepMap | None]:
     """Isomorphism test with witness.
 
-    Cheap invariants first; then basis elements and basis products; finally
-    seeded random elements of Hom(m, n) (the invertible locus is Zariski
-    open, so over F_101 random draws find a witness with high probability).
+    Cheap invariants first; then basis maps and basis composites.  If m and
+    n are isomorphic and one of them is indecomposable, End(m) is local and
+    spanned by the composites g o f of basis maps, so one of them lies
+    outside the radical and is invertible: a miss is then a proof.  When
+    neither side is indecomposable a miss proves nothing, and the test
+    refuses.
     """
     if m.algebra != n.algebra:
         raise AlgebraError("different algebras")
@@ -1026,18 +897,15 @@ def is_isomorphic(m: Rep, n: Rep, seed: int = 0) -> tuple[bool, RepMap | None]:
     for f in fwd:
         if f.is_isomorphism():
             return True, f
-    for g in bwd:
-        for f in fwd:
-            if g.compose(f).is_isomorphism():
-                return True, f
-    rng = np.random.default_rng(seed)
-    p = m.algebra.p
-    for _ in range(200):
-        coords = rng.integers(0, p, size=len(fwd))
-        f = map_from_coords(fwd, coords)
-        if f.is_isomorphism():
-            return True, f
-    return False, None
+    pair = _find_split_pair(m, n)
+    if pair is not None:
+        return True, pair[0]
+    if is_indecomposable(m) or is_indecomposable(n):
+        return False, None
+    raise AlgebraError(
+        f"cannot decide whether {m.name} and {n.name} are isomorphic: "
+        "neither is indecomposable"
+    )
 
 
 class IndecSet:
@@ -1048,6 +916,7 @@ class IndecSet:
         self.by_name = {r.name: r for r in self.members}
         if len(self.by_name) != len(self.members):
             raise AlgebraError("duplicate names in IndecSet")
+        self._standard_names: dict[str, tuple[str, ...]] = {}
         if validate:
             self.validate()
 
@@ -1060,12 +929,28 @@ class IndecSet:
             iso, _ = is_isomorphic(a, b)
             if iso:
                 raise AlgebraError(f"{a.name} and {b.name} are isomorphic")
-        alg = self.members[0].algebra
-        std = standard_modules(alg)
         for kind in ("projective", "injective"):
-            for v, rep in std[kind].items():
-                if not any(is_isomorphic(rep, m)[0] for m in self.members):
-                    raise AlgebraError(f"atlas misses the {kind} at vertex {v}")
+            self.standard_names(kind)
+
+    def standard_names(self, kind: str) -> tuple[str, ...]:
+        """Per vertex, the first member isomorphic to the standard module of
+        this kind ("projective", "injective" or "simple"); memoised per kind."""
+        if kind not in self._standard_names:
+            names = []
+            for v, s in self._standard_modules[kind].items():
+                hit = next(
+                    (r.name for r in self.members if r.dims == s.dims and is_isomorphic(r, s)[0]),
+                    None,
+                )
+                if hit is None:
+                    raise AlgebraError(f"{kind} module at vertex {v} missing from atlas")
+                names.append(hit)
+            self._standard_names[kind] = tuple(names)
+        return self._standard_names[kind]
+
+    @cached_property
+    def _standard_modules(self) -> dict[str, dict[str, Rep]]:
+        return standard_modules(self.members[0].algebra)
 
     @cached_property
     def key(self) -> tuple:

@@ -21,7 +21,7 @@ import argparse
 import sys
 
 from . import fixtures
-from .algebra import AlgebraError, hom_dim, is_isomorphic, standard_modules
+from .algebra import AlgebraError, hom_dim
 from .cotorsion import (
     Inconclusive,
     Subcategory,
@@ -165,14 +165,8 @@ def self_validate(ctx: Context):
     """Atlas completeness heuristics: every standard module is present and
     hom dimensions are stable under recomputation."""
     alg = ctx.atlas.members[0].algebra
-    std = standard_modules(alg)
     for kind in ("projective", "injective", "simple"):
-        for v, m in std[kind].items():
-            hit = any(
-                m.dims == a.dims and is_isomorphic(m, a)[0] for a in ctx.atlas
-            )
-            if not hit:
-                raise AlgebraError(f"{kind} module at vertex {v} missing from atlas")
+        ctx.atlas.standard_names(kind)
     for m in ctx.atlas:
         if hom_dim(m, m) < 1:
             raise AlgebraError(f"endomorphism space of {m.name} is empty")

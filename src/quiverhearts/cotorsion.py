@@ -21,9 +21,7 @@ from .algebra import (
     RepMap,
     decompose,
     direct_sum,
-    is_isomorphic,
     map_from_coords,
-    standard_modules,
     zero_rep,
 )
 from .homology import (
@@ -114,25 +112,11 @@ def full_subcat(atlas: IndecSet) -> Subcategory:
 
 
 def projectives_of(atlas: IndecSet) -> Subcategory:
-    return _standard_class(atlas, "projective")
+    return Subcategory(atlas, atlas.standard_names("projective"))
 
 
 def injectives_of(atlas: IndecSet) -> Subcategory:
-    return _standard_class(atlas, "injective")
-
-
-def _standard_class(atlas: IndecSet, kind: str) -> Subcategory:
-    """The atlas members isomorphic to the standard modules of this kind."""
-    std = standard_modules(atlas.members[0].algebra)
-    names = []
-    for v, s in std[kind].items():
-        for m in atlas:
-            if m.dims == s.dims and is_isomorphic(m, s)[0]:
-                names.append(m.name)
-                break
-        else:
-            raise AlgebraError(f"{kind} at {v} missing from atlas")
-    return Subcategory(atlas, tuple(names))
+    return Subcategory(atlas, atlas.standard_names("injective"))
 
 
 def perp_right(c: Subcategory) -> Subcategory:

@@ -9,8 +9,7 @@ sum of n such products is exact while n*(p-1)^2 < 2^63.  Fields are
 only accepted when (p-1)^2 < 2^63 (p < ~3.04e9), which keeps every
 single product, the rref row update and a scaled matrix exact; `matmul`
 sums longer products in chunks that stay under the bound.  Any other sum
-of products must go through `matmul` or reduce as it goes (polynomial
-products in `algebra` use Python ints).
+of products must go through `matmul` or reduce as it goes.
 
 Stacked operands: `matmul` also takes arrays of shape (..., m, n) and
 (..., n, k), broadcast over the leading axes as `@` does.  The bound is

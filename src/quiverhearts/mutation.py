@@ -162,8 +162,6 @@ class HdApproximation:
     x: Rep
     conf: Conflation  # Z >-> Y ->> X
     z_conf: Conflation  # Y0 >-> Z ->> D1
-    y_in_cocone: bool
-    z_in_perp: bool
 
     @property
     def y(self) -> Rep:
@@ -184,7 +182,7 @@ def right_hd_approximation(
     if x.is_zero():
         z = zero_rep(x.algebra)
         conf = Conflation(RepMap.zero(z, x), RepMap.identity(x))
-        return HdApproximation(x, conf, conf, True, True)
+        return HdApproximation(x, conf, conf)
     sa = syzygy_approximation(outer_pair, x)
     u0_conf = sa.u0_conf  # Y0 >-> U0 ->> X
     y0 = u0_conf.a
@@ -228,18 +226,14 @@ def right_hd_approximation(
 
 
 def _validated(conf, z_conf, x, outer_pair, inner) -> HdApproximation:
-    z_ok = all(ext1_dim(m, conf.a) == 0 for m in inner.members)
-    if not z_ok:
+    if not all(ext1_dim(m, conf.a) == 0 for m in inner.members):
         raise AlgebraError("failed clause: the kernel is not right-orthogonal to the inner class")
-    y_ok = cocone_membership(conf.b, inner, outer_pair.u)[0]
-    if not y_ok:
+    if not cocone_membership(conf.b, inner, outer_pair.u)[0]:
         raise AlgebraError("failed clause: the middle term is not in CoCone(inner, outer)")
-    return HdApproximation(x, conf, z_conf, y_ok, z_ok)
+    return HdApproximation(x, conf, z_conf)
 
 
-def verify_hd_approximation(
-    res: HdApproximation, hd: Subcategory, atlas: IndecSet
-) -> bool:
+def verify_hd_approximation(res: HdApproximation, hd: Subcategory) -> bool:
     """Every map from an H_D object to X factors through the deflation."""
     return is_approximation("right", hd.members, res.f)
 

@@ -219,9 +219,11 @@ def test_6_pipeline_clauses_every_object(ex61, twin, model):
         res = model.r_object(x)
         res.conf.validate()
         res.z_conf.validate()
-        assert res.y_in_cocone, x.name  # (i) middle term in the cocone class
-        assert res.z_in_perp, x.name  # (ii) kernel orthogonal to the inner class
-        assert verify_hd_approximation(res, model.hd, ex61.atlas), x.name  # (iii)
+        # (i) middle term in the cocone class
+        assert ct.cocone_membership(res.y, model.inp.d, model.pair.u)[0], x.name
+        # (ii) kernel orthogonal to the inner class
+        assert all(ext1_dim(m, res.z) == 0 for m in model.inp.d.members), x.name
+        assert verify_hd_approximation(res, model.hd), x.name  # (iii)
         assert verify_hd_moreover(res, twin.cperp, ex61.atlas), x.name  # (iv)
 
 

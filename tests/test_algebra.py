@@ -3,9 +3,11 @@ import pytest
 
 from quiverhearts import fixtures as fx
 from quiverhearts import linalg as la
+from quiverhearts.cotorsion import _all_maps
 from quiverhearts.algebra import (
     AlgebraError,
     BoundQuiverAlgebra,
+    IndecSet,
     Quiver,
     Rep,
     RepMap,
@@ -183,17 +185,74 @@ def test_largest_accepted_prime_is_exact():
     alg = fx.a2_algebra(p)
     s1, s2 = Rep(alg, "1", (1, 0)), Rep(alg, "2", (0, 1))
     assert is_indecomposable(s1)
-    # End(S1 + S2) = F_p x F_p: its elements have split minimal polynomials
-    # of degree 2, whose irreducibility test multiplies degree-1 residues.
+    # End(S1 + S2) = F_p x F_p: Frobenius fixes both factors, so its fixed
+    # space has dimension 2.  It takes about 64 stacked 2 x 2 products,
+    # each entry a sum of two (p-1)^2 terms that `matmul` reduces one by one.
     total = direct_sum([s1, s2])
     assert not is_indecomposable(total)
     # A Kronecker module with End = F_p[x]/(x^2 - c) = F_{p^2} for a
-    # non-square c: its End/rad has an irreducible minimal polynomial.
+    # non-square c: Frobenius is conjugation, whose fixed space is F_p.
     c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
     kron = BoundQuiverAlgebra(Quiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2"))), p)
     r = Rep(kron, "R", (2, 2), {"a": la.eye(2), "b": [[0, c], [1, 0]]})
     assert len(hom_space(r, r)) == 2
     assert is_indecomposable(r)
+
+
+def kronecker_module(p: int, a, b) -> Rep:
+    kron = BoundQuiverAlgebra(Quiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2"))), p)
+    a, b = np.array(a), np.array(b)
+    return Rep(kron, "K", (a.shape[1], a.shape[0]), {"a": a, "b": b})
+
+
+def has_only_trivial_idempotents(m: Rep) -> bool:
+    """Reference: End(m) enumerated element by element."""
+    one = RepMap.identity(m)
+    for e in _all_maps(m, m):
+        if not (e.is_zero() or e.sub(one).is_zero()) and e.compose(e).sub(e).is_zero():
+            return False
+    return True
+
+
+def test_indecomposable_matches_idempotent_enumeration():
+    # Kronecker modules of dimension (2, 2) have End/rad equal to F_p,
+    # F_p x F_p, F_{p^2} or larger; the companion matrix of x^2 - c gives
+    # F_{p^2} for a non-square c and F_p x F_p for a nonzero square.
+    modules = []
+    for p in (5, 7):
+        rng = np.random.default_rng(p)
+        for c in range(p):
+            modules.append(kronecker_module(p, la.eye(2), [[0, c], [1, 0]]))
+        for shape in [(1, 1)] * 20 + [(2, 2)] * 80:
+            modules.append(kronecker_module(p, *rng.integers(0, p, size=(2, *shape))))
+    seen = set()
+    for m in modules:
+        got = is_indecomposable(m)
+        assert got == has_only_trivial_idempotents(m), m.arrow_maps
+        endos, rad = end_radical(m)
+        seen.add((len(endos) - len(rad), got))
+    # both answers where the Frobenius test decides, on End/rad of dimension 2
+    assert {(1, True), (2, True), (2, False)} <= seen, seen
+
+
+def test_missing_standard_module_is_named():
+    atlas = fx.auslander_a3_atlas()
+    assert atlas.standard_names("simple")[0] == "1"
+    rest = IndecSet([m for m in atlas if m.name != "1/2/3"], validate=False)
+    with pytest.raises(AlgebraError, match="projective module at vertex 1 missing from atlas"):
+        rest.standard_names("projective")
+
+
+def test_isomorphic_decomposables_without_a_basis_witness_are_refused():
+    # Hom(S + S, S + S) = M_2(F_p) with the matrix units as basis: neither
+    # they nor their products are invertible, and neither side is
+    # indecomposable, so a miss would prove nothing.
+    alg = BoundQuiverAlgebra(Quiver(("x",), ()), 5)
+    s = Rep(alg, "S", (1,))
+    two = Rep(alg, "2S", (2,))
+    assert not is_indecomposable(two)
+    with pytest.raises(AlgebraError, match="cannot decide"):
+        is_isomorphic(two, direct_sum([s, s]))
 
 
 def test_map_from_coords_does_not_wrap_at_p31():

@@ -1,6 +1,6 @@
 """Tooling checks: the benchmark's tracer still finds every target it wraps,
 the package imports nothing it does not use (no linter is installed), and
-the certificate modules draw no random numbers."""
+no module but the fixtures draws random numbers."""
 
 import ast
 import subprocess
@@ -96,9 +96,12 @@ def named(path: Path) -> set[str]:
 
 
 def test_certificates_draw_no_random_numbers():
-    # The localization and round-trip checks are exact over whole hom
-    # spaces; a generator in these modules would bring sampling back.
-    banned = {"rng", "default_rng", "naturality_samples"}
-    for name in ("mutation.py", "heart.py"):
-        found = named(ROOT / "src" / "quiverhearts" / name) & banned
-        assert not found, (name, sorted(found))
+    # Every decision is exact: isomorphism, indecomposability and the
+    # localization and round-trip checks run over whole hom spaces, so a
+    # generator anywhere but in the fixtures (which draw from one their
+    # caller passes in) would bring sampling back.
+    banned = {"rng", "default_rng", "naturality_samples", "trials"}
+    for path in sorted((ROOT / "src" / "quiverhearts").glob("*.py")):
+        if path.name != "fixtures.py":
+            found = named(path) & banned
+            assert not found, (path.name, sorted(found))
