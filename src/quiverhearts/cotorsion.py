@@ -6,13 +6,22 @@ conflations for every atlas object; Cone/CoCone membership is decided by a
 minimal-approximation criterion that is exact whenever Ext^1 from the cokernel
 class to the middle class vanishes (which covers every use in the engine), and
 otherwise falls back to a bounded exhaustive search.
+
+The search (`_search`, also behind the brute-force oracles and
+`star_membership`) runs through the direct sums S of a class up to a total
+dimension, in a fixed order, and tries every map between S and X.  The far end
+of a conflation built from such a map has a dimension vector fixed by S and X
+alone, so a sum is skipped unless that vector is a sum of dimension vectors
+of the far class; for every other sum each map is tried and each conflation
+checked, so the first one found does not depend on the skipping.  A Hom space
+with more than 200,000 maps stops the search with `Inconclusive`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .algebra import (
     AlgebraError,
@@ -357,19 +366,43 @@ def _all_maps(x: Rep, b: Rep):
         yield map_from_coords(basis, coords)
 
 
+def _dim_sums(end_class: Subcategory):
+    """Is a dimension vector the dimension vector of an object of
+    add(end_class), that is, a sum of members' dimension vectors?  The
+    returned test is memoised, so build it once per search."""
+    gens = sorted({m.dims for m in end_class.members if not m.is_zero()})
+
+    @cache
+    def reachable(dims: tuple[int, ...]) -> bool:
+        if any(d < 0 for d in dims):
+            return False
+        return not any(dims) or any(
+            reachable(tuple(d - g for d, g in zip(dims, gen))) for gen in gens
+        )
+
+    return reachable
+
+
 def _search(
     side: str, x: Rep, members: list[Rep], max_total: int, into_x: bool, end_class: Subcategory
 ) -> Conflation | None:
     """The first conflation with deflation (right) or inflation (left) a map
     S -> x (into_x) or x -> S, S a sum of `members` of total dimension at
-    most max_total, whose far end lies in add(end_class); every map is tried."""
+    most max_total, whose far end lies in add(end_class); every map whose
+    far end can lie in add(end_class) is tried.
+
+    The far end of a surjection (injection) src -> tgt is its kernel
+    (cokernel), of dimension vector dim src - dim tgt (dim tgt - dim src)
+    whatever the map, so a sum for which that vector is not a sum of
+    end_class dimension vectors is skipped before it is built."""
+    reachable = _dim_sums(end_class)
+    sign = 1 if (side == "right") == into_x else -1
     for combo in _candidate_sums(members, max_total):
+        dims = tuple(map(sum, zip(*(m.dims for m in combo))))
+        if not reachable(tuple(sign * (s - d) for s, d in zip(dims, x.dims))):
+            continue
         total = direct_sum(combo)
         src, tgt = (total, x) if into_x else (x, total)
-        # a surjection needs dim src >= dim tgt, an injection dim src <= dim tgt
-        d_src, d_tgt = src.total_dim, tgt.total_dim
-        if (d_src < d_tgt) if side == "right" else (d_src > d_tgt):
-            continue
         for f in _all_maps(src, tgt):
             if f.is_surjective() if side == "right" else f.is_injective():
                 conf, end = _conflation(side, f)

@@ -11,8 +11,8 @@ model where they are plain linear algebra.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .algebra import (
 )
 from .cotorsion import (
     CotorsionPair,
+    Inconclusive,
     Subcategory,
     _zero_conflation,
     cocone_objects,
@@ -244,18 +245,113 @@ def gabriel_quiver(qc: QuotientCategory) -> GabrielQuiver:
     return GabrielQuiver(tuple(o.name for o in objs), arrows)
 
 
+# Backtracking steps (candidate images tried) before the quiver isomorphism
+# search gives up with Inconclusive.
+QUIVER_SEARCH_CAP = 50_000
+
+
+def _arrow_table(q: GabrielQuiver) -> dict:
+    """Node -> ({target: multiplicity}, {source: multiplicity})."""
+    table = {n: ({}, {}) for n in q.nodes}
+    for (s, t), k in q.arrows.items():
+        if k:
+            table[s][0][t] = k
+            table[t][1][s] = k
+    return table
+
+
+def _refined_colours(tables: list[dict]) -> list[dict]:
+    """Colour refinement run on several quivers at once, so equal colours
+    mean the same thing in each: start from the in/out arrow multiplicities
+    of a node, then split by the colours and multiplicities of its
+    neighbours until no class splits."""
+    colours = [{n: 0 for n in t} for t in tables]
+    count = 1
+    while True:
+        sigs = [
+            {
+                n: (
+                    col[n],
+                    tuple(sorted((col[m], k) for m, k in outs.items())),
+                    tuple(sorted((col[m], k) for m, k in ins.items())),
+                )
+                for n, (outs, ins) in t.items()
+            }
+            for t, col in zip(tables, colours)
+        ]
+        index = {sig: i for i, sig in enumerate(sorted({v for s in sigs for v in s.values()}))}
+        colours = [{n: index[sig] for n, sig in s.items()} for s in sigs]
+        if len(index) == count:
+            return colours
+        count = len(index)
+
+
 def quivers_isomorphic(q1: GabrielQuiver, q2: GabrielQuiver) -> bool:
-    """Brute-force digraph isomorphism with arrow multiplicities."""
+    """Digraph isomorphism with arrow multiplicities.
+
+    Nodes are coloured by joint colour refinement; the colour counts must
+    agree, and a backtracking search then maps each node of q1 to an unused
+    node of q2 of its colour whose arrows to and from the nodes already
+    mapped match.  More than QUIVER_SEARCH_CAP candidate tries raise
+    Inconclusive.
+    """
     if len(q1.nodes) != len(q2.nodes):
         return False
-    n2 = list(q2.nodes)
-    for perm in itertools.permutations(n2):
-        m = dict(zip(q1.nodes, perm))
-        if all(
-            q2.arrows.get((m[s], m[t]), 0) == k for (s, t), k in q1.arrows.items()
-        ) and sum(q1.arrows.values()) == sum(q2.arrows.values()):
+    t1, t2 = _arrow_table(q1), _arrow_table(q2)
+    c1, c2 = _refined_colours([t1, t2])
+    if sorted(c1.values()) != sorted(c2.values()):
+        return False
+    by_colour: dict[int, list[str]] = {}
+    for n in q2.nodes:
+        by_colour.setdefault(c2[n], []).append(n)
+    # q1's nodes in an order that meets arrows early: next is the node with
+    # the most arrows to those already placed, then the rarest colour
+    order: list[str] = []
+    rest = list(q1.nodes)
+    while rest:
+        placed = set(order)
+        nxt = max(rest, key=lambda n: (
+            sum(m in placed for m in t1[n][0]) + sum(m in placed for m in t1[n][1]),
+            -len(by_colour[c1[n]]),
+        ))
+        order.append(nxt)
+        rest.remove(nxt)
+    image: dict[str, str] = {}
+    used: set[str] = set()
+    steps = 0
+
+    def fits(u: str, v: str) -> bool:
+        (out1, in1), (out2, in2) = t1[u], t2[v]
+        if out1.get(u, 0) != out2.get(v, 0):
+            return False
+        return all(
+            out1.get(w, 0) == out2.get(iw, 0) and in1.get(w, 0) == in2.get(iw, 0)
+            for w, iw in image.items()
+        )
+
+    def extend(i: int) -> bool:
+        nonlocal steps
+        if i == len(order):
             return True
-    return False
+        u = order[i]
+        for v in by_colour[c1[u]]:
+            if v in used:
+                continue
+            steps += 1
+            if steps > QUIVER_SEARCH_CAP:
+                raise Inconclusive(
+                    f"quiver isomorphism search exceeded {QUIVER_SEARCH_CAP} steps"
+                )
+            if fits(u, v):
+                image[u] = v
+                used.add(v)
+                if extend(i + 1):
+                    return True
+                del image[u]
+                used.discard(v)
+        return False
+
+    return extend(0)
 
 
 # ---------------------------------------------------------------------------
@@ -383,23 +479,35 @@ class PhiModel:
         self.p = c.atlas.members[0].algebra.p
         self.g = direct_sum(c.members)
         self.projectives = projectives_of(c.atlas)
+        self._ext_cache: dict[int, Ext1] = {}
+        self._mod_cache: dict[tuple, GammaModule] = {}  # by Rep.key
+
+    # The Gamma-action is built on first use: the certificate needs only
+    # dimensions and Phi(f), never the action.
+    @cached_property
+    def gamma_basis(self) -> list[RepMap]:
         stable = QuotientCategory([self.g], self.projectives.members)
-        self.gamma_basis = stable.qbasis(self.g, self.g)
-        self.omega_g, self._g_cover = syzygy(self.g)
-        # syzygy restriction of each Gamma basis element
-        self._omega_acts = []
+        return stable.qbasis(self.g, self.g)
+
+    @cached_property
+    def _omega_acts(self) -> list[RepMap]:
+        """The syzygy restriction Omega G -> Omega G of each Gamma basis element."""
+        cover = syzygy(self.g)[1]
+        acts = []
         for gmap in self.gamma_basis:
-            lift = solve_through(gmap.compose(self._g_cover.defl), self._g_cover.defl)
+            lift = solve_through(gmap.compose(cover.defl), cover.defl)
             if lift is None:
                 raise AlgebraError("projective lifting failed for Gamma element")
             # restrict to the syzygy: solve infl o w = lift o infl blockwise
-            rest = lift.compose(self._g_cover.infl)
-            w = solve_through(rest, self._g_cover.infl)
+            w = solve_through(lift.compose(cover.infl), cover.infl)
             if w is None:
                 raise AlgebraError("syzygy restriction failed for Gamma element")
-            self._omega_acts.append(w)
-        self._ext_cache: dict[int, Ext1] = {}
-        self._mod_cache: dict[tuple, GammaModule] = {}  # by Rep.key
+            acts.append(w)
+        return acts
+
+    def dim(self, x: Rep) -> int:
+        """dim Phi(x) = dim Ext^1(G, x), without the action."""
+        return ext1_dim(self.g, x)
 
     def _ext(self, x: Rep) -> Ext1:
         got = self._ext_cache.get(id(x))
@@ -523,22 +631,22 @@ class HeartModel:
 
 def heart_epi(model: HeartModel, f: RepMap) -> bool:
     m = model.phi.phi_map(f)
-    return la.rank(m, model.phi.p) == model.phi.module(f.target).dim
+    return la.rank(m, model.phi.p) == model.phi.dim(f.target)
 
 
 def heart_mono(model: HeartModel, f: RepMap) -> bool:
     m = model.phi.phi_map(f)
-    return la.rank(m, model.phi.p) == model.phi.module(f.source).dim
+    return la.rank(m, model.phi.p) == model.phi.dim(f.source)
 
 
 def heart_kernel_dim(model: HeartModel, f: RepMap) -> int:
     m = model.phi.phi_map(f)
-    return model.phi.module(f.source).dim - la.rank(m, model.phi.p)
+    return model.phi.dim(f.source) - la.rank(m, model.phi.p)
 
 
 def heart_cokernel_dim(model: HeartModel, f: RepMap) -> int:
     m = model.phi.phi_map(f)
-    return model.phi.module(f.target).dim - la.rank(m, model.phi.p)
+    return model.phi.dim(f.target) - la.rank(m, model.phi.p)
 
 
 def submodule(mod: GammaModule, cols: np.ndarray) -> GammaModule:
@@ -591,9 +699,9 @@ def realize_heart_kernel(model: HeartModel, g: RepMap) -> tuple[Rep, RepMap, Rep
     p = model.phi.p
     if la.matmul(mg, mk, p).any():
         raise AlgebraError("not exact: kernel composite does not vanish")
-    if la.rank(mk, p) != model.phi.module(kobj).dim:
+    if la.rank(mk, p) != model.phi.dim(kobj):
         raise AlgebraError("not exact: kernel inclusion is not a heart mono")
-    if la.rank(mk, p) + la.rank(mg, p) != model.phi.module(g.source).dim:
+    if la.rank(mk, p) + la.rank(mg, p) != model.phi.dim(g.source):
         raise AlgebraError("not exact: rank identity fails")
     return kobj, to_b, wr.b
 

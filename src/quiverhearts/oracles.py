@@ -5,9 +5,13 @@ is a representation on the spaces A_v + C_v whose arrow maps are block upper
 triangular; the strictly upper blocks form a cocycle constrained linearly by
 the algebra relations, and coboundaries come from block-triangular base
 change.  No syzygies, covers, or approximations are involved.
+
+The quiver-isomorphism oracle tries every bijection of the nodes.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -127,3 +131,18 @@ def ext1_dim_bruteforce(c: Rep, a: Rep) -> int:
     cob %= p
     b_dim = la.rank(cob, p) if h_total else 0
     return z_dim - b_dim
+
+
+def quivers_isomorphic_bruteforce(q1, q2) -> bool:
+    """Digraph isomorphism with arrow multiplicities, by trying every
+    bijection of the nodes (quivers with `nodes` and an `arrows` dict
+    (source, target) -> multiplicity)."""
+    if len(q1.nodes) != len(q2.nodes):
+        return False
+    for perm in itertools.permutations(q2.nodes):
+        m = dict(zip(q1.nodes, perm))
+        if all(
+            q2.arrows.get((m[s], m[t]), 0) == k for (s, t), k in q1.arrows.items()
+        ) and sum(q1.arrows.values()) == sum(q2.arrows.values()):
+            return True
+    return False

@@ -181,7 +181,6 @@ def test_ext_oracle_auslander():
             assert ext1_dim(c, a) == oracles.ext1_dim_bruteforce(c, a), (c.name, a.name)
 
 
-@pytest.mark.slow
 def test_cocone_vs_bruteforce_a3():
     atlas = fx.a3_atlas(2)
     projs = ct.projectives_of(atlas)
@@ -199,7 +198,6 @@ def test_cocone_vs_bruteforce_a3():
                     conf.validate()
 
 
-@pytest.mark.slow
 def test_cone_vs_bruteforce_a3():
     atlas = fx.a3_atlas(2)
     projs = ct.projectives_of(atlas)
@@ -252,21 +250,24 @@ def cone_search_reference(x, bp, bpp):
     return None
 
 
+def star_conflation_reference(member, u, v):
+    """The first U0 >-> member ->> V0: injections into member from sums of u."""
+    for combo in ct._candidate_sums(u.members, member.total_dim):
+        for f in ct._all_maps(direct_sum(combo), member):
+            if f.is_injective():
+                conf = conflation_from_infl(f)
+                if v.contains(conf.c):
+                    return conf
+    return None
+
+
 def star_search_reference(x, u, v):
     """U0 >-> X' ->> V0 for every summand X' of x outside u and v."""
     for name in decompose(x, u.atlas):
         member = u.atlas[name]
         if u.contains(member) or v.contains(member):
             continue
-        found = False
-        for combo in ct._candidate_sums(u.members, member.total_dim):
-            for f in ct._all_maps(direct_sum(combo), member):
-                if f.is_injective() and v.contains(conflation_from_infl(f).c):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        if star_conflation_reference(member, u, v) is None:
             return False
     return True
 
@@ -331,3 +332,63 @@ def test_shared_search_matches_per_shape_searches_a3():
             assert same_conflation(
                 ct.cone_membership_bruteforce(x, bp, bpp), cone_search_reference(x, bp, bpp)
             ), ("cone", x.name, bp.names)
+
+
+# ---------------------------------------------------------------------------
+# Skipping sums by dimension vectors.
+
+
+def test_dim_sums_decides_sums_of_member_dimension_vectors():
+    atlas = fx.a3_atlas(2)  # dims 1 (1,0,0), 1/2 (1,1,0), 2/3 (0,1,1), 3 (0,0,1)
+    reachable = ct._dim_sums(ct.subcat(atlas, ["1/2", "3"]))
+    assert reachable((0, 0, 0))
+    assert reachable((1, 1, 0)) and reachable((0, 0, 1)) and reachable((2, 2, 3))
+    assert not reachable((1, 0, 0)) and not reachable((0, 1, 1)) and not reachable((2, 1, 0))
+    assert not reachable((-1, 1, 0)) and not reachable((1, 1, -1))
+    nothing = ct._dim_sums(ct.subcat(atlas, []))
+    assert nothing((0, 0, 0)) and not nothing((0, 0, 1)) and not nothing((0, -1, 0))
+    overlap = ct._dim_sums(ct.subcat(atlas, ["1", "1/2", "2/3"]))
+    assert overlap((2, 2, 1)) and overlap((1, 1, 1)) and not overlap((0, 0, 1))
+
+
+def test_pruned_search_returns_the_unpruned_first_conflation(monkeypatch):
+    """Every shape of search finds the same first conflation as the
+    references, which try every sum, while enumerating fewer maps."""
+    atlas = fx.a3_atlas(2)
+    classes = [ct.projectives_of(atlas), ct.injectives_of(atlas)]
+    classes += [ct.subcat(atlas, [n]) for n in atlas.names]
+    calls = {"pruned": 0, "reference": 0}
+    phase = ["pruned"]
+    all_maps = ct._all_maps
+
+    def counting_all_maps(src, tgt):
+        calls[phase[0]] += 1
+        return all_maps(src, tgt)
+
+    monkeypatch.setattr(ct, "_all_maps", counting_all_maps)
+
+    def run(side, fn, *args):
+        phase[0] = side
+        return fn(*args)
+
+    found = 0
+    for bp in classes:
+        for bpp in classes:
+            for x in atlas:
+                for search, reference in (
+                    (ct.cocone_membership_bruteforce, cocone_search_reference),
+                    (ct.cone_membership_bruteforce, cone_search_reference),
+                ):
+                    got = run("pruned", search, x, bp, bpp)
+                    want = run("reference", reference, x, bp, bpp)
+                    assert same_conflation(got, want), (search.__name__, x.name, bp.names, bpp.names)
+                    found += got is not None
+                got = run("pruned", ct._search, "left", x, bp.members, x.total_dim, True, bpp)
+                want = run("reference", star_conflation_reference, x, bp, bpp)
+                assert same_conflation(got, want), ("star", x.name, bp.names, bpp.names)
+                found += got is not None
+                assert run("pruned", ct._star_bruteforce, x, bp, bpp) == run(
+                    "reference", star_search_reference, x, bp, bpp
+                ), ("star", x.name, bp.names, bpp.names)
+    assert found > 0
+    assert 0 < calls["pruned"] < calls["reference"], calls

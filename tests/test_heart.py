@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -5,8 +8,10 @@ from quiverhearts import cotorsion as ct
 from quiverhearts import fixtures as fx
 from quiverhearts import heart as ht
 from quiverhearts import linalg as la
+from quiverhearts import oracles
 from quiverhearts.algebra import RepMap, map_from_coords
 from quiverhearts.homology import Ext1, ext1_dim, homs
+from quiverhearts.mutation import verify_main_theorem
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +81,96 @@ def test_quiver_isomorphism():
     q3 = ht.GabrielQuiver(("x", "y"), {("y", "x"): 2})
     assert ht.quivers_isomorphic(q1, q2)
     assert not ht.quivers_isomorphic(q1, q3)
+
+
+def cycles(lengths, prefix="v"):
+    """Disjoint oriented cycles of the given lengths, as one quiver."""
+    nodes, arrows, start = [], {}, 0
+    for n in lengths:
+        names = [f"{prefix}{start + i}" for i in range(n)]
+        nodes += names
+        arrows.update({(names[i], names[(i + 1) % n]): 1 for i in range(n)})
+        start += n
+    return ht.GabrielQuiver(tuple(nodes), arrows)
+
+
+def quiver_of(nodes, arrow_list):
+    arrows = {}
+    for a in arrow_list:
+        arrows[a] = arrows.get(a, 0) + 1
+    return ht.GabrielQuiver(tuple(nodes), arrows)
+
+
+def circulant(n, steps, names):
+    return ht.GabrielQuiver(
+        tuple(names), {(names[i], names[(i + s) % n]): 1 for i in range(n) for s in steps}
+    )
+
+
+def degrees(q):
+    out = sorted(sum(k for (s, _), k in q.arrows.items() if s == n) for n in q.nodes)
+    into = sorted(sum(k for (_, t), k in q.arrows.items() if t == n) for n in q.nodes)
+    return out, into
+
+
+def test_quiver_isomorphism_matches_permutation_oracle():
+    rng = np.random.default_rng(11)
+    seen = {"iso": 0, "same_degrees_not_iso": 0}
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        nodes = [f"a{i}" for i in range(n)]
+        arrow_list = [
+            (nodes[int(rng.integers(n))], nodes[int(rng.integers(n))])
+            for _ in range(int(rng.integers(0, 2 * n + 1)))
+        ]
+        q1 = quiver_of(nodes, arrow_list)
+        # relabel, then swap the targets of two arrows: in- and out-degrees
+        # stay, the isomorphism class may not
+        perm = [f"b{i}" for i in rng.permutation(n)]
+        rename = dict(zip(nodes, perm))
+        moved = [(rename[s], rename[t]) for s, t in arrow_list]
+        if len(moved) >= 2 and rng.random() < 0.7:
+            i, j = rng.choice(len(moved), 2, replace=False)
+            (s1, t1), (s2, t2) = moved[i], moved[j]
+            moved[i], moved[j] = (s1, t2), (s2, t1)
+        q2 = quiver_of(sorted(perm), moved)
+        want = oracles.quivers_isomorphic_bruteforce(q1, q2)
+        assert ht.quivers_isomorphic(q1, q2) == want, (q1, q2)
+        assert ht.quivers_isomorphic(q2, q1) == want, (q1, q2)
+        if want:
+            seen["iso"] += 1
+        elif degrees(q1) == degrees(q2):
+            seen["same_degrees_not_iso"] += 1
+    assert seen["iso"] >= 50 and seen["same_degrees_not_iso"] >= 20, seen
+    # colour refinement cannot tell these apart; the backtracking must
+    assert not ht.quivers_isomorphic(cycles([6]), cycles([3, 3]))
+    assert ht.quivers_isomorphic(cycles([3, 3]), cycles([3, 3], prefix="w"))
+    # circulant digraphs i -> i + s (s in S): every node has the same
+    # degrees, so refinement leaves one colour class
+    agree = {True: 0, False: 0}
+    for n in (5, 6):
+        sets = [c for r in (1, 2) for c in itertools.combinations(range(1, n), r)]
+        for a in sets:
+            for b in sets:
+                q1 = circulant(n, a, [f"a{i}" for i in range(n)])
+                q2 = circulant(n, b, [f"b{i}" for i in rng.permutation(n)])
+                want = oracles.quivers_isomorphic_bruteforce(q1, q2)
+                assert ht.quivers_isomorphic(q1, q2) == want, (n, a, b)
+                agree[want] += 1
+    assert agree[True] >= 50 and agree[False] >= 200, agree
+
+
+def test_quiver_isomorphism_is_fast_on_a_twelve_node_non_isomorphic_pair(monkeypatch):
+    start = time.monotonic()
+    try:
+        assert not ht.quivers_isomorphic(cycles([12]), cycles([6, 6]))
+    except ct.Inconclusive:
+        pass
+    assert time.monotonic() - start < 2.0
+    # a search that reaches the cap says so instead of answering
+    monkeypatch.setattr(ht, "QUIVER_SEARCH_CAP", 20)
+    with pytest.raises(ct.Inconclusive):
+        ht.quivers_isomorphic(cycles([12]), cycles([6, 6]))
 
 
 def test_h_kills_exactly_star(ex61, model):
@@ -241,3 +336,20 @@ def test_syzygyepi_identity_and_split(ex61, model):
 def test_dim_hom_quotient_matches_gamma(model):
     rep = model.validate_equivalence()
     assert rep["ok"], rep["mismatches"]
+
+
+def test_phi_dim_is_the_module_dimension(ex61, model):
+    for x in ex61.atlas:
+        assert model.phi.dim(x) == model.phi.module(x).dim, x.name
+
+
+def test_certificate_builds_no_gamma_action(monkeypatch):
+    built = []
+    omega_acts = ht.PhiModel._omega_acts.func
+    monkeypatch.setattr(
+        ht.PhiModel, "_omega_acts", property(lambda self: built.append(self) or omega_acts(self))
+    )
+    f = fx.ex61()
+    assert verify_main_theorem(f.atlas, f.subcat_obj("C"), f.subcat_obj("D"))["ok"]
+    assert built == []
+    assert ht.PhiModel(f.subcat_obj("C")).validate_action(f.atlas["3"]) and len(built) == 1
