@@ -115,6 +115,27 @@ class BoundQuiverAlgebra:
     def n_vertices(self) -> int:
         return len(self.quiver.vertices)
 
+    # Derived data, built once per algebra object.
+    @cached_property
+    def path_basis(self) -> "PathBasis":
+        return path_basis(self)  # the module-level builder below
+
+    @cached_property
+    def projectives(self) -> dict[str, "Rep"]:
+        """The indecomposable projective P(v) of each vertex v."""
+        return _standard_projectives(self)
+
+    @cached_property
+    def opposite(self) -> "BoundQuiverAlgebra":
+        q = self.quiver
+        opq = Quiver(q.vertices, tuple((aid, t, s) for aid, s, t in q.arrows))
+        oprels = tuple(
+            tuple((c, tuple(reversed(path))) for c, path in rel) for rel in self.relations
+        )
+        op = BoundQuiverAlgebra(opq, self.p, oprels, self.max_path_length)
+        op.__dict__["opposite"] = self  # so duals of duals land on this very object
+        return op
+
 
 @dataclass(frozen=True)
 class PathBasis:
@@ -151,7 +172,7 @@ def _enumerate_paths(q: Quiver, max_len: int) -> list[tuple[Path, str, str]]:
     return out
 
 
-def compute_path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
+def path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
     """Quotient basis of paths (length >= 1) of kQ/I, certifying nilpotency.
 
     Certification: find L with every length-L path inside the truncated
@@ -202,19 +223,14 @@ def compute_path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
     )
 
 
-_PATH_BASIS_CACHE: dict[BoundQuiverAlgebra, PathBasis] = {}
-
-
-def path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
-    pb = _PATH_BASIS_CACHE.get(alg)
-    if pb is None:
-        pb = compute_path_basis(alg)
-        _PATH_BASIS_CACHE[alg] = pb
-    return pb
-
-
 class Rep:
-    """A finite-dimensional representation (module) over a bound quiver algebra."""
+    """A finite-dimensional representation (module) over a bound quiver algebra.
+
+    Equality and hash are the default identity ones: the per-object caches
+    of `heart` and `mutation` key dicts by the `Rep` itself, which pins it
+    and never mistakes one module for another.  Content lookups go through
+    `key`.
+    """
 
     def __init__(self, algebra: BoundQuiverAlgebra, name: str, dims, arrow_maps=None):
         self.algebra = algebra
@@ -591,24 +607,17 @@ def standard_modules(alg: BoundQuiverAlgebra):
         sd = [0] * alg.n_vertices
         sd[q.vertex_index(v)] = 1
         simples[v] = Rep(alg, f"S({v})", sd)
-    op = opposite_algebra(alg)
-    op_proj = standard_modules_projective_only(op)
-    injectives = {v: dual_rep(op_proj[v], alg, f"I({v})").validate() for v in q.vertices}
+    op_proj = alg.opposite.projectives
+    injectives = {v: dual_rep(op_proj[v], f"I({v})").validate() for v in q.vertices}
     return {
-        "projective": dict(standard_modules_projective_only(alg)),
+        "projective": dict(alg.projectives),
         "injective": injectives,
         "simple": simples,
     }
 
 
-_STD_PROJ_CACHE: dict[BoundQuiverAlgebra, dict[str, Rep]] = {}
-
-
-def standard_modules_projective_only(alg: BoundQuiverAlgebra) -> dict[str, Rep]:
-    got = _STD_PROJ_CACHE.get(alg)
-    if got is not None:
-        return got
-    pb = path_basis(alg)
+def _standard_projectives(alg: BoundQuiverAlgebra) -> dict[str, Rep]:
+    pb = alg.path_basis
     q = alg.quiver
     out = {}
     for v in q.vertices:
@@ -637,7 +646,6 @@ def standard_modules_projective_only(alg: BoundQuiverAlgebra) -> dict[str, Rep]:
                     m[local_index[tslot][1], src_col] = coeff % alg.p
             maps[aid] = m
         out[v] = Rep(alg, f"P({v})", dims, maps).validate()
-    _STD_PROJ_CACHE[alg] = out
     return out
 
 
@@ -648,27 +656,9 @@ def _path_index(pb: PathBasis, path: Path) -> int | None:
     return None
 
 
-_OP_CACHE: dict[BoundQuiverAlgebra, BoundQuiverAlgebra] = {}
-
-
-def opposite_algebra(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
-    got = _OP_CACHE.get(alg)
-    if got is not None:
-        return got
-    q = alg.quiver
-    opq = Quiver(q.vertices, tuple((aid, t, s) for aid, s, t in q.arrows))
-    oprels = tuple(
-        tuple((c, tuple(reversed(path))) for c, path in rel) for rel in alg.relations
-    )
-    op = BoundQuiverAlgebra(opq, alg.p, oprels, alg.max_path_length)
-    _OP_CACHE[alg] = op
-    _OP_CACHE[op] = alg
-    return op
-
-
-def dual_rep(m: Rep, op_alg: BoundQuiverAlgebra | None = None, name: str | None = None) -> Rep:
+def dual_rep(m: Rep, name: str | None = None) -> Rep:
     """The linear-dual representation over the opposite algebra."""
-    op_alg = op_alg or opposite_algebra(m.algebra)
+    op_alg = m.algebra.opposite
     maps = {aid: m.arrow_maps[aid].T for aid, _, _ in op_alg.quiver.arrows}
     return Rep(op_alg, name or f"D({m.name})", m.dims, maps)
 

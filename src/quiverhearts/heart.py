@@ -102,10 +102,9 @@ class QuotientCategory:
 
     def _hom_data(self, x: Rep, y: Rep):
         """(full basis, quotient map coords->quotient coords, representatives)."""
-        key = (id(x), id(y))
-        got = self._hom_cache.get(key)
-        if got is not None and got[0] is x and got[1] is y:
-            return got[2]
+        got = self._hom_cache.get((x, y))
+        if got is not None:
+            return got
         basis = homs(x, y)
         n = len(basis)
         flat_dim = sum(a * b for a, b in zip(x.dims, y.dims))
@@ -124,9 +123,7 @@ class QuotientCategory:
         # representatives: the basis maps at the pivot columns of rref(qmap),
         # the first whose classes span the quotient
         reps = [basis[i] for i in la.rref(qmap, self.p)[1]]
-        data = (basis, qmap, reps)
-        # Holding x and y keeps their ids from being reused while cached.
-        self._hom_cache[key] = (x, y, data)
+        data = self._hom_cache[(x, y)] = (basis, qmap, reps)
         return data
 
     def qdim(self, x: Rep, y: Rep) -> int:
@@ -218,24 +215,20 @@ def gabriel_quiver(qc: QuotientCategory) -> GabrielQuiver:
     X = Y.
     """
     objs = qc.nonzero_objects()
-    rad_basis: dict = {}
-    for x in objs:
-        for y in objs:
-            if x is y:
-                rad_basis[(id(x), id(y))] = _local_radical(qc, x)
-            else:
-                rad_basis[(id(x), id(y))] = qc.qbasis(x, y)
+    rad_basis = {
+        (x, y): _local_radical(qc, x) if x is y else qc.qbasis(x, y) for x in objs for y in objs
+    }
     arrows = {}
     for x in objs:
         for y in objs:
-            basis = rad_basis[(id(x), id(y))]
+            basis = rad_basis[(x, y)]
             if not basis:
                 continue
             span_cols = [qc.qcoords(b) for b in basis]
             sq_cols = []
             for t in objs:
-                for f in rad_basis[(id(x), id(t))]:
-                    for g in rad_basis[(id(t), id(y))]:
+                for f in rad_basis[(x, t)]:
+                    for g in rad_basis[(t, y)]:
                         sq_cols.append(qc.qcoords(g.compose(f)))
             span = np.stack(span_cols, axis=1)
             sq = np.stack(sq_cols, axis=1) if sq_cols else la.zeros(span.shape[0], 0)
@@ -385,15 +378,14 @@ class CohomologicalH:
         self.quotient = QuotientCategory(
             [atlas[n] for n in self.h_objects.names], pair.u.members
         )
-        self._cache: dict[int, HObject] = {}
+        self._cache: dict[Rep, HObject] = {}
 
     def h_object(self, x: Rep) -> HObject:
-        got = self._cache.get(id(x))
-        if got is not None and got.x is x:
+        got = self._cache.get(x)
+        if got is not None:
             return got
         if x.is_zero():
-            res = HObject(x, x, RepMap.identity(x))
-            self._cache[id(x)] = res
+            res = self._cache[x] = HObject(x, x, RepMap.identity(x))
             return res
         wl = self.pair.witness("left", x)  # X >-> V^X ->> U^X
         vx = wl.b
@@ -402,7 +394,7 @@ class CohomologicalH:
         res = HObject(x, conf.b, conf.defl)
         if not self.h_objects.contains(conf.b):
             raise AlgebraError(f"H({x.name}) fell outside CoCone(U, U)")
-        self._cache[id(x)] = res
+        self._cache[x] = res
         return res
 
     def _right_witness_of(self, b: Rep) -> Conflation:
@@ -479,15 +471,19 @@ class PhiModel:
         self.p = c.atlas.members[0].algebra.p
         self.g = direct_sum(c.members)
         self.projectives = projectives_of(c.atlas)
-        self._ext_cache: dict[int, Ext1] = {}
+        self._ext_cache: dict[Rep, Ext1] = {}
         self._mod_cache: dict[tuple, GammaModule] = {}  # by Rep.key
 
     # The Gamma-action is built on first use: the certificate needs only
     # dimensions and Phi(f), never the action.
     @cached_property
+    def stable(self) -> QuotientCategory:
+        """End(G) modulo the maps that factor through projectives."""
+        return QuotientCategory([self.g], self.projectives.members)
+
+    @cached_property
     def gamma_basis(self) -> list[RepMap]:
-        stable = QuotientCategory([self.g], self.projectives.members)
-        return stable.qbasis(self.g, self.g)
+        return self.stable.qbasis(self.g, self.g)
 
     @cached_property
     def _omega_acts(self) -> list[RepMap]:
@@ -510,10 +506,9 @@ class PhiModel:
         return ext1_dim(self.g, x)
 
     def _ext(self, x: Rep) -> Ext1:
-        got = self._ext_cache.get(id(x))
-        if got is None or got.a is not x:
-            got = Ext1(self.g, x)
-            self._ext_cache[id(x)] = got
+        got = self._ext_cache.get(x)
+        if got is None:
+            got = self._ext_cache[x] = Ext1(self.g, x)
         return got
 
     def _coords(self, e: Ext1, h: RepMap) -> np.ndarray:
@@ -564,9 +559,8 @@ class PhiModel:
     def validate_action(self, x: Rep) -> bool:
         """Associativity/unitality of the action on Phi(x), and [P] acts as 0."""
         mod = self.module(x)
-        stable = QuotientCategory([self.g], self.projectives.members)
         # unit: the identity's class expands over the basis; its action is id
-        idc = stable.qcoords(RepMap.identity(self.g))
+        idc = self.stable.qcoords(RepMap.identity(self.g))
         acc = la.zeros(mod.dim, mod.dim)
         for c, r in zip(idc, mod.action):
             acc = (acc + int(c) * r) % self.p
@@ -577,7 +571,7 @@ class PhiModel:
         for i, g1 in enumerate(self.gamma_basis):
             for j, g2 in enumerate(self.gamma_basis):
                 comp = g1.compose(g2)
-                cc = stable.qcoords(comp)
+                cc = self.stable.qcoords(comp)
                 lhs = la.zeros(mod.dim, mod.dim)
                 for c, r in zip(cc, mod.action):
                     lhs = (lhs + int(c) * r) % self.p

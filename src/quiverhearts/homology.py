@@ -29,7 +29,6 @@ from .algebra import (
     hom_space,
     map_from_coords,
     matrix_map,
-    standard_modules_projective_only,
     zero_rep,
 )
 from .workspace import WORKSPACE
@@ -257,7 +256,7 @@ def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
     if m.is_zero():
         z = zero_rep(alg)
         return z, RepMap.zero(z, m)
-    projs = standard_modules_projective_only(alg)
+    projs = alg.projectives
     gens = _top_generators(m)
     parts, part_maps = [], []
     for v in alg.quiver.vertices:
@@ -325,8 +324,8 @@ def injective_envelope(m: Rep) -> tuple[Rep, RepMap]:
         return z, RepMap.zero(m, z)
     dm = dual_rep(m)
     dp, depi = projective_cover(dm)
-    i_rep = dual_rep(dp, alg, f"I>{m.name}")
-    ddm = dual_rep(dm, alg)  # same matrices as m
+    i_rep = dual_rep(dp, f"I>{m.name}")
+    ddm = dual_rep(dm)  # same matrices as m
     mono0 = dual_map(depi, ddm, i_rep)
     return i_rep, RepMap(m, i_rep, mono0.blocks)
 

@@ -191,12 +191,12 @@ def right_hd_approximation(
         conf = Conflation(RepMap.zero(z, u0_conf.b), u0_conf.defl)
         return _validated(conf, conf, x, outer_pair, inner)
     gens = inner.omega_generators
-    confs = {id(g): c for g, c in gens}
+    confs = dict(gens)
     approx = minimal_right_approximation([g for g, _ in gens], y0)
     if not approx.map.is_surjective():
         raise AlgebraError("failed clause: approximation by syzygies is not a deflation")
     parts = approx.parts
-    gcs = [confs[id(g)] for g, _ in parts]  # per part g: g >-> P ->> D-part
+    gcs = [confs[g] for g, _ in parts]  # per part g: g >-> P ->> D-part
     v1 = direct_sum([g for g, _ in parts])
     p1 = direct_sum([gc.b for gc in gcs])
     d1 = direct_sum([gc.c for gc in gcs])
@@ -289,12 +289,10 @@ class LocalizationModel:
         return tuple(sorted(x.name for x in self.quotient.nonzero_objects()))
 
     def r_object(self, x: Rep) -> HdApproximation:
-        got = self._r_cache.get(id(x))
-        if got is not None and got.x is x:
-            return got
-        res = right_hd_approximation(self.pair, self.inp.d, x)
-        self._r_cache[id(x)] = res
-        return res
+        got = self._r_cache.get(x)
+        if got is None:
+            got = self._r_cache[x] = right_hd_approximation(self.pair, self.inp.d, x)
+        return got
 
     def r_map(self, a: RepMap) -> RepMap:
         """R(a): R(X1) -> R(X2) with f2 R(a) = a f1; linear in a."""
@@ -503,17 +501,15 @@ class PseudoMoritaData:
         )
 
     def refl(self, b: Rep) -> Reflection:
-        got = self._refl.get(id(b))
+        got = self._refl.get(b)
         if got is None:
-            got = reflection(self.twin, b)
-            self._refl[id(b)] = got
+            got = self._refl[b] = reflection(self.twin, b)
         return got
 
     def coref(self, b: Rep) -> HdApproximation:
-        got = self._coref.get(id(b))
+        got = self._coref.get(b)
         if got is None:
-            got = coreflection(self.twin, b)
-            self._coref[id(b)] = got
+            got = self._coref[b] = coreflection(self.twin, b)
         return got
 
     def k_map(self, x: RepMap) -> RepMap:
@@ -583,7 +579,7 @@ def _round_trip(data: PseudoMoritaData, side: str, objs: list[Rep]) -> tuple[dic
     """The unit B -> K'K(B) on H_D (right: the reflection inflation lifted
     through the coreflection deflation) or the counit KK'(B) -> B on H'_N
     (left: the coreflection deflation extended along the reflection
-    inflation), keyed by id(B), and whether each is invertible mod the ideal."""
+    inflation), keyed by B, and whether each is invertible mod the ideal."""
     right = side == "right"
     q = data.q_hd if right else data.q_hn
     first, then = (data.refl, data.coref) if right else (data.coref, data.refl)
@@ -595,18 +591,18 @@ def _round_trip(data: PseudoMoritaData, side: str, objs: list[Rep]) -> tuple[dic
         e = solve_through(out.f, back.f) if right else solve_extend(out.f, back.f)
         if e is None or not q.invertible(e)[0]:
             ok = False
-        eta[id(b)] = e
+        eta[b] = e
     return eta, ok
 
 
 def _natural(q: QuotientCategory, objs: list[Rep], eta: dict, f_map, g_map) -> bool:
     """eta_{b1} o F(x) = G(x) o eta_{b0} modulo the ideal of q, for every Hom
-    basis map x: b0 -> b1 between objs (eta keyed by id of the object)."""
+    basis map x: b0 -> b1 between objs (eta keyed by the object)."""
     ok = True
     for b0 in objs:
         for b1 in objs:
             for x in homs(b0, b1):
-                if not q.equal(eta[id(b1)].compose(f_map(x)), g_map(x).compose(eta[id(b0)])):
+                if not q.equal(eta[b1].compose(f_map(x)), g_map(x).compose(eta[b0])):
                     ok = False
     return ok
 

@@ -7,6 +7,13 @@ site in `algebra` and `homology` stores plain read-only blocks under a key
 that holds everything its result depends on (member names too, where the
 result names them) and rebinds them to the caller's objects on every
 lookup, so no stored value refers to a caller's `Rep`.
+
+Nothing else belongs here.  Data derived from one object (an algebra's
+path basis, projectives and opposite, a subcategory's cotorsion pair, a
+quotient category's Hom data, H(X) or R(X) of a model) lives on that
+object, as a `cached_property` or a dict keyed by the object itself, and
+goes when the object goes.  A table that a second certificate of the same
+instance would never hit does not belong here either.
 """
 
 from __future__ import annotations

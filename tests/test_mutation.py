@@ -1,11 +1,13 @@
 """Mutation, intermediate categories, localization, and the round trips."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
 import pytest
 
+from quiverhearts.algebra import AlgebraError
 from quiverhearts.cotorsion import (
     cocone_membership,
     cone_objects,
@@ -13,6 +15,7 @@ from quiverhearts.cotorsion import (
     full_subcat,
     is_rigid,
     perp_right,
+    projectives_of,
     satisfies_rcp,
     subcat,
 )
@@ -22,7 +25,6 @@ from quiverhearts.fixtures import (
     auslander_a3_atlas,
     ex61,
     ex62,
-    random_mutation_instance,
 )
 from quiverhearts.heart import HeartModel, gabriel_quiver, quivers_isomorphic
 from quiverhearts.homology import ext1_dim, homs
@@ -270,19 +272,33 @@ def test_round_trips(morita):
     assert rep["object_map"]["3"] == "3"
 
 
-def test_randomized_instances():
-    # Most draws from generator seed 7 give a mutation that moves nothing
-    # (C' = C); the first one that moves an object is draw 143, so the
-    # budget reaches it and every admissible instance before it is certified.
+def rigid_classes_with_projectives(atlas) -> list:
+    """Every rigid subcategory containing the projectives."""
+    proj = projectives_of(atlas).names
+    rest = [n for n in atlas.names if n not in proj]
+    out = []
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            c = subcat(atlas, sorted(proj + extra))
+            if is_rigid(c):
+                out.append(c)
+    return out
+
+
+def test_every_nested_rigid_pair_on_the_auslander_atlas():
+    # Every nested pair D in C of rigid classes containing the projectives;
+    # each admissible one whose mutation is rigid and satisfies (RCP) is
+    # certified through the round trips.
     atlas = auslander_a3_atlas()
-    rng = np.random.default_rng(7)
+    classes = rigid_classes_with_projectives(atlas)
+    pairs = [(c, d) for c in classes for d in classes if d.issubset(c)]
+    assert len(classes) == 20 and len(pairs) == 99
     done = moved = 0
-    for k in range(150):
-        c, d = random_mutation_instance(atlas, rng)
+    for c, d in pairs:
         inp = MutationInput(atlas, c, d)
         try:
             inp.validate()
-        except Exception:
+        except AlgebraError:
             continue
         cmut = right_mutation(inp)
         if not (is_rigid(cmut) and satisfies_rcp(cmut)[0]):
@@ -290,15 +306,11 @@ def test_randomized_instances():
         twin = TwinData.build(inp)
         lhs, rhs = mutation_condition_equivalence(inp, twin.cmut)
         assert lhs and rhs
-        pm = PseudoMoritaData.build(twin)
-        rep = verify_pseudo_morita(pm)
+        rep = verify_pseudo_morita(PseudoMoritaData.build(twin))
         assert rep["ok"], (c.names, d.names, rep)
         done += 1
         moved += cmut.names != c.names
-        if done >= 10 and moved:
-            break
-    assert done >= 10
-    assert moved  # C = {1/2, 1/2/3, 2, 2/34/5, 2/4, 3/5/6, 4/5, 5/6, 6}, C' = C - {2} + {4}
+    assert (done, moved) == (24, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tooling checks: the benchmark's tracer still finds every target it wraps,
-the package imports nothing it does not use (no linter is installed), and
-no module but the fixtures draws random numbers."""
+the package imports nothing it does not use (no linter is installed), no
+module but the fixtures draws random numbers, and no module keeps a memo
+of its own."""
 
 import ast
 import subprocess
@@ -105,3 +106,44 @@ def test_certificates_draw_no_random_numbers():
         if path.name != "fixtures.py":
             found = named(path) & banned
             assert not found, (path.name, sorted(found))
+
+
+def is_empty_table(node) -> bool:
+    """`{}`, `[]`, `dict()` or `set()`."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("dict", "set")
+        and not node.args
+        and not node.keywords
+    )
+
+
+def memo_rule_breaks(path: Path) -> list[str]:
+    """Calls to the builtin `id` and module-level names bound to an empty
+    table: the shapes of an id-keyed cache and of a module-level one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        f"{path.name}:{node.lineno} id()"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+    ]
+    found += [
+        f"{path.name}:{node.lineno} module-level table"
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and is_empty_table(node.value)
+    ]
+    return found
+
+
+def test_one_memo_rule():
+    # Results that depend only on module content live in the Workspace;
+    # everything else is derived data held by its owner, as a
+    # cached_property or a dict keyed by the object itself.
+    modules = sorted((ROOT / "src" / "quiverhearts").glob("*.py"))
+    breaks = [b for path in modules for b in memo_rule_breaks(path)]
+    assert not breaks, breaks

@@ -1,6 +1,10 @@
 """The content-addressed memo: same answers as the uncached paths, results
 bound to the caller's objects, one miss per distinct content key, and no
-growth when the same instance is certified again."""
+growth when the same instance is certified again, and nothing kept alive
+once it is cleared."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -216,3 +220,17 @@ def test_quotient_hom_data_ignores_a_reused_id():
     del x
     w = rep_taking_id(freed, lambda: b.renamed("w"))
     assert qc.qdim(w, b) == len(al.hom_space(w, b)) > 0
+
+
+def test_clear_releases_the_algebra():
+    # F_13 is a field no other test builds the algebra over, so no equal
+    # algebra from an earlier test can stand in for this one in a table.
+    # The opposite refers back to this algebra, so it cannot outlive it either.
+    f = fx.ex61(13)
+    ref = weakref.ref(f.algebra)
+    rep = verify_main_theorem(f.atlas, f.subcat_obj("C"), f.subcat_obj("D"))
+    assert rep["ok"], rep["checks"]
+    del f, rep
+    WORKSPACE.clear()
+    gc.collect()
+    assert ref() is None
