@@ -86,13 +86,24 @@ class BoundQuiverAlgebra:
     relations: tuple[Relation, ...] = ()
     max_path_length: int = 24
 
+    # Content keys hash and compare the algebra on every memo lookup, so both
+    # read one tuple of plain fields, built once, in place of the dataclass's.
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, BoundQuiverAlgebra) and self._content == other._content
+        )
+
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
+    def _content(self) -> tuple:
+        q = self.quiver
+        return (q.vertices, q.arrows, self.p, self.relations, self.max_path_length)
+
+    @cached_property
     def _hash(self) -> int:
-        # Content keys hash the algebra on every memo lookup.
-        return hash((self.quiver, self.p, self.relations, self.max_path_length))
+        return hash(self._content)
 
     def __post_init__(self):
         if (self.p - 1) ** 2 >= la.INT64_BOUND:
@@ -253,6 +264,14 @@ class Rep:
             maps[aid] = m
         self.arrow_maps = maps
 
+    @classmethod
+    def _trusted(cls, algebra: BoundQuiverAlgebra, name: str, dims, arrow_maps) -> "Rep":
+        """Build a module checking nothing: the caller passes one read-only,
+        reduced int64 block of the right shape per arrow, in arrow order."""
+        m = cls.__new__(cls)
+        m.algebra, m.name, m.dims, m.arrow_maps = algebra, name, tuple(dims), arrow_maps
+        return m
+
     @cached_property
     def key(self) -> tuple:
         """Exact content: (algebra, dims, arrow-map bytes in arrow order).
@@ -345,12 +364,18 @@ class RepMap:
         the blocks intertwine the arrow maps.  The blocks are made
         read-only here, so the caller must not write to them afterwards.
         """
+        for b in blocks:
+            b.setflags(write=False)
+        return cls._bound(source, target, blocks)
+
+    @classmethod
+    def _bound(cls, source: Rep, target: Rep, blocks) -> "RepMap":
+        """`_trusted` for blocks that are read-only already, such as the
+        blocks of a stored memo entry: binds them and freezes nothing."""
         f = cls.__new__(cls)
         f.source = source
         f.target = target
         f.p = source.algebra.p
-        for b in blocks:
-            b.setflags(write=False)
         f.blocks = tuple(blocks)
         return f
 
@@ -438,7 +463,7 @@ def hom_space(m: Rep, n: Rep) -> list[RepMap]:
     if m.algebra != n.algebra:
         raise AlgebraError("hom between representations over different algebras")
     basis = WORKSPACE.memo("hom_space", (m.key, n.key), _hom_blocks, m, n)
-    return [RepMap._trusted(m, n, blocks) for blocks in basis]
+    return [RepMap._bound(m, n, blocks) for blocks in basis]
 
 
 def _hom_blocks(m: Rep, n: Rep) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -555,8 +580,10 @@ def direct_sum(reps: list[Rep], name: str | None = None) -> Rep:
             m[ro : ro + r.dims[j], co : co + r.dims[i]] = r.arrow_maps[aid]
             ro += r.dims[j]
             co += r.dims[i]
+        m.setflags(write=False)
         maps[aid] = m
-    return Rep(alg, name or "(" + "+".join(r.name for r in reps) + ")", dims, maps)
+    # The summands' blocks are reduced already, and so is their diagonal.
+    return Rep._trusted(alg, name or "(" + "+".join(r.name for r in reps) + ")", dims, maps)
 
 
 def matrix_map(source: Rep, target: Rep, rows) -> RepMap:
@@ -801,7 +828,7 @@ def decompose_with_maps(m: Rep, atlas: "IndecSet"):
     for name, inc_blocks, prj_blocks in parts:
         member = atlas.by_name[name]
         out.append(
-            (member, RepMap._trusted(member, m, inc_blocks), RepMap._trusted(m, member, prj_blocks))
+            (member, RepMap._bound(member, m, inc_blocks), RepMap._bound(m, member, prj_blocks))
         )
     return out
 

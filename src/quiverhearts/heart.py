@@ -502,8 +502,9 @@ class PhiModel:
         return acts
 
     def dim(self, x: Rep) -> int:
-        """dim Phi(x) = dim Ext^1(G, x), without the action."""
-        return ext1_dim(self.g, x)
+        """dim Phi(x) = dim Ext^1(G, x), from `phi_map`'s Ext^1 if it built one."""
+        got = self._ext_cache.get(x)
+        return ext1_dim(self.g, x) if got is None else got.dim
 
     def _ext(self, x: Rep) -> Ext1:
         got = self._ext_cache.get(x)

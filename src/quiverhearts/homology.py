@@ -140,13 +140,32 @@ class Conflation:
 
 
 def conflation_from_infl(infl: RepMap) -> Conflation:
-    _, proj = cokernel(infl)
-    return Conflation(infl, proj).validate()
+    """infl >-> B ->> coker(B), validated."""
+    return _conflation("infl", infl)
 
 
 def conflation_from_defl(defl: RepMap) -> Conflation:
-    _, inc = kernel(defl)
-    return Conflation(inc, defl).validate()
+    """ker(B) >-> B ->> defl, validated."""
+    return _conflation("defl", defl)
+
+
+def _conflation(kind: str, f: RepMap) -> Conflation:
+    """Memoised by the kind and the content of f.  Every call gets a fresh
+    end, named after the caller's middle term, and maps bound to the
+    caller's modules; a map that raises leaves no entry."""
+    key = (kind, f.source.key, f.target.key, tuple(b.tobytes() for b in f.blocks))
+    end, blocks = WORKSPACE.memo("conflation", key, _conflation_parts, kind, f)
+    if kind == "infl":
+        c = Rep._trusted(f.target.algebra, f"coker({f.target.name})", end.dims, end.arrow_maps)
+        return Conflation(f, RepMap._bound(f.target, c, blocks))
+    k = Rep._trusted(f.source.algebra, f"ker({f.source.name})", end.dims, end.arrow_maps)
+    return Conflation(RepMap._bound(k, f.source, blocks), f)
+
+
+def _conflation_parts(kind: str, f: RepMap) -> tuple:
+    end, g = cokernel(f) if kind == "infl" else kernel(f)
+    (Conflation(f, g) if kind == "infl" else Conflation(g, f)).validate()
+    return end, g.blocks
 
 
 def pushout(f: RepMap, g: RepMap):
@@ -301,8 +320,8 @@ def syzygy(m: Rep) -> tuple[Rep, Conflation]:
     """
     omega, cover, infl_blocks, defl_blocks = WORKSPACE.memo("syzygy", m.key, _syzygy_parts, m)
     omega, cover = copy.copy(omega), copy.copy(cover)
-    infl = RepMap._trusted(omega, cover, infl_blocks)
-    return omega, Conflation(infl, RepMap._trusted(cover, m, defl_blocks))
+    infl = RepMap._bound(omega, cover, infl_blocks)
+    return omega, Conflation(infl, RepMap._bound(cover, m, defl_blocks))
 
 
 def _syzygy_parts(m: Rep) -> tuple:
@@ -545,14 +564,14 @@ def _approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:
     total = copy.copy(total)
     if side == "right":
         parts = [
-            (members[i], RepMap._trusted(members[i], obj, b)) for i, b in zip(idx, part_blocks)
+            (members[i], RepMap._bound(members[i], obj, b)) for i, b in zip(idx, part_blocks)
         ]
-        f = RepMap._trusted(total, obj, map_blocks)
+        f = RepMap._bound(total, obj, map_blocks)
     else:
         parts = [
-            (members[i], RepMap._trusted(obj, members[i], b)) for i, b in zip(idx, part_blocks)
+            (members[i], RepMap._bound(obj, members[i], b)) for i, b in zip(idx, part_blocks)
         ]
-        f = RepMap._trusted(obj, total, map_blocks)
+        f = RepMap._bound(obj, total, map_blocks)
     return Approximation(obj, total, f, parts, side)
 
 
@@ -565,15 +584,19 @@ def _approximation_parts(side: str, members: list[Rep], obj: Rep) -> tuple:
 def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:
     """The greedy strip behind the minimal approximations, uncached.
 
-    A set of parts approximates obj when, for every member m, each nonzero
-    map m -> obj (right) or obj -> m (left) is a combination of the
-    composites of the parts with maps between m and their members.  Those
-    composites do not change between trials, so they are built once, as
-    one column block per (m, member) with the part behind each column.
+    The parts are the pairs (x, h) of a member x and a Hom-basis map h:
+    x -> obj (right) or obj -> x (left), scanned once in order.  Part i is
+    dropped iff h_i lies in the span of the composites h_j o u (right,
+    u: x_i -> x_j) or u o h_j (left, u: x_j -> x_i) over the kept parts
+    j != i: one block of composite columns per member, one solve.
 
-    Keeping more parts keeps more columns, so `approximates` is monotone:
-    a part that could not be dropped from a larger set cannot be dropped
-    from a smaller one, and one pass in order finds the greedy endpoint.
+    That is the greedy strip "drop a part while the rest still
+    approximates".  The full list approximates, since every basis map h
+    of Hom(m, obj) is h o id_m.  If the kept set K approximates, then so
+    does K minus i iff h_i is in that span: for (=>) take m = x_i and the
+    map h_i, and for (<=) each composite h_i o v is the combination of
+    the h_j o (u o v).  By nilpotency of the radical the endpoint is
+    right (left) minimal.
     """
     p = obj.algebra.p
     right = side == "right"
@@ -583,41 +606,24 @@ def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approxima
         return homs(x, y) if right else homs(y, x)
 
     to_obj = [toward(x, obj) for x in members]
-    parts = [(x, h) for x, hs in zip(members, to_obj) for h in hs]
-    checks = []  # per member with a nonzero map: (targets, columns, part of each column)
-    for m, m_to_obj in zip(members, to_obj):
-        targets = [h.flat() for h in m_to_obj if not h.is_zero()]
-        if not targets:
+    keep = [[True] * len(hs) for hs in to_obj]
+    for x, x_to_obj, x_keep in zip(members, to_obj, keep):
+        if not x_to_obj:
             continue
-        blocks, owner, start = [], [], 0
-        for x, x_to_obj in zip(members, to_obj):
-            links = toward(m, x) if x_to_obj else []
-            if links:
-                ids = start + np.arange(len(x_to_obj))
-                if right:  # columns comp o u, u-major: the part varies fastest
-                    blocks.append(composite_columns(x_to_obj, links))
-                    owner.append(np.tile(ids, len(links)))
-                else:  # columns u o comp, comp-major
-                    blocks.append(composite_columns(links, x_to_obj))
-                    owner.append(np.repeat(ids, len(links)))
-            start += len(x_to_obj)
-        targets = np.stack(targets, axis=1)
-        cols = la.hstack(blocks, targets.shape[0])
-        checks.append((targets, cols, np.concatenate(owner) if owner else np.arange(0)))
-
-    def approximates(keep: np.ndarray) -> bool:
-        for targets, cols, owner in checks:
-            kept = cols[:, keep[owner]]
-            if not kept.shape[1] or la.solve(kept, targets, p) is None:
-                return False
-        return True
-
-    keep = np.ones(len(parts), dtype=bool)
-    for i in range(len(parts)):
-        keep[i] = False
-        if not approximates(keep):
-            keep[i] = True
-    return _assemble([pt for pt, k in zip(parts, keep) if k], obj, side)
+        links = [toward(x, y) if hs else [] for y, hs in zip(members, to_obj)]
+        for k, h in enumerate(x_to_obj):
+            x_keep[k] = False
+            blocks = []
+            for hs, ks, us in zip(to_obj, keep, links):
+                kept = [g for g, kg in zip(hs, ks) if kg]
+                if kept and us:
+                    outer, inner = (kept, us) if right else (us, kept)
+                    blocks.append(composite_columns(outer, inner))
+            target = h.flat().reshape(-1, 1)
+            cols = la.hstack(blocks, target.shape[0])
+            x_keep[k] = not cols.shape[1] or la.solve(cols, target, p) is None
+    parts = [(x, h) for x, hs, ks in zip(members, to_obj, keep) for h, kh in zip(hs, ks) if kh]
+    return _assemble(parts, obj, side)
 
 
 def is_right_minimal(f: RepMap) -> bool:

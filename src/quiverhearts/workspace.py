@@ -2,11 +2,14 @@
 
 A module's content key (`Rep.key`) is its algebra, its dimension vector
 and the bytes of its arrow maps, compared by equality, so two `Rep`s with
-the same matrices share entries whatever their names or ids.  Each memo
-site in `algebra` and `homology` stores plain read-only blocks under a key
-that holds everything its result depends on (member names too, where the
-result names them) and rebinds them to the caller's objects on every
-lookup, so no stored value refers to a caller's `Rep`.
+the same matrices share entries whatever their names or ids.  The tables
+are `hom_space` and `decompose_with_maps` (in `algebra`), and `syzygy`,
+`ext1_dim`, `approximation` and `conflation` (in `homology`; the last
+keyed by the kind and the map's source, target and block bytes).  Each
+memo site stores plain read-only blocks under a key that holds everything
+its result depends on (member names too, where the result names them) and
+binds them to the caller's objects on every lookup, freezing nothing
+again, so no stored value refers to a caller's `Rep`.
 
 Nothing else belongs here.  Data derived from one object (an algebra's
 path basis, projectives and opposite, a subcategory's cotorsion pair, a

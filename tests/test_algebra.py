@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,15 @@ def test_hom_maps_intertwine():
 def test_atlas_members_indecomposable():
     for m in fx.auslander_a3_atlas():
         assert is_indecomposable(m)
+
+
+def test_algebra_equality_is_by_content():
+    a, b = fx.ex61().algebra, fx.ex61().algebra
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != dataclasses.replace(a, p=7)
+    (c0, path0), *rest = a.relations[0]
+    changed = (((c0 + 1) % a.p, path0), *rest)
+    assert a != dataclasses.replace(a, relations=(changed,) + a.relations[1:])
 
 
 def test_direct_sum_decomposable():

@@ -202,12 +202,17 @@ def minimal_approximation_reference(side: str, members: list[Rep], obj: Rep):
 
 def member_lists(atlas, side: str) -> list[list[Rep]]:
     """The projectives (right) or injectives (left), the whole atlas, half
-    of it, and a list with direct sums, whose Hom bases to and from the
-    other members have several maps and leave the strip a choice."""
+    of it, a list with direct sums, whose Hom bases to and from the other
+    members have several maps and leave the strip a choice, a list with
+    one member twice, so a part's own member also sits among the others,
+    and the generators of Omega of the injectives (syzygies, then the
+    projectives)."""
     ends = ct.projectives_of(atlas) if side == "right" else ct.injectives_of(atlas)
     ms = atlas.members
     sums = [al.direct_sum(ms[:3], "S"), al.direct_sum(ms[2::3], "T")]
-    return [ends.members, ms, ms[1::2], sums + ms[:4] + ms[-4:]]
+    repeated = ms[:5] + ms[1:2]
+    omega = [om for om, _ in ct.injectives_of(atlas).omega_generators]
+    return [ends.members, ms, ms[1::2], sums + ms[:4] + ms[-4:], repeated, omega]
 
 
 def check_approximations(atlas, side: str, objs: list[Rep]):

@@ -95,6 +95,17 @@ def test_matrix_map_equals_structure_map_sums(p):
             assert same_blocks(al.matrix_map(x, y, [[f]]), f)
 
 
+def test_direct_sum_equals_the_checked_constructor():
+    """The sum is built without the checking `Rep` constructor, from the
+    summands' reduced blocks, and has the content that constructor gives."""
+    atlas = fx.ex61().atlas
+    parts = [atlas["2/34/5"], atlas["3"], atlas["34/5"]]
+    s = al.direct_sum(parts)
+    checked = Rep(s.algebra, s.name, s.dims, {a: np.array(m) for a, m in s.arrow_maps.items()})
+    assert s.name == "(2/34/5+3+34/5)" and s.key == checked.key
+    assert all(not m.flags.writeable for m in s.arrow_maps.values())
+
+
 def test_matrix_map_rejects_components_of_the_wrong_sum():
     m = fx.auslander_a3_atlas().by_name
     x, y = m["2/34"], m["3/5"]

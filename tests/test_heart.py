@@ -12,6 +12,7 @@ from quiverhearts import oracles
 from quiverhearts.algebra import RepMap, map_from_coords
 from quiverhearts.homology import Ext1, ext1_dim, homs
 from quiverhearts.mutation import verify_main_theorem
+from quiverhearts.workspace import WORKSPACE
 
 
 @pytest.fixture(scope="module")
@@ -341,6 +342,17 @@ def test_dim_hom_quotient_matches_gamma(model):
 def test_phi_dim_is_the_module_dimension(ex61, model):
     for x in ex61.atlas:
         assert model.phi.dim(x) == model.phi.module(x).dim, x.name
+
+
+def test_phi_dim_reads_the_ext_that_phi_map_built():
+    f = fx.ex61()
+    phi = ht.PhiModel(f.subcat_obj("C"))
+    x = f.atlas["2"].renamed("x")  # content the workspace may not hold yet
+    phi.phi_map(RepMap.identity(x))
+    WORKSPACE.clear()
+    assert phi.dim(x) == phi._ext_cache[x].dim
+    assert "ext1_dim" not in WORKSPACE.stats()  # no second Ext^1 was built
+    assert phi.dim(x) == ext1_dim(phi.g, x)
 
 
 def test_certificate_builds_no_gamma_action(monkeypatch):

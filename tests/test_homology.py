@@ -3,7 +3,15 @@ import pytest
 
 from quiverhearts import fixtures as fx
 from quiverhearts import homology as ho
-from quiverhearts.algebra import RepMap, decompose, direct_sum, hom_space, is_isomorphic
+from quiverhearts.algebra import (
+    AlgebraError,
+    RepMap,
+    decompose,
+    direct_sum,
+    hom_space,
+    is_isomorphic,
+)
+from quiverhearts.workspace import WORKSPACE
 
 
 def test_kernel_cokernel_a2():
@@ -33,6 +41,37 @@ def test_conflation_validate():
     iso, _ = is_isomorphic(conf.c, atlas["1"])
     assert iso
     conf.validate()
+
+
+def test_conflations_are_memoised_and_bound_to_the_caller():
+    """Content-equal maps under other names share one entry; each call's
+    end carries the caller's names and its maps run from and to the
+    caller's modules."""
+    atlas = fx.ex61().atlas
+    WORKSPACE.clear()
+    for tag in ("", "'"):
+        m, n, s = (atlas[x].renamed(x + tag) for x in ("34/5", "2/34/5", "2"))
+        infl, defl = hom_space(m, n)[0], hom_space(n, s)[0]
+        c = ho.conflation_from_infl(infl)
+        assert c.infl is infl and c.defl.source is n and c.defl.target is c.c
+        assert c.c.name == f"coker(2/34/5{tag})" and c.c.algebra is n.algebra
+        k = ho.conflation_from_defl(defl)
+        assert k.defl is defl and k.infl.target is n and k.infl.source is k.a
+        assert k.a.name == f"ker(2/34/5{tag})"
+        assert is_isomorphic(c.c, s)[0] and is_isomorphic(k.a, m)[0]
+        assert WORKSPACE.stats()["conflation"] == {
+            "hits": 2 if tag else 0, "misses": 2, "entries": 2
+        }
+
+
+def test_a_map_that_raises_leaves_no_conflation_entry():
+    atlas = fx.ex61().atlas
+    f = hom_space(atlas["2/34/5"], atlas["2"])[0]  # onto the top: not injective
+    WORKSPACE.clear()
+    for _ in range(2):
+        with pytest.raises(AlgebraError, match="not injective"):
+            ho.conflation_from_infl(f)
+    assert WORKSPACE.stats()["conflation"] == {"hits": 0, "misses": 0, "entries": 0}
 
 
 def test_projective_cover_simple():

@@ -150,6 +150,20 @@ def test_results_are_bound_to_the_callers_objects():
     assert names and all(n.endswith("'") for n in names)
 
 
+def test_hits_bind_the_stored_blocks():
+    """A hit rebinds the stored read-only blocks themselves, no copy."""
+    atlas = fx.ex61().atlas
+    m, n = atlas["2/34/5"], atlas["2/34"]
+    WORKSPACE.clear()
+    al.hom_space(m, n)
+    stored = WORKSPACE.tables["hom_space"][(m.key, n.key)]
+    got = al.hom_space(m.renamed("m"), n)
+    assert WORKSPACE.stats()["hom_space"] == {"hits": 1, "misses": 1, "entries": 1}
+    assert len(got) == len(stored) > 0
+    for f, blocks in zip(got, stored):
+        assert all(b is s and not b.flags.writeable for b, s in zip(f.blocks, blocks))
+
+
 def test_misses_equal_distinct_content_keys():
     atlas = nakayama_atlas(5, 3)
     objs = atlas.members[:6] + [x.renamed(x.name + "*") for x in atlas.members[:3]]
