@@ -403,7 +403,10 @@ class RepMap:
         """self o first."""
         if first.target is not self.source and first.target.dims != self.source.dims:
             raise AlgebraError("composition shape mismatch")
-        blocks = [la.matmul(b2, b1, self.p) for b1, b2 in zip(first.blocks, self.blocks)]
+        blocks = [
+            la.matmul(b2, b1, self.p) if b1.size and b2.size else la.zeros(b2.shape[0], b1.shape[1])
+            for b1, b2 in zip(first.blocks, self.blocks)
+        ]
         return RepMap._trusted(first.source, self.target, blocks)
 
     def add(self, other: "RepMap") -> "RepMap":
@@ -423,14 +426,15 @@ class RepMap:
     def sub(self, other: "RepMap") -> "RepMap":
         return self.add(other.neg())
 
+    # Blocks of size 0 are skipped: they are zero, and have rank 0.
     def is_zero(self) -> bool:
-        return all(not b.any() for b in self.blocks)
+        return all(not b.any() for b in self.blocks if b.size)
 
     def is_injective(self) -> bool:
-        return all(la.rank(b, self.p) == b.shape[1] for b in self.blocks)
+        return all((la.rank(b, self.p) if b.size else 0) == b.shape[1] for b in self.blocks)
 
     def is_surjective(self) -> bool:
-        return all(la.rank(b, self.p) == b.shape[0] for b in self.blocks)
+        return all((la.rank(b, self.p) if b.size else 0) == b.shape[0] for b in self.blocks)
 
     def is_isomorphism(self) -> bool:
         return all(la.is_invertible(b, self.p) for b in self.blocks)
@@ -441,10 +445,9 @@ class RepMap:
         return RepMap._trusted(self.target, self.source, [la.inv(b, self.p) for b in self.blocks])
 
     def flat(self) -> np.ndarray:
-        """All block entries as one vector (for span computations)."""
-        if not self.blocks:
-            return la.zeros(1, 0)[0]
-        return np.concatenate([b.reshape(-1) for b in self.blocks])
+        """All block entries as one vector (for span computations), fresh."""
+        parts = [b.reshape(-1) for b in self.blocks if b.size]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
     def __repr__(self):
         return f"RepMap({self.source.name} -> {self.target.name})"
@@ -523,6 +526,9 @@ def map_from_coords(basis: list[RepMap], coords) -> RepMap:
         raise AlgebraError(f"{k} basis maps but {c.size} coordinates")
     blocks = []
     for i, b0 in enumerate(f0.blocks):
+        if not b0.size:
+            blocks.append(la.zeros(*b0.shape))
+            continue
         stacked = np.stack([f.blocks[i] for f in basis]).reshape(k, -1)
         blocks.append(la.matmul(c, stacked, f0.p).reshape(b0.shape))
     return RepMap._trusted(f0.source, f0.target, blocks)

@@ -75,9 +75,6 @@ class Subcategory:
             return True
         return all(n in self.names for n in decompose(x, self.atlas))
 
-    def union(self, other: "Subcategory") -> "Subcategory":
-        return Subcategory(self.atlas, self.names + other.names)
-
     def intersect(self, other: "Subcategory") -> "Subcategory":
         return Subcategory(self.atlas, tuple(n for n in self.names if n in other.names))
 
@@ -456,36 +453,3 @@ def _star_bruteforce(x: Rep, u: Subcategory, v: Subcategory) -> bool:
         if _search("left", member, u.members, member.total_dim, True, v) is None:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Twin cotorsion pairs.
-
-
-@dataclass
-class TwinCotorsionPair:
-    first: CotorsionPair  # (S, T)
-    second: CotorsionPair  # (U, V)
-
-    def validate(self) -> "TwinCotorsionPair":
-        if not self.first.u.issubset(self.second.u):
-            raise AlgebraError("twin pair inclusion S <= U fails")
-        return self
-
-    @property
-    def core_w(self) -> Subcategory:
-        return self.first.v.intersect(self.second.u)
-
-
-def b_plus_objects(twin: TwinCotorsionPair) -> Subcategory:
-    """Objects with a conflation V_B >-> W_B ->> B, W_B in W, V_B in V."""
-    return cone_objects(twin.second.v, twin.core_w)
-
-
-def b_minus_objects(twin: TwinCotorsionPair) -> Subcategory:
-    """Objects with a conflation B >-> W^B ->> S^B, W^B in W, S^B in S."""
-    return cocone_objects(twin.core_w, twin.first.u)
-
-
-def heart_objects(twin: TwinCotorsionPair) -> Subcategory:
-    return b_plus_objects(twin).intersect(b_minus_objects(twin))

@@ -44,11 +44,13 @@ def kernel(f: RepMap) -> tuple[Rep, RepMap]:
     p = f.p
     alg = f.source.algebra
     q = alg.quiver
-    incs = [la.nullspace(b, p) for b in f.blocks]
+    incs = [la.nullspace(b, p) if b.size else la.eye(b.shape[1]) for b in f.blocks]
     dims = [m.shape[1] for m in incs]
     maps = {}
     for aid, s, t in q.arrows:
         i, j = q.vertex_index(s), q.vertex_index(t)
+        if not (dims[i] and dims[j]):
+            continue  # Rep fills in the zero map
         rhs = la.matmul(f.source.arrow_maps[aid], incs[i], p)
         sol = la.solve(incs[j], rhs, p)
         if sol is None:
@@ -68,6 +70,8 @@ def cokernel(f: RepMap) -> tuple[Rep, RepMap]:
     maps = {}
     for aid, s, t in q.arrows:
         i, j = q.vertex_index(s), q.vertex_index(t)
+        if not (dims[i] and dims[j]):
+            continue  # Rep fills in the zero map
         # unique map with maps[aid] @ projs[i] = projs[j] @ N_a
         rhs = la.matmul(projs[j], f.target.arrow_maps[aid], p)
         sol = la.solve(projs[i].T.copy(), rhs.T.copy(), p)
@@ -355,12 +359,6 @@ def cosyzygy(m: Rep) -> tuple[Rep, Conflation]:
     return conf.c, conf
 
 
-def is_projective(m: Rep) -> bool:
-    """Lifting-free test: Ext^1(m, syzygy) would do, but a cover split works."""
-    p_rep, epi = projective_cover(m)
-    return p_rep.total_dim == m.total_dim
-
-
 # ---------------------------------------------------------------------------
 # Ext^1 via syzygies.
 
@@ -455,7 +453,9 @@ def _ext1_dim(c: Rep, a: Rep) -> int:
 
 
 def ext_dim(c: Rep, a: Rep, n: int) -> int:
-    """dim Ext^n(c, a) by iterated syzygies."""
+    """dim Ext^n(c, a) by iterated syzygies, for n >= 0."""
+    if n < 0:
+        raise AlgebraError(f"Ext^{n} has a negative degree")
     if n == 0:
         return len(homs(c, a))
     cur = c

@@ -16,6 +16,12 @@ Stacked operands: `matmul` also takes arrays of shape (..., m, n) and
 the same, on the contracted axis n alone: each output entry is one sum
 of n products, whatever the number of stacked matrices, and the chunks
 slice that axis (the last of `a`, the second to last of `b`).
+
+Empty operands: `matmul` with a 2-D operand of size 0, `solve` with no
+rows or no columns and `nullspace` with no rows or no columns return
+without elimination or arithmetic: the zero product; the zero solution,
+or None when a has no columns and b is not zero mod p; the identity.
+Each is exactly what the general path returns.
 """
 
 from __future__ import annotations
@@ -55,6 +61,8 @@ def _chunked_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    if a.ndim == b.ndim == 2 and not (a.size and b.size) and a.shape[1] == b.shape[0]:
+        return zeros(a.shape[0], b.shape[1])
     if a.shape[-1] * (p - 1) ** 2 < INT64_BOUND:
         return np.mod(a @ b, p)
     return _chunked_dot(a, b, p)
@@ -108,6 +116,8 @@ def rank(a: np.ndarray, p: int) -> int:
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Columns form a basis of ker(a); shape (n, n - rank)."""
     rows, cols = a.shape
+    if not (rows and cols):
+        return eye(cols)
     r, pivots = rref(a, p)
     free = [c for c in range(cols) if c not in pivots]
     basis = zeros(cols, len(free))
@@ -129,7 +139,11 @@ def row_space(a: np.ndarray, p: int) -> np.ndarray:
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     """One solution x of a @ x = b (columnwise for matrix b), or None."""
     rows, cols = a.shape
-    b = b.reshape(rows, -1) if b.ndim == 1 else b
+    b = b.reshape(rows, 1) if b.ndim == 1 else b
+    if not rows:
+        return zeros(cols, b.shape[1])
+    if not cols:
+        return None if np.mod(b, p).any() else zeros(0, b.shape[1])
     aug = np.concatenate([a, np.mod(b, p)], axis=1)
     r, pivots = rref(aug, p)
     n_rhs = b.shape[1]
@@ -190,12 +204,6 @@ def quotient_map(w_cols: np.ndarray, n: int, p: int) -> np.ndarray:
 def right_inverse(a: np.ndarray, p: int) -> np.ndarray | None:
     """s with a @ s = id, when a is surjective."""
     return solve(a, eye(a.shape[0]), p)
-
-
-def left_inverse(a: np.ndarray, p: int) -> np.ndarray | None:
-    """r with r @ a = id, when a is injective."""
-    s = solve(a.T, eye(a.shape[1]), p)
-    return None if s is None else np.mod(s.T, p)
 
 
 def vstack(mats: list[np.ndarray], cols: int) -> np.ndarray:

@@ -1,9 +1,11 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from quiverhearts import fixtures as fx
+from quiverhearts import homology as ho
 from quiverhearts import linalg as la
 from quiverhearts.cotorsion import _all_maps
 from quiverhearts.algebra import (
@@ -23,9 +25,11 @@ from quiverhearts.algebra import (
     is_indecomposable,
     is_isomorphic,
     map_from_coords,
+    matrix_map,
     path_basis,
     standard_modules,
 )
+from test_workspace import nakayama_atlas
 
 
 def test_a2_path_basis():
@@ -333,3 +337,120 @@ def test_public_constructor_reduces_and_checks():
     ones = [np.ones((t, s), dtype=np.int64) for s, t in zip(p12.dims, s2.dims)]
     with pytest.raises(AlgebraError, match="intertwine"):
         RepMap(p12, s2, ones)
+
+
+# ---------------------------------------------------------------------------
+# Empty blocks: maps between A6/rad^3 interval modules, which are zero at
+# most vertices, against the per-vertex loops that touch every block.
+
+
+@pytest.fixture(scope="module")
+def interval_maps():
+    """Every Hom-basis map between the members, a zero map, and for each
+    member z a map onto z from a sum and a map from z into a sum."""
+    members = list(nakayama_atlas(6, 3))
+    maps = [f for x in members for y in members for f in hom_space(x, y)]
+    maps.append(RepMap.zero(members[0], members[-1]))
+    for z in members:
+        into = [hom_space(x, z)[0] for x in members if hom_space(x, z)]
+        out = [hom_space(z, x)[0] for x in members if hom_space(z, x)]
+        maps.append(matrix_map(direct_sum([h.source for h in into]), z, [into]))
+        maps.append(matrix_map(z, direct_sum([h.target for h in out]), [[h] for h in out]))
+    assert any(not b.size for f in maps for b in f.blocks)
+    return maps
+
+
+def _kernel_reference(f):
+    p, q = f.p, f.source.algebra.quiver
+    incs = [la.nullspace(b, p) for b in f.blocks]
+    maps = []
+    for aid, s, t in q.arrows:
+        i, j = q.vertex_index(s), q.vertex_index(t)
+        maps.append(la.solve(incs[j], la.matmul(f.source.arrow_maps[aid], incs[i], p), p))
+    return incs, maps
+
+
+def _cokernel_reference(f):
+    p, q = f.p, f.target.algebra.quiver
+    projs = [la.quotient_map(b, f.target.dims[i], p) for i, b in enumerate(f.blocks)]
+    maps = []
+    for aid, s, t in q.arrows:
+        i, j = q.vertex_index(s), q.vertex_index(t)
+        rhs = la.matmul(projs[j], f.target.arrow_maps[aid], p)
+        maps.append(la.solve(projs[i].T.copy(), rhs.T.copy(), p).T)
+    return projs, maps
+
+
+def _same_blocks(xs, ys):
+    xs, ys = list(xs), list(ys)
+    return len(xs) == len(ys) and all(
+        x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y) for x, y in zip(xs, ys)
+    )
+
+
+def _eight_operations(maps):
+    """The operations that skip empty blocks, each with its result."""
+    rng = np.random.default_rng(5)
+    for f in maps:
+        yield "flat", f, f.flat()
+        yield "is_zero", f, f.is_zero()
+        yield "is_injective", f, f.is_injective()
+        yield "is_surjective", f, f.is_surjective()
+        yield "kernel", f, ho.kernel(f)
+        yield "cokernel", f, ho.cokernel(f)
+        for g in maps:
+            if g.source is f.target:
+                yield "compose", (g, f), g.compose(f)
+    for x, y in {(f.source, f.target) for f in maps}:
+        basis = hom_space(x, y)
+        if basis:
+            coords = rng.integers(0, x.algebra.p, size=len(basis))
+            yield "map_from_coords", (basis, coords), map_from_coords(basis, coords)
+
+
+def test_empty_blocks_agree_with_per_vertex_loops(interval_maps):
+    seen = set()
+    for op, arg, got in _eight_operations(interval_maps):
+        seen.add(op)
+        if op == "compose":
+            g, f = arg
+            want = [np.mod(b2 @ b1, f.p) for b1, b2 in zip(f.blocks, g.blocks)]
+            assert _same_blocks(got.blocks, want)
+        elif op == "map_from_coords":
+            basis, coords = arg
+            p = basis[0].p
+            want = [np.mod(sum(int(c) * h.blocks[i] for c, h in zip(coords, basis)), p)
+                    for i in range(len(basis[0].blocks))]
+            assert _same_blocks(got.blocks, want)
+        elif op == "flat":
+            want = np.concatenate([b.reshape(-1) for b in arg.blocks])
+            assert _same_blocks([got], [want]) and got.flags.writeable
+            assert not any(np.shares_memory(got, b) for b in arg.blocks)
+        elif op == "is_zero":
+            assert got == all(not b.any() for b in arg.blocks)
+        elif op == "is_injective":
+            assert got == all(la.rank(b, arg.p) == b.shape[1] for b in arg.blocks)
+        elif op == "is_surjective":
+            assert got == all(la.rank(b, arg.p) == b.shape[0] for b in arg.blocks)
+        else:
+            end, g = got
+            blocks, maps = (_kernel_reference if op == "kernel" else _cokernel_reference)(arg)
+            assert _same_blocks(g.blocks, blocks)
+            assert _same_blocks(end.arrow_maps.values(), maps)
+            assert end.dims == tuple(b.shape[1 if op == "kernel" else 0] for b in blocks)
+    assert len(seen) == 8
+
+
+def _refuse_empty_operands(fn):
+    def guarded(*args):
+        if any(isinstance(a, np.ndarray) and a.ndim == 2 and not a.size for a in args):
+            raise AssertionError(f"linalg.{fn.__name__} called on an empty block")
+        return fn(*args)
+    return guarded
+
+
+def test_empty_blocks_cost_no_linalg_call(interval_maps):
+    with mock.patch.object(la, "matmul", _refuse_empty_operands(la.matmul)), \
+            mock.patch.object(la, "solve", _refuse_empty_operands(la.solve)), \
+            mock.patch.object(la, "nullspace", _refuse_empty_operands(la.nullspace)):
+        assert len({op for op, _, _ in _eight_operations(interval_maps)}) == 8

