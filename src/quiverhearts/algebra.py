@@ -150,10 +150,9 @@ class BoundQuiverAlgebra:
 
 @dataclass(frozen=True)
 class PathBasis:
-    """Basis of kQ/I by paths, with reduction of non-basis paths.
-
-    basis_paths includes the trivial paths ((), v) encoded as (("",), v)?  No:
-    trivial paths are represented by the empty tuple tagged with their vertex.
+    """Basis of kQ/I by paths of length >= 1, with reduction of non-basis
+    paths.  Trivial paths are not in `paths`: each vertex's own basis
+    element is added where a projective is built.
     """
 
     algebra: BoundQuiverAlgebra
@@ -183,6 +182,13 @@ def _enumerate_paths(q: Quiver, max_len: int) -> list[tuple[Path, str, str]]:
     return out
 
 
+# Paths enumerated before `path_basis` gives up: the generator loop costs
+# (paths)^2 per relation, so an algebra whose arrow ideal is not nilpotent
+# (a loop quiver whose products never vanish) is refused in well under a
+# second instead of running to `max_path_length`.
+MAX_PATHS = 500
+
+
 def path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
     """Quotient basis of paths (length >= 1) of kQ/I, certifying nilpotency.
 
@@ -192,6 +198,8 @@ def path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
     q = alg.quiver
     for cap in range(2, alg.max_path_length + 1):
         paths = _enumerate_paths(q, cap)
+        if len(paths) > MAX_PATHS:
+            break
         index = {pt[0]: i for i, pt in enumerate(paths)}
         n = len(paths)
         gens = []
@@ -230,7 +238,7 @@ def path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
         return PathBasis(alg, tuple(paths), basis_idx, reduction)
     raise AlgebraError(
         "could not certify nilpotency of the arrow ideal within "
-        f"max_path_length={alg.max_path_length}"
+        f"max_path_length={alg.max_path_length} and {MAX_PATHS} paths"
     )
 
 
@@ -254,6 +262,8 @@ class Rep:
         q = algebra.quiver
         maps = {}
         arrow_maps = arrow_maps or {}
+        for aid in arrow_maps:
+            q.arrow(aid)  # raises on an arrow the quiver does not declare
         for aid, s, t in q.arrows:
             di, dj = self.dims[q.vertex_index(s)], self.dims[q.vertex_index(t)]
             m = arrow_maps.get(aid)

@@ -17,7 +17,6 @@ class DualContext:
     """The atlas and its subcategories carried to the opposite algebra."""
 
     def __init__(self, atlas: IndecSet):
-        self.atlas = atlas
         self.datlas = IndecSet([dual_rep(m, m.name) for m in atlas], validate=False)
 
     def dsub(self, sub: Subcategory) -> Subcategory:

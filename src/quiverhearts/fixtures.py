@@ -25,9 +25,6 @@ class Fixture:
     atlas: IndecSet
     subcats: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def subcat(self, name: str) -> list[Rep]:
-        return [self.atlas[n] for n in self.subcats[name]]
-
     def subcat_obj(self, name: str):
         from .cotorsion import Subcategory
 

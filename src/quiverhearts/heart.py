@@ -3,10 +3,13 @@
 For a cotorsion pair (U, V) with U rigid, the heart is the ideal quotient
 H/U where H = CoCone(U, U).  The engine carries the heart both as a
 quotient category (hom spaces modulo morphisms factoring through U) and as
-a module category over the stable endomorphism algebra of G = the sum of
-the U-members, via X |-> Ext^1(G, X).  The two are bridged by dimension
-assertions; epi/mono/kernel/cokernel questions are answered in the module
-model where they are plain linear algebra.
+a module category over the stable endomorphism algebra Gamma of G = the
+sum of the U-members, via X |-> Ext^1(G, X).  A Gamma-module is a `Rep` of
+Gamma's loop quiver (one vertex, one loop per basis element of Gamma), so
+its Hom spaces, kernels and cokernels come from `hom_space`, `kernel` and
+`cokernel` like any module's.  The two presentations are bridged by
+dimension assertions; epi/mono/kernel/cokernel questions are answered in
+the module model where they are plain linear algebra.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import numpy as np
 from . import linalg as la
 from .algebra import (
     AlgebraError,
+    BoundQuiverAlgebra,
     IndecSet,
+    Quiver,
     Rep,
     RepMap,
     _radical_of_span,
@@ -27,6 +32,7 @@ from .algebra import (
     coords_in_basis,
     decompose_with_maps,
     direct_sum,
+    hom_dim,
     map_from_coords,
     matrix_map,
 )
@@ -42,9 +48,11 @@ from .cotorsion import (
 from .homology import (
     Conflation,
     Ext1,
+    cokernel,
     conflation_from_defl,
     ext1_dim,
     homs,
+    kernel,
     pullback,
     pullback_conflation,
     syzygy,
@@ -429,40 +437,15 @@ class CohomologicalH:
 # The module-category model: Gamma = stable End(G), Phi = Ext^1(G, -).
 
 
-@dataclass
-class GammaModule:
-    """A finite-dimensional right module over the stable algebra Gamma."""
-
-    dim: int
-    action: list  # matrix per Gamma basis element, dim x dim
-    p: int
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
-
-def gamma_hom(m: "GammaModule", n: "GammaModule") -> list[np.ndarray]:
-    """Basis of module maps m -> n: matrices T with T R_m = R_n T."""
-    p = m.p
-    if m.dim == 0 or n.dim == 0:
-        return []
-    rows = []
-    for rm, rn in zip(m.action, n.action):
-        # T rm - rn T = 0, unknowns T (n.dim x m.dim) flattened row-major;
-        # row-major vec(AXB) = (A kron B^T) vec(X)
-        eq = np.kron(la.eye(n.dim), rm.T) - np.kron(rn, la.eye(m.dim))
-        rows.append(eq % p)
-    mat = np.concatenate(rows, axis=0) if rows else la.zeros(0, n.dim * m.dim)
-    ns = la.nullspace(mat, p)
-    return [ns[:, j].reshape(n.dim, m.dim) for j in range(ns.shape[1])]
-
-
 class PhiModel:
     """Phi(X) = Ext^1(G, X) as a right module over Gamma = End(G)/[P].
 
     G is the sum of the members of a rigid subcategory containing the
     projectives.  Morphisms factoring through projectives act as zero on
-    Ext^1, so the action descends to Gamma.
+    Ext^1, so the action descends to Gamma.  A right Gamma-module is a
+    representation of `gamma`, the quiver with one vertex and one loop per
+    basis element of Gamma, so Phi(X) is a `Rep` of it and its Hom spaces,
+    kernels and cokernels are the ones of every other module.
     """
 
     def __init__(self, c: Subcategory):
@@ -472,7 +455,7 @@ class PhiModel:
         self.g = direct_sum(c.members)
         self.projectives = projectives_of(c.atlas)
         self._ext_cache: dict[Rep, Ext1] = {}
-        self._mod_cache: dict[tuple, GammaModule] = {}  # by Rep.key
+        self._mod_cache: dict[tuple, Rep] = {}  # by Rep.key
 
     # The Gamma-action is built on first use: the certificate needs only
     # dimensions and Phi(f), never the action.
@@ -484,6 +467,14 @@ class PhiModel:
     @cached_property
     def gamma_basis(self) -> list[RepMap]:
         return self.stable.qbasis(self.g, self.g)
+
+    @cached_property
+    def gamma(self) -> BoundQuiverAlgebra:
+        """Vertex `*` with loops g0 .. g{k-1}, one per `gamma_basis` element,
+        and no relations.  Its path algebra is infinite: never ask it for
+        `path_basis` or `projectives`."""
+        loops = tuple((f"g{i}", "*", "*") for i in range(len(self.gamma_basis)))
+        return BoundQuiverAlgebra(Quiver(("*",), loops), self.p)
 
     @cached_property
     def _omega_acts(self) -> list[RepMap]:
@@ -512,72 +503,47 @@ class PhiModel:
             got = self._ext_cache[x] = Ext1(self.g, x)
         return got
 
-    def _coords(self, e: Ext1, h: RepMap) -> np.ndarray:
-        if e.dim == 0:
-            return la.zeros(1, 0)[0][:0]
-        flat = np.stack([b.flat() for b in e.hom_omega_a], axis=1)
-        sol = la.solve(flat, h.flat().reshape(-1, 1), self.p)
-        if sol is None:
-            raise AlgebraError("cocycle outside Hom(Omega G, X)")
-        return la.matmul(e.qmap, sol, self.p)[:, 0]
-
-    def module(self, x: Rep) -> GammaModule:
+    def module(self, x: Rep) -> Rep:
+        """Phi(x), on which loop gi acts as the i-th Gamma basis element."""
         got = self._mod_cache.get(x.key)
-        if got is not None:
-            return got
-        if x.is_zero():
-            mod = GammaModule(0, [la.zeros(0, 0) for _ in self.gamma_basis], self.p)
-            self._mod_cache[x.key] = mod
-            return mod
-        e = self._ext(x)
-        acts = []
-        for w in self._omega_acts:
-            cols = []
-            for j in range(e.dim):
-                unit = la.zeros(e.dim, 1)[:, 0]
-                unit[j] = 1
-                rep = e.cocycle(unit)
-                cols.append(self._coords(e, rep.compose(w)))
-            acts.append(
-                np.stack(cols, axis=1) if e.dim else la.zeros(0, 0)
-            )
-        mod = GammaModule(e.dim, acts, self.p)
-        self._mod_cache[x.key] = mod
-        return mod
+        if got is None:
+            e = self._ext(x)
+            acts = {
+                f"g{i}": e.classes([c.compose(w) for c in e.cocycles])
+                for i, w in enumerate(self._omega_acts)
+            }
+            got = self._mod_cache[x.key] = Rep(self.gamma, f"Phi({x.name})", [e.dim], acts)
+        return got
 
     def phi_map(self, f: RepMap) -> np.ndarray:
         """Matrix of Phi(f) = Ext^1(G, f) in quotient coordinates."""
         ex = self._ext(f.source)
-        ey = self._ext(f.target)
-        cols = []
-        for j in range(ex.dim):
-            unit = la.zeros(ex.dim, 1)[:, 0]
-            unit[j] = 1
-            rep = ex.cocycle(unit)
-            cols.append(self._coords(ey, f.compose(rep)))
-        return np.stack(cols, axis=1) if ex.dim else la.zeros(ey.dim, 0)
+        return self._ext(f.target).classes([f.compose(c) for c in ex.cocycles])
+
+    def module_map(self, f: RepMap) -> RepMap:
+        """Phi(f) as a map of Gamma-modules; checks that it is one."""
+        return RepMap(self.module(f.source), self.module(f.target), [self.phi_map(f)])
 
     def validate_action(self, x: Rep) -> bool:
         """Associativity/unitality of the action on Phi(x), and [P] acts as 0."""
         mod = self.module(x)
+        acts = list(mod.arrow_maps.values())
+        d = mod.total_dim
+
+        def act(coords) -> np.ndarray:
+            acc = la.zeros(d, d)
+            for c, r in zip(coords, acts):
+                acc = (acc + int(c) * r) % self.p
+            return acc
+
         # unit: the identity's class expands over the basis; its action is id
-        idc = self.stable.qcoords(RepMap.identity(self.g))
-        acc = la.zeros(mod.dim, mod.dim)
-        for c, r in zip(idc, mod.action):
-            acc = (acc + int(c) * r) % self.p
-        if mod.dim and not np.array_equal(acc % self.p, la.eye(mod.dim)):
+        if d and not np.array_equal(act(self.stable.qcoords(RepMap.identity(self.g))), la.eye(d)):
             return False
-        # compatibility: action of (g1 o g2) = action(g2-class) then g1? for
-        # right modules by precomposition: R_{g1 o g2} = R_{g2} R_{g1}
+        # right modules act by precomposition: R_{g1 o g2} = R_{g2} R_{g1}
         for i, g1 in enumerate(self.gamma_basis):
             for j, g2 in enumerate(self.gamma_basis):
-                comp = g1.compose(g2)
-                cc = self.stable.qcoords(comp)
-                lhs = la.zeros(mod.dim, mod.dim)
-                for c, r in zip(cc, mod.action):
-                    lhs = (lhs + int(c) * r) % self.p
-                rhs = la.matmul(mod.action[j], mod.action[i], self.p)
-                if not np.array_equal(lhs, rhs):
+                lhs = act(self.stable.qcoords(g1.compose(g2)))
+                if not np.array_equal(lhs, la.matmul(acts[j], acts[i], self.p)):
                     return False
         return True
 
@@ -616,7 +582,7 @@ class HeartModel:
         for x in objs:
             for y in objs:
                 lhs = self.quotient.qdim(x, y)
-                rhs = len(gamma_hom(self.phi.module(x), self.phi.module(y)))
+                rhs = hom_dim(self.phi.module(x), self.phi.module(y))
                 report["pairs"] += 1
                 if lhs != rhs:
                     report["mismatches"].append((x.name, y.name, lhs, rhs))
@@ -644,35 +610,12 @@ def heart_cokernel_dim(model: HeartModel, f: RepMap) -> int:
     return model.phi.dim(f.target) - la.rank(m, model.phi.p)
 
 
-def submodule(mod: GammaModule, cols: np.ndarray) -> GammaModule:
-    """The submodule spanned by the given coordinate columns (must be stable)."""
-    p = mod.p
-    d = la.rank(cols, p)
-    basis = la.row_space(cols.T, p).T  # independent spanning columns
-    acts = []
-    for r in mod.action:
-        moved = la.matmul(r, basis, p)
-        sol = la.solve(basis, moved, p)
-        if sol is None:
-            raise AlgebraError("column span is not action-stable")
-        acts.append(sol)
-    return GammaModule(d, acts, p)
+def heart_kernel_module(model: HeartModel, f: RepMap) -> Rep:
+    return kernel(model.phi.module_map(f))[0]
 
 
-def heart_kernel_module(model: HeartModel, f: RepMap) -> GammaModule:
-    m = model.phi.phi_map(f)
-    ker = la.nullspace(m, model.phi.p)
-    return submodule(model.phi.module(f.source), ker)
-
-
-def heart_cokernel_module(model: HeartModel, f: RepMap) -> GammaModule:
-    p = model.phi.p
-    m = model.phi.phi_map(f)
-    tgt = model.phi.module(f.target)
-    q = la.quotient_map(m, tgt.dim, p)
-    rinv = la.right_inverse(q, p) if q.shape[0] else la.zeros(tgt.dim, 0)
-    acts = [la.matmul(la.matmul(q, r, p), rinv, p) for r in tgt.action]
-    return GammaModule(q.shape[0], acts, p)
+def heart_cokernel_module(model: HeartModel, f: RepMap) -> Rep:
+    return cokernel(model.phi.module_map(f))[0]
 
 
 def realize_heart_kernel(model: HeartModel, g: RepMap) -> tuple[Rep, RepMap, Rep]:

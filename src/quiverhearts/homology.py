@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -367,7 +368,10 @@ class Ext1:
     """Ext^1(C, A) = Hom(Omega C, A) / image Hom(P0, A), with realization.
 
     Elements are coordinate vectors with respect to a chosen complement
-    basis of the quotient.
+    basis of the quotient.  `cocycles` holds one representative
+    Omega C -> A per basis class, and `classes` reads the coordinates of
+    any list of cocycles off one solve, so a map between Ext^1 spaces is
+    `classes` of the cocycles pushed or pulled along it.
     """
 
     def __init__(self, c: Rep, a: Rep):
@@ -383,12 +387,12 @@ class Ext1:
             self.qmap = la.zeros(0, 0)
             self.dim = 0
             return
-        flat = np.stack([h.flat() for h in self.hom_omega_a], axis=1)
+        self._flat = np.stack([h.flat() for h in self.hom_omega_a], axis=1)
         # The restrictions h o omega_inc of Hom(P0, A), solved in one go.
         restricted = composite_columns(homs(self.cover_conf.b, a), [self.omega_inc])
         img = la.zeros(n, 0)
         if restricted.shape[1]:
-            img = la.solve(flat, restricted, self.p)
+            img = la.solve(self._flat, restricted, self.p)
             if img is None:
                 raise AlgebraError("restriction left Hom(Omega C, A)")
         self.qmap = la.quotient_map(img, n, self.p)  # (dim, n)
@@ -402,6 +406,21 @@ class Ext1:
         if not self.hom_omega_a:
             return RepMap.zero(self.omega, self.a)
         return map_from_coords(self.hom_omega_a, full)
+
+    @cached_property
+    def cocycles(self) -> list[RepMap]:
+        """One representative Omega C -> A per basis class, in order."""
+        return [map_from_coords(self.hom_omega_a, col) for col in self._lift.T] if self.dim else []
+
+    def classes(self, maps: list[RepMap]) -> np.ndarray:
+        """Coordinates of the classes of cocycles Omega C -> A, one column
+        per map, (dim, len(maps)); every class of a zero Ext^1 is zero."""
+        if not (self.dim and maps):
+            return la.zeros(self.dim, len(maps))
+        sol = la.solve(self._flat, np.stack([g.flat() for g in maps], axis=1), self.p)
+        if sol is None:
+            raise AlgebraError("cocycle outside Hom(Omega C, A)")
+        return la.matmul(self.qmap, sol, self.p)
 
     def realize(self, coords) -> Conflation:
         """A conflation A >-> E ->> C representing the class."""
@@ -433,14 +452,7 @@ class Ext1:
             if s is None:
                 raise AlgebraError("cocycle division failed")
             blocks.append(s)
-        g = RepMap(self.omega, self.a, blocks)
-        if not self.hom_omega_a:
-            return la.zeros(1, 0)[0][:0]
-        flat = np.stack([x.flat() for x in self.hom_omega_a], axis=1)
-        sol2 = la.solve(flat, g.flat().reshape(-1, 1), self.p)
-        if sol2 is None:
-            raise AlgebraError("cocycle not in Hom(Omega C, A)")
-        return la.matmul(self.qmap, sol2, self.p)[:, 0]
+        return self.classes([RepMap(self.omega, self.a, blocks)])[:, 0]
 
 
 def ext1_dim(c: Rep, a: Rep) -> int:
@@ -472,16 +484,7 @@ def ext_dim(c: Rep, a: Rep, n: int) -> int:
 
 def factors_through(f: RepMap, through: list[Rep]) -> bool:
     """Does f factor as X -> T -> Y with T a finite sum from `through`?"""
-    target_flat = f.flat()
-    if not target_flat.size or f.is_zero():
-        return True
-    mat = la.hstack(
-        [composite_columns(homs(t, f.target), homs(f.source, t)) for t in through],
-        target_flat.size,
-    )
-    if not mat.shape[1]:
-        return False
-    return la.solve(mat, target_flat.reshape(-1, 1), f.p) is not None
+    return factor_witness(f, through) is not None
 
 
 def factor_witness(f: RepMap, through: list[Rep]):

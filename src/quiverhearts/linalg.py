@@ -128,14 +128,6 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def row_space(a: np.ndarray, p: int) -> np.ndarray:
-    """Matrix whose rows are an rref basis of the row space of a."""
-    if a.shape[0] == 0:
-        return zeros(0, a.shape[1])
-    r, pivots = rref(a, p)
-    return r[: len(pivots)]
-
-
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     """One solution x of a @ x = b (columnwise for matrix b), or None."""
     rows, cols = a.shape

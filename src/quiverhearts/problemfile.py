@@ -70,19 +70,6 @@ class ProblemFile:
             members.append(Rep(alg, name, dims, arrow_maps).validate())
         return IndecSet(members, validate=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, ProblemFile):
-            return NotImplemented
-        return (
-            self.p == other.p
-            and self.vertices == other.vertices
-            and self.arrows == other.arrows
-            and self.relations == other.relations
-            and self.modules == other.modules
-            and self.subcats == other.subcats
-            and self.tasks == other.tasks
-        )
-
 
 _SECTIONS = ("field", "quiver", "relations", "module", "subcat", "task")
 

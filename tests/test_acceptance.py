@@ -197,7 +197,7 @@ def test_5_half_exact_functor(ex61, model):
                 conf = e.realize(unit)
                 m1 = hm.phi.phi_map(hm.h.h_map(conf.infl))
                 m2 = hm.phi.phi_map(hm.h.h_map(conf.defl))
-                mid = hm.phi.module(hm.h.h_object(conf.b).obj).dim
+                mid = hm.phi.module(hm.h.h_object(conf.b).obj).total_dim
                 assert not la.matmul(m2, m1, p).any()
                 assert la.rank(m1, p) == mid - la.rank(m2, p), (c.name, a.name)
     # kernel class: H kills exactly the extension-closed sum class
@@ -274,7 +274,7 @@ def test_6_short_exact_sequences_realize(ex61, model):
         conf = ht.realize_ses_in_heart(hm, g)
         conf.validate()
         kobj, _, _ = ht.realize_heart_kernel(hm, g)
-        assert hm.phi.module(kobj).dim == ht.heart_kernel_dim(hm, g)
+        assert hm.phi.module(kobj).total_dim == ht.heart_kernel_dim(hm, g)
         realized += 1
         if realized >= 20:
             break

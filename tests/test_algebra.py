@@ -169,6 +169,13 @@ def test_rep_validation_catches_bad_relation():
         bad.validate()
 
 
+def test_rep_refuses_a_map_for_an_undeclared_arrow():
+    alg = fx.a2_algebra()
+    assert Rep(alg, "x", (1, 1), {"a": [[1]]}).arrow_maps["a"].tolist() == [[1]]
+    with pytest.raises(AlgebraError, match="unknown arrow zz"):
+        Rep(alg, "x", (1, 1), {"zz": [[1]]})
+
+
 def test_atlas_full_validation():
     fx.auslander_a3_atlas(validate=True)
 

@@ -1,5 +1,11 @@
 """Problem-file grammar and command-line behaviour."""
 
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -202,3 +208,42 @@ def test_verify_main_theorem_seed_determinism(capsys):
     code2, out2, _ = run(capsys, "demo", "ex61", "verify-main-theorem", "--seed", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# Two loops whose squares vanish: ab, ba, aba, ... never do, so the arrow
+# ideal is not nilpotent and the path algebra is infinite.
+TWO_LOOPS = """field 5
+quiver
+  vertices v
+  arrow a v v
+  arrow b v v
+relations
+  1 a a
+  1 b b
+module s
+  dims 1
+"""
+
+
+def test_check_refuses_a_non_nilpotent_algebra_quickly(tmp_path):
+    path = tmp_path / "two_loops.qh"
+    path.write_text(TWO_LOOPS)
+    # In a child capped at 1 GiB of address space, so a path enumeration
+    # that does not stop fails there instead of filling the host.
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from quiverhearts import cli\n"
+        "sys.exit(cli.main(['check', sys.argv[2]]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    start = time.monotonic()
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert time.monotonic() - start < 5.0
+    assert run.returncode == 2, run.stderr
+    assert "could not certify nilpotency" in run.stderr

@@ -9,7 +9,7 @@ from quiverhearts import fixtures as fx
 from quiverhearts import heart as ht
 from quiverhearts import linalg as la
 from quiverhearts import oracles
-from quiverhearts.algebra import RepMap, map_from_coords
+from quiverhearts.algebra import AlgebraError, RepMap, hom_dim, map_from_coords
 from quiverhearts.homology import Ext1, ext1_dim, homs
 from quiverhearts.mutation import verify_main_theorem
 from quiverhearts.workspace import WORKSPACE
@@ -178,7 +178,7 @@ def test_h_kills_exactly_star(ex61, model):
     pair = model.pair
     for x in ex61.atlas:
         assert model.h.is_zero_h(x) == ct.star_membership(x, pair), x.name
-        assert (model.phi.module(x).dim == 0) == ct.star_membership(x, pair), x.name
+        assert (model.phi.module(x).total_dim == 0) == ct.star_membership(x, pair), x.name
 
 
 def test_h_restricts_to_projection(ex61, model):
@@ -227,7 +227,7 @@ def test_half_exactness_on_ext_basis(ex61, model):
                 conf = e.realize(unit)
                 m1 = model.phi.phi_map(model.h.h_map(conf.infl))
                 m2 = model.phi.phi_map(model.h.h_map(conf.defl))
-                mid = model.phi.module(model.h.h_object(conf.b).obj).dim
+                mid = model.phi.module(model.h.h_object(conf.b).obj).total_dim
                 assert not la.matmul(m2, m1, p).any()
                 assert la.rank(m1, p) == mid - la.rank(m2, p), (c.name, a.name)
 
@@ -239,7 +239,7 @@ def test_phi_respects_sums(ex61, model):
     s = direct_sum([x, y])
     ms = model.phi.module(s)
     mx, my = model.phi.module(x), model.phi.module(y)
-    assert ms.dim == mx.dim + my.dim
+    assert ms.total_dim == mx.total_dim + my.total_dim
 
 
 def test_phi_action_axioms(ex61, model):
@@ -275,7 +275,7 @@ def test_kernel_two_ways(ex61, model):
         if not ht.heart_epi(model, f) or not f.is_surjective():
             continue
         kobj, _, _ = ht.realize_heart_kernel(model, f)
-        assert model.phi.module(kobj).dim == ht.heart_kernel_dim(model, f)
+        assert model.phi.module(kobj).total_dim == ht.heart_kernel_dim(model, f)
 
 
 def test_realize_ses(ex61, model):
@@ -293,9 +293,99 @@ def test_realize_ses(ex61, model):
 def test_kernel_module_matches(ex61, model):
     for f in _random_heart_morphisms(ex61, model, 10, seed=21):
         km = ht.heart_kernel_module(model, f)
-        assert km.dim == ht.heart_kernel_dim(model, f)
+        assert km.total_dim == ht.heart_kernel_dim(model, f)
         cm = ht.heart_cokernel_module(model, f)
-        assert cm.dim == ht.heart_cokernel_dim(model, f)
+        assert cm.total_dim == ht.heart_cokernel_dim(model, f)
+
+
+# Reference Gamma-module algebra: a module is (dimension, one action matrix
+# per Gamma basis element), and Hom, submodules and quotients are solved
+# directly on those matrices, independently of `hom_space`, `kernel` and
+# `cokernel`.
+
+
+def action_of(mod):
+    """A Gamma-module `Rep` as (dimension, action matrices in loop order)."""
+    return mod.total_dim, list(mod.arrow_maps.values())
+
+
+def ref_gamma_hom(m, n, p):
+    """Basis of module maps m -> n: matrices T with T R_m = R_n T."""
+    (mdim, mact), (ndim, nact) = m, n
+    if mdim == 0 or ndim == 0:
+        return []
+    rows = []
+    for rm, rn in zip(mact, nact):
+        # T rm - rn T = 0, unknowns T (ndim x mdim) flattened row-major;
+        # row-major vec(AXB) = (A kron B^T) vec(X)
+        eq = np.kron(la.eye(ndim), rm.T) - np.kron(rn, la.eye(mdim))
+        rows.append(eq % p)
+    mat = np.concatenate(rows, axis=0) if rows else la.zeros(0, ndim * mdim)
+    ns = la.nullspace(mat, p)
+    return [ns[:, j].reshape(ndim, mdim) for j in range(ns.shape[1])]
+
+
+def ref_submodule(mod, cols, p):
+    """The submodule spanned by the given coordinate columns (must be stable)."""
+    d = la.rank(cols, p)
+    r, pivots = la.rref(cols.T, p) if cols.shape[1] else (la.zeros(0, mod[0]), [])
+    basis = r[: len(pivots)].T  # independent spanning columns
+    acts = []
+    for a in mod[1]:
+        sol = la.solve(basis, la.matmul(a, basis, p), p)
+        assert sol is not None, "column span is not action-stable"
+        acts.append(sol)
+    return d, acts
+
+
+def ref_kernel_module(model, f):
+    p = model.phi.p
+    ker = la.nullspace(model.phi.phi_map(f), p)
+    return ref_submodule(action_of(model.phi.module(f.source)), ker, p)
+
+
+def ref_cokernel_module(model, f):
+    p = model.phi.p
+    m = model.phi.phi_map(f)
+    dim, action = action_of(model.phi.module(f.target))
+    q = la.quotient_map(m, dim, p)
+    rinv = la.right_inverse(q, p) if q.shape[0] else la.zeros(dim, 0)
+    return q.shape[0], [la.matmul(la.matmul(q, r, p), rinv, p) for r in action]
+
+
+def test_gamma_hom_dims_match_the_reference(ex61, model):
+    p = model.phi.p
+    mods = [model.phi.module(ex61.atlas[n]) for n in model.heart_object_names()]
+    assert any(a.any() for m in mods for a in m.arrow_maps.values())
+    for x, y in itertools.product(mods, repeat=2):
+        assert hom_dim(x, y) == len(ref_gamma_hom(action_of(x), action_of(y), p)), (x, y)
+
+
+def test_kernel_and_cokernel_modules_match_the_reference(ex61, model):
+    p = model.phi.p
+    for f in _random_heart_morphisms(ex61, model, 10, seed=21):
+        for got, want in (
+            (ht.heart_kernel_module(model, f), ref_kernel_module(model, f)),
+            (ht.heart_cokernel_module(model, f), ref_cokernel_module(model, f)),
+        ):
+            assert got.total_dim == want[0], f
+            assert hom_dim(got, got) == len(ref_gamma_hom(want, want, p)), f
+
+
+def test_module_map_checks_the_gamma_action(ex61, model, monkeypatch):
+    x = ex61.atlas["3"]
+    mod = model.phi.module(x)
+    # some basis element acts by a matrix that is not diagonal ...
+    assert mod.total_dim == 2
+    assert any(np.count_nonzero(a - np.diag(np.diag(a))) for a in mod.arrow_maps.values())
+    ident = RepMap.identity(x)
+    assert model.phi.module_map(ident).is_isomorphism()
+    # ... so diag(2, 1), which commutes with diagonal matrices only, is no module map
+    perturbed = la.eye(2)
+    perturbed[0, 0] = 2
+    monkeypatch.setattr(model.phi, "phi_map", lambda f: perturbed)
+    with pytest.raises(AlgebraError, match="intertwine"):
+        model.phi.module_map(ident)
 
 
 def test_syzygy_approximation_exhaustive(ex61, model):
@@ -341,7 +431,7 @@ def test_dim_hom_quotient_matches_gamma(model):
 
 def test_phi_dim_is_the_module_dimension(ex61, model):
     for x in ex61.atlas:
-        assert model.phi.dim(x) == model.phi.module(x).dim, x.name
+        assert model.phi.dim(x) == model.phi.module(x).total_dim, x.name
 
 
 def test_phi_dim_reads_the_ext_that_phi_map_built():

@@ -3,6 +3,7 @@ import pytest
 
 from quiverhearts import fixtures as fx
 from quiverhearts import homology as ho
+from quiverhearts import linalg as la
 from quiverhearts.algebra import (
     AlgebraError,
     RepMap,
@@ -146,6 +147,19 @@ def test_ext1_realize_and_coords_roundtrip():
     conf0 = ext.realize([0])
     assert decompose(conf0.b, atlas) == {"1": 1, "2": 1}
     assert list(ext.coords_of(conf0)) == [0]
+
+
+def test_ext1_classes_of_its_cocycles_are_the_unit_vectors():
+    atlas = fx.auslander_a3_atlas()
+    seen = 0
+    for c in atlas:
+        for a in atlas:
+            ext = ho.Ext1(c, a)
+            assert len(ext.cocycles) == ext.dim
+            assert np.array_equal(ext.classes(ext.cocycles), la.eye(ext.dim))
+            assert ext.classes([]).shape == (ext.dim, 0)
+            seen += ext.dim > 0
+    assert seen
 
 
 def test_ext1_auslander_known_values():

@@ -1,7 +1,7 @@
 """Tooling checks: the benchmark's tracer still finds every target it wraps,
 the package imports nothing it does not use (no linter is installed), no
-module but the fixtures draws random numbers, and no module keeps a memo
-of its own."""
+module but the fixtures draws random numbers, no module keeps a memo of
+its own, and every public function and class is used somewhere."""
 
 import ast
 import subprocess
@@ -147,3 +147,43 @@ def test_one_memo_rule():
     modules = sorted((ROOT / "src" / "quiverhearts").glob("*.py"))
     breaks = [b for path in modules for b in memo_rule_breaks(path)]
     assert not breaks, breaks
+
+
+def public_definitions(path: Path) -> list[str]:
+    """Top-level functions and classes of a module whose names are public."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def reads(path: Path) -> set[str]:
+    """Names a file reads: loaded names and attributes, and imported names.
+    A definition binds its name without reading it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+    return found
+
+
+def test_no_dead_public_names():
+    read = set()
+    for where in ("src", "tests", "perfbench", "scripts"):
+        for path in sorted((ROOT / where).rglob("*.py")):
+            read |= reads(path)
+    modules = sorted((ROOT / "src" / "quiverhearts").glob("*.py"))
+    dead = [
+        f"{path.name} {name}"
+        for path in modules
+        for name in public_definitions(path)
+        if name not in read
+    ]
+    assert not dead, dead
