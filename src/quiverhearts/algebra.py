@@ -182,10 +182,10 @@ def _enumerate_paths(q: Quiver, max_len: int) -> list[tuple[Path, str, str]]:
     return out
 
 
-# Paths enumerated before `path_basis` gives up: the generator loop costs
-# (paths)^2 per relation, so an algebra whose arrow ideal is not nilpotent
-# (a loop quiver whose products never vanish) is refused in well under a
-# second instead of running to `max_path_length`.
+# Paths enumerated before `path_basis` gives up: each cap row-reduces one
+# column per path against every generator that fits, so an algebra whose
+# arrow ideal is not nilpotent (a loop quiver whose products never vanish)
+# is refused in well under a second instead of running to `max_path_length`.
 MAX_PATHS = 500
 
 
@@ -195,32 +195,12 @@ def path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
     Certification: find L with every length-L path inside the truncated
     ideal span, so the arrow ideal is nilpotent modulo the relations.
     """
-    q = alg.quiver
     for cap in range(2, alg.max_path_length + 1):
-        paths = _enumerate_paths(q, cap)
+        paths = _enumerate_paths(alg.quiver, cap)
         if len(paths) > MAX_PATHS:
             break
-        index = {pt[0]: i for i, pt in enumerate(paths)}
         n = len(paths)
-        gens = []
-        # two-sided ideal generators: left * relation * right, truncated at cap
-        for rel in alg.relations:
-            rsrc, rtgt = path_endpoints(q, rel[0][1])
-            lefts = [()] + [pt[0] for pt in paths if pt[2] == rsrc]
-            rights = [()] + [pt[0] for pt in paths if pt[1] == rtgt]
-            for lp in lefts:
-                for rp in rights:
-                    vec = la.zeros(1, n)[0]
-                    ok = True
-                    for coeff, mid in rel:
-                        full = lp + mid + rp
-                        if len(full) > cap:
-                            ok = False
-                            break
-                        vec[index[full]] = (vec[index[full]] + coeff) % alg.p
-                    if ok and vec.any():
-                        gens.append(vec)
-        gen_mat = la.vstack([g.reshape(1, -1) for g in gens], n)
+        gen_mat = la.vstack([g.reshape(1, -1) for g in _ideal_generators(alg, paths, cap)], n)
         red, pivots = la.rref(gen_mat, alg.p)
         basis_idx = tuple(i for i in range(n) if i not in pivots)
         # every path of exact length `cap` must be killed in the quotient
@@ -240,6 +220,34 @@ def path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
         "could not certify nilpotency of the arrow ideal within "
         f"max_path_length={alg.max_path_length} and {MAX_PATHS} paths"
     )
+
+
+def _ideal_generators(alg: BoundQuiverAlgebra, paths: list, cap: int) -> list[np.ndarray]:
+    """The two-sided ideal generators left * relation * right whose every
+    term has length at most cap, as vectors over `paths`.  The paths, and
+    so the left and right factors, come in order of length, so each loop
+    stops at its first factor that is too long."""
+    q = alg.quiver
+    index = {pt[0]: i for i, pt in enumerate(paths)}
+    gens = []
+    for rel in alg.relations:
+        rsrc, rtgt = path_endpoints(q, rel[0][1])
+        longest = max(len(mid) for _, mid in rel)
+        lefts = [()] + [pt[0] for pt in paths if pt[2] == rsrc]
+        rights = [()] + [pt[0] for pt in paths if pt[1] == rtgt]
+        for lp in lefts:
+            if len(lp) + longest > cap:
+                break
+            for rp in rights:
+                if len(lp) + longest + len(rp) > cap:
+                    break
+                vec = la.zeros(1, len(paths))[0]
+                for coeff, mid in rel:
+                    i = index[lp + mid + rp]
+                    vec[i] = (vec[i] + coeff) % alg.p
+                if vec.any():
+                    gens.append(vec)
+    return gens
 
 
 class Rep:
@@ -307,7 +315,8 @@ class Rep:
         src, tgt = path_endpoints(q, path)
         m = la.eye(self.dim_at(src))
         for aid in path:
-            m = la.matmul(self.arrow_maps[aid], m, self.algebra.p)
+            a = self.arrow_maps[aid]
+            m = la.matmul(a, m, self.algebra.p) if a.size and m.size else la.zeros(len(a), len(m.T))
         return m
 
     def relation_defect(self) -> list[Relation]:
@@ -473,10 +482,14 @@ def hom_space(m: Rep, n: Rep) -> list[RepMap]:
 
     The maps are rebound to the caller's m and n on every call.
     """
+    return [RepMap._bound(m, n, blocks) for blocks in _hom_basis(m, n)]
+
+
+def _hom_basis(m: Rep, n: Rep) -> tuple:
+    """The basis blocks of Hom(m, n): the `hom_space` memo entry itself."""
     if m.algebra != n.algebra:
         raise AlgebraError("hom between representations over different algebras")
-    basis = WORKSPACE.memo("hom_space", (m.key, n.key), _hom_blocks, m, n)
-    return [RepMap._bound(m, n, blocks) for blocks in basis]
+    return WORKSPACE.memo("hom_space", (m.key, n.key), _hom_blocks, m, n)
 
 
 def _hom_blocks(m: Rep, n: Rep) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -662,6 +675,7 @@ def standard_modules(alg: BoundQuiverAlgebra):
 def _standard_projectives(alg: BoundQuiverAlgebra) -> dict[str, Rep]:
     pb = alg.path_basis
     q = alg.quiver
+    path_index = {pt[0]: i for i, pt in enumerate(pb.paths)}
     out = {}
     for v in q.vertices:
         idxs = [i for i in pb.basis if pb.paths[i][1] == v]
@@ -680,7 +694,7 @@ def _standard_projectives(alg: BoundQuiverAlgebra) -> dict[str, Rep]:
                 if w != s:
                     continue
                 new_path = (aid,) if i is None else pb.paths[i][0] + (aid,)
-                pidx = _path_index(pb, new_path)
+                pidx = path_index.get(new_path)
                 if pidx is None:
                     continue
                 src_col = local_index[slot][1]
@@ -690,13 +704,6 @@ def _standard_projectives(alg: BoundQuiverAlgebra) -> dict[str, Rep]:
             maps[aid] = m
         out[v] = Rep(alg, f"P({v})", dims, maps).validate()
     return out
-
-
-def _path_index(pb: PathBasis, path: Path) -> int | None:
-    for i, (pth, s, t) in enumerate(pb.paths):
-        if pth == path:
-            return i
-    return None
 
 
 def dual_rep(m: Rep, name: str | None = None) -> Rep:
@@ -989,6 +996,54 @@ class IndecSet:
     def key(self) -> tuple:
         """Member names and content, in member order."""
         return tuple((r.name, r.key) for r in self.members)
+
+    @cached_property
+    def position(self) -> dict[str, int]:
+        """Each member's index: its row and column in the dimension tables."""
+        return {r.name: i for i, r in enumerate(self.members)}
+
+    # dim Hom(members[i], members[j]) and dim Ext^1(members[i], members[j]),
+    # each row filled on first use (-1 marks a row not filled yet).
+    @cached_property
+    def _tables(self) -> dict[str, np.ndarray]:
+        return {kind: np.full((len(self), len(self)), -1) for kind in ("hom", "ext1")}
+
+    def rows(self, kind: str, idx) -> np.ndarray:
+        """Rows idx of the "hom" or "ext1" dimension table."""
+        table = self._tables[kind]
+        for i in idx:
+            if table[i, 0] < 0:
+                table[i] = self._hom_row(i) if kind == "hom" else self._ext1_row(i)
+        return table[idx]
+
+    def _hom_row(self, i: int) -> list[int]:
+        """Read off the `hom_space` entries, building no map."""
+        return [len(_hom_basis(self.members[i], n)) for n in self.members]
+
+    def _ext1_row(self, i: int) -> np.ndarray:
+        """By 0 -> Hom(C, -) -> Hom(P, -) -> Hom(Omega C, -) -> Ext^1(C, -) -> 0
+        for the syzygy conflation Omega C >-> P ->> C, each Hom term a sum of
+        member rows over the summands; a projective C has a zero row."""
+        from .homology import syzygy  # deferred: avoids an import cycle
+
+        omega, conf = syzygy(self.members[i])
+        if omega.is_zero():
+            return np.zeros(len(self), dtype=np.int64)
+        row = self.rows("hom", [i])[0]
+        for sign, m in ((-1, conf.b), (1, omega)):
+            for name, k in decompose(m, self).items():
+                row = row + sign * k * self.rows("hom", [self.position[name]])[0]
+        return row
+
+    def hom_nonzero(self, mods: list[Rep]) -> list[list[bool]]:
+        """[i][j] is False where the Hom table has Hom(mods[i], mods[j]) = 0,
+        and True for every pair with a module that is not a member itself."""
+        pos = [self.position[x.name] if self.by_name.get(x.name) is x else None for x in mods]
+        on = [i for i, q in enumerate(pos) if q is not None]
+        at = [pos[i] for i in on]
+        out = np.ones((len(mods), len(mods)), dtype=bool)
+        out[np.ix_(on, on)] = self.rows("hom", at)[:, at] > 0
+        return out.tolist()
 
     def __iter__(self):
         return iter(self.members)

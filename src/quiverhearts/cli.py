@@ -46,19 +46,6 @@ from .mutation import (
 )
 from .problemfile import ProblemFileError, parse_path
 
-COMMANDS = (
-    "check",
-    "perp",
-    "rigid",
-    "cotorsion",
-    "heart",
-    "mutate",
-    "localize",
-    "verify-main-theorem",
-    "classify-morphism",
-    "export-dot",
-)
-
 R_FLAGS = ("R0", "R1", "R1_tilde", "R2")
 
 
@@ -334,6 +321,7 @@ HANDLERS = {
     "classify-morphism": cmd_classify_morphism,
     "export-dot": cmd_export_dot,
 }
+COMMANDS = tuple(HANDLERS)
 
 
 def _flag_parser(prog: str) -> argparse.ArgumentParser:
@@ -401,16 +389,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except ProblemFileError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
     except Inconclusive as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return 3
-    except AlgebraError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (ProblemFileError, AlgebraError, FileNotFoundError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except SystemExit:

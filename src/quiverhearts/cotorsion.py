@@ -23,6 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
+import numpy as np
+
 from .algebra import (
     AlgebraError,
     IndecSet,
@@ -37,7 +39,6 @@ from .homology import (
     Conflation,
     conflation_from_defl,
     conflation_from_infl,
-    ext1_dim,
     homs,
     minimal_left_approximation,
     minimal_right_approximation,
@@ -83,6 +84,24 @@ class Subcategory:
 
     # Derived data, built once per object (cached_property writes to the
     # instance dict directly, so the frozen fields, equality and hash stay).
+    # Callers must not mutate a cached report.
+    @cached_property
+    def index(self) -> np.ndarray:
+        """The members' positions in the atlas, in name order."""
+        return np.array([self.atlas.position[n] for n in self.names], dtype=np.intp)
+
+    @cached_property
+    def rigid(self) -> bool:
+        return is_corigid_pairwise(self, self)
+
+    @cached_property
+    def rcp(self) -> tuple[bool, dict]:
+        return _rcp("right", self)
+
+    @cached_property
+    def rcp_dual(self) -> tuple[bool, dict]:
+        return _rcp("left", self)
+
     @cached_property
     def rigid_pair(self) -> "CotorsionPair":
         """The cotorsion pair (self, self-perp) of a rigid class with the
@@ -136,32 +155,35 @@ def perp_left(c: Subcategory) -> Subcategory:
 
 
 def _perp(side: str, c: Subcategory) -> Subcategory:
-    right = side == "right"
-    keep = [
-        x.name
-        for x in c.atlas
-        if all((ext1_dim(m, x) if right else ext1_dim(x, m)) == 0 for m in c.members)
-    ]
-    return Subcategory(c.atlas, tuple(keep))
+    """The atlas columns (right) or rows (left) of the Ext^1 table that
+    vanish on every member of c."""
+    atlas = c.atlas
+    if side == "right":
+        hit = atlas.rows("ext1", c.index).any(axis=0)
+    else:
+        hit = atlas.rows("ext1", np.arange(len(atlas)))[:, c.index].any(axis=1)
+    return Subcategory(atlas, tuple(n for n, h in zip(atlas.names, hit) if not h))
 
 
 def is_rigid(c: Subcategory) -> bool:
-    return is_corigid_pairwise(c, c)
+    return c.rigid
 
 
 def is_corigid_pairwise(c: Subcategory, d: Subcategory) -> bool:
     """Ext^1(c, d) = 0 for all member pairs."""
-    return all(ext1_dim(a, b) == 0 for a in c.members for b in d.members)
+    if c.atlas is not d.atlas:
+        raise AlgebraError("the two classes lie in different atlases")
+    return not c.atlas.rows("ext1", c.index)[:, d.index].any()
 
 
 def satisfies_rcp(c: Subcategory) -> tuple[bool, dict]:
     """Contains all projectives, rigid, fully contravariantly finite."""
-    return _rcp("right", c)
+    return c.rcp
 
 
 def satisfies_rcp_dual(v: Subcategory) -> tuple[bool, dict]:
     """Contains all injectives, rigid, fully covariantly finite."""
-    return _rcp("left", v)
+    return v.rcp_dual
 
 
 def _rcp(side: str, c: Subcategory) -> tuple[bool, dict]:
@@ -173,8 +195,8 @@ def _rcp(side: str, c: Subcategory) -> tuple[bool, dict]:
         report["contains_projectives"] = projectives_of(c.atlas).issubset(c)
     else:
         report["contains_injectives"] = injectives_of(c.atlas).issubset(c)
-    report["rigid"] = is_rigid(c)
-    finite = all(_approximation(side, c.members, x)[1] for x in c.atlas)
+    report["rigid"] = c.rigid
+    finite = all(_approximation(side, c, x)[1] for x in c.atlas)
     report["fully_contravariantly_finite" if right else "fully_covariantly_finite"] = finite
     report["summand_closed"] = True  # structural: membership by indecomposables
     return all(report.values()), report
@@ -199,7 +221,7 @@ def _witness(side: str, u: Subcategory, v: Subcategory, b: Rep) -> Conflation:
     """V_B >-> U_B ->> B (right) or B >-> V^B ->> U^B (left), with U_B, U^B in
     add u and V_B, V^B in add v."""
     right = side == "right"
-    f, ok = _approximation(side, (u if right else v).members, b)
+    f, ok = _approximation(side, u if right else v, b)
     if not ok:
         kind = "a deflation" if right else "an inflation"
         raise AlgebraError(f"{side} approximation of {b.name} is not {kind}")
@@ -212,13 +234,13 @@ def _witness(side: str, u: Subcategory, v: Subcategory, b: Rep) -> Conflation:
     return conf
 
 
-def _approximation(side: str, members: list[Rep], b: Rep) -> tuple[RepMap, bool]:
-    """The minimal right (left) approximation of b by sums of `members`, and
-    whether it is surjective (injective)."""
+def _approximation(side: str, c: Subcategory, b: Rep) -> tuple[RepMap, bool]:
+    """The minimal right (left) approximation of b by sums of members of c,
+    and whether it is surjective (injective)."""
     if side == "right":
-        f = minimal_right_approximation(members, b).map
+        f = minimal_right_approximation(c.members, b, atlas=c.atlas).map
         return f, f.is_surjective()
-    f = minimal_left_approximation(members, b).map
+    f = minimal_left_approximation(c.members, b, atlas=c.atlas).map
     return f, f.is_injective()
 
 
@@ -308,7 +330,7 @@ def _membership(
     right = side == "right"
     if x.is_zero():
         return True, _zero_conflation(side, x)
-    f, ok = _approximation(side, (bpp if right else bp).members, x)
+    f, ok = _approximation(side, bpp if right else bp, x)
     if ok:
         conf, end = _conflation(side, f)
         if (bp if right else bpp).contains(end):
@@ -437,9 +459,9 @@ def star_membership(x: Rep, pair: CotorsionPair) -> bool:
     """
     if x.is_zero():
         return True
-    if is_rigid(pair.u):
+    if pair.u.rigid:
         return pair.v.contains(x)
-    if is_rigid(pair.v):
+    if pair.v.rigid:
         return pair.u.contains(x)
     return _star_bruteforce(x, pair.u, pair.v)
 

@@ -163,22 +163,21 @@ def random_rigid_subcat(atlas: IndecSet, rng, within=None, stop_chance: float = 
     """A random rigid subcategory containing the projectives.
 
     Greedy: shuffle the atlas names (restricted to `within` if given) and
-    add each whose extensions against the current set vanish both ways.
+    add each whose extensions against the current set, itself included,
+    vanish both ways: a row and a column of the atlas's Ext^1 table.
     """
     from .cotorsion import projectives_of, subcat
-    from .homology import ext1_dim
 
     names = list(projectives_of(atlas).names)
     pool = [n for n in (within if within is not None else atlas.names) if n not in names]
     rng.shuffle(pool)
-    members = [atlas[n] for n in names]
+    chosen = [atlas.position[n] for n in names]
     for nm in pool:
-        x = atlas[nm]
-        if ext1_dim(x, x) == 0 and all(
-            ext1_dim(x, m) == 0 and ext1_dim(m, x) == 0 for m in members
-        ):
+        i = atlas.position[nm]
+        with_x = chosen + [i]
+        if not (atlas.rows("ext1", [i])[0, with_x].any() or atlas.rows("ext1", chosen)[:, i].any()):
             names.append(nm)
-            members.append(x)
+            chosen.append(i)
             if stop_chance and rng.random() < stop_chance:
                 break
     return subcat(atlas, sorted(names))

@@ -496,11 +496,7 @@ def factor_witness(f: RepMap, through: list[Rep]):
         into, outof = homs(f.source, t), homs(t, f.target)
         pairs += [(t, u, v) for u in into for v in outof]  # the column order
         blocks.append(composite_columns(outof, into))
-    if not pairs:
-        return None if target_flat.any() else (zero_rep(f.source.algebra),
-                                               RepMap.zero(f.source, zero_rep(f.source.algebra)),
-                                               RepMap.zero(zero_rep(f.source.algebra), f.target))
-    mat = la.hstack(blocks, target_flat.size)
+    mat = la.hstack(blocks, target_flat.size)  # no column when no pair: only f = 0 factors
     sol = la.solve(mat, target_flat.reshape(-1, 1), f.p)
     if sol is None:
         return None
@@ -542,27 +538,29 @@ def _assemble(parts, obj: Rep, side: str) -> Approximation:
     return Approximation(obj, total, f, list(parts), side)
 
 
-def minimal_right_approximation(members: list[Rep], obj: Rep) -> Approximation:
+def minimal_right_approximation(members: list[Rep], obj: Rep, atlas=None) -> Approximation:
     """Minimal right approximation of obj by finite sums from `members`.
 
     Start from one copy per Hom-basis element, then greedily drop copies
     while the factorization property survives; by nilpotency of the radical
-    the greedy endpoint is right minimal.
+    the greedy endpoint is right minimal.  Given the members' `IndecSet`,
+    the strip skips the pairs its Hom table shows to be zero; the result
+    is the same.
     """
-    return _approximation("right", members, obj)
+    return _approximation("right", members, obj, atlas)
 
 
-def minimal_left_approximation(members: list[Rep], obj: Rep) -> Approximation:
-    return _approximation("left", members, obj)
+def minimal_left_approximation(members: list[Rep], obj: Rep, atlas=None) -> Approximation:
+    return _approximation("left", members, obj, atlas)
 
 
-def _approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:
+def _approximation(side: str, members: list[Rep], obj: Rep, atlas) -> Approximation:
     """Memoised by side, the members' names and content in order, and the
     content of obj.  The parts and the map are rebound to the caller's
     members and obj, around a fresh copy of the stored sum."""
     key = (side, tuple((m.name, m.key) for m in members), obj.key)
     total, idx, part_blocks, map_blocks = WORKSPACE.memo(
-        "approximation", key, _approximation_parts, side, members, obj
+        "approximation", key, _approximation_parts, side, members, obj, atlas
     )
     total = copy.copy(total)
     if side == "right":
@@ -578,13 +576,13 @@ def _approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:
     return Approximation(obj, total, f, parts, side)
 
 
-def _approximation_parts(side: str, members: list[Rep], obj: Rep) -> tuple:
-    approx = _minimal_approximation(side, members, obj)
+def _approximation_parts(side: str, members: list[Rep], obj: Rep, atlas) -> tuple:
+    approx = _minimal_approximation(side, members, obj, atlas)
     idx = tuple(members.index(m) for m, _ in approx.parts)  # Reps compare by identity
     return approx.total, idx, tuple(h.blocks for _, h in approx.parts), approx.map.blocks
 
 
-def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:
+def _minimal_approximation(side: str, members: list[Rep], obj: Rep, atlas=None) -> Approximation:
     """The greedy strip behind the minimal approximations, uncached.
 
     The parts are the pairs (x, h) of a member x and a Hom-basis map h:
@@ -608,12 +606,18 @@ def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approxima
         """Hom(x, y) on the right side, Hom(y, x) on the left."""
         return homs(x, y) if right else homs(y, x)
 
-    to_obj = [toward(x, obj) for x in members]
+    # linked[i][j]: toward(members[i], members[j]) can be nonzero (j = n: obj)
+    n = len(members)
+    linked = [[True] * (n + 1)] * n
+    if atlas is not None:
+        nz = atlas.hom_nonzero(members + [obj])
+        linked = nz if right else list(zip(*nz))
+    to_obj = [toward(x, obj) if ok[n] else [] for x, ok in zip(members, linked)]
     keep = [[True] * len(hs) for hs in to_obj]
-    for x, x_to_obj, x_keep in zip(members, to_obj, keep):
+    for x, x_to_obj, x_keep, x_linked in zip(members, to_obj, keep, linked):
         if not x_to_obj:
             continue
-        links = [toward(x, y) if hs else [] for y, hs in zip(members, to_obj)]
+        links = [toward(x, y) if hs and ok else [] for y, hs, ok in zip(members, to_obj, x_linked)]
         for k, h in enumerate(x_to_obj):
             x_keep[k] = False
             blocks = []

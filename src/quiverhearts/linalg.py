@@ -18,10 +18,11 @@ of n products, whatever the number of stacked matrices, and the chunks
 slice that axis (the last of `a`, the second to last of `b`).
 
 Empty operands: `matmul` with a 2-D operand of size 0, `solve` with no
-rows or no columns and `nullspace` with no rows or no columns return
-without elimination or arithmetic: the zero product; the zero solution,
-or None when a has no columns and b is not zero mod p; the identity.
-Each is exactly what the general path returns.
+rows or no columns, `nullspace` with no rows or no columns and
+`is_invertible` on a 0x0 matrix return without elimination or arithmetic:
+the zero product; the zero solution, or None when a has no columns and b
+is not zero mod p; the identity; True.  Each is exactly what the general
+path returns.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def inv(a: np.ndarray, p: int) -> np.ndarray | None:
 
 
 def is_invertible(a: np.ndarray, p: int) -> bool:
-    return a.shape[0] == a.shape[1] and rank(a, p) == a.shape[0]
+    return a.shape[0] == a.shape[1] and (not a.size or rank(a, p) == a.shape[0])
 
 
 def quotient_map(w_cols: np.ndarray, n: int, p: int) -> np.ndarray:

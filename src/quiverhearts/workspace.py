@@ -12,10 +12,13 @@ binds them to the caller's objects on every lookup, freezing nothing
 again, so no stored value refers to a caller's `Rep`.
 
 Nothing else belongs here.  Data derived from one object (an algebra's
-path basis, projectives and opposite, a subcategory's cotorsion pair, a
-quotient category's Hom data, H(X) or R(X) of a model) lives on that
-object, as a `cached_property` or a dict keyed by the object itself, and
-goes when the object goes.  A table that a second certificate of the same
+path basis, projectives and opposite, an atlas's Hom and Ext^1 dimension
+tables, a subcategory's rigidity, (RCP) reports and cotorsion pair, a
+mutation input's classes, a quotient category's Hom data, H(X) or R(X)
+of a model) lives on that object, as a `cached_property` or a dict keyed
+by the object itself, and goes when the object goes.  The dimension
+tables belong to their `IndecSet`, not here: a row is read off the
+`hom_space` entries of its members.  A table that a second certificate of the same
 instance would never hit does not belong here either.
 """
 

@@ -4,7 +4,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from quiverhearts import algebra as al
 from quiverhearts import fixtures as fx
+from quiverhearts import heart as ht
 from quiverhearts import homology as ho
 from quiverhearts import linalg as la
 from quiverhearts.cotorsion import _all_maps
@@ -27,6 +29,7 @@ from quiverhearts.algebra import (
     map_from_coords,
     matrix_map,
     path_basis,
+    path_endpoints,
     standard_modules,
 )
 from test_workspace import nakayama_atlas
@@ -457,7 +460,79 @@ def _refuse_empty_operands(fn):
 
 
 def test_empty_blocks_cost_no_linalg_call(interval_maps):
+    members = list(nakayama_atlas(6, 3))
+    qc = ht.QuotientCategory(members, members)  # every class is zero
     with mock.patch.object(la, "matmul", _refuse_empty_operands(la.matmul)), \
             mock.patch.object(la, "solve", _refuse_empty_operands(la.solve)), \
-            mock.patch.object(la, "nullspace", _refuse_empty_operands(la.nullspace)):
+            mock.patch.object(la, "nullspace", _refuse_empty_operands(la.nullspace)), \
+            mock.patch.object(la, "rank", _refuse_empty_operands(la.rank)):
         assert len({op for op, _, _ in _eight_operations(interval_maps)}) == 8
+        # a 0x0 block is invertible, so an isomorphism's empty blocks pass
+        assert la.is_invertible(la.zeros(0, 0), 101)
+        assert all(RepMap.identity(x).is_isomorphism() for x in members)
+        # a path through a vertex where the module is zero
+        simple = next(x for x in members if x.name == "1")
+        got = simple.evaluate_path(("a1", "a2"))
+        assert got.shape == (0, 1) and got.dtype == np.int64
+        # quotient coordinates in a quotient Hom space of dimension 0
+        x = members[0]
+        got = qc.qcoords(RepMap.identity(x))
+        assert got.shape == (0,) and got.dtype == np.int64 and qc.is_zero_object(x)
+
+
+def _unpruned_generators(alg, paths, cap):
+    """The generator loop of `path_basis` as it was before it stopped at
+    the first factor that is too long: every (left, relation, right)
+    triple gets a vector before its length is checked."""
+    q = alg.quiver
+    index = {pt[0]: i for i, pt in enumerate(paths)}
+    n = len(paths)
+    gens = []
+    for rel in alg.relations:
+        rsrc, rtgt = path_endpoints(q, rel[0][1])
+        lefts = [()] + [pt[0] for pt in paths if pt[2] == rsrc]
+        rights = [()] + [pt[0] for pt in paths if pt[1] == rtgt]
+        for lp in lefts:
+            for rp in rights:
+                vec = la.zeros(1, n)[0]
+                ok = True
+                for coeff, mid in rel:
+                    full = lp + mid + rp
+                    if len(full) > cap:
+                        ok = False
+                        break
+                    vec[index[full]] = (vec[index[full]] + coeff) % alg.p
+                if ok and vec.any():
+                    gens.append(vec)
+    return gens
+
+
+PATH_ALGEBRAS = {
+    "ex61": fx.auslander_a3_algebra,
+    "A6/rad^3": lambda: nakayama_atlas(6, 3).members[0].algebra,
+    # a a = b b = 0 leaves ab, aba, ... nonzero: never certified
+    "two loops": lambda: BoundQuiverAlgebra(
+        Quiver(("1",), (("a", "1", "1"), ("b", "1", "1"))), 101,
+        (((1, ("a", "a")),), ((1, ("b", "b")),)), max_path_length=6,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_ALGEBRAS))
+def test_path_basis_matches_the_unpruned_generator_loop(name):
+    alg = PATH_ALGEBRAS[name]()
+    for cap in range(2, 7):
+        paths = al._enumerate_paths(alg.quiver, cap)
+        got, want = al._ideal_generators(alg, paths, cap), _unpruned_generators(alg, paths, cap)
+        assert len(got) == len(want) and all(map(np.array_equal, got, want)), cap
+    with mock.patch.object(al, "_ideal_generators", _unpruned_generators):
+        try:
+            want = path_basis(alg)
+        except AlgebraError as e:
+            want = str(e)
+    try:
+        got = path_basis(alg)
+    except AlgebraError as e:
+        got = str(e)
+    assert got == want
+    assert isinstance(got, str) == (name == "two loops")

@@ -207,19 +207,26 @@ def rep_taking_id(freed: int, make) -> Rep:
     return y
 
 
-def test_phi_module_ignores_a_reused_id():
-    """A zero module's cached Phi-module is not handed to a later Rep that
-    gets the same id."""
+def test_phi_model_pins_the_modules_it_was_asked_about():
+    """The Phi model keys its Ext^1 cache by the Rep itself, so a zero
+    module it was asked about stays alive as long as the model does (no
+    later module can take its id), and a fresh module gets its own
+    Phi-module."""
     fixture = fx.ex61()
     pm = ht.PhiModel(fixture.subcat_obj("C"))
     member = fixture.atlas["2"]
     assert ho.ext1_dim(pm.g, member) == 1
     z = zero_rep(fixture.algebra)
     assert pm.module(z).total_dim == 0
-    freed = id(z)
+    ref = weakref.ref(z)
     del z
-    y = rep_taking_id(freed, lambda: member.renamed("y"))
+    gc.collect()
+    assert ref() is not None
+    y = member.renamed("y")
     assert pm.module(y).total_dim == ho.ext1_dim(pm.g, y) == 1
+    del pm
+    gc.collect()
+    assert ref() is None
 
 
 def test_quotient_hom_data_ignores_a_reused_id():
