@@ -11,7 +11,7 @@ import pytest
 from quiverhearts import cotorsion as ct
 from quiverhearts import fixtures as fx
 from quiverhearts import mutation as mu
-from quiverhearts.algebra import AlgebraError, hom_space
+from quiverhearts.algebra import AlgebraError, IndecSet, hom_space
 from quiverhearts.duality import dual_context
 from quiverhearts.homology import ext1_dim
 from quiverhearts.oracles import ext1_dim_bruteforce
@@ -95,6 +95,14 @@ def test_perps_equal_a_per_pair_reference():
         assert ct.perp_left(c).names == tuple(sorted(left))
         assert ct.is_rigid(c)
     assert not ct.is_rigid(ct.full_subcat(atlas))
+
+
+def test_an_incomplete_atlas_is_refused():
+    # Omega(S1) = 2/3 over A3; without it the row of 1 cannot be read off
+    full = fx.a3_atlas()
+    partial = IndecSet([m for m in full if m.name != "2/3"], validate=False)
+    with pytest.raises(AlgebraError, match="atlas incomplete"):
+        ct.perp_right(ct.subcat(partial, ["1"]))
 
 
 def test_classes_over_two_atlases_are_refused():
