@@ -594,10 +594,14 @@ def composite_columns(outer: list[RepMap], inner: list[RepMap]) -> np.ndarray:
 
 def direct_sum(reps: list[Rep], name: str | None = None) -> Rep:
     """Block-diagonal sum; maps into, out of or between sums are built by
-    `matrix_map` from their components."""
+    `matrix_map` from their components.  A sum of one module binds that
+    module's read-only blocks, so it has the same key."""
     if not reps:
         raise AlgebraError("direct_sum of empty list needs an algebra; use zero_rep")
     alg = reps[0].algebra
+    if len(reps) == 1:
+        r = reps[0]
+        return Rep._trusted(alg, name or "(" + r.name + ")", r.dims, dict(r.arrow_maps))
     dims = [sum(r.dims[i] for r in reps) for i in range(alg.n_vertices)]
     maps = {}
     q = alg.quiver
@@ -622,8 +626,15 @@ def matrix_map(source: Rep, target: Rep, rows) -> RepMap:
     `source` and `target` are the sums of those summands in order (a single
     module is a sum of one).  Every row and every column needs one given
     component to fix its summand; give an all-zero one as `RepMap.zero`.
-    Each block is the component blocks joined side by side and stacked.
+    Each block is the component blocks joined side by side and stacked; a
+    single component's blocks are bound as they are.
     """
+    if len(rows) == 1 and len(rows[0]) == 1:
+        f = rows[0][0]
+        for block, shape in zip(f.blocks, zip(target.dims, source.dims)):
+            if block.shape != shape:
+                raise AlgebraError(f"components make a {block.shape} block, expected {shape}")
+        return RepMap._bound(source, target, f.blocks)
     col_dims = [next(f.source.dims for f in col if f is not None) for col in zip(*rows)]
     row_dims = [next(f.target.dims for f in row if f is not None) for row in rows]
     blocks = []
@@ -1037,11 +1048,13 @@ class IndecSet:
 
     def hom_nonzero(self, mods: list[Rep]) -> list[list[bool]]:
         """[i][j] is False where the Hom table has Hom(mods[i], mods[j]) = 0,
-        and True for every pair with a module that is not a member itself."""
+        or, for a pair with a module that is not a member itself, where the
+        two supports share no vertex (every block of a map is then empty)."""
         pos = [self.position[x.name] if self.by_name.get(x.name) is x else None for x in mods]
         on = [i for i, q in enumerate(pos) if q is not None]
         at = [pos[i] for i in on]
-        out = np.ones((len(mods), len(mods)), dtype=bool)
+        support = np.array([x.dims for x in mods]) > 0
+        out = support @ support.T
         out[np.ix_(on, on)] = self.rows("hom", at)[:, at] > 0
         return out.tolist()
 

@@ -598,7 +598,21 @@ def _minimal_approximation(side: str, members: list[Rep], obj: Rep, atlas=None) 
     map h_i, and for (<=) each composite h_i o v is the combination of
     the h_j o (u o v).  By nilpotency of the radical the endpoint is
     right (left) minimal.
+
+    Member shortcut: if obj is itself an atlas member among `members`
+    (which are then pairwise non-isomorphic indecomposables) and End(obj)
+    = F_p.1, the strip keeps exactly (obj, b) for the one basis map b of
+    End(obj), so that is returned without it.  b is invertible, so every
+    other part h = b o (b^-1 h) is in its span and is dropped; and b
+    survives, since a composite obj -> x -> obj through another member
+    lies in the radical of End(obj), which is 0.  Every thin
+    indecomposable is such a brick; other members and calls without an
+    atlas run the strip.
     """
+    if atlas is not None and atlas.by_name.get(obj.name) is obj and obj in members:
+        own = homs(obj, obj)
+        if len(own) == 1:
+            return _assemble([(obj, own[0])], obj, side)
     p = obj.algebra.p
     right = side == "right"
 

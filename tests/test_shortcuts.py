@@ -1,0 +1,185 @@
+"""The approximation layer's shortcuts give exactly what the work they skip
+would give.
+
+`strip_reference` is `homology._minimal_approximation` as it was before the
+member shortcut: the single-pass strip on every call, assembled over the
+inclusions and projections of the sum.  One-summand sums and maps bind
+their summand's read-only blocks, and `IndecSet.hom_nonzero` rules out the
+pairs whose supports share no vertex.
+"""
+
+import json
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from quiverhearts import algebra as al
+from quiverhearts import cli
+from quiverhearts import cotorsion as ct
+from quiverhearts import fixtures as fx
+from quiverhearts import homology as ho
+from quiverhearts import linalg as la
+from quiverhearts.algebra import AlgebraError, IndecSet
+from quiverhearts.mutation import verify_main_theorem
+from quiverhearts.workspace import WORKSPACE
+from test_acceptance import DETERMINISM_COMMANDS
+from test_algebra import kronecker_module
+from test_batched import assemble_reference
+from test_workspace import nakayama_atlas, same_blocks
+
+LADDER = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "nakayama-ladder.json"
+
+
+def strip_reference(side: str, members, obj, atlas=None) -> ho.Approximation:
+    p = obj.algebra.p
+    right = side == "right"
+
+    def toward(x, y):
+        return ho.homs(x, y) if right else ho.homs(y, x)
+
+    n = len(members)
+    linked = [[True] * (n + 1)] * n
+    if atlas is not None:
+        nz = atlas.hom_nonzero(members + [obj])
+        linked = nz if right else list(zip(*nz))
+    to_obj = [toward(x, obj) if ok[n] else [] for x, ok in zip(members, linked)]
+    keep = [[True] * len(hs) for hs in to_obj]
+    for x, x_to_obj, x_keep, x_linked in zip(members, to_obj, keep, linked):
+        if not x_to_obj:
+            continue
+        links = [toward(x, y) if hs and ok else [] for y, hs, ok in zip(members, to_obj, x_linked)]
+        for k, h in enumerate(x_to_obj):
+            x_keep[k] = False
+            blocks = []
+            for hs, ks, us in zip(to_obj, keep, links):
+                kept = [g for g, kg in zip(hs, ks) if kg]
+                if kept and us:
+                    outer, inner = (kept, us) if right else (us, kept)
+                    blocks.append(al.composite_columns(outer, inner))
+            target = h.flat().reshape(-1, 1)
+            cols = la.hstack(blocks, target.shape[0])
+            x_keep[k] = not cols.shape[1] or la.solve(cols, target, p) is None
+    parts = [(x, h) for x, hs, ks in zip(members, to_obj, keep) for h, kh in zip(hs, ks) if kh]
+    return assemble_reference(parts, obj, side)
+
+
+def assert_same_approximation(got: ho.Approximation, want: ho.Approximation):
+    assert got.total.name == want.total.name
+    assert got.total.key == want.total.key
+    assert same_blocks(got.map.blocks, want.map.blocks)
+    assert [m for m, _ in got.parts] == [m for m, _ in want.parts]  # Reps compare by identity
+    assert all(same_blocks(h.blocks, w.blocks) for (_, h), (_, w) in zip(got.parts, want.parts))
+
+
+def recorded_calls(run) -> tuple[list, int]:
+    """Every `_minimal_approximation` call that `run()` makes from a cleared
+    workspace, and how many of them the member shortcut answers."""
+    calls = []
+    real = ho._minimal_approximation
+
+    def recording(side, members, obj, atlas=None):
+        calls.append((side, list(members), obj, atlas, real(side, members, obj, atlas)))
+        return calls[-1][-1]
+
+    WORKSPACE.clear()
+    with mock.patch.object(ho, "_minimal_approximation", recording):
+        run()
+    short = sum(
+        atlas is not None and atlas.by_name.get(obj.name) is obj and obj in members
+        for _, members, obj, atlas, _ in calls
+    )
+    return calls, short
+
+
+def ladder_instances():
+    """Every (C, D) instance the benchmark's ladder records, per rung."""
+    rungs = json.loads(LADDER.read_text())["rungs"]
+    return [
+        pytest.param(r["n"], r["k"], inst["c"], inst["d"], id=f"A{r['n']}-rad{r['k']}-{i}")
+        for r in rungs
+        for i, inst in enumerate(r["pool"])
+    ]
+
+
+@pytest.mark.parametrize("n, k, c, d", ladder_instances())
+def test_member_shortcut_equals_the_strip_on_the_ladder(n, k, c, d):
+    atlas = nakayama_atlas(n, k)
+
+    def run():
+        report = verify_main_theorem(atlas, ct.subcat(atlas, c), ct.subcat(atlas, d))
+        assert report["ok"], report["checks"]
+
+    calls, short = recorded_calls(run)
+    assert 0 < short < len(calls)
+    for side, members, obj, at, got in calls:
+        assert_same_approximation(got, strip_reference(side, members, obj, at))
+
+
+def test_member_shortcut_equals_the_strip_on_the_cli_commands(capsys):
+    calls, short = recorded_calls(lambda: [cli.main(list(a)) for a in DETERMINISM_COMMANDS])
+    capsys.readouterr()
+    assert 0 < short < len(calls)
+    for side, members, obj, at, got in calls:
+        assert_same_approximation(got, strip_reference(side, members, obj, at))
+
+
+def non_brick(p: int = 7):
+    """A Kronecker module with End = F_p[x]/(x^2 - c) = F_{p^2}, c a non-square."""
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    return kronecker_module(p, la.eye(2), [[0, c], [1, 0]])
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_non_bricks_and_calls_without_an_atlas_take_the_strip(side):
+    kron = non_brick()
+    brick = al.Rep(kron.algebra, "B", (1, 1), {"a": [[1]], "b": [[0]]})
+    atlas = IndecSet([kron, brick], validate=False)
+    assert len(ho.homs(kron, kron)) == 2 and len(ho.homs(brick, brick)) == 1
+    minimal = ho.is_right_minimal if side == "right" else ho.is_left_minimal
+    cases = [(kron, atlas, True), (brick, None, True), (kron, None, True), (brick, atlas, False)]
+    for obj, at, strips in cases:
+        # the shortcut looks up End(obj) alone; the strip reads Hom toward
+        # obj from every member
+        with mock.patch.object(ho, "homs", wraps=ho.homs) as spy:
+            got = ho._minimal_approximation(side, atlas.members, obj, at)
+        assert (spy.call_count > 1) == strips, (obj.name, at)
+        assert_same_approximation(got, strip_reference(side, atlas.members, obj, at))
+        assert [m for m, _ in got.parts] == [obj]
+        assert minimal(got.map)
+
+
+def test_a_one_summand_sum_binds_its_summand():
+    x = fx.ex61().atlas["2/34/5"]
+    s = al.direct_sum([x])
+    assert s.name == "(2/34/5)" and s.key == x.key and s.dims == x.dims
+    assert al.direct_sum([x], "S").name == "S"
+    for block in s.arrow_maps.values():
+        with pytest.raises(ValueError):
+            block[...] = 0
+    f = ho.homs(x, x)[0]
+    g = al.matrix_map(s, x, [[f]])
+    assert g.source is s and g.target is x
+    assert all(a is b for a, b in zip(g.blocks, f.blocks))
+    other = fx.ex61().atlas["2/34"]
+    with pytest.raises(AlgebraError):
+        al.matrix_map(other, x, [[f]])
+    with pytest.raises(AlgebraError):
+        al.matrix_map(s, other, [[f]])
+
+
+@pytest.mark.parametrize("name", ["ex61", "A8/rad^3"])
+def test_hom_nonzero_is_never_false_on_a_nonzero_hom(name):
+    atlas = fx.ex61().atlas if name == "ex61" else nakayama_atlas(8, 3)
+    ms = atlas.members
+    sums = [al.direct_sum(ms[:2]), al.direct_sum(ms[3::5]), al.direct_sum([ms[-1], ms[-1]])]
+    kernels = [ho.syzygy(m)[0] for m in ms[::3]]
+    kernels += [ho.kernel(f)[0] for f in ho.homs(ms[1], ms[2]) + ho.homs(sums[1], ms[-2])]
+    mods = ms + sums + kernels + [al.zero_rep(ms[0].algebra)]
+    nz = np.array(atlas.hom_nonzero(mods))
+    homs = np.array([[bool(al.hom_space(x, y)) for y in mods] for x in mods])
+    assert not (homs & ~nz).any()
+    off = np.ones_like(nz)
+    off[: len(ms), : len(ms)] = False
+    assert (~nz & off).any()  # the supports rule out some pairs off the atlas
