@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -299,6 +300,11 @@ class Rep:
         """
         return (self.algebra, self.dims, tuple(m.tobytes() for m in self.arrow_maps.values()))
 
+    @cached_property
+    def _identity_blocks(self) -> tuple[np.ndarray, ...]:
+        """The read-only blocks that every `RepMap.identity` of this module binds."""
+        return RepMap._trusted(self, self, [la.eye(d) for d in self.dims]).blocks
+
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
@@ -402,9 +408,12 @@ class RepMap:
         q = self.source.algebra.quiver
         for aid, s, t in q.arrows:
             i, j = q.vertex_index(s), q.vertex_index(t)
-            lhs = la.matmul(self.target.arrow_maps[aid], self.blocks[i], self.p)
-            rhs = la.matmul(self.blocks[j], self.source.arrow_maps[aid], self.p)
-            if not np.array_equal(lhs, rhs):
+            na, ma = self.target.arrow_maps[aid], self.source.arrow_maps[aid]
+            fi, fj = self.blocks[i], self.blocks[j]
+            # Both sides zero: empty, or products through a 0-dimensional space.
+            if not (na.size and fi.size or fj.size and ma.size):
+                continue
+            if not np.array_equal(_product(na, fi, self.p), _product(fj, ma, self.p)):
                 return False
         return True
 
@@ -416,16 +425,13 @@ class RepMap:
 
     @staticmethod
     def identity(m: Rep) -> "RepMap":
-        return RepMap._trusted(m, m, [la.eye(d) for d in m.dims])
+        return RepMap._bound(m, m, m._identity_blocks)
 
     def compose(self, first: "RepMap") -> "RepMap":
         """self o first."""
         if first.target is not self.source and first.target.dims != self.source.dims:
             raise AlgebraError("composition shape mismatch")
-        blocks = [
-            la.matmul(b2, b1, self.p) if b1.size and b2.size else la.zeros(b2.shape[0], b1.shape[1])
-            for b1, b2 in zip(first.blocks, self.blocks)
-        ]
+        blocks = [_product(b2, b1, self.p) for b1, b2 in zip(first.blocks, self.blocks)]
         return RepMap._trusted(first.source, self.target, blocks)
 
     def add(self, other: "RepMap") -> "RepMap":
@@ -472,6 +478,20 @@ class RepMap:
         return f"RepMap({self.source.name} -> {self.target.name})"
 
 
+def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for blocks of maps.  With an empty operand there is no
+    arithmetic: a product without entries is a slice of the read-only
+    operand it shares a side with, and only a product through a
+    0-dimensional space allocates its zeros."""
+    if a.size and b.size:
+        return la.matmul(a, b, p)
+    if not len(a):
+        return b[:0]
+    if not b.shape[1]:
+        return a[:, :0]
+    return la.zeros(len(a), b.shape[1])
+
+
 def _hom_unknown_layout(m: Rep, n: Rep) -> list[tuple[int, int, int]]:
     """(vertex index, rows, cols) per vertex for the unknown blocks."""
     return [(i, n.dims[i], m.dims[i]) for i in range(len(m.dims))]
@@ -489,6 +509,8 @@ def _hom_basis(m: Rep, n: Rep) -> tuple:
     """The basis blocks of Hom(m, n): the `hom_space` memo entry itself."""
     if m.algebra != n.algebra:
         raise AlgebraError("hom between representations over different algebras")
+    if not any(map(operator.mul, m.dims, n.dims)):
+        return ()  # disjoint supports: every block is empty
     return WORKSPACE.memo("hom_space", (m.key, n.key), _hom_blocks, m, n)
 
 
@@ -504,28 +526,27 @@ def _hom_blocks(m: Rep, n: Rep) -> tuple[tuple[np.ndarray, ...], ...]:
         total += r * c
     if total == 0:
         return ()
-    rows = []
-    for aid, s, t in q.arrows:
-        i, j = q.vertex_index(s), q.vertex_index(t)
-        na, ma = n.arrow_maps[aid], m.arrow_maps[aid]
-        # constraint: na @ f_i - f_j @ ma = 0, entrywise
+    arrows = [(q.vertex_index(s), q.vertex_index(t), aid) for aid, s, t in q.arrows]
+    eqs = [[0] * total for _ in range(sum(n.dims[j] * m.dims[i] for i, j, _ in arrows))]
+    row = 0
+    for i, j, aid in arrows:
+        # constraint: na @ f_i - f_j @ ma = 0, one equation per entry (r, c),
+        # with f_i[k, c] at offsets[i] + k * di + c (row-major blocks)
+        na, ma = n.arrow_maps[aid].tolist(), m.arrow_maps[aid].tolist()
         di, dj = m.dims[i], m.dims[j]
-        ei, ej = n.dims[i], n.dims[j]
-        if ej == 0 or di == 0:
-            continue
-        for r_ in range(ej):
-            for c_ in range(di):
-                row = la.zeros(1, total)[0]
-                # d(na@f_i)[r_,c_]/d f_i[k,c_] = na[r_,k]
-                for k in range(ei):
-                    row[offsets[i] + k * di + c_] = (row[offsets[i] + k * di + c_] + na[r_, k]) % p
-                # d(f_j@ma)[r_,c_]/d f_j[r_,k] = ma[k,c_]
+        for r in range(n.dims[j]):
+            for c in range(di):
+                eq = eqs[row]
+                for k in range(n.dims[i]):
+                    eq[offsets[i] + k * di + c] += na[r][k]
                 for k in range(dj):
-                    row[offsets[j] + r_ * dj + k] = (row[offsets[j] + r_ * dj + k] - ma[k, c_]) % p
-                if row.any():
-                    rows.append(row)
-    mat = la.vstack([r.reshape(1, -1) for r in rows], total)
-    ns = la.nullspace(mat, p) if mat.shape[0] else la.eye(total)
+                    eq[offsets[j] + r * dj + k] -= ma[k][c]
+                row += 1
+    # Each entry is one difference of two reduced entries, so zero mod p
+    # only when zero.
+    eqs = [eq for eq in eqs if any(eq)]
+    mat = np.mod(np.array(eqs, dtype=np.int64).reshape(len(eqs), total), p)
+    ns = la.nullspace(mat, p) if eqs else la.eye(total)
     # One contiguous row per basis map, so each block is a view of it.
     vecs = np.ascontiguousarray(ns.T)
     vecs.setflags(write=False)

@@ -23,6 +23,18 @@ rows or no columns, `nullspace` with no rows or no columns and
 the zero product; the zero solution, or None when a has no columns and b
 is not zero mod p; the identity; True.  Each is exactly what the general
 path returns.
+
+Two paths, one result: `rref`, `rank`, `solve` and `nullspace` row-reduce
+an operand of at most SMALL entries (for `solve`, the augmented matrix)
+as lists of Python ints, and larger ones with the vectorised numpy loop.
+Python ints never overflow, so the small path needs no int64 bound.  The
+reduced row echelon form is unique, so both paths return the same
+matrix, pivots, solution and kernel basis.  SMALL is a constant, not a
+setting.  It comes from timing both paths on random matrices mod 101 on
+a 2-core host (Python 3.11, numpy 2.4): up to 32 entries the lists are
+faster at every rank (1x1: 6 us against 13 us; full-rank 4x8: 38 us
+against 58 us), and from 36 entries on numpy wins on matrices of rank
+one (6x6: 18 us against 25 us).
 """
 
 from __future__ import annotations
@@ -73,19 +85,37 @@ def inv_scalar(x: int, p: int) -> int:
     return pow(int(x) % p, p - 2, p)
 
 
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (R, pivot column indices)."""
-    r = np.mod(np.asarray(a, dtype=np.int64), p)
+SMALL = 32
+
+
+def _rref_ints(rows: list[list[int]], p: int) -> list[int]:
+    """Row-reduce a list of Python-int rows mod p in place; the pivots."""
+    rows[:] = [[x % p for x in row] for row in rows]
+    n = len(rows)
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if n else 0):
+        lead = len(pivots)
+        for piv in range(lead, n):
+            if rows[piv][col]:
+                break
+        else:
+            continue
+        top, rows[piv] = rows[piv], rows[lead]
+        inv = pow(top[col], -1, p)
+        rows[lead] = top = [x * inv % p for x in top] if inv != 1 else top
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != lead:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, top)]
+        pivots.append(col)
+        if lead + 1 == n:
+            break
+    return pivots
+
+
+def _rref_array(r: np.ndarray, p: int) -> list[int]:
+    """Row-reduce a reduced int64 matrix mod p in place; the pivots."""
     rows, cols = r.shape
-    if rows == 0 or cols == 0:
-        return r, []
-    if rows == 1:
-        nz = r[0].nonzero()[0]
-        if not len(nz):
-            return r, []
-        col = int(nz[0])
-        r[0] = np.mod(r[0] * inv_scalar(r[0, col], p), p)
-        return r, [col]
     pivots: list[int] = []
     lead = 0
     for col in range(cols):
@@ -105,12 +135,23 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         r[:, col:] = np.mod(r[:, col:] - np.outer(factors, r[lead, col:]), p)
         pivots.append(col)
         lead += 1
-    return r, pivots
+    return pivots
+
+
+def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p; returns (R, pivot column indices)."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.size <= SMALL:
+        rows = a.tolist()
+        pivots = _rref_ints(rows, p)
+        return np.array(rows, dtype=np.int64).reshape(a.shape), pivots
+    r = np.mod(a, p)
+    return r, _rref_array(r, p)
 
 
 def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
+    if a.size <= SMALL:
+        return len(_rref_ints(a.tolist(), p))
     return len(rref(a, p)[1])
 
 
@@ -122,10 +163,8 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     r, pivots = rref(a, p)
     free = [c for c in range(cols) if c not in pivots]
     basis = zeros(cols, len(free))
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-r[i, fc]) % p
+    basis[free, range(len(free))] = 1
+    basis[pivots] = np.mod(-r[: len(pivots), free], p)
     return basis
 
 
@@ -137,15 +176,16 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
         return zeros(cols, b.shape[1])
     if not cols:
         return None if np.mod(b, p).any() else zeros(0, b.shape[1])
-    aug = np.concatenate([a, np.mod(b, p)], axis=1)
-    r, pivots = rref(aug, p)
-    n_rhs = b.shape[1]
+    if rows * (cols + b.shape[1]) <= SMALL:
+        r = [ra + rb for ra, rb in zip(a.tolist(), b.tolist())]
+        pivots = _rref_ints(r, p)
+    else:
+        r, pivots = rref(np.concatenate([a, np.mod(b, p)], axis=1), p)
+    if pivots and pivots[-1] >= cols:
+        return None
+    x = zeros(cols, b.shape[1])
     for i, pc in enumerate(pivots):
-        if pc >= cols:
-            return None
-    x = zeros(cols, n_rhs)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, cols:]
+        x[pc] = r[i][cols:]
     return x
 
 
@@ -169,29 +209,13 @@ def is_invertible(a: np.ndarray, p: int) -> bool:
 def quotient_map(w_cols: np.ndarray, n: int, p: int) -> np.ndarray:
     """Surjection q: F^n -> F^m with ker(q) = column space of w_cols.
 
-    Rows of q are the coordinates, in the standard basis, of the quotient
-    F^n / im(w_cols) with respect to the non-pivot coordinate functionals.
+    q is nullspace(w_cols^T)^T: its rows span the functionals that vanish
+    on im(w_cols), so row k reads off the k-th non-pivot coordinate of a
+    vector reduced modulo im(w_cols).
     """
-    if n == 0:
-        return zeros(0, 0)
-    if w_cols.size == 0:
+    if not w_cols.size:
         return eye(n)
-    r, pivots = rref(w_cols.T, p)  # row space of W^T = column space coords
-    w_basis = r[: len(pivots)]  # rows: basis of im(w_cols), rref'd
-    free = [c for c in range(n) if c not in pivots]
-    q = zeros(len(free), n)
-    # e_j = (combination of w_basis rows) + (free coordinates); q reads off
-    # the free coordinates of the reduction of e_j modulo im(w_cols).
-    for j in range(n):
-        ej = zeros(1, n)
-        ej[0, j] = 1
-        red = ej[0].copy()
-        for i, pc in enumerate(pivots):
-            if red[pc]:
-                red = np.mod(red - red[pc] * w_basis[i], p)
-        for k, fc in enumerate(free):
-            q[k, j] = red[fc]
-    return q
+    return nullspace(w_cols.T, p).T
 
 
 def right_inverse(a: np.ndarray, p: int) -> np.ndarray | None:

@@ -467,6 +467,9 @@ def test_empty_blocks_cost_no_linalg_call(interval_maps):
             mock.patch.object(la, "nullspace", _refuse_empty_operands(la.nullspace)), \
             mock.patch.object(la, "rank", _refuse_empty_operands(la.rank)):
         assert len({op for op, _, _ in _eight_operations(interval_maps)}) == 8
+        # the public constructor checks that the blocks intertwine
+        for f in interval_maps:
+            assert RepMap(f.source, f.target, f.blocks).intertwines()
         # a 0x0 block is invertible, so an isomorphism's empty blocks pass
         assert la.is_invertible(la.zeros(0, 0), 101)
         assert all(RepMap.identity(x).is_isomorphism() for x in members)
@@ -478,6 +481,37 @@ def test_empty_blocks_cost_no_linalg_call(interval_maps):
         x = members[0]
         got = qc.qcoords(RepMap.identity(x))
         assert got.shape == (0,) and got.dtype == np.int64 and qc.is_zero_object(x)
+
+
+def _assert_frozen(block):
+    assert not block.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        block[...] = 1
+
+
+def test_identity_and_empty_products_bind_shared_read_only_blocks(interval_maps):
+    for x in {f.source for f in interval_maps}:
+        ident = RepMap.identity(x)
+        assert all(a is b for a, b in zip(ident.blocks, RepMap.identity(x).blocks))
+        assert all(np.array_equal(b, la.eye(d)) for b, d in zip(ident.blocks, x.dims))
+        for b in ident.blocks:
+            _assert_frozen(b)
+    empty = 0
+    for op, (g, f), h in (t for t in _eight_operations(interval_maps) if t[0] == "compose"):
+        for b in h.blocks:
+            _assert_frozen(b)
+            if not b.size:
+                empty += 1
+                assert b.base is not None  # a slice of an operand, not a new array
+    assert empty
+    # a product through a 0-dimensional space is a zero block of its own
+    members = list(nakayama_atlas(6, 3))
+    x, y = members[0], members[-1]
+    h = RepMap.zero(y, x).compose(RepMap.zero(x, y))
+    assert any(b.size and not y.dims[i] for i, b in enumerate(h.blocks))
+    for b in h.blocks:
+        assert not b.any()
+        _assert_frozen(b)
 
 
 def _unpruned_generators(alg, paths, cap):

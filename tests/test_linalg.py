@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +6,7 @@ from hypothesis import strategies as st
 from quiverhearts import linalg as la
 
 PRIMES = [2, 3, 101]
+P31 = 2**31 - 1
 
 
 def mat_strategy(p, max_dim=5):
@@ -117,7 +116,8 @@ def test_solve_takes_a_1d_right_hand_side():
 
 
 # ---------------------------------------------------------------------------
-# The vectorised rref against the plain row loop it replaced.
+# Every kernel, on both sides of the small-matrix threshold, against plain
+# row loops written out here: `rref_reference` and the references below.
 
 
 def rref_reference(a, p):
@@ -153,6 +153,12 @@ SHAPES = {
     "1xn": st.tuples(st.just(1), st.integers(1, 8)),
     "nx1": st.tuples(st.integers(1, 8), st.just(1)),
     "mxn": st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    "small": st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(
+        lambda s: 1 < s[0] * s[1] <= la.SMALL
+    ),
+    "large": st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(
+        lambda s: s[0] * s[1] > la.SMALL
+    ),
 }
 
 
@@ -162,6 +168,14 @@ def entries(p, shape):
     return st.lists(st.integers(-p, 2 * p), min_size=m * n, max_size=m * n).map(
         lambda xs: np.array(xs, dtype=np.int64).reshape(m, n)
     )
+
+
+def low_rank(p, shape):
+    """A product through a space of dimension at most 2: wide kernels."""
+    m, n = shape
+    return st.integers(0, 2).flatmap(
+        lambda k: st.tuples(entries(p, (m, k)), entries(p, (k, n)))
+    ).map(lambda uv: la.matmul(np.mod(uv[0], p), np.mod(uv[1], p), p))
 
 
 def same(x, y):
@@ -174,22 +188,19 @@ def same(x, y):
 
 @pytest.mark.parametrize("kind", sorted(SHAPES))
 @settings(max_examples=40, deadline=None)
-@given(p=st.sampled_from(PRIMES), data=st.data())
-def test_kernels_equal_reference_rref(kind, p, data):
-    a = data.draw(SHAPES[kind].flatmap(lambda s: entries(p, s)))
+@given(p=st.sampled_from(PRIMES + [P31]), product=st.booleans(), data=st.data())
+def test_kernels_equal_reference_rref(kind, p, product, data):
+    a = data.draw(SHAPES[kind].flatmap(lambda s: (low_rank if product else entries)(p, s)))
     b = data.draw(entries(p, (a.shape[0], data.draw(st.integers(0, 3)))))
-    kernels = {
-        "rref": lambda: la.rref(a, p),
-        "rank": lambda: la.rank(a, p),
-        "nullspace": lambda: la.nullspace(a, p),
-        "solve": lambda: la.solve(a, b, p),
-        "quotient_map": lambda: la.quotient_map(a, a.shape[0], p),
-    }
-    for name, kernel in kernels.items():
-        got = kernel()
-        with mock.patch.object(la, "rref", rref_reference):
-            want = kernel()
-        assert same(got, want), name
+    r, pivots = rref_reference(a, p)
+    assert same(la.rref(a, p), (r, pivots))
+    assert la.rank(a, p) == len(pivots)
+    assert same(la.nullspace(a, p), nullspace_reference(a, p))
+    assert same(la.quotient_map(a, a.shape[0], p), quotient_map_reference(a, a.shape[0], p))
+    # b is mostly outside the column space; a @ x is inside it
+    x = data.draw(entries(p, (a.shape[1], b.shape[1])))
+    for rhs in (b, la.matmul(np.mod(a, p), np.mod(x, p), p)):
+        assert same(la.solve(a, rhs, p), solve_reference(a, rhs, p))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +270,6 @@ def test_empty_operands_equal_the_general_paths(kind, p, data):
 
 # ---------------------------------------------------------------------------
 # int64 bound: sums of products are exact for every accepted prime.
-
-P31 = 2**31 - 1
 
 
 def test_matmul_does_not_wrap_at_p31():

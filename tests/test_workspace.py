@@ -169,14 +169,27 @@ def test_misses_equal_distinct_content_keys():
     objs = atlas.members[:6] + [x.renamed(x.name + "*") for x in atlas.members[:3]]
     distinct = {m.key for m in objs}
     assert len(distinct) == 6 < len(objs)
+    # pairs whose supports share no vertex are answered without a lookup
+    overlapping = {(m.key, n.key) for m in objs for n in objs if any(map(min, m.dims, n.dims))}
+    assert len(overlapping) < len(distinct) ** 2
     WORKSPACE.clear()
     for m in objs:
         for n in objs:
             al.hom_space(m, n)
-    assert WORKSPACE.stats()["hom_space"]["misses"] == len(distinct) ** 2
+    assert WORKSPACE.stats()["hom_space"]["misses"] == len(overlapping)
     for m in objs:
         ho.syzygy(m)
     assert WORKSPACE.stats()["syzygy"]["misses"] == len(distinct)
+
+
+def test_disjoint_supports_add_no_hom_entry():
+    atlas = nakayama_atlas(5, 3)
+    x, y = atlas["1"], atlas["3/4/5"]
+    assert al._hom_blocks(x, y) == al._hom_blocks(y, x) == ()
+    WORKSPACE.clear()
+    assert al.hom_space(x, y) == al.hom_space(y, x) == []
+    assert al.hom_space(x, x)
+    assert WORKSPACE.stats()["hom_space"] == {"hits": 0, "misses": 1, "entries": 1}
 
 
 def test_certifying_a_fresh_copy_adds_nothing():
