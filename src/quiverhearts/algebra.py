@@ -1067,18 +1067,6 @@ class IndecSet:
                 row = row + sign * k * self.rows("hom", [self.position[name]])[0]
         return row
 
-    def hom_nonzero(self, mods: list[Rep]) -> list[list[bool]]:
-        """[i][j] is False where the Hom table has Hom(mods[i], mods[j]) = 0,
-        or, for a pair with a module that is not a member itself, where the
-        two supports share no vertex (every block of a map is then empty)."""
-        pos = [self.position[x.name] if self.by_name.get(x.name) is x else None for x in mods]
-        on = [i for i, q in enumerate(pos) if q is not None]
-        at = [pos[i] for i in on]
-        support = np.array([x.dims for x in mods]) > 0
-        out = support @ support.T
-        out[np.ix_(on, on)] = self.rows("hom", at)[:, at] > 0
-        return out.tolist()
-
     def __iter__(self):
         return iter(self.members)
 

@@ -149,8 +149,8 @@ def cmd_check(ctx: Context) -> int:
 
 
 def self_validate(ctx: Context):
-    """Atlas completeness heuristics: every standard module is present and
-    hom dimensions are stable under recomputation."""
+    """Atlas completeness heuristics: every standard module (projective,
+    injective, simple) is present, and every member has a nonzero End."""
     alg = ctx.atlas.members[0].algebra
     for kind in ("projective", "injective", "simple"):
         ctx.atlas.standard_names(kind)
@@ -340,6 +340,8 @@ def _load_file(path: str, field_override: int | None):
         pf.p = field_override
         pf.algebra()  # re-check primality
     atlas = pf.atlas()
+    if not atlas.members:
+        raise ProblemFileError("no module declared: the atlas is empty")
     fx = fixtures.Fixture(atlas.members[0].algebra, atlas, dict(pf.subcats))
     return fx, pf.tasks
 

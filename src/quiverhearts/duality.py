@@ -1,10 +1,10 @@
 """Vector-space duality onto the opposite algebra.
 
-Every left-sided construction (Cone, left mutation, the dual heart and its
-localization) is computed by dualizing into modules over the opposite
-algebra, running the right-sided machinery there, and reading the answer
-back.  Atlas member names are preserved, so subcategories transport by
-name.
+The left mutation and the dual localization (`mutation.left_mutation`,
+`mutation.dual_localization_model`) dualize into modules over the opposite
+algebra, run the right-sided machinery there, and read the answer back;
+Cone and CoCone membership run directly (`cotorsion._membership`).  Atlas
+member names are preserved, so subcategories transport by name.
 """
 
 from __future__ import annotations

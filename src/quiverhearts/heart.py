@@ -99,16 +99,11 @@ def is_approximation(side: str, members: list[Rep], f: RepMap) -> bool:
 
 
 class QuotientCategory:
-    """An additive category with hom spaces Hom_B(X, Y) / [ideal](X, Y).
+    """An additive category with hom spaces Hom_B(X, Y) / [ideal](X, Y)."""
 
-    Given the atlas of the modules, an ideal member T adds no composite
-    X -> T -> Y where its Hom table has Hom(X, T) = 0 or Hom(T, Y) = 0.
-    """
-
-    def __init__(self, objects: list[Rep], ideal: list[Rep], atlas: IndecSet | None = None):
+    def __init__(self, objects: list[Rep], ideal: list[Rep]):
         self.objects = list(objects)
         self.ideal = list(ideal)
-        self.atlas = atlas
         self.p = objects[0].algebra.p if objects else ideal[0].algebra.p
         self._hom_cache: dict = {}
 
@@ -120,12 +115,13 @@ class QuotientCategory:
         basis = homs(x, y)
         n = len(basis)
         flat_dim = sum(a * b for a, b in zip(x.dims, y.dims))
-        ideal = self.ideal
-        if self.atlas is not None:
-            nz = self.atlas.hom_nonzero([x, *ideal, y])
-            ideal = [t for k, t in enumerate(ideal, 1) if nz[0][k] and nz[k][-1]]
         # Every ideal composite v o u, solved against the basis in one go.
-        comps = la.hstack([composite_columns(homs(t, y), homs(x, t)) for t in ideal], flat_dim)
+        blocks = []
+        for t in self.ideal:
+            into = homs(x, t)
+            if into:
+                blocks.append(composite_columns(homs(t, y), into))
+        comps = la.hstack(blocks, flat_dim)
         img = la.zeros(n, 0)
         if n and comps.shape[1]:
             img = la.solve(np.stack([b.flat() for b in basis], axis=1), comps, self.p)
@@ -392,7 +388,7 @@ class CohomologicalH:
         self.atlas = atlas
         self.h_objects = cocone_objects(pair.u, pair.u)
         self.quotient = QuotientCategory(
-            [atlas[n] for n in self.h_objects.names], pair.u.members, atlas
+            [atlas[n] for n in self.h_objects.names], pair.u.members
         )
         self._cache: dict[Rep, HObject] = {}
 

@@ -544,8 +544,8 @@ def minimal_right_approximation(members: list[Rep], obj: Rep, atlas=None) -> App
     Start from one copy per Hom-basis element, then greedily drop copies
     while the factorization property survives; by nilpotency of the radical
     the greedy endpoint is right minimal.  Given the members' `IndecSet`,
-    the strip skips the pairs its Hom table shows to be zero; the result
-    is the same.
+    a member obj that is a brick is returned as its own approximation
+    without the strip; the result is the same.
     """
     return _approximation("right", members, obj, atlas)
 
@@ -620,18 +620,12 @@ def _minimal_approximation(side: str, members: list[Rep], obj: Rep, atlas=None) 
         """Hom(x, y) on the right side, Hom(y, x) on the left."""
         return homs(x, y) if right else homs(y, x)
 
-    # linked[i][j]: toward(members[i], members[j]) can be nonzero (j = n: obj)
-    n = len(members)
-    linked = [[True] * (n + 1)] * n
-    if atlas is not None:
-        nz = atlas.hom_nonzero(members + [obj])
-        linked = nz if right else list(zip(*nz))
-    to_obj = [toward(x, obj) if ok[n] else [] for x, ok in zip(members, linked)]
+    to_obj = [toward(x, obj) for x in members]
     keep = [[True] * len(hs) for hs in to_obj]
-    for x, x_to_obj, x_keep, x_linked in zip(members, to_obj, keep, linked):
+    for x, x_to_obj, x_keep in zip(members, to_obj, keep):
         if not x_to_obj:
             continue
-        links = [toward(x, y) if hs and ok else [] for y, hs, ok in zip(members, to_obj, x_linked)]
+        links = [toward(x, y) if hs else [] for y, hs in zip(members, to_obj)]
         for k, h in enumerate(x_to_obj):
             x_keep[k] = False
             blocks = []

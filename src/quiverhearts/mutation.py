@@ -265,7 +265,7 @@ def verify_hd_moreover(res: HdApproximation, outer_perp: Subcategory, atlas: Ind
     x'), and ker M1 lies in ker M2 exactly when stacking M2 under M1 adds
     no rank.
     """
-    q = QuotientCategory(list(atlas.members), outer_perp.members, atlas)
+    q = QuotientCategory(list(atlas.members), outer_perp.members)
     for t in atlas:
         basis = homs(res.x, t)
         if not basis:
@@ -299,7 +299,7 @@ class LocalizationModel:
         if heart is None:
             heart = HeartModel.build(pair, inp.atlas)
         cmut = right_mutation(inp)
-        quotient = QuotientCategory([inp.atlas[n] for n in inp.hd.names], cmut.members, inp.atlas)
+        quotient = QuotientCategory([inp.atlas[n] for n in inp.hd.names], cmut.members)
         return cls(inp, pair, heart, cmut, inp.hd, perp_right(inp.d), quotient)
 
     def object_names(self) -> tuple[str, ...]:
@@ -377,7 +377,7 @@ def verify_localization(model: LocalizationModel) -> dict:
     a_sub = a_objects(model)
     report: dict = {"a_objects": a_sub.names}
 
-    hd_objs = [x for x in q.objects if not q.is_zero_object(x)]
+    hd_objs = q.nonzero_objects()
     report["density"] = all(q.invertible(model.r_object(b).f)[0] for b in hd_objs)
 
     full_ok = True
@@ -512,8 +512,8 @@ class PseudoMoritaData:
         atlas = twin.inp.atlas
         return cls(
             twin,
-            QuotientCategory([atlas[n] for n in twin.hd.names], twin.cmut.members, atlas),
-            QuotientCategory([atlas[n] for n in twin.hn.names], twin.m.members, atlas),
+            QuotientCategory([atlas[n] for n in twin.hd.names], twin.cmut.members),
+            QuotientCategory([atlas[n] for n in twin.hn.names], twin.m.members),
         )
 
     def refl(self, b: Rep) -> Reflection:
@@ -558,8 +558,8 @@ def verify_pseudo_morita(data: PseudoMoritaData) -> dict:
     checked on whole hom bases; object classes biject.
     """
     report: dict = {}
-    hd_objs = [x for x in data.q_hd.objects if not data.q_hd.is_zero_object(x)]
-    hn_objs = [x for x in data.q_hn.objects if not data.q_hn.is_zero_object(x)]
+    hd_objs = data.q_hd.nonzero_objects()
+    hn_objs = data.q_hn.nonzero_objects()
     unit, report["unit_iso"] = _round_trip(data, "right", hd_objs)
     counit, report["counit_iso"] = _round_trip(data, "left", hn_objs)
     report["unit_natural"] = _natural(
@@ -617,7 +617,7 @@ def object_correspondence(data: PseudoMoritaData):
     """(name -> name map via reflections, hom dimensions preserved?)."""
     atlas = data.twin.inp.atlas
     m_names = set(data.twin.m.names)
-    hd_objs = [x for x in data.q_hd.objects if not data.q_hd.is_zero_object(x)]
+    hd_objs = data.q_hd.nonzero_objects()
     mapping: dict = {}
     for b in hd_objs:
         names = [

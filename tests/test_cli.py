@@ -144,6 +144,14 @@ def test_composite_field_is_rejected(capsys, tmp_path, ex61_file, how):
     assert f"field characteristic {COMPOSITE} is not prime" in err
 
 
+def test_a_file_without_modules_is_refused_as_bad_input(capsys, tmp_path):
+    path = tmp_path / "no_modules.qh"
+    path.write_text("field 5\nquiver\n  vertices 1 2\n  arrow a 1 2\n")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and not out
+    assert err.startswith("input error: ") and "no module declared" in err
+
+
 def test_field_size_limits(capsys):
     code, out, _ = run(capsys, "demo", "ex61", "check", "--field", str(2**31 - 1))
     assert code == 0 and "atlas heuristics: ok" in out

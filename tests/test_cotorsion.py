@@ -242,6 +242,37 @@ def test_cone_vs_bruteforce_a3():
                     conf.validate()
 
 
+@pytest.mark.parametrize(
+    "side, x, bp, bpp",
+    [
+        ("right", "1", ["2/3"], ["1/2", "1/2/3"]),  # 2/3 >-> 1/2/3 ->> 1
+        ("left", "2/3", ["1/2/3", "2"], ["1"]),  # 2/3 >-> 1/2/3 ->> 1
+    ],
+)
+def test_searched_membership_witness_a3(side, x, bp, bpp):
+    """A "yes" that only the fallback search finds: the minimal
+    approximation's conflation has its other end outside the class, and
+    the searched witness is a conflation with its ends in the classes."""
+    atlas = fx.a3_atlas(2)
+    x, bp, bpp = atlas[x], ct.subcat(atlas, bp), ct.subcat(atlas, bpp)
+    right = side == "right"
+    f, ok = ct._approximation(side, bpp if right else bp, x)
+    assert not ok or not (bp if right else bpp).contains(ct._conflation(side, f)[1])
+    membership, search = (
+        (ct.cone_membership, ct.cone_membership_bruteforce)
+        if right
+        else (ct.cocone_membership, ct.cocone_membership_bruteforce)
+    )
+    got, conf = membership(x, bp, bpp)
+    assert got
+    conf.validate()
+    if right:
+        assert bp.contains(conf.a) and bpp.contains(conf.b) and conf.c is x
+    else:
+        assert conf.a is x and bp.contains(conf.b) and bpp.contains(conf.c)
+    assert same_conflation(conf, search(x, bp, bpp))
+
+
 # ---------------------------------------------------------------------------
 # The shared exhaustive search against one search per conflation shape.
 #
