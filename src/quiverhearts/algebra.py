@@ -873,10 +873,16 @@ def decompose_with_maps(m: Rep, atlas: "IndecSet"):
 
     Returns a list of (atlas member, inclusion, projection) with
     projection o inclusion = id on the member and the inclusions/projections
-    forming a biproduct decomposition of m.  Memoised by the content of m
-    and the atlas (member names and content); the maps are rebound to the
-    caller's m and atlas members.
+    forming a biproduct decomposition of m.  A module with a member's
+    content is that member, both maps the identity (equal content means
+    equal matrices, so it intertwines), and makes no memo entry.  Other
+    modules are memoised by content and the atlas (member names and
+    content); the maps are rebound to the caller's m and atlas members.
     """
+    member = atlas.by_key.get(m.key)
+    if member is not None:
+        ident = member._identity_blocks
+        return [(member, RepMap._bound(member, m, ident), RepMap._bound(m, member, ident))]
     key = (m.key, atlas.key)
     parts = WORKSPACE.memo("decompose_with_maps", key, _decomposition_blocks, m, atlas)
     out = []
@@ -1028,6 +1034,15 @@ class IndecSet:
     def key(self) -> tuple:
         """Member names and content, in member order."""
         return tuple((r.name, r.key) for r in self.members)
+
+    @cached_property
+    def by_key(self) -> dict[tuple, Rep]:
+        """Each member content key (`Rep.key`) to the first member that has
+        it, in member order, as the split search would find it."""
+        out: dict[tuple, Rep] = {}
+        for r in self.members:
+            out.setdefault(r.key, r)
+        return out
 
     @cached_property
     def position(self) -> dict[str, int]:

@@ -394,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     except Inconclusive as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return 3
-    except (ProblemFileError, AlgebraError, FileNotFoundError) as e:
+    except (ProblemFileError, AlgebraError, OSError, UnicodeDecodeError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except SystemExit:

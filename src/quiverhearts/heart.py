@@ -184,7 +184,10 @@ class QuotientCategory:
         return True, map_from_coords(cand, sol[:, 0])
 
     def is_zero_object(self, x: Rep) -> bool:
-        return not self.qcoords(RepMap.identity(x)).any()
+        """Is 1_x in the ideal.  An ideal member is zero at once (by identity,
+        as `Rep`s compare): 1_x factors through x, which lies in add(ideal).
+        Any other object, a sum of members included, takes the quotient test."""
+        return x in self.ideal or not self.qcoords(RepMap.identity(x)).any()
 
     def nonzero_objects(self) -> list[Rep]:
         return [x for x in self.objects if not self.is_zero_object(x)]

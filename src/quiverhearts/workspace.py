@@ -9,7 +9,9 @@ keyed by the kind and the map's source, target and block bytes).  Each
 memo site stores plain read-only blocks under a key that holds everything
 its result depends on (member names too, where the result names them) and
 binds them to the caller's objects on every lookup, freezing nothing
-again, so no stored value refers to a caller's `Rep`.
+again, so no stored value refers to a caller's `Rep`.  A module with an
+atlas member's content decomposes as that member without a lookup
+(`IndecSet.by_key`), so `decompose_with_maps` holds only other modules.
 
 Nothing else belongs here.  Data derived from one object (an algebra's
 path basis, projectives and opposite, an atlas's Hom and Ext^1 dimension

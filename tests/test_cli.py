@@ -152,6 +152,23 @@ def test_a_file_without_modules_is_refused_as_bad_input(capsys, tmp_path):
     assert err.startswith("input error: ") and "no module declared" in err
 
 
+@pytest.mark.parametrize(
+    "case", ["problem file is a directory", "not UTF-8", "--dot is a directory"]
+)
+def test_unreadable_paths_are_refused_as_bad_input(capsys, tmp_path, case):
+    if case == "problem file is a directory":
+        argv = ("check", str(tmp_path))
+    elif case == "not UTF-8":
+        path = tmp_path / "latin1.qh"
+        path.write_bytes("field 5\n# caf\xe9\n".encode("latin-1"))
+        argv = ("check", str(path))
+    else:
+        argv = ("demo", "ex61", "export-dot", "localized", "--dot", str(tmp_path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 def test_field_size_limits(capsys):
     code, out, _ = run(capsys, "demo", "ex61", "check", "--field", str(2**31 - 1))
     assert code == 0 and "atlas heuristics: ok" in out

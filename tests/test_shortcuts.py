@@ -4,9 +4,14 @@ would give.
 `strip_reference` is `homology._minimal_approximation` as it was before the
 member shortcut: the single-pass strip on every call, assembled over the
 inclusions and projections of the sum.  One-summand sums and maps bind
-their summand's read-only blocks.
+their summand's read-only blocks.  An ideal member of a quotient is a zero
+object without a solve, and a module with a member's content decomposes as
+that member without the split search, with what the solve and the split
+search give.
 """
 
+import contextlib
+import inspect
 import json
 from pathlib import Path
 from unittest import mock
@@ -17,9 +22,11 @@ from quiverhearts import algebra as al
 from quiverhearts import cli
 from quiverhearts import cotorsion as ct
 from quiverhearts import fixtures as fx
+from quiverhearts import heart as ht
 from quiverhearts import homology as ho
 from quiverhearts import linalg as la
-from quiverhearts.algebra import AlgebraError, IndecSet
+from quiverhearts.algebra import AlgebraError, IndecSet, RepMap
+from quiverhearts.duality import dual_context
 from quiverhearts.mutation import verify_main_theorem
 from quiverhearts.workspace import WORKSPACE
 from test_acceptance import DETERMINISM_COMMANDS
@@ -160,3 +167,74 @@ def test_a_one_summand_sum_binds_its_summand():
         al.matrix_map(other, x, [[f]])
     with pytest.raises(AlgebraError):
         al.matrix_map(s, other, [[f]])
+
+
+def test_an_ideal_member_is_a_zero_object_without_solving():
+    atlas = fx.ex61().atlas
+    ideal = ct.projectives_of(atlas).members
+    qc = ht.QuotientCategory(list(atlas.members), ideal)
+    kernels = [
+        n for n, f in vars(la).items() if inspect.isfunction(f) and f.__module__ == la.__name__
+    ]
+    with contextlib.ExitStack() as stack:
+        spies = [
+            stack.enter_context(mock.patch.object(la, n, wraps=getattr(la, n))) for n in kernels
+        ]
+        homs = stack.enter_context(mock.patch.object(ht, "homs", wraps=ht.homs))
+        assert all(qc.is_zero_object(x) for x in ideal)
+        assert not homs.called and not any(s.called for s in spies)
+        # a copy of a member is not a member (Reps compare by identity):
+        # it takes the quotient test, which finds it zero as well
+        assert qc.is_zero_object(ideal[0].renamed("copy")) and homs.called
+
+
+def quotient_cases():
+    """The ex61 certificate and the recorded A6 and A8 ladder instances."""
+    ladder = [p for p in ladder_instances() if p.values[0] in (6, 8)]
+    return [pytest.param(None, None, None, None, id="ex61")] + ladder
+
+
+@pytest.mark.parametrize("n, k, c, d", quotient_cases())
+def test_nonzero_objects_keep_the_quotient_test_on_the_certificates(n, k, c, d):
+    if n is None:
+        ex61 = fx.ex61()
+        atlas, outer, inner = ex61.atlas, ex61.subcat_obj("C"), ex61.subcat_obj("D")
+    else:
+        atlas = nakayama_atlas(n, k)
+        outer, inner = ct.subcat(atlas, c), ct.subcat(atlas, d)
+    built = []
+    real_init = ht.QuotientCategory.__init__
+
+    def recording(self, objects, ideal):
+        real_init(self, objects, ideal)
+        built.append(self)
+
+    with mock.patch.object(ht.QuotientCategory, "__init__", recording):
+        report = verify_main_theorem(atlas, outer, inner)
+    assert report["ok"], report["checks"]
+    assert any(x in qc.ideal for qc in built for x in qc.objects)
+    for qc in built:
+        want = [x for x in qc.objects if qc.qcoords(RepMap.identity(x)).any()]
+        assert qc.nonzero_objects() == want
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["atlas", "dual"])
+@pytest.mark.parametrize("name", ["ex61", "A8/rad3"])
+def test_a_member_copy_decomposes_as_the_split_search_finds_it(name, dual):
+    """Thin bricks: the split search's maps are the identity too, and a copy
+    of a member (renamed, or a one-summand sum) makes no memo entry."""
+    atlas = fx.ex61().atlas if name == "ex61" else nakayama_atlas(8, 3)
+    if dual:
+        atlas = dual_context(atlas).datlas
+    WORKSPACE.clear()
+    for member in atlas:
+        identity = [la.eye(d) for d in member.dims]
+        for m in (member, member.renamed("copy"), al.direct_sum([member])):
+            [(got, inc, prj)] = al.decompose_with_maps(m, atlas)
+            [(want, winc, wprj)] = al._decompose_with_maps(m, atlas)
+            assert got is want is member
+            assert inc.source is member and inc.target is m
+            assert prj.source is m and prj.target is member
+            assert same_blocks(inc.blocks, winc.blocks) and same_blocks(inc.blocks, identity)
+            assert same_blocks(prj.blocks, wprj.blocks) and same_blocks(prj.blocks, identity)
+    assert "decompose_with_maps" not in WORKSPACE.stats()
