@@ -80,8 +80,17 @@ def path_endpoints(quiver: Quiver, path: Path) -> tuple[str, str]:
     return src, cur
 
 
+class _Interned(type):
+    def __call__(cls, *args, **kwargs):  # checks run, then the live equal algebra
+        alg = super().__call__(*args, **kwargs)
+        return WORKSPACE.memo("algebra", alg._content, lambda: alg)
+
+
 @dataclass(frozen=True)
-class BoundQuiverAlgebra:
+class BoundQuiverAlgebra(metaclass=_Interned):
+    """kQ/I over F_p, one object per content until `WORKSPACE.clear()`; an
+    older object kept past it still compares and hashes equal by content."""
+
     quiver: Quiver
     p: int
     relations: tuple[Relation, ...] = ()
@@ -136,6 +145,10 @@ class BoundQuiverAlgebra:
     def projectives(self) -> dict[str, "Rep"]:
         """The indecomposable projective P(v) of each vertex v."""
         return _standard_projectives(self)
+
+    @cached_property
+    def standard_modules(self) -> dict[str, dict[str, "Rep"]]:
+        return standard_modules(self)  # the module-level builder below
 
     @cached_property
     def opposite(self) -> "BoundQuiverAlgebra":
@@ -507,7 +520,7 @@ def hom_space(m: Rep, n: Rep) -> list[RepMap]:
 
 def _hom_basis(m: Rep, n: Rep) -> tuple:
     """The basis blocks of Hom(m, n): the `hom_space` memo entry itself."""
-    if m.algebra != n.algebra:
+    if m.algebra is not n.algebra and m.algebra != n.algebra:
         raise AlgebraError("hom between representations over different algebras")
     if not any(map(operator.mul, m.dims, n.dims)):
         return ()  # disjoint supports: every block is empty
@@ -962,7 +975,7 @@ def is_isomorphic(m: Rep, n: Rep) -> tuple[bool, RepMap | None]:
     neither side is indecomposable a miss proves nothing, and the test
     refuses.
     """
-    if m.algebra != n.algebra:
+    if m.algebra is not n.algebra and m.algebra != n.algebra:
         raise AlgebraError("different algebras")
     if m.dims != n.dims:
         return False, None
@@ -1015,7 +1028,7 @@ class IndecSet:
         this kind ("projective", "injective" or "simple"); memoised per kind."""
         if kind not in self._standard_names:
             names = []
-            for v, s in self._standard_modules[kind].items():
+            for v, s in self.members[0].algebra.standard_modules[kind].items():
                 hit = next(
                     (r.name for r in self.members if r.dims == s.dims and is_isomorphic(r, s)[0]),
                     None,
@@ -1027,8 +1040,11 @@ class IndecSet:
         return self._standard_names[kind]
 
     @cached_property
-    def _standard_modules(self) -> dict[str, dict[str, Rep]]:
-        return standard_modules(self.members[0].algebra)
+    def dual(self) -> "IndecSet":
+        """The members' duals over the opposite algebra, under their names."""
+        d = IndecSet([dual_rep(m, m.name) for m in self.members], validate=False)
+        d.__dict__["dual"] = self  # so duals of duals land on this very atlas
+        return d
 
     @cached_property
     def key(self) -> tuple:

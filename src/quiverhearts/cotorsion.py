@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -390,14 +390,14 @@ def _dim_sums(end_class: Subcategory):
     add(end_class), that is, a sum of members' dimension vectors?  The
     returned test is memoised, so build it once per search."""
     gens = sorted({m.dims for m in end_class.members if not m.is_zero()})
+    known: dict[tuple[int, ...], bool] = {}
 
-    @cache
     def reachable(dims: tuple[int, ...]) -> bool:
-        if any(d < 0 for d in dims):
-            return False
-        return not any(dims) or any(
-            reachable(tuple(d - g for d, g in zip(dims, gen))) for gen in gens
-        )
+        if dims not in known:
+            known[dims] = not any(dims) or min(dims) >= 0 and any(
+                reachable(tuple(d - g for d, g in zip(dims, gen))) for gen in gens
+            )
+        return known[dims]
 
     return reachable
 

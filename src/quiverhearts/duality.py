@@ -9,7 +9,7 @@ member names are preserved, so subcategories transport by name.
 
 from __future__ import annotations
 
-from .algebra import IndecSet, dual_rep
+from .algebra import IndecSet
 from .cotorsion import Subcategory
 
 
@@ -17,12 +17,12 @@ class DualContext:
     """The atlas and its subcategories carried to the opposite algebra."""
 
     def __init__(self, atlas: IndecSet):
-        self.datlas = IndecSet([dual_rep(m, m.name) for m in atlas], validate=False)
+        self.datlas = atlas.dual
 
     def dsub(self, sub: Subcategory) -> Subcategory:
         return Subcategory(self.datlas, sub.names)
 
 
 def dual_context(atlas: IndecSet) -> DualContext:
-    """A fresh transport of `atlas` onto the opposite algebra."""
+    """The transport of `atlas` onto the opposite algebra by its one dual atlas."""
     return DualContext(atlas)

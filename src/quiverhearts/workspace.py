@@ -12,16 +12,20 @@ binds them to the caller's objects on every lookup, freezing nothing
 again, so no stored value refers to a caller's `Rep`.  A module with an
 atlas member's content decomposes as that member without a lookup
 (`IndecSet.by_key`), so `decompose_with_maps` holds only other modules.
+The `algebra` table maps an algebra's content, the plain tuple that its
+equality compares, to its one live object (`BoundQuiverAlgebra`), so the
+content keys above all hold that one object and match by identity.
 
 Nothing else belongs here.  Data derived from one object (an algebra's
-path basis, projectives and opposite, an atlas's Hom and Ext^1 dimension
-tables, a subcategory's rigidity, (RCP) reports and cotorsion pair, a
-mutation input's classes, a quotient category's Hom data, H(X) or R(X)
-of a model) lives on that object, as a `cached_property` or a dict keyed
-by the object itself, and goes when the object goes.  The dimension
-tables belong to their `IndecSet`, not here: a row is read off the
-`hom_space` entries of its members.  A table that a second certificate of the same
-instance would never hit does not belong here either.
+path basis, projectives, standard modules and opposite, an atlas's dual
+atlas and its Hom and Ext^1 dimension tables, a subcategory's rigidity,
+(RCP) reports and cotorsion pair, a mutation input's classes, a quotient
+category's Hom data, H(X) or R(X) of a model) lives on that object, as a
+`cached_property` or a dict keyed by the object itself, and goes when
+the object goes.  The dimension tables belong to their `IndecSet`, not
+here: a row is read off the `hom_space` entries of its members.  A table
+that a second certificate of the same instance would never hit does not
+belong here either.
 """
 
 from __future__ import annotations

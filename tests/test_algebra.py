@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quiverhearts import algebra as al
+from quiverhearts import cli, problemfile
 from quiverhearts import fixtures as fx
 from quiverhearts import heart as ht
 from quiverhearts import homology as ho
@@ -32,6 +33,7 @@ from quiverhearts.algebra import (
     path_endpoints,
     standard_modules,
 )
+from quiverhearts.workspace import WORKSPACE
 from test_workspace import nakayama_atlas
 
 
@@ -104,11 +106,48 @@ def test_atlas_members_indecomposable():
 
 def test_algebra_equality_is_by_content():
     a, b = fx.ex61().algebra, fx.ex61().algebra
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     assert a != dataclasses.replace(a, p=7)
     (c0, path0), *rest = a.relations[0]
     changed = (((c0 + 1) % a.p, path0), *rest)
     assert a != dataclasses.replace(a, relations=(changed,) + a.relations[1:])
+
+
+def test_equal_algebras_are_one_object():
+    alg = fx.ex61().algebra
+    assert fx.ex62().algebra is alg
+    text = problemfile.serialize(problemfile.problem_from_fixture(fx.ex61()))
+    assert problemfile.parse(text).algebra() is alg
+    assert dataclasses.replace(alg) is alg and alg.opposite.opposite is alg
+
+
+def test_a_refused_algebra_leaves_no_entry():
+    alg = fx.a2_algebra()
+    WORKSPACE.clear()
+    with pytest.raises(AlgebraError, match="not prime"):
+        dataclasses.replace(alg, p=4)
+    assert fx.a2_algebra() is not alg
+    assert WORKSPACE.stats()["algebra"] == {"hits": 0, "misses": 1, "entries": 1}
+
+
+def test_clear_forgets_the_one_object():
+    old = fx.a2_algebra()
+    assert fx.a2_algebra() is old
+    WORKSPACE.clear()
+    new = fx.a2_algebra()
+    assert new is not old and new == old and hash(new) == hash(old)
+    assert fx.a2_algebra() is new
+
+
+def test_demo_commands_build_each_path_basis_once(capsys):
+    WORKSPACE.clear()
+    with mock.patch.object(al, "path_basis", wraps=al.path_basis) as spy:
+        for argv in (["check"], ["heart", "C"], ["localize"]):
+            assert cli.main(["demo", "ex61", *argv]) == 0
+    capsys.readouterr()
+    alg = fx.ex61().algebra
+    built = [c.args[0] for c in spy.call_args_list]
+    assert len(built) == 2 and set(built) == {alg, alg.opposite}
 
 
 def test_direct_sum_decomposable():

@@ -50,6 +50,28 @@ def test_ext1_rows_equal_ext1_dim(any_atlas):
     assert whole_table(any_atlas, "ext1") == [[ext1_dim(c, a) for a in ms] for c in ms]
 
 
+def test_one_dual_atlas_fills_each_dual_ext1_row_once():
+    f = fx.ex61()
+    filled = []
+    real = IndecSet._ext1_row
+
+    def recording(self, i):
+        if self.members[0].algebra is f.algebra.opposite:
+            filled.append(i)
+        return real(self, i)
+
+    with mock.patch.object(IndecSet, "_ext1_row", recording):
+        twin = mu.TwinData.build(
+            mu.MutationInput(f.atlas, f.subcat_obj("C"), f.subcat_obj("D")).validate()
+        )
+        after = []
+        for _ in range(2):
+            mu.dual_localization_model(f.atlas, twin.m_mut, twin.n)
+            after.append(len(filled))
+    assert filled and len(set(filled)) == len(filled) and after[0] == after[1]
+    assert dual_context(f.atlas).datlas is f.atlas.dual and f.atlas.dual.dual is f.atlas
+
+
 def test_ext1_rows_agree_with_the_bruteforce_oracle():
     atlas = fx.auslander_a3_atlas(3)
     ms = atlas.members

@@ -108,24 +108,34 @@ def test_certificates_draw_no_random_numbers():
             assert not found, (path.name, sorted(found))
 
 
+def last_name(node) -> str | None:
+    """The name a call, attribute or name ends in: `f`, `m.f`, `f()`, `m.f()`."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def is_empty_table(node) -> bool:
-    """`{}`, `[]`, `dict()` or `set()`."""
+    """`{}`, `[]`, `dict()`, `set()`, or an empty weakref dictionary or set."""
     if isinstance(node, ast.Dict):
         return not node.keys
     if isinstance(node, ast.List):
         return not node.elts
     return (
         isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("dict", "set")
+        and last_name(node)
+        in ("dict", "set", "WeakValueDictionary", "WeakKeyDictionary", "WeakSet")
         and not node.args
         and not node.keywords
     )
 
 
 def memo_rule_breaks(path: Path) -> list[str]:
-    """Calls to the builtin `id` and module-level names bound to an empty
-    table: the shapes of an id-keyed cache and of a module-level one."""
+    """Calls to the builtin `id`, module-level names bound to an empty table
+    (weak ones too) and `functools.cache` or `lru_cache` decorators: the
+    shapes of an id-keyed cache and of a second memo beside the Workspace."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = [
         f"{path.name}:{node.lineno} id()"
@@ -136,6 +146,13 @@ def memo_rule_breaks(path: Path) -> list[str]:
         f"{path.name}:{node.lineno} module-level table"
         for node in tree.body
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and is_empty_table(node.value)
+    ]
+    found += [
+        f"{path.name}:{node.lineno} {last_name(dec)} decorator"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for dec in node.decorator_list
+        if last_name(dec) in ("cache", "lru_cache")
     ]
     return found
 
