@@ -50,6 +50,11 @@ class Quiver:
     def _vertex_pos(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.vertices)}
 
+    @cached_property
+    def _arrow_ends(self) -> tuple[tuple[str, int, int], ...]:
+        """(arrow id, source index, target index) per arrow, in arrow order."""
+        return tuple((aid, self._vertex_pos[s], self._vertex_pos[t]) for aid, s, t in self.arrows)
+
     def arrow(self, aid: str) -> tuple[str, str, str]:
         try:
             return self._arrow_by_id[aid]
@@ -286,8 +291,8 @@ class Rep:
         arrow_maps = arrow_maps or {}
         for aid in arrow_maps:
             q.arrow(aid)  # raises on an arrow the quiver does not declare
-        for aid, s, t in q.arrows:
-            di, dj = self.dims[q.vertex_index(s)], self.dims[q.vertex_index(t)]
+        for aid, i, j in q._arrow_ends:
+            di, dj = self.dims[i], self.dims[j]
             m = arrow_maps.get(aid)
             m = la.zeros(dj, di) if m is None else la.modmat(m, algebra.p)
             if m.shape != (dj, di):
@@ -419,8 +424,7 @@ class RepMap:
 
     def intertwines(self) -> bool:
         q = self.source.algebra.quiver
-        for aid, s, t in q.arrows:
-            i, j = q.vertex_index(s), q.vertex_index(t)
+        for aid, i, j in q._arrow_ends:
             na, ma = self.target.arrow_maps[aid], self.source.arrow_maps[aid]
             fi, fj = self.blocks[i], self.blocks[j]
             # Both sides zero: empty, or products through a 0-dimensional space.
@@ -529,8 +533,6 @@ def _hom_basis(m: Rep, n: Rep) -> tuple:
 
 def _hom_blocks(m: Rep, n: Rep) -> tuple[tuple[np.ndarray, ...], ...]:
     """Hom(m, n) basis blocks, read-only, by solving the intertwining equations."""
-    p = m.algebra.p
-    q = m.algebra.quiver
     layout = _hom_unknown_layout(m, n)
     offsets = []
     total = 0
@@ -539,32 +541,38 @@ def _hom_blocks(m: Rep, n: Rep) -> tuple[tuple[np.ndarray, ...], ...]:
         total += r * c
     if total == 0:
         return ()
-    arrows = [(q.vertex_index(s), q.vertex_index(t), aid) for aid, s, t in q.arrows]
-    eqs = [[0] * total for _ in range(sum(n.dims[j] * m.dims[i] for i, j, _ in arrows))]
-    row = 0
-    for i, j, aid in arrows:
+    eqs = []
+    for aid, i, j in m.algebra.quiver._arrow_ends:
         # constraint: na @ f_i - f_j @ ma = 0, one equation per entry (r, c),
-        # with f_i[k, c] at offsets[i] + k * di + c (row-major blocks)
+        # with f_i[k, c] at offsets[i] + k * di + c (row-major blocks).  An
+        # arrow gives none without entries, or when n_i = m_j = 0 makes
+        # both sides products through a 0-dimensional space (0 = 0).
+        di, dj, ei, ej = m.dims[i], m.dims[j], n.dims[i], n.dims[j]
+        if not (ej and di and (ei or dj)):
+            continue
         na, ma = n.arrow_maps[aid].tolist(), m.arrow_maps[aid].tolist()
-        di, dj = m.dims[i], m.dims[j]
-        for r in range(n.dims[j]):
+        for r in range(ej):
             for c in range(di):
-                eq = eqs[row]
-                for k in range(n.dims[i]):
+                eq = [0] * total
+                for k in range(ei):
                     eq[offsets[i] + k * di + c] += na[r][k]
                 for k in range(dj):
                     eq[offsets[j] + r * dj + k] -= ma[k][c]
-                row += 1
-    # Each entry is one difference of two reduced entries, so zero mod p
-    # only when zero.
-    eqs = [eq for eq in eqs if any(eq)]
-    mat = np.mod(np.array(eqs, dtype=np.int64).reshape(len(eqs), total), p)
-    ns = la.nullspace(mat, p) if eqs else la.eye(total)
-    # One contiguous row per basis map, so each block is a view of it.
+                # Each entry is one difference of two reduced entries, so
+                # zero mod p only when zero.
+                if any(eq):
+                    eqs.append(eq)
+    ns = la.nullspace(np.array(eqs, dtype=np.int64), m.algebra.p) if eqs else la.eye(total)
+    # One contiguous row per basis map, so each block is a view of it; an
+    # empty block is one read-only array per shape, shared by every map.
     vecs = np.ascontiguousarray(ns.T)
     vecs.setflags(write=False)
+    empty = {(r, c): vecs[:0, :0].reshape(r, c) for _, r, c in layout if not r * c}
     return tuple(
-        tuple(vec[off : off + r * c].reshape(r, c) for (_, r, c), off in zip(layout, offsets))
+        tuple(
+            vec[off : off + r * c].reshape(r, c) if r * c else empty[r, c]
+            for (_, r, c), off in zip(layout, offsets)
+        )
         for vec in vecs
     )
 
@@ -639,8 +647,7 @@ def direct_sum(reps: list[Rep], name: str | None = None) -> Rep:
     dims = [sum(r.dims[i] for r in reps) for i in range(alg.n_vertices)]
     maps = {}
     q = alg.quiver
-    for aid, s, t in q.arrows:
-        i, j = q.vertex_index(s), q.vertex_index(t)
+    for aid, i, j in q._arrow_ends:
         m = la.zeros(dims[j], dims[i])
         ro = co = 0
         for r in reps:

@@ -98,8 +98,15 @@ class Context:
             raise UsageError(f"unknown subcategory `{name}`")
         return self.fixture.subcat_obj(name)
 
-    def pick_subcat(self, position: int = 0, default: str | None = None) -> Subcategory:
+    def names(self, k: int) -> list[str]:
+        """The positional names, refusing any past the k the command reads."""
         names = self.args.names
+        if len(names) > k:
+            raise UsageError(f"unexpected name `{names[k]}`")
+        return names
+
+    def pick_subcat(self, position: int = 0, default: str | None = None) -> Subcategory:
+        names = self.names(position + 1)
         if len(names) > position:
             return self.subcat(names[position])
         key = ("subcat", "c", "d")[min(position + 1, 2)] if position else "c"
@@ -111,7 +118,7 @@ class Context:
         raise UsageError("no subcategory given and no default available")
 
     def pick_pair(self) -> tuple[Subcategory, Subcategory]:
-        names = self.args.names
+        names = self.names(2)
         if len(names) >= 2:
             return self.subcat(names[0]), self.subcat(names[1])
         if len(names) == 1:
@@ -136,6 +143,7 @@ class Context:
 
 
 def cmd_check(ctx: Context) -> int:
+    ctx.names(0)  # refuses any name: check reads none
     alg = self_validate(ctx)
     ctx.say(f"field {alg.p}")
     ctx.say(f"vertices {len(alg.quiver.vertices)}")

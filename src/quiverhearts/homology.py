@@ -48,8 +48,7 @@ def kernel(f: RepMap) -> tuple[Rep, RepMap]:
     incs = [la.nullspace(b, p) if b.size else la.eye(b.shape[1]) for b in f.blocks]
     dims = [m.shape[1] for m in incs]
     maps = {}
-    for aid, s, t in q.arrows:
-        i, j = q.vertex_index(s), q.vertex_index(t)
+    for aid, i, j in q._arrow_ends:
         if not (dims[i] and dims[j]):
             continue  # Rep fills in the zero map
         rhs = la.matmul(f.source.arrow_maps[aid], incs[i], p)
@@ -69,8 +68,7 @@ def cokernel(f: RepMap) -> tuple[Rep, RepMap]:
     projs = [la.quotient_map(b, f.target.dims[i], p) for i, b in enumerate(f.blocks)]
     dims = [m.shape[0] for m in projs]
     maps = {}
-    for aid, s, t in q.arrows:
-        i, j = q.vertex_index(s), q.vertex_index(t)
+    for aid, i, j in q._arrow_ends:
         if not (dims[i] and dims[j]):
             continue  # Rep fills in the zero map
         # unique map with maps[aid] @ projs[i] = projs[j] @ N_a
@@ -97,8 +95,7 @@ def image(f: RepMap) -> tuple[Rep, RepMap, RepMap]:
         epis.append(sol)
     dims = [m.shape[1] for m in monos]
     maps = {}
-    for aid, s, t in q.arrows:
-        i, j = q.vertex_index(s), q.vertex_index(t)
+    for aid, i, j in q._arrow_ends:
         rhs = la.matmul(f.target.arrow_maps[aid], monos[i], p)
         sol = la.solve(monos[j], rhs, p)
         if sol is None:

@@ -24,12 +24,15 @@ the zero product; the zero solution, or None when a has no columns and b
 is not zero mod p; the identity; True.  Each is exactly what the general
 path returns.
 
-Two paths, one result: `rref`, `rank`, `solve` and `nullspace` row-reduce
-an operand of at most SMALL entries (for `solve`, the augmented matrix)
-as lists of Python ints, and larger ones with the vectorised numpy loop.
-Python ints never overflow, so the small path needs no int64 bound.  The
-reduced row echelon form is unique, so both paths return the same
-matrix, pivots, solution and kernel basis.  SMALL is a constant, not a
+Two paths, one result: `rref`, `rank`, `solve` and `nullspace` (and so
+`quotient_map`) row-reduce an operand of at most SMALL entries (for
+`solve`, the augmented matrix) as lists of Python ints, and larger ones
+with the vectorised numpy loop.  `solve` and `nullspace` read their result
+off the reduced lists and build one int64 array at the end; only `rref`
+turns the reduced rows themselves back into an array.  Python ints never
+overflow, so the small path needs no int64 bound.  The reduced row echelon
+form is unique, so both paths return the same matrix, pivots, solution
+and kernel basis.  SMALL is a constant, not a
 setting.  It comes from timing both paths on random matrices mod 101 on
 a 2-core host (Python 3.11, numpy 2.4): up to 32 entries the lists are
 faster at every rank (1x1: 6 us against 13 us; full-rank 4x8: 38 us
@@ -160,12 +163,24 @@ def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     rows, cols = a.shape
     if not (rows and cols):
         return eye(cols)
-    r, pivots = rref(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros(cols, len(free))
-    basis[free, range(len(free))] = 1
-    basis[pivots] = np.mod(-r[: len(pivots), free], p)
-    return basis
+    if a.size > SMALL:
+        r, pivots = rref(a, p)
+        free = [c for c in range(cols) if c not in pivots]
+        basis = zeros(cols, len(free))
+        basis[free, range(len(free))] = 1
+        basis[pivots] = np.mod(-r[: len(pivots), free], p)
+        return basis
+    r = a.tolist()
+    pivots = _rref_ints(r, p)
+    vecs = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [0] * cols
+        vec[fc] = 1
+        for row, pc in zip(r, pivots):
+            vec[pc] = -row[fc] % p
+        vecs.append(vec)
+    # One row per basis vector, so the basis is the transpose.
+    return np.array(vecs, dtype=np.int64).reshape(len(vecs), cols).T
 
 
 def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
@@ -176,17 +191,18 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
         return zeros(cols, b.shape[1])
     if not cols:
         return None if np.mod(b, p).any() else zeros(0, b.shape[1])
-    if rows * (cols + b.shape[1]) <= SMALL:
+    small = rows * (cols + b.shape[1]) <= SMALL
+    if small:
         r = [ra + rb for ra, rb in zip(a.tolist(), b.tolist())]
         pivots = _rref_ints(r, p)
     else:
         r, pivots = rref(np.concatenate([a, np.mod(b, p)], axis=1), p)
     if pivots and pivots[-1] >= cols:
         return None
-    x = zeros(cols, b.shape[1])
+    x = [[0] * b.shape[1]] * cols if small else zeros(cols, b.shape[1])
     for i, pc in enumerate(pivots):
-        x[pc] = r[i][cols:]
-    return x
+        x[pc] = r[i][cols:]  # replaces a whole row, so shared zero rows stay zero
+    return np.asarray(x, dtype=np.int64)
 
 
 def inv(a: np.ndarray, p: int) -> np.ndarray | None:

@@ -34,6 +34,7 @@ from quiverhearts.algebra import (
     standard_modules,
 )
 from quiverhearts.workspace import WORKSPACE
+from test_linalg import nullspace_reference
 from test_workspace import nakayama_atlas
 
 
@@ -609,3 +610,85 @@ def test_path_basis_matches_the_unpruned_generator_loop(name):
         got = str(e)
     assert got == want
     assert isinstance(got, str) == (name == "two loops")
+
+
+# ---------------------------------------------------------------------------
+# The Hom solver against its plain form: every arrow's equations, dead ones
+# too, in an int64 matrix whose kernel comes from the reference elimination.
+
+
+def _hom_blocks_reference(m, n):
+    """(basis blocks, shape of the equation matrix) of Hom(m, n)."""
+    p, q = m.algebra.p, m.algebra.quiver
+    layout = [(n.dims[i], m.dims[i]) for i in range(len(m.dims))]
+    offsets, total = [], 0
+    for r, c in layout:
+        offsets.append(total)
+        total += r * c
+    if total == 0:
+        return (), (0, 0)
+    eqs = []
+    for aid, s, t in q.arrows:
+        i, j = q.vertex_index(s), q.vertex_index(t)
+        na, ma = n.arrow_maps[aid], m.arrow_maps[aid]
+        di, dj = m.dims[i], m.dims[j]
+        for r in range(n.dims[j]):
+            for c in range(di):
+                eq = [0] * total
+                for k in range(n.dims[i]):
+                    eq[offsets[i] + k * di + c] += int(na[r, k])
+                for k in range(dj):
+                    eq[offsets[j] + r * dj + k] -= int(ma[k, c])
+                eqs.append(eq)
+    eqs = [eq for eq in eqs if any(eq)]
+    mat = np.mod(np.array(eqs, dtype=np.int64).reshape(len(eqs), total), p)
+    ns = nullspace_reference(mat, p) if eqs else la.eye(total)
+    vecs = np.ascontiguousarray(ns.T)
+    vecs.setflags(write=False)
+    blocks = tuple(
+        tuple(vec[off : off + r * c].reshape(r, c) for (r, c), off in zip(layout, offsets))
+        for vec in vecs
+    )
+    return blocks, mat.shape
+
+
+def _hom_solver_pairs():
+    """Every ordered pair of members of ex61, A8/rad^3 and their duals, each
+    syzygy, cosyzygy and a few sums of 2-3 members against every member and
+    each other, and pairs of Kronecker modules, which are not thin."""
+    for atlas in (fx.ex61().atlas, nakayama_atlas(8, 3)):
+        for a in (atlas, atlas.dual):
+            members = list(a)
+            rng = np.random.default_rng(len(members))
+            extra = [ho.syzygy(x)[0] for x in members] + [ho.cosyzygy(x)[0] for x in members]
+            extra = [x for x in extra if not x.is_zero()]
+            extra += [direct_sum([members[i] for i in rng.choice(len(members), k, replace=False)])
+                      for k in (2, 3, 3)]
+            yield from ((x, y) for x in members for y in members)
+            yield from ((x, y) for x in extra for y in members + extra)
+            yield from ((x, y) for x in members for y in extra)
+    for p in (5, 7):
+        rng = np.random.default_rng(p)
+        kron = [kronecker_module(p, la.eye(2), [[0, c], [1, 0]]) for c in range(p)]
+        kron += [kronecker_module(p, *rng.integers(0, p, size=(2, *shape)))
+                 for shape in [(1, 1), (1, 2), (2, 1), (2, 2), (2, 2), (3, 2)]]
+        yield from ((x, y) for x in kron for y in kron)
+
+
+def test_hom_solver_equals_the_plain_loops():
+    sizes = set()
+    for m, n in _hom_solver_pairs():
+        got = al._hom_blocks(m, n)
+        want, shape = _hom_blocks_reference(m, n)
+        sizes.add(shape[0] * shape[1] > la.SMALL)
+        assert len(got) == len(want), (m, n)
+        for g, w in zip(got, want):
+            assert len(g) == len(w)
+            for x, y in zip(g, w):
+                assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+                assert not x.flags.writeable and not y.flags.writeable
+        # an empty block is one array per shape, shared by the basis maps
+        for i, b in enumerate(got[0] if got else ()):
+            if not b.size:
+                assert all(g[i] is next(h for h in got[0] if h.shape == b.shape) for g in got)
+    assert sizes == {False, True}  # both linalg paths

@@ -126,6 +126,32 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+# Each command with one positional name more than it reads.
+SURPLUS_NAMES = [
+    ["check", "C"],
+    ["perp", "C", "D"],
+    ["rigid", "C", "D"],
+    ["cotorsion", "C", "D"],
+    ["heart", "C", "D"],
+    ["mutate", "C", "D", "C"],
+    ["localize", "C", "D", "C"],
+    ["verify-main-theorem", "C", "D", "C"],
+    ["classify-morphism", "3", "2/34", "C", "D", "C"],
+    ["export-dot", "heart", "C", "D"],
+    ["export-dot", "localized", "C", "D", "C"],
+    ["export-dot", "localized-dual", "C", "D", "C"],
+]
+
+
+@pytest.mark.parametrize("argv", SURPLUS_NAMES, ids=" ".join)
+def test_a_surplus_name_is_a_usage_error(capsys, ex61_file, argv):
+    code, out, err = run(capsys, "demo", "ex61", *argv)
+    assert (code, out) == (2, "") and f"usage error: unexpected name `{argv[-1]}`" in err
+    if argv[0] == "perp":
+        code, out, err = run(capsys, "perp", ex61_file, *argv[1:])
+        assert (code, out) == (2, "") and "unexpected name `D`" in err
+
+
 COMPOSITE = 1022117  # 1009 * 1013
 
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +203,24 @@ def test_kernels_equal_reference_rref(kind, p, product, data):
     x = data.draw(entries(p, (a.shape[1], b.shape[1])))
     for rhs in (b, la.matmul(np.mod(a, p), np.mod(x, p), p)):
         assert same(la.solve(a, rhs, p), solve_reference(a, rhs, p))
+
+
+def _no_array_elimination(*args):
+    raise AssertionError("a small operand reached the array elimination")
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES + [P31]), product=st.booleans(), data=st.data())
+def test_small_operands_stay_on_lists(p, product, data):
+    a = data.draw(SHAPES["small"].flatmap(lambda s: (low_rank if product else entries)(p, s)))
+    rows, cols = a.shape
+    b = data.draw(entries(p, (rows, data.draw(st.integers(0, la.SMALL // rows - cols)))))
+    want = (nullspace_reference(a, p), quotient_map_reference(a, rows, p),
+            solve_reference(a, b, p))
+    with mock.patch.object(la, "rref", _no_array_elimination), \
+            mock.patch.object(la, "_rref_array", _no_array_elimination):
+        got = (la.nullspace(a, p), la.quotient_map(a, rows, p), la.solve(a, b, p))
+    assert all(same(x, y) for x, y in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
