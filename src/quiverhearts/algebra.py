@@ -437,7 +437,7 @@ class RepMap:
     @staticmethod
     def zero(source: Rep, target: Rep) -> "RepMap":
         return RepMap._trusted(
-            source, target, [la.zeros(t, s) for s, t in zip(source.dims, target.dims)]
+            source, target, [np.zeros((t, s), np.int64) for s, t in zip(source.dims, target.dims)]
         )
 
     @staticmethod
@@ -473,10 +473,10 @@ class RepMap:
         return all(not b.any() for b in self.blocks if b.size)
 
     def is_injective(self) -> bool:
-        return all((la.rank(b, self.p) if b.size else 0) == b.shape[1] for b in self.blocks)
+        return all(_rank(b, self.p) == b.shape[1] for b in self.blocks)
 
     def is_surjective(self) -> bool:
-        return all((la.rank(b, self.p) if b.size else 0) == b.shape[0] for b in self.blocks)
+        return all(_rank(b, self.p) == b.shape[0] for b in self.blocks)
 
     def is_isomorphism(self) -> bool:
         return all(la.is_invertible(b, self.p) for b in self.blocks)
@@ -507,6 +507,11 @@ def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if not b.shape[1]:
         return a[:, :0]
     return la.zeros(len(a), b.shape[1])
+
+
+def _rank(b: np.ndarray, p: int) -> int:
+    """The rank of a block, read off an empty or a 1x1 block directly."""
+    return la.rank(b, p) if b.size > 1 else int(b.size and b.item() % p != 0)
 
 
 def _hom_unknown_layout(m: Rep, n: Rep) -> list[tuple[int, int, int]]:
@@ -698,8 +703,14 @@ def matrix_map(source: Rep, target: Rep, rows) -> RepMap:
     return RepMap._trusted(source, target, blocks)
 
 
+_EMPTY = np.zeros((0, 0), dtype=np.int64)
+_EMPTY.setflags(write=False)
+
+
 def zero_rep(alg: BoundQuiverAlgebra) -> Rep:
-    return Rep(alg, "0", [0] * alg.n_vertices)
+    """The zero module "0", built unchecked: one read-only (0, 0) block per arrow."""
+    arrows = dict.fromkeys((aid for aid, _, _ in alg.quiver.arrows), _EMPTY)
+    return Rep._trusted(alg, "0", (0,) * alg.n_vertices, arrows)
 
 
 def standard_modules(alg: BoundQuiverAlgebra):

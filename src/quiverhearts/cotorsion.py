@@ -196,7 +196,7 @@ def _rcp(side: str, c: Subcategory) -> tuple[bool, dict]:
     else:
         report["contains_injectives"] = injectives_of(c.atlas).issubset(c)
     report["rigid"] = c.rigid
-    finite = all(_approximation(side, c, x)[1] for x in c.atlas)
+    finite = all(_owns(c, x) or _approximation(side, c, x)[1] for x in c.atlas)
     report["fully_contravariantly_finite" if right else "fully_covariantly_finite"] = finite
     report["summand_closed"] = True  # structural: membership by indecomposables
     return all(report.values()), report
@@ -219,8 +219,10 @@ class CotorsionPair:
 
 def _witness(side: str, u: Subcategory, v: Subcategory, b: Rep) -> Conflation:
     """V_B >-> U_B ->> B (right) or B >-> V^B ->> U^B (left), with U_B, U^B in
-    add u and V_B, V^B in add v."""
+    add u and V_B, V^B in add v; through 1_B when B is a member of u (v)."""
     right = side == "right"
+    if _owns(u if right else v, b):
+        return _identity_conflation(side, b)
     f, ok = _approximation(side, u if right else v, b)
     if not ok:
         kind = "a deflation" if right else "an inflation"
@@ -234,13 +236,20 @@ def _witness(side: str, u: Subcategory, v: Subcategory, b: Rep) -> Conflation:
     return conf
 
 
+def _owns(c: Subcategory, b: Rep) -> bool:
+    """Is b one of c's members itself (its atlas object, by identity)?  Then
+    1_b is its minimal right and left add(c)-approximation, an isomorphism,
+    and the callers answer with 1_b, brick or not, and approximate nothing."""
+    return c.atlas.by_name.get(b.name) is b and c.contains_name(b.name)
+
+
 def _approximation(side: str, c: Subcategory, b: Rep) -> tuple[RepMap, bool]:
     """The minimal right (left) approximation of b by sums of members of c,
     and whether it is surjective (injective)."""
     if side == "right":
-        f = minimal_right_approximation(c.members, b, atlas=c.atlas).map
+        f = minimal_right_approximation(c.members, b).map
         return f, f.is_surjective()
-    f = minimal_left_approximation(c.members, b, atlas=c.atlas).map
+    f = minimal_left_approximation(c.members, b).map
     return f, f.is_injective()
 
 
@@ -254,12 +263,13 @@ def _conflation(side: str, f: RepMap) -> tuple[Conflation, Rep]:
     return conf, conf.c
 
 
-def _zero_conflation(side: str, x: Rep) -> Conflation:
-    """0 >-> 0 ->> x (right) or x >-> 0 ->> 0 (left), for a zero x."""
+def _identity_conflation(side: str, x: Rep) -> Conflation:
+    """0 >-> x ->> x (right) or x >-> x ->> 0 (left), through 1_x: the
+    conflation of a zero x, and of a class's own member x."""
     z = zero_rep(x.algebra)
     if side == "right":
-        return Conflation(RepMap.zero(z, z), RepMap.zero(z, x))
-    return Conflation(RepMap.zero(x, z), RepMap.zero(z, z))
+        return Conflation(RepMap.zero(z, x), RepMap.identity(x))
+    return Conflation(RepMap.identity(x), RepMap.zero(x, z))
 
 
 def build_cotorsion_pair(u: Subcategory, v: Subcategory) -> CotorsionPair:
@@ -327,9 +337,11 @@ def cone_membership(x: Rep, bp: Subcategory, bpp: Subcategory) -> tuple[bool, Co
 def _membership(
     side: str, x: Rep, bp: Subcategory, bpp: Subcategory
 ) -> tuple[bool, Conflation | None]:
+    """Cone (right) or CoCone (left) membership by the criterion above; a
+    zero x, or a member x of bpp (bp) itself, is in through 1_x."""
     right = side == "right"
-    if x.is_zero():
-        return True, _zero_conflation(side, x)
+    if x.is_zero() or _owns(bpp if right else bp, x):
+        return True, _identity_conflation(side, x)
     f, ok = _approximation(side, bpp if right else bp, x)
     if ok:
         conf, end = _conflation(side, f)
@@ -444,7 +456,7 @@ def cone_membership_bruteforce(x: Rep, bp: Subcategory, bpp: Subcategory) -> Con
 def _bruteforce(side: str, x: Rep, bp: Subcategory, bpp: Subcategory) -> Conflation | None:
     right = side == "right"
     if x.is_zero():
-        return _zero_conflation(side, x)
+        return _identity_conflation(side, x)
     sums, end_class = (bpp, bp) if right else (bp, bpp)
     max_total = x.total_dim + 2 * max((m.total_dim for m in sums.atlas), default=0)
     return _search(side, x, sums.members, max_total, right, end_class)

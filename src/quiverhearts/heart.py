@@ -40,7 +40,7 @@ from .cotorsion import (
     CotorsionPair,
     Inconclusive,
     Subcategory,
-    _zero_conflation,
+    _identity_conflation,
     cocone_objects,
     projectives_of,
 )
@@ -415,7 +415,7 @@ class CohomologicalH:
     def _right_witness_of(self, b: Rep) -> Conflation:
         """V0 >-> U0 ->> b assembled summand-wise from the pair's witnesses."""
         if b.is_zero():
-            return _zero_conflation("right", b)
+            return _identity_conflation("right", b)
         triples = decompose_with_maps(b, self.atlas)
         parts = [self.pair.witness("right", m) for m, _, _ in triples]
         mid = direct_sum([c.b for c in parts])

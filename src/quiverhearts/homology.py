@@ -535,29 +535,29 @@ def _assemble(parts, obj: Rep, side: str) -> Approximation:
     return Approximation(obj, total, f, list(parts), side)
 
 
-def minimal_right_approximation(members: list[Rep], obj: Rep, atlas=None) -> Approximation:
+def minimal_right_approximation(members: list[Rep], obj: Rep) -> Approximation:
     """Minimal right approximation of obj by finite sums from `members`.
 
     Start from one copy per Hom-basis element, then greedily drop copies
     while the factorization property survives; by nilpotency of the radical
-    the greedy endpoint is right minimal.  Given the members' `IndecSet`,
-    a member obj that is a brick is returned as its own approximation
-    without the strip; the result is the same.
+    the greedy endpoint is right minimal.  The strip runs for every obj,
+    members included (`cotorsion` answers a class's own member with 1_obj
+    before it asks).
     """
-    return _approximation("right", members, obj, atlas)
+    return _approximation("right", members, obj)
 
 
-def minimal_left_approximation(members: list[Rep], obj: Rep, atlas=None) -> Approximation:
-    return _approximation("left", members, obj, atlas)
+def minimal_left_approximation(members: list[Rep], obj: Rep) -> Approximation:
+    return _approximation("left", members, obj)
 
 
-def _approximation(side: str, members: list[Rep], obj: Rep, atlas) -> Approximation:
+def _approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:
     """Memoised by side, the members' names and content in order, and the
     content of obj.  The parts and the map are rebound to the caller's
     members and obj, around a fresh copy of the stored sum."""
     key = (side, tuple((m.name, m.key) for m in members), obj.key)
     total, idx, part_blocks, map_blocks = WORKSPACE.memo(
-        "approximation", key, _approximation_parts, side, members, obj, atlas
+        "approximation", key, _approximation_parts, side, members, obj
     )
     total = copy.copy(total)
     if side == "right":
@@ -573,13 +573,13 @@ def _approximation(side: str, members: list[Rep], obj: Rep, atlas) -> Approximat
     return Approximation(obj, total, f, parts, side)
 
 
-def _approximation_parts(side: str, members: list[Rep], obj: Rep, atlas) -> tuple:
-    approx = _minimal_approximation(side, members, obj, atlas)
+def _approximation_parts(side: str, members: list[Rep], obj: Rep) -> tuple:
+    approx = _minimal_approximation(side, members, obj)
     idx = tuple(members.index(m) for m, _ in approx.parts)  # Reps compare by identity
     return approx.total, idx, tuple(h.blocks for _, h in approx.parts), approx.map.blocks
 
 
-def _minimal_approximation(side: str, members: list[Rep], obj: Rep, atlas=None) -> Approximation:
+def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:
     """The greedy strip behind the minimal approximations, uncached.
 
     The parts are the pairs (x, h) of a member x and a Hom-basis map h:
@@ -594,22 +594,8 @@ def _minimal_approximation(side: str, members: list[Rep], obj: Rep, atlas=None) 
     does K minus i iff h_i is in that span: for (=>) take m = x_i and the
     map h_i, and for (<=) each composite h_i o v is the combination of
     the h_j o (u o v).  By nilpotency of the radical the endpoint is
-    right (left) minimal.
-
-    Member shortcut: if obj is itself an atlas member among `members`
-    (which are then pairwise non-isomorphic indecomposables) and End(obj)
-    = F_p.1, the strip keeps exactly (obj, b) for the one basis map b of
-    End(obj), so that is returned without it.  b is invertible, so every
-    other part h = b o (b^-1 h) is in its span and is dropped; and b
-    survives, since a composite obj -> x -> obj through another member
-    lies in the radical of End(obj), which is 0.  Every thin
-    indecomposable is such a brick; other members and calls without an
-    atlas run the strip.
+    right (left) minimal.  It runs for every obj it is handed.
     """
-    if atlas is not None and atlas.by_name.get(obj.name) is obj and obj in members:
-        own = homs(obj, obj)
-        if len(own) == 1:
-            return _assemble([(obj, own[0])], obj, side)
     p = obj.algebra.p
     right = side == "right"
 

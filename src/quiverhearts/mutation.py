@@ -36,6 +36,7 @@ from .algebra import (
 from .cotorsion import (
     CotorsionPair,
     Subcategory,
+    _identity_conflation,
     _witness,
     build_cotorsion_pair,
     cocone_membership,
@@ -99,6 +100,12 @@ class MutationInput:
     @cached_property
     def _failure(self) -> str | None:
         """Why the classes are not admissible, or None."""
+        for sub, label in ((self.c, "outer"), (self.d, "inner")):
+            if sub.atlas is not self.atlas and sub.atlas.key != self.atlas.key:
+                which = "the dual" if sub.atlas.key == self.atlas.dual.key else "another"
+                return f"{label} class is drawn over {which} atlas, not the given one"
+        if self.c.atlas is not self.d.atlas:
+            return "the two classes are drawn over two copies of the atlas"
         if not self.d.issubset(self.c):
             return "inner class is not contained in the outer class"
         for sub, label in ((self.c, "outer"), (self.d, "inner")):
@@ -198,8 +205,7 @@ def right_hd_approximation(
     outer_pair: CotorsionPair, inner: Subcategory, x: Rep
 ) -> HdApproximation:
     if x.is_zero():
-        z = zero_rep(x.algebra)
-        conf = Conflation(RepMap.zero(z, x), RepMap.identity(x))
+        conf = _identity_conflation("right", x)
         return HdApproximation(x, conf, conf)
     sa = syzygy_approximation(outer_pair, x)
     u0_conf = sa.u0_conf  # Y0 >-> U0 ->> X

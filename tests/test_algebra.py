@@ -438,6 +438,21 @@ def _same_blocks(xs, ys):
     )
 
 
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_injective_and_surjective_match_the_rank(p):
+    """Empty and 1x1 blocks are read without a row reduction; every block
+    shape gives what `linalg.rank` gives."""
+    alg = BoundQuiverAlgebra(Quiver(("1",), ()), p)
+    rng = np.random.default_rng(p % 1000)
+    for shape in [(0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (3, 4)]:
+        for _ in range(20):
+            entries = [0, 1, p - 1, int(rng.integers(0, p))]
+            block = np.array(rng.choice(entries, size=shape), dtype=np.int64)
+            f = RepMap._trusted(Rep(alg, "X", (shape[1],)), Rep(alg, "Y", (shape[0],)), [block])
+            assert f.is_injective() == (la.rank(block, p) == shape[1])
+            assert f.is_surjective() == (la.rank(block, p) == shape[0])
+
+
 def _eight_operations(maps):
     """The operations that skip empty blocks, each with its result."""
     rng = np.random.default_rng(5)

@@ -393,6 +393,29 @@ def test_main_theorem_rejects_inadmissible_input(fx):
     assert rep["checks"]["classes_admissible"] is False
 
 
+@pytest.mark.parametrize("drawn", ["both dual", "inner dual", "second ex61", "one on a copy"])
+def test_main_theorem_refuses_classes_from_another_atlas(fx, drawn):
+    c, d = fx.subcat_obj("C"), fx.subcat_obj("D")
+    dual = dual_context(fx.atlas).datlas
+    other = ex61()
+    assert other.atlas is not fx.atlas
+    if drawn == "second ex61":
+        # an atlas of equal content is the same atlas
+        rep = verify_main_theorem(fx.atlas, other.subcat_obj("C"), other.subcat_obj("D"))
+        assert rep["ok"], rep["checks"]
+        return
+    if drawn == "one on a copy":
+        rep = verify_main_theorem(fx.atlas, other.subcat_obj("C"), d)
+        assert rep["checks"]["classes_admissible"] is False
+        assert rep["error"] == "the two classes are drawn over two copies of the atlas"
+        return
+    outer = subcat(dual, c.names) if drawn == "both dual" else c
+    rep = verify_main_theorem(fx.atlas, outer, subcat(dual, d.names))
+    assert rep["ok"] is False and rep["checks"]["classes_admissible"] is False
+    label = "outer" if drawn == "both dual" else "inner"
+    assert rep["error"] == f"{label} class is drawn over the dual atlas, not the given one"
+
+
 def test_certificate_keeps_no_atlas_alive():
     # Derived data lives on the Subcategory objects, not in module caches.
     f = ex61()

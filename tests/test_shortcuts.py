@@ -1,13 +1,15 @@
-"""The approximation layer's shortcuts give exactly what the work they skip
-would give.
+"""The shortcuts around the approximation layer give what the work they
+skip would give.
 
-`strip_reference` is `homology._minimal_approximation` as it was before the
-member shortcut: the single-pass strip on every call, assembled over the
-inclusions and projections of the sum.  One-summand sums and maps bind
-their summand's read-only blocks.  An ideal member of a quotient is a zero
-object without a solve, and a module with a member's content decomposes as
-that member without the split search, with what the solve and the split
-search give.
+`strip_reference` is a copy of `homology._minimal_approximation`, the
+single-pass strip, assembled over the inclusions and projections of the
+sum.  `cotorsion` answers a class's own member B with 1_B, without asking
+for an approximation: the strip would keep B alone, with an invertible
+map, so the answers agree up to isomorphism.  One-summand sums and maps
+bind their summand's read-only blocks.  An ideal member of a quotient is a
+zero object without a solve, and a module with a member's content
+decomposes as that member without the split search, with what the solve
+and the split search give.
 """
 
 import contextlib
@@ -25,9 +27,9 @@ from quiverhearts import fixtures as fx
 from quiverhearts import heart as ht
 from quiverhearts import homology as ho
 from quiverhearts import linalg as la
+from quiverhearts import mutation as mu
 from quiverhearts.algebra import AlgebraError, IndecSet, RepMap
 from quiverhearts.duality import dual_context
-from quiverhearts.mutation import verify_main_theorem
 from quiverhearts.workspace import WORKSPACE
 from test_acceptance import DETERMINISM_COMMANDS
 from test_algebra import kronecker_module
@@ -73,24 +75,101 @@ def assert_same_approximation(got: ho.Approximation, want: ho.Approximation):
     assert all(same_blocks(h.blocks, w.blocks) for (_, h), (_, w) in zip(got.parts, want.parts))
 
 
-def recorded_calls(run) -> tuple[list, int]:
-    """Every `_minimal_approximation` call that `run()` makes from a cleared
-    workspace, and how many of them the member shortcut answers."""
-    calls = []
-    real = ho._minimal_approximation
+def member_of(cls: ct.Subcategory, b) -> bool:
+    """b is one of the class's members itself: its atlas object, by identity."""
+    return cls.atlas.by_name.get(b.name) is b and b.name in cls.names
 
-    def recording(side, members, obj, atlas=None):
-        calls.append((side, list(members), obj, atlas, real(side, members, obj, atlas)))
-        return calls[-1][-1]
+
+def recorded_answers(run) -> dict[str, list]:
+    """What `run()` asks of the classes, from a cleared workspace:
+    "answers" holds every witness and nonzero Cone/CoCone answer as (side,
+    approximating class, object, conflation, a call that asks again),
+    "scans" every (RCP) scan as (side, class), "approximations" every
+    `cotorsion._approximation` call as (side, class, object) and "strips"
+    every `_minimal_approximation` call as (side, members, object, result)."""
+    rec = {"answers": [], "scans": [], "approximations": [], "strips": []}
+    real_witness, real_membership, real_rcp = ct._witness, ct._membership, ct._rcp
+    real_approximation, real_strip = ct._approximation, ho._minimal_approximation
+
+    def witness(side, u, v, b):
+        conf = real_witness(side, u, v, b)
+        again = lambda: real_witness(side, u, v, b)  # noqa: E731
+        rec["answers"].append((side, u if side == "right" else v, b, conf, again))
+        return conf
+
+    def membership(side, x, bp, bpp):
+        found, conf = real_membership(side, x, bp, bpp)
+        if not x.is_zero():
+            again = lambda: real_membership(side, x, bp, bpp)[1]  # noqa: E731
+            rec["answers"].append((side, bpp if side == "right" else bp, x, conf, again))
+        return found, conf
+
+    def rcp(side, c):
+        rec["scans"].append((side, c))
+        return real_rcp(side, c)
+
+    def approximation(side, c, b):
+        rec["approximations"].append((side, c, b))
+        return real_approximation(side, c, b)
+
+    def strip(side, members, obj):
+        rec["strips"].append((side, list(members), obj, real_strip(side, members, obj)))
+        return rec["strips"][-1][-1]
 
     WORKSPACE.clear()
-    with mock.patch.object(ho, "_minimal_approximation", recording):
+    with contextlib.ExitStack() as stack:
+        for module, name, fake in [
+            (ct, "_witness", witness),
+            (mu, "_witness", witness),
+            (ct, "_membership", membership),
+            (ct, "_rcp", rcp),
+            (ct, "_approximation", approximation),
+            (ho, "_minimal_approximation", strip),
+        ]:
+            stack.enter_context(mock.patch.object(module, name, fake))
         run()
-    short = sum(
-        atlas is not None and atlas.by_name.get(obj.name) is obj and obj in members
-        for _, members, obj, atlas, _ in calls
-    )
-    return calls, short
+    return rec
+
+
+def linalg_spies(stack: contextlib.ExitStack) -> list:
+    """A spy on every function of `linalg`, for the life of the stack."""
+    kernels = [
+        n for n, f in vars(la).items() if inspect.isfunction(f) and f.__module__ == la.__name__
+    ]
+    return [stack.enter_context(mock.patch.object(la, n, wraps=getattr(la, n))) for n in kernels]
+
+
+def check_member_answers(rec: dict):
+    """Each member answer is the identity, which is what the strip keeps up
+    to isomorphism, and it is given without any approximation work."""
+    answers = rec["answers"]
+    assert any(member_of(c, b) for _, c, b, _, _ in answers)
+    assert any(not member_of(c, b) for _, c, b, _, _ in answers)
+    members = [(side, c, b, conf) for side, c, b, conf, _ in answers if member_of(c, b)]
+    # (RCP) counts each member of the class as approximated
+    members += [(side, c, b, None) for side, c in rec["scans"] for b in c.members]
+    seen = set()
+    for side, c, b, conf in members:
+        if (side, c.names, id(b)) not in seen:
+            seen.add((side, c.names, id(b)))
+            want = strip_reference(side, c.members, b)
+            assert [m for m, _ in want.parts] == [b] and want.map.is_isomorphism()
+        if conf is not None:
+            conf.validate()
+            near, far = (conf.c, conf.a) if side == "right" else (conf.a, conf.c)
+            assert near is b and conf.b is b and far.is_zero()
+    assert not any(member_of(c, b) for _, c, b in rec["approximations"])
+    for side, members, obj, got in rec["strips"]:
+        assert_same_approximation(got, strip_reference(side, members, obj))
+    # asked again from a cleared workspace: no memo entry, no linear algebra
+    WORKSPACE.clear()
+    with contextlib.ExitStack() as stack:
+        spies = linalg_spies(stack)
+        for _, c, b, _, again in answers:
+            if member_of(c, b):
+                again()
+        assert not any(s.called for s in spies)
+    assert not {"approximation", "conflation"} & set(WORKSPACE.stats())
 
 
 def ladder_instances():
@@ -108,21 +187,16 @@ def test_member_shortcut_equals_the_strip_on_the_ladder(n, k, c, d):
     atlas = nakayama_atlas(n, k)
 
     def run():
-        report = verify_main_theorem(atlas, ct.subcat(atlas, c), ct.subcat(atlas, d))
+        report = mu.verify_main_theorem(atlas, ct.subcat(atlas, c), ct.subcat(atlas, d))
         assert report["ok"], report["checks"]
 
-    calls, short = recorded_calls(run)
-    assert 0 < short < len(calls)
-    for side, members, obj, _, got in calls:
-        assert_same_approximation(got, strip_reference(side, members, obj))
+    check_member_answers(recorded_answers(run))
 
 
 def test_member_shortcut_equals_the_strip_on_the_cli_commands(capsys):
-    calls, short = recorded_calls(lambda: [cli.main(list(a)) for a in DETERMINISM_COMMANDS])
+    rec = recorded_answers(lambda: [cli.main(list(a)) for a in DETERMINISM_COMMANDS])
     capsys.readouterr()
-    assert 0 < short < len(calls)
-    for side, members, obj, _, got in calls:
-        assert_same_approximation(got, strip_reference(side, members, obj))
+    check_member_answers(rec)
 
 
 def non_brick(p: int = 7):
@@ -132,19 +206,24 @@ def non_brick(p: int = 7):
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
-def test_non_bricks_and_calls_without_an_atlas_take_the_strip(side):
+def test_a_non_brick_member_gets_the_identity_witness(side):
     kron = non_brick()
     brick = al.Rep(kron.algebra, "B", (1, 1), {"a": [[1]], "b": [[0]]})
     atlas = IndecSet([kron, brick], validate=False)
     assert len(ho.homs(kron, kron)) == 2 and len(ho.homs(brick, brick)) == 1
-    minimal = ho.is_right_minimal if side == "right" else ho.is_left_minimal
-    cases = [(kron, atlas, True), (brick, None, True), (kron, None, True), (brick, atlas, False)]
-    for obj, at, strips in cases:
-        # the shortcut looks up End(obj) alone; the strip reads Hom toward
-        # obj from every member
+    cls = ct.full_subcat(atlas)
+    conf = ct._witness(side, cls, cls, kron).validate()
+    right = side == "right"
+    one, far = (conf.defl, conf.a) if right else (conf.infl, conf.c)
+    minimal = ho.is_right_minimal if right else ho.is_left_minimal
+    assert one.source is one.target is kron and far.is_zero() and minimal(one)
+    assert same_blocks(one.blocks, [la.eye(d) for d in kron.dims])
+    for obj in (kron, brick):
+        # the strip runs for every object: it reads Hom toward obj from
+        # every member, and keeps obj alone
         with mock.patch.object(ho, "homs", wraps=ho.homs) as spy:
-            got = ho._minimal_approximation(side, atlas.members, obj, at)
-        assert (spy.call_count > 1) == strips, (obj.name, at)
+            got = ho._minimal_approximation(side, atlas.members, obj)
+        assert spy.call_count > 1
         assert_same_approximation(got, strip_reference(side, atlas.members, obj))
         assert [m for m, _ in got.parts] == [obj]
         assert minimal(got.map)
@@ -173,13 +252,8 @@ def test_an_ideal_member_is_a_zero_object_without_solving():
     atlas = fx.ex61().atlas
     ideal = ct.projectives_of(atlas).members
     qc = ht.QuotientCategory(list(atlas.members), ideal)
-    kernels = [
-        n for n, f in vars(la).items() if inspect.isfunction(f) and f.__module__ == la.__name__
-    ]
     with contextlib.ExitStack() as stack:
-        spies = [
-            stack.enter_context(mock.patch.object(la, n, wraps=getattr(la, n))) for n in kernels
-        ]
+        spies = linalg_spies(stack)
         homs = stack.enter_context(mock.patch.object(ht, "homs", wraps=ht.homs))
         assert all(qc.is_zero_object(x) for x in ideal)
         assert not homs.called and not any(s.called for s in spies)
@@ -210,7 +284,7 @@ def test_nonzero_objects_keep_the_quotient_test_on_the_certificates(n, k, c, d):
         built.append(self)
 
     with mock.patch.object(ht.QuotientCategory, "__init__", recording):
-        report = verify_main_theorem(atlas, outer, inner)
+        report = mu.verify_main_theorem(atlas, outer, inner)
     assert report["ok"], report["checks"]
     assert any(x in qc.ideal for qc in built for x in qc.objects)
     for qc in built:
