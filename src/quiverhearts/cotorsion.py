@@ -219,7 +219,8 @@ class CotorsionPair:
 
 def _witness(side: str, u: Subcategory, v: Subcategory, b: Rep) -> Conflation:
     """V_B >-> U_B ->> B (right) or B >-> V^B ->> U^B (left), with U_B, U^B in
-    add u and V_B, V^B in add v; through 1_B when B is a member of u (v)."""
+    add u and V_B, V^B in add v; through 1_B when B has the content of a member
+    of u (v)."""
     right = side == "right"
     if _owns(u if right else v, b):
         return _identity_conflation(side, b)
@@ -237,10 +238,12 @@ def _witness(side: str, u: Subcategory, v: Subcategory, b: Rep) -> Conflation:
 
 
 def _owns(c: Subcategory, b: Rep) -> bool:
-    """Is b one of c's members itself (its atlas object, by identity)?  Then
-    1_b is its minimal right and left add(c)-approximation, an isomorphism,
-    and the callers answer with 1_b, brick or not, and approximate nothing."""
-    return c.atlas.by_name.get(b.name) is b and c.contains_name(b.name)
+    """Has b the content of one of c's members (the member itself, a renamed
+    copy, a one-summand sum)?  Then 1_b is its minimal right and left
+    add(c)-approximation, an isomorphism, and the callers answer with 1_b,
+    brick or not, and approximate nothing."""
+    m = c.atlas.by_key.get(b.key)
+    return m is not None and c.contains_name(m.name)
 
 
 def _approximation(side: str, c: Subcategory, b: Rep) -> tuple[RepMap, bool]:
@@ -265,7 +268,7 @@ def _conflation(side: str, f: RepMap) -> tuple[Conflation, Rep]:
 
 def _identity_conflation(side: str, x: Rep) -> Conflation:
     """0 >-> x ->> x (right) or x >-> x ->> 0 (left), through 1_x: the
-    conflation of a zero x, and of a class's own member x."""
+    conflation of a zero x, and of a module with a class member's content."""
     z = zero_rep(x.algebra)
     if side == "right":
         return Conflation(RepMap.zero(z, x), RepMap.identity(x))
@@ -338,7 +341,8 @@ def _membership(
     side: str, x: Rep, bp: Subcategory, bpp: Subcategory
 ) -> tuple[bool, Conflation | None]:
     """Cone (right) or CoCone (left) membership by the criterion above; a
-    zero x, or a member x of bpp (bp) itself, is in through 1_x."""
+    zero x, or an x with the content of a member of bpp (bp), is in through
+    1_x."""
     right = side == "right"
     if x.is_zero() or _owns(bpp if right else bp, x):
         return True, _identity_conflation(side, x)

@@ -38,7 +38,6 @@ from .algebra import (
 )
 from .cotorsion import (
     CotorsionPair,
-    Inconclusive,
     Subcategory,
     _identity_conflation,
     cocone_objects,
@@ -253,113 +252,20 @@ def gabriel_quiver(qc: QuotientCategory) -> GabrielQuiver:
     return GabrielQuiver(tuple(o.name for o in objs), arrows)
 
 
-# Backtracking steps (candidate images tried) before the quiver isomorphism
-# search gives up with Inconclusive.
-QUIVER_SEARCH_CAP = 50_000
-
-
-def _arrow_table(q: GabrielQuiver) -> dict:
-    """Node -> ({target: multiplicity}, {source: multiplicity})."""
-    table = {n: ({}, {}) for n in q.nodes}
-    for (s, t), k in q.arrows.items():
-        if k:
-            table[s][0][t] = k
-            table[t][1][s] = k
-    return table
-
-
-def _refined_colours(tables: list[dict]) -> list[dict]:
-    """Colour refinement run on several quivers at once, so equal colours
-    mean the same thing in each: start from the in/out arrow multiplicities
-    of a node, then split by the colours and multiplicities of its
-    neighbours until no class splits."""
-    colours = [{n: 0 for n in t} for t in tables]
-    count = 1
-    while True:
-        sigs = [
-            {
-                n: (
-                    col[n],
-                    tuple(sorted((col[m], k) for m, k in outs.items())),
-                    tuple(sorted((col[m], k) for m, k in ins.items())),
-                )
-                for n, (outs, ins) in t.items()
-            }
-            for t, col in zip(tables, colours)
-        ]
-        index = {sig: i for i, sig in enumerate(sorted({v for s in sigs for v in s.values()}))}
-        colours = [{n: index[sig] for n, sig in s.items()} for s in sigs]
-        if len(index) == count:
-            return colours
-        count = len(index)
-
-
-def quivers_isomorphic(q1: GabrielQuiver, q2: GabrielQuiver) -> bool:
-    """Digraph isomorphism with arrow multiplicities.
-
-    Nodes are coloured by joint colour refinement; the colour counts must
-    agree, and a backtracking search then maps each node of q1 to an unused
-    node of q2 of its colour whose arrows to and from the nodes already
-    mapped match.  More than QUIVER_SEARCH_CAP candidate tries raise
-    Inconclusive.
-    """
-    if len(q1.nodes) != len(q2.nodes):
+def quivers_isomorphic(q1: GabrielQuiver, q2: GabrielQuiver, mapping: dict | None) -> bool:
+    """Is `mapping` (node -> node) an isomorphism q1 -> q2 with arrow
+    multiplicities?  It must biject the nodes of q1 onto those of q2 and
+    carry every nonzero multiplicity of q1 onto the same one in q2, which
+    has no other arrows; a None mapping is none.  O(nodes + arrows)."""
+    if (
+        mapping is None
+        or set(mapping) != set(q1.nodes)
+        or set(mapping.values()) != set(q2.nodes)
+        or len(q1.nodes) != len(q2.nodes)
+    ):
         return False
-    t1, t2 = _arrow_table(q1), _arrow_table(q2)
-    c1, c2 = _refined_colours([t1, t2])
-    if sorted(c1.values()) != sorted(c2.values()):
-        return False
-    by_colour: dict[int, list[str]] = {}
-    for n in q2.nodes:
-        by_colour.setdefault(c2[n], []).append(n)
-    # q1's nodes in an order that meets arrows early: next is the node with
-    # the most arrows to those already placed, then the rarest colour
-    order: list[str] = []
-    rest = list(q1.nodes)
-    while rest:
-        placed = set(order)
-        nxt = max(rest, key=lambda n: (
-            sum(m in placed for m in t1[n][0]) + sum(m in placed for m in t1[n][1]),
-            -len(by_colour[c1[n]]),
-        ))
-        order.append(nxt)
-        rest.remove(nxt)
-    image: dict[str, str] = {}
-    used: set[str] = set()
-    steps = 0
-
-    def fits(u: str, v: str) -> bool:
-        (out1, in1), (out2, in2) = t1[u], t2[v]
-        if out1.get(u, 0) != out2.get(v, 0):
-            return False
-        return all(
-            out1.get(w, 0) == out2.get(iw, 0) and in1.get(w, 0) == in2.get(iw, 0)
-            for w, iw in image.items()
-        )
-
-    def extend(i: int) -> bool:
-        nonlocal steps
-        if i == len(order):
-            return True
-        u = order[i]
-        for v in by_colour[c1[u]]:
-            if v in used:
-                continue
-            steps += 1
-            if steps > QUIVER_SEARCH_CAP:
-                raise Inconclusive(
-                    f"quiver isomorphism search exceeded {QUIVER_SEARCH_CAP} steps"
-                )
-            if fits(u, v):
-                image[u] = v
-                used.add(v)
-                if extend(i + 1):
-                    return True
-                del image[u]
-                used.discard(v)
-        return False
-
-    return extend(0)
+    image = {(mapping[s], mapping[t]): k for (s, t), k in q1.arrows.items() if k}
+    return image == {a: k for a, k in q2.arrows.items() if k}
 
 
 # ---------------------------------------------------------------------------

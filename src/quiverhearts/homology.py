@@ -541,8 +541,8 @@ def minimal_right_approximation(members: list[Rep], obj: Rep) -> Approximation:
     Start from one copy per Hom-basis element, then greedily drop copies
     while the factorization property survives; by nilpotency of the radical
     the greedy endpoint is right minimal.  The strip runs for every obj,
-    members included (`cotorsion` answers a class's own member with 1_obj
-    before it asks).
+    members included (`cotorsion` answers a module with a class member's
+    content with 1_obj before it asks).
     """
     return _approximation("right", members, obj)
 

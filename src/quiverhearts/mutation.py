@@ -779,13 +779,13 @@ def verify_main_theorem(atlas: IndecSet, c: Subcategory, d: Subcategory) -> dict
     panels["localized_dual"] = dual_model.object_names()
     q2 = reversed_quiver(dual_model.localized_quiver())
 
-    checks["localized_quivers_isomorphic"] = quivers_isomorphic(q1, q2)
-    report["quiver"] = q1
-    report["quiver_dual"] = q2
-
     pm = PseudoMoritaData.build(twin)
     morita = verify_pseudo_morita(pm)
+    # the pseudo-Morita equivalence on objects is the quiver isomorphism
+    checks["localized_quivers_isomorphic"] = quivers_isomorphic(q1, q2, morita["object_map"])
     checks["pseudo_morita"] = morita["ok"]
+    report["quiver"] = q1
+    report["quiver_dual"] = q2
     report["morita"] = morita
     report["localization_report"] = loc
     report["dual_localization_report"] = loc_dual

@@ -1,5 +1,4 @@
 import itertools
-import time
 
 import numpy as np
 import pytest
@@ -76,102 +75,57 @@ def test_heart_gabriel_quiver(model):
     }
 
 
-def test_quiver_isomorphism():
-    q1 = ht.GabrielQuiver(("a", "b"), {("a", "b"): 1})
-    q2 = ht.GabrielQuiver(("x", "y"), {("y", "x"): 1})
-    q3 = ht.GabrielQuiver(("x", "y"), {("y", "x"): 2})
-    assert ht.quivers_isomorphic(q1, q2)
-    assert not ht.quivers_isomorphic(q1, q3)
+def test_quiver_map_check():
+    q1 = ht.GabrielQuiver(("a", "b", "c"), {("a", "b"): 1, ("b", "c"): 2, ("c", "c"): 1})
+    q2 = ht.GabrielQuiver(("x", "y", "z"), {("y", "z"): 1, ("z", "x"): 2, ("x", "x"): 1})
+    iso = {"a": "y", "b": "z", "c": "x"}
+    assert ht.quivers_isomorphic(q1, q2, iso)
+    assert oracles.quivers_isomorphic_bruteforce(q1, q2)
+    assert not ht.quivers_isomorphic(q1, q2, None)
+    # not injective; missing a node; a node that is not in q1
+    assert not ht.quivers_isomorphic(q1, q2, {"a": "y", "b": "y", "c": "x"})
+    assert not ht.quivers_isomorphic(q1, q2, {"a": "y", "b": "z"})
+    assert not ht.quivers_isomorphic(q1, q2, {**iso, "d": "x"})
+    # onto nodes that are not q2's
+    assert not ht.quivers_isomorphic(q1, q2, {"a": "y", "b": "z", "c": "w"})
+    # a bijection that is no isomorphism: the loop lands on a non-loop
+    assert not ht.quivers_isomorphic(q1, q2, {"a": "x", "b": "z", "c": "y"})
+    # a multiplicity that differs, and an arrow q2 has on top
+    q3 = ht.GabrielQuiver(q2.nodes, {**q2.arrows, ("z", "x"): 1})
+    q4 = ht.GabrielQuiver(q2.nodes, {**q2.arrows, ("x", "y"): 1})
+    for q in (q3, q4):
+        assert not ht.quivers_isomorphic(q1, q, iso)
+        assert not oracles.quivers_isomorphic_bruteforce(q1, q)
+    # a zero multiplicity is no arrow
+    assert ht.quivers_isomorphic(q1, ht.GabrielQuiver(q2.nodes, {**q2.arrows, ("x", "z"): 0}), iso)
 
 
-def cycles(lengths, prefix="v"):
-    """Disjoint oriented cycles of the given lengths, as one quiver."""
-    nodes, arrows, start = [], {}, 0
-    for n in lengths:
-        names = [f"{prefix}{start + i}" for i in range(n)]
-        nodes += names
-        arrows.update({(names[i], names[(i + 1) % n]): 1 for i in range(n)})
-        start += n
-    return ht.GabrielQuiver(tuple(nodes), arrows)
-
-
-def quiver_of(nodes, arrow_list):
-    arrows = {}
-    for a in arrow_list:
-        arrows[a] = arrows.get(a, 0) + 1
-    return ht.GabrielQuiver(tuple(nodes), arrows)
-
-
-def circulant(n, steps, names):
-    return ht.GabrielQuiver(
-        tuple(names), {(names[i], names[(i + s) % n]): 1 for i in range(n) for s in steps}
-    )
-
-
-def degrees(q):
-    out = sorted(sum(k for (s, _), k in q.arrows.items() if s == n) for n in q.nodes)
-    into = sorted(sum(k for (_, t), k in q.arrows.items() if t == n) for n in q.nodes)
-    return out, into
-
-
-def test_quiver_isomorphism_matches_permutation_oracle():
+def test_quiver_map_check_on_relabelled_quivers():
+    """A random quiver against a relabelled copy: the relabelling passes, and
+    every other bijection passes exactly when it is an automorphism, as the
+    permutation oracle says."""
     rng = np.random.default_rng(11)
-    seen = {"iso": 0, "same_degrees_not_iso": 0}
-    for _ in range(300):
-        n = int(rng.integers(1, 8))
+    seen = {True: 0, False: 0}
+    for _ in range(100):
+        n = int(rng.integers(1, 6))
         nodes = [f"a{i}" for i in range(n)]
-        arrow_list = [
-            (nodes[int(rng.integers(n))], nodes[int(rng.integers(n))])
-            for _ in range(int(rng.integers(0, 2 * n + 1)))
-        ]
-        q1 = quiver_of(nodes, arrow_list)
-        # relabel, then swap the targets of two arrows: in- and out-degrees
-        # stay, the isomorphism class may not
-        perm = [f"b{i}" for i in rng.permutation(n)]
-        rename = dict(zip(nodes, perm))
-        moved = [(rename[s], rename[t]) for s, t in arrow_list]
-        if len(moved) >= 2 and rng.random() < 0.7:
-            i, j = rng.choice(len(moved), 2, replace=False)
-            (s1, t1), (s2, t2) = moved[i], moved[j]
-            moved[i], moved[j] = (s1, t2), (s2, t1)
-        q2 = quiver_of(sorted(perm), moved)
-        want = oracles.quivers_isomorphic_bruteforce(q1, q2)
-        assert ht.quivers_isomorphic(q1, q2) == want, (q1, q2)
-        assert ht.quivers_isomorphic(q2, q1) == want, (q1, q2)
-        if want:
-            seen["iso"] += 1
-        elif degrees(q1) == degrees(q2):
-            seen["same_degrees_not_iso"] += 1
-    assert seen["iso"] >= 50 and seen["same_degrees_not_iso"] >= 20, seen
-    # colour refinement cannot tell these apart; the backtracking must
-    assert not ht.quivers_isomorphic(cycles([6]), cycles([3, 3]))
-    assert ht.quivers_isomorphic(cycles([3, 3]), cycles([3, 3], prefix="w"))
-    # circulant digraphs i -> i + s (s in S): every node has the same
-    # degrees, so refinement leaves one colour class
-    agree = {True: 0, False: 0}
-    for n in (5, 6):
-        sets = [c for r in (1, 2) for c in itertools.combinations(range(1, n), r)]
-        for a in sets:
-            for b in sets:
-                q1 = circulant(n, a, [f"a{i}" for i in range(n)])
-                q2 = circulant(n, b, [f"b{i}" for i in rng.permutation(n)])
-                want = oracles.quivers_isomorphic_bruteforce(q1, q2)
-                assert ht.quivers_isomorphic(q1, q2) == want, (n, a, b)
-                agree[want] += 1
-    assert agree[True] >= 50 and agree[False] >= 200, agree
-
-
-def test_quiver_isomorphism_is_fast_on_a_twelve_node_non_isomorphic_pair(monkeypatch):
-    start = time.monotonic()
-    try:
-        assert not ht.quivers_isomorphic(cycles([12]), cycles([6, 6]))
-    except ct.Inconclusive:
-        pass
-    assert time.monotonic() - start < 2.0
-    # a search that reaches the cap says so instead of answering
-    monkeypatch.setattr(ht, "QUIVER_SEARCH_CAP", 20)
-    with pytest.raises(ct.Inconclusive):
-        ht.quivers_isomorphic(cycles([12]), cycles([6, 6]))
+        arrows = {}
+        for _ in range(int(rng.integers(0, 2 * n + 1))):
+            a = (nodes[int(rng.integers(n))], nodes[int(rng.integers(n))])
+            arrows[a] = arrows.get(a, 0) + 1
+        q1 = ht.GabrielQuiver(tuple(nodes), arrows)
+        rename = dict(zip(nodes, (f"b{i}" for i in rng.permutation(n))))
+        q2 = ht.GabrielQuiver(
+            tuple(sorted(rename.values())), {(rename[s], rename[t]): k for (s, t), k in arrows.items()}
+        )
+        assert ht.quivers_isomorphic(q1, q2, rename)
+        for perm in itertools.permutations(nodes):
+            auto = {(perm[nodes.index(s)], perm[nodes.index(t)]): k for (s, t), k in arrows.items()}
+            other = {u: rename[v] for u, v in zip(nodes, perm)}
+            want = auto == arrows
+            assert ht.quivers_isomorphic(q1, q2, other) == want
+            seen[want] += 1
+    assert seen[True] >= 100 and seen[False] >= 500, seen
 
 
 def test_h_kills_exactly_star(ex61, model):

@@ -7,6 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
+from quiverhearts import mutation as mu
+from quiverhearts import oracles
 from quiverhearts.algebra import AlgebraError
 from quiverhearts.cotorsion import (
     cocone_membership,
@@ -52,6 +54,8 @@ from quiverhearts.mutation import (
     verify_pseudo_morita,
     verify_reflection_property,
 )
+from test_shortcuts import ladder_instances
+from test_workspace import nakayama_atlas
 
 
 @pytest.fixture(scope="module")
@@ -247,13 +251,68 @@ def test_dual_quiver_matches_direct_computation(fx, twin, morita):
     assert via_op.arrows == direct.arrows
 
 
-def test_localized_quivers_isomorphic_but_distinct(model, fx, twin):
+def test_localized_quivers_isomorphic_but_distinct(model, fx, twin, morita):
     q1 = model.localized_quiver()
     q2 = reversed_quiver(
         dual_localization_model(fx.atlas, twin.m_mut, twin.n).localized_quiver()
     )
-    assert quivers_isomorphic(q1, q2)
+    assert quivers_isomorphic(q1, q2, verify_pseudo_morita(morita)["object_map"])
     assert q1.arrows != q2.arrows  # same shape, different labels
+
+
+@pytest.mark.parametrize(
+    "n, k, c, d", [pytest.param(None, None, None, None, id="ex61")] + ladder_instances()
+)
+def test_object_map_is_the_localized_quiver_isomorphism(monkeypatch, n, k, c, d):
+    """On ex61 and every recorded ladder instance, the certificate checks the
+    pseudo-Morita object map, which passes, and the permutation oracle
+    agrees that the localized quivers are isomorphic."""
+    if n is None:
+        fx61 = ex61()
+        atlas, c, d = fx61.atlas, fx61.subcat_obj("C"), fx61.subcat_obj("D")
+    else:
+        atlas = nakayama_atlas(n, k)
+        c, d = subcat(atlas, c), subcat(atlas, d)
+    calls = []
+
+    def spy(q1, q2, mapping):
+        calls.append((q1, q2, mapping, quivers_isomorphic(q1, q2, mapping)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(mu, "quivers_isomorphic", spy)
+    report = verify_main_theorem(atlas, c, d)
+    assert report["ok"], report["checks"]
+    [(q1, q2, mapping, ok)] = calls
+    assert ok and mapping is report["morita"]["object_map"]
+    assert (q1, q2) == (report["quiver"], report["quiver_dual"])
+    assert oracles.quivers_isomorphic_bruteforce(q1, q2)
+
+
+def test_a_corrupted_object_map_fails_the_quiver_check(monkeypatch, fx, model):
+    """Swap the images of two localized objects whose arrows differ: the map
+    still bijects and the pseudo-Morita checks pass, but it carries the
+    quiver onto another one, so the certificate fails."""
+    q1 = model.localized_quiver()
+
+    def arrows_at(u):
+        ends = ((s == u, t == u, k) for (s, t), k in q1.arrows.items())
+        return sorted(end for end in ends if end[0] or end[1])
+
+    u, v = next(
+        (u, v) for u, v in itertools.combinations(q1.nodes, 2) if arrows_at(u) != arrows_at(v)
+    )
+    real = mu.object_correspondence
+
+    def swapped(data):
+        mapping, dims_ok = real(data)
+        mapping[u], mapping[v] = mapping[v], mapping[u]
+        return mapping, dims_ok
+
+    monkeypatch.setattr(mu, "object_correspondence", swapped)
+    report = verify_main_theorem(fx.atlas, fx.subcat_obj("C"), fx.subcat_obj("D"))
+    checks = report["checks"]
+    assert report["morita"]["object_bijection"] and checks["pseudo_morita"]
+    assert not checks["localized_quivers_isomorphic"] and not report["ok"]
 
 
 # ---------------------------------------------------------------------------

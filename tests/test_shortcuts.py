@@ -3,9 +3,10 @@ skip would give.
 
 `strip_reference` is a copy of `homology._minimal_approximation`, the
 single-pass strip, assembled over the inclusions and projections of the
-sum.  `cotorsion` answers a class's own member B with 1_B, without asking
-for an approximation: the strip would keep B alone, with an invertible
-map, so the answers agree up to isomorphism.  One-summand sums and maps
+sum.  `cotorsion` answers a module B with a class member's content (the
+member, or a copy of it) with 1_B, without asking for an approximation:
+the strip would keep that member alone, with an invertible map, so the
+answers agree up to isomorphism.  One-summand sums and maps
 bind their summand's read-only blocks.  An ideal member of a quotient is a
 zero object without a solve, and a module with a member's content
 decomposes as that member without the split search, with what the solve
@@ -75,9 +76,14 @@ def assert_same_approximation(got: ho.Approximation, want: ho.Approximation):
     assert all(same_blocks(h.blocks, w.blocks) for (_, h), (_, w) in zip(got.parts, want.parts))
 
 
+def member_like(cls: ct.Subcategory, b):
+    """The class member with b's content (b itself, a renamed copy, a
+    one-summand sum, ...), or None."""
+    return next((m for m in cls.members if m.key == b.key), None)
+
+
 def member_of(cls: ct.Subcategory, b) -> bool:
-    """b is one of the class's members itself: its atlas object, by identity."""
-    return cls.atlas.by_name.get(b.name) is b and b.name in cls.names
+    return member_like(cls, b) is not None
 
 
 def recorded_answers(run) -> dict[str, list]:
@@ -140,8 +146,9 @@ def linalg_spies(stack: contextlib.ExitStack) -> list:
 
 
 def check_member_answers(rec: dict):
-    """Each member answer is the identity, which is what the strip keeps up
-    to isomorphism, and it is given without any approximation work."""
+    """Each answer for a member, or a copy of one, is the identity, which is
+    what the strip keeps up to isomorphism, and it is given without any
+    approximation work."""
     answers = rec["answers"]
     assert any(member_of(c, b) for _, c, b, _, _ in answers)
     assert any(not member_of(c, b) for _, c, b, _, _ in answers)
@@ -153,7 +160,8 @@ def check_member_answers(rec: dict):
         if (side, c.names, id(b)) not in seen:
             seen.add((side, c.names, id(b)))
             want = strip_reference(side, c.members, b)
-            assert [m for m, _ in want.parts] == [b] and want.map.is_isomorphism()
+            assert [m for m, _ in want.parts] == [member_like(c, b)]
+            assert want.map.is_isomorphism()
         if conf is not None:
             conf.validate()
             near, far = (conf.c, conf.a) if side == "right" else (conf.a, conf.c)
@@ -196,6 +204,38 @@ def test_member_shortcut_equals_the_strip_on_the_ladder(n, k, c, d):
 def test_member_shortcut_equals_the_strip_on_the_cli_commands(capsys):
     rec = recorded_answers(lambda: [cli.main(list(a)) for a in DETERMINISM_COMMANDS])
     capsys.readouterr()
+    check_member_answers(rec)
+
+
+def member_copies(b) -> list:
+    """Modules with b's content that are not b: a renamed copy, a one-summand
+    sum and the cokernel of 0 -> b."""
+    zero = RepMap.zero(al.zero_rep(b.algebra), b)
+    return [b.renamed("copy"), al.direct_sum([b]), ho.cokernel(zero)[0]]
+
+
+def test_a_member_copy_gets_the_identity_answer():
+    """Witnesses and Cone/CoCone answers for copies of the members of both
+    classes of the ex61 pair (C, C-perp), next to the pair's own witnesses."""
+    c = fx.ex61().subcat_obj("C")
+    asked = []
+
+    def run():
+        pair = ct.cotorsion_pair_from_rigid(c)
+        for side, cls, membership in [
+            ("right", pair.u, ct.cone_membership),
+            ("left", pair.v, ct.cocone_membership),
+        ]:
+            for b in cls.members:
+                for copy in member_copies(b):
+                    assert copy is not b and copy.key == b.key
+                    asked.append(copy)
+                    pair.witness(side, copy)
+                    assert membership(copy, pair.v, pair.u)[0]
+
+    rec = recorded_answers(run)
+    copies = [b for _, cls, b, _, _ in rec["answers"] if member_like(cls, b) not in (None, b)]
+    assert len(copies) == 2 * len(asked) and set(map(id, copies)) == set(map(id, asked))
     check_member_answers(rec)
 
 
