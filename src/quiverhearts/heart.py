@@ -29,7 +29,6 @@ from .algebra import (
     RepMap,
     _radical_of_span,
     composite_columns,
-    coords_in_basis,
     decompose_with_maps,
     direct_sum,
     hom_dim,
@@ -69,16 +68,24 @@ def solve_extend(f: RepMap, g: RepMap) -> RepMap | None:
 
 def _solve(side: str, f: RepMap, g: RepMap) -> RepMap | None:
     """h composed with g on the right (g o h = f) or on the left (h o g = f)."""
-    right = side == "right"
-    src, tgt = (f.source, g.source) if right else (g.target, f.target)
-    basis = homs(src, tgt)
-    if not basis:
-        return RepMap.zero(src, tgt) if f.is_zero() else None
-    cols = composite_columns([g], basis) if right else composite_columns(basis, [g])
-    sol = la.solve(cols, f.flat().reshape(-1, 1), f.source.algebra.p)
+    src, tgt = (f.source, g.source) if side == "right" else (g.target, f.target)
+    basis, sol = solve_columns(side, g, src, tgt, f.flat().reshape(-1, 1))
     if sol is None:
         return None
-    return map_from_coords(basis, sol[:, 0])
+    return map_from_coords(basis, sol[:, 0]) if basis else RepMap.zero(src, tgt)
+
+
+def solve_columns(side: str, g: RepMap, src: Rep, tgt: Rep, cols: np.ndarray):
+    """(the Hom(src, tgt) basis, over it the coordinates of one h per column
+    of `cols`) from one solve, where each column holds the flat entries of
+    a map f and g o h = f (right) or h o g = f (left); the coordinates are
+    None when some f has no such h."""
+    basis = homs(src, tgt)
+    if not basis:
+        a = la.zeros(cols.shape[0], 0)
+    else:
+        a = composite_columns([g], basis) if side == "right" else composite_columns(basis, [g])
+    return basis, la.solve(a, cols, g.p)
 
 
 def is_approximation(side: str, members: list[Rep], f: RepMap) -> bool:
@@ -103,81 +110,98 @@ class QuotientCategory:
     def __init__(self, objects: list[Rep], ideal: list[Rep]):
         self.objects = list(objects)
         self.ideal = list(ideal)
-        self.p = objects[0].algebra.p if objects else ideal[0].algebra.p
+        if not (self.objects or self.ideal):
+            raise AlgebraError("a quotient category needs an object or an ideal member")
+        self.p = (self.objects or self.ideal)[0].algebra.p
         self._hom_cache: dict = {}
 
     def _hom_data(self, x: Rep, y: Rep):
-        """(full basis, quotient map coords->quotient coords, representatives)."""
+        """(full basis, its flat entries as columns, quotient map
+        coords->quotient coords, representatives)."""
         got = self._hom_cache.get((x, y))
         if got is not None:
             return got
         basis = homs(x, y)
         n = len(basis)
         flat_dim = sum(a * b for a, b in zip(x.dims, y.dims))
-        # Every ideal composite v o u, solved against the basis in one go.
+        flats = flat_columns(basis) if n else la.zeros(flat_dim, 0)
+        # Every ideal composite v o u, solved against the basis in one go; a
+        # member sharing no vertex with x or with y has no Hom to ask for.
         blocks = []
         for t in self.ideal:
-            into = homs(x, t)
-            if into:
-                blocks.append(composite_columns(homs(t, y), into))
+            if _meets(t, x) and _meets(t, y):
+                into = homs(x, t)
+                if into:
+                    blocks.append(composite_columns(homs(t, y), into))
         comps = la.hstack(blocks, flat_dim)
-        img = la.zeros(n, 0)
-        if n and comps.shape[1]:
-            img = la.solve(np.stack([b.flat() for b in basis], axis=1), comps, self.p)
-        elif comps.any():  # Hom(x, y) = 0, so every composite must vanish
-            img = None
-        if img is None:
+        if not comps.any():  # nothing to divide by: the basis is the quotient basis
+            data = self._hom_cache[(x, y)] = (basis, flats, la.eye(n), basis)
+            return data
+        img = la.solve(flats, comps, self.p)
+        if img is None:  # for n = 0 too: every composite must then vanish
             raise AlgebraError("ideal composite outside hom space")
         qmap = la.quotient_map(img, n, self.p)
         # representatives: the basis maps at the pivot columns of rref(qmap),
-        # the first whose classes span the quotient
-        reps = [basis[i] for i in la.rref(qmap, self.p)[1]]
-        data = self._hom_cache[(x, y)] = (basis, qmap, reps)
+        # the first whose classes span the quotient (none when it is zero)
+        reps = [basis[i] for i in la.rref(qmap, self.p)[1]] if len(qmap) else []
+        data = self._hom_cache[(x, y)] = (basis, flats, qmap, reps)
         return data
 
     def qdim(self, x: Rep, y: Rep) -> int:
-        return self._hom_data(x, y)[1].shape[0]
+        return self._hom_data(x, y)[2].shape[0]
+
+    def qcolumns(self, x: Rep, y: Rep, cols: np.ndarray) -> np.ndarray:
+        """Quotient coordinates of the maps x -> y whose flat entries are the
+        columns of `cols`, (qdim, columns), from one solve against the
+        stacked basis; a solve is column by column, so each column is what
+        it would be alone."""
+        _, flats, qmap, _ = self._hom_data(x, y)
+        if flats.shape[1]:
+            sol = la.solve(flats, cols, self.p)
+        else:  # Hom(x, y) = 0
+            sol = None if cols.any() else la.zeros(0, cols.shape[1])
+        if sol is None:
+            raise AlgebraError("morphism outside hom space")
+        # a quotient map onto all n coordinates is the identity
+        if qmap.shape[0] == qmap.shape[1]:
+            return sol
+        return la.matmul(qmap, sol, self.p) if qmap.size else la.zeros(0, cols.shape[1])
 
     def qcoords(self, f: RepMap) -> np.ndarray:
-        basis, qmap, _ = self._hom_data(f.source, f.target)
-        c = coords_in_basis(basis, f, self.p)
-        if c is None:
-            raise AlgebraError("morphism outside hom space")
-        if not qmap.size:
-            return la.zeros(len(qmap), 1)[:, 0]
-        return la.matmul(qmap, c.reshape(-1, 1), self.p)[:, 0]
+        return self.qcolumns(f.source, f.target, f.flat().reshape(-1, 1))[:, 0]
 
     def is_ideal(self, f: RepMap) -> bool:
         return not self.qcoords(f).any()
 
     def qmatrix(self, x: Rep, y: Rep) -> np.ndarray:
         """Quotient coordinates of the Hom(x, y) basis maps, as columns."""
-        return self._hom_data(x, y)[1]
+        return self._hom_data(x, y)[2]
 
     def qbasis(self, x: Rep, y: Rep) -> list[RepMap]:
         """Representative morphisms whose classes form a basis."""
-        return self._hom_data(x, y)[2]
+        return self._hom_data(x, y)[3]
 
     def equal(self, f: RepMap, g: RepMap) -> bool:
         return self.is_ideal(f.sub(g))
 
     def invertible(self, f: RepMap) -> tuple[bool, RepMap | None]:
-        """Is f invertible modulo the ideal; returns a two-sided quasi-inverse."""
+        """Is f invertible modulo the ideal; returns a two-sided quasi-inverse.
+
+        Over the basis b of Hom(y, x), solve for the b whose classes give
+        [b o f] = [1_x] and [f o b] = [1_y] together: the composites with
+        every basis map, and the identity after them, take one
+        `composite_columns` call and one `qcolumns` solve per end."""
         x, y = f.source, f.target
         cand = homs(y, x)
         if not cand:
             ok = self.qdim(x, x) == 0 and self.qdim(y, y) == 0
             return ok, (RepMap.zero(y, x) if ok else None)
-        idx = RepMap.identity(x)
-        idy = RepMap.identity(y)
-        cols = []
-        for b in cand:
-            cols.append(
-                np.concatenate([self.qcoords(b.compose(f)), self.qcoords(f.compose(b))])
-            )
-        mat = np.stack(cols, axis=1)
-        rhs = np.concatenate([self.qcoords(idx), self.qcoords(idy)]).reshape(-1, 1)
-        sol = la.solve(mat, rhs, self.p)
+        k = len(cand)
+        idx, idy = flat_columns([RepMap.identity(x)]), flat_columns([RepMap.identity(y)])
+        left = self.qcolumns(x, x, np.hstack([composite_columns(cand, [f]), idx]))
+        right = self.qcolumns(y, y, np.hstack([composite_columns([f], cand), idy]))
+        both = np.concatenate([left, right])
+        sol = la.solve(both[:, :k], both[:, k:], self.p)
         if sol is None:
             return False, None
         return True, map_from_coords(cand, sol[:, 0])
@@ -190,6 +214,16 @@ class QuotientCategory:
 
     def nonzero_objects(self) -> list[Rep]:
         return [x for x in self.objects if not self.is_zero_object(x)]
+
+
+def _meets(a: Rep, b: Rep) -> bool:
+    """Do a and b share a vertex; if not, Hom(a, b) = Hom(b, a) = 0."""
+    return any(i and j for i, j in zip(a.dims, b.dims))
+
+
+def flat_columns(maps: list[RepMap]) -> np.ndarray:
+    """The flat entries of a nonempty list of maps, one column per map."""
+    return np.stack([m.flat() for m in maps], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +242,13 @@ def _local_radical(qc: QuotientCategory, x: Rep) -> list[RepMap]:
     if not reps:
         return []
     d = len(reps)
-    # change of basis: quotient coordinates of the chosen representatives
-    bmat = np.stack([qc.qcoords(r) for r in reps], axis=1)
-    binv = la.inv(bmat, qc.p)
+    # one solve: the representatives' own quotient coordinates (the change
+    # of basis), then every product r o s, column s * d + r
+    cols = qc.qcolumns(x, x, np.hstack([flat_columns(reps), composite_columns(reps, reps)]))
+    binv = la.inv(cols[:, :d], qc.p)
     if binv is None:
         raise AlgebraError("quotient basis representatives are dependent")
-    regular = []
-    for r in reps:
-        cols = np.stack([qc.qcoords(r.compose(s)) for s in reps], axis=1)
-        regular.append(la.matmul(binv, cols, qc.p))
+    regular = [la.matmul(binv, cols[:, d + j :: d], qc.p) for j in range(d)]
     radc = _radical_of_span(regular, qc.p)
     return [map_from_coords(reps, radc[:, j]) for j in range(radc.shape[1])]
 
@@ -226,7 +258,8 @@ def gabriel_quiver(qc: QuotientCategory) -> GabrielQuiver:
 
     Arrows X -> Y counted as dim rad(X,Y)/rad^2(X,Y), where rad(X,Y) is the
     whole quotient hom space for X != Y and the non-invertible classes for
-    X = Y.
+    X = Y.  Per pair, the radical basis and every composite g o f through
+    a third object t take one `qcolumns` solve.
     """
     objs = qc.nonzero_objects()
     rad_basis = {
@@ -238,15 +271,11 @@ def gabriel_quiver(qc: QuotientCategory) -> GabrielQuiver:
             basis = rad_basis[(x, y)]
             if not basis:
                 continue
-            span_cols = [qc.qcoords(b) for b in basis]
-            sq_cols = []
-            for t in objs:
-                for f in rad_basis[(x, t)]:
-                    for g in rad_basis[(t, y)]:
-                        sq_cols.append(qc.qcoords(g.compose(f)))
-            span = np.stack(span_cols, axis=1)
-            sq = np.stack(sq_cols, axis=1) if sq_cols else la.zeros(span.shape[0], 0)
-            k = la.rank(span, qc.p) - la.rank(sq, qc.p)
+            sq = [composite_columns(rad_basis[(t, y)], rad_basis[(x, t)]) for t in objs]
+            span = flat_columns(basis)
+            cols = qc.qcolumns(x, y, la.hstack([span, *sq], span.shape[0]))
+            b = len(basis)
+            k = la.rank(cols[:, :b], qc.p) - la.rank(cols[:, b:], qc.p)
             if k > 0:
                 arrows[(x.name, y.name)] = k
     return GabrielQuiver(tuple(o.name for o in objs), arrows)
@@ -354,24 +383,36 @@ class PhiModel:
     """Phi(X) = Ext^1(G, X) as a right module over Gamma = End(G)/[P].
 
     G is the sum of the members of a rigid subcategory containing the
-    projectives.  Morphisms factoring through projectives act as zero on
-    Ext^1, so the action descends to Gamma.  A right Gamma-module is a
-    representation of `gamma`, the quiver with one vertex and one loop per
-    basis element of Gamma, so Phi(X) is a `Rep` of it and its Hom spaces,
-    kernels and cokernels are the ones of every other module.
+    projectives.  Ext^1(G, X) is the sum of the Ext^1(C_i, X) over the
+    members C_i, and a projective member adds nothing (Ext^1(P, -) = 0),
+    so Phi(X) is carried as the blocks Ext^1(C_i, X) of the non-projective
+    members, in member order, Phi(f) is block-diagonal, and no Ext^1 is
+    taken on the sum G.  Morphisms factoring through projectives act as
+    zero on Ext^1, so the action descends to Gamma; a Gamma basis element
+    acts through its components C_j -> C_i, one block each.  A right
+    Gamma-module is a representation of `gamma`, the quiver with one vertex
+    and one loop per basis element of Gamma, so Phi(X) is a `Rep` of it and
+    its Hom spaces, kernels and cokernels are the ones of every other
+    module.
     """
 
     def __init__(self, c: Subcategory):
         self.c = c
         self.atlas = c.atlas
         self.p = c.atlas.members[0].algebra.p
-        self.g = direct_sum(c.members)
         self.projectives = projectives_of(c.atlas)
-        self._ext_cache: dict[Rep, Ext1] = {}
+        self.members = [m for m in c.members if not self.projectives.contains_name(m.name)]
+        self._ext_cache: dict[Rep, list[Ext1]] = {}
+        self._map_cache: dict[tuple, np.ndarray] = {}  # by the map's ends and entries
         self._mod_cache: dict[tuple, Rep] = {}  # by Rep.key
 
-    # The Gamma-action is built on first use: the certificate needs only
-    # dimensions and Phi(f), never the action.
+    # Gamma and its action are built on first use: the certificate needs
+    # only dimensions and Phi(f), never the action.
+    @cached_property
+    def g(self) -> Rep:
+        """G, the sum of all the members, projective ones included."""
+        return direct_sum(self.c.members)
+
     @cached_property
     def stable(self) -> QuotientCategory:
         """End(G) modulo the maps that factor through projectives."""
@@ -390,48 +431,94 @@ class PhiModel:
         return BoundQuiverAlgebra(Quiver(("*",), loops), self.p)
 
     @cached_property
-    def _omega_acts(self) -> list[RepMap]:
-        """The syzygy restriction Omega G -> Omega G of each Gamma basis element."""
-        cover = syzygy(self.g)[1]
+    def _omega_acts(self) -> list[dict[tuple[int, int], RepMap]]:
+        """Per Gamma basis element, keyed (i, j) by positions in `members`:
+        the syzygy restriction Omega C_j -> Omega C_i of each nonzero
+        component C_j -> C_i."""
+        summands = self.c.members
+        # where each member's rows and columns sit in G's block at each vertex
+        starts = [np.cumsum([0] + [m.dims[v] for m in summands]) for v in range(len(self.g.dims))]
+        at = [summands.index(m) for m in self.members]
+        covers = [syzygy(m)[1] for m in self.members]
         acts = []
         for gmap in self.gamma_basis:
-            lift = solve_through(gmap.compose(cover.defl), cover.defl)
-            if lift is None:
-                raise AlgebraError("projective lifting failed for Gamma element")
-            # restrict to the syzygy: solve infl o w = lift o infl blockwise
-            w = solve_through(lift.compose(cover.infl), cover.infl)
-            if w is None:
-                raise AlgebraError("syzygy restriction failed for Gamma element")
-            acts.append(w)
+            act = {}
+            for i, ci in enumerate(self.members):
+                for j, cj in enumerate(self.members):
+                    blocks = [
+                        b[s[at[i]] : s[at[i] + 1], s[at[j]] : s[at[j] + 1]].copy()
+                        for b, s in zip(gmap.blocks, starts)
+                    ]
+                    comp = RepMap._trusted(cj, ci, blocks)
+                    if comp.is_zero():
+                        continue
+                    lift = solve_through(comp.compose(covers[j].defl), covers[i].defl)
+                    if lift is None:
+                        raise AlgebraError("projective lifting failed for Gamma element")
+                    # restrict to the syzygies: solve infl_i o w = lift o infl_j
+                    w = solve_through(lift.compose(covers[j].infl), covers[i].infl)
+                    if w is None:
+                        raise AlgebraError("syzygy restriction failed for Gamma element")
+                    act[(i, j)] = w
+            acts.append(act)
         return acts
 
     def dim(self, x: Rep) -> int:
-        """dim Phi(x) = dim Ext^1(G, x), from `phi_map`'s Ext^1 if it built one."""
+        """dim Phi(x): the Ext^1 that `phi_map` built, if it built them, and
+        else the shared `ext1_dim` entries of the non-projective members."""
         got = self._ext_cache.get(x)
-        return ext1_dim(self.g, x) if got is None else got.dim
+        if got is not None:
+            return sum(e.dim for e in got)
+        return sum(ext1_dim(c, x) for c in self.members)
 
-    def _ext(self, x: Rep) -> Ext1:
+    def _exts(self, x: Rep) -> list[Ext1]:
         got = self._ext_cache.get(x)
         if got is None:
-            got = self._ext_cache[x] = Ext1(self.g, x)
+            got = self._ext_cache[x] = [Ext1(c, x) for c in self.members]
         return got
 
     def module(self, x: Rep) -> Rep:
         """Phi(x), on which loop gi acts as the i-th Gamma basis element."""
         got = self._mod_cache.get(x.key)
         if got is None:
-            e = self._ext(x)
-            acts = {
-                f"g{i}": e.classes([c.compose(w) for c in e.cocycles])
-                for i, w in enumerate(self._omega_acts)
-            }
-            got = self._mod_cache[x.key] = Rep(self.gamma, f"Phi({x.name})", [e.dim], acts)
+            exts = self._exts(x)
+            acts = {f"g{i}": self._action(exts, act) for i, act in enumerate(self._omega_acts)}
+            dim = sum(e.dim for e in exts)
+            got = self._mod_cache[x.key] = Rep(self.gamma, f"Phi({x.name})", [dim], acts)
         return got
 
+    def _action(self, exts: list[Ext1], act: dict) -> np.ndarray:
+        """The matrix of one Gamma basis element on sum_i Ext^1(C_i, X):
+        block (j, i) takes the cocycles of Ext^1(C_i, X) along the
+        restriction Omega C_j -> Omega C_i of its component into
+        Ext^1(C_j, X)."""
+        starts = np.cumsum([0] + [e.dim for e in exts])
+        mat = la.zeros(starts[-1], starts[-1])
+        for (i, j), w in act.items():
+            if exts[i].dim and exts[j].dim:
+                cols = composite_columns(exts[i].cocycles, [w])
+                mat[starts[j] : starts[j + 1], starts[i] : starts[i + 1]] = exts[j].class_columns(cols)
+        return mat
+
     def phi_map(self, f: RepMap) -> np.ndarray:
-        """Matrix of Phi(f) = Ext^1(G, f) in quotient coordinates."""
-        ex = self._ext(f.source)
-        return self._ext(f.target).classes([f.compose(c) for c in ex.cocycles])
+        """Matrix of Phi(f) in quotient coordinates, read-only: block i is
+        Ext^1(C_i, f), the classes of the cocycles of Ext^1(C_i, source)
+        pushed along f.  Computed once per map, by the content of its ends
+        and its entries."""
+        key = (f.source.key, f.target.key, f.flat().tobytes())
+        got = self._map_cache.get(key)
+        if got is None:
+            src, tgt = self._exts(f.source), self._exts(f.target)
+            got = la.zeros(sum(e.dim for e in tgt), sum(e.dim for e in src))
+            r = c = 0
+            for ex, ey in zip(src, tgt):
+                if ex.dim and ey.dim:
+                    cols = composite_columns([f], ex.cocycles)
+                    got[r : r + ey.dim, c : c + ex.dim] = ey.class_columns(cols)
+                r, c = r + ey.dim, c + ex.dim
+            got.setflags(write=False)
+            self._map_cache[key] = got
+        return got
 
     def module_map(self, f: RepMap) -> RepMap:
         """Phi(f) as a map of Gamma-modules; checks that it is one."""

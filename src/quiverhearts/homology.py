@@ -394,7 +394,13 @@ class Ext1:
                 raise AlgebraError("restriction left Hom(Omega C, A)")
         self.qmap = la.quotient_map(img, n, self.p)  # (dim, n)
         self.dim = self.qmap.shape[0]
-        self._lift = la.right_inverse(self.qmap, self.p) if self.dim else la.zeros(n, 0)
+
+    @cached_property
+    def _lift(self) -> np.ndarray:
+        """A right inverse of `qmap`, built when a cocycle is first asked
+        for: a dimension alone never needs one."""
+        n = len(self.hom_omega_a)
+        return la.right_inverse(self.qmap, self.p) if self.dim else la.zeros(n, 0)
 
     def cocycle(self, coords) -> RepMap:
         """A representative Omega C -> A of the class with these coordinates."""
@@ -414,7 +420,12 @@ class Ext1:
         per map, (dim, len(maps)); every class of a zero Ext^1 is zero."""
         if not (self.dim and maps):
             return la.zeros(self.dim, len(maps))
-        sol = la.solve(self._flat, np.stack([g.flat() for g in maps], axis=1), self.p)
+        return self.class_columns(np.stack([g.flat() for g in maps], axis=1))
+
+    def class_columns(self, cols: np.ndarray) -> np.ndarray:
+        """`classes` of the cocycles whose flat entries are the columns of
+        `cols`, for a nonzero Ext^1, from one solve."""
+        sol = la.solve(self._flat, cols, self.p)
         if sol is None:
             raise AlgebraError("cocycle outside Hom(Omega C, A)")
         return la.matmul(self.qmap, sol, self.p)

@@ -28,6 +28,7 @@ from .algebra import (
     IndecSet,
     Rep,
     RepMap,
+    composite_columns,
     decompose,
     direct_sum,
     matrix_map,
@@ -53,11 +54,13 @@ from .heart import (
     GabrielQuiver,
     HeartModel,
     QuotientCategory,
+    flat_columns,
     gabriel_quiver,
     heart_epi,
     is_approximation,
     quivers_isomorphic,
     realize_heart_kernel,
+    solve_columns,
     solve_extend,
     solve_through,
     syzygy_approximation,
@@ -276,7 +279,7 @@ def verify_hd_moreover(res: HdApproximation, outer_perp: Subcategory, atlas: Ind
         basis = homs(res.x, t)
         if not basis:
             continue
-        m1 = np.stack([q.qcoords(xp.compose(res.f)) for xp in basis], axis=1)
+        m1 = q.qcolumns(res.y, t, composite_columns(basis, [res.f]))
         m2 = q.qmatrix(res.x, t)
         if la.rank(la.vstack([m1, m2], len(basis)), q.p) != la.rank(m1, q.p):
             return False
@@ -325,6 +328,18 @@ class LocalizationModel:
         if lift is None:
             raise AlgebraError("morphism transport through the localization failed")
         return lift
+
+    def r_qcoords(self, b1: Rep, b2: Rep) -> np.ndarray:
+        """Quotient coordinates of R(u) for every Hom(b1, b2) basis map u, one
+        column each, from one solve: the lifts of u o f1 through f2 come as
+        coordinates over the Hom(Y1, Y2) basis, which is the basis whose
+        quotient map the quotient keeps."""
+        r1, r2 = self.r_object(b1), self.r_object(b2)
+        cols = composite_columns(homs(b1, b2), [r1.f])
+        _, lifts = solve_columns("right", r2.f, r1.y, r2.y, cols)
+        if lifts is None:
+            raise AlgebraError("morphism transport through the localization failed")
+        return la.matmul(self.quotient.qmatrix(r1.y, r2.y), lifts, self.quotient.p)
 
     def inverts(self, a: RepMap) -> bool:
         return self.quotient.invertible(self.r_map(a))[0]
@@ -393,10 +408,9 @@ def verify_localization(model: LocalizationModel) -> dict:
             basis = homs(b1, b2)
             if not basis:
                 continue
-            mat = np.stack([q.qcoords(model.r_map(u)) for u in basis], axis=1)
-            y1, y2 = model.r_object(b1).y, model.r_object(b2).y
+            mat = model.r_qcoords(b1, b2)
             rank = la.rank(mat, p)
-            if rank != q.qdim(y1, y2):
+            if rank != q.qdim(model.r_object(b1).y, model.r_object(b2).y):
                 full_ok = False
             # over the basis, f is in [C'] on ker(qmap) and R(f) on ker(mat);
             # the kernels agree iff both row spaces equal their sum
@@ -514,13 +528,16 @@ class PseudoMoritaData:
     _coref: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, twin: TwinData) -> "PseudoMoritaData":
+    def build(cls, twin: TwinData, model: LocalizationModel | None = None) -> "PseudoMoritaData":
+        """The two quotients; H_D mod [C'] is the one of `model` when the
+        localization model of the same input is given."""
         atlas = twin.inp.atlas
-        return cls(
-            twin,
-            QuotientCategory([atlas[n] for n in twin.hd.names], twin.cmut.members),
-            QuotientCategory([atlas[n] for n in twin.hn.names], twin.m.members),
+        if model is not None and model.inp is not twin.inp:
+            raise AlgebraError("the localization model is of another mutation input")
+        q_hd = model.quotient if model is not None else QuotientCategory(
+            [atlas[n] for n in twin.hd.names], twin.cmut.members
         )
+        return cls(twin, q_hd, QuotientCategory([atlas[n] for n in twin.hn.names], twin.m.members))
 
     def refl(self, b: Rep) -> Reflection:
         got = self._refl.get(b)
@@ -613,9 +630,11 @@ def _natural(q: QuotientCategory, objs: list[Rep], eta: dict, f_map, g_map) -> b
     ok = True
     for b0 in objs:
         for b1 in objs:
-            for x in homs(b0, b1):
-                if not q.equal(eta[b1].compose(f_map(x)), g_map(x).compose(eta[b0])):
-                    ok = False
+            diffs = [
+                eta[b1].compose(f_map(x)).sub(g_map(x).compose(eta[b0])) for x in homs(b0, b1)
+            ]
+            if diffs and q.qcolumns(diffs[0].source, diffs[0].target, flat_columns(diffs)).any():
+                ok = False
     return ok
 
 
@@ -779,7 +798,7 @@ def verify_main_theorem(atlas: IndecSet, c: Subcategory, d: Subcategory) -> dict
     panels["localized_dual"] = dual_model.object_names()
     q2 = reversed_quiver(dual_model.localized_quiver())
 
-    pm = PseudoMoritaData.build(twin)
+    pm = PseudoMoritaData.build(twin, model)
     morita = verify_pseudo_morita(pm)
     # the pseudo-Morita equivalence on objects is the quiver isomorphism
     checks["localized_quivers_isomorphic"] = quivers_isomorphic(q1, q2, morita["object_map"])

@@ -122,9 +122,12 @@ def test_quotient_hom_data_equals_per_composite_solves(ausl):
         qc = ht.QuotientCategory(objs, ideal)
         for x in objs:
             for y in objs:
-                basis, qmap, reps = qc._hom_data(x, y)
+                basis, flats, qmap, reps = qc._hom_data(x, y)
                 want_qmap, want_idx = hom_data_reference(x, y, ideal)
                 assert qmap.shape == want_qmap.shape and np.array_equal(qmap, want_qmap)
+                want_flats = [b.flat() for b in basis]
+                assert flats.shape == (sum(a * b for a, b in zip(x.dims, y.dims)), len(basis))
+                assert all(np.array_equal(flats[:, i], f) for i, f in enumerate(want_flats))
                 assert [basis.index(r) for r in reps] == want_idx
 
 

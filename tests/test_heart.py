@@ -8,10 +8,11 @@ from quiverhearts import fixtures as fx
 from quiverhearts import heart as ht
 from quiverhearts import linalg as la
 from quiverhearts import oracles
-from quiverhearts.algebra import AlgebraError, RepMap, hom_dim, map_from_coords
+from quiverhearts.algebra import AlgebraError, RepMap, direct_sum, hom_dim, map_from_coords
 from quiverhearts.homology import Ext1, ext1_dim, homs
 from quiverhearts.mutation import verify_main_theorem
 from quiverhearts.workspace import WORKSPACE
+from test_mutation import EX61_AND_LADDER, instance
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,44 @@ def test_quotient_by_nothing(ex61):
     for x in objs:
         for y in objs:
             assert qc.qdim(x, y) == len(homs(x, y))
+
+
+def test_an_empty_quotient_category_is_refused():
+    with pytest.raises(AlgebraError, match="needs an object or an ideal member"):
+        ht.QuotientCategory([], [])
+
+
+def test_hom_data_skips_members_and_eliminations_it_does_not_need(ex61, monkeypatch):
+    """No Hom lookup through an ideal member that shares no vertex with x or
+    y, and without an ideal composite no `quotient_map` or `rref`: the
+    basis is its own quotient basis."""
+    atlas = ex61.atlas
+
+    def split(x, y):
+        far = [t for t in atlas if not ht._meets(t, x) or not ht._meets(t, y)]
+        return far, [t for t in atlas if t not in far]
+
+    x, y = next(
+        (x, y) for x in atlas for y in atlas if x is not y and homs(x, y) and all(split(x, y))
+    )
+    far, near = split(x, y)
+    asked = []
+    real = ht.homs
+    monkeypatch.setattr(ht, "homs", lambda a, b: asked.append((a, b)) or real(a, b))
+    spies = {name: [] for name in ("quotient_map", "rref")}
+    for name, calls in spies.items():
+        fn = getattr(la, name)
+        monkeypatch.setattr(la, name, lambda *a, fn=fn, calls=calls: calls.append(a) or fn(*a))
+    qc = ht.QuotientCategory([x, y], far)
+    basis, flats, qmap, reps = qc._hom_data(x, y)
+    assert asked == [(x, y)] and not any(spies.values())
+    assert basis and reps is basis and np.array_equal(qmap, la.eye(len(basis)))
+    assert qc.qdim(x, y) == len(real(x, y))
+    asked.clear()
+    qc = ht.QuotientCategory([x, y], atlas.members)
+    qc._hom_data(x, y)
+    assert asked[0] == (x, y) and {t for pair in asked[1:] for t in pair} - {x, y} <= set(near)
+    assert spies["quotient_map"]  # 1_x is an ideal composite
 
 
 def test_quotient_composition_well_defined(ex61, model):
@@ -390,13 +429,78 @@ def test_phi_dim_is_the_module_dimension(ex61, model):
 
 def test_phi_dim_reads_the_ext_that_phi_map_built():
     f = fx.ex61()
-    phi = ht.PhiModel(f.subcat_obj("C"))
+    c = f.subcat_obj("C")
+    phi = ht.PhiModel(c)
     x = f.atlas["2"].renamed("x")  # content the workspace may not hold yet
     phi.phi_map(RepMap.identity(x))
     WORKSPACE.clear()
-    assert phi.dim(x) == phi._ext_cache[x].dim
+    exts = phi._ext_cache[x]
+    assert [(e.c, e.a) for e in exts] == [(m, x) for m in phi.members]
+    assert phi.dim(x) == sum(e.dim for e in exts)
     assert "ext1_dim" not in WORKSPACE.stats()  # no second Ext^1 was built
-    assert phi.dim(x) == ext1_dim(phi.g, x)
+    assert phi.dim(x) == ext1_dim(direct_sum(c.members), x)
+
+
+def test_phi_dim_sums_the_member_ext1_entries():
+    """Without Phi(f), dim Phi(x) is one shared `ext1_dim` entry per
+    non-projective member of C; a projective member adds nothing."""
+    f = fx.ex61()
+    c = f.subcat_obj("C")
+    phi = ht.PhiModel(c)
+    projective = set(ct.projectives_of(f.atlas).names)
+    assert [m.name for m in phi.members] == [m.name for m in c.members if m.name not in projective]
+    assert len(phi.members) < len(c.members)
+    x = f.atlas["2"].renamed("x")
+    WORKSPACE.clear()
+    got = phi.dim(x)
+    assert WORKSPACE.stats()["ext1_dim"]["entries"] == len(phi.members)
+    assert x not in phi._ext_cache
+    assert got == sum(ext1_dim(m, x) for m in phi.members) == ext1_dim(direct_sum(c.members), x)
+
+
+@pytest.mark.parametrize("n, k, c, d", EX61_AND_LADDER)
+def test_member_wise_phi_matches_ext1_of_the_sum(n, k, c, d):
+    """Phi(x) = sum_i Ext^1(C_i, x) has the dimension of Ext^1(G, x) for
+    every atlas object, and Phi(f) has the shape and rank of Ext^1(G, f)
+    (kept here only as the reference) for every Hom basis map between
+    objects of H = CoCone(C, C); Phi is a functor there, and its Gamma-modules
+    realise the heart."""
+    atlas, c, _ = instance(n, k, c, d)
+    phi = ht.PhiModel(c)
+    g = direct_sum(c.members)
+    for x in atlas:
+        assert phi.dim(x) == ext1_dim(g, x), x.name
+    objs = ct.cocone_objects(c, c).members
+    exts = {x: Ext1(g, x) for x in objs}
+    p = phi.p
+    for x, y in itertools.product(objs, objs):
+        for f in homs(x, y):
+            want = exts[y].classes([f.compose(cc) for cc in exts[x].cocycles])
+            got = phi.phi_map(f)
+            assert got.shape == want.shape and la.rank(got, p) == la.rank(want, p)
+            for z in objs:
+                for h in homs(y, z)[:2]:
+                    assert np.array_equal(
+                        phi.phi_map(h.compose(f)), la.matmul(phi.phi_map(h), got, p)
+                    )
+    # the action assembled from member blocks: a right Gamma-module on which
+    # Hom dimensions are those of the quotient H/[U]
+    model = ht.HeartModel(c.rigid_pair, atlas, ht.CohomologicalH(c.rigid_pair, atlas), phi)
+    names = model.heart_object_names()
+    assert names and all(phi.validate_action(atlas[n]) for n in names)
+    assert model.validate_equivalence()["ok"]
+
+
+def test_phi_map_is_computed_once_per_map():
+    f = fx.ex61()
+    phi = ht.PhiModel(f.subcat_obj("C"))
+    x, y = f.atlas["2/34"], f.atlas["2"]
+    g = homs(x, y)[0]
+    m = phi.phi_map(g)
+    assert not m.flags.writeable
+    copy = RepMap(x.renamed("x"), y.renamed("y"), g.blocks)  # same content, new objects
+    assert phi.phi_map(g) is m and phi.phi_map(copy) is m
+    assert len(phi._map_cache) == 1
 
 
 def test_certificate_builds_no_gamma_action(monkeypatch):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,26 @@ def test_ext1_classes_of_its_cocycles_are_the_unit_vectors():
             assert ext.classes([]).shape == (ext.dim, 0)
             seen += ext.dim > 0
     assert seen
+
+
+def test_ext1_builds_its_lift_on_first_use(monkeypatch):
+    """A dimension takes no right inverse of the quotient map; the first
+    cocycle asked for builds it, once."""
+    atlas = fx.auslander_a3_atlas()
+    solves = []
+    lift = ho.Ext1._lift.func
+    spy = functools.cached_property(lambda self: solves.append(self) or lift(self))
+    spy.__set_name__(ho.Ext1, "_lift")
+    monkeypatch.setattr(ho.Ext1, "_lift", spy)
+    c, a = atlas["1"], atlas["2"].renamed("a")  # content the workspace may not hold yet
+    WORKSPACE.clear()
+    assert ho.ext1_dim(c, a) == 1 and ho.Ext1(c, a).dim == 1
+    assert solves == []
+    ext = ho.Ext1(c, a)
+    assert list(ext.classes([ext.cocycle([1])])[:, 0]) == [1]
+    assert len(ext.cocycles) == 1 and len(solves) == 1
+    empty = ho.Ext1(atlas["2"], atlas["1"])
+    assert empty.dim == 0 and empty.cocycles == [] and len(solves) == 1
 
 
 def test_ext1_auslander_known_values():

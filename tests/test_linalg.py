@@ -223,6 +223,58 @@ def test_small_operands_stay_on_lists(p, product, data):
     assert all(same(x, y) for x, y in zip(got, want))
 
 
+def _solve_each_column(a, b, p):
+    """One `solve` per column of b, side by side; None if any is None."""
+    cols = [la.solve(a, b[:, [j]], p) for j in range(b.shape[1])]
+    if any(c is None for c in cols):
+        return None
+    return np.concatenate(cols, axis=1) if cols else la.zeros(a.shape[1], 0)
+
+
+@pytest.mark.parametrize("kind", ["small", "large", "mxn"])
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(PRIMES + [P31]), product=st.booleans(), data=st.data())
+def test_solve_with_k_columns_is_k_solves_side_by_side(kind, p, product, data):
+    """The batching sites rely on this: k right-hand sides give the k
+    one-column solutions side by side, and None exactly when one of them is
+    None, on the list path and on the array path alike."""
+    a = data.draw(SHAPES[kind].flatmap(lambda s: (low_rank if product else entries)(p, s)))
+    k = data.draw(st.integers(2, 5))
+    # each column is in the column space (a @ x) or, mostly, outside it
+    inside = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    x = data.draw(entries(p, (a.shape[1], k)))
+    b = np.mod(data.draw(entries(p, (a.shape[0], k))), p)
+    ax = la.matmul(np.mod(a, p), np.mod(x, p), p)
+    b[:, inside] = ax[:, inside]
+    assert same(la.solve(a, b, p), _solve_each_column(a, b, p))
+    assert same(la.solve(a, ax, p), _solve_each_column(a, ax, p))
+
+
+def test_a_batched_solve_may_cross_small_where_its_columns_do_not():
+    """4x6 with one column is 28 entries (lists); with three it is 36, so
+    the batch takes the array path and still equals the column solves,
+    solvable or not."""
+    p = 101
+    rng = np.random.default_rng(5)
+    a = la.matmul(rng.integers(0, p, size=(4, 2)), rng.integers(0, p, size=(2, 6)), p)
+    inside = la.matmul(a, rng.integers(0, p, size=(6, 3)), p)
+    outside = inside.copy()
+    outside[:, 1] = rng.integers(0, p, size=4)
+    assert 4 * (6 + 1) <= la.SMALL < 4 * (6 + 3)
+    for b in (inside, outside):
+        with mock.patch.object(la, "_rref_array", _no_array_elimination):
+            each = [la.solve(a, b[:, [j]], p) for j in range(3)]
+        arrays = []
+        real = la._rref_array
+        with mock.patch.object(la, "_rref_array", lambda r, q: arrays.append(r.shape) or real(r, q)):
+            batched = la.solve(a, b, p)
+        assert arrays == [(4, 9)]
+        if b is inside:
+            assert same(batched, np.concatenate(each, axis=1))
+        else:
+            assert each[1] is None and batched is None
+
+
 # ---------------------------------------------------------------------------
 # Empty operands: the early exits against the general paths, written out
 # on `rref_reference`.

@@ -7,9 +7,10 @@ import weakref
 import numpy as np
 import pytest
 
+from quiverhearts import linalg as la
 from quiverhearts import mutation as mu
 from quiverhearts import oracles
-from quiverhearts.algebra import AlgebraError
+from quiverhearts.algebra import AlgebraError, RepMap, coords_in_basis, map_from_coords
 from quiverhearts.cotorsion import (
     cocone_membership,
     cone_objects,
@@ -28,7 +29,7 @@ from quiverhearts.fixtures import (
     ex61,
     ex62,
 )
-from quiverhearts.heart import HeartModel, gabriel_quiver, quivers_isomorphic
+from quiverhearts.heart import HeartModel, flat_columns, gabriel_quiver, quivers_isomorphic
 from quiverhearts.homology import ext1_dim, homs
 from quiverhearts.mutation import (
     LocalizationModel,
@@ -55,7 +56,7 @@ from quiverhearts.mutation import (
     verify_reflection_property,
 )
 from test_shortcuts import ladder_instances
-from test_workspace import nakayama_atlas
+from test_workspace import nakayama_atlas, same_blocks
 
 
 @pytest.fixture(scope="module")
@@ -192,27 +193,44 @@ def test_faithfulness_catches_r_changed_on_one_basis_map(model, monkeypatch):
     # check must see it for every such map, not only for lucky samples.
     q = model.quotient
     objs = [x for x in q.objects if not q.is_zero_object(x)]
-    honest = model.r_map
+    honest = model.r_qcoords
     changed = [
-        (b1, b2, u.flat())
+        (b1, b2, j)
         for b1 in objs
         for b2 in objs
-        for u in homs(b1, b2)
+        for j, u in enumerate(homs(b1, b2))
         if not q.is_ideal(u)
     ]
     assert len(changed) >= 5
-    for b1, b2, flat in changed:
+    for b1, b2, j in changed:
 
-        def r_map(a, b1=b1, b2=b2, flat=flat):
-            image = honest(a)
-            if a.source is b1 and a.target is b2 and np.array_equal(a.flat(), flat):
-                return image.scale(0)
+        def r_qcoords(x, y, b1=b1, b2=b2, j=j):
+            image = honest(x, y)
+            if x is b1 and y is b2:
+                image = image.copy()
+                image[:, j] = 0
             return image
 
-        monkeypatch.setattr(model, "r_map", r_map)
+        monkeypatch.setattr(model, "r_qcoords", r_qcoords)
         assert not verify_localization(model)["faithfulness"], (b1.name, b2.name)
     monkeypatch.undo()
     assert verify_localization(model)["faithfulness"]
+
+
+def test_r_of_a_whole_basis_is_r_of_each_map(fx, model):
+    """One solve for R of a whole Hom basis gives the quotient coordinates
+    of each `r_map`, column by column."""
+    q = model.quotient
+    objs = q.nonzero_objects()
+    seen = 0
+    for b1 in objs:
+        for b2 in objs:
+            basis = homs(b1, b2)
+            if basis:
+                want = np.stack([q.qcoords(model.r_map(u)) for u in basis], axis=1)
+                assert np.array_equal(model.r_qcoords(b1, b2), want)
+                seen += want.any()
+    assert seen
 
 
 def test_localized_quiver_shape(fx, model):
@@ -496,3 +514,99 @@ def test_omega_generators_are_over_the_callers_algebra():
         assert gens
         for g, conf in gens:
             assert g.algebra == alg and conf.b.algebra == alg and conf.c.algebra == alg
+
+
+# ---------------------------------------------------------------------------
+# Quotient coordinates of whole Hom bases against the per-map route.
+
+EX61_AND_LADDER = [pytest.param(None, None, None, None, id="ex61")] + ladder_instances()
+
+
+def instance(n, k, c, d):
+    """(atlas, C, D) of ex61 (n is None) or of a recorded ladder instance."""
+    if n is None:
+        f = ex61()
+        return f.atlas, f.subcat_obj("C"), f.subcat_obj("D")
+    atlas = nakayama_atlas(n, k)
+    return atlas, subcat(atlas, c), subcat(atlas, d)
+
+
+def qcoords_reference(q, f):
+    """One map's quotient coordinates: its coordinates over the Hom basis
+    (`coords_in_basis`, one solve), then the quotient map."""
+    basis = homs(f.source, f.target)
+    qmap = q.qmatrix(f.source, f.target)
+    c = coords_in_basis(basis, f, q.p)
+    assert c is not None
+    if not qmap.size:
+        return la.zeros(len(qmap), 1)[:, 0]
+    return la.matmul(qmap, c.reshape(-1, 1), q.p)[:, 0]
+
+
+def invertible_reference(q, f):
+    """Invertibility modulo the ideal with one pair of composites and their
+    two per-map coordinate solves per Hom(y, x) basis map."""
+    x, y = f.source, f.target
+    cand = homs(y, x)
+    if not cand:
+        ok = q.qdim(x, x) == 0 and q.qdim(y, y) == 0
+        return ok, (RepMap.zero(y, x) if ok else None)
+    cols = [
+        np.concatenate([qcoords_reference(q, b.compose(f)), qcoords_reference(q, f.compose(b))])
+        for b in cand
+    ]
+    rhs = np.concatenate(
+        [qcoords_reference(q, RepMap.identity(x)), qcoords_reference(q, RepMap.identity(y))]
+    )
+    sol = la.solve(np.stack(cols, axis=1), rhs.reshape(-1, 1), q.p)
+    if sol is None:
+        return False, None
+    return True, map_from_coords(cand, sol[:, 0])
+
+
+@pytest.mark.parametrize("n, k, c, d", EX61_AND_LADDER)
+def test_batched_quotient_coordinates_equal_per_map_solves(n, k, c, d):
+    """On every Hom pair of every quotient the certificate builds (the heart,
+    H_D/[C'], H'_N/[M] and the dual model's two), `qcolumns` of the basis
+    and a random combination equals the per-map route entry for entry, and
+    `invertible` returns the (bool, map) of the per-basis-map loop."""
+    atlas, c, d = instance(n, k, c, d)
+    inp = MutationInput(atlas, c, d).validate()
+    twin = TwinData.build(inp)
+    model = LocalizationModel.build(inp)
+    dual = dual_localization_model(atlas, twin.m_mut, twin.n)
+    quotients = [model.heart.quotient, model.quotient, dual.heart.quotient, dual.quotient,
+                 PseudoMoritaData.build(twin, model).q_hn]
+    rng = np.random.default_rng(0)
+    pairs = invertible = 0
+    for q in quotients:
+        for x in q.objects:
+            for y in q.objects:
+                basis = homs(x, y)
+                maps = [RepMap.zero(x, y)]
+                if basis:
+                    maps = basis + [map_from_coords(basis, rng.integers(0, q.p, len(basis)))]
+                want = np.stack([qcoords_reference(q, f) for f in maps], axis=1)
+                got = q.qcolumns(x, y, flat_columns(maps))
+                assert got.shape == want.shape and np.array_equal(got, want), (x.name, y.name)
+                for f in maps:
+                    ok, inv = q.invertible(f)
+                    want_ok, want_inv = invertible_reference(q, f)
+                    assert ok == want_ok and (inv is want_inv or same_blocks(inv.blocks, want_inv.blocks))
+                    invertible += ok
+                pairs += 1
+    assert pairs >= 5 * 4 and invertible > 0
+
+
+def test_pseudo_morita_shares_the_localization_quotient(fx, inp, twin, model):
+    """The certificate builds H_D/[C'] once: the pseudo-Morita data takes
+    the localization model's quotient, and refuses one of another input."""
+    data = PseudoMoritaData.build(twin, model)
+    assert data.q_hd is model.quotient
+    alone = PseudoMoritaData.build(twin).q_hd
+    assert alone is not model.quotient
+    assert [x.name for x in alone.objects] == [x.name for x in model.quotient.objects]
+    assert [x.name for x in alone.ideal] == [x.name for x in model.quotient.ideal]
+    other = MutationInput(fx.atlas, fx.subcat_obj("C"), fx.subcat_obj("D")).validate()
+    with pytest.raises(AlgebraError, match="another mutation input"):
+        PseudoMoritaData.build(TwinData.build(other), model)

@@ -226,9 +226,12 @@ def test_phi_model_pins_the_modules_it_was_asked_about():
     later module can take its id), and a fresh module gets its own
     Phi-module."""
     fixture = fx.ex61()
-    pm = ht.PhiModel(fixture.subcat_obj("C"))
+    c = fixture.subcat_obj("C")
+    pm = ht.PhiModel(c)
+    g = direct_sum(c.members)
     member = fixture.atlas["2"]
-    assert ho.ext1_dim(pm.g, member) == 1
+    assert pm.dim(member) == sum(ho.ext1_dim(m, member) for m in pm.members)
+    assert pm.dim(member) == ho.ext1_dim(g, member) == 1
     z = zero_rep(fixture.algebra)
     assert pm.module(z).total_dim == 0
     ref = weakref.ref(z)
@@ -236,7 +239,8 @@ def test_phi_model_pins_the_modules_it_was_asked_about():
     gc.collect()
     assert ref() is not None
     y = member.renamed("y")
-    assert pm.module(y).total_dim == ho.ext1_dim(pm.g, y) == 1
+    assert pm.module(y).total_dim == sum(e.dim for e in pm._ext_cache[y]) == 1
+    assert pm.module(y).total_dim == ho.ext1_dim(g, y)
     del pm
     gc.collect()
     assert ref() is None
