@@ -527,11 +527,16 @@ def hom_space(m: Rep, n: Rep) -> list[RepMap]:
     return [RepMap._bound(m, n, blocks) for blocks in _hom_basis(m, n)]
 
 
+def meets(a: Rep, b: Rep) -> bool:
+    """Do a and b share a vertex; if not, Hom(a, b) = Hom(b, a) = 0."""
+    return any(map(operator.mul, a.dims, b.dims))
+
+
 def _hom_basis(m: Rep, n: Rep) -> tuple:
     """The basis blocks of Hom(m, n): the `hom_space` memo entry itself."""
     if m.algebra is not n.algebra and m.algebra != n.algebra:
         raise AlgebraError("hom between representations over different algebras")
-    if not any(map(operator.mul, m.dims, n.dims)):
+    if not meets(m, n):
         return ()  # disjoint supports: every block is empty
     return WORKSPACE.memo("hom_space", (m.key, n.key), _hom_blocks, m, n)
 
@@ -608,9 +613,13 @@ def coords_in_basis(basis: list[RepMap], f: RepMap, p: int) -> np.ndarray | None
     """Coordinates of f in a spanning list of RepMaps, or None."""
     if not basis:
         return la.zeros(1, 0)[0] if f.is_zero() else None
-    mat = np.stack([b.flat() for b in basis], axis=1)
-    sol = la.solve(mat, f.flat().reshape(-1, 1), p)
+    sol = la.solve(flat_columns(basis), f.flat().reshape(-1, 1), p)
     return None if sol is None else sol[:, 0]
+
+
+def flat_columns(maps: list[RepMap]) -> np.ndarray:
+    """The flat entries of a nonempty list of maps, one column per map."""
+    return np.stack([m.flat() for m in maps], axis=1)
 
 
 def composite_columns(outer: list[RepMap], inner: list[RepMap]) -> np.ndarray:

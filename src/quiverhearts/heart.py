@@ -31,9 +31,11 @@ from .algebra import (
     composite_columns,
     decompose_with_maps,
     direct_sum,
+    flat_columns,
     hom_dim,
     map_from_coords,
     matrix_map,
+    meets,
 )
 from .cotorsion import (
     CotorsionPair,
@@ -129,7 +131,7 @@ class QuotientCategory:
         # member sharing no vertex with x or with y has no Hom to ask for.
         blocks = []
         for t in self.ideal:
-            if _meets(t, x) and _meets(t, y):
+            if meets(t, x) and meets(t, y):
                 into = homs(x, t)
                 if into:
                     blocks.append(composite_columns(homs(t, y), into))
@@ -214,16 +216,6 @@ class QuotientCategory:
 
     def nonzero_objects(self) -> list[Rep]:
         return [x for x in self.objects if not self.is_zero_object(x)]
-
-
-def _meets(a: Rep, b: Rep) -> bool:
-    """Do a and b share a vertex; if not, Hom(a, b) = Hom(b, a) = 0."""
-    return any(i and j for i, j in zip(a.dims, b.dims))
-
-
-def flat_columns(maps: list[RepMap]) -> np.ndarray:
-    """The flat entries of a nonempty list of maps, one column per map."""
-    return np.stack([m.flat() for m in maps], axis=1)
 
 
 # ---------------------------------------------------------------------------

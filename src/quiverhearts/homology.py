@@ -27,6 +27,7 @@ from .algebra import (
     dual_map,
     dual_rep,
     end_radical,
+    flat_columns,
     hom_space,
     map_from_coords,
     matrix_map,
@@ -384,7 +385,7 @@ class Ext1:
             self.qmap = la.zeros(0, 0)
             self.dim = 0
             return
-        self._flat = np.stack([h.flat() for h in self.hom_omega_a], axis=1)
+        self._flat = flat_columns(self.hom_omega_a)
         # The restrictions h o omega_inc of Hom(P0, A), solved in one go.
         restricted = composite_columns(homs(self.cover_conf.b, a), [self.omega_inc])
         img = la.zeros(n, 0)
@@ -420,7 +421,7 @@ class Ext1:
         per map, (dim, len(maps)); every class of a zero Ext^1 is zero."""
         if not (self.dim and maps):
             return la.zeros(self.dim, len(maps))
-        return self.class_columns(np.stack([g.flat() for g in maps], axis=1))
+        return self.class_columns(flat_columns(maps))
 
     def class_columns(self, cols: np.ndarray) -> np.ndarray:
         """`classes` of the cocycles whose flat entries are the columns of
@@ -445,7 +446,7 @@ class Ext1:
         # lift the cover epi P0 ->> C through the deflation E ->> C
         lifts = homs(self.cover_conf.b, conf.b)
         if lifts:
-            flat = np.stack([conf.defl.compose(h).flat() for h in lifts], axis=1)
+            flat = flat_columns([conf.defl.compose(h) for h in lifts])
             sol = la.solve(flat, self.cover_epi.flat().reshape(-1, 1), self.p)
         else:
             sol = None
@@ -660,6 +661,6 @@ def _is_minimal(f: RepMap, side: str) -> bool:
     _, rad = end_radical(x)
     if not rad:
         return False
-    endo_flat = np.stack([g.flat() for g in endos], axis=1)
-    rad_flat = np.stack([r.flat() for r in rad], axis=1)
+    endo_flat = flat_columns(endos)
+    rad_flat = flat_columns(rad)
     return la.solve(rad_flat, la.matmul(endo_flat, ker, f.p), f.p) is not None

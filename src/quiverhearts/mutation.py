@@ -31,6 +31,7 @@ from .algebra import (
     composite_columns,
     decompose,
     direct_sum,
+    flat_columns,
     matrix_map,
     zero_rep,
 )
@@ -54,7 +55,6 @@ from .heart import (
     GabrielQuiver,
     HeartModel,
     QuotientCategory,
-    flat_columns,
     gabriel_quiver,
     heart_epi,
     is_approximation,
@@ -528,16 +528,14 @@ class PseudoMoritaData:
     _coref: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, twin: TwinData, model: LocalizationModel | None = None) -> "PseudoMoritaData":
-        """The two quotients; H_D mod [C'] is the one of `model` when the
-        localization model of the same input is given."""
-        atlas = twin.inp.atlas
-        if model is not None and model.inp is not twin.inp:
+    def build(cls, twin: TwinData, model: LocalizationModel) -> "PseudoMoritaData":
+        """The two quotients; H_D mod [C'] is the localization model's, which
+        has the same objects and the same ideal."""
+        if model.inp is not twin.inp:
             raise AlgebraError("the localization model is of another mutation input")
-        q_hd = model.quotient if model is not None else QuotientCategory(
-            [atlas[n] for n in twin.hd.names], twin.cmut.members
-        )
-        return cls(twin, q_hd, QuotientCategory([atlas[n] for n in twin.hn.names], twin.m.members))
+        atlas = twin.inp.atlas
+        hn = QuotientCategory([atlas[n] for n in twin.hn.names], twin.m.members)
+        return cls(twin, model.quotient, hn)
 
     def refl(self, b: Rep) -> Reflection:
         got = self._refl.get(b)

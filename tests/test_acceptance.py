@@ -310,8 +310,8 @@ def test_7_localization_certificates(model, dual_model):
 # 8. Round trips and the mutation biconditional.
 
 
-def test_8_round_trip_natural_isomorphisms(twin):
-    data = PseudoMoritaData.build(twin)
+def test_8_round_trip_natural_isomorphisms(twin, model):
+    data = PseudoMoritaData.build(twin, model)
     rep = verify_pseudo_morita(data)  # naturality on full hom bases
     assert rep["unit_iso"] and rep["counit_iso"]
     assert rep["unit_natural"] and rep["counit_natural"]

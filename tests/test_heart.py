@@ -8,7 +8,7 @@ from quiverhearts import fixtures as fx
 from quiverhearts import heart as ht
 from quiverhearts import linalg as la
 from quiverhearts import oracles
-from quiverhearts.algebra import AlgebraError, RepMap, direct_sum, hom_dim, map_from_coords
+from quiverhearts.algebra import AlgebraError, RepMap, direct_sum, hom_dim, map_from_coords, meets
 from quiverhearts.homology import Ext1, ext1_dim, homs
 from quiverhearts.mutation import verify_main_theorem
 from quiverhearts.workspace import WORKSPACE
@@ -53,7 +53,7 @@ def test_hom_data_skips_members_and_eliminations_it_does_not_need(ex61, monkeypa
     atlas = ex61.atlas
 
     def split(x, y):
-        far = [t for t in atlas if not ht._meets(t, x) or not ht._meets(t, y)]
+        far = [t for t in atlas if not meets(t, x) or not meets(t, y)]
         return far, [t for t in atlas if t not in far]
 
     x, y = next(

@@ -10,7 +10,13 @@ import pytest
 from quiverhearts import linalg as la
 from quiverhearts import mutation as mu
 from quiverhearts import oracles
-from quiverhearts.algebra import AlgebraError, RepMap, coords_in_basis, map_from_coords
+from quiverhearts.algebra import (
+    AlgebraError,
+    RepMap,
+    coords_in_basis,
+    flat_columns,
+    map_from_coords,
+)
 from quiverhearts.cotorsion import (
     cocone_membership,
     cone_objects,
@@ -29,7 +35,7 @@ from quiverhearts.fixtures import (
     ex61,
     ex62,
 )
-from quiverhearts.heart import HeartModel, flat_columns, gabriel_quiver, quivers_isomorphic
+from quiverhearts.heart import HeartModel, gabriel_quiver, quivers_isomorphic
 from quiverhearts.homology import ext1_dim, homs
 from quiverhearts.mutation import (
     LocalizationModel,
@@ -80,8 +86,8 @@ def model(inp):
 
 
 @pytest.fixture(scope="module")
-def morita(twin):
-    return PseudoMoritaData.build(twin)
+def morita(twin, model):
+    return PseudoMoritaData.build(twin, model)
 
 
 def test_right_mutation_panel(fx, inp):
@@ -383,7 +389,7 @@ def test_every_nested_rigid_pair_on_the_auslander_atlas():
         twin = TwinData.build(inp)
         lhs, rhs = mutation_condition_equivalence(inp, twin.cmut)
         assert lhs and rhs
-        rep = verify_pseudo_morita(PseudoMoritaData.build(twin))
+        rep = verify_pseudo_morita(PseudoMoritaData.build(twin, LocalizationModel.build(inp)))
         assert rep["ok"], (c.names, d.names, rep)
         done += 1
         moved += cmut.names != c.names
@@ -603,10 +609,8 @@ def test_pseudo_morita_shares_the_localization_quotient(fx, inp, twin, model):
     the localization model's quotient, and refuses one of another input."""
     data = PseudoMoritaData.build(twin, model)
     assert data.q_hd is model.quotient
-    alone = PseudoMoritaData.build(twin).q_hd
-    assert alone is not model.quotient
-    assert [x.name for x in alone.objects] == [x.name for x in model.quotient.objects]
-    assert [x.name for x in alone.ideal] == [x.name for x in model.quotient.ideal]
+    assert [x.name for x in model.quotient.objects] == list(twin.hd.names)
+    assert [x.name for x in model.quotient.ideal] == list(twin.cmut.names)
     other = MutationInput(fx.atlas, fx.subcat_obj("C"), fx.subcat_obj("D")).validate()
     with pytest.raises(AlgebraError, match="another mutation input"):
         PseudoMoritaData.build(TwinData.build(other), model)
