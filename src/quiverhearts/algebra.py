@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg as la
-from .workspace import WORKSPACE
+from .workspace import WORKSPACE, ContentKey
 
 
 class AlgebraError(ValueError):
@@ -272,10 +272,9 @@ def _ideal_generators(alg: BoundQuiverAlgebra, paths: list, cap: int) -> list[np
 class Rep:
     """A finite-dimensional representation (module) over a bound quiver algebra.
 
-    Equality and hash are the default identity ones: the per-object caches
-    of `heart` and `mutation` key dicts by the `Rep` itself, which pins it
-    and never mistakes one module for another.  Content lookups go through
-    `key`.
+    Equality and hash are the default identity ones, so a module is never
+    mistaken for another with the same matrices.  Content lookups, and every
+    memo, go through `key`.
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, name: str, dims, arrow_maps=None):
@@ -363,6 +362,13 @@ class Rep:
 
     def renamed(self, name: str) -> "Rep":
         return Rep(self.algebra, name, self.dims, self.arrow_maps)
+
+    def __copy__(self) -> "Rep":
+        """A new module with this one's name, read-only blocks and cached
+        content key: how a memo hands each caller its own stored module."""
+        m = Rep.__new__(Rep)
+        m.__dict__.update(self.__dict__)
+        return m
 
     def __repr__(self):
         return f"Rep({self.name}, dims={self.dims})"
@@ -1074,9 +1080,9 @@ class IndecSet:
         return d
 
     @cached_property
-    def key(self) -> tuple:
+    def key(self) -> ContentKey:
         """Member names and content, in member order."""
-        return tuple((r.name, r.key) for r in self.members)
+        return ContentKey((r.name, r.key) for r in self.members)
 
     @cached_property
     def by_key(self) -> dict[tuple, Rep]:

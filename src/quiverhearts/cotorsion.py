@@ -86,6 +86,12 @@ class Subcategory:
     # instance dict directly, so the frozen fields, equality and hash stay).
     # Callers must not mutate a cached report.
     @cached_property
+    def key(self) -> tuple:
+        """Exact content: the atlas's member names and content, and the
+        member names; the memo key of data derived from the class."""
+        return self.atlas.key, self.names
+
+    @cached_property
     def index(self) -> np.ndarray:
         """The members' positions in the atlas, in name order."""
         return np.array([self.atlas.position[n] for n in self.names], dtype=np.intp)

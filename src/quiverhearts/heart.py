@@ -47,6 +47,7 @@ from .cotorsion import (
 from .homology import (
     Conflation,
     Ext1,
+    bound_maps,
     cokernel,
     conflation_from_defl,
     ext1_dim,
@@ -54,8 +55,10 @@ from .homology import (
     kernel,
     pullback,
     pullback_conflation,
+    stored_maps,
     syzygy,
 )
+from .workspace import WORKSPACE
 
 
 def solve_through(f: RepMap, g: RepMap) -> RepMap | None:
@@ -115,18 +118,29 @@ class QuotientCategory:
         if not (self.objects or self.ideal):
             raise AlgebraError("a quotient category needs an object or an ideal member")
         self.p = (self.objects or self.ideal)[0].algebra.p
-        self._hom_cache: dict = {}
+        self._ideal_key = tuple(t.key for t in self.ideal)
 
     def _hom_data(self, x: Rep, y: Rep):
         """(full basis, its flat entries as columns, quotient map
-        coords->quotient coords, representatives)."""
-        got = self._hom_cache.get((x, y))
-        if got is not None:
-            return got
+        coords->quotient coords, representatives), the stored entry bound
+        to the caller's x and y."""
         basis = homs(x, y)
+        flats, qmap, idx = self._entry(x, y, basis)
+        return basis, flats, qmap, basis if idx is None else [basis[i] for i in idx]
+
+    def _entry(self, x: Rep, y: Rep, basis: list[RepMap] | None = None) -> tuple:
+        """(flats, qmap, the representatives' basis positions, None for the
+        whole basis), read-only, memoised by the content of the ideal's
+        members in order and of x and y."""
+        key = (self._ideal_key, x.key, y.key)
+        return WORKSPACE.memo("quotient_hom", key, self._hom_parts, x, y, basis)
+
+    def _hom_parts(self, x: Rep, y: Rep, basis: list[RepMap] | None) -> tuple:
+        basis = homs(x, y) if basis is None else basis
         n = len(basis)
         flat_dim = sum(a * b for a, b in zip(x.dims, y.dims))
         flats = flat_columns(basis) if n else la.zeros(flat_dim, 0)
+        flats.setflags(write=False)
         # Every ideal composite v o u, solved against the basis in one go; a
         # member sharing no vertex with x or with y has no Hom to ask for.
         blocks = []
@@ -137,27 +151,27 @@ class QuotientCategory:
                     blocks.append(composite_columns(homs(t, y), into))
         comps = la.hstack(blocks, flat_dim)
         if not comps.any():  # nothing to divide by: the basis is the quotient basis
-            data = self._hom_cache[(x, y)] = (basis, flats, la.eye(n), basis)
-            return data
+            qmap = la.eye(n)
+            qmap.setflags(write=False)
+            return flats, qmap, None
         img = la.solve(flats, comps, self.p)
         if img is None:  # for n = 0 too: every composite must then vanish
             raise AlgebraError("ideal composite outside hom space")
         qmap = la.quotient_map(img, n, self.p)
+        qmap.setflags(write=False)
         # representatives: the basis maps at the pivot columns of rref(qmap),
         # the first whose classes span the quotient (none when it is zero)
-        reps = [basis[i] for i in la.rref(qmap, self.p)[1]] if len(qmap) else []
-        data = self._hom_cache[(x, y)] = (basis, flats, qmap, reps)
-        return data
+        return flats, qmap, tuple(la.rref(qmap, self.p)[1]) if len(qmap) else ()
 
     def qdim(self, x: Rep, y: Rep) -> int:
-        return self._hom_data(x, y)[2].shape[0]
+        return self._entry(x, y)[1].shape[0]
 
     def qcolumns(self, x: Rep, y: Rep, cols: np.ndarray) -> np.ndarray:
         """Quotient coordinates of the maps x -> y whose flat entries are the
         columns of `cols`, (qdim, columns), from one solve against the
         stacked basis; a solve is column by column, so each column is what
         it would be alone."""
-        _, flats, qmap, _ = self._hom_data(x, y)
+        flats, qmap, _ = self._entry(x, y)
         if flats.shape[1]:
             sol = la.solve(flats, cols, self.p)
         else:  # Hom(x, y) = 0
@@ -177,7 +191,7 @@ class QuotientCategory:
 
     def qmatrix(self, x: Rep, y: Rep) -> np.ndarray:
         """Quotient coordinates of the Hom(x, y) basis maps, as columns."""
-        return self._hom_data(x, y)[2]
+        return self._entry(x, y)[1]
 
     def qbasis(self, x: Rep, y: Rep) -> list[RepMap]:
         """Representative morphisms whose classes form a basis."""
@@ -215,7 +229,13 @@ class QuotientCategory:
         return x in self.ideal or not self.qcoords(RepMap.identity(x)).any()
 
     def nonzero_objects(self) -> list[Rep]:
-        return [x for x in self.objects if not self.is_zero_object(x)]
+        return list(self._nonzero)
+
+    @cached_property
+    def _nonzero(self) -> tuple[Rep, ...]:
+        """The objects that are not zero, decided once: the objects are
+        fixed at construction."""
+        return tuple(x for x in self.objects if not self.is_zero_object(x))
 
 
 # ---------------------------------------------------------------------------
@@ -320,24 +340,25 @@ class CohomologicalH:
         self.quotient = QuotientCategory(
             [atlas[n] for n in self.h_objects.names], pair.u.members
         )
-        self._cache: dict[Rep, HObject] = {}
 
     def h_object(self, x: Rep) -> HObject:
-        got = self._cache.get(x)
-        if got is not None:
-            return got
+        """H(x), memoised by the pair's classes, the atlas and the content of
+        x, and bound to the caller's x; the check that B^- lies in
+        CoCone(U, U) runs when it is first built."""
+        key = (self.pair.u.key, self.pair.v.names, self.atlas.key, x.key)
+        [defl] = bound_maps(x, WORKSPACE.memo("h_object", key, self._h_parts, x))
+        return HObject(x, defl.source, defl)
+
+    def _h_parts(self, x: Rep) -> tuple:
         if x.is_zero():
-            res = self._cache[x] = HObject(x, x, RepMap.identity(x))
-            return res
+            return stored_maps(x, [RepMap.identity(x)])
         wl = self.pair.witness("left", x)  # X >-> V^X ->> U^X
         vx = wl.b
         wr = self._right_witness_of(vx)  # V0 >-> U0 ->> V^X
         conf, _ = pullback_conflation(wr, wl.infl)  # V0 >-> B^- ->> X
-        res = HObject(x, conf.b, conf.defl)
         if not self.h_objects.contains(conf.b):
             raise AlgebraError(f"H({x.name}) fell outside CoCone(U, U)")
-        self._cache[x] = res
-        return res
+        return stored_maps(x, [conf.defl])
 
     def _right_witness_of(self, b: Rep) -> Conflation:
         """V0 >-> U0 ->> b assembled summand-wise from the pair's witnesses."""
@@ -371,6 +392,44 @@ class CohomologicalH:
 # The module-category model: Gamma = stable End(G), Phi = Ext^1(G, -).
 
 
+@dataclass(frozen=True)
+class _ExtBlock:
+    """Ext^1(C, X) as a memo value: its dimension and, when that is
+    nonzero, the flat entries of the Hom(Omega C, X) basis as columns, the
+    quotient map onto Ext^1 and the blocks of one cocycle Omega C -> X per
+    basis class, all read-only, with the syzygy they start from."""
+
+    dim: int
+    omega: Rep | None = None
+    flat: np.ndarray | None = None
+    qmap: np.ndarray | None = None
+    cocycle_blocks: tuple = ()
+
+    def cocycles(self, x: Rep) -> list[RepMap]:
+        """The cocycles Omega C -> x, bound to the caller's x."""
+        return [RepMap._bound(self.omega, x, blocks) for blocks in self.cocycle_blocks]
+
+    def classes(self, cols: np.ndarray) -> np.ndarray:
+        """The classes of the cocycles whose flat entries are the columns of
+        `cols`, for a nonzero block, from one solve (`Ext1.class_columns`)."""
+        p = self.omega.algebra.p
+        sol = la.solve(self.flat, cols, p)
+        if sol is None:
+            raise AlgebraError("cocycle outside Hom(Omega C, A)")
+        return la.matmul(self.qmap, sol, p)
+
+
+def _ext_block(c: Rep, x: Rep) -> _ExtBlock:
+    """A nonzero Ext^1(c, x) as an `_ExtBlock`."""
+    e = Ext1(c, x)
+    for a in (e._flat, e.qmap):
+        a.setflags(write=False)
+    return _ExtBlock(e.dim, e.omega, e._flat, e.qmap, tuple(z.blocks for z in e.cocycles))
+
+
+_ZERO_BLOCK = _ExtBlock(0)
+
+
 class PhiModel:
     """Phi(X) = Ext^1(G, X) as a right module over Gamma = End(G)/[P].
 
@@ -394,9 +453,7 @@ class PhiModel:
         self.p = c.atlas.members[0].algebra.p
         self.projectives = projectives_of(c.atlas)
         self.members = [m for m in c.members if not self.projectives.contains_name(m.name)]
-        self._ext_cache: dict[Rep, list[Ext1]] = {}
-        self._map_cache: dict[tuple, np.ndarray] = {}  # by the map's ends and entries
-        self._mod_cache: dict[tuple, Rep] = {}  # by Rep.key
+        self._members_key = tuple(m.key for m in self.members)
 
     # Gamma and its action are built on first use: the certificate needs
     # only dimensions and Phi(f), never the action.
@@ -456,61 +513,63 @@ class PhiModel:
         return acts
 
     def dim(self, x: Rep) -> int:
-        """dim Phi(x): the Ext^1 that `phi_map` built, if it built them, and
-        else the shared `ext1_dim` entries of the non-projective members."""
-        got = self._ext_cache.get(x)
-        if got is not None:
-            return sum(e.dim for e in got)
-        return sum(ext1_dim(c, x) for c in self.members)
+        """dim Phi(x), read off the member blocks that `phi_map` builds."""
+        return sum(e.dim for e in self._blocks(x))
 
-    def _exts(self, x: Rep) -> list[Ext1]:
-        got = self._ext_cache.get(x)
-        if got is None:
-            got = self._ext_cache[x] = [Ext1(c, x) for c in self.members]
-        return got
+    def _blocks(self, x: Rep) -> list[_ExtBlock]:
+        """Ext^1(C_i, x) per non-projective member.  The shared `ext1_dim`
+        entry is read first, so a zero block builds no `Ext1`; a nonzero
+        one is memoised by the content of C_i and x."""
+        return [
+            WORKSPACE.memo("phi_ext", (c.key, x.key), _ext_block, c, x)
+            if ext1_dim(c, x)
+            else _ZERO_BLOCK
+            for c in self.members
+        ]
 
     def module(self, x: Rep) -> Rep:
-        """Phi(x), on which loop gi acts as the i-th Gamma basis element."""
-        got = self._mod_cache.get(x.key)
-        if got is None:
-            exts = self._exts(x)
-            acts = {f"g{i}": self._action(exts, act) for i, act in enumerate(self._omega_acts)}
-            dim = sum(e.dim for e in exts)
-            got = self._mod_cache[x.key] = Rep(self.gamma, f"Phi({x.name})", [dim], acts)
-        return got
+        """Phi(x), on which loop gi acts as the i-th Gamma basis element;
+        memoised by the class and the content of x, and named after x."""
+        got = WORKSPACE.memo("phi_module", (self.c.key, x.key), self._module, x)
+        return Rep._trusted(got.algebra, f"Phi({x.name})", got.dims, got.arrow_maps)
 
-    def _action(self, exts: list[Ext1], act: dict) -> np.ndarray:
+    def _module(self, x: Rep) -> Rep:
+        blocks = self._blocks(x)
+        acts = {f"g{i}": self._action(x, blocks, act) for i, act in enumerate(self._omega_acts)}
+        return Rep(self.gamma, f"Phi({x.name})", [sum(e.dim for e in blocks)], acts)
+
+    def _action(self, x: Rep, blocks: list[_ExtBlock], act: dict) -> np.ndarray:
         """The matrix of one Gamma basis element on sum_i Ext^1(C_i, X):
         block (j, i) takes the cocycles of Ext^1(C_i, X) along the
         restriction Omega C_j -> Omega C_i of its component into
         Ext^1(C_j, X)."""
-        starts = np.cumsum([0] + [e.dim for e in exts])
+        starts = np.cumsum([0] + [e.dim for e in blocks])
         mat = la.zeros(starts[-1], starts[-1])
         for (i, j), w in act.items():
-            if exts[i].dim and exts[j].dim:
-                cols = composite_columns(exts[i].cocycles, [w])
-                mat[starts[j] : starts[j + 1], starts[i] : starts[i + 1]] = exts[j].class_columns(cols)
+            if blocks[i].dim and blocks[j].dim:
+                cols = composite_columns(blocks[i].cocycles(x), [w])
+                mat[starts[j] : starts[j + 1], starts[i] : starts[i + 1]] = blocks[j].classes(cols)
         return mat
 
     def phi_map(self, f: RepMap) -> np.ndarray:
         """Matrix of Phi(f) in quotient coordinates, read-only: block i is
         Ext^1(C_i, f), the classes of the cocycles of Ext^1(C_i, source)
-        pushed along f.  Computed once per map, by the content of its ends
-        and its entries."""
-        key = (f.source.key, f.target.key, f.flat().tobytes())
-        got = self._map_cache.get(key)
-        if got is None:
-            src, tgt = self._exts(f.source), self._exts(f.target)
-            got = la.zeros(sum(e.dim for e in tgt), sum(e.dim for e in src))
-            r = c = 0
-            for ex, ey in zip(src, tgt):
-                if ex.dim and ey.dim:
-                    cols = composite_columns([f], ex.cocycles)
-                    got[r : r + ey.dim, c : c + ex.dim] = ey.class_columns(cols)
-                r, c = r + ey.dim, c + ex.dim
-            got.setflags(write=False)
-            self._map_cache[key] = got
-        return got
+        pushed along f.  Memoised by the members' content and the content of
+        f's ends and entries."""
+        key = (self._members_key, f.source.key, f.target.key, f.flat().tobytes())
+        return WORKSPACE.memo("phi_map", key, self._phi_matrix, f)
+
+    def _phi_matrix(self, f: RepMap) -> np.ndarray:
+        src, tgt = self._blocks(f.source), self._blocks(f.target)
+        out = la.zeros(sum(e.dim for e in tgt), sum(e.dim for e in src))
+        r = c = 0
+        for ex, ey in zip(src, tgt):
+            if ex.dim and ey.dim:
+                cols = composite_columns([f], ex.cocycles(f.source))
+                out[r : r + ey.dim, c : c + ex.dim] = ey.classes(cols)
+            r, c = r + ey.dim, c + ex.dim
+        out.setflags(write=False)
+        return out
 
     def module_map(self, f: RepMap) -> RepMap:
         """Phi(f) as a map of Gamma-modules; checks that it is one."""
@@ -559,13 +618,7 @@ class HeartModel:
 
     def heart_object_names(self) -> tuple[str, ...]:
         """Nonzero objects of the heart, sorted."""
-        return tuple(
-            sorted(
-                n
-                for n in self.h.h_objects.names
-                if not self.quotient.is_zero_object(self.atlas[n])
-            )
-        )
+        return tuple(sorted(x.name for x in self.quotient.nonzero_objects()))
 
     def validate_equivalence(self) -> dict:
         """Dimension bridge between H/U and mod Gamma on heart objects."""

@@ -6,7 +6,8 @@ objects, Ext^1(C, A) is the cokernel of Hom(P0, A) -> Hom(syzygy, A) for a
 projective cover P0 of C, and approximations by a subcategory are built
 from Hom bases and greedily stripped to minimal ones.  Syzygies, Ext^1
 dimensions and minimal approximations are memoised by module content in
-the shared `Workspace`, like the Hom bases themselves.
+the shared `Workspace`, like the Hom bases themselves; `stored_maps` and
+`bound_maps` carry maps built around one module in and out of such a memo.
 """
 
 from __future__ import annotations
@@ -169,6 +170,35 @@ def _conflation_parts(kind: str, f: RepMap) -> tuple:
     end, g = cokernel(f) if kind == "infl" else kernel(f)
     (Conflation(f, g) if kind == "infl" else Conflation(g, f)).validate()
     return end, g.blocks
+
+
+def stored_maps(x: Rep, maps) -> tuple:
+    """A memo value for maps built around the caller's module x: a copy of
+    every other module they join, once each, and per map the positions of
+    its ends (-1 for x) and its read-only blocks.  It holds no caller's
+    object; `bound_maps` binds it to a caller."""
+    mods: list[Rep] = []
+
+    def at(m: Rep) -> int:
+        if m is x:
+            return -1
+        for i, n in enumerate(mods):
+            if n is m:
+                return i
+        mods.append(m)
+        return len(mods) - 1
+
+    ends = tuple((at(f.source), at(f.target), f.blocks) for f in maps)
+    return tuple(copy.copy(m) for m in mods), ends
+
+
+def bound_maps(x: Rep, value: tuple) -> list[RepMap]:
+    """The maps of a `stored_maps` value around the caller's x, every other
+    module a fresh copy of the stored one, shared by the maps that join it.
+    The copies keep the names they were built under."""
+    mods, ends = value
+    own = [copy.copy(m) for m in mods] + [x]  # position -1 is x
+    return [RepMap._bound(own[s], own[t], blocks) for s, t, blocks in ends]
 
 
 def pushout(f: RepMap, g: RepMap):

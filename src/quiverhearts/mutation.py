@@ -17,7 +17,7 @@ the identities, object by object and on hom bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,7 +31,7 @@ from .algebra import (
     composite_columns,
     decompose,
     direct_sum,
-    flat_columns,
+    map_from_coords,
     matrix_map,
     zero_rep,
 )
@@ -67,6 +67,7 @@ from .heart import (
 )
 from .homology import (
     Conflation,
+    bound_maps,
     conflation_from_defl,
     conflation_from_infl,
     cosyzygy,
@@ -77,8 +78,10 @@ from .homology import (
     minimal_right_approximation,
     pullback_conflation,
     pushout_conflation,
+    stored_maps,
     syzygy,
 )
+from .workspace import WORKSPACE
 
 
 # ---------------------------------------------------------------------------
@@ -207,16 +210,34 @@ class HdApproximation:
 def right_hd_approximation(
     outer_pair: CotorsionPair, inner: Subcategory, x: Rep
 ) -> HdApproximation:
+    """R(x), memoised by the classes (with the atlas's content) and the
+    content of x, and bound to the caller's x; the failed-clause checks
+    run when it is first built."""
+    key = (outer_pair.u.key, outer_pair.v.names, inner.key, x.key)
+    value = WORKSPACE.memo("right_hd_approximation", key, _hd_parts, outer_pair, inner, x)
+    infl, defl, z_infl, z_defl = bound_maps(x, value)
+    return HdApproximation(x, Conflation(infl, defl), Conflation(z_infl, z_defl))
+
+
+def _hd_parts(outer_pair: CotorsionPair, inner: Subcategory, x: Rep) -> tuple:
+    conf, z_conf = _right_hd_conflations(outer_pair, inner, x)
+    return stored_maps(x, [conf.infl, conf.defl, z_conf.infl, z_conf.defl])
+
+
+def _right_hd_conflations(
+    outer_pair: CotorsionPair, inner: Subcategory, x: Rep
+) -> tuple[Conflation, Conflation]:
+    """Z >-> Y ->> X and Y0 >-> Z ->> D1, checked, uncached."""
     if x.is_zero():
         conf = _identity_conflation("right", x)
-        return HdApproximation(x, conf, conf)
+        return conf, conf
     sa = syzygy_approximation(outer_pair, x)
     u0_conf = sa.u0_conf  # Y0 >-> U0 ->> X
     y0 = u0_conf.a
     if y0.is_zero():
         z = zero_rep(x.algebra)
         conf = Conflation(RepMap.zero(z, u0_conf.b), u0_conf.defl)
-        return _validated(conf, conf, x, outer_pair, inner)
+        return _validated(conf, conf, outer_pair, inner)
     gens = inner.omega_generators
     confs = dict(gens)
     approx = minimal_right_approximation([g for g, _ in gens], y0)
@@ -249,15 +270,15 @@ def right_hd_approximation(
         raise AlgebraError("failed clause: Z does not project onto the D-part")
     z_conf = Conflation(v, zd).validate()  # Y0 >-> Z ->> D1
     conf, _u0_to_y = pushout_conflation(u0_conf, v)  # Z >-> Y ->> X
-    return _validated(conf, z_conf, x, outer_pair, inner)
+    return _validated(conf, z_conf, outer_pair, inner)
 
 
-def _validated(conf, z_conf, x, outer_pair, inner) -> HdApproximation:
+def _validated(conf, z_conf, outer_pair, inner) -> tuple[Conflation, Conflation]:
     if not all(ext1_dim(m, conf.a) == 0 for m in inner.members):
         raise AlgebraError("failed clause: the kernel is not right-orthogonal to the inner class")
     if not cocone_membership(conf.b, inner, outer_pair.u)[0]:
         raise AlgebraError("failed clause: the middle term is not in CoCone(inner, outer)")
-    return HdApproximation(x, conf, z_conf)
+    return conf, z_conf
 
 
 def verify_hd_approximation(res: HdApproximation, hd: Subcategory) -> bool:
@@ -299,7 +320,6 @@ class LocalizationModel:
     hd: Subcategory
     dperp: Subcategory
     quotient: QuotientCategory
-    _r_cache: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, inp: MutationInput, heart: HeartModel | None = None) -> "LocalizationModel":
@@ -315,10 +335,7 @@ class LocalizationModel:
         return tuple(sorted(x.name for x in self.quotient.nonzero_objects()))
 
     def r_object(self, x: Rep) -> HdApproximation:
-        got = self._r_cache.get(x)
-        if got is None:
-            got = self._r_cache[x] = right_hd_approximation(self.pair, self.inp.d, x)
-        return got
+        return right_hd_approximation(self.pair, self.inp.d, x)
 
     def r_map(self, a: RepMap) -> RepMap:
         """R(a): R(X1) -> R(X2) with f2 R(a) = a f1; linear in a."""
@@ -399,7 +416,8 @@ def verify_localization(model: LocalizationModel) -> dict:
     report: dict = {"a_objects": a_sub.names}
 
     hd_objs = q.nonzero_objects()
-    report["density"] = all(q.invertible(model.r_object(b).f)[0] for b in hd_objs)
+    r_of = {b: model.r_object(b) for b in hd_objs}
+    report["density"] = all(q.invertible(r_of[b].f)[0] for b in hd_objs)
 
     full_ok = True
     faithful_ok = True
@@ -410,7 +428,7 @@ def verify_localization(model: LocalizationModel) -> dict:
                 continue
             mat = model.r_qcoords(b1, b2)
             rank = la.rank(mat, p)
-            if rank != q.qdim(model.r_object(b1).y, model.r_object(b2).y):
+            if rank != q.qdim(r_of[b1].y, r_of[b2].y):
                 full_ok = False
             # over the basis, f is in [C'] on ker(qmap) and R(f) on ker(mat);
             # the kernels agree iff both row spaces equal their sum
@@ -497,7 +515,19 @@ class TwinData:
 
 
 def reflection(twin: TwinData, b: Rep) -> Reflection:
-    """B >-> B+ with B+ in Cone(M', N); the inflation is a left approximation."""
+    """B >-> B+ with B+ in Cone(M', N); the inflation is a left approximation.
+
+    Memoised by the mutation input's classes (with the atlas's content) and
+    the content of b, and bound to the caller's b; the check that B+ lies
+    in Cone(M', N) runs when it is first built."""
+    key = (twin.inp.c.key, twin.inp.d.names, b.key)
+    infl, defl, mid_infl, mid_defl = bound_maps(
+        b, WORKSPACE.memo("reflection", key, _reflection_parts, twin, b)
+    )
+    return Reflection(b, Conflation(infl, defl), Conflation(mid_infl, mid_defl))
+
+
+def _reflection_parts(twin: TwinData, b: Rep) -> tuple:
     wr = twin.pair_dn.witness("right", b)  # V_B >-> U_B ->> B
     u_b = wr.b
     wl = _witness("left", twin.cperp, twin.m, u_b)  # U_B >-> T ->> S
@@ -506,7 +536,7 @@ def reflection(twin: TwinData, b: Rep) -> Reflection:
     ok, _ = cone_membership(conf.b, twin.m_mut, twin.n)
     if not ok:
         raise AlgebraError("failed clause: the reflection is not in Cone(M', N)")
-    return Reflection(b, conf, mid)
+    return stored_maps(b, [conf.infl, conf.defl, mid.infl, mid.defl])
 
 
 def coreflection(twin: TwinData, b: Rep) -> HdApproximation:
@@ -524,8 +554,6 @@ class PseudoMoritaData:
     twin: TwinData
     q_hd: QuotientCategory  # H_D mod [C']
     q_hn: QuotientCategory  # H'_N mod [M]
-    _refl: dict = field(default_factory=dict)
-    _coref: dict = field(default_factory=dict)
 
     @classmethod
     def build(cls, twin: TwinData, model: LocalizationModel) -> "PseudoMoritaData":
@@ -538,36 +566,40 @@ class PseudoMoritaData:
         return cls(twin, model.quotient, hn)
 
     def refl(self, b: Rep) -> Reflection:
-        got = self._refl.get(b)
-        if got is None:
-            got = self._refl[b] = reflection(self.twin, b)
-        return got
+        return reflection(self.twin, b)
 
     def coref(self, b: Rep) -> HdApproximation:
-        got = self._coref.get(b)
-        if got is None:
-            got = self._coref[b] = coreflection(self.twin, b)
-        return got
+        return coreflection(self.twin, b)
 
-    def k_map(self, x: RepMap) -> RepMap:
-        """K(x): B0+ -> B1+ extending x along the reflections."""
-        return self._transport("left", x)
+    def k_maps(self, xs: list[RepMap]) -> list[RepMap]:
+        """K(x): B0+ -> B1+ extending x along the reflections, for maps
+        x: B0 -> B1 with common ends."""
+        return self._transport("left", xs)
 
-    def kprime_map(self, x: RepMap) -> RepMap:
-        """K'(x): B0- -> B1- lifting x through the coreflections."""
-        return self._transport("right", x)
+    def kprime_maps(self, xs: list[RepMap]) -> list[RepMap]:
+        """K'(x): B0- -> B1- lifting x through the coreflections, for maps
+        x: B0 -> B1 with common ends."""
+        return self._transport("right", xs)
 
-    def _transport(self, side: str, x: RepMap) -> RepMap:
-        """x carried to the coreflections of its ends by lifting through their
-        deflations (right), or to the reflections by extending along their
-        inflations (left)."""
+    def _transport(self, side: str, xs: list[RepMap]) -> list[RepMap]:
+        """The maps xs: B0 -> B1 carried to the coreflections of B0 and B1 by
+        lifting through their deflations (right), or to the reflections by
+        extending along their inflations (left), from one `solve_columns`;
+        a solve is column by column, so each map is what it would be alone."""
         right = side == "right"
         of = self.coref if right else self.refl
-        f0, f1 = of(x.source).f, of(x.target).f
-        lift = solve_through(x.compose(f0), f1) if right else solve_extend(f1.compose(x), f0)
-        if lift is None:
+        f0, f1 = of(xs[0].source).f, of(xs[0].target).f
+        if right:  # f1 o h = x o f0
+            src, tgt = f0.source, f1.source
+            basis, sol = solve_columns("right", f1, src, tgt, composite_columns(xs, [f0]))
+        else:  # h o f0 = f1 o x
+            src, tgt = f0.target, f1.target
+            basis, sol = solve_columns("left", f0, src, tgt, composite_columns([f1], xs))
+        if sol is None:
             raise AlgebraError(f"{'coreflection' if right else 'reflection'} transport failed")
-        return lift
+        if not basis:
+            return [RepMap.zero(src, tgt) for _ in xs]
+        return [map_from_coords(basis, col) for col in sol.T]
 
 
 def verify_pseudo_morita(data: PseudoMoritaData) -> dict:
@@ -584,10 +616,10 @@ def verify_pseudo_morita(data: PseudoMoritaData) -> dict:
     unit, report["unit_iso"] = _round_trip(data, "right", hd_objs)
     counit, report["counit_iso"] = _round_trip(data, "left", hn_objs)
     report["unit_natural"] = _natural(
-        data.q_hd, hd_objs, unit, lambda x: x, lambda x: data.kprime_map(data.k_map(x))
+        data.q_hd, hd_objs, unit, lambda xs: xs, lambda xs: data.kprime_maps(data.k_maps(xs))
     )
     report["counit_natural"] = _natural(
-        data.q_hn, hn_objs, counit, lambda x: data.k_map(data.kprime_map(x)), lambda x: x
+        data.q_hn, hn_objs, counit, lambda xs: data.k_maps(data.kprime_maps(xs)), lambda xs: xs
     )
 
     mapping, dims_ok = object_correspondence(data)
@@ -622,16 +654,20 @@ def _round_trip(data: PseudoMoritaData, side: str, objs: list[Rep]) -> tuple[dic
     return eta, ok
 
 
-def _natural(q: QuotientCategory, objs: list[Rep], eta: dict, f_map, g_map) -> bool:
+def _natural(q: QuotientCategory, objs: list[Rep], eta: dict, f_maps, g_maps) -> bool:
     """eta_{b1} o F(x) = G(x) o eta_{b0} modulo the ideal of q, for every Hom
-    basis map x: b0 -> b1 between objs (eta keyed by the object)."""
+    basis map x: b0 -> b1 between objs (eta keyed by the object), with F
+    and G carrying a whole basis at once."""
     ok = True
     for b0 in objs:
         for b1 in objs:
-            diffs = [
-                eta[b1].compose(f_map(x)).sub(g_map(x).compose(eta[b0])) for x in homs(b0, b1)
-            ]
-            if diffs and q.qcolumns(diffs[0].source, diffs[0].target, flat_columns(diffs)).any():
+            basis = homs(b0, b1)
+            if not basis:
+                continue
+            fs, gs = f_maps(basis), g_maps(basis)
+            lhs = composite_columns([eta[b1]], fs)
+            diffs = np.mod(lhs - composite_columns(gs, [eta[b0]]), q.p)
+            if q.qcolumns(fs[0].source, eta[b1].target, diffs).any():
                 ok = False
     return ok
 

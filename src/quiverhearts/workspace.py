@@ -1,31 +1,47 @@
-"""One memo for results that depend only on module content.
+"""One memo for results that depend only on content.
 
 A module's content key (`Rep.key`) is its algebra, its dimension vector
 and the bytes of its arrow maps, compared by equality, so two `Rep`s with
-the same matrices share entries whatever their names or ids.  The tables
-are `hom_space` and `decompose_with_maps` (in `algebra`), and `syzygy`,
-`ext1_dim`, `approximation` and `conflation` (in `homology`; the last
-keyed by the kind and the map's source, target and block bytes).  Each
-memo site stores plain read-only blocks under a key that holds everything
-its result depends on (member names too, where the result names them) and
-binds them to the caller's objects on every lookup, freezing nothing
-again, so no stored value refers to a caller's `Rep`.  A module with an
+the same matrices share entries whatever their names or ids.  The tables:
+
+- `hom_space` and `decompose_with_maps` (in `algebra`);
+- `syzygy`, `ext1_dim`, `approximation` and `conflation` (in `homology`;
+  the last keyed by the kind and the map's source, target and block bytes);
+- the certificate's values: `right_hd_approximation` (R(X), and the
+  coreflections) and `reflection` (in `mutation`), and `h_object` (H(X)),
+  `phi_ext` (the nonzero member blocks Ext^1(C_i, X) of Phi), `phi_map`
+  (Phi(f)), `phi_module` (Phi(X)) and `quotient_hom` (a quotient
+  category's Hom data) in `heart`.
+
+Each memo site stores plain read-only blocks, and copies of the modules it
+constructed, under a key that holds everything its result depends on: the
+classes' member names and the atlas's content (`Subcategory.key`, whose
+atlas part is a `ContentKey`, hashed once), an ideal's member contents,
+and the argument's content.  It binds them to the caller's objects on
+every lookup, freezing nothing again, so no stored value refers to a
+caller's `Rep`, atlas or `Subcategory`.  Only
+constructions are shared: the checks a value passes when it is built run
+then, and every certificate still runs its own verdicts.  A module with an
 atlas member's content decomposes as that member without a lookup
 (`IndecSet.by_key`), so `decompose_with_maps` holds only other modules.
 The `algebra` table maps an algebra's content, the plain tuple that its
 equality compares, to its one live object (`BoundQuiverAlgebra`), so the
 content keys above all hold that one object and match by identity.
 
-Nothing else belongs here.  Data derived from one object (an algebra's
-path basis, projectives, standard modules and opposite, an atlas's dual
-atlas and its Hom and Ext^1 dimension tables, a subcategory's rigidity,
-(RCP) reports and cotorsion pair, a mutation input's classes, a quotient
-category's Hom data, H(X) or R(X) of a model) lives on that object, as a
-`cached_property` or a dict keyed by the object itself, and goes when
-the object goes.  The dimension tables belong to their `IndecSet`, not
-here: a row is read off the `hom_space` entries of its members.  A table
-that a second certificate of the same instance would never hit does not
-belong here either.
+The certificate's values lived on their objects (a quotient category's
+Hom data, H(X), R(X), Phi and the (co)reflections of a model, in dicts
+keyed by the object) until they moved here: a second certificate of the
+same instance, or a command that builds its localization again, builds
+new objects and missed every one of them.  Nothing else belongs here.
+Data derived from one object (an algebra's path basis, projectives,
+standard modules and opposite, an atlas's dual atlas and its Hom and
+Ext^1 dimension tables, a subcategory's rigidity, (RCP) reports and
+cotorsion pair, a mutation input's classes, a quotient category's nonzero
+objects) lives on that object as a `cached_property` and goes when the
+object goes.  The dimension tables belong to their `IndecSet`, not here:
+a row is read off the `hom_space` entries of its members.  A table that a
+second certificate of the same instance would never hit does not belong
+here either.
 """
 
 from __future__ import annotations
@@ -67,6 +83,20 @@ class Workspace:
         self.tables.clear()
         self.hits.clear()
         self.misses.clear()
+
+
+class ContentKey(tuple):
+    """A content key that is hashed once, when it is built: a key of many
+    modules (an atlas's) is hashed on every lookup of every key that holds
+    it.  It compares and hashes as the plain tuple."""
+
+    def __new__(cls, items):
+        key = super().__new__(cls, items)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 WORKSPACE = Workspace()

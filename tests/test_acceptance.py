@@ -46,7 +46,8 @@ from quiverhearts.mutation import (
     verify_main_theorem,
     verify_pseudo_morita,
 )
-from quiverhearts import oracles
+from quiverhearts import oracles, problemfile
+from quiverhearts.workspace import WORKSPACE
 
 
 @pytest.fixture(scope="module")
@@ -415,3 +416,29 @@ def test_10_output_is_deterministic(capsys, argv):
     out2 = capsys.readouterr().out.encode()
     assert code1 == code2
     assert out1 == out2
+
+
+# Certificate values memoised by content; a second round of the commands
+# rebuilds none of them.  No command builds Phi(x) as a module (`phi_module`).
+CERTIFICATE_TABLES = (
+    "h_object", "phi_ext", "phi_map", "quotient_hom", "reflection", "right_hd_approximation",
+)
+
+
+def test_10_a_second_round_rebuilds_no_certificate_value(capsys, tmp_path):
+    path = tmp_path / "ex61.qh"
+    problem = problemfile.problem_from_fixture(fx.ex61())
+    path.write_text(problemfile.serialize(problem), encoding="utf-8")
+    commands = [*DETERMINISM_COMMANDS, ["verify-main-theorem", str(path), "C", "D"]]
+    rounds = []
+    for _ in range(2):
+        outs = []
+        for argv in commands:
+            code = cli.main(list(argv))
+            outs.append((code, capsys.readouterr().out.encode()))
+        rounds.append((outs, WORKSPACE.stats()))
+    (first, after_first), (second, after_second) = rounds
+    assert first == second
+    for table in CERTIFICATE_TABLES:
+        assert after_second[table]["misses"] == after_first[table]["misses"], table
+        assert after_second[table]["hits"] > after_first[table]["hits"], table

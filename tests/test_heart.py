@@ -46,6 +46,23 @@ def test_an_empty_quotient_category_is_refused():
         ht.QuotientCategory([], [])
 
 
+def test_nonzero_objects_are_decided_once(model, monkeypatch):
+    """The objects are fixed at construction, so a second call makes no
+    `qcolumns` solve and returns the same objects in a list of its own."""
+    qc = ht.QuotientCategory(model.quotient.objects, model.quotient.ideal)
+    first = qc.nonzero_objects()
+    assert first and len(first) < len(qc.objects)
+    calls = []
+    real = qc.qcolumns
+    monkeypatch.setattr(qc, "qcolumns", lambda *a: calls.append(a) or real(*a))
+    solves = []
+    real_solve = la.solve
+    monkeypatch.setattr(la, "solve", lambda *a: solves.append(a) or real_solve(*a))
+    again = qc.nonzero_objects()
+    assert again == first and again is not first
+    assert not calls and not solves
+
+
 def test_hom_data_skips_members_and_eliminations_it_does_not_need(ex61, monkeypatch):
     """No Hom lookup through an ideal member that shares no vertex with x or
     y, and without an ideal composite no `quotient_map` or `rref`: the
@@ -427,23 +444,38 @@ def test_phi_dim_is_the_module_dimension(ex61, model):
         assert model.phi.dim(x) == model.phi.module(x).total_dim, x.name
 
 
-def test_phi_dim_reads_the_ext_that_phi_map_built():
+def ext1_spy(monkeypatch) -> list:
+    """The (C, X) of every `Ext1` the heart module builds, in order."""
+    built = []
+    monkeypatch.setattr(ht, "Ext1", lambda c, x: built.append((c, x)) or Ext1(c, x))
+    return built
+
+
+def test_phi_dim_reads_the_ext_that_phi_map_built(monkeypatch):
     f = fx.ex61()
     c = f.subcat_obj("C")
     phi = ht.PhiModel(c)
     x = f.atlas["2"].renamed("x")  # content the workspace may not hold yet
-    phi.phi_map(RepMap.identity(x))
+    built = ext1_spy(monkeypatch)
     WORKSPACE.clear()
-    exts = phi._ext_cache[x]
-    assert [(e.c, e.a) for e in exts] == [(m, x) for m in phi.members]
-    assert phi.dim(x) == sum(e.dim for e in exts)
-    assert "ext1_dim" not in WORKSPACE.stats()  # no second Ext^1 was built
-    assert phi.dim(x) == ext1_dim(direct_sum(c.members), x)
+    phi.phi_map(RepMap.identity(x))
+    before = WORKSPACE.stats()
+    nonzero = [m for m in phi.members if ext1_dim(m, x)]
+    assert nonzero and built == [(m, x) for m in nonzero]
+    assert before["ext1_dim"]["misses"] == len(phi.members)
+    assert before["phi_ext"]["entries"] == len(nonzero)
+    got = phi.dim(x)
+    after = WORKSPACE.stats()
+    # dim read what phi_map stored: no table missed, and no second Ext^1 was built
+    assert all(after[t]["misses"] == counts["misses"] for t, counts in before.items())
+    assert len(built) == len(nonzero)
+    assert got == ext1_dim(direct_sum(c.members), x)
 
 
 def test_phi_dim_sums_the_member_ext1_entries():
-    """Without Phi(f), dim Phi(x) is one shared `ext1_dim` entry per
-    non-projective member of C; a projective member adds nothing."""
+    """Without Phi(f), dim Phi(x) reads one shared `ext1_dim` entry per
+    non-projective member of C and builds a block only where it is
+    nonzero; a projective member adds nothing."""
     f = fx.ex61()
     c = f.subcat_obj("C")
     phi = ht.PhiModel(c)
@@ -454,8 +486,27 @@ def test_phi_dim_sums_the_member_ext1_entries():
     WORKSPACE.clear()
     got = phi.dim(x)
     assert WORKSPACE.stats()["ext1_dim"]["entries"] == len(phi.members)
-    assert x not in phi._ext_cache
+    nonzero = [m for m in phi.members if ext1_dim(m, x)]
+    assert WORKSPACE.stats()["phi_ext"]["entries"] == len(nonzero) > 0
     assert got == sum(ext1_dim(m, x) for m in phi.members) == ext1_dim(direct_sum(c.members), x)
+
+
+def test_phi_builds_an_ext1_only_for_a_nonzero_block(monkeypatch):
+    """On a certificate, Phi builds one `Ext1` per nonzero member block it
+    stores, and none for the zero blocks, which it reads off `ext1_dim`."""
+    f = fx.ex61()
+    built = ext1_spy(monkeypatch)
+    asked = []
+    real_dim = ht.ext1_dim
+    monkeypatch.setattr(ht, "ext1_dim", lambda c, x: asked.append((c, x)) or real_dim(c, x))
+    WORKSPACE.clear()
+    assert verify_main_theorem(f.atlas, f.subcat_obj("C"), f.subcat_obj("D"))["ok"]
+    stored = WORKSPACE.tables["phi_ext"]
+    keys = [(c.key, x.key) for c, x in built]
+    assert len(keys) == len(set(keys)) == len(stored) > 0 and set(keys) == set(stored)
+    assert all(block.dim > 0 for block in stored.values())
+    zero = {(c.key, x.key) for c, x in asked if not real_dim(c, x)}
+    assert zero and not zero & set(keys)
 
 
 @pytest.mark.parametrize("n, k, c, d", EX61_AND_LADDER)
@@ -496,11 +547,12 @@ def test_phi_map_is_computed_once_per_map():
     phi = ht.PhiModel(f.subcat_obj("C"))
     x, y = f.atlas["2/34"], f.atlas["2"]
     g = homs(x, y)[0]
+    WORKSPACE.clear()
     m = phi.phi_map(g)
     assert not m.flags.writeable
     copy = RepMap(x.renamed("x"), y.renamed("y"), g.blocks)  # same content, new objects
     assert phi.phi_map(g) is m and phi.phi_map(copy) is m
-    assert len(phi._map_cache) == 1
+    assert WORKSPACE.stats()["phi_map"] == {"hits": 2, "misses": 1, "entries": 1}
 
 
 def test_certificate_builds_no_gamma_action(monkeypatch):
@@ -512,4 +564,5 @@ def test_certificate_builds_no_gamma_action(monkeypatch):
     f = fx.ex61()
     assert verify_main_theorem(f.atlas, f.subcat_obj("C"), f.subcat_obj("D"))["ok"]
     assert built == []
+    WORKSPACE.clear()  # an earlier test may have stored Phi(3) already
     assert ht.PhiModel(f.subcat_obj("C")).validate_action(f.atlas["3"]) and len(built) == 1

@@ -35,7 +35,13 @@ from quiverhearts.fixtures import (
     ex61,
     ex62,
 )
-from quiverhearts.heart import HeartModel, gabriel_quiver, quivers_isomorphic
+from quiverhearts.heart import (
+    HeartModel,
+    gabriel_quiver,
+    quivers_isomorphic,
+    solve_extend,
+    solve_through,
+)
 from quiverhearts.homology import ext1_dim, homs
 from quiverhearts.mutation import (
     LocalizationModel,
@@ -614,3 +620,40 @@ def test_pseudo_morita_shares_the_localization_quotient(fx, inp, twin, model):
     other = MutationInput(fx.atlas, fx.subcat_obj("C"), fx.subcat_obj("D")).validate()
     with pytest.raises(AlgebraError, match="another mutation input"):
         PseudoMoritaData.build(TwinData.build(other), model)
+
+
+def transport_reference(data: PseudoMoritaData, side: str, x: RepMap) -> RepMap:
+    """K(x) (left) or K'(x) (right) of one map, by its own solve."""
+    if side == "right":
+        f0, f1 = data.coref(x.source).f, data.coref(x.target).f
+        return solve_through(x.compose(f0), f1)
+    f0, f1 = data.refl(x.source).f, data.refl(x.target).f
+    return solve_extend(f1.compose(x), f0)
+
+
+@pytest.mark.parametrize("n, k, c, d", EX61_AND_LADDER)
+def test_batched_transport_equals_per_map_solves(n, k, c, d):
+    """K and K' of a whole Hom basis, and of its image, from one solve per
+    Hom space and side, equal the per-map lifts entry for entry, on the
+    round trips of the certificate: K then K' on H_D, K' then K on H'_N."""
+    atlas, outer, inner = instance(n, k, c, d)
+    inp = MutationInput(atlas, outer, inner).validate()
+    data = PseudoMoritaData.build(TwinData.build(inp), LocalizationModel.build(inp))
+    batched = {"left": data.k_maps, "right": data.kprime_maps}
+    lifted = 0
+    for q, order in ((data.q_hd, ("left", "right")), (data.q_hn, ("right", "left"))):
+        objs = q.nonzero_objects()
+        for b0, b1 in itertools.product(objs, objs):
+            xs = homs(b0, b1)
+            if not xs:
+                continue
+            for side in order:
+                got = batched[side](xs)
+                assert len(got) == len(xs)
+                for x, g in zip(xs, got):
+                    want = transport_reference(data, side, x)
+                    assert g.source.key == want.source.key and g.target.key == want.target.key
+                    assert same_blocks(g.blocks, want.blocks)
+                lifted += len(xs)
+                xs = got
+    assert lifted > 0

@@ -132,10 +132,46 @@ def is_empty_table(node) -> bool:
     )
 
 
+def is_dict_field(node) -> bool:
+    """`field(default_factory=dict)`."""
+    return (
+        isinstance(node, ast.Call)
+        and last_name(node) == "field"
+        and any(
+            kw.arg == "default_factory" and last_name(kw.value) == "dict" for kw in node.keywords
+        )
+    )
+
+
+def per_object_memos(tree) -> list[tuple[int, str]]:
+    """(line, name) of every `self.<name> = {}` (or another empty table) and
+    every dataclass field `<name>: ... = field(default_factory=dict)` whose
+    name ends in `cache`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        for t in targets:
+            if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name):
+                name = t.attr if t.value.id == "self" and is_empty_table(value) else None
+            elif isinstance(t, ast.Name):
+                name = t.id if is_dict_field(value) else None
+            else:
+                name = None
+            if name and name.endswith("cache"):
+                found.append((node.lineno, name))
+    return found
+
+
 def memo_rule_breaks(path: Path) -> list[str]:
     """Calls to the builtin `id`, module-level names bound to an empty table
-    (weak ones too) and `functools.cache` or `lru_cache` decorators: the
-    shapes of an id-keyed cache and of a second memo beside the Workspace."""
+    (weak ones too), `functools.cache` or `lru_cache` decorators and
+    per-object memo dicts: the shapes of an id-keyed cache and of a second
+    memo beside the Workspace."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = [
         f"{path.name}:{node.lineno} id()"
@@ -154,13 +190,16 @@ def memo_rule_breaks(path: Path) -> list[str]:
         for dec in node.decorator_list
         if last_name(dec) in ("cache", "lru_cache")
     ]
+    found += [f"{path.name}:{line} per-object memo {name}" for line, name in per_object_memos(tree)]
     return found
 
 
 def test_one_memo_rule():
-    # Results that depend only on module content live in the Workspace;
-    # everything else is derived data held by its owner, as a
-    # cached_property or a dict keyed by the object itself.
+    # Results that depend only on content live in the Workspace, certificate
+    # values (R(X), H(X), Phi, (co)reflections, quotient Hom data) included:
+    # a second certificate of the same instance hits them.  Data derived from
+    # one object is held by its owner as a cached_property; no object keeps a
+    # memo dict of its own.
     modules = sorted((ROOT / "src" / "quiverhearts").glob("*.py"))
     breaks = [b for path in modules for b in memo_rule_breaks(path)]
     assert not breaks, breaks
@@ -204,3 +243,25 @@ def test_no_dead_public_names():
         if name not in read
     ]
     assert not dead, dead
+
+
+def test_memo_rule_flags_a_per_object_memo(tmp_path):
+    path = tmp_path / "shapes.py"
+    path.write_text(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    _r_cache: dict = field(default_factory=dict)\n"
+        "    witnesses: dict = field(default_factory=dict)\n"
+        "    def __init__(self):\n"
+        "        self._hom_cache: dict = {}\n"
+        "        self._cache = {}\n"
+        "        self._standard_names = {}\n"
+        "        self.cache = self.other_cache = 0\n",
+        encoding="utf-8",
+    )
+    assert memo_rule_breaks(path) == [
+        "shapes.py:4 per-object memo _r_cache",
+        "shapes.py:7 per-object memo _hom_cache",
+        "shapes.py:8 per-object memo _cache",
+    ]

@@ -14,8 +14,22 @@ from quiverhearts import cotorsion as ct
 from quiverhearts import fixtures as fx
 from quiverhearts import heart as ht
 from quiverhearts import homology as ho
-from quiverhearts.algebra import BoundQuiverAlgebra, IndecSet, Quiver, Rep, direct_sum, zero_rep
-from quiverhearts.mutation import verify_main_theorem
+from quiverhearts.algebra import (
+    BoundQuiverAlgebra,
+    IndecSet,
+    Quiver,
+    Rep,
+    RepMap,
+    direct_sum,
+    zero_rep,
+)
+from quiverhearts.mutation import (
+    LocalizationModel,
+    MutationInput,
+    TwinData,
+    reflection,
+    verify_main_theorem,
+)
 from quiverhearts.workspace import WORKSPACE
 
 
@@ -220,11 +234,10 @@ def rep_taking_id(freed: int, make) -> Rep:
     return y
 
 
-def test_phi_model_pins_the_modules_it_was_asked_about():
-    """The Phi model keys its Ext^1 cache by the Rep itself, so a zero
-    module it was asked about stays alive as long as the model does (no
-    later module can take its id), and a fresh module gets its own
-    Phi-module."""
+def test_phi_model_pins_no_module_it_was_asked_about():
+    """The Phi tables key by content and store no caller's module, so a
+    module the live model was asked about is freed with its last
+    reference, and a fresh module gets its own Phi-module, named after it."""
     fixture = fx.ex61()
     c = fixture.subcat_obj("C")
     pm = ht.PhiModel(c)
@@ -233,17 +246,54 @@ def test_phi_model_pins_the_modules_it_was_asked_about():
     assert pm.dim(member) == sum(ho.ext1_dim(m, member) for m in pm.members)
     assert pm.dim(member) == ho.ext1_dim(g, member) == 1
     z = zero_rep(fixture.algebra)
-    assert pm.module(z).total_dim == 0
-    ref = weakref.ref(z)
-    del z
-    gc.collect()
-    assert ref() is not None
+    assert pm.module(z).total_dim == 0 and pm.phi_map(RepMap.identity(z)).shape == (0, 0)
     y = member.renamed("y")
-    assert pm.module(y).total_dim == sum(e.dim for e in pm._ext_cache[y]) == 1
-    assert pm.module(y).total_dim == ho.ext1_dim(g, y)
-    del pm
+    mod = pm.module(y)
+    assert mod.name == "Phi(y)" and mod.total_dim == pm.dim(y) == 1
+    assert mod.total_dim == ho.ext1_dim(g, y)
+    assert pm.phi_map(RepMap.identity(y)).shape == (1, 1)
+    refs = [weakref.ref(z), weakref.ref(y)]
+    del z, y, mod
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)  # the model is alive
+    w = member.renamed("w")
+    assert pm.module(w).name == "Phi(w)" and pm.module(w).total_dim == 1
+
+
+def test_certificate_values_are_bound_to_a_renamed_copy():
+    """R(X), the reflection and H(X) of a renamed copy are bound to the
+    copy, with modules of their own and the blocks of the original; their
+    conflations validate, and a second lookup adds no miss."""
+    f = fx.ex61()
+    inp = MutationInput(f.atlas, f.subcat_obj("C"), f.subcat_obj("D")).validate()
+    model = LocalizationModel.build(inp)
+    twin = TwinData.build(inp)
+    hd = model.quotient.nonzero_objects()
+    # (table, objects, value, where the copy must sit, conflations)
+    cases = [
+        ("right_hd_approximation", f.atlas.members, model.r_object,
+         lambda r: [r.x, r.f.target], lambda r: [r.conf, r.z_conf]),
+        ("reflection", hd, lambda b: reflection(twin, b),
+         lambda r: [r.b, r.f.source], lambda r: [r.conf, r.mid_conf]),
+        ("h_object", f.atlas.members, model.heart.h.h_object,
+         lambda h: [h.x, h.defl.target], lambda h: []),
+    ]
+    for table, objs, value, ends, conflations in cases:
+        for x in objs:
+            want = value(x)
+            copy = x.renamed("copy")
+            misses = WORKSPACE.stats()[table]["misses"]
+            for _ in range(2):
+                got = value(copy)
+                assert all(end is copy for end in ends(got)), (table, x.name)
+                for conf, ref in zip(conflations(got), conflations(want), strict=True):
+                    assert conf.validate().b is not ref.b
+                    assert same_blocks(conf.infl.blocks, ref.infl.blocks)
+                    assert same_blocks(conf.defl.blocks, ref.defl.blocks)
+                if table == "h_object":
+                    assert got.defl.is_surjective() and got.obj.key == want.obj.key
+                    assert same_blocks(got.defl.blocks, want.defl.blocks)
+            assert WORKSPACE.stats()[table]["misses"] == misses, (table, x.name)
 
 
 def test_quotient_hom_data_ignores_a_reused_id():
