@@ -7,6 +7,11 @@ minimal-approximation criterion that is exact whenever Ext^1 from the cokernel
 class to the middle class vanishes (which covers every use in the engine), and
 otherwise falls back to a bounded exhaustive search.
 
+The answers about whole classes, (RCP) reports, perpendicular classes,
+Cone/CoCone classes and the check of a claimed cotorsion pair, are
+memoised by the classes' content in the workspace, as names and reports;
+a pair whose check is stored builds each witness when it is looked up.
+
 The search (`_search`, also behind the brute-force oracles and
 `star_membership`) runs through the direct sums S of a class up to a total
 dimension, in a fixed order, and tries every map between S and X.  The far end
@@ -44,6 +49,7 @@ from .homology import (
     minimal_right_approximation,
     syzygy,
 )
+from .workspace import WORKSPACE
 
 
 class Inconclusive(Exception):
@@ -84,7 +90,6 @@ class Subcategory:
 
     # Derived data, built once per object (cached_property writes to the
     # instance dict directly, so the frozen fields, equality and hash stay).
-    # Callers must not mutate a cached report.
     @cached_property
     def key(self) -> tuple:
         """Exact content: the atlas's member names and content, and the
@@ -101,17 +106,9 @@ class Subcategory:
         return is_corigid_pairwise(self, self)
 
     @cached_property
-    def rcp(self) -> tuple[bool, dict]:
-        return _rcp("right", self)
-
-    @cached_property
-    def rcp_dual(self) -> tuple[bool, dict]:
-        return _rcp("left", self)
-
-    @cached_property
     def rigid_pair(self) -> "CotorsionPair":
         """The cotorsion pair (self, self-perp) of a rigid class with the
-        projectives, with its witnesses."""
+        projectives; its witnesses are built as they are looked up."""
         return cotorsion_pair_from_rigid(self)
 
     @cached_property
@@ -161,6 +158,12 @@ def perp_left(c: Subcategory) -> Subcategory:
 
 
 def _perp(side: str, c: Subcategory) -> Subcategory:
+    """The right (left) perpendicular class of c, memoised by side and the
+    content of c."""
+    return Subcategory(c.atlas, WORKSPACE.memo("perp", (side, c.key), _perp_names, side, c))
+
+
+def _perp_names(side: str, c: Subcategory) -> tuple[str, ...]:
     """The atlas columns (right) or rows (left) of the Ext^1 table that
     vanish on every member of c."""
     atlas = c.atlas
@@ -168,7 +171,7 @@ def _perp(side: str, c: Subcategory) -> Subcategory:
         hit = atlas.rows("ext1", c.index).any(axis=0)
     else:
         hit = atlas.rows("ext1", np.arange(len(atlas)))[:, c.index].any(axis=1)
-    return Subcategory(atlas, tuple(n for n, h in zip(atlas.names, hit) if not h))
+    return tuple(n for n, h in zip(atlas.names, hit) if not h)
 
 
 def is_rigid(c: Subcategory) -> bool:
@@ -177,24 +180,29 @@ def is_rigid(c: Subcategory) -> bool:
 
 def is_corigid_pairwise(c: Subcategory, d: Subcategory) -> bool:
     """Ext^1(c, d) = 0 for all member pairs."""
+    _check_one_atlas(c, d)
+    return not c.atlas.rows("ext1", c.index)[:, d.index].any()
+
+
+def _check_one_atlas(c: Subcategory, d: Subcategory) -> None:
     if c.atlas is not d.atlas:
         raise AlgebraError("the two classes lie in different atlases")
-    return not c.atlas.rows("ext1", c.index)[:, d.index].any()
 
 
 def satisfies_rcp(c: Subcategory) -> tuple[bool, dict]:
     """Contains all projectives, rigid, fully contravariantly finite."""
-    return c.rcp
+    return WORKSPACE.memo("rcp", ("right", c.key), _rcp, "right", c)
 
 
 def satisfies_rcp_dual(v: Subcategory) -> tuple[bool, dict]:
     """Contains all injectives, rigid, fully covariantly finite."""
-    return v.rcp_dual
+    return WORKSPACE.memo("rcp", ("left", v.key), _rcp, "left", v)
 
 
 def _rcp(side: str, c: Subcategory) -> tuple[bool, dict]:
     """Every atlas object has a right (left) c-approximation that is a
-    deflation (inflation); the report keys name the side."""
+    deflation (inflation); the report keys name the side.  Callers must
+    not mutate the report: it is the stored one."""
     right = side == "right"
     report = {}
     if right:
@@ -213,14 +221,32 @@ class CotorsionPair:
     u: Subcategory
     v: Subcategory
     # per atlas object name: (V_B >-> U_B ->> B, B >-> V^B ->> U^B)
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _check_one_atlas(self.u, self.v)
+        self.witnesses = _Witnesses(self.u, self.v)
 
     def witness(self, side: str, b: Rep) -> Conflation:
-        """The right (left) witness of b: stored for an atlas member, built
-        for any other module."""
+        """The right (left) witness of b: `witnesses` of an atlas member,
+        built for any other module."""
         if b is self.u.atlas.by_name.get(b.name):
             return self.witnesses[b.name][0 if side == "right" else 1]
         return _witness(side, self.u, self.v, b)
+
+
+class _Witnesses(dict):
+    """The witnesses of the atlas members by name, each pair built through
+    `_witness` on its first lookup."""
+
+    def __init__(self, u: Subcategory, v: Subcategory):
+        super().__init__()
+        self.u, self.v = u, v
+
+    def __missing__(self, name: str) -> tuple[Conflation, Conflation]:
+        u, v, b = self.u, self.v, self.u.atlas[name]
+        pair = self[name] = (_witness("right", u, v, b), _witness("left", u, v, b))
+        return pair
 
 
 def _witness(side: str, u: Subcategory, v: Subcategory, b: Rep) -> Conflation:
@@ -282,13 +308,21 @@ def _identity_conflation(side: str, x: Rep) -> Conflation:
 
 
 def build_cotorsion_pair(u: Subcategory, v: Subcategory) -> CotorsionPair:
-    """Assemble witness conflations for a claimed pair; raises on failure."""
-    if not is_corigid_pairwise(u, v):
+    """The claimed pair, checked: Ext^1(u, v) = 0 and both witnesses of
+    every atlas object; raises on failure.  That the check passed is
+    memoised by the content of the two classes, so a pair of checked
+    content builds its witnesses only as they are asked for."""
+    pair = CotorsionPair(u, v)
+    WORKSPACE.memo("cotorsion_pair", (u.key, v.names), _checked, pair)
+    return pair
+
+
+def _checked(pair: CotorsionPair) -> bool:
+    if not is_corigid_pairwise(pair.u, pair.v):
         raise AlgebraError("Ext^1(first class, second class) does not vanish")
-    witnesses = {}
-    for b in u.atlas:
-        witnesses[b.name] = (_witness("right", u, v, b), _witness("left", u, v, b))
-    return CotorsionPair(u, v, witnesses)
+    for name in pair.u.atlas.names:
+        pair.witnesses[name]
+    return True
 
 
 def cotorsion_pair_from_rigid(c: Subcategory) -> CotorsionPair:
@@ -365,13 +399,25 @@ def _membership(
 
 
 def cocone_objects(bp: Subcategory, bpp: Subcategory) -> Subcategory:
-    keep = [x.name for x in bp.atlas if cocone_membership(x, bp, bpp)[0]]
-    return Subcategory(bp.atlas, tuple(keep))
+    """The atlas objects in CoCone(bp, bpp)."""
+    return _objects("left", bp, bpp)
 
 
 def cone_objects(bp: Subcategory, bpp: Subcategory) -> Subcategory:
-    keep = [x.name for x in bp.atlas if cone_membership(x, bp, bpp)[0]]
-    return Subcategory(bp.atlas, tuple(keep))
+    """The atlas objects in Cone(bp, bpp)."""
+    return _objects("right", bp, bpp)
+
+
+def _objects(side: str, bp: Subcategory, bpp: Subcategory) -> Subcategory:
+    """The Cone (right) or CoCone (left) class, memoised by side and the
+    content of both classes."""
+    key = (side, bp.key, bpp.key)
+    return Subcategory(bp.atlas, WORKSPACE.memo("cone_objects", key, _object_names, side, bp, bpp))
+
+
+def _object_names(side: str, bp: Subcategory, bpp: Subcategory) -> tuple[str, ...]:
+    member = cone_membership if side == "right" else cocone_membership
+    return tuple(x.name for x in bp.atlas if member(x, bp, bpp)[0])
 
 
 def _candidate_sums(members: list[Rep], max_total: int):

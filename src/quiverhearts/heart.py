@@ -419,15 +419,25 @@ class _ExtBlock:
         return la.matmul(self.qmap, sol, p)
 
 
+_ZERO_BLOCK = _ExtBlock(0)
+
+
 def _ext_block(c: Rep, x: Rep) -> _ExtBlock:
-    """A nonzero Ext^1(c, x) as an `_ExtBlock`."""
-    e = Ext1(c, x)
+    """Ext^1(c, x) as an `_ExtBlock`.  The shared `ext1_dim` entry is read
+    first, so a zero block builds no `Ext1`; a nonzero one is memoised by
+    the content of c and x, and takes the `Ext1` that a miss of the
+    dimension built, so a cold block builds one."""
+    built: list[Ext1] = []
+    if not ext1_dim(c, x, built):
+        return _ZERO_BLOCK
+    return WORKSPACE.memo("phi_ext", (c.key, x.key), _nonzero_block, c, x, built)
+
+
+def _nonzero_block(c: Rep, x: Rep, built: list[Ext1]) -> _ExtBlock:
+    e = built[0] if built else Ext1(c, x)
     for a in (e._flat, e.qmap):
         a.setflags(write=False)
     return _ExtBlock(e.dim, e.omega, e._flat, e.qmap, tuple(z.blocks for z in e.cocycles))
-
-
-_ZERO_BLOCK = _ExtBlock(0)
 
 
 class PhiModel:
@@ -517,15 +527,8 @@ class PhiModel:
         return sum(e.dim for e in self._blocks(x))
 
     def _blocks(self, x: Rep) -> list[_ExtBlock]:
-        """Ext^1(C_i, x) per non-projective member.  The shared `ext1_dim`
-        entry is read first, so a zero block builds no `Ext1`; a nonzero
-        one is memoised by the content of C_i and x."""
-        return [
-            WORKSPACE.memo("phi_ext", (c.key, x.key), _ext_block, c, x)
-            if ext1_dim(c, x)
-            else _ZERO_BLOCK
-            for c in self.members
-        ]
+        """Ext^1(C_i, x) per non-projective member (`_ext_block`)."""
+        return [_ext_block(c, x) for c in self.members]
 
     def module(self, x: Rep) -> Rep:
         """Phi(x), on which loop gi acts as the i-th Gamma basis element;

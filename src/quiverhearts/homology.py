@@ -494,13 +494,20 @@ class Ext1:
         return self.classes([RepMap(self.omega, self.a, blocks)])[:, 0]
 
 
-def ext1_dim(c: Rep, a: Rep) -> int:
-    """dim Ext^1(c, a), memoised by the content of c and a."""
-    return WORKSPACE.memo("ext1_dim", (c.key, a.key), _ext1_dim, c, a)
+def ext1_dim(c: Rep, a: Rep, built: list | None = None) -> int:
+    """dim Ext^1(c, a), memoised by the content of c and a.  A miss builds
+    an `Ext1`, which goes into `built` when that is given, so a caller that
+    goes on to use the space builds it once."""
+    return WORKSPACE.memo("ext1_dim", (c.key, a.key), _ext1_dim, c, a, built)
 
 
-def _ext1_dim(c: Rep, a: Rep) -> int:
-    return 0 if c.is_zero() or a.is_zero() else Ext1(c, a).dim
+def _ext1_dim(c: Rep, a: Rep, built: list | None = None) -> int:
+    if c.is_zero() or a.is_zero():
+        return 0
+    e = Ext1(c, a)
+    if built is not None:
+        built.append(e)
+    return e.dim
 
 
 def ext_dim(c: Rep, a: Rep, n: int) -> int:

@@ -337,29 +337,28 @@ class LocalizationModel:
     def r_object(self, x: Rep) -> HdApproximation:
         return right_hd_approximation(self.pair, self.inp.d, x)
 
-    def r_map(self, a: RepMap) -> RepMap:
-        """R(a): R(X1) -> R(X2) with f2 R(a) = a f1; linear in a."""
-        r1 = self.r_object(a.source)
-        r2 = self.r_object(a.target)
+    def r_map(self, a: RepMap, r1: HdApproximation, r2: HdApproximation) -> RepMap:
+        """R(a): R(X1) -> R(X2) with f2 R(a) = a f1, for a: X1 -> X2 given
+        r1 = R(X1) and r2 = R(X2); linear in a."""
         lift = solve_through(a.compose(r1.f), r2.f)
         if lift is None:
             raise AlgebraError("morphism transport through the localization failed")
         return lift
 
-    def r_qcoords(self, b1: Rep, b2: Rep) -> np.ndarray:
-        """Quotient coordinates of R(u) for every Hom(b1, b2) basis map u, one
-        column each, from one solve: the lifts of u o f1 through f2 come as
-        coordinates over the Hom(Y1, Y2) basis, which is the basis whose
-        quotient map the quotient keeps."""
-        r1, r2 = self.r_object(b1), self.r_object(b2)
-        cols = composite_columns(homs(b1, b2), [r1.f])
+    def r_qcoords(self, r1: HdApproximation, r2: HdApproximation) -> np.ndarray:
+        """Quotient coordinates of R(u) for every Hom(X1, X2) basis map u, one
+        column each, given r1 = R(X1) and r2 = R(X2), from one solve: the
+        lifts of u o f1 through f2 come as coordinates over the Hom(Y1, Y2)
+        basis, which is the basis whose quotient map the quotient keeps."""
+        cols = composite_columns(homs(r1.x, r2.x), [r1.f])
         _, lifts = solve_columns("right", r2.f, r1.y, r2.y, cols)
         if lifts is None:
             raise AlgebraError("morphism transport through the localization failed")
         return la.matmul(self.quotient.qmatrix(r1.y, r2.y), lifts, self.quotient.p)
 
-    def inverts(self, a: RepMap) -> bool:
-        return self.quotient.invertible(self.r_map(a))[0]
+    def inverts(self, a: RepMap, r1: HdApproximation, r2: HdApproximation) -> bool:
+        """Is R(a) invertible mod [C'], given the R of a's ends."""
+        return self.quotient.invertible(self.r_map(a, r1, r2))[0]
 
     def localized_quiver(self) -> GabrielQuiver:
         return gabriel_quiver(self.quotient)
@@ -416,7 +415,8 @@ def verify_localization(model: LocalizationModel) -> dict:
     report: dict = {"a_objects": a_sub.names}
 
     hd_objs = q.nonzero_objects()
-    r_of = {b: model.r_object(b) for b in hd_objs}
+    heart_objs = [atlas[n] for n in model.heart.heart_object_names()]
+    r_of = {x: model.r_object(x) for x in hd_objs + heart_objs}
     report["density"] = all(q.invertible(r_of[b].f)[0] for b in hd_objs)
 
     full_ok = True
@@ -426,7 +426,7 @@ def verify_localization(model: LocalizationModel) -> dict:
             basis = homs(b1, b2)
             if not basis:
                 continue
-            mat = model.r_qcoords(b1, b2)
+            mat = model.r_qcoords(r_of[b1], r_of[b2])
             rank = la.rank(mat, p)
             if rank != q.qdim(r_of[b1].y, r_of[b2].y):
                 full_ok = False
@@ -441,7 +441,6 @@ def verify_localization(model: LocalizationModel) -> dict:
     inverted = 0
     separated = 0
     consistent = True
-    heart_objs = [atlas[n] for n in model.heart.heart_object_names()]
     for x1 in heart_objs:
         for x2 in heart_objs:
             for g in homs(x1, x2):
@@ -449,11 +448,11 @@ def verify_localization(model: LocalizationModel) -> dict:
                     continue
                 if in_s_a(model, a_sub, g):
                     inverted += 1
-                    if not model.inverts(g):
+                    if not model.inverts(g, r_of[x1], r_of[x2]):
                         consistent = False
                 else:
                     separated += 1
-                    if model.inverts(g):
+                    if model.inverts(g, r_of[x1], r_of[x2]):
                         consistent = False
     report["s_a_inverted"] = inverted
     report["non_s_a_separated"] = separated
@@ -571,35 +570,38 @@ class PseudoMoritaData:
     def coref(self, b: Rep) -> HdApproximation:
         return coreflection(self.twin, b)
 
-    def k_maps(self, xs: list[RepMap]) -> list[RepMap]:
-        """K(x): B0+ -> B1+ extending x along the reflections, for maps
-        x: B0 -> B1 with common ends."""
-        return self._transport("left", xs)
 
-    def kprime_maps(self, xs: list[RepMap]) -> list[RepMap]:
-        """K'(x): B0- -> B1- lifting x through the coreflections, for maps
-        x: B0 -> B1 with common ends."""
-        return self._transport("right", xs)
 
-    def _transport(self, side: str, xs: list[RepMap]) -> list[RepMap]:
-        """The maps xs: B0 -> B1 carried to the coreflections of B0 and B1 by
-        lifting through their deflations (right), or to the reflections by
-        extending along their inflations (left), from one `solve_columns`;
-        a solve is column by column, so each map is what it would be alone."""
-        right = side == "right"
-        of = self.coref if right else self.refl
-        f0, f1 = of(xs[0].source).f, of(xs[0].target).f
-        if right:  # f1 o h = x o f0
-            src, tgt = f0.source, f1.source
-            basis, sol = solve_columns("right", f1, src, tgt, composite_columns(xs, [f0]))
-        else:  # h o f0 = f1 o x
-            src, tgt = f0.target, f1.target
-            basis, sol = solve_columns("left", f0, src, tgt, composite_columns([f1], xs))
-        if sol is None:
-            raise AlgebraError(f"{'coreflection' if right else 'reflection'} transport failed")
-        if not basis:
-            return [RepMap.zero(src, tgt) for _ in xs]
-        return [map_from_coords(basis, col) for col in sol.T]
+def k_maps(xs: list[RepMap], r0: Reflection, r1: Reflection) -> list[RepMap]:
+    """K(x): B0+ -> B1+ extending x along the reflections r0 of B0 and r1
+    of B1, for maps x: B0 -> B1."""
+    return _transport("left", xs, r0.f, r1.f)
+
+
+def kprime_maps(xs: list[RepMap], c0: HdApproximation, c1: HdApproximation) -> list[RepMap]:
+    """K'(x): B0- -> B1- lifting x through the coreflections c0 of B0 and c1
+    of B1, for maps x: B0 -> B1."""
+    return _transport("right", xs, c0.f, c1.f)
+
+
+def _transport(side: str, xs: list[RepMap], f0: RepMap, f1: RepMap) -> list[RepMap]:
+    """The maps xs: B0 -> B1 carried to the coreflections of B0 and B1 by
+    lifting through their deflations f0, f1 (right), or to the reflections
+    by extending along their inflations f0, f1 (left), from one
+    `solve_columns`; a solve is column by column, so each map is what it
+    would be alone."""
+    right = side == "right"
+    if right:  # f1 o h = x o f0
+        src, tgt = f0.source, f1.source
+        basis, sol = solve_columns("right", f1, src, tgt, composite_columns(xs, [f0]))
+    else:  # h o f0 = f1 o x
+        src, tgt = f0.target, f1.target
+        basis, sol = solve_columns("left", f0, src, tgt, composite_columns([f1], xs))
+    if sol is None:
+        raise AlgebraError(f"{'coreflection' if right else 'reflection'} transport failed")
+    if not basis:
+        return [RepMap.zero(src, tgt) for _ in xs]
+    return [map_from_coords(basis, col) for col in sol.T]
 
 
 def verify_pseudo_morita(data: PseudoMoritaData) -> dict:
@@ -615,12 +617,8 @@ def verify_pseudo_morita(data: PseudoMoritaData) -> dict:
     hn_objs = data.q_hn.nonzero_objects()
     unit, report["unit_iso"] = _round_trip(data, "right", hd_objs)
     counit, report["counit_iso"] = _round_trip(data, "left", hn_objs)
-    report["unit_natural"] = _natural(
-        data.q_hd, hd_objs, unit, lambda xs: xs, lambda xs: data.kprime_maps(data.k_maps(xs))
-    )
-    report["counit_natural"] = _natural(
-        data.q_hn, hn_objs, counit, lambda xs: data.k_maps(data.kprime_maps(xs)), lambda xs: xs
-    )
+    report["unit_natural"] = _natural(data.q_hd, "right", hd_objs, unit)
+    report["counit_natural"] = _natural(data.q_hn, "left", hn_objs, counit)
 
     mapping, dims_ok = object_correspondence(data)
     report["object_map"] = mapping
@@ -638,11 +636,14 @@ def _round_trip(data: PseudoMoritaData, side: str, objs: list[Rep]) -> tuple[dic
     """The unit B -> K'K(B) on H_D (right: the reflection inflation lifted
     through the coreflection deflation) or the counit KK'(B) -> B on H'_N
     (left: the coreflection deflation extended along the reflection
-    inflation), keyed by B, and whether each is invertible mod the ideal."""
+    inflation), and whether each is invertible mod the ideal.  Keyed by B:
+    the first value of B (its reflection on the right, its coreflection on
+    the left), the second value of that one's middle term, and the unit or
+    counit at B."""
     right = side == "right"
     q = data.q_hd if right else data.q_hn
     first, then = (data.refl, data.coref) if right else (data.coref, data.refl)
-    eta: dict = {}
+    trips: dict = {}
     ok = True
     for b in objs:
         out = first(b)
@@ -650,24 +651,29 @@ def _round_trip(data: PseudoMoritaData, side: str, objs: list[Rep]) -> tuple[dic
         e = solve_through(out.f, back.f) if right else solve_extend(out.f, back.f)
         if e is None or not q.invertible(e)[0]:
             ok = False
-        eta[b] = e
-    return eta, ok
+        trips[b] = (out, back, e)
+    return trips, ok
 
 
-def _natural(q: QuotientCategory, objs: list[Rep], eta: dict, f_maps, g_maps) -> bool:
+def _natural(q: QuotientCategory, side: str, objs: list[Rep], trips: dict) -> bool:
     """eta_{b1} o F(x) = G(x) o eta_{b0} modulo the ideal of q, for every Hom
-    basis map x: b0 -> b1 between objs (eta keyed by the object), with F
-    and G carrying a whole basis at once."""
+    basis map x: b0 -> b1 between objs, with F = 1 and G = K'K on H_D
+    (right) and F = KK' and G = 1 on H'_N (left), each carried on a whole
+    basis at once through the values `_round_trip` keeps per object."""
     ok = True
     for b0 in objs:
         for b1 in objs:
             basis = homs(b0, b1)
             if not basis:
                 continue
-            fs, gs = f_maps(basis), g_maps(basis)
-            lhs = composite_columns([eta[b1]], fs)
-            diffs = np.mod(lhs - composite_columns(gs, [eta[b0]]), q.p)
-            if q.qcolumns(fs[0].source, eta[b1].target, diffs).any():
+            (out0, back0, eta0), (out1, back1, eta1) = trips[b0], trips[b1]
+            if side == "right":
+                fs, gs = basis, kprime_maps(k_maps(basis, out0, out1), back0, back1)
+            else:
+                fs, gs = k_maps(kprime_maps(basis, out0, out1), back0, back1), basis
+            lhs = composite_columns([eta1], fs)
+            diffs = np.mod(lhs - composite_columns(gs, [eta0]), q.p)
+            if q.qcolumns(fs[0].source, eta1.target, diffs).any():
                 ok = False
     return ok
 

@@ -7,21 +7,30 @@ the same matrices share entries whatever their names or ids.  The tables:
 - `hom_space` and `decompose_with_maps` (in `algebra`);
 - `syzygy`, `ext1_dim`, `approximation` and `conflation` (in `homology`;
   the last keyed by the kind and the map's source, target and block bytes);
+- the answers about classes, in `cotorsion`: `rcp` (a class's (RCP) or
+  dual (RCP) report, by side), `perp` (the member names of its right or
+  left perpendicular class), `cone_objects` (the member names of
+  Cone(B', B'') or CoCone(B', B''), by kind and both classes) and
+  `cotorsion_pair` (True once `build_cotorsion_pair` has checked
+  Ext^1(U, V) = 0 and both witnesses of every atlas object);
 - the certificate's values: `right_hd_approximation` (R(X), and the
   coreflections) and `reflection` (in `mutation`), and `h_object` (H(X)),
   `phi_ext` (the nonzero member blocks Ext^1(C_i, X) of Phi), `phi_map`
   (Phi(f)), `phi_module` (Phi(X)) and `quotient_hom` (a quotient
   category's Hom data) in `heart`.
 
-Each memo site stores plain read-only blocks, and copies of the modules it
-constructed, under a key that holds everything its result depends on: the
-classes' member names and the atlas's content (`Subcategory.key`, whose
-atlas part is a `ContentKey`, hashed once), an ideal's member contents,
-and the argument's content.  It binds them to the caller's objects on
-every lookup, freezing nothing again, so no stored value refers to a
-caller's `Rep`, atlas or `Subcategory`.  Only
-constructions are shared: the checks a value passes when it is built run
-then, and every certificate still runs its own verdicts.  A module with an
+Each memo site stores names, booleans, reports and plain read-only
+blocks, and copies of the modules it constructed, under a key that holds
+everything its result depends on: the classes' member names and the
+atlas's content (`Subcategory.key`, whose atlas part is a `ContentKey`,
+hashed once), an ideal's member contents, and the argument's content.  It
+binds them to the caller's objects on every lookup, freezing nothing
+again, so no stored value refers to a caller's `Rep`, atlas or
+`Subcategory`: a class is rebuilt over the caller's atlas from its names,
+and a checked cotorsion pair builds a witness when it is first looked up
+(`CotorsionPair.witnesses`).  Only constructions and checks that a value
+passes when it is built are shared; a check that raises stores nothing,
+and every certificate still runs its own verdicts.  A module with an
 atlas member's content decomposes as that member without a lookup
 (`IndecSet.by_key`), so `decompose_with_maps` holds only other modules.
 The `algebra` table maps an algebra's content, the plain tuple that its
@@ -32,16 +41,20 @@ The certificate's values lived on their objects (a quotient category's
 Hom data, H(X), R(X), Phi and the (co)reflections of a model, in dicts
 keyed by the object) until they moved here: a second certificate of the
 same instance, or a command that builds its localization again, builds
-new objects and missed every one of them.  Nothing else belongs here.
-Data derived from one object (an algebra's path basis, projectives,
-standard modules and opposite, an atlas's dual atlas and its Hom and
-Ext^1 dimension tables, a subcategory's rigidity, (RCP) reports and
-cotorsion pair, a mutation input's classes, a quotient category's nonzero
-objects) lives on that object as a `cached_property` and goes when the
-object goes.  The dimension tables belong to their `IndecSet`, not here:
-a row is read off the `hom_space` entries of its members.  A table that a
-second certificate of the same instance would never hit does not belong
-here either.
+new objects and missed every one of them.  The answers about classes
+followed for the same reason: every CLI command builds its own atlas and
+classes, so a `cached_property` on a `Subcategory` answered the same
+(RCP), perpendicular, Cone/CoCone and cotorsion-pair questions once per
+command.  Nothing else belongs here.  Data derived from one object (an
+algebra's path basis, projectives, standard modules and opposite, an
+atlas's dual atlas and its Hom and Ext^1 dimension tables, a
+subcategory's rigidity, its pair `rigid_pair` and its `omega_generators`,
+a mutation input's classes, a quotient category's nonzero objects) lives
+on that object as a `cached_property` and goes when the object goes.  The
+dimension tables belong to their `IndecSet`, not here: a row is read off
+the `hom_space` entries of its members.  A table that a second
+certificate of the same instance would never hit does not belong here
+either.
 """
 
 from __future__ import annotations

@@ -293,8 +293,9 @@ def _exhaustive_faithfulness(model):
     objs = [x for x in q.objects if not q.is_zero_object(x)]
     for x in objs:
         for y in objs:
+            rx, ry = model.r_object(x), model.r_object(y)
             for f in homs(x, y):
-                assert q.is_ideal(f) == q.is_ideal(model.r_map(f)), (x.name, y.name)
+                assert q.is_ideal(f) == q.is_ideal(model.r_map(f, rx, ry)), (x.name, y.name)
 
 
 def test_7_localization_certificates(model, dual_model):
@@ -384,7 +385,7 @@ def test_9_flag_monotonicity_and_consequences(ex61, twin, model):
                 if flags["R1"]:
                     hf = model.heart.h.h_map(f)
                     assert in_s_a(model, a_sub, hf)
-                    assert model.inverts(hf)
+                    assert model.inverts(hf, *map(model.r_object, (hf.source, hf.target)))
                     harvested_r1 += 1
     assert harvested_wide >= 1 and harvested_r1 >= 1
 

@@ -445,9 +445,15 @@ def test_phi_dim_is_the_module_dimension(ex61, model):
 
 
 def ext1_spy(monkeypatch) -> list:
-    """The (C, X) of every `Ext1` the heart module builds, in order."""
+    """The (C, X) of every `Ext1` built, by any module, in order."""
     built = []
-    monkeypatch.setattr(ht, "Ext1", lambda c, x: built.append((c, x)) or Ext1(c, x))
+    real = Ext1.__init__
+
+    def init(self, c, x):
+        built.append((c, x))
+        real(self, c, x)
+
+    monkeypatch.setattr(Ext1, "__init__", init)
     return built
 
 
@@ -461,14 +467,15 @@ def test_phi_dim_reads_the_ext_that_phi_map_built(monkeypatch):
     phi.phi_map(RepMap.identity(x))
     before = WORKSPACE.stats()
     nonzero = [m for m in phi.members if ext1_dim(m, x)]
-    assert nonzero and built == [(m, x) for m in nonzero]
+    # one Ext^1 per member: its dimension, and a nonzero block from that same one
+    assert nonzero and built == [(m, x) for m in phi.members]
     assert before["ext1_dim"]["misses"] == len(phi.members)
     assert before["phi_ext"]["entries"] == len(nonzero)
     got = phi.dim(x)
     after = WORKSPACE.stats()
     # dim read what phi_map stored: no table missed, and no second Ext^1 was built
     assert all(after[t]["misses"] == counts["misses"] for t, counts in before.items())
-    assert len(built) == len(nonzero)
+    assert len(built) == len(phi.members)
     assert got == ext1_dim(direct_sum(c.members), x)
 
 
@@ -492,21 +499,41 @@ def test_phi_dim_sums_the_member_ext1_entries():
 
 
 def test_phi_builds_an_ext1_only_for_a_nonzero_block(monkeypatch):
-    """On a certificate, Phi builds one `Ext1` per nonzero member block it
-    stores, and none for the zero blocks, which it reads off `ext1_dim`."""
+    """On a certificate, Phi stores one block per nonzero member block, each
+    from an `Ext1` built once, and none for the zero blocks, which it reads
+    off `ext1_dim`."""
     f = fx.ex61()
     built = ext1_spy(monkeypatch)
     asked = []
     real_dim = ht.ext1_dim
-    monkeypatch.setattr(ht, "ext1_dim", lambda c, x: asked.append((c, x)) or real_dim(c, x))
+
+    def dim(c, x, into=None):
+        asked.append((c, x))
+        return real_dim(c, x, into)
+
+    monkeypatch.setattr(ht, "ext1_dim", dim)
     WORKSPACE.clear()
     assert verify_main_theorem(f.atlas, f.subcat_obj("C"), f.subcat_obj("D"))["ok"]
     stored = WORKSPACE.tables["phi_ext"]
     keys = [(c.key, x.key) for c, x in built]
-    assert len(keys) == len(set(keys)) == len(stored) > 0 and set(keys) == set(stored)
+    assert len(keys) == len(set(keys)) and len(stored) > 0 and set(stored) <= set(keys)
     assert all(block.dim > 0 for block in stored.values())
     zero = {(c.key, x.key) for c, x in asked if not real_dim(c, x)}
-    assert zero and not zero & set(keys)
+    assert zero and not zero & set(stored)
+
+
+@pytest.mark.parametrize("n, k, c, d", EX61_AND_LADDER[:2])
+def test_a_certificate_builds_one_ext1_per_content(monkeypatch, n, k, c, d):
+    """From a cleared workspace a certificate builds one `Ext1` per distinct
+    (C_i, X) content: a cold Phi block takes the one its dimension was read
+    from."""
+    atlas, outer, inner = instance(n, k, c, d)
+    built = ext1_spy(monkeypatch)
+    WORKSPACE.clear()
+    assert verify_main_theorem(atlas, outer, inner)["ok"]
+    keys = [(c.key, x.key) for c, x in built]
+    assert WORKSPACE.stats()["phi_ext"]["misses"] > 0
+    assert len(keys) == len(set(keys)) > 0
 
 
 @pytest.mark.parametrize("n, k, c, d", EX61_AND_LADDER)

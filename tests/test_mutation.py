@@ -55,6 +55,8 @@ from quiverhearts.mutation import (
     dual_localization_model,
     ext2_rigidity_criterion,
     in_s_a,
+    k_maps,
+    kprime_maps,
     left_mutation,
     mutation_condition_equivalence,
     reversed_quiver,
@@ -216,9 +218,9 @@ def test_faithfulness_catches_r_changed_on_one_basis_map(model, monkeypatch):
     assert len(changed) >= 5
     for b1, b2, j in changed:
 
-        def r_qcoords(x, y, b1=b1, b2=b2, j=j):
-            image = honest(x, y)
-            if x is b1 and y is b2:
+        def r_qcoords(r1, r2, b1=b1, b2=b2, j=j):
+            image = honest(r1, r2)
+            if r1.x is b1 and r2.x is b2:
                 image = image.copy()
                 image[:, j] = 0
             return image
@@ -239,8 +241,9 @@ def test_r_of_a_whole_basis_is_r_of_each_map(fx, model):
         for b2 in objs:
             basis = homs(b1, b2)
             if basis:
-                want = np.stack([q.qcoords(model.r_map(u)) for u in basis], axis=1)
-                assert np.array_equal(model.r_qcoords(b1, b2), want)
+                r1, r2 = model.r_object(b1), model.r_object(b2)
+                want = np.stack([q.qcoords(model.r_map(u, r1, r2)) for u in basis], axis=1)
+                assert np.array_equal(model.r_qcoords(r1, r2), want)
                 seen += want.any()
     assert seen
 
@@ -458,7 +461,7 @@ def test_widest_class_maps_into_inverted_morphisms(fx, twin, model):
                 if flags["R1"]:
                     hf = model.heart.h.h_map(f)
                     assert in_s_a(model, a_sub, hf)
-                    assert model.inverts(hf)
+                    assert model.inverts(hf, *map(model.r_object, (hf.source, hf.target)))
     assert harvested >= 1
 
 
@@ -639,7 +642,8 @@ def test_batched_transport_equals_per_map_solves(n, k, c, d):
     atlas, outer, inner = instance(n, k, c, d)
     inp = MutationInput(atlas, outer, inner).validate()
     data = PseudoMoritaData.build(TwinData.build(inp), LocalizationModel.build(inp))
-    batched = {"left": data.k_maps, "right": data.kprime_maps}
+    batched = {"left": k_maps, "right": kprime_maps}
+    ends = {"left": data.refl, "right": data.coref}
     lifted = 0
     for q, order in ((data.q_hd, ("left", "right")), (data.q_hn, ("right", "left"))):
         objs = q.nonzero_objects()
@@ -648,7 +652,7 @@ def test_batched_transport_equals_per_map_solves(n, k, c, d):
             if not xs:
                 continue
             for side in order:
-                got = batched[side](xs)
+                got = batched[side](xs, ends[side](xs[0].source), ends[side](xs[0].target))
                 assert len(got) == len(xs)
                 for x, g in zip(xs, got):
                     want = transport_reference(data, side, x)

@@ -1,7 +1,8 @@
 """Tooling checks: the benchmark's tracer still finds every target it wraps,
 the package imports nothing it does not use (no linter is installed), no
 module but the fixtures draws random numbers, no module keeps a memo of
-its own, and every public function and class is used somewhere."""
+its own, every workspace table is documented, and every public function
+and class is used somewhere."""
 
 import ast
 import subprocess
@@ -203,6 +204,30 @@ def test_one_memo_rule():
     modules = sorted((ROOT / "src" / "quiverhearts").glob("*.py"))
     breaks = [b for path in modules for b in memo_rule_breaks(path)]
     assert not breaks, breaks
+
+
+def workspace_tables(path: Path) -> set[str]:
+    """The table names of the `WORKSPACE.memo("<name>", ...)` calls in a module."""
+    return {
+        node.args[0].value
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "memo"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "WORKSPACE"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def test_every_workspace_table_is_documented():
+    package = ROOT / "src" / "quiverhearts"
+    tables = set().union(*(workspace_tables(path) for path in sorted(package.glob("*.py"))))
+    doc = ast.get_docstring(ast.parse((package / "workspace.py").read_text(encoding="utf-8")))
+    assert len(tables) >= 14, sorted(tables)
+    missing = sorted(t for t in tables if f"`{t}`" not in doc)
+    assert not missing, missing
 
 
 def public_definitions(path: Path) -> list[str]:

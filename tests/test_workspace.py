@@ -5,6 +5,7 @@ once it is cleared."""
 
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -322,3 +323,82 @@ def test_clear_releases_the_algebra():
     WORKSPACE.clear()
     gc.collect()
     assert ref() is None
+
+
+def class_answers(f) -> dict:
+    """The (RCP) reports, (RCP) pairs, perps and Cone/CoCone classes of the
+    classes C, D and C-perp of an ex61 copy, as plain names and reports."""
+    c, d = f.subcat_obj("C"), f.subcat_obj("D")
+    cperp = ct.perp_right(c)
+    out = {}
+    for label, x in (("C", c), ("D", d), ("C_perp", cperp)):
+        out[label] = (
+            ct.satisfies_rcp(x), ct.satisfies_rcp_dual(x),
+            ct.perp_right(x).names, ct.perp_left(x).names,
+        )
+    for label, x in (("C", c), ("D", d)):
+        pair = x.rigid_pair
+        out[label + " pair"] = (pair.u.names, pair.v.names)
+    for bp, bpp in ((d, c), (c, c), (d, d), (cperp, cperp)):
+        out[bp.names, bpp.names] = (
+            ct.cocone_objects(bp, bpp).names, ct.cone_objects(bp, bpp).names,
+        )
+    return out
+
+
+def test_a_fresh_copy_reads_its_class_answers_from_the_workspace():
+    """A second copy of the instance gets every class answer by content: no
+    approximation is asked for, and no approximation or conflation is
+    built."""
+    want = class_answers(fx.ex61())
+    before = WORKSPACE.stats()
+    with mock.patch.object(ct, "_approximation", wraps=ct._approximation) as spy:
+        got = class_answers(fx.ex61())
+    after = WORKSPACE.stats()
+    assert got == want
+    assert not spy.called
+    for table in ("approximation", "conflation"):
+        assert after[table]["misses"] == before[table]["misses"], table
+    for table in ("rcp", "perp", "cone_objects", "cotorsion_pair"):
+        assert after[table]["misses"] == before[table]["misses"], table
+        assert after[table]["hits"] > before[table]["hits"], table
+
+
+def test_a_failed_pair_check_stores_nothing():
+    """A build that raises, in the witness loop or on Ext-orthogonality,
+    leaves no entry and raises again."""
+    f = fx.ex61()
+    c, full = f.subcat_obj("C"), ct.full_subcat(f.atlas)
+    for u, v, why in ((c, c, "not in the second class"), (full, full, "does not vanish")):
+        for _ in range(2):
+            misses = WORKSPACE.stats().get("cotorsion_pair", {}).get("misses", 0)
+            with pytest.raises(al.AlgebraError, match=why):
+                ct.build_cotorsion_pair(u, v)
+            assert (u.key, v.names) not in WORKSPACE.tables.get("cotorsion_pair", {})
+            assert WORKSPACE.stats().get("cotorsion_pair", {}).get("misses", 0) == misses
+
+
+def test_a_checked_pair_builds_the_witnesses_of_the_miss_path():
+    """A pair returned from a hit builds each member's witnesses on lookup,
+    with the blocks of the witnesses its check built."""
+    first = fx.ex61()
+    WORKSPACE.clear()
+    c = first.subcat_obj("C")
+    built = ct.build_cotorsion_pair(c, ct.perp_right(c))
+    assert len(built.witnesses) == len(first.atlas)
+    second = fx.ex61()
+    c2 = second.subcat_obj("C")
+    pair = ct.build_cotorsion_pair(c2, ct.perp_right(c2))
+    assert WORKSPACE.stats()["cotorsion_pair"] == {"hits": 1, "misses": 1, "entries": 1}
+    assert not pair.witnesses
+    for b in second.atlas:
+        for conf, ref in zip(pair.witnesses[b.name], built.witnesses[b.name], strict=True):
+            conf.validate()
+            assert conf.b is not ref.b
+            assert same_blocks(conf.infl.blocks, ref.infl.blocks)
+            assert same_blocks(conf.defl.blocks, ref.defl.blocks)
+        assert pair.witness("right", b) is pair.witnesses[b.name][0]
+    assert len(pair.witnesses) == len(second.atlas)
+    # the stored check does not stand in for classes over two atlases
+    with pytest.raises(al.AlgebraError, match="different atlases"):
+        ct.build_cotorsion_pair(c2, ct.perp_right(c))
