@@ -501,6 +501,38 @@ class RepMap:
         return f"RepMap({self.source.name} -> {self.target.name})"
 
 
+def stored_maps(own: tuple, build, *args) -> tuple:
+    """The memo value of the maps that `build(*args)` returns: per map, the
+    positions of its ends and its read-only blocks.  An end that is one of
+    `own` is its position there (the last, for a module that sits at two:
+    a site where one can must key that case apart, as `_approximation`
+    does); every other module is numbered after them and kept as built,
+    once.  `own` must hold every caller's module that the maps join, so the
+    value holds none, and no lookup hands a kept module out: `bound_maps`
+    binds a fresh copy."""
+    at = dict(zip(own, range(len(own))))
+    others: list[Rep] = []
+    ends = []
+    for f in build(*args):
+        for m in (f.source, f.target):
+            if m not in at:
+                at[m] = len(own) + len(others)
+                others.append(m)
+        ends.append((at[f.source], at[f.target], f.blocks))
+    return tuple(others), tuple(ends)
+
+
+def bound_maps(own: tuple, value: tuple) -> list[RepMap]:
+    """The maps of a `stored_maps` value bound to the caller's `own`, in the
+    order `build` returned them.  Every other module is a fresh copy of the
+    kept one, shared by the maps that join it, and keeps the name it was
+    built under.  The stored blocks are bound as they are."""
+    others, ends = value
+    if others:
+        own += tuple([m.__copy__() for m in others])
+    return [RepMap._bound(own[s], own[t], blocks) for s, t, blocks in ends]
+
+
 def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for blocks of maps.  With an empty operand there is no
     arithmetic: a product without entries is a slice of the read-only
@@ -923,28 +955,23 @@ def decompose_with_maps(m: Rep, atlas: "IndecSet"):
     content is that member, both maps the identity (equal content means
     equal matrices, so it intertwines), and makes no memo entry.  Other
     modules are memoised by content and the atlas (member names and
-    content); the maps are rebound to the caller's m and atlas members.
+    content); the maps are bound to the caller's m and atlas members.
     """
     member = atlas.by_key.get(m.key)
     if member is not None:
         ident = member._identity_blocks
         return [(member, RepMap._bound(member, m, ident), RepMap._bound(m, member, ident))]
-    key = (m.key, atlas.key)
-    parts = WORKSPACE.memo("decompose_with_maps", key, _decomposition_blocks, m, atlas)
-    out = []
-    for name, inc_blocks, prj_blocks in parts:
-        member = atlas.by_name[name]
-        out.append(
-            (member, RepMap._bound(member, m, inc_blocks), RepMap._bound(m, member, prj_blocks))
-        )
-    return out
-
-
-def _decomposition_blocks(m: Rep, atlas: "IndecSet") -> tuple:
-    return tuple(
-        (member.name, inc.blocks, prj.blocks)
-        for member, inc, prj in _decompose_with_maps(m, atlas)
+    own = (m, *atlas.members)
+    value = WORKSPACE.memo(
+        "decompose_with_maps", (m.key, atlas.key), stored_maps, own, _split_maps, m, atlas
     )
+    maps = bound_maps(own, value)
+    return [(inc.source, inc, prj) for inc, prj in zip(maps[::2], maps[1::2])]
+
+
+def _split_maps(m: Rep, atlas: "IndecSet") -> list[RepMap]:
+    """Each summand's inclusion and projection, in summand order."""
+    return [f for _, inc, prj in _decompose_with_maps(m, atlas) for f in (inc, prj)]
 
 
 def _decompose_with_maps(m: Rep, atlas: "IndecSet"):

@@ -28,6 +28,7 @@ from .algebra import (
     Rep,
     RepMap,
     _radical_of_span,
+    bound_maps,
     composite_columns,
     decompose_with_maps,
     direct_sum,
@@ -36,6 +37,7 @@ from .algebra import (
     map_from_coords,
     matrix_map,
     meets,
+    stored_maps,
 )
 from .cotorsion import (
     CotorsionPair,
@@ -47,7 +49,7 @@ from .cotorsion import (
 from .homology import (
     Conflation,
     Ext1,
-    bound_maps,
+    class_columns,
     cokernel,
     conflation_from_defl,
     ext1_dim,
@@ -55,7 +57,6 @@ from .homology import (
     kernel,
     pullback,
     pullback_conflation,
-    stored_maps,
     syzygy,
 )
 from .workspace import WORKSPACE
@@ -346,19 +347,21 @@ class CohomologicalH:
         x, and bound to the caller's x; the check that B^- lies in
         CoCone(U, U) runs when it is first built."""
         key = (self.pair.u.key, self.pair.v.names, self.atlas.key, x.key)
-        [defl] = bound_maps(x, WORKSPACE.memo("h_object", key, self._h_parts, x))
+        value = WORKSPACE.memo("h_object", key, stored_maps, (x,), self._h_defl, x)
+        [defl] = bound_maps((x,), value)
         return HObject(x, defl.source, defl)
 
-    def _h_parts(self, x: Rep) -> tuple:
+    def _h_defl(self, x: Rep) -> list[RepMap]:
+        """[B^- ->> x], checked, uncached."""
         if x.is_zero():
-            return stored_maps(x, [RepMap.identity(x)])
+            return [RepMap.identity(x)]
         wl = self.pair.witness("left", x)  # X >-> V^X ->> U^X
         vx = wl.b
         wr = self._right_witness_of(vx)  # V0 >-> U0 ->> V^X
         conf, _ = pullback_conflation(wr, wl.infl)  # V0 >-> B^- ->> X
         if not self.h_objects.contains(conf.b):
             raise AlgebraError(f"H({x.name}) fell outside CoCone(U, U)")
-        return stored_maps(x, [conf.defl])
+        return [conf.defl]
 
     def _right_witness_of(self, b: Rep) -> Conflation:
         """V0 >-> U0 ->> b assembled summand-wise from the pair's witnesses."""
@@ -374,10 +377,9 @@ class CohomologicalH:
         defl = matrix_map(mid, b, [[inc.compose(c.defl) for c, (_, inc, _) in zip(parts, triples)]])
         return Conflation(infl, defl).validate()
 
-    def h_map(self, f: RepMap, hx: HObject | None = None, hy: HObject | None = None) -> RepMap:
+    def h_map(self, f: RepMap) -> RepMap:
         """A representative of H(f): H(X) -> H(Y), well-defined mod [U]."""
-        hx = hx or self.h_object(f.source)
-        hy = hy or self.h_object(f.target)
+        hx, hy = self.h_object(f.source), self.h_object(f.target)
         lift = solve_through(f.compose(hx.defl), hy.defl)
         if lift is None:
             raise AlgebraError("morphism transport through H failed")
@@ -395,28 +397,23 @@ class CohomologicalH:
 @dataclass(frozen=True)
 class _ExtBlock:
     """Ext^1(C, X) as a memo value: its dimension and, when that is
-    nonzero, the flat entries of the Hom(Omega C, X) basis as columns, the
-    quotient map onto Ext^1 and the blocks of one cocycle Omega C -> X per
-    basis class, all read-only, with the syzygy they start from."""
+    nonzero, the flat entries of the Hom(Omega C, X) basis as columns and
+    the quotient map onto Ext^1, read-only, and one cocycle Omega C -> X
+    per basis class as a `stored_maps` value."""
 
     dim: int
-    omega: Rep | None = None
     flat: np.ndarray | None = None
     qmap: np.ndarray | None = None
-    cocycle_blocks: tuple = ()
+    cocycle_maps: tuple | None = None
 
     def cocycles(self, x: Rep) -> list[RepMap]:
         """The cocycles Omega C -> x, bound to the caller's x."""
-        return [RepMap._bound(self.omega, x, blocks) for blocks in self.cocycle_blocks]
+        return bound_maps((x,), self.cocycle_maps)
 
-    def classes(self, cols: np.ndarray) -> np.ndarray:
+    def classes(self, cols: np.ndarray, p: int) -> np.ndarray:
         """The classes of the cocycles whose flat entries are the columns of
-        `cols`, for a nonzero block, from one solve (`Ext1.class_columns`)."""
-        p = self.omega.algebra.p
-        sol = la.solve(self.flat, cols, p)
-        if sol is None:
-            raise AlgebraError("cocycle outside Hom(Omega C, A)")
-        return la.matmul(self.qmap, sol, p)
+        `cols`, for a nonzero block (`homology.class_columns`)."""
+        return class_columns(self.flat, self.qmap, cols, p)
 
 
 _ZERO_BLOCK = _ExtBlock(0)
@@ -437,7 +434,7 @@ def _nonzero_block(c: Rep, x: Rep, built: list[Ext1]) -> _ExtBlock:
     e = built[0] if built else Ext1(c, x)
     for a in (e._flat, e.qmap):
         a.setflags(write=False)
-    return _ExtBlock(e.dim, e.omega, e._flat, e.qmap, tuple(z.blocks for z in e.cocycles))
+    return _ExtBlock(e.dim, e._flat, e.qmap, stored_maps((x,), lambda: e.cocycles))
 
 
 class PhiModel:
@@ -550,8 +547,8 @@ class PhiModel:
         mat = la.zeros(starts[-1], starts[-1])
         for (i, j), w in act.items():
             if blocks[i].dim and blocks[j].dim:
-                cols = composite_columns(blocks[i].cocycles(x), [w])
-                mat[starts[j] : starts[j + 1], starts[i] : starts[i + 1]] = blocks[j].classes(cols)
+                classes = blocks[j].classes(composite_columns(blocks[i].cocycles(x), [w]), self.p)
+                mat[starts[j] : starts[j + 1], starts[i] : starts[i + 1]] = classes
         return mat
 
     def phi_map(self, f: RepMap) -> np.ndarray:
@@ -569,7 +566,7 @@ class PhiModel:
         for ex, ey in zip(src, tgt):
             if ex.dim and ey.dim:
                 cols = composite_columns([f], ex.cocycles(f.source))
-                out[r : r + ey.dim, c : c + ex.dim] = ey.classes(cols)
+                out[r : r + ey.dim, c : c + ex.dim] = ey.classes(cols, self.p)
             r, c = r + ey.dim, c + ex.dim
         out.setflags(write=False)
         return out

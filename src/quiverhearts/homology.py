@@ -5,14 +5,13 @@ computed vertexwise, short exact sequences are represented as Conflation
 objects, Ext^1(C, A) is the cokernel of Hom(P0, A) -> Hom(syzygy, A) for a
 projective cover P0 of C, and approximations by a subcategory are built
 from Hom bases and greedily stripped to minimal ones.  Syzygies, Ext^1
-dimensions and minimal approximations are memoised by module content in
-the shared `Workspace`, like the Hom bases themselves; `stored_maps` and
-`bound_maps` carry maps built around one module in and out of such a memo.
+dimensions, minimal approximations and the conflations of a map's kernel
+and cokernel are memoised by module content in the shared `Workspace`,
+like the Hom bases, their maps as `algebra.stored_maps` values.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,6 +22,7 @@ from .algebra import (
     AlgebraError,
     Rep,
     RepMap,
+    bound_maps,
     composite_columns,
     direct_sum,
     dual_map,
@@ -32,6 +32,7 @@ from .algebra import (
     hom_space,
     map_from_coords,
     matrix_map,
+    stored_maps,
     zero_rep,
 )
 from .workspace import WORKSPACE
@@ -126,6 +127,11 @@ class Conflation:
     def c(self) -> Rep:
         return self.defl.target
 
+    def __iter__(self):
+        """Its two maps, the inflation first: `infl, defl = conf`, and the
+        maps a memo stores (`stored_maps`)."""
+        return iter((self.infl, self.defl))
+
     def validate(self) -> "Conflation":
         if self.infl.target is not self.defl.source:
             raise AlgebraError("conflation middle terms differ")
@@ -154,51 +160,25 @@ def conflation_from_defl(defl: RepMap) -> Conflation:
 
 
 def _conflation(kind: str, f: RepMap) -> Conflation:
-    """Memoised by the kind and the content of f.  Every call gets a fresh
-    end, named after the caller's middle term, and maps bound to the
-    caller's modules; a map that raises leaves no entry."""
+    """Memoised by the kind and the content of f.  The stored cokernel
+    (kernel) map is bound to the caller's middle term and a fresh end,
+    named after it; a map that raises leaves no entry."""
     key = (kind, f.source.key, f.target.key, tuple(b.tobytes() for b in f.blocks))
-    end, blocks = WORKSPACE.memo("conflation", key, _conflation_parts, kind, f)
+    own = (f.target if kind == "infl" else f.source,)
+    [g] = bound_maps(own, WORKSPACE.memo("conflation", key, stored_maps, own, _end_map, kind, f))
     if kind == "infl":
-        c = Rep._trusted(f.target.algebra, f"coker({f.target.name})", end.dims, end.arrow_maps)
-        return Conflation(f, RepMap._bound(f.target, c, blocks))
-    k = Rep._trusted(f.source.algebra, f"ker({f.source.name})", end.dims, end.arrow_maps)
-    return Conflation(RepMap._bound(k, f.source, blocks), f)
+        g.target.name = f"coker({f.target.name})"
+        return Conflation(f, g)
+    g.source.name = f"ker({f.source.name})"
+    return Conflation(g, f)
 
 
-def _conflation_parts(kind: str, f: RepMap) -> tuple:
-    end, g = cokernel(f) if kind == "infl" else kernel(f)
+def _end_map(kind: str, f: RepMap) -> list[RepMap]:
+    """The cokernel map of an inflation f, or the kernel map of a
+    deflation f, once the conflation they make validates."""
+    _, g = cokernel(f) if kind == "infl" else kernel(f)
     (Conflation(f, g) if kind == "infl" else Conflation(g, f)).validate()
-    return end, g.blocks
-
-
-def stored_maps(x: Rep, maps) -> tuple:
-    """A memo value for maps built around the caller's module x: a copy of
-    every other module they join, once each, and per map the positions of
-    its ends (-1 for x) and its read-only blocks.  It holds no caller's
-    object; `bound_maps` binds it to a caller."""
-    mods: list[Rep] = []
-
-    def at(m: Rep) -> int:
-        if m is x:
-            return -1
-        for i, n in enumerate(mods):
-            if n is m:
-                return i
-        mods.append(m)
-        return len(mods) - 1
-
-    ends = tuple((at(f.source), at(f.target), f.blocks) for f in maps)
-    return tuple(copy.copy(m) for m in mods), ends
-
-
-def bound_maps(x: Rep, value: tuple) -> list[RepMap]:
-    """The maps of a `stored_maps` value around the caller's x, every other
-    module a fresh copy of the stored one, shared by the maps that join it.
-    The copies keep the names they were built under."""
-    mods, ends = value
-    own = [copy.copy(m) for m in mods] + [x]  # position -1 is x
-    return [RepMap._bound(own[s], own[t], blocks) for s, t, blocks in ends]
+    return [g]
 
 
 def pushout(f: RepMap, g: RepMap):
@@ -351,15 +331,8 @@ def syzygy(m: Rep) -> tuple[Rep, Conflation]:
     (copies sharing the stored read-only matrices) and a deflation onto
     the caller's m.
     """
-    omega, cover, infl_blocks, defl_blocks = WORKSPACE.memo("syzygy", m.key, _syzygy_parts, m)
-    omega, cover = copy.copy(omega), copy.copy(cover)
-    infl = RepMap._bound(omega, cover, infl_blocks)
-    return omega, Conflation(infl, RepMap._bound(cover, m, defl_blocks))
-
-
-def _syzygy_parts(m: Rep) -> tuple:
-    conf = _syzygy(m)
-    return conf.a, conf.b, conf.infl.blocks, conf.defl.blocks
+    infl, defl = bound_maps((m,), WORKSPACE.memo("syzygy", m.key, stored_maps, (m,), _syzygy, m))
+    return infl.source, Conflation(infl, defl)
 
 
 def _syzygy(m: Rep) -> Conflation:
@@ -451,15 +424,7 @@ class Ext1:
         per map, (dim, len(maps)); every class of a zero Ext^1 is zero."""
         if not (self.dim and maps):
             return la.zeros(self.dim, len(maps))
-        return self.class_columns(flat_columns(maps))
-
-    def class_columns(self, cols: np.ndarray) -> np.ndarray:
-        """`classes` of the cocycles whose flat entries are the columns of
-        `cols`, for a nonzero Ext^1, from one solve."""
-        sol = la.solve(self._flat, cols, self.p)
-        if sol is None:
-            raise AlgebraError("cocycle outside Hom(Omega C, A)")
-        return la.matmul(self.qmap, sol, self.p)
+        return class_columns(self._flat, self.qmap, flat_columns(maps), self.p)
 
     def realize(self, coords) -> Conflation:
         """A conflation A >-> E ->> C representing the class."""
@@ -492,6 +457,16 @@ class Ext1:
                 raise AlgebraError("cocycle division failed")
             blocks.append(s)
         return self.classes([RepMap(self.omega, self.a, blocks)])[:, 0]
+
+
+def class_columns(flat: np.ndarray, qmap: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
+    """The classes in a nonzero Ext^1(C, A) of the cocycles whose flat
+    entries are the columns of `cols`, from one solve against `flat`, the
+    Hom(Omega C, A) basis as columns, and `qmap` onto Ext^1."""
+    sol = la.solve(flat, cols, p)
+    if sol is None:
+        raise AlgebraError("cocycle outside Hom(Omega C, A)")
+    return la.matmul(qmap, sol, p)
 
 
 def ext1_dim(c: Rep, a: Rep, built: list | None = None) -> int:
@@ -570,6 +545,13 @@ class Approximation:
     parts: list
     side: str  # "right" | "left"
 
+    def __iter__(self):
+        """The map, then each part's map: the maps a memo stores
+        (`stored_maps`)."""
+        yield self.map
+        for _, h in self.parts:
+            yield h
+
 
 def _assemble(parts, obj: Rep, side: str) -> Approximation:
     if not parts:
@@ -601,31 +583,22 @@ def minimal_left_approximation(members: list[Rep], obj: Rep) -> Approximation:
 
 
 def _approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:
-    """Memoised by side, the members' names and content in order, and the
-    content of obj.  The parts and the map are rebound to the caller's
-    members and obj, around a fresh copy of the stored sum."""
-    key = (side, tuple((m.name, m.key) for m in members), obj.key)
-    total, idx, part_blocks, map_blocks = WORKSPACE.memo(
-        "approximation", key, _approximation_parts, side, members, obj
+    """Memoised by side, the members' names and content in order, the
+    content of obj and where obj sits among the members, if it is one.
+    The map is bound to the caller's obj and a fresh copy of the stored
+    sum, the parts to the caller's members: a member that is obj itself
+    stands in both roles, so a copy of obj that is no member has an entry
+    of its own."""
+    own = (obj, *members)
+    at = members.index(obj) if obj in members else -1  # Reps compare by identity
+    key = (side, tuple((m.name, m.key) for m in members), obj.key, at)
+    value = WORKSPACE.memo(
+        "approximation", key, stored_maps, own, _minimal_approximation, side, members, obj
     )
-    total = copy.copy(total)
+    f, *hs = bound_maps(own, value)
     if side == "right":
-        parts = [
-            (members[i], RepMap._bound(members[i], obj, b)) for i, b in zip(idx, part_blocks)
-        ]
-        f = RepMap._bound(total, obj, map_blocks)
-    else:
-        parts = [
-            (members[i], RepMap._bound(obj, members[i], b)) for i, b in zip(idx, part_blocks)
-        ]
-        f = RepMap._bound(obj, total, map_blocks)
-    return Approximation(obj, total, f, parts, side)
-
-
-def _approximation_parts(side: str, members: list[Rep], obj: Rep) -> tuple:
-    approx = _minimal_approximation(side, members, obj)
-    idx = tuple(members.index(m) for m, _ in approx.parts)  # Reps compare by identity
-    return approx.total, idx, tuple(h.blocks for _, h in approx.parts), approx.map.blocks
+        return Approximation(obj, f.source, f, [(h.source, h) for h in hs], side)
+    return Approximation(obj, f.target, f, [(h.target, h) for h in hs], side)
 
 
 def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:

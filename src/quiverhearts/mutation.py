@@ -28,11 +28,13 @@ from .algebra import (
     IndecSet,
     Rep,
     RepMap,
+    bound_maps,
     composite_columns,
     decompose,
     direct_sum,
     map_from_coords,
     matrix_map,
+    stored_maps,
     zero_rep,
 )
 from .cotorsion import (
@@ -67,7 +69,6 @@ from .heart import (
 )
 from .homology import (
     Conflation,
-    bound_maps,
     conflation_from_defl,
     conflation_from_infl,
     cosyzygy,
@@ -78,7 +79,6 @@ from .homology import (
     minimal_right_approximation,
     pullback_conflation,
     pushout_conflation,
-    stored_maps,
     syzygy,
 )
 from .workspace import WORKSPACE
@@ -214,23 +214,18 @@ def right_hd_approximation(
     content of x, and bound to the caller's x; the failed-clause checks
     run when it is first built."""
     key = (outer_pair.u.key, outer_pair.v.names, inner.key, x.key)
-    value = WORKSPACE.memo("right_hd_approximation", key, _hd_parts, outer_pair, inner, x)
-    infl, defl, z_infl, z_defl = bound_maps(x, value)
+    value = WORKSPACE.memo(
+        "right_hd_approximation", key, stored_maps, (x,), _right_hd_maps, outer_pair, inner, x
+    )
+    infl, defl, z_infl, z_defl = bound_maps((x,), value)
     return HdApproximation(x, Conflation(infl, defl), Conflation(z_infl, z_defl))
 
 
-def _hd_parts(outer_pair: CotorsionPair, inner: Subcategory, x: Rep) -> tuple:
-    conf, z_conf = _right_hd_conflations(outer_pair, inner, x)
-    return stored_maps(x, [conf.infl, conf.defl, z_conf.infl, z_conf.defl])
-
-
-def _right_hd_conflations(
-    outer_pair: CotorsionPair, inner: Subcategory, x: Rep
-) -> tuple[Conflation, Conflation]:
-    """Z >-> Y ->> X and Y0 >-> Z ->> D1, checked, uncached."""
+def _right_hd_maps(outer_pair: CotorsionPair, inner: Subcategory, x: Rep) -> list[RepMap]:
+    """The maps of Z >-> Y ->> X and Y0 >-> Z ->> D1, checked, uncached."""
     if x.is_zero():
         conf = _identity_conflation("right", x)
-        return conf, conf
+        return [*conf, *conf]
     sa = syzygy_approximation(outer_pair, x)
     u0_conf = sa.u0_conf  # Y0 >-> U0 ->> X
     y0 = u0_conf.a
@@ -273,12 +268,12 @@ def _right_hd_conflations(
     return _validated(conf, z_conf, outer_pair, inner)
 
 
-def _validated(conf, z_conf, outer_pair, inner) -> tuple[Conflation, Conflation]:
+def _validated(conf, z_conf, outer_pair, inner) -> list[RepMap]:
     if not all(ext1_dim(m, conf.a) == 0 for m in inner.members):
         raise AlgebraError("failed clause: the kernel is not right-orthogonal to the inner class")
     if not cocone_membership(conf.b, inner, outer_pair.u)[0]:
         raise AlgebraError("failed clause: the middle term is not in CoCone(inner, outer)")
-    return conf, z_conf
+    return [*conf, *z_conf]
 
 
 def verify_hd_approximation(res: HdApproximation, hd: Subcategory) -> bool:
@@ -322,11 +317,10 @@ class LocalizationModel:
     quotient: QuotientCategory
 
     @classmethod
-    def build(cls, inp: MutationInput, heart: HeartModel | None = None) -> "LocalizationModel":
+    def build(cls, inp: MutationInput) -> "LocalizationModel":
         inp.validate()
-        pair = heart.pair if heart is not None else inp.c.rigid_pair
-        if heart is None:
-            heart = HeartModel.build(pair, inp.atlas)
+        pair = inp.c.rigid_pair
+        heart = HeartModel.build(pair, inp.atlas)
         cmut = right_mutation(inp)
         quotient = QuotientCategory([inp.atlas[n] for n in inp.hd.names], cmut.members)
         return cls(inp, pair, heart, cmut, inp.hd, perp_right(inp.d), quotient)
@@ -520,13 +514,13 @@ def reflection(twin: TwinData, b: Rep) -> Reflection:
     the content of b, and bound to the caller's b; the check that B+ lies
     in Cone(M', N) runs when it is first built."""
     key = (twin.inp.c.key, twin.inp.d.names, b.key)
-    infl, defl, mid_infl, mid_defl = bound_maps(
-        b, WORKSPACE.memo("reflection", key, _reflection_parts, twin, b)
-    )
+    value = WORKSPACE.memo("reflection", key, stored_maps, (b,), _reflection_maps, twin, b)
+    infl, defl, mid_infl, mid_defl = bound_maps((b,), value)
     return Reflection(b, Conflation(infl, defl), Conflation(mid_infl, mid_defl))
 
 
-def _reflection_parts(twin: TwinData, b: Rep) -> tuple:
+def _reflection_maps(twin: TwinData, b: Rep) -> list[RepMap]:
+    """The maps of B >-> B+ ->> S and V_B >-> T ->> B+, checked, uncached."""
     wr = twin.pair_dn.witness("right", b)  # V_B >-> U_B ->> B
     u_b = wr.b
     wl = _witness("left", twin.cperp, twin.m, u_b)  # U_B >-> T ->> S
@@ -535,7 +529,7 @@ def _reflection_parts(twin: TwinData, b: Rep) -> tuple:
     ok, _ = cone_membership(conf.b, twin.m_mut, twin.n)
     if not ok:
         raise AlgebraError("failed clause: the reflection is not in Cone(M', N)")
-    return stored_maps(b, [conf.infl, conf.defl, mid.infl, mid.defl])
+    return [*conf, *mid]
 
 
 def coreflection(twin: TwinData, b: Rep) -> HdApproximation:
@@ -620,7 +614,7 @@ def verify_pseudo_morita(data: PseudoMoritaData) -> dict:
     report["unit_natural"] = _natural(data.q_hd, "right", hd_objs, unit)
     report["counit_natural"] = _natural(data.q_hn, "left", hn_objs, counit)
 
-    mapping, dims_ok = object_correspondence(data)
+    mapping, dims_ok = object_correspondence(data, unit)
     report["object_map"] = mapping
     report["object_bijection"] = (
         mapping is not None
@@ -678,16 +672,15 @@ def _natural(q: QuotientCategory, side: str, objs: list[Rep], trips: dict) -> bo
     return ok
 
 
-def object_correspondence(data: PseudoMoritaData):
-    """(name -> name map via reflections, hom dimensions preserved?)."""
+def object_correspondence(data: PseudoMoritaData, unit: dict):
+    """(name -> name map via reflections, hom dimensions preserved?), the
+    reflection of each H_D object read off `unit`, the trips of the right
+    `_round_trip`, whose first value is that reflection."""
     atlas = data.twin.inp.atlas
     m_names = set(data.twin.m.names)
-    hd_objs = data.q_hd.nonzero_objects()
     mapping: dict = {}
-    for b in hd_objs:
-        names = [
-            nm for nm in decompose(data.refl(b).b_plus, atlas) if nm not in m_names
-        ]
+    for b, (refl, _, _) in unit.items():
+        names = [nm for nm in decompose(refl.b_plus, atlas) if nm not in m_names]
         if len(names) != 1:
             return None, False
         mapping[b.name] = names[0]
@@ -756,9 +749,9 @@ def diamond_diagram(f: RepMap) -> DiamondDiagram:
     return DiamondDiagram(f, row1, row2)
 
 
-def classify_r(twin: TwinData, f: RepMap, dd: DiamondDiagram | None = None) -> dict:
+def classify_r(twin: TwinData, f: RepMap) -> dict:
     """Flags R0 <= R1 <= R2 and R1 <= R1_tilde for a morphism Y -> X."""
-    dd = dd or diamond_diagram(f)
+    dd = diamond_diagram(f)
     g_through_dperp = factors_through(dd.g, twin.dperp.members)
     h_through_cperp = factors_through(dd.h, twin.cperp.members)
     h_through_dperp = factors_through(dd.h, twin.dperp.members)

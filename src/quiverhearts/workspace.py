@@ -20,12 +20,14 @@ the same matrices share entries whatever their names or ids.  The tables:
   category's Hom data) in `heart`.
 
 Each memo site stores names, booleans, reports and plain read-only
-blocks, and copies of the modules it constructed, under a key that holds
-everything its result depends on: the classes' member names and the
-atlas's content (`Subcategory.key`, whose atlas part is a `ContentKey`,
-hashed once), an ideal's member contents, and the argument's content.  It
-binds them to the caller's objects on every lookup, freezing nothing
-again, so no stored value refers to a caller's `Rep`, atlas or
+blocks under a key that holds everything its result depends on: the
+classes' member names and the atlas's content (`Subcategory.key`, whose
+atlas part is a `ContentKey`, hashed once), an ideal's member contents,
+and the argument's content.  A value that holds maps is one
+`algebra.stored_maps` value (but in `hom_space`: bare blocks between the
+caller's two modules), which `algebra.bound_maps` binds to the caller's
+modules on every lookup, every other module a fresh copy, freezing
+nothing again.  So no stored value refers to a caller's `Rep`, atlas or
 `Subcategory`: a class is rebuilt over the caller's atlas from its names,
 and a checked cotorsion pair builds a witness when it is first looked up
 (`CotorsionPair.witnesses`).  Only constructions and checks that a value

@@ -336,8 +336,8 @@ def test_a_corrupted_object_map_fails_the_quiver_check(monkeypatch, fx, model):
     )
     real = mu.object_correspondence
 
-    def swapped(data):
-        mapping, dims_ok = real(data)
+    def swapped(data, unit):
+        mapping, dims_ok = real(data, unit)
         mapping[u], mapping[v] = mapping[v], mapping[u]
         return mapping, dims_ok
 

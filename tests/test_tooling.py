@@ -1,8 +1,8 @@
 """Tooling checks: the benchmark's tracer still finds every target it wraps,
 the package imports nothing it does not use (no linter is installed), no
 module but the fixtures draws random numbers, no module keeps a memo of
-its own, every workspace table is documented, and every public function
-and class is used somewhere."""
+its own, every workspace table is documented, only `algebra` binds maps to
+stored blocks, and every public function and class is used somewhere."""
 
 import ast
 import subprocess
@@ -228,6 +228,26 @@ def test_every_workspace_table_is_documented():
     assert len(tables) >= 14, sorted(tables)
     missing = sorted(t for t in tables if f"`{t}`" not in doc)
     assert not missing, missing
+
+
+def bound_calls(path: Path) -> list[str]:
+    """Every call of a `_bound` attribute (`RepMap._bound(...)`)."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_bound"
+    ]
+
+
+def test_only_algebra_binds_stored_blocks():
+    # A memo value that holds maps is a `stored_maps` value, bound to its
+    # caller by `bound_maps`; a map bound to stored blocks anywhere else
+    # would be a second stored form with binding rules of its own.
+    modules = sorted((ROOT / "src" / "quiverhearts").glob("*.py"))
+    found = [c for path in modules if path.name != "algebra.py" for c in bound_calls(path)]
+    assert not found, found
 
 
 def public_definitions(path: Path) -> list[str]:

@@ -297,6 +297,96 @@ def test_certificate_values_are_bound_to_a_renamed_copy():
             assert WORKSPACE.stats()[table]["misses"] == misses, (table, x.name)
 
 
+def decomposition_maps(x, atlas):
+    return [f for _, inc, prj in al.decompose_with_maps(x, atlas) for f in (inc, prj)]
+
+
+def conflation_maps(x, atlas):
+    """The kernel conflations of the deflations out of x and the cokernel
+    conflations of the inflations into x, among the Hom basis maps."""
+    out = []
+    for y in atlas:
+        for h in al.hom_space(x, y):
+            out += ho.conflation_from_defl(h) if h.is_surjective() else []
+        for h in al.hom_space(y, x):
+            out += ho.conflation_from_infl(h) if h.is_injective() else []
+    return out
+
+
+# (table, the objects, their maps from the table, given the atlas)
+CONTENT_TABLES = {
+    "syzygy": (lambda atlas: atlas.members, lambda x, atlas: list(ho.syzygy(x)[1])),
+    "conflation": (lambda atlas: atlas.members, conflation_maps),
+    "approximation": (
+        lambda atlas: atlas.members,
+        lambda x, atlas: [
+            *ho.minimal_right_approximation(ct.projectives_of(atlas).members, x),
+            *ho.minimal_left_approximation(ct.injectives_of(atlas).members, x),
+        ],
+    ),
+    "decompose_with_maps": (
+        lambda atlas: [direct_sum([m, atlas.members[-1]]) for m in atlas],
+        decomposition_maps,
+    ),
+}
+
+
+@pytest.mark.parametrize("table", sorted(CONTENT_TABLES))
+def test_content_values_are_bound_to_a_renamed_copy(atlas, table):
+    """The maps a renamed copy b gets from a table are the maps of another
+    copy a, bound by role: where a's map meets a, b's meets b; where it
+    meets an atlas member, the same member; and where it meets any other
+    module, a fresh one with that module's content, shared by the same maps
+    as there.  The blocks are the same, and b's lookups add no miss."""
+    objects, maps_of = CONTENT_TABLES[table]
+    for x in objects(atlas):
+        a, b = x.renamed("a"), x.renamed("b")
+        want = maps_of(a, atlas)
+        misses = WORKSPACE.stats()[table]["misses"]
+        for _ in range(2):
+            got = maps_of(b, atlas)
+            assert len(got) == len(want) > 0, (table, x.name)
+            ends = [(g.source, w.source) for g, w in zip(got, want)]
+            ends += [(g.target, w.target) for g, w in zip(got, want)]
+            for g, w in ends:
+                if w is a:
+                    assert g is b
+                elif any(w is m for m in atlas):
+                    assert g is w
+                else:
+                    assert g.key == w.key and all(g is not v for _, v in ends)
+                    assert g is not b and not any(g is m for m in atlas)
+            assert [[g is h for h, _ in ends] for g, _ in ends] == [
+                [w is v for _, v in ends] for _, w in ends
+            ], (table, x.name)
+            assert any(g is b for g, _ in ends)
+            assert all(same_blocks(g.blocks, w.blocks) for g, w in zip(got, want))
+        assert WORKSPACE.stats()[table]["misses"] == misses, (table, x.name)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_an_approximated_member_binds_parts_and_map_by_role(atlas, side):
+    """A member approximated by a class that holds it, and then a renamed
+    copy of it: the miss and the hit of each bind the parts to the members
+    and the map to the object, as a fresh `_minimal_approximation` does."""
+    approx = {"right": ho.minimal_right_approximation, "left": ho.minimal_left_approximation}
+    members = ct.projectives_of(atlas).members
+    WORKSPACE.clear()
+    for x in members:
+        for obj in (x, x.renamed("copy")):
+            want = ho._minimal_approximation(side, members, obj)
+            for _ in range(2):
+                got = approx[side](members, obj)
+                assert got.obj is obj and got.total is not want.total
+                ends = [(f.source, f.target) for f in got]
+                want_ends = [(f.source, f.target) for f in want]
+                total = {"right": 0, "left": 1}[side]
+                assert ends[0][1 - total] is obj and ends[0][total] is got.total
+                assert ends[1:] == want_ends[1:]  # Reps compare by identity
+                assert [m for m, _ in got.parts] == [m for m, _ in want.parts]
+                assert all(same_blocks(g.blocks, w.blocks) for g, w in zip(got, want))
+
+
 def test_quotient_hom_data_ignores_a_reused_id():
     """An empty cached Hom is not handed to a later Rep that gets the same id."""
     atlas = fx.ex61().atlas
