@@ -14,10 +14,10 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from itertools import chain
 
 from . import linalg as la
+from .linalg import Block
 from .workspace import WORKSPACE, ContentKey
 
 
@@ -121,11 +121,13 @@ class BoundQuiverAlgebra(metaclass=_Interned):
         return hash(self._content)
 
     def __post_init__(self):
-        if (self.p - 1) ** 2 >= la.INT64_BOUND:
+        # Python ints keep the arithmetic exact for every p.  The cap keeps
+        # the trial division below exact and cheap (isqrt(p) below about
+        # 55,000); lifting it needs a deterministic primality test.
+        if (self.p - 1) ** 2 >= 2**63:
             raise AlgebraError(
                 f"field characteristic {self.p} is too large for exact int64 arithmetic"
             )
-        # Exact: the cap above keeps isqrt(p) below about 55,000.
         if self.p < 2 or any(self.p % q == 0 for q in range(2, math.isqrt(self.p) + 1)):
             raise AlgebraError(f"field characteristic {self.p} is not prime")
         for rel in self.relations:
@@ -219,7 +221,7 @@ def path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
         if len(paths) > MAX_PATHS:
             break
         n = len(paths)
-        gen_mat = la.vstack([g.reshape(1, -1) for g in _ideal_generators(alg, paths, cap)], n)
+        gen_mat = la.vstack([Block(1, n, g) for g in _ideal_generators(alg, paths, cap)], n)
         red, pivots = la.rref(gen_mat, alg.p)
         basis_idx = tuple(i for i in range(n) if i not in pivots)
         # every path of exact length `cap` must be killed in the quotient
@@ -230,7 +232,7 @@ def path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
         for row, pc in enumerate(pivots):
             expr = {}
             for j in basis_idx:
-                c = int(red[row, j])
+                c = red[row, j]
                 if c:
                     expr[j] = (-c) % alg.p
             reduction[pc] = expr
@@ -241,7 +243,7 @@ def path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
     )
 
 
-def _ideal_generators(alg: BoundQuiverAlgebra, paths: list, cap: int) -> list[np.ndarray]:
+def _ideal_generators(alg: BoundQuiverAlgebra, paths: list, cap: int) -> list[tuple]:
     """The two-sided ideal generators left * relation * right whose every
     term has length at most cap, as vectors over `paths`.  The paths, and
     so the left and right factors, come in order of length, so each loop
@@ -260,12 +262,12 @@ def _ideal_generators(alg: BoundQuiverAlgebra, paths: list, cap: int) -> list[np
             for rp in rights:
                 if len(lp) + longest + len(rp) > cap:
                     break
-                vec = la.zeros(1, len(paths))[0]
+                vec = [0] * len(paths)
                 for coeff, mid in rel:
                     i = index[lp + mid + rp]
                     vec[i] = (vec[i] + coeff) % alg.p
-                if vec.any():
-                    gens.append(vec)
+                if any(vec):
+                    gens.append(tuple(vec))
     return gens
 
 
@@ -296,31 +298,29 @@ class Rep:
             m = la.zeros(dj, di) if m is None else la.modmat(m, algebra.p)
             if m.shape != (dj, di):
                 raise AlgebraError(f"arrow map {aid} has shape {m.shape}, expected {(dj, di)}")
-            m.setflags(write=False)
             maps[aid] = m
         self.arrow_maps = maps
 
     @classmethod
     def _trusted(cls, algebra: BoundQuiverAlgebra, name: str, dims, arrow_maps) -> "Rep":
-        """Build a module checking nothing: the caller passes one read-only,
-        reduced int64 block of the right shape per arrow, in arrow order."""
+        """Build a module checking nothing: the caller passes one reduced
+        block of the right shape per arrow, in arrow order."""
         m = cls.__new__(cls)
         m.algebra, m.name, m.dims, m.arrow_maps = algebra, name, tuple(dims), arrow_maps
         return m
 
     @cached_property
-    def key(self) -> tuple:
-        """Exact content: (algebra, dims, arrow-map bytes in arrow order).
-
-        Computed on first use; a Rep's matrices are read-only, so it stays
-        valid.  Names are not part of it.
+    def key(self) -> ContentKey:
+        """Exact content: (algebra, dims, arrow-map blocks in arrow order),
+        hashed once.  Computed on first use; blocks are immutable, so it
+        stays valid.  Names are not part of it.
         """
-        return (self.algebra, self.dims, tuple(m.tobytes() for m in self.arrow_maps.values()))
+        return ContentKey((self.algebra, self.dims, tuple(self.arrow_maps.values())))
 
     @cached_property
-    def _identity_blocks(self) -> tuple[np.ndarray, ...]:
-        """The read-only blocks that every `RepMap.identity` of this module binds."""
-        return RepMap._trusted(self, self, [la.eye(d) for d in self.dims]).blocks
+    def _identity_blocks(self) -> tuple[Block, ...]:
+        """The blocks that every `RepMap.identity` of this module binds."""
+        return tuple(la.eye(d) for d in self.dims)
 
     @property
     def total_dim(self) -> int:
@@ -332,14 +332,12 @@ class Rep:
     def dim_at(self, v: str) -> int:
         return self.dims[self.algebra.quiver.vertex_index(v)]
 
-    def evaluate_path(self, path: Path) -> np.ndarray:
+    def evaluate_path(self, path: Path) -> Block:
         """Matrix of the path acting on this representation."""
-        q = self.algebra.quiver
-        src, tgt = path_endpoints(q, path)
+        src, _ = path_endpoints(self.algebra.quiver, path)
         m = la.eye(self.dim_at(src))
         for aid in path:
-            a = self.arrow_maps[aid]
-            m = la.matmul(a, m, self.algebra.p) if a.size and m.size else la.zeros(len(a), len(m.T))
+            m = _product(self.arrow_maps[aid], m, self.algebra.p)
         return m
 
     def relation_defect(self) -> list[Relation]:
@@ -349,7 +347,8 @@ class Rep:
             src, tgt = path_endpoints(self.algebra.quiver, rel[0][1])
             acc = la.zeros(self.dim_at(tgt), self.dim_at(src))
             for coeff, path in rel:
-                acc = np.mod(acc + coeff * self.evaluate_path(path), self.algebra.p)
+                acc = la.add(acc, la.scale(coeff, self.evaluate_path(path), self.algebra.p),
+                             self.algebra.p)
             if acc.any():
                 bad.append(rel)
         return bad
@@ -364,8 +363,8 @@ class Rep:
         return Rep(self.algebra, name, self.dims, self.arrow_maps)
 
     def __copy__(self) -> "Rep":
-        """A new module with this one's name, read-only blocks and cached
-        content key: how a memo hands each caller its own stored module."""
+        """A new module with this one's name, blocks and cached content
+        key: how a memo hands each caller its own stored module."""
         m = Rep.__new__(Rep)
         m.__dict__.update(self.__dict__)
         return m
@@ -398,7 +397,6 @@ class RepMap:
             )
             if m.shape != (target.dims[i], source.dims[i]):
                 raise AlgebraError(f"block at {v} has shape {m.shape}")
-            m.setflags(write=False)
             bl.append(m)
         self.blocks = tuple(bl)
         if not self.intertwines():
@@ -408,25 +406,20 @@ class RepMap:
     def _trusted(cls, source: Rep, target: Rep, blocks) -> "RepMap":
         """Build a map from blocks known to be valid, checking nothing.
 
-        Invariant, kept by the caller: each block is an int64 array with
-        entries in [0, p), of shape (target.dims[i], source.dims[i]), and
-        the blocks intertwine the arrow maps.  The blocks are made
-        read-only here, so the caller must not write to them afterwards.
+        Invariant, kept by the caller: each block is reduced mod p, of
+        shape (target.dims[i], source.dims[i]), and the blocks intertwine
+        the arrow maps.
         """
-        for b in blocks:
-            b.setflags(write=False)
-        return cls._bound(source, target, blocks)
-
-    @classmethod
-    def _bound(cls, source: Rep, target: Rep, blocks) -> "RepMap":
-        """`_trusted` for blocks that are read-only already, such as the
-        blocks of a stored memo entry: binds them and freezes nothing."""
         f = cls.__new__(cls)
         f.source = source
         f.target = target
         f.p = source.algebra.p
         f.blocks = tuple(blocks)
         return f
+
+    # The name for binding stored blocks (`bound_maps`, `hom_space` entries,
+    # identities), so that those sites can be found.
+    _bound = _trusted
 
     def intertwines(self) -> bool:
         q = self.source.algebra.quiver
@@ -436,14 +429,14 @@ class RepMap:
             # Both sides zero: empty, or products through a 0-dimensional space.
             if not (na.size and fi.size or fj.size and ma.size):
                 continue
-            if not np.array_equal(_product(na, fi, self.p), _product(fj, ma, self.p)):
+            if _product(na, fi, self.p) != _product(fj, ma, self.p):
                 return False
         return True
 
     @staticmethod
     def zero(source: Rep, target: Rep) -> "RepMap":
         return RepMap._trusted(
-            source, target, [np.zeros((t, s), np.int64) for s, t in zip(source.dims, target.dims)]
+            source, target, [Block(t, s, (0,) * (t * s)) for s, t in zip(source.dims, target.dims)]
         )
 
     @staticmethod
@@ -460,12 +453,11 @@ class RepMap:
     def add(self, other: "RepMap") -> "RepMap":
         if other.source.dims != self.source.dims or other.target.dims != self.target.dims:
             raise AlgebraError("sum of maps of different shapes")
-        blocks = [np.mod(a + b, self.p) for a, b in zip(self.blocks, other.blocks)]
+        blocks = [la.add(a, b, self.p) for a, b in zip(self.blocks, other.blocks)]
         return RepMap._trusted(self.source, self.target, blocks)
 
     def scale(self, c: int) -> "RepMap":
-        c = int(c) % self.p
-        blocks = [np.mod(c * b, self.p) for b in self.blocks]
+        blocks = [la.scale(int(c), b, self.p) for b in self.blocks]
         return RepMap._trusted(self.source, self.target, blocks)
 
     def neg(self) -> "RepMap":
@@ -474,15 +466,14 @@ class RepMap:
     def sub(self, other: "RepMap") -> "RepMap":
         return self.add(other.neg())
 
-    # Blocks of size 0 are skipped: they are zero, and have rank 0.
     def is_zero(self) -> bool:
-        return all(not b.any() for b in self.blocks if b.size)
+        return not any(b.any() for b in self.blocks)
 
     def is_injective(self) -> bool:
-        return all(_rank(b, self.p) == b.shape[1] for b in self.blocks)
+        return all(_rank(b, self.p) == b.cols for b in self.blocks)
 
     def is_surjective(self) -> bool:
-        return all(_rank(b, self.p) == b.shape[0] for b in self.blocks)
+        return all(_rank(b, self.p) == b.rows for b in self.blocks)
 
     def is_isomorphism(self) -> bool:
         return all(la.is_invertible(b, self.p) for b in self.blocks)
@@ -492,10 +483,9 @@ class RepMap:
             raise AlgebraError("not invertible")
         return RepMap._trusted(self.target, self.source, [la.inv(b, self.p) for b in self.blocks])
 
-    def flat(self) -> np.ndarray:
-        """All block entries as one vector (for span computations), fresh."""
-        parts = [b.reshape(-1) for b in self.blocks if b.size]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    def flat(self) -> tuple[int, ...]:
+        """All block entries as one vector (for span computations)."""
+        return tuple(chain.from_iterable(b.data for b in self.blocks))
 
     def __repr__(self):
         return f"RepMap({self.source.name} -> {self.target.name})"
@@ -503,7 +493,7 @@ class RepMap:
 
 def stored_maps(own: tuple, build, *args) -> tuple:
     """The memo value of the maps that `build(*args)` returns: per map, the
-    positions of its ends and its read-only blocks.  An end that is one of
+    positions of its ends and its blocks.  An end that is one of
     `own` is its position there (the last, for a module that sits at two:
     a site where one can must key that case apart, as `_approximation`
     does); every other module is numbered after them and kept as built,
@@ -533,23 +523,17 @@ def bound_maps(own: tuple, value: tuple) -> list[RepMap]:
     return [RepMap._bound(own[s], own[t], blocks) for s, t, blocks in ends]
 
 
-def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for blocks of maps.  With an empty operand there is no
-    arithmetic: a product without entries is a slice of the read-only
-    operand it shares a side with, and only a product through a
-    0-dimensional space allocates its zeros."""
-    if a.size and b.size:
+def _product(a: Block, b: Block, p: int) -> Block:
+    """a @ b mod p for blocks of maps; a product without entries, or through
+    a 0-dimensional space, is a zero block made without a call."""
+    if a.rows and a.cols and b.cols:
         return la.matmul(a, b, p)
-    if not len(a):
-        return b[:0]
-    if not b.shape[1]:
-        return a[:, :0]
-    return la.zeros(len(a), b.shape[1])
+    return Block(a.rows, b.cols, (0,) * (a.rows * b.cols))
 
 
-def _rank(b: np.ndarray, p: int) -> int:
+def _rank(b: Block, p: int) -> int:
     """The rank of a block, read off an empty or a 1x1 block directly."""
-    return la.rank(b, p) if b.size > 1 else int(b.size and b.item() % p != 0)
+    return la.rank(b, p) if b.rows * b.cols > 1 else int(bool(b.data and b.data[0]))
 
 
 def _hom_unknown_layout(m: Rep, n: Rep) -> list[tuple[int, int, int]]:
@@ -579,8 +563,8 @@ def _hom_basis(m: Rep, n: Rep) -> tuple:
     return WORKSPACE.memo("hom_space", (m.key, n.key), _hom_blocks, m, n)
 
 
-def _hom_blocks(m: Rep, n: Rep) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Hom(m, n) basis blocks, read-only, by solving the intertwining equations."""
+def _hom_blocks(m: Rep, n: Rep) -> tuple[tuple[Block, ...], ...]:
+    """Hom(m, n) basis blocks, by solving the intertwining equations."""
     layout = _hom_unknown_layout(m, n)
     offsets = []
     total = 0
@@ -598,30 +582,28 @@ def _hom_blocks(m: Rep, n: Rep) -> tuple[tuple[np.ndarray, ...], ...]:
         di, dj, ei, ej = m.dims[i], m.dims[j], n.dims[i], n.dims[j]
         if not (ej and di and (ei or dj)):
             continue
-        na, ma = n.arrow_maps[aid].tolist(), m.arrow_maps[aid].tolist()
+        na, ma = n.arrow_maps[aid].data, m.arrow_maps[aid].data  # (ej, ei), (dj, di)
         for r in range(ej):
             for c in range(di):
                 eq = [0] * total
                 for k in range(ei):
-                    eq[offsets[i] + k * di + c] += na[r][k]
+                    eq[offsets[i] + k * di + c] += na[r * ei + k]
                 for k in range(dj):
-                    eq[offsets[j] + r * dj + k] -= ma[k][c]
+                    eq[offsets[j] + r * dj + k] -= ma[k * di + c]
                 # Each entry is one difference of two reduced entries, so
                 # zero mod p only when zero.
                 if any(eq):
                     eqs.append(eq)
-    ns = la.nullspace(np.array(eqs, dtype=np.int64), m.algebra.p) if eqs else la.eye(total)
-    # One contiguous row per basis map, so each block is a view of it; an
-    # empty block is one read-only array per shape, shared by every map.
-    vecs = np.ascontiguousarray(ns.T)
-    vecs.setflags(write=False)
-    empty = {(r, c): vecs[:0, :0].reshape(r, c) for _, r, c in layout if not r * c}
+    ns = la.nullspace(la.modmat(eqs, m.algebra.p), m.algebra.p) if eqs else la.eye(total)
+    # One column per basis map, cut into its blocks; an empty block is one
+    # block per shape, shared by every map.
+    empty = {(r, c): Block(r, c, ()) for _, r, c in layout if not r * c}
     return tuple(
         tuple(
-            vec[off : off + r * c].reshape(r, c) if r * c else empty[r, c]
+            Block(r, c, vec[off : off + r * c]) if r * c else empty[r, c]
             for (_, r, c), off in zip(layout, offsets)
         )
-        for vec in vecs
+        for vec in map(ns.column, range(ns.cols))
     )
 
 
@@ -633,63 +615,61 @@ def map_from_coords(basis: list[RepMap], coords) -> RepMap:
     """sum_k coords[k] * basis[k], one combination per vertex."""
     if not basis:
         raise AlgebraError("empty basis")
-    f0, k = basis[0], len(basis)
-    c = np.mod(np.asarray(coords, dtype=np.int64), f0.p).reshape(1, -1)
-    if c.shape != (1, k):
-        raise AlgebraError(f"{k} basis maps but {c.size} coordinates")
+    f0, k, p = basis[0], len(basis), basis[0].p
+    c = [int(x) % p for x in coords]
+    if len(c) != k:
+        raise AlgebraError(f"{k} basis maps but {len(c)} coordinates")
     blocks = []
     for i, b0 in enumerate(f0.blocks):
         if not b0.size:
-            blocks.append(la.zeros(*b0.shape))
+            blocks.append(b0)
             continue
-        stacked = np.stack([f.blocks[i] for f in basis]).reshape(k, -1)
-        blocks.append(la.matmul(c, stacked, f0.p).reshape(b0.shape))
+        entries = zip(*[f.blocks[i].data for f in basis])
+        blocks.append(Block(*b0.shape, tuple(sum(map(operator.mul, c, e)) % p for e in entries)))
     return RepMap._trusted(f0.source, f0.target, blocks)
 
 
-def coords_in_basis(basis: list[RepMap], f: RepMap, p: int) -> np.ndarray | None:
+def coords_in_basis(basis: list[RepMap], f: RepMap, p: int) -> tuple | None:
     """Coordinates of f in a spanning list of RepMaps, or None."""
     if not basis:
-        return la.zeros(1, 0)[0] if f.is_zero() else None
-    sol = la.solve(flat_columns(basis), f.flat().reshape(-1, 1), p)
-    return None if sol is None else sol[:, 0]
+        return () if f.is_zero() else None
+    sol = la.solve(flat_columns(basis), la.column(f.flat()), p)
+    return None if sol is None else sol.data
 
 
-def flat_columns(maps: list[RepMap]) -> np.ndarray:
+def flat_columns(maps: list[RepMap]) -> Block:
     """The flat entries of a nonempty list of maps, one column per map."""
-    return np.stack([m.flat() for m in maps], axis=1)
+    flats = [m.flat() for m in maps]
+    return la.columns(flats, len(flats[0]))
 
 
-def composite_columns(outer: list[RepMap], inner: list[RepMap]) -> np.ndarray:
+def composite_columns(outer: list[RepMap], inner: list[RepMap]) -> Block:
     """The flat columns of every composite v o u, u in `inner`, v in `outer`.
 
     For maps inner[k]: X -> T and outer[j]: T -> Y (typically Hom bases),
     column k * len(outer) + j is (outer[j] o inner[k]).flat(), the order
-    of the loops `for u in inner: for v in outer`.  Each vertex where X, T
-    and Y are all nonzero costs one stacked product, (1, a, y, t) @
-    (b, 1, t, x) -> (b, a, y, x), in place of a * b `compose` calls; the
-    other vertices contribute zero (or no) entries.  With either list
-    empty there is no column, and the result is (0, 0).
+    of the loops `for u in inner: for v in outer`, one block product per
+    vertex where X and Y are nonzero, without building the composites.
+    With either list empty there is no column, and the result is (0, 0).
     """
     if not outer or not inner:
         return la.zeros(0, 0)
-    a, b, p = len(outer), len(inner), outer[0].p
-    shapes = [(*v0.shape, u0.shape[1]) for v0, u0 in zip(outer[0].blocks, inner[0].blocks)]
-    out = la.zeros(a * b, sum(y * x for y, _, x in shapes))
-    off = 0
-    for i, (y, t, x) in enumerate(shapes):
-        if y and t and x:
-            v = np.array([g.blocks[i] for g in outer])
-            u = np.array([f.blocks[i] for f in inner])
-            out[:, off : off + y * x] = la.matmul(v[None], u[:, None], p).reshape(a * b, y * x)
-        off += y * x
-    return out.T
+    p = outer[0].p
+    live = [i for i, (v0, u0) in enumerate(zip(outer[0].blocks, inner[0].blocks))
+            if v0.rows and u0.cols]
+    cols = []
+    for u in inner:
+        for v in outer:
+            cols.append(tuple(chain.from_iterable(
+                _product(v.blocks[i], u.blocks[i], p).data for i in live
+            )))
+    return la.columns(cols, len(cols[0]))
 
 
 def direct_sum(reps: list[Rep], name: str | None = None) -> Rep:
     """Block-diagonal sum; maps into, out of or between sums are built by
     `matrix_map` from their components.  A sum of one module binds that
-    module's read-only blocks, so it has the same key."""
+    module's blocks, so it has the same key."""
     if not reps:
         raise AlgebraError("direct_sum of empty list needs an algebra; use zero_rep")
     alg = reps[0].algebra
@@ -697,17 +677,7 @@ def direct_sum(reps: list[Rep], name: str | None = None) -> Rep:
         r = reps[0]
         return Rep._trusted(alg, name or "(" + r.name + ")", r.dims, dict(r.arrow_maps))
     dims = [sum(r.dims[i] for r in reps) for i in range(alg.n_vertices)]
-    maps = {}
-    q = alg.quiver
-    for aid, i, j in q._arrow_ends:
-        m = la.zeros(dims[j], dims[i])
-        ro = co = 0
-        for r in reps:
-            m[ro : ro + r.dims[j], co : co + r.dims[i]] = r.arrow_maps[aid]
-            ro += r.dims[j]
-            co += r.dims[i]
-        m.setflags(write=False)
-        maps[aid] = m
+    maps = {aid: la.block_diag([r.arrow_maps[aid] for r in reps]) for aid in reps[0].arrow_maps}
     # The summands' blocks are reduced already, and so is their diagonal.
     return Rep._trusted(alg, name or "(" + "+".join(r.name for r in reps) + ")", dims, maps)
 
@@ -719,8 +689,8 @@ def matrix_map(source: Rep, target: Rep, rows) -> RepMap:
     `source` and `target` are the sums of those summands in order (a single
     module is a sum of one).  Every row and every column needs one given
     component to fix its summand; give an all-zero one as `RepMap.zero`.
-    Each block is the component blocks joined side by side and stacked; a
-    single component's blocks are bound as they are.
+    Each block is the grid of the component blocks; a single component's
+    blocks are bound as they are.
     """
     if len(rows) == 1 and len(rows[0]) == 1:
         f = rows[0][0]
@@ -732,30 +702,20 @@ def matrix_map(source: Rep, target: Rep, rows) -> RepMap:
     row_dims = [next(f.target.dims for f in row if f is not None) for row in rows]
     blocks = []
     for i, shape in enumerate(zip(target.dims, source.dims)):
-        block = np.concatenate(
-            [
-                np.concatenate(
-                    [
-                        la.zeros(rd[i], cd[i]) if f is None else f.blocks[i]
-                        for f, cd in zip(row, col_dims)
-                    ],
-                    axis=1,
-                )
-                for row, rd in zip(rows, row_dims)
-            ]
-        )
+        heights, widths = [rd[i] for rd in row_dims], [cd[i] for cd in col_dims]
+        cells = [[None if f is None else f.blocks[i] for f in row] for row in rows]
+        block = la.grid(cells, heights, widths)
         if block.shape != shape:
             raise AlgebraError(f"components make a {block.shape} block, expected {shape}")
         blocks.append(block)
     return RepMap._trusted(source, target, blocks)
 
 
-_EMPTY = np.zeros((0, 0), dtype=np.int64)
-_EMPTY.setflags(write=False)
+_EMPTY = la.zeros(0, 0)
 
 
 def zero_rep(alg: BoundQuiverAlgebra) -> Rep:
-    """The zero module "0", built unchecked: one read-only (0, 0) block per arrow."""
+    """The zero module "0", built unchecked: one (0, 0) block per arrow."""
     arrows = dict.fromkeys((aid for aid, _, _ in alg.quiver.arrows), _EMPTY)
     return Rep._trusted(alg, "0", (0,) * alg.n_vertices, arrows)
 
@@ -799,7 +759,7 @@ def _standard_projectives(alg: BoundQuiverAlgebra) -> dict[str, Rep]:
         maps = {}
         for aid, s, t in q.arrows:
             si, ti = q.vertex_index(s), q.vertex_index(t)
-            m = la.zeros(dims[ti], dims[si])
+            m = [0] * (dims[ti] * dims[si])  # row by row
             for slot, (w, i) in enumerate(slots):
                 if w != s:
                     continue
@@ -810,8 +770,8 @@ def _standard_projectives(alg: BoundQuiverAlgebra) -> dict[str, Rep]:
                 src_col = local_index[slot][1]
                 for bidx, coeff in pb.reduce_path(pidx).items():
                     tslot = slots.index((pb.paths[bidx][2], bidx))
-                    m[local_index[tslot][1], src_col] = coeff % alg.p
-            maps[aid] = m
+                    m[local_index[tslot][1] * dims[si] + src_col] = coeff % alg.p
+            maps[aid] = Block(dims[ti], dims[si], tuple(m))
         out[v] = Rep(alg, f"P({v})", dims, maps).validate()
     return out
 
@@ -832,22 +792,12 @@ def dual_map(f: RepMap, dsrc: Rep, dtgt: Rep) -> RepMap:
 # Endomorphism-algebra machinery: radical, locality, indecomposability.
 
 
-def _as_matrix_algebra(endos: list[RepMap]) -> list[np.ndarray]:
+def _as_matrix_algebra(endos: list[RepMap]) -> list[Block]:
     """Endomorphisms as block-diagonal matrices on the total space."""
-    mats = []
-    for f in endos:
-        n = f.source.total_dim
-        m = la.zeros(n, n)
-        off = 0
-        for b in f.blocks:
-            d = b.shape[0]
-            m[off : off + d, off : off + d] = b
-            off += d
-        mats.append(m)
-    return mats
+    return [la.block_diag(list(f.blocks)) for f in endos]
 
 
-def _radical_of_span(mats: list[np.ndarray], p: int) -> list[int] | np.ndarray:
+def _radical_of_span(mats: list[Block], p: int) -> Block:
     """Radical of the spanned matrix algebra via the trace form.
 
     Requires p > total matrix size (Dickson's criterion); raises otherwise.
@@ -856,17 +806,16 @@ def _radical_of_span(mats: list[np.ndarray], p: int) -> list[int] | np.ndarray:
     k = len(mats)
     if k == 0:
         return la.zeros(0, 0)
-    n = mats[0].shape[0]
+    n = mats[0].rows
     if p <= n:
         raise AlgebraError(
             f"radical computation needs field char p > {n}; got p = {p}. "
             "Use a larger prime for decomposition machinery."
         )
-    gram = la.zeros(k, k)
-    for i in range(k):
-        for j in range(k):
-            gram[i, j] = int(np.trace(la.matmul(mats[i], mats[j], p))) % p
-    return la.nullspace(gram, p)
+    # trace(a b) is the sum of the products of the entries of a and of b^T
+    transposes = [m.T.data for m in mats]
+    gram = [sum(map(operator.mul, a.data, bt)) % p for a in mats for bt in transposes]
+    return la.nullspace(Block(k, k, tuple(gram)), p)
 
 
 def end_radical(m: Rep) -> tuple[list[RepMap], list[RepMap]]:
@@ -874,10 +823,7 @@ def end_radical(m: Rep) -> tuple[list[RepMap], list[RepMap]]:
     endos = hom_space(m, m)
     mats = _as_matrix_algebra(endos)
     radc = _radical_of_span(mats, m.algebra.p)
-    rad = []
-    for j in range(radc.shape[1]):
-        rad.append(map_from_coords(endos, radc[:, j]))
-    return endos, rad
+    return endos, [map_from_coords(endos, radc.column(j)) for j in range(radc.cols)]
 
 
 def is_indecomposable(m: Rep) -> bool:
@@ -899,31 +845,36 @@ def is_indecomposable(m: Rep) -> bool:
     radc = _radical_of_span(mats, p)
     # quotient End/rad: complement coordinates
     qmap = la.quotient_map(radc, len(endos), p)
-    qdim = qmap.shape[0]
+    qdim = qmap.rows
     if qdim == 1:
         return True
     # structure constants of the quotient: lift basis, multiply, project
-    flat = np.stack([mt.reshape(-1) for mt in mats], axis=1)
-    n = mats[0].shape[0]
-    basis = la.matmul(flat, la.right_inverse(qmap, p), p).T.reshape(qdim, n, n)
-    prods = la.matmul(basis[:, None], basis[None, :], p)  # prods[i, j] = e_i e_j
-    sol = la.solve(flat, prods.reshape(qdim * qdim, -1).T, p)
+    n = mats[0].rows
+    flat = la.columns([mt.data for mt in mats], n * n)
+    lifts = la.matmul(flat, la.right_inverse(qmap, p), p)
+    basis = [Block(n, n, lifts.column(i)) for i in range(qdim)]
+    prods = [la.matmul(ei, ej, p).data for ei in basis for ej in basis]  # e_i e_j
+    sol = la.solve(flat, la.columns(prods, n * n), p)
     if sol is None:
         raise AlgebraError("product left the endomorphism algebra")
-    # left[i][:, j] = coordinates of e_i e_j: left multiplication by e_i
-    left = la.matmul(qmap, sol, p).reshape(qdim, qdim, qdim).transpose(1, 0, 2)
-    if not np.array_equal(left, left.transpose(2, 1, 0)):
+    # column i * qdim + j holds the coordinates of e_i e_j
+    coords = la.matmul(qmap, sol, p)
+    if any(coords.column(i * qdim + j) != coords.column(j * qdim + i)
+           for i in range(qdim) for j in range(i)):
         return False  # not commutative
-    # column i of Frob is e_i^p = left[i]^(p-1) e_i, by square-and-multiply
-    power, step, e = np.broadcast_to(la.eye(qdim), left.shape), left, p - 1
-    while e:
-        if e & 1:
-            power = la.matmul(power, step, p)
-        step = la.matmul(step, step, p)
-        e >>= 1
-    idx = np.arange(qdim)
-    frob = power[idx, :, idx].T
-    return la.rank(np.mod(frob - la.eye(qdim), p), p) == qdim - 1
+    # column i of Frob is e_i^p = left_i^(p-1) e_i, by square-and-multiply,
+    # where left_i, multiplication by e_i, has column j the coordinates of e_i e_j
+    frob = []
+    for i in range(qdim):
+        power, e = la.eye(qdim), p - 1
+        step = la.submatrix(coords, range(qdim), range(i * qdim, (i + 1) * qdim))
+        while e:
+            if e & 1:
+                power = la.matmul(power, step, p)
+            step = la.matmul(step, step, p)
+            e >>= 1
+        frob.append(power.column(i))
+    return la.rank(la.sub(la.columns(frob, qdim), la.eye(qdim), p), p) == qdim - 1
 
 
 def _find_split_pair(x: Rep, m: Rep) -> tuple[RepMap, RepMap] | None:
@@ -1126,24 +1077,24 @@ class IndecSet:
         return {r.name: i for i, r in enumerate(self.members)}
 
     # dim Hom(members[i], members[j]) and dim Ext^1(members[i], members[j]),
-    # each row filled on first use (-1 marks a row not filled yet).
+    # each row a tuple filled on first use (None marks a row not filled yet).
     @cached_property
-    def _tables(self) -> dict[str, np.ndarray]:
-        return {kind: np.full((len(self), len(self)), -1) for kind in ("hom", "ext1")}
+    def _tables(self) -> dict[str, list]:
+        return {kind: [None] * len(self) for kind in ("hom", "ext1")}
 
-    def rows(self, kind: str, idx) -> np.ndarray:
+    def rows(self, kind: str, idx) -> list[tuple[int, ...]]:
         """Rows idx of the "hom" or "ext1" dimension table."""
         table = self._tables[kind]
         for i in idx:
-            if table[i, 0] < 0:
+            if table[i] is None:
                 table[i] = self._hom_row(i) if kind == "hom" else self._ext1_row(i)
-        return table[idx]
+        return [table[i] for i in idx]
 
-    def _hom_row(self, i: int) -> list[int]:
+    def _hom_row(self, i: int) -> tuple[int, ...]:
         """Read off the `hom_space` entries, building no map."""
-        return [len(_hom_basis(self.members[i], n)) for n in self.members]
+        return tuple(len(_hom_basis(self.members[i], n)) for n in self.members)
 
-    def _ext1_row(self, i: int) -> np.ndarray:
+    def _ext1_row(self, i: int) -> tuple[int, ...]:
         """By 0 -> Hom(C, -) -> Hom(P, -) -> Hom(Omega C, -) -> Ext^1(C, -) -> 0
         for the syzygy conflation Omega C >-> P ->> C, each Hom term a sum of
         member rows over the summands; a projective C has a zero row."""
@@ -1151,11 +1102,12 @@ class IndecSet:
 
         omega, conf = syzygy(self.members[i])
         if omega.is_zero():
-            return np.zeros(len(self), dtype=np.int64)
+            return (0,) * len(self)
         row = self.rows("hom", [i])[0]
         for sign, m in ((-1, conf.b), (1, omega)):
             for name, k in decompose(m, self).items():
-                row = row + sign * k * self.rows("hom", [self.position[name]])[0]
+                other = self.rows("hom", [self.position[name]])[0]
+                row = tuple(a + sign * k * b for a, b in zip(row, other))
         return row
 
     def __iter__(self):

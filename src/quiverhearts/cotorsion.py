@@ -28,8 +28,6 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .algebra import (
     AlgebraError,
     IndecSet,
@@ -97,9 +95,9 @@ class Subcategory:
         return self.atlas.key, self.names
 
     @cached_property
-    def index(self) -> np.ndarray:
+    def index(self) -> tuple[int, ...]:
         """The members' positions in the atlas, in name order."""
-        return np.array([self.atlas.position[n] for n in self.names], dtype=np.intp)
+        return tuple(self.atlas.position[n] for n in self.names)
 
     @cached_property
     def rigid(self) -> bool:
@@ -168,9 +166,10 @@ def _perp_names(side: str, c: Subcategory) -> tuple[str, ...]:
     vanish on every member of c."""
     atlas = c.atlas
     if side == "right":
-        hit = atlas.rows("ext1", c.index).any(axis=0)
+        rows = atlas.rows("ext1", c.index)
+        hit = [any(row[j] for row in rows) for j in range(len(atlas))]
     else:
-        hit = atlas.rows("ext1", np.arange(len(atlas)))[:, c.index].any(axis=1)
+        hit = [any(row[j] for j in c.index) for row in atlas.rows("ext1", range(len(atlas)))]
     return tuple(n for n, h in zip(atlas.names, hit) if not h)
 
 
@@ -181,7 +180,7 @@ def is_rigid(c: Subcategory) -> bool:
 def is_corigid_pairwise(c: Subcategory, d: Subcategory) -> bool:
     """Ext^1(c, d) = 0 for all member pairs."""
     _check_one_atlas(c, d)
-    return not c.atlas.rows("ext1", c.index)[:, d.index].any()
+    return not any(row[j] for row in c.atlas.rows("ext1", c.index) for j in d.index)
 
 
 def _check_one_atlas(c: Subcategory, d: Subcategory) -> None:

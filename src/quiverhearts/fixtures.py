@@ -175,7 +175,8 @@ def random_rigid_subcat(atlas: IndecSet, rng, within=None, stop_chance: float = 
     for nm in pool:
         i = atlas.position[nm]
         with_x = chosen + [i]
-        if not (atlas.rows("ext1", [i])[0, with_x].any() or atlas.rows("ext1", chosen)[:, i].any()):
+        [row_x] = atlas.rows("ext1", [i])
+        if not (any(row_x[j] for j in with_x) or any(r[i] for r in atlas.rows("ext1", chosen))):
             names.append(nm)
             chosen.append(i)
             if stop_chance and rng.random() < stop_chance:

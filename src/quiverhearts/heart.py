@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from itertools import accumulate
 
 from . import linalg as la
 from .algebra import (
@@ -59,6 +58,7 @@ from .homology import (
     pullback_conflation,
     syzygy,
 )
+from .linalg import Block
 from .workspace import WORKSPACE
 
 
@@ -75,20 +75,20 @@ def solve_extend(f: RepMap, g: RepMap) -> RepMap | None:
 def _solve(side: str, f: RepMap, g: RepMap) -> RepMap | None:
     """h composed with g on the right (g o h = f) or on the left (h o g = f)."""
     src, tgt = (f.source, g.source) if side == "right" else (g.target, f.target)
-    basis, sol = solve_columns(side, g, src, tgt, f.flat().reshape(-1, 1))
+    basis, sol = solve_columns(side, g, src, tgt, la.column(f.flat()))
     if sol is None:
         return None
-    return map_from_coords(basis, sol[:, 0]) if basis else RepMap.zero(src, tgt)
+    return map_from_coords(basis, sol.data) if basis else RepMap.zero(src, tgt)
 
 
-def solve_columns(side: str, g: RepMap, src: Rep, tgt: Rep, cols: np.ndarray):
+def solve_columns(side: str, g: RepMap, src: Rep, tgt: Rep, cols: Block):
     """(the Hom(src, tgt) basis, over it the coordinates of one h per column
     of `cols`) from one solve, where each column holds the flat entries of
     a map f and g o h = f (right) or h o g = f (left); the coordinates are
     None when some f has no such h."""
     basis = homs(src, tgt)
     if not basis:
-        a = la.zeros(cols.shape[0], 0)
+        a = la.zeros(cols.rows, 0)
     else:
         a = composite_columns([g], basis) if side == "right" else composite_columns(basis, [g])
     return basis, la.solve(a, cols, g.p)
@@ -131,8 +131,8 @@ class QuotientCategory:
 
     def _entry(self, x: Rep, y: Rep, basis: list[RepMap] | None = None) -> tuple:
         """(flats, qmap, the representatives' basis positions, None for the
-        whole basis), read-only, memoised by the content of the ideal's
-        members in order and of x and y."""
+        whole basis), memoised by the content of the ideal's members in
+        order and of x and y."""
         key = (self._ideal_key, x.key, y.key)
         return WORKSPACE.memo("quotient_hom", key, self._hom_parts, x, y, basis)
 
@@ -141,7 +141,6 @@ class QuotientCategory:
         n = len(basis)
         flat_dim = sum(a * b for a, b in zip(x.dims, y.dims))
         flats = flat_columns(basis) if n else la.zeros(flat_dim, 0)
-        flats.setflags(write=False)
         # Every ideal composite v o u, solved against the basis in one go; a
         # member sharing no vertex with x or with y has no Hom to ask for.
         blocks = []
@@ -152,45 +151,42 @@ class QuotientCategory:
                     blocks.append(composite_columns(homs(t, y), into))
         comps = la.hstack(blocks, flat_dim)
         if not comps.any():  # nothing to divide by: the basis is the quotient basis
-            qmap = la.eye(n)
-            qmap.setflags(write=False)
-            return flats, qmap, None
+            return flats, la.eye(n), None
         img = la.solve(flats, comps, self.p)
         if img is None:  # for n = 0 too: every composite must then vanish
             raise AlgebraError("ideal composite outside hom space")
         qmap = la.quotient_map(img, n, self.p)
-        qmap.setflags(write=False)
         # representatives: the basis maps at the pivot columns of rref(qmap),
         # the first whose classes span the quotient (none when it is zero)
-        return flats, qmap, tuple(la.rref(qmap, self.p)[1]) if len(qmap) else ()
+        return flats, qmap, tuple(la.rref(qmap, self.p)[1]) if qmap.rows else ()
 
     def qdim(self, x: Rep, y: Rep) -> int:
-        return self._entry(x, y)[1].shape[0]
+        return self._entry(x, y)[1].rows
 
-    def qcolumns(self, x: Rep, y: Rep, cols: np.ndarray) -> np.ndarray:
+    def qcolumns(self, x: Rep, y: Rep, cols: Block) -> Block:
         """Quotient coordinates of the maps x -> y whose flat entries are the
         columns of `cols`, (qdim, columns), from one solve against the
         stacked basis; a solve is column by column, so each column is what
         it would be alone."""
         flats, qmap, _ = self._entry(x, y)
-        if flats.shape[1]:
+        if flats.cols:
             sol = la.solve(flats, cols, self.p)
         else:  # Hom(x, y) = 0
-            sol = None if cols.any() else la.zeros(0, cols.shape[1])
+            sol = None if cols.any() else la.zeros(0, cols.cols)
         if sol is None:
             raise AlgebraError("morphism outside hom space")
         # a quotient map onto all n coordinates is the identity
-        if qmap.shape[0] == qmap.shape[1]:
+        if qmap.rows == qmap.cols:
             return sol
-        return la.matmul(qmap, sol, self.p) if qmap.size else la.zeros(0, cols.shape[1])
+        return la.matmul(qmap, sol, self.p) if qmap.size else la.zeros(0, cols.cols)
 
-    def qcoords(self, f: RepMap) -> np.ndarray:
-        return self.qcolumns(f.source, f.target, f.flat().reshape(-1, 1))[:, 0]
+    def qcoords(self, f: RepMap) -> tuple[int, ...]:
+        return self.qcolumns(f.source, f.target, la.column(f.flat())).data
 
     def is_ideal(self, f: RepMap) -> bool:
-        return not self.qcoords(f).any()
+        return not any(self.qcoords(f))
 
-    def qmatrix(self, x: Rep, y: Rep) -> np.ndarray:
+    def qmatrix(self, x: Rep, y: Rep) -> Block:
         """Quotient coordinates of the Hom(x, y) basis maps, as columns."""
         return self._entry(x, y)[1]
 
@@ -215,19 +211,20 @@ class QuotientCategory:
             return ok, (RepMap.zero(y, x) if ok else None)
         k = len(cand)
         idx, idy = flat_columns([RepMap.identity(x)]), flat_columns([RepMap.identity(y)])
-        left = self.qcolumns(x, x, np.hstack([composite_columns(cand, [f]), idx]))
-        right = self.qcolumns(y, y, np.hstack([composite_columns([f], cand), idy]))
-        both = np.concatenate([left, right])
-        sol = la.solve(both[:, :k], both[:, k:], self.p)
+        left = self.qcolumns(x, x, la.hstack([composite_columns(cand, [f]), idx], idx.rows))
+        right = self.qcolumns(y, y, la.hstack([composite_columns([f], cand), idy], idy.rows))
+        both = la.vstack([left, right], k + 1)  # the identities' coordinates last
+        lhs = la.submatrix(both, range(both.rows), range(k))
+        sol = la.solve(lhs, la.column(both.column(k)), self.p)
         if sol is None:
             return False, None
-        return True, map_from_coords(cand, sol[:, 0])
+        return True, map_from_coords(cand, sol.data)
 
     def is_zero_object(self, x: Rep) -> bool:
         """Is 1_x in the ideal.  An ideal member is zero at once (by identity,
         as `Rep`s compare): 1_x factors through x, which lies in add(ideal).
         Any other object, a sum of members included, takes the quotient test."""
-        return x in self.ideal or not self.qcoords(RepMap.identity(x)).any()
+        return x in self.ideal or not any(self.qcoords(RepMap.identity(x)))
 
     def nonzero_objects(self) -> list[Rep]:
         return list(self._nonzero)
@@ -257,13 +254,18 @@ def _local_radical(qc: QuotientCategory, x: Rep) -> list[RepMap]:
     d = len(reps)
     # one solve: the representatives' own quotient coordinates (the change
     # of basis), then every product r o s, column s * d + r
-    cols = qc.qcolumns(x, x, np.hstack([flat_columns(reps), composite_columns(reps, reps)]))
-    binv = la.inv(cols[:, :d], qc.p)
+    span = flat_columns(reps)
+    cols = qc.qcolumns(x, x, la.hstack([span, composite_columns(reps, reps)], span.rows))
+    rows = range(cols.rows)
+    binv = la.inv(la.submatrix(cols, rows, range(d)), qc.p)
     if binv is None:
         raise AlgebraError("quotient basis representatives are dependent")
-    regular = [la.matmul(binv, cols[:, d + j :: d], qc.p) for j in range(d)]
+    regular = [
+        la.matmul(binv, la.submatrix(cols, rows, range(d + j, cols.cols, d)), qc.p)
+        for j in range(d)
+    ]
     radc = _radical_of_span(regular, qc.p)
-    return [map_from_coords(reps, radc[:, j]) for j in range(radc.shape[1])]
+    return [map_from_coords(reps, radc.column(j)) for j in range(radc.cols)]
 
 
 def gabriel_quiver(qc: QuotientCategory) -> GabrielQuiver:
@@ -286,9 +288,10 @@ def gabriel_quiver(qc: QuotientCategory) -> GabrielQuiver:
                 continue
             sq = [composite_columns(rad_basis[(t, y)], rad_basis[(x, t)]) for t in objs]
             span = flat_columns(basis)
-            cols = qc.qcolumns(x, y, la.hstack([span, *sq], span.shape[0]))
-            b = len(basis)
-            k = la.rank(cols[:, :b], qc.p) - la.rank(cols[:, b:], qc.p)
+            cols = qc.qcolumns(x, y, la.hstack([span, *sq], span.rows))
+            b, rows = len(basis), range(cols.rows)
+            k = (la.rank(la.submatrix(cols, rows, range(b)), qc.p)
+                 - la.rank(la.submatrix(cols, rows, range(b, cols.cols)), qc.p))
             if k > 0:
                 arrows[(x.name, y.name)] = k
     return GabrielQuiver(tuple(o.name for o in objs), arrows)
@@ -398,19 +401,19 @@ class CohomologicalH:
 class _ExtBlock:
     """Ext^1(C, X) as a memo value: its dimension and, when that is
     nonzero, the flat entries of the Hom(Omega C, X) basis as columns and
-    the quotient map onto Ext^1, read-only, and one cocycle Omega C -> X
-    per basis class as a `stored_maps` value."""
+    the quotient map onto Ext^1, and one cocycle Omega C -> X per basis
+    class as a `stored_maps` value."""
 
     dim: int
-    flat: np.ndarray | None = None
-    qmap: np.ndarray | None = None
+    flat: Block | None = None
+    qmap: Block | None = None
     cocycle_maps: tuple | None = None
 
     def cocycles(self, x: Rep) -> list[RepMap]:
         """The cocycles Omega C -> x, bound to the caller's x."""
         return bound_maps((x,), self.cocycle_maps)
 
-    def classes(self, cols: np.ndarray, p: int) -> np.ndarray:
+    def classes(self, cols: Block, p: int) -> Block:
         """The classes of the cocycles whose flat entries are the columns of
         `cols`, for a nonzero block (`homology.class_columns`)."""
         return class_columns(self.flat, self.qmap, cols, p)
@@ -432,8 +435,6 @@ def _ext_block(c: Rep, x: Rep) -> _ExtBlock:
 
 def _nonzero_block(c: Rep, x: Rep, built: list[Ext1]) -> _ExtBlock:
     e = built[0] if built else Ext1(c, x)
-    for a in (e._flat, e.qmap):
-        a.setflags(write=False)
     return _ExtBlock(e.dim, e._flat, e.qmap, stored_maps((x,), lambda: e.cocycles))
 
 
@@ -492,19 +493,18 @@ class PhiModel:
         the syzygy restriction Omega C_j -> Omega C_i of each nonzero
         component C_j -> C_i."""
         summands = self.c.members
-        # where each member's rows and columns sit in G's block at each vertex
-        starts = [np.cumsum([0] + [m.dims[v] for m in summands]) for v in range(len(self.g.dims))]
+        # where each of `members` has its rows and columns in G's block, per vertex
         at = [summands.index(m) for m in self.members]
+        starts = [list(accumulate([m.dims[v] for m in summands], initial=0))
+                  for v in range(len(self.g.dims))]
+        spans = [[range(s[a], s[a + 1]) for a in at] for s in starts]
         covers = [syzygy(m)[1] for m in self.members]
         acts = []
         for gmap in self.gamma_basis:
             act = {}
             for i, ci in enumerate(self.members):
                 for j, cj in enumerate(self.members):
-                    blocks = [
-                        b[s[at[i]] : s[at[i] + 1], s[at[j]] : s[at[j] + 1]].copy()
-                        for b, s in zip(gmap.blocks, starts)
-                    ]
+                    blocks = [la.submatrix(b, sp[i], sp[j]) for b, sp in zip(gmap.blocks, spans)]
                     comp = RepMap._trusted(cj, ci, blocks)
                     if comp.is_zero():
                         continue
@@ -538,38 +538,34 @@ class PhiModel:
         acts = {f"g{i}": self._action(x, blocks, act) for i, act in enumerate(self._omega_acts)}
         return Rep(self.gamma, f"Phi({x.name})", [sum(e.dim for e in blocks)], acts)
 
-    def _action(self, x: Rep, blocks: list[_ExtBlock], act: dict) -> np.ndarray:
+    def _action(self, x: Rep, blocks: list[_ExtBlock], act: dict) -> Block:
         """The matrix of one Gamma basis element on sum_i Ext^1(C_i, X):
         block (j, i) takes the cocycles of Ext^1(C_i, X) along the
         restriction Omega C_j -> Omega C_i of its component into
         Ext^1(C_j, X)."""
-        starts = np.cumsum([0] + [e.dim for e in blocks])
-        mat = la.zeros(starts[-1], starts[-1])
+        cells = [[None] * len(blocks) for _ in blocks]
         for (i, j), w in act.items():
             if blocks[i].dim and blocks[j].dim:
-                classes = blocks[j].classes(composite_columns(blocks[i].cocycles(x), [w]), self.p)
-                mat[starts[j] : starts[j + 1], starts[i] : starts[i + 1]] = classes
-        return mat
+                cols = composite_columns(blocks[i].cocycles(x), [w])
+                cells[j][i] = blocks[j].classes(cols, self.p)
+        dims = [e.dim for e in blocks]
+        return la.grid(cells, dims, dims)
 
-    def phi_map(self, f: RepMap) -> np.ndarray:
-        """Matrix of Phi(f) in quotient coordinates, read-only: block i is
+    def phi_map(self, f: RepMap) -> Block:
+        """Matrix of Phi(f) in quotient coordinates: block i is
         Ext^1(C_i, f), the classes of the cocycles of Ext^1(C_i, source)
         pushed along f.  Memoised by the members' content and the content of
-        f's ends and entries."""
-        key = (self._members_key, f.source.key, f.target.key, f.flat().tobytes())
+        f's ends and blocks."""
+        key = (self._members_key, f.source.key, f.target.key, f.blocks)
         return WORKSPACE.memo("phi_map", key, self._phi_matrix, f)
 
-    def _phi_matrix(self, f: RepMap) -> np.ndarray:
+    def _phi_matrix(self, f: RepMap) -> Block:
         src, tgt = self._blocks(f.source), self._blocks(f.target)
-        out = la.zeros(sum(e.dim for e in tgt), sum(e.dim for e in src))
-        r = c = 0
-        for ex, ey in zip(src, tgt):
-            if ex.dim and ey.dim:
-                cols = composite_columns([f], ex.cocycles(f.source))
-                out[r : r + ey.dim, c : c + ex.dim] = ey.classes(cols, self.p)
-            r, c = r + ey.dim, c + ex.dim
-        out.setflags(write=False)
-        return out
+        return la.block_diag([
+            ey.classes(composite_columns([f], ex.cocycles(f.source)), self.p)
+            if ex.dim and ey.dim else la.zeros(ey.dim, ex.dim)
+            for ex, ey in zip(src, tgt)
+        ])
 
     def module_map(self, f: RepMap) -> RepMap:
         """Phi(f) as a map of Gamma-modules; checks that it is one."""
@@ -581,20 +577,20 @@ class PhiModel:
         acts = list(mod.arrow_maps.values())
         d = mod.total_dim
 
-        def act(coords) -> np.ndarray:
+        def act(coords) -> Block:
             acc = la.zeros(d, d)
             for c, r in zip(coords, acts):
-                acc = (acc + int(c) * r) % self.p
+                acc = la.add(acc, la.scale(c, r, self.p), self.p)
             return acc
 
         # unit: the identity's class expands over the basis; its action is id
-        if d and not np.array_equal(act(self.stable.qcoords(RepMap.identity(self.g))), la.eye(d)):
+        if d and act(self.stable.qcoords(RepMap.identity(self.g))) != la.eye(d):
             return False
         # right modules act by precomposition: R_{g1 o g2} = R_{g2} R_{g1}
         for i, g1 in enumerate(self.gamma_basis):
             for j, g2 in enumerate(self.gamma_basis):
                 lhs = act(self.stable.qcoords(g1.compose(g2)))
-                if not np.array_equal(lhs, la.matmul(acts[j], acts[i], self.p)):
+                if lhs != la.matmul(acts[j], acts[i], self.p):
                     return False
         return True
 

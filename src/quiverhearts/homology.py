@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from . import linalg as la
 from .algebra import (
     AlgebraError,
@@ -35,6 +33,7 @@ from .algebra import (
     stored_maps,
     zero_rep,
 )
+from .linalg import Block
 from .workspace import WORKSPACE
 
 
@@ -48,8 +47,8 @@ def kernel(f: RepMap) -> tuple[Rep, RepMap]:
     p = f.p
     alg = f.source.algebra
     q = alg.quiver
-    incs = [la.nullspace(b, p) if b.size else la.eye(b.shape[1]) for b in f.blocks]
-    dims = [m.shape[1] for m in incs]
+    incs = [la.nullspace(b, p) if b.size else la.eye(b.cols) for b in f.blocks]
+    dims = [m.cols for m in incs]
     maps = {}
     for aid, i, j in q._arrow_ends:
         if not (dims[i] and dims[j]):
@@ -69,17 +68,17 @@ def cokernel(f: RepMap) -> tuple[Rep, RepMap]:
     alg = f.target.algebra
     q = alg.quiver
     projs = [la.quotient_map(b, f.target.dims[i], p) for i, b in enumerate(f.blocks)]
-    dims = [m.shape[0] for m in projs]
+    dims = [m.rows for m in projs]
     maps = {}
     for aid, i, j in q._arrow_ends:
         if not (dims[i] and dims[j]):
             continue  # Rep fills in the zero map
         # unique map with maps[aid] @ projs[i] = projs[j] @ N_a
         rhs = la.matmul(projs[j], f.target.arrow_maps[aid], p)
-        sol = la.solve(projs[i].T.copy(), rhs.T.copy(), p)
+        sol = la.solve(projs[i].T, rhs.T, p)
         if sol is None:
             raise AlgebraError("cokernel arrow map failed")
-        maps[aid] = sol.T.copy()
+        maps[aid] = sol.T
     c = Rep(alg, f"coker({f.target.name})", dims, maps)
     return c, RepMap._trusted(f.target, c, projs)
 
@@ -91,12 +90,13 @@ def image(f: RepMap) -> tuple[Rep, RepMap, RepMap]:
     q = alg.quiver
     monos, epis = [], []
     for b in f.blocks:
-        r, pivots = la.rref(b.T.copy(), p)
-        cols = r[: len(pivots), :].T.copy()  # basis of column space of b
+        r, pivots = la.rref(b.T, p)
+        k = len(pivots)
+        cols = Block(k, r.cols, r.data[: k * r.cols]).T  # basis of column space of b
         monos.append(cols)
         sol = la.solve(cols, b, p)
         epis.append(sol)
-    dims = [m.shape[1] for m in monos]
+    dims = [m.cols for m in monos]
     maps = {}
     for aid, i, j in q._arrow_ends:
         rhs = la.matmul(f.target.arrow_maps[aid], monos[i], p)
@@ -163,7 +163,7 @@ def _conflation(kind: str, f: RepMap) -> Conflation:
     """Memoised by the kind and the content of f.  The stored cokernel
     (kernel) map is bound to the caller's middle term and a fresh end,
     named after it; a map that raises leaves no entry."""
-    key = (kind, f.source.key, f.target.key, tuple(b.tobytes() for b in f.blocks))
+    key = (kind, f.source.key, f.target.key, f.blocks)
     own = (f.target if kind == "infl" else f.source,)
     [g] = bound_maps(own, WORKSPACE.memo("conflation", key, stored_maps, own, _end_map, kind, f))
     if kind == "infl":
@@ -191,8 +191,11 @@ def pushout(f: RepMap, g: RepMap):
         raise AlgebraError("pushout legs must share a source")
     bc = direct_sum([f.target, g.target])
     p_rep, proj = cokernel(matrix_map(f.source, bc, [[f], [g.neg()]]))
-    ib = RepMap._trusted(f.target, p_rep, [b[:, :d] for b, d in zip(proj.blocks, f.target.dims)])
-    ic = RepMap._trusted(g.target, p_rep, [b[:, d:] for b, d in zip(proj.blocks, f.target.dims)])
+    legs = [(b, range(b.rows), d) for b, d in zip(proj.blocks, f.target.dims)]
+    ib = RepMap._trusted(f.target, p_rep, [la.submatrix(b, r, range(d)) for b, r, d in legs])
+    ic = RepMap._trusted(
+        g.target, p_rep, [la.submatrix(b, r, range(d, b.cols)) for b, r, d in legs]
+    )
     return p_rep, ib, ic, proj
 
 
@@ -203,10 +206,10 @@ def pushout_couniversal(po, b_map: RepMap, c_map: RepMap) -> RepMap:
     p = b_map.p
     blocks = []
     for pj, cb in zip(proj.blocks, comb.blocks):
-        sol = la.solve(pj.T.copy(), cb.T.copy(), p)
+        sol = la.solve(pj.T, cb.T, p)
         if sol is None:
             raise AlgebraError("pushout couniversal map does not exist")
-        blocks.append(sol.T.copy())
+        blocks.append(sol.T)
     return RepMap(p_rep, b_map.target, blocks)
 
 
@@ -220,8 +223,11 @@ def pullback(f: RepMap, g: RepMap):
         raise AlgebraError("pullback legs must share a target")
     bc = direct_sum([f.source, g.source])
     p_rep, inc = kernel(matrix_map(bc, f.target, [[f, g.neg()]]))
-    pb = RepMap._trusted(p_rep, f.source, [b[:d] for b, d in zip(inc.blocks, f.source.dims)])
-    pc = RepMap._trusted(p_rep, g.source, [b[d:] for b, d in zip(inc.blocks, f.source.dims)])
+    legs = [(b, range(b.cols), d) for b, d in zip(inc.blocks, f.source.dims)]
+    pb = RepMap._trusted(p_rep, f.source, [la.submatrix(b, range(d), c) for b, c, d in legs])
+    pc = RepMap._trusted(
+        p_rep, g.source, [la.submatrix(b, range(d, b.rows), c) for b, c, d in legs]
+    )
     return p_rep, pb, pc, inc
 
 
@@ -273,11 +279,8 @@ def _top_generators(m: Rep):
     out = {}
     for j, v in enumerate(q.vertices):
         imgs = [m.arrow_maps[aid] for aid, s, t in q.arrows if t == v]
-        rad_cols = (
-            np.concatenate(imgs, axis=1) if imgs else la.zeros(m.dims[j], 0)
-        )
-        qm = la.quotient_map(rad_cols, m.dims[j], p)
-        lift = la.right_inverse(qm, p) if qm.shape[0] else la.zeros(m.dims[j], 0)
+        qm = la.quotient_map(la.hstack(imgs, m.dims[j]), m.dims[j], p)
+        lift = la.right_inverse(qm, p) if qm.rows else la.zeros(m.dims[j], 0)
         out[v] = lift  # columns: generators of the top at v
     return out
 
@@ -293,9 +296,9 @@ def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
     parts, part_maps = [], []
     for v in alg.quiver.vertices:
         lift = gens[v]
-        for col in range(lift.shape[1]):
+        for col in range(lift.cols):
             pv = projs[v]
-            f = _map_from_projective(pv, v, m, lift[:, col])
+            f = _map_from_projective(pv, v, m, lift.column(col))
             parts.append(pv)
             part_maps.append(f)
     total = direct_sum(parts)
@@ -305,7 +308,7 @@ def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
     return total, RepMap(total, m, epi.blocks)
 
 
-def _map_from_projective(pv: Rep, v: str, m: Rep, x: np.ndarray) -> RepMap:
+def _map_from_projective(pv: Rep, v: str, m: Rep, x: tuple) -> RepMap:
     """The map P(v) -> m sending the trivial-path generator to x in m_v.
 
     In the standard projective the trivial path is the first basis slot at
@@ -314,21 +317,21 @@ def _map_from_projective(pv: Rep, v: str, m: Rep, x: np.ndarray) -> RepMap:
     basis = homs(pv, m)
     vi = pv.algebra.quiver.vertex_index(v)
     if not basis:
-        if x.any():
+        if any(x):
             raise AlgebraError("no hom supports the requested generator")
         return RepMap.zero(pv, m)
-    cols = np.stack([b.blocks[vi][:, 0] for b in basis], axis=1)
-    sol = la.solve(cols, x.reshape(-1, 1), pv.algebra.p)
+    cols = la.columns([b.blocks[vi].column(0) for b in basis], len(x))
+    sol = la.solve(cols, la.column(x), pv.algebra.p)
     if sol is None:
         raise AlgebraError("generator not reachable from the projective")
-    return map_from_coords(basis, sol[:, 0])
+    return map_from_coords(basis, sol.data)
 
 
 def syzygy(m: Rep) -> tuple[Rep, Conflation]:
     """(Omega m, conflation Omega m >-> P ->> m) from a projective cover.
 
     Memoised by the content of m.  Every call gets its own Omega m and P
-    (copies sharing the stored read-only matrices) and a deflation onto
+    (copies sharing the stored blocks) and a deflation onto
     the caller's m.
     """
     infl, defl = bound_maps((m,), WORKSPACE.memo("syzygy", m.key, stored_maps, (m,), _syzygy, m))
@@ -392,15 +395,15 @@ class Ext1:
         # The restrictions h o omega_inc of Hom(P0, A), solved in one go.
         restricted = composite_columns(homs(self.cover_conf.b, a), [self.omega_inc])
         img = la.zeros(n, 0)
-        if restricted.shape[1]:
+        if restricted.cols:
             img = la.solve(self._flat, restricted, self.p)
             if img is None:
                 raise AlgebraError("restriction left Hom(Omega C, A)")
         self.qmap = la.quotient_map(img, n, self.p)  # (dim, n)
-        self.dim = self.qmap.shape[0]
+        self.dim = self.qmap.rows
 
     @cached_property
-    def _lift(self) -> np.ndarray:
+    def _lift(self) -> Block:
         """A right inverse of `qmap`, built when a cocycle is first asked
         for: a dimension alone never needs one."""
         n = len(self.hom_omega_a)
@@ -408,8 +411,8 @@ class Ext1:
 
     def cocycle(self, coords) -> RepMap:
         """A representative Omega C -> A of the class with these coordinates."""
-        coords = np.asarray(coords, dtype=np.int64)
-        full = la.matmul(self._lift, coords.reshape(-1, 1), self.p)[:, 0]
+        coords = la.column(int(c) % self.p for c in coords)
+        full = la.matmul(self._lift, coords, self.p).data
         if not self.hom_omega_a:
             return RepMap.zero(self.omega, self.a)
         return map_from_coords(self.hom_omega_a, full)
@@ -417,9 +420,12 @@ class Ext1:
     @cached_property
     def cocycles(self) -> list[RepMap]:
         """One representative Omega C -> A per basis class, in order."""
-        return [map_from_coords(self.hom_omega_a, col) for col in self._lift.T] if self.dim else []
+        if not self.dim:
+            return []
+        lift = self._lift
+        return [map_from_coords(self.hom_omega_a, lift.column(j)) for j in range(lift.cols)]
 
-    def classes(self, maps: list[RepMap]) -> np.ndarray:
+    def classes(self, maps: list[RepMap]) -> Block:
         """Coordinates of the classes of cocycles Omega C -> A, one column
         per map, (dim, len(maps)); every class of a zero Ext^1 is zero."""
         if not (self.dim and maps):
@@ -434,7 +440,7 @@ class Ext1:
         )
         return conf
 
-    def coords_of(self, conf: Conflation) -> np.ndarray:
+    def coords_of(self, conf: Conflation) -> tuple[int, ...]:
         """Class of a conflation A >-> E ->> C in quotient coordinates."""
         if conf.a.dims != self.a.dims or conf.c.dims != self.c.dims:
             raise AlgebraError("conflation end terms do not match")
@@ -442,12 +448,12 @@ class Ext1:
         lifts = homs(self.cover_conf.b, conf.b)
         if lifts:
             flat = flat_columns([conf.defl.compose(h) for h in lifts])
-            sol = la.solve(flat, self.cover_epi.flat().reshape(-1, 1), self.p)
+            sol = la.solve(flat, la.column(self.cover_epi.flat()), self.p)
         else:
             sol = None
         if sol is None:
             raise AlgebraError("projective lifting failed")
-        h = map_from_coords(lifts, sol[:, 0])
+        h = map_from_coords(lifts, sol.data)
         # h o omega_inc lands in ker(defl) = im(infl); divide by the inflation
         rest = h.compose(self.omega_inc)
         blocks = []
@@ -456,10 +462,10 @@ class Ext1:
             if s is None:
                 raise AlgebraError("cocycle division failed")
             blocks.append(s)
-        return self.classes([RepMap(self.omega, self.a, blocks)])[:, 0]
+        return self.classes([RepMap(self.omega, self.a, blocks)]).data
 
 
-def class_columns(flat: np.ndarray, qmap: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
+def class_columns(flat: Block, qmap: Block, cols: Block, p: int) -> Block:
     """The classes in a nonzero Ext^1(C, A) of the cocycles whose flat
     entries are the columns of `cols`, from one solve against `flat`, the
     Hom(Omega C, A) basis as columns, and `qmap` onto Ext^1."""
@@ -517,11 +523,11 @@ def factor_witness(f: RepMap, through: list[Rep]):
         into, outof = homs(f.source, t), homs(t, f.target)
         pairs += [(t, u, v) for u in into for v in outof]  # the column order
         blocks.append(composite_columns(outof, into))
-    mat = la.hstack(blocks, target_flat.size)  # no column when no pair: only f = 0 factors
-    sol = la.solve(mat, target_flat.reshape(-1, 1), f.p)
+    mat = la.hstack(blocks, len(target_flat))  # no column when no pair: only f = 0 factors
+    sol = la.solve(mat, la.column(target_flat), f.p)
     if sol is None:
         return None
-    used = [(pairs[i], int(c)) for i, c in enumerate(sol[:, 0]) if c]
+    used = [(pairs[i], c) for i, c in enumerate(sol.data) if c]
     if not used:
         z = zero_rep(f.source.algebra)
         return z, RepMap.zero(f.source, z), RepMap.zero(z, f.target)
@@ -639,9 +645,9 @@ def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approxima
                 if kept and us:
                     outer, inner = (kept, us) if right else (us, kept)
                     blocks.append(composite_columns(outer, inner))
-            target = h.flat().reshape(-1, 1)
-            cols = la.hstack(blocks, target.shape[0])
-            x_keep[k] = not cols.shape[1] or la.solve(cols, target, p) is None
+            target = la.column(h.flat())
+            cols = la.hstack(blocks, target.rows)
+            x_keep[k] = not cols.cols or la.solve(cols, target, p) is None
     parts = [(x, h) for x, hs, ks in zip(members, to_obj, keep) for h, kh in zip(hs, ks) if kh]
     return _assemble(parts, obj, side)
 
@@ -666,7 +672,7 @@ def _is_minimal(f: RepMap, side: str) -> bool:
         return True
     comp_flat = composite_columns([f], endos) if right else composite_columns(endos, [f])
     ker = la.nullspace(comp_flat, f.p)
-    if ker.shape[1] == 0:
+    if ker.cols == 0:
         return True
     _, rad = end_radical(x)
     if not rad:

@@ -1,99 +1,151 @@
 """Exact linear algebra over the prime field F_p.
 
-All matrices are numpy int64 arrays with entries reduced into [0, p).
-A linear map F^n -> F^m is an (m, n) matrix acting on column vectors.
-Zero-dimensional shapes like (0, n) and (m, 0) are legal everywhere.
+Every matrix is a `Block`: an immutable (rows, cols, data) tuple whose
+`data` holds the entries row by row as Python ints reduced into [0, p).
+A linear map F^n -> F^m is an (m, n) block acting on column vectors, and
+shapes like (0, n) and (m, 0) are legal everywhere.  The functions take
+and return reduced blocks; `modmat` reduces entries from outside.  Python
+ints never overflow, so all arithmetic is exact for every prime p.
 
-int64 bound: a product of two reduced entries is at most (p-1)^2, so a
-sum of n such products is exact while n*(p-1)^2 < 2^63.  Fields are
-only accepted when (p-1)^2 < 2^63 (p < ~3.04e9), which keeps every
-single product, the rref row update and a scaled matrix exact; `matmul`
-sums longer products in chunks that stay under the bound.  Any other sum
-of products must go through `matmul` or reduce as it goes.
-
-Stacked operands: `matmul` also takes arrays of shape (..., m, n) and
-(..., n, k), broadcast over the leading axes as `@` does.  The bound is
-the same, on the contracted axis n alone: each output entry is one sum
-of n products, whatever the number of stacked matrices, and the chunks
-slice that axis (the last of `a`, the second to last of `b`).
-
-Empty operands: `matmul` with a 2-D operand of size 0, `solve` with no
-rows or no columns, `nullspace` with no rows or no columns and
-`is_invertible` on a 0x0 matrix return without elimination or arithmetic:
-the zero product; the zero solution, or None when a has no columns and b
-is not zero mod p; the identity; True.  Each is exactly what the general
-path returns.
-
-Two paths, one result: `rref`, `rank`, `solve` and `nullspace` (and so
-`quotient_map`) row-reduce an operand of at most SMALL entries (for
-`solve`, the augmented matrix) as lists of Python ints, and larger ones
-with the vectorised numpy loop.  `solve` and `nullspace` read their result
-off the reduced lists and build one int64 array at the end; only `rref`
-turns the reduced rows themselves back into an array.  Python ints never
-overflow, so the small path needs no int64 bound.  The reduced row echelon
-form is unique, so both paths return the same matrix, pivots, solution
-and kernel basis.  SMALL is a constant, not a
-setting.  It comes from timing both paths on random matrices mod 101 on
-a 2-core host (Python 3.11, numpy 2.4): up to 32 entries the lists are
-faster at every rank (1x1: 6 us against 13 us; full-rank 4x8: 38 us
-against 58 us), and from 36 entries on numpy wins on matrices of rank
-one (6x6: 18 us against 25 us).
+One path: `rref`, `rank`, `solve` and `nullspace` (and so `quotient_map`)
+row-reduce lists of Python-int rows with `_rref_ints`.  A 1x1 or empty
+operand of these and of `matmul` takes a fast path without elimination,
+which returns exactly what the general path returns.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from array import array
+from collections import namedtuple
+from itertools import chain
+from operator import mul
+
+_flatten = chain.from_iterable
 
 
-def modmat(a, p: int) -> np.ndarray:
-    """Coerce to an int64 matrix with entries reduced mod p."""
-    m = np.array(a, dtype=np.int64)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    return np.mod(m, p)
+class Block(namedtuple("Block", "rows cols data")):
+    """An immutable rows x cols matrix: `data` holds the rows*cols entries
+    row by row.  Equal content means equal blocks, so a block is its own
+    content key.  It is a tuple underneath, but not a sequence of entries:
+    `len`, iteration, `+` and `*` raise, and `b[i, j]` is an entry."""
+
+    __slots__ = ()
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    @property
+    def size(self) -> int:
+        return self.rows * self.cols
+
+    @property
+    def T(self) -> "Block":
+        rows, cols, data = self.rows, self.cols, self.data
+        if rows <= 1 or cols <= 1:  # a row or a column: the same entries
+            return Block(cols, rows, data)
+        return Block(cols, rows, tuple(_flatten(data[j::cols] for j in range(cols))))
+
+    def any(self) -> bool:
+        return any(self.data)
+
+    def column(self, j: int) -> tuple:
+        return self.data[j :: self.cols]
+
+    def tolist(self) -> list[list[int]]:
+        cols, data = self.cols, self.data
+        return [list(data[i * cols : (i + 1) * cols]) for i in range(self.rows)]
+
+    def tobytes(self) -> bytes:
+        """The entries as native int64 bytes, row by row, as a C-ordered
+        int64 array of the same entries would give them."""
+        return array("q", self.data).tobytes()
+
+    def __getitem__(self, ij) -> int:
+        i, j = ij
+        return self.data[i * self.cols + j]
+
+    def __getnewargs__(self):  # copy and pickle by fields, not by iteration
+        return (self.rows, self.cols, self.data)
+
+    def _not_a_sequence(self, *args):
+        raise TypeError("a Block is a matrix, not a sequence: use its fields and linalg")
+
+    __len__ = __iter__ = __add__ = __radd__ = __mul__ = __rmul__ = _not_a_sequence
 
 
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.int64)
+def modmat(a, p: int) -> Block:
+    """A block with entries reduced mod p, from a block or from a nested
+    sequence of rows (a flat sequence of ints is one row)."""
+    if isinstance(a, Block):
+        return Block(a.rows, a.cols, tuple(x % p for x in a.data))
+    rows = list(a)
+    if rows and not hasattr(rows[0], "__len__"):
+        rows = [rows]
+    cols = len(rows[0]) if rows else 0
+    if any(len(r) != cols for r in rows):
+        raise ValueError("rows of different lengths")
+    return Block(len(rows), cols, tuple(int(x) % p for x in _flatten(rows)))
 
 
-def eye(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.int64)
+def zeros(rows: int, cols: int) -> Block:
+    return Block(rows, cols, (0,) * (rows * cols))
 
 
-INT64_BOUND = 2**63
+def eye(n: int) -> Block:
+    data = [0] * (n * n)
+    data[:: n + 1] = [1] * n
+    return Block(n, n, tuple(data))
 
 
-def _chunked_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p when inner*(p-1)^2 reaches INT64_BOUND: sum the inner
-    dimension in chunks that stay below it, reducing after each."""
-    step = (INT64_BOUND - 1) // (p - 1) ** 2
-    if step == 0:
-        raise ValueError(f"p = {p} is too large for exact int64 arithmetic")
-    acc = np.mod(a[..., :step] @ b[..., :step, :], p)
-    for lo in range(step, a.shape[-1], step):
-        acc = np.mod(acc + np.mod(a[..., lo : lo + step] @ b[..., lo : lo + step, :], p), p)
-    return acc
+def column(vec) -> Block:
+    """The (n, 1) block of a vector of n reduced entries."""
+    vec = tuple(vec)
+    return Block(len(vec), 1, vec)
 
 
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if a.ndim == b.ndim == 2 and not (a.size and b.size) and a.shape[1] == b.shape[0]:
-        return zeros(a.shape[0], b.shape[1])
-    if a.shape[-1] * (p - 1) ** 2 < INT64_BOUND:
-        return np.mod(a @ b, p)
-    return _chunked_dot(a, b, p)
+def columns(vecs, n: int) -> Block:
+    """The (n, len(vecs)) block whose columns are the given n-vectors."""
+    vecs = list(vecs)
+    return Block(n, len(vecs), tuple(_flatten(zip(*vecs))) if vecs else ())
 
 
-def inv_scalar(x: int, p: int) -> int:
-    return pow(int(x) % p, p - 2, p)
+def matmul(a: Block, b: Block, p: int) -> Block:
+    m, n, k = a.rows, a.cols, b.cols
+    if n != b.rows:
+        raise ValueError(f"cannot multiply a {a.shape} block by a {b.shape} block")
+    if n == 1:  # an outer product, 1x1 included
+        if m == k == 1:
+            return Block(1, 1, (a.data[0] * b.data[0] % p,))
+        return Block(m, k, tuple(x * y % p for x in a.data for y in b.data))
+    if not (m and n and k):
+        return zeros(m, k)
+    ad, bd = a.data, b.data
+    cols = [bd[j::k] for j in range(k)]
+    return Block(m, k, tuple(
+        sum(map(mul, ad[i : i + n], col)) % p for i in range(0, m * n, n) for col in cols
+    ))
 
 
-SMALL = 32
+def add(a: Block, b: Block, p: int) -> Block:
+    if a.shape != b.shape:
+        raise ValueError(f"cannot add a {a.shape} block to a {b.shape} block")
+    return Block(a.rows, a.cols, tuple((x + y) % p for x, y in zip(a.data, b.data)))
+
+
+def sub(a: Block, b: Block, p: int) -> Block:
+    if a.shape != b.shape:
+        raise ValueError(f"cannot subtract a {b.shape} block from a {a.shape} block")
+    return Block(a.rows, a.cols, tuple((x - y) % p for x, y in zip(a.data, b.data)))
+
+
+def scale(c: int, a: Block, p: int) -> Block:
+    c %= p
+    return Block(a.rows, a.cols, tuple(c * x % p for x in a.data))
 
 
 def _rref_ints(rows: list[list[int]], p: int) -> list[int]:
-    """Row-reduce a list of Python-int rows mod p in place; the pivots."""
-    rows[:] = [[x % p for x in row] for row in rows]
+    """Row-reduce a list of reduced Python-int rows mod p in place; the pivots."""
     n = len(rows)
     pivots: list[int] = []
     for col in range(len(rows[0]) if n else 0):
@@ -116,113 +168,80 @@ def _rref_ints(rows: list[list[int]], p: int) -> list[int]:
     return pivots
 
 
-def _rref_array(r: np.ndarray, p: int) -> list[int]:
-    """Row-reduce a reduced int64 matrix mod p in place; the pivots."""
-    rows, cols = r.shape
-    pivots: list[int] = []
-    lead = 0
-    for col in range(cols):
-        if lead >= rows:
-            break
-        nz = r[lead:, col].nonzero()[0]
-        if not len(nz):
-            continue
-        piv = lead + int(nz[0])
-        if piv != lead:
-            r[[lead, piv]] = r[[piv, lead]]
-        r[lead] = np.mod(r[lead] * inv_scalar(r[lead, col], p), p)
-        # Clear the pivot column in every other row at once; the pivot row
-        # is zero left of `col`, so only columns from `col` on change.
-        factors = r[:, col].copy()
-        factors[lead] = 0
-        r[:, col:] = np.mod(r[:, col:] - np.outer(factors, r[lead, col:]), p)
-        pivots.append(col)
-        lead += 1
-    return pivots
-
-
-def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+def rref(a: Block, p: int) -> tuple[Block, list[int]]:
     """Reduced row echelon form mod p; returns (R, pivot column indices)."""
-    a = np.asarray(a, dtype=np.int64)
-    if a.size <= SMALL:
-        rows = a.tolist()
-        pivots = _rref_ints(rows, p)
-        return np.array(rows, dtype=np.int64).reshape(a.shape), pivots
-    r = np.mod(a, p)
-    return r, _rref_array(r, p)
+    if a.rows * a.cols <= 1:
+        return (Block(1, 1, (1,)), [0]) if a.data and a.data[0] else (a, [])
+    rows = a.tolist()
+    pivots = _rref_ints(rows, p)
+    return Block(a.rows, a.cols, tuple(_flatten(rows))), pivots
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    if a.size <= SMALL:
-        return len(_rref_ints(a.tolist(), p))
-    return len(rref(a, p)[1])
+def rank(a: Block, p: int) -> int:
+    if a.rows * a.cols <= 1:
+        return int(bool(a.data and a.data[0]))
+    return len(_rref_ints(a.tolist(), p))
 
 
-def nullspace(a: np.ndarray, p: int) -> np.ndarray:
+def nullspace(a: Block, p: int) -> Block:
     """Columns form a basis of ker(a); shape (n, n - rank)."""
-    rows, cols = a.shape
+    rows, cols = a.rows, a.cols
     if not (rows and cols):
         return eye(cols)
-    if a.size > SMALL:
-        r, pivots = rref(a, p)
-        free = [c for c in range(cols) if c not in pivots]
-        basis = zeros(cols, len(free))
-        basis[free, range(len(free))] = 1
-        basis[pivots] = np.mod(-r[: len(pivots), free], p)
-        return basis
+    if rows == cols == 1:
+        return Block(1, 0, ()) if a.data[0] else Block(1, 1, (1,))
     r = a.tolist()
     pivots = _rref_ints(r, p)
-    vecs = []
-    for fc in (c for c in range(cols) if c not in pivots):
+    pivot_cols = set(pivots)
+    vecs = []  # one per free column
+    for fc in (c for c in range(cols) if c not in pivot_cols):
         vec = [0] * cols
         vec[fc] = 1
         for row, pc in zip(r, pivots):
             vec[pc] = -row[fc] % p
         vecs.append(vec)
-    # One row per basis vector, so the basis is the transpose.
-    return np.array(vecs, dtype=np.int64).reshape(len(vecs), cols).T
+    return columns(vecs, cols)
 
 
-def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of a @ x = b (columnwise for matrix b), or None."""
-    rows, cols = a.shape
-    b = b.reshape(rows, 1) if b.ndim == 1 else b
+def solve(a: Block, b: Block, p: int) -> Block | None:
+    """One solution x of a @ x = b (columnwise), or None."""
+    rows, cols, k = a.rows, a.cols, b.cols
+    if b.rows != rows:
+        raise ValueError(f"a {a.shape} block and a right-hand side of {b.rows} rows")
     if not rows:
-        return zeros(cols, b.shape[1])
+        return zeros(cols, k)
     if not cols:
-        return None if np.mod(b, p).any() else zeros(0, b.shape[1])
-    small = rows * (cols + b.shape[1]) <= SMALL
-    if small:
-        r = [ra + rb for ra, rb in zip(a.tolist(), b.tolist())]
-        pivots = _rref_ints(r, p)
-    else:
-        r, pivots = rref(np.concatenate([a, np.mod(b, p)], axis=1), p)
+        return None if b.any() else zeros(0, k)
+    if rows == cols == 1:
+        x = a.data[0]
+        if not x:
+            return None if b.any() else zeros(1, k)
+        inv = pow(x, -1, p)
+        return b if inv == 1 else Block(1, k, tuple(y * inv % p for y in b.data))
+    ad, bd = a.data, b.data
+    r = [list(ad[i * cols : (i + 1) * cols] + bd[i * k : (i + 1) * k]) for i in range(rows)]
+    pivots = _rref_ints(r, p)
     if pivots and pivots[-1] >= cols:
         return None
-    x = [[0] * b.shape[1]] * cols if small else zeros(cols, b.shape[1])
+    x = [[0] * k] * cols
     for i, pc in enumerate(pivots):
         x[pc] = r[i][cols:]  # replaces a whole row, so shared zero rows stay zero
-    return np.asarray(x, dtype=np.int64)
+    return Block(cols, k, tuple(_flatten(x)))
 
 
-def inv(a: np.ndarray, p: int) -> np.ndarray | None:
-    """Inverse of a square matrix, or None if singular."""
-    n, m = a.shape
-    if n != m:
+def inv(a: Block, p: int) -> Block | None:
+    """Inverse of a square matrix, or None if singular: a square matrix
+    with a right inverse is invertible, and a 0x0 one is its own."""
+    if a.rows != a.cols:
         return None
-    if n == 0:
-        return zeros(0, 0)
-    x = solve(a, eye(n), p)
-    if x is None or not np.array_equal(matmul(a, x, p), eye(n)):
-        return None
-    return x
+    return solve(a, eye(a.rows), p) if a.rows else a
 
 
-def is_invertible(a: np.ndarray, p: int) -> bool:
-    return a.shape[0] == a.shape[1] and (not a.size or rank(a, p) == a.shape[0])
+def is_invertible(a: Block, p: int) -> bool:
+    return a.rows == a.cols and (not a.rows or rank(a, p) == a.rows)
 
 
-def quotient_map(w_cols: np.ndarray, n: int, p: int) -> np.ndarray:
+def quotient_map(w_cols: Block, n: int, p: int) -> Block:
     """Surjection q: F^n -> F^m with ker(q) = column space of w_cols.
 
     q is nullspace(w_cols^T)^T: its rows span the functionals that vanish
@@ -234,21 +253,46 @@ def quotient_map(w_cols: np.ndarray, n: int, p: int) -> np.ndarray:
     return nullspace(w_cols.T, p).T
 
 
-def right_inverse(a: np.ndarray, p: int) -> np.ndarray | None:
+def right_inverse(a: Block, p: int) -> Block | None:
     """s with a @ s = id, when a is surjective."""
-    return solve(a, eye(a.shape[0]), p)
+    return solve(a, eye(a.rows), p)
 
 
-def vstack(mats: list[np.ndarray], cols: int) -> np.ndarray:
-    if not mats:
-        return zeros(0, cols)
-    return np.concatenate([m for m in mats], axis=0)
+def submatrix(a: Block, rows: range, cols: range) -> Block:
+    """The entries of a in the given rows and columns, in their order."""
+    c, data = a.cols, a.data
+    return Block(len(rows), len(cols), tuple(data[i * c + j] for i in rows for j in cols))
 
 
-def hstack(mats: list[np.ndarray], rows: int) -> np.ndarray:
-    """The matrices side by side, skipping those without columns (their row
+def vstack(mats: list[Block], cols: int) -> Block:
+    """The blocks of `cols` columns one above the other; (0, cols) for none."""
+    return grid([[m] for m in mats], [m.rows for m in mats], [cols])
+
+
+def hstack(mats: list[Block], rows: int) -> Block:
+    """The blocks side by side, skipping those without columns (their row
     count may differ); (rows, 0) when none has a column."""
-    mats = [m for m in mats if m.shape[1]]
-    if not mats:
-        return zeros(rows, 0)
-    return np.concatenate(mats, axis=1)
+    mats = [m for m in mats if m.cols]
+    return mats[0] if len(mats) == 1 and mats[0].rows == rows else grid(
+        [mats], [rows], [m.cols for m in mats]
+    )
+
+
+def grid(cells, heights: list[int], widths: list[int]) -> Block:
+    """The block matrix whose cell (j, k), of heights[j] rows and widths[k]
+    columns, is cells[j][k], or zero where that is None."""
+    data: list[int] = []
+    for row, h in zip(cells, heights):
+        for cell, w in zip(row, widths):
+            if cell is not None and cell.shape != (h, w):
+                raise ValueError(f"a {cell.shape} cell in a ({h}, {w}) place")
+        for i in range(h):
+            for cell, w in zip(row, widths):
+                data.extend(cell.data[i * w : (i + 1) * w] if cell is not None else (0,) * w)
+    return Block(sum(heights), sum(widths), tuple(data))
+
+
+def block_diag(mats: list[Block]) -> Block:
+    """The blocks along the diagonal, zero elsewhere."""
+    cells = [[m if j == k else None for k in range(len(mats))] for j, m in enumerate(mats)]
+    return grid(cells, [m.rows for m in mats], [m.cols for m in mats])

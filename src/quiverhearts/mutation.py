@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from . import linalg as la
 from .algebra import (
     AlgebraError,
@@ -81,6 +79,7 @@ from .homology import (
     pushout_conflation,
     syzygy,
 )
+from .linalg import Block
 from .workspace import WORKSPACE
 
 
@@ -192,7 +191,6 @@ def ext2_rigidity_criterion(inp: MutationInput) -> bool:
 class HdApproximation:
     x: Rep
     conf: Conflation  # Z >-> Y ->> X
-    z_conf: Conflation  # Y0 >-> Z ->> D1
 
     @property
     def y(self) -> Rep:
@@ -212,13 +210,13 @@ def right_hd_approximation(
 ) -> HdApproximation:
     """R(x), memoised by the classes (with the atlas's content) and the
     content of x, and bound to the caller's x; the failed-clause checks
-    run when it is first built."""
+    run when it is first built, and only Z >-> Y ->> X is stored."""
     key = (outer_pair.u.key, outer_pair.v.names, inner.key, x.key)
     value = WORKSPACE.memo(
-        "right_hd_approximation", key, stored_maps, (x,), _right_hd_maps, outer_pair, inner, x
+        "right_hd_approximation", key, stored_maps, (x,),
+        lambda: _right_hd_maps(outer_pair, inner, x)[:2],
     )
-    infl, defl, z_infl, z_defl = bound_maps((x,), value)
-    return HdApproximation(x, Conflation(infl, defl), Conflation(z_infl, z_defl))
+    return HdApproximation(x, Conflation(*bound_maps((x,), value)))
 
 
 def _right_hd_maps(outer_pair: CotorsionPair, inner: Subcategory, x: Rep) -> list[RepMap]:
@@ -339,7 +337,7 @@ class LocalizationModel:
             raise AlgebraError("morphism transport through the localization failed")
         return lift
 
-    def r_qcoords(self, r1: HdApproximation, r2: HdApproximation) -> np.ndarray:
+    def r_qcoords(self, r1: HdApproximation, r2: HdApproximation) -> Block:
         """Quotient coordinates of R(u) for every Hom(X1, X2) basis map u, one
         column each, given r1 = R(X1) and r2 = R(X2), from one solve: the
         lifts of u o f1 through f2 come as coordinates over the Hom(Y1, Y2)
@@ -463,7 +461,6 @@ def verify_localization(model: LocalizationModel) -> dict:
 class Reflection:
     b: Rep
     conf: Conflation  # B >-f-> B+ ->> S  with S in C-perp
-    mid_conf: Conflation  # V_B >-> T ->> B+
 
     @property
     def f(self) -> RepMap:
@@ -511,12 +508,13 @@ def reflection(twin: TwinData, b: Rep) -> Reflection:
     """B >-> B+ with B+ in Cone(M', N); the inflation is a left approximation.
 
     Memoised by the mutation input's classes (with the atlas's content) and
-    the content of b, and bound to the caller's b; the check that B+ lies
-    in Cone(M', N) runs when it is first built."""
+    the content of b, and bound to the caller's b; the checks run when it
+    is first built, and only B >-> B+ ->> S is stored."""
     key = (twin.inp.c.key, twin.inp.d.names, b.key)
-    value = WORKSPACE.memo("reflection", key, stored_maps, (b,), _reflection_maps, twin, b)
-    infl, defl, mid_infl, mid_defl = bound_maps((b,), value)
-    return Reflection(b, Conflation(infl, defl), Conflation(mid_infl, mid_defl))
+    value = WORKSPACE.memo(
+        "reflection", key, stored_maps, (b,), lambda: _reflection_maps(twin, b)[:2]
+    )
+    return Reflection(b, Conflation(*bound_maps((b,), value)))
 
 
 def _reflection_maps(twin: TwinData, b: Rep) -> list[RepMap]:
@@ -595,7 +593,7 @@ def _transport(side: str, xs: list[RepMap], f0: RepMap, f1: RepMap) -> list[RepM
         raise AlgebraError(f"{'coreflection' if right else 'reflection'} transport failed")
     if not basis:
         return [RepMap.zero(src, tgt) for _ in xs]
-    return [map_from_coords(basis, col) for col in sol.T]
+    return [map_from_coords(basis, sol.column(j)) for j in range(sol.cols)]
 
 
 def verify_pseudo_morita(data: PseudoMoritaData) -> dict:
@@ -666,7 +664,7 @@ def _natural(q: QuotientCategory, side: str, objs: list[Rep], trips: dict) -> bo
             else:
                 fs, gs = k_maps(kprime_maps(basis, out0, out1), back0, back1), basis
             lhs = composite_columns([eta1], fs)
-            diffs = np.mod(lhs - composite_columns(gs, [eta0]), q.p)
+            diffs = la.sub(lhs, composite_columns(gs, [eta0]), q.p)
             if q.qcolumns(fs[0].source, eta1.target, diffs).any():
                 ok = False
     return ok

@@ -24,7 +24,7 @@ def _eval_path(m: Rep, path, start: str) -> np.ndarray:
     mat = la.eye(m.dim_at(start))
     for aid in path:
         mat = la.matmul(m.arrow_maps[aid], mat, m.algebra.p)
-    return mat
+    return np.array(mat.tolist(), dtype=np.int64).reshape(mat.shape)
 
 
 def _t_layout(c: Rep, a: Rep) -> list[tuple[str, int, int]]:
@@ -98,7 +98,7 @@ def ext1_dim_bruteforce(c: Rep, a: Rep) -> int:
         rows.extend(acc)
     if rows:
         constraint = np.array(rows, dtype=np.int64) % p
-        z_dim = total - la.rank(constraint, p)
+        z_dim = total - la.rank(la.modmat(constraint, p), p)
     else:
         z_dim = total
     # coboundary map: h = (h_v: C_v -> A_v) |-> (A_arrow h_src - h_tgt C_arrow)
@@ -129,7 +129,7 @@ def ext1_dim_bruteforce(c: Rep, a: Rep) -> int:
                 for w in range(c_tgt):
                     cob[row, ht_off + u * c_tgt + w] -= cmap[w, v]
     cob %= p
-    b_dim = la.rank(cob, p) if h_total else 0
+    b_dim = la.rank(la.modmat(cob, p), p) if h_total else 0
     return z_dim - b_dim
 
 

@@ -293,7 +293,7 @@ def problem_from_fixture(fixture, tasks: dict | None = None) -> ProblemFile:
     for m in fixture.atlas:
         maps = tuple(
             sorted(
-                (aid, tuple(tuple(int(x) for x in row) for row in mat))
+                (aid, tuple(tuple(row) for row in mat.tolist()))
                 for aid, mat in m.arrow_maps.items()
                 if mat.any()
             )

@@ -1,12 +1,13 @@
 """One memo for results that depend only on content.
 
 A module's content key (`Rep.key`) is its algebra, its dimension vector
-and the bytes of its arrow maps, compared by equality, so two `Rep`s with
-the same matrices share entries whatever their names or ids.  The tables:
+and the blocks of its arrow maps, compared by equality and hashed once,
+so two `Rep`s with the same matrices share entries whatever their names
+or ids.  The tables:
 
 - `hom_space` and `decompose_with_maps` (in `algebra`);
 - `syzygy`, `ext1_dim`, `approximation` and `conflation` (in `homology`;
-  the last keyed by the kind and the map's source, target and block bytes);
+  the last keyed by the kind and the map's source, target and blocks);
 - the answers about classes, in `cotorsion`: `rcp` (a class's (RCP) or
   dual (RCP) report, by side), `perp` (the member names of its right or
   left perpendicular class), `cone_objects` (the member names of
@@ -19,17 +20,17 @@ the same matrices share entries whatever their names or ids.  The tables:
   (Phi(f)), `phi_module` (Phi(X)) and `quotient_hom` (a quotient
   category's Hom data) in `heart`.
 
-Each memo site stores names, booleans, reports and plain read-only
+Each memo site stores names, booleans, reports and plain immutable
 blocks under a key that holds everything its result depends on: the
 classes' member names and the atlas's content (`Subcategory.key`, whose
 atlas part is a `ContentKey`, hashed once), an ideal's member contents,
 and the argument's content.  A value that holds maps is one
 `algebra.stored_maps` value (but in `hom_space`: bare blocks between the
 caller's two modules), which `algebra.bound_maps` binds to the caller's
-modules on every lookup, every other module a fresh copy, freezing
-nothing again.  So no stored value refers to a caller's `Rep`, atlas or
-`Subcategory`: a class is rebuilt over the caller's atlas from its names,
-and a checked cotorsion pair builds a witness when it is first looked up
+modules on every lookup, every other module a fresh copy.  So no stored
+value refers to a caller's `Rep`, atlas or `Subcategory`: a class is
+rebuilt over the caller's atlas from its names, and a checked cotorsion
+pair builds a witness when it is first looked up
 (`CotorsionPair.witnesses`).  Only constructions and checks that a value
 passes when it is built are shared; a check that raises stores nothing,
 and every certificate still runs its own verdicts.  A module with an

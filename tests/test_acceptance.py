@@ -26,7 +26,7 @@ from quiverhearts import fixtures as fx
 from quiverhearts import heart as ht
 from quiverhearts import linalg as la
 from quiverhearts.algebra import RepMap, hom_dim, map_from_coords
-from quiverhearts.homology import Ext1, ext1_dim, homs
+from quiverhearts.homology import Conflation, Ext1, ext1_dim, homs
 from quiverhearts.mutation import (
     LocalizationModel,
     MutationInput,
@@ -45,6 +45,7 @@ from quiverhearts.mutation import (
     verify_localization,
     verify_main_theorem,
     verify_pseudo_morita,
+    _right_hd_maps,
 )
 from quiverhearts import oracles, problemfile
 from quiverhearts.workspace import WORKSPACE
@@ -193,9 +194,7 @@ def test_5_half_exact_functor(ex61, model):
                 continue
             e = Ext1(c, a)
             for j in range(e.dim):
-                unit = la.zeros(e.dim, 1)[:, 0]
-                unit[j] = 1
-                conf = e.realize(unit)
+                conf = e.realize([int(i == j) for i in range(e.dim)])
                 m1 = hm.phi.phi_map(hm.h.h_map(conf.infl))
                 m2 = hm.phi.phi_map(hm.h.h_map(conf.defl))
                 mid = hm.phi.module(hm.h.h_object(conf.b).obj).total_dim
@@ -218,7 +217,8 @@ def test_6_pipeline_clauses_every_object(ex61, twin, model):
     for x in ex61.atlas:
         res = model.r_object(x)
         res.conf.validate()
-        res.z_conf.validate()
+        # Y0 >-> Z ->> D1, which R(X) does not keep, from the uncached builder
+        Conflation(*_right_hd_maps(model.pair, model.inp.d, x)[2:]).validate()
         # (i) middle term in the cocone class
         assert ct.cocone_membership(res.y, model.inp.d, model.pair.u)[0], x.name
         # (ii) kernel orthogonal to the inner class

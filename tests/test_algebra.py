@@ -11,6 +11,7 @@ from quiverhearts import heart as ht
 from quiverhearts import homology as ho
 from quiverhearts import linalg as la
 from quiverhearts.cotorsion import _all_maps
+from quiverhearts.linalg import Block
 from quiverhearts.algebra import (
     AlgebraError,
     BoundQuiverAlgebra,
@@ -34,7 +35,7 @@ from quiverhearts.algebra import (
     standard_modules,
 )
 from quiverhearts.workspace import WORKSPACE
-from test_linalg import nullspace_reference
+from test_linalg import matmul_reference, nullspace_reference, rref_reference
 from test_workspace import nakayama_atlas
 
 
@@ -200,7 +201,7 @@ def test_dual_rep_roundtrip():
     dd = dual_rep(dual_rep(m))
     assert dd.dims == m.dims
     for aid in m.arrow_maps:
-        assert np.array_equal(dd.arrow_maps[aid], m.arrow_maps[aid])
+        assert dd.arrow_maps[aid] == m.arrow_maps[aid]
 
 
 def test_rep_validation_catches_bad_relation():
@@ -251,8 +252,8 @@ def test_largest_accepted_prime_is_exact():
     s1, s2 = Rep(alg, "1", (1, 0)), Rep(alg, "2", (0, 1))
     assert is_indecomposable(s1)
     # End(S1 + S2) = F_p x F_p: Frobenius fixes both factors, so its fixed
-    # space has dimension 2.  It takes about 64 stacked 2 x 2 products,
-    # each entry a sum of two (p-1)^2 terms that `matmul` reduces one by one.
+    # space has dimension 2.  It takes about 64 2 x 2 products per basis
+    # element, each entry a sum of two (p-1)^2 terms.
     total = direct_sum([s1, s2])
     assert not is_indecomposable(total)
     # A Kronecker module with End = F_p[x]/(x^2 - c) = F_{p^2} for a
@@ -266,8 +267,8 @@ def test_largest_accepted_prime_is_exact():
 
 def kronecker_module(p: int, a, b) -> Rep:
     kron = BoundQuiverAlgebra(Quiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2"))), p)
-    a, b = np.array(a), np.array(b)
-    return Rep(kron, "K", (a.shape[1], a.shape[0]), {"a": a, "b": b})
+    a, b = la.modmat(a, p), la.modmat(b, p)
+    return Rep(kron, "K", (a.cols, a.rows), {"a": a, "b": b})
 
 
 def has_only_trivial_idempotents(m: Rep) -> bool:
@@ -350,13 +351,13 @@ def test_map_from_coords_equals_scale_add_chain():
             for f, c in zip(basis[1:], coords[1:]):
                 chain = chain.add(f.scale(int(c)))
             got = map_from_coords(basis, coords)
-            assert all(np.array_equal(x, y) for x, y in zip(got.blocks, chain.blocks))
+            assert got.blocks == chain.blocks
 
 
 def _assert_clean(f):
     for blk in f.blocks:
-        assert blk.dtype == np.int64 and not blk.flags.writeable
-        assert ((blk >= 0) & (blk < f.p)).all()
+        assert type(blk) is Block and all(type(x) is int and 0 <= x < f.p for x in blk.data)
+        _assert_frozen(blk)
     assert f.intertwines()
 
 
@@ -377,14 +378,15 @@ def test_public_constructor_reduces_and_checks():
     atlas = fx.auslander_a3_atlas()
     s2, p12 = atlas["2"], atlas["1/2"]
     (f,) = hom_space(s2, p12)  # the socle inclusion
-    g = RepMap(s2, p12, [b + s2.algebra.p for b in f.blocks])
-    assert all(np.array_equal(x, y) for x, y in zip(g.blocks, f.blocks))
+    p = s2.algebra.p
+    g = RepMap(s2, p12, [Block(b.rows, b.cols, tuple(x + p for x in b.data)) for b in f.blocks])
+    assert g.blocks == f.blocks
     _assert_clean(g)
     with pytest.raises(AlgebraError, match="shape"):
         RepMap(s2, p12, [la.zeros(1, 1)] * len(f.blocks))
     # Hom(1/2, 2) = 0, so nonzero blocks cannot intertwine.
     assert hom_space(p12, s2) == []
-    ones = [np.ones((t, s), dtype=np.int64) for s, t in zip(p12.dims, s2.dims)]
+    ones = [Block(t, s, (1,) * (t * s)) for s, t in zip(p12.dims, s2.dims)]
     with pytest.raises(AlgebraError, match="intertwine"):
         RepMap(p12, s2, ones)
 
@@ -427,30 +429,30 @@ def _cokernel_reference(f):
     for aid, s, t in q.arrows:
         i, j = q.vertex_index(s), q.vertex_index(t)
         rhs = la.matmul(projs[j], f.target.arrow_maps[aid], p)
-        maps.append(la.solve(projs[i].T.copy(), rhs.T.copy(), p).T)
+        maps.append(la.solve(projs[i].T, rhs.T, p).T)
     return projs, maps
 
 
 def _same_blocks(xs, ys):
     xs, ys = list(xs), list(ys)
-    return len(xs) == len(ys) and all(
-        x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y) for x, y in zip(xs, ys)
-    )
+    return xs == ys and all(type(x) is Block for x in xs)
 
 
 @pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
 def test_injective_and_surjective_match_the_rank(p):
-    """Empty and 1x1 blocks are read without a row reduction; every block
-    shape gives what `linalg.rank` gives."""
+    """Empty and 1x1 blocks take the fast paths of `linalg.rank`; every
+    block shape gives what the row reduction gives."""
     alg = BoundQuiverAlgebra(Quiver(("1",), ()), p)
     rng = np.random.default_rng(p % 1000)
     for shape in [(0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (3, 4)]:
         for _ in range(20):
             entries = [0, 1, p - 1, int(rng.integers(0, p))]
-            block = np.array(rng.choice(entries, size=shape), dtype=np.int64)
+            drawn = rng.choice(entries, size=shape)
+            block = Block(*shape, tuple(int(x) for x in drawn.flat))
             f = RepMap._trusted(Rep(alg, "X", (shape[1],)), Rep(alg, "Y", (shape[0],)), [block])
-            assert f.is_injective() == (la.rank(block, p) == shape[1])
-            assert f.is_surjective() == (la.rank(block, p) == shape[0])
+            rank = len(rref_reference(block, p)[1])
+            assert f.is_injective() == (rank == shape[1])
+            assert f.is_surjective() == (rank == shape[0])
 
 
 def _eight_operations(maps):
@@ -479,18 +481,22 @@ def test_empty_blocks_agree_with_per_vertex_loops(interval_maps):
         seen.add(op)
         if op == "compose":
             g, f = arg
-            want = [np.mod(b2 @ b1, f.p) for b1, b2 in zip(f.blocks, g.blocks)]
+            want = [matmul_reference(b2, b1, f.p) for b1, b2 in zip(f.blocks, g.blocks)]
             assert _same_blocks(got.blocks, want)
         elif op == "map_from_coords":
             basis, coords = arg
             p = basis[0].p
-            want = [np.mod(sum(int(c) * h.blocks[i] for c, h in zip(coords, basis)), p)
-                    for i in range(len(basis[0].blocks))]
+            want = []
+            for i, b0 in enumerate(basis[0].blocks):
+                acc = la.zeros(*b0.shape)
+                for c, h in zip(coords, basis):
+                    acc = la.add(acc, la.scale(int(c), h.blocks[i], p), p)
+                want.append(acc)
             assert _same_blocks(got.blocks, want)
         elif op == "flat":
-            want = np.concatenate([b.reshape(-1) for b in arg.blocks])
-            assert _same_blocks([got], [want]) and got.flags.writeable
-            assert not any(np.shares_memory(got, b) for b in arg.blocks)
+            # an immutable vector of the blocks' entries, block after block
+            assert type(got) is tuple
+            assert got == tuple(x for b in arg.blocks for x in b.data)
         elif op == "is_zero":
             assert got == all(not b.any() for b in arg.blocks)
         elif op == "is_injective":
@@ -508,7 +514,7 @@ def test_empty_blocks_agree_with_per_vertex_loops(interval_maps):
 
 def _refuse_empty_operands(fn):
     def guarded(*args):
-        if any(isinstance(a, np.ndarray) and a.ndim == 2 and not a.size for a in args):
+        if any(isinstance(a, Block) and not a.size for a in args):
             raise AssertionError(f"linalg.{fn.__name__} called on an empty block")
         return fn(*args)
     return guarded
@@ -531,24 +537,26 @@ def test_empty_blocks_cost_no_linalg_call(interval_maps):
         # a path through a vertex where the module is zero
         simple = next(x for x in members if x.name == "1")
         got = simple.evaluate_path(("a1", "a2"))
-        assert got.shape == (0, 1) and got.dtype == np.int64
+        assert got == la.zeros(0, 1)
         # quotient coordinates in a quotient Hom space of dimension 0
         x = members[0]
         got = qc.qcoords(RepMap.identity(x))
-        assert got.shape == (0,) and got.dtype == np.int64 and qc.is_zero_object(x)
+        assert got == () and qc.is_zero_object(x)
 
 
 def _assert_frozen(block):
-    assert not block.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        block[...] = 1
+    """The block is immutable: assignment raises."""
+    with pytest.raises(TypeError):
+        block[0, 0] = 1
+    with pytest.raises(AttributeError):
+        block.data = ()
 
 
 def test_identity_and_empty_products_bind_shared_read_only_blocks(interval_maps):
     for x in {f.source for f in interval_maps}:
         ident = RepMap.identity(x)
         assert all(a is b for a, b in zip(ident.blocks, RepMap.identity(x).blocks))
-        assert all(np.array_equal(b, la.eye(d)) for b, d in zip(ident.blocks, x.dims))
+        assert all(b == la.eye(d) for b, d in zip(ident.blocks, x.dims))
         for b in ident.blocks:
             _assert_frozen(b)
     empty = 0
@@ -557,7 +565,7 @@ def test_identity_and_empty_products_bind_shared_read_only_blocks(interval_maps)
             _assert_frozen(b)
             if not b.size:
                 empty += 1
-                assert b.base is not None  # a slice of an operand, not a new array
+                assert b == la.zeros(*b.shape)
     assert empty
     # a product through a 0-dimensional space is a zero block of its own
     members = list(nakayama_atlas(6, 3))
@@ -583,7 +591,7 @@ def _unpruned_generators(alg, paths, cap):
         rights = [()] + [pt[0] for pt in paths if pt[1] == rtgt]
         for lp in lefts:
             for rp in rights:
-                vec = la.zeros(1, n)[0]
+                vec = [0] * n
                 ok = True
                 for coeff, mid in rel:
                     full = lp + mid + rp
@@ -591,8 +599,8 @@ def _unpruned_generators(alg, paths, cap):
                         ok = False
                         break
                     vec[index[full]] = (vec[index[full]] + coeff) % alg.p
-                if ok and vec.any():
-                    gens.append(vec)
+                if ok and any(vec):
+                    gens.append(tuple(vec))
     return gens
 
 
@@ -613,7 +621,7 @@ def test_path_basis_matches_the_unpruned_generator_loop(name):
     for cap in range(2, 7):
         paths = al._enumerate_paths(alg.quiver, cap)
         got, want = al._ideal_generators(alg, paths, cap), _unpruned_generators(alg, paths, cap)
-        assert len(got) == len(want) and all(map(np.array_equal, got, want)), cap
+        assert got == want, cap
     with mock.patch.object(al, "_ideal_generators", _unpruned_generators):
         try:
             want = path_basis(alg)
@@ -629,7 +637,7 @@ def test_path_basis_matches_the_unpruned_generator_loop(name):
 
 # ---------------------------------------------------------------------------
 # The Hom solver against its plain form: every arrow's equations, dead ones
-# too, in an int64 matrix whose kernel comes from the reference elimination.
+# too, in one block whose kernel comes from the reference elimination.
 
 
 def _hom_blocks_reference(m, n):
@@ -656,13 +664,11 @@ def _hom_blocks_reference(m, n):
                     eq[offsets[j] + r * dj + k] -= int(ma[k, c])
                 eqs.append(eq)
     eqs = [eq for eq in eqs if any(eq)]
-    mat = np.mod(np.array(eqs, dtype=np.int64).reshape(len(eqs), total), p)
+    mat = Block(len(eqs), total, tuple(x % p for eq in eqs for x in eq))
     ns = nullspace_reference(mat, p) if eqs else la.eye(total)
-    vecs = np.ascontiguousarray(ns.T)
-    vecs.setflags(write=False)
     blocks = tuple(
-        tuple(vec[off : off + r * c].reshape(r, c) for (r, c), off in zip(layout, offsets))
-        for vec in vecs
+        tuple(Block(r, c, ns.column(k)[off : off + r * c]) for (r, c), off in zip(layout, offsets))
+        for k in range(ns.cols)
     )
     return blocks, mat.shape
 
@@ -695,15 +701,11 @@ def test_hom_solver_equals_the_plain_loops():
     for m, n in _hom_solver_pairs():
         got = al._hom_blocks(m, n)
         want, shape = _hom_blocks_reference(m, n)
-        sizes.add(shape[0] * shape[1] > la.SMALL)
-        assert len(got) == len(want), (m, n)
-        for g, w in zip(got, want):
-            assert len(g) == len(w)
-            for x, y in zip(g, w):
-                assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
-                assert not x.flags.writeable and not y.flags.writeable
-        # an empty block is one array per shape, shared by the basis maps
+        sizes.add(shape[0] * shape[1] > 32)
+        assert got == want, (m, n)
+        assert all(type(x) is Block for g in got for x in g)
+        # an empty block is one block per shape, shared by the basis maps
         for i, b in enumerate(got[0] if got else ()):
             if not b.size:
                 assert all(g[i] is next(h for h in got[0] if h.shape == b.shape) for g in got)
-    assert sizes == {False, True}  # both linalg paths
+    assert sizes == {False, True}  # equation blocks of up to 32 entries and of more

@@ -1,7 +1,6 @@
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from quiverhearts import cotorsion as ct
@@ -339,7 +338,7 @@ def same_conflation(got, want) -> bool:
     return all(
         g.source.dims == w.source.dims
         and g.target.dims == w.target.dims
-        and np.array_equal(g.flat(), w.flat())
+        and g.flat() == w.flat()
         for g, w in ((got.infl, want.infl), (got.defl, want.defl))
     )
 

@@ -1,6 +1,6 @@
 """Maps between direct sums are matrices of components.
 
-`algebra.matrix_map` joins component blocks side by side and stacks them.
+`algebra.matrix_map` builds each block as the grid of the component blocks.
 The references here are what it replaced: sums of composites over the
 inclusions and projections of each direct sum, built from identity blocks
 by `structure_maps`.  Pushouts and pullbacks are checked against the old
@@ -16,6 +16,7 @@ from quiverhearts import homology as ho
 from quiverhearts import linalg as la
 from quiverhearts.algebra import Rep, RepMap
 from quiverhearts.homology import Ext1
+from quiverhearts.linalg import Block
 
 PRIMES = [2, 3, 101, 2**31 - 1]
 
@@ -28,12 +29,13 @@ def structure_maps(parts: list[Rep], total: Rep) -> tuple[list[RepMap], list[Rep
     for r in parts:
         inc_blocks = []
         for i, d in enumerate(r.dims):
-            inc = la.zeros(total.dims[i], d)
-            inc[offs[i] : offs[i] + d] = la.eye(d)
-            inc_blocks.append(inc)
+            inc = [0] * (total.dims[i] * d)  # an identity in rows offs[i] .. offs[i] + d
+            for k in range(d):
+                inc[(offs[i] + k) * d + k] = 1
+            inc_blocks.append(Block(total.dims[i], d, tuple(inc)))
             offs[i] += d
         incs.append(RepMap(r, total, inc_blocks))
-        projs.append(RepMap(total, r, [b.T.copy() for b in inc_blocks]))
+        projs.append(RepMap(total, r, [b.T for b in inc_blocks]))
     return incs, projs
 
 
@@ -51,9 +53,7 @@ def matrix_reference(source_parts, target_parts, source, target, rows) -> RepMap
 
 
 def same_blocks(f: RepMap, g: RepMap) -> bool:
-    return len(f.blocks) == len(g.blocks) and all(
-        a.shape == b.shape and np.array_equal(a, b) for a, b in zip(f.blocks, g.blocks)
-    )
+    return f.blocks == g.blocks
 
 
 def some_map(x: Rep, y: Rep, rng) -> RepMap:
@@ -101,9 +101,11 @@ def test_direct_sum_equals_the_checked_constructor():
     atlas = fx.ex61().atlas
     parts = [atlas["2/34/5"], atlas["3"], atlas["34/5"]]
     s = al.direct_sum(parts)
-    checked = Rep(s.algebra, s.name, s.dims, {a: np.array(m) for a, m in s.arrow_maps.items()})
+    checked = Rep(s.algebra, s.name, s.dims, dict(s.arrow_maps))
     assert s.name == "(2/34/5+3+34/5)" and s.key == checked.key
-    assert all(not m.flags.writeable for m in s.arrow_maps.values())
+    for m in s.arrow_maps.values():  # the blocks are immutable: assignment raises
+        with pytest.raises(TypeError):
+            m[0, 0] = 1
 
 
 def test_matrix_map_rejects_components_of_the_wrong_sum():
@@ -129,8 +131,7 @@ def pushout_reference(f: RepMap, g: RepMap):
 def couniversal_reference(po_ref, b_map: RepMap, c_map: RepMap) -> RepMap:
     p_rep, _, _, proj, projs = po_ref
     comb = b_map.compose(projs[0]).add(c_map.compose(projs[1]))
-    blocks = [la.solve(pj.T.copy(), cb.T.copy(), b_map.p).T.copy()
-              for pj, cb in zip(proj.blocks, comb.blocks)]
+    blocks = [la.solve(pj.T, cb.T, b_map.p).T for pj, cb in zip(proj.blocks, comb.blocks)]
     return RepMap(p_rep, b_map.target, blocks)
 
 
@@ -155,9 +156,7 @@ def realized_conflations(atlas):
         for a in atlas:
             e = Ext1(c, a)
             for j in range(e.dim):
-                unit = la.zeros(e.dim, 1)[:, 0]
-                unit[j] = 1
-                out.append(e.realize(unit))
+                out.append(e.realize([int(i == j) for i in range(e.dim)]))
     return out
 
 

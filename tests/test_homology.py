@@ -1,6 +1,5 @@
 import functools
 
-import numpy as np
 import pytest
 
 from quiverhearts import fixtures as fx
@@ -158,7 +157,7 @@ def test_ext1_classes_of_its_cocycles_are_the_unit_vectors():
         for a in atlas:
             ext = ho.Ext1(c, a)
             assert len(ext.cocycles) == ext.dim
-            assert np.array_equal(ext.classes(ext.cocycles), la.eye(ext.dim))
+            assert ext.classes(ext.cocycles) == la.eye(ext.dim)
             assert ext.classes([]).shape == (ext.dim, 0)
             seen += ext.dim > 0
     assert seen
@@ -178,7 +177,7 @@ def test_ext1_builds_its_lift_on_first_use(monkeypatch):
     assert ho.ext1_dim(c, a) == 1 and ho.Ext1(c, a).dim == 1
     assert solves == []
     ext = ho.Ext1(c, a)
-    assert list(ext.classes([ext.cocycle([1])])[:, 0]) == [1]
+    assert ext.classes([ext.cocycle([1])]).data == (1,)
     assert len(ext.cocycles) == 1 and len(solves) == 1
     empty = ho.Ext1(atlas["2"], atlas["1"])
     assert empty.dim == 0 and empty.cocycles == [] and len(solves) == 1

@@ -5,7 +5,6 @@ a per-pair reference, and a certificate builds each class fact once."""
 import itertools
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from quiverhearts import cotorsion as ct
@@ -37,7 +36,7 @@ def any_atlas(request):
 
 
 def whole_table(atlas, kind: str) -> list[list[int]]:
-    return atlas.rows(kind, np.arange(len(atlas))).tolist()
+    return [list(row) for row in atlas.rows(kind, range(len(atlas)))]
 
 
 def test_hom_rows_equal_hom_space(any_atlas):
@@ -85,7 +84,7 @@ def test_rows_fill_one_at_a_time():
     atlas = nakayama_atlas(6, 3)
     i = atlas.position["2/3"]
     atlas.rows("hom", [i])
-    filled = [row[0] >= 0 for row in atlas._tables["hom"]]
+    filled = [row is not None for row in atlas._tables["hom"]]
     assert filled == [j == i for j in range(len(atlas))]
 
 

@@ -1,5 +1,6 @@
-"""Tooling checks: the benchmark's tracer still finds every target it wraps,
-the package imports nothing it does not use (no linter is installed), no
+"""Tooling checks: the benchmark's tracer still finds every target it wraps
+and reads blocks as it expects, the CLI imports no numpy, the package
+imports nothing it does not use (no linter is installed), no
 module but the fixtures draws random numbers, no module keeps a memo of
 its own, every workspace table is documented, only `algebra` binds maps to
 stored blocks, and every public function and class is used somewhere."""
@@ -12,20 +13,54 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_benchmark_tracer_installs():
-    # In a child process: installing the tracer rebinds the package's functions.
-    code = (
-        "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
-        "from tracer import Tracer\n"
-        "Tracer().install()\n"
-    )
+def run_child(code: str) -> str:
+    """Run `code` in a fresh interpreter with src/ and perfbench/ first on
+    the path; its standard output."""
     run = subprocess.run(
-        [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench")],
+        [sys.executable, "-c", "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n" + code,
+         str(ROOT / "src"), str(ROOT / "perfbench")],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_benchmark_tracer_installs():
+    # In a child process: installing the tracer rebinds the package's functions.
+    run_child("from tracer import Tracer\nTracer().install()\n")
+
+
+def test_the_cli_imports_no_numpy():
+    out = run_child(
+        "import quiverhearts.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    assert out == "[]\n"
+
+
+def test_benchmark_tracer_reads_blocks():
+    # The tracer keys each module by `.tobytes()` of its arrow maps (the
+    # distinct-pair ratio of hom_space) and takes `np.shape` of the operand
+    # of `linalg.rref` (the share of trivial ones).
+    out = run_child(
+        "from tracer import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        "from quiverhearts import algebra, fixtures, linalg\n"
+        "atlas = fixtures.ex61().atlas\n"
+        "tracer.op = 0\n"
+        "algebra.hom_space(atlas['2/34/5'], atlas['2/34'])\n"
+        "algebra.hom_space(atlas['2/34/5'].renamed('copy'), atlas['2/34'])\n"
+        "linalg.rref(linalg.eye(1), 101)\n"
+        "linalg.rref(linalg.eye(2), 101)\n"
+        "tracer.op = -1\n"
+        "s = tracer.summary()\n"
+        "print(s['algebra.hom_space.calls'], s['algebra.hom_space.distinct_ratio'],"
+        " s['linalg.rref.calls'], s['linalg.rref.trivial_share'])\n"
+    )
+    assert out.split() == ["2", "0.5", "2", "0.5"]
 
 
 def unused_imports(path: Path) -> list[str]:
