@@ -274,9 +274,10 @@ def _ideal_generators(alg: BoundQuiverAlgebra, paths: list, cap: int) -> list[tu
 class Rep:
     """A finite-dimensional representation (module) over a bound quiver algebra.
 
-    Equality and hash are the default identity ones, so a module is never
-    mistaken for another with the same matrices.  Content lookups, and every
-    memo, go through `key`.
+    A module is a value: equality and hash are those of its content, `key`,
+    as for `BoundQuiverAlgebra`.  The name is a label that equality
+    ignores, so two modules with the same matrices are equal whatever
+    their names, and a memo hands back the modules its miss built.
     """
 
     def __init__(self, algebra: BoundQuiverAlgebra, name: str, dims, arrow_maps=None):
@@ -316,6 +317,12 @@ class Rep:
         stays valid.  Names are not part of it.
         """
         return ContentKey((self.algebra, self.dims, tuple(self.arrow_maps.values())))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (isinstance(other, Rep) and self.key == other.key)
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     @cached_property
     def _identity_blocks(self) -> tuple[Block, ...]:
@@ -361,13 +368,6 @@ class Rep:
 
     def renamed(self, name: str) -> "Rep":
         return Rep(self.algebra, name, self.dims, self.arrow_maps)
-
-    def __copy__(self) -> "Rep":
-        """A new module with this one's name, blocks and cached content
-        key: how a memo hands each caller its own stored module."""
-        m = Rep.__new__(Rep)
-        m.__dict__.update(self.__dict__)
-        return m
 
     def __repr__(self):
         return f"Rep({self.name}, dims={self.dims})"
@@ -417,10 +417,6 @@ class RepMap:
         f.blocks = tuple(blocks)
         return f
 
-    # The name for binding stored blocks (`bound_maps`, `hom_space` entries,
-    # identities), so that those sites can be found.
-    _bound = _trusted
-
     def intertwines(self) -> bool:
         q = self.source.algebra.quiver
         for aid, i, j in q._arrow_ends:
@@ -441,7 +437,7 @@ class RepMap:
 
     @staticmethod
     def identity(m: Rep) -> "RepMap":
-        return RepMap._bound(m, m, m._identity_blocks)
+        return RepMap._trusted(m, m, m._identity_blocks)
 
     def compose(self, first: "RepMap") -> "RepMap":
         """self o first."""
@@ -491,38 +487,6 @@ class RepMap:
         return f"RepMap({self.source.name} -> {self.target.name})"
 
 
-def stored_maps(own: tuple, build, *args) -> tuple:
-    """The memo value of the maps that `build(*args)` returns: per map, the
-    positions of its ends and its blocks.  An end that is one of
-    `own` is its position there (the last, for a module that sits at two:
-    a site where one can must key that case apart, as `_approximation`
-    does); every other module is numbered after them and kept as built,
-    once.  `own` must hold every caller's module that the maps join, so the
-    value holds none, and no lookup hands a kept module out: `bound_maps`
-    binds a fresh copy."""
-    at = dict(zip(own, range(len(own))))
-    others: list[Rep] = []
-    ends = []
-    for f in build(*args):
-        for m in (f.source, f.target):
-            if m not in at:
-                at[m] = len(own) + len(others)
-                others.append(m)
-        ends.append((at[f.source], at[f.target], f.blocks))
-    return tuple(others), tuple(ends)
-
-
-def bound_maps(own: tuple, value: tuple) -> list[RepMap]:
-    """The maps of a `stored_maps` value bound to the caller's `own`, in the
-    order `build` returned them.  Every other module is a fresh copy of the
-    kept one, shared by the maps that join it, and keeps the name it was
-    built under.  The stored blocks are bound as they are."""
-    others, ends = value
-    if others:
-        own += tuple([m.__copy__() for m in others])
-    return [RepMap._bound(own[s], own[t], blocks) for s, t, blocks in ends]
-
-
 def _product(a: Block, b: Block, p: int) -> Block:
     """a @ b mod p for blocks of maps; a product without entries, or through
     a 0-dimensional space, is a zero block made without a call."""
@@ -546,7 +510,7 @@ def hom_space(m: Rep, n: Rep) -> list[RepMap]:
 
     The maps are rebound to the caller's m and n on every call.
     """
-    return [RepMap._bound(m, n, blocks) for blocks in _hom_basis(m, n)]
+    return [RepMap._trusted(m, n, blocks) for blocks in _hom_basis(m, n)]
 
 
 def meets(a: Rep, b: Rep) -> bool:
@@ -697,7 +661,7 @@ def matrix_map(source: Rep, target: Rep, rows) -> RepMap:
         for block, shape in zip(f.blocks, zip(target.dims, source.dims)):
             if block.shape != shape:
                 raise AlgebraError(f"components make a {block.shape} block, expected {shape}")
-        return RepMap._bound(source, target, f.blocks)
+        return RepMap._trusted(source, target, f.blocks)
     col_dims = [next(f.source.dims for f in col if f is not None) for col in zip(*rows)]
     row_dims = [next(f.target.dims for f in row if f is not None) for row in rows]
     blocks = []
@@ -902,27 +866,18 @@ def decompose_with_maps(m: Rep, atlas: "IndecSet"):
 
     Returns a list of (atlas member, inclusion, projection) with
     projection o inclusion = id on the member and the inclusions/projections
-    forming a biproduct decomposition of m.  A module with a member's
-    content is that member, both maps the identity (equal content means
-    equal matrices, so it intertwines), and makes no memo entry.  Other
-    modules are memoised by content and the atlas (member names and
-    content); the maps are bound to the caller's m and atlas members.
+    forming a biproduct decomposition of m.  A module equal to a member is
+    that member, both maps the identity (equal content means equal
+    matrices, so it intertwines), and makes no memo entry.  Other modules
+    are memoised by content and the atlas (member names and content); a
+    hit returns the stored list, whose maps run between the atlas members
+    and the module its miss decomposed.  Callers must not mutate it.
     """
-    member = atlas.by_key.get(m.key)
+    member = atlas.by_content.get(m)
     if member is not None:
         ident = member._identity_blocks
-        return [(member, RepMap._bound(member, m, ident), RepMap._bound(m, member, ident))]
-    own = (m, *atlas.members)
-    value = WORKSPACE.memo(
-        "decompose_with_maps", (m.key, atlas.key), stored_maps, own, _split_maps, m, atlas
-    )
-    maps = bound_maps(own, value)
-    return [(inc.source, inc, prj) for inc, prj in zip(maps[::2], maps[1::2])]
-
-
-def _split_maps(m: Rep, atlas: "IndecSet") -> list[RepMap]:
-    """Each summand's inclusion and projection, in summand order."""
-    return [f for _, inc, prj in _decompose_with_maps(m, atlas) for f in (inc, prj)]
+        return [(member, RepMap._trusted(member, m, ident), RepMap._trusted(m, member, ident))]
+    return WORKSPACE.memo("decompose_with_maps", (m.key, atlas.key), _decompose_with_maps, m, atlas)
 
 
 def _decompose_with_maps(m: Rep, atlas: "IndecSet"):
@@ -1063,12 +1018,12 @@ class IndecSet:
         return ContentKey((r.name, r.key) for r in self.members)
 
     @cached_property
-    def by_key(self) -> dict[tuple, Rep]:
-        """Each member content key (`Rep.key`) to the first member that has
-        it, in member order, as the split search would find it."""
-        out: dict[tuple, Rep] = {}
+    def by_content(self) -> dict[Rep, Rep]:
+        """Each member to the first member equal to it, in member order, as
+        the split search would find it: a lookup by any equal module."""
+        out: dict[Rep, Rep] = {}
         for r in self.members:
-            out.setdefault(r.key, r)
+            out.setdefault(r, r)
         return out
 
     @cached_property

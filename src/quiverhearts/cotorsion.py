@@ -229,7 +229,7 @@ class CotorsionPair:
     def witness(self, side: str, b: Rep) -> Conflation:
         """The right (left) witness of b: `witnesses` of an atlas member,
         built for any other module."""
-        if b is self.u.atlas.by_name.get(b.name):
+        if b == self.u.atlas.by_name.get(b.name):
             return self.witnesses[b.name][0 if side == "right" else 1]
         return _witness(side, self.u, self.v, b)
 
@@ -269,11 +269,11 @@ def _witness(side: str, u: Subcategory, v: Subcategory, b: Rep) -> Conflation:
 
 
 def _owns(c: Subcategory, b: Rep) -> bool:
-    """Has b the content of one of c's members (the member itself, a renamed
+    """Is b equal to one of c's members (the member itself, a renamed
     copy, a one-summand sum)?  Then 1_b is its minimal right and left
     add(c)-approximation, an isomorphism, and the callers answer with 1_b,
     brick or not, and approximate nothing."""
-    m = c.atlas.by_key.get(b.key)
+    m = c.atlas.by_content.get(b)
     return m is not None and c.contains_name(m.name)
 
 

@@ -27,7 +27,6 @@ from .algebra import (
     Rep,
     RepMap,
     _radical_of_span,
-    bound_maps,
     composite_columns,
     decompose_with_maps,
     direct_sum,
@@ -36,7 +35,6 @@ from .algebra import (
     map_from_coords,
     matrix_map,
     meets,
-    stored_maps,
 )
 from .cotorsion import (
     CotorsionPair,
@@ -221,9 +219,9 @@ class QuotientCategory:
         return True, map_from_coords(cand, sol.data)
 
     def is_zero_object(self, x: Rep) -> bool:
-        """Is 1_x in the ideal.  An ideal member is zero at once (by identity,
-        as `Rep`s compare): 1_x factors through x, which lies in add(ideal).
-        Any other object, a sum of members included, takes the quotient test."""
+        """Is 1_x in the ideal.  A module equal to an ideal member is zero at
+        once: 1_x factors through x, which lies in add(ideal).  Any other
+        object, a sum of members included, takes the quotient test."""
         return x in self.ideal or not any(self.qcoords(RepMap.identity(x)))
 
     def nonzero_objects(self) -> list[Rep]:
@@ -347,24 +345,22 @@ class CohomologicalH:
 
     def h_object(self, x: Rep) -> HObject:
         """H(x), memoised by the pair's classes, the atlas and the content of
-        x, and bound to the caller's x; the check that B^- lies in
-        CoCone(U, U) runs when it is first built."""
+        x: a hit returns the stored H(x), of the module its miss was given;
+        the check that B^- lies in CoCone(U, U) runs when it is first built."""
         key = (self.pair.u.key, self.pair.v.names, self.atlas.key, x.key)
-        value = WORKSPACE.memo("h_object", key, stored_maps, (x,), self._h_defl, x)
-        [defl] = bound_maps((x,), value)
-        return HObject(x, defl.source, defl)
+        return WORKSPACE.memo("h_object", key, self._h_object, x)
 
-    def _h_defl(self, x: Rep) -> list[RepMap]:
-        """[B^- ->> x], checked, uncached."""
+    def _h_object(self, x: Rep) -> HObject:
+        """H(x), checked, uncached."""
         if x.is_zero():
-            return [RepMap.identity(x)]
+            return HObject(x, x, RepMap.identity(x))
         wl = self.pair.witness("left", x)  # X >-> V^X ->> U^X
         vx = wl.b
         wr = self._right_witness_of(vx)  # V0 >-> U0 ->> V^X
         conf, _ = pullback_conflation(wr, wl.infl)  # V0 >-> B^- ->> X
         if not self.h_objects.contains(conf.b):
             raise AlgebraError(f"H({x.name}) fell outside CoCone(U, U)")
-        return [conf.defl]
+        return HObject(x, conf.b, conf.defl)
 
     def _right_witness_of(self, b: Rep) -> Conflation:
         """V0 >-> U0 ->> b assembled summand-wise from the pair's witnesses."""
@@ -400,18 +396,14 @@ class CohomologicalH:
 @dataclass(frozen=True)
 class _ExtBlock:
     """Ext^1(C, X) as a memo value: its dimension and, when that is
-    nonzero, the flat entries of the Hom(Omega C, X) basis as columns and
-    the quotient map onto Ext^1, and one cocycle Omega C -> X per basis
-    class as a `stored_maps` value."""
+    nonzero, the flat entries of the Hom(Omega C, X) basis as columns, the
+    quotient map onto Ext^1 and one cocycle Omega C -> X per basis
+    class."""
 
     dim: int
     flat: Block | None = None
     qmap: Block | None = None
-    cocycle_maps: tuple | None = None
-
-    def cocycles(self, x: Rep) -> list[RepMap]:
-        """The cocycles Omega C -> x, bound to the caller's x."""
-        return bound_maps((x,), self.cocycle_maps)
+    cocycles: tuple[RepMap, ...] = ()
 
     def classes(self, cols: Block, p: int) -> Block:
         """The classes of the cocycles whose flat entries are the columns of
@@ -435,7 +427,7 @@ def _ext_block(c: Rep, x: Rep) -> _ExtBlock:
 
 def _nonzero_block(c: Rep, x: Rep, built: list[Ext1]) -> _ExtBlock:
     e = built[0] if built else Ext1(c, x)
-    return _ExtBlock(e.dim, e._flat, e.qmap, stored_maps((x,), lambda: e.cocycles))
+    return _ExtBlock(e.dim, e._flat, e.qmap, tuple(e.cocycles))
 
 
 class PhiModel:
@@ -535,10 +527,10 @@ class PhiModel:
 
     def _module(self, x: Rep) -> Rep:
         blocks = self._blocks(x)
-        acts = {f"g{i}": self._action(x, blocks, act) for i, act in enumerate(self._omega_acts)}
+        acts = {f"g{i}": self._action(blocks, act) for i, act in enumerate(self._omega_acts)}
         return Rep(self.gamma, f"Phi({x.name})", [sum(e.dim for e in blocks)], acts)
 
-    def _action(self, x: Rep, blocks: list[_ExtBlock], act: dict) -> Block:
+    def _action(self, blocks: list[_ExtBlock], act: dict) -> Block:
         """The matrix of one Gamma basis element on sum_i Ext^1(C_i, X):
         block (j, i) takes the cocycles of Ext^1(C_i, X) along the
         restriction Omega C_j -> Omega C_i of its component into
@@ -546,7 +538,7 @@ class PhiModel:
         cells = [[None] * len(blocks) for _ in blocks]
         for (i, j), w in act.items():
             if blocks[i].dim and blocks[j].dim:
-                cols = composite_columns(blocks[i].cocycles(x), [w])
+                cols = composite_columns(blocks[i].cocycles, [w])
                 cells[j][i] = blocks[j].classes(cols, self.p)
         dims = [e.dim for e in blocks]
         return la.grid(cells, dims, dims)
@@ -562,7 +554,7 @@ class PhiModel:
     def _phi_matrix(self, f: RepMap) -> Block:
         src, tgt = self._blocks(f.source), self._blocks(f.target)
         return la.block_diag([
-            ey.classes(composite_columns([f], ex.cocycles(f.source)), self.p)
+            ey.classes(composite_columns([f], ex.cocycles), self.p)
             if ex.dim and ey.dim else la.zeros(ey.dim, ex.dim)
             for ex, ey in zip(src, tgt)
         ])

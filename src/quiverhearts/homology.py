@@ -7,7 +7,7 @@ projective cover P0 of C, and approximations by a subcategory are built
 from Hom bases and greedily stripped to minimal ones.  Syzygies, Ext^1
 dimensions, minimal approximations and the conflations of a map's kernel
 and cokernel are memoised by module content in the shared `Workspace`,
-like the Hom bases, their maps as `algebra.stored_maps` values.
+like the Hom bases; a hit returns the value its miss stored.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .algebra import (
     AlgebraError,
     Rep,
     RepMap,
-    bound_maps,
     composite_columns,
     direct_sum,
     dual_map,
@@ -30,7 +29,6 @@ from .algebra import (
     hom_space,
     map_from_coords,
     matrix_map,
-    stored_maps,
     zero_rep,
 )
 from .linalg import Block
@@ -52,13 +50,15 @@ def kernel(f: RepMap) -> tuple[Rep, RepMap]:
     maps = {}
     for aid, i, j in q._arrow_ends:
         if not (dims[i] and dims[j]):
-            continue  # Rep fills in the zero map
+            maps[aid] = la.zeros(dims[j], dims[i])
+            continue
         rhs = la.matmul(f.source.arrow_maps[aid], incs[i], p)
         sol = la.solve(incs[j], rhs, p)
         if sol is None:
             raise AlgebraError("kernel arrow map failed (not a subrepresentation?)")
         maps[aid] = sol
-    k = Rep(alg, f"ker({f.source.name})", dims, maps)
+    # `linalg` returns reduced blocks, (dims[j], dims[i]) per arrow.
+    k = Rep._trusted(alg, f"ker({f.source.name})", dims, maps)
     return k, RepMap._trusted(k, f.source, incs)
 
 
@@ -72,14 +72,16 @@ def cokernel(f: RepMap) -> tuple[Rep, RepMap]:
     maps = {}
     for aid, i, j in q._arrow_ends:
         if not (dims[i] and dims[j]):
-            continue  # Rep fills in the zero map
+            maps[aid] = la.zeros(dims[j], dims[i])
+            continue
         # unique map with maps[aid] @ projs[i] = projs[j] @ N_a
         rhs = la.matmul(projs[j], f.target.arrow_maps[aid], p)
         sol = la.solve(projs[i].T, rhs.T, p)
         if sol is None:
             raise AlgebraError("cokernel arrow map failed")
         maps[aid] = sol.T
-    c = Rep(alg, f"coker({f.target.name})", dims, maps)
+    # `linalg` returns reduced blocks, (dims[j], dims[i]) per arrow.
+    c = Rep._trusted(alg, f"coker({f.target.name})", dims, maps)
     return c, RepMap._trusted(f.target, c, projs)
 
 
@@ -104,7 +106,8 @@ def image(f: RepMap) -> tuple[Rep, RepMap, RepMap]:
         if sol is None:
             raise AlgebraError("image arrow map failed")
         maps[aid] = sol
-    im = Rep(alg, f"im({f.source.name})", dims, maps)
+    # `linalg` returns reduced blocks, (dims[j], dims[i]) per arrow.
+    im = Rep._trusted(alg, f"im({f.source.name})", dims, maps)
     return im, RepMap._trusted(im, f.target, monos), RepMap._trusted(f.source, im, epis)
 
 
@@ -128,12 +131,11 @@ class Conflation:
         return self.defl.target
 
     def __iter__(self):
-        """Its two maps, the inflation first: `infl, defl = conf`, and the
-        maps a memo stores (`stored_maps`)."""
+        """Its two maps, the inflation first: `infl, defl = conf`."""
         return iter((self.infl, self.defl))
 
     def validate(self) -> "Conflation":
-        if self.infl.target is not self.defl.source:
+        if self.infl.target != self.defl.source:
             raise AlgebraError("conflation middle terms differ")
         if not self.infl.is_injective():
             raise AlgebraError("inflation is not injective")
@@ -160,25 +162,20 @@ def conflation_from_defl(defl: RepMap) -> Conflation:
 
 
 def _conflation(kind: str, f: RepMap) -> Conflation:
-    """Memoised by the kind and the content of f.  The stored cokernel
-    (kernel) map is bound to the caller's middle term and a fresh end,
-    named after it; a map that raises leaves no entry."""
+    """f with its cokernel (kernel) map, memoised by the kind and the
+    content of f: a hit returns the stored map, which runs from (to) the
+    middle term its miss was given; a map that raises leaves no entry."""
     key = (kind, f.source.key, f.target.key, f.blocks)
-    own = (f.target if kind == "infl" else f.source,)
-    [g] = bound_maps(own, WORKSPACE.memo("conflation", key, stored_maps, own, _end_map, kind, f))
-    if kind == "infl":
-        g.target.name = f"coker({f.target.name})"
-        return Conflation(f, g)
-    g.source.name = f"ker({f.source.name})"
-    return Conflation(g, f)
+    g = WORKSPACE.memo("conflation", key, _end_map, kind, f)
+    return Conflation(f, g) if kind == "infl" else Conflation(g, f)
 
 
-def _end_map(kind: str, f: RepMap) -> list[RepMap]:
+def _end_map(kind: str, f: RepMap) -> RepMap:
     """The cokernel map of an inflation f, or the kernel map of a
     deflation f, once the conflation they make validates."""
     _, g = cokernel(f) if kind == "infl" else kernel(f)
     (Conflation(f, g) if kind == "infl" else Conflation(g, f)).validate()
-    return [g]
+    return g
 
 
 def pushout(f: RepMap, g: RepMap):
@@ -330,12 +327,11 @@ def _map_from_projective(pv: Rep, v: str, m: Rep, x: tuple) -> RepMap:
 def syzygy(m: Rep) -> tuple[Rep, Conflation]:
     """(Omega m, conflation Omega m >-> P ->> m) from a projective cover.
 
-    Memoised by the content of m.  Every call gets its own Omega m and P
-    (copies sharing the stored blocks) and a deflation onto
-    the caller's m.
+    Memoised by the content of m: a hit returns the stored conflation,
+    whose deflation is onto the module its miss was given.
     """
-    infl, defl = bound_maps((m,), WORKSPACE.memo("syzygy", m.key, stored_maps, (m,), _syzygy, m))
-    return infl.source, Conflation(infl, defl)
+    conf = WORKSPACE.memo("syzygy", m.key, _syzygy, m)
+    return conf.a, conf
 
 
 def _syzygy(m: Rep) -> Conflation:
@@ -551,13 +547,6 @@ class Approximation:
     parts: list
     side: str  # "right" | "left"
 
-    def __iter__(self):
-        """The map, then each part's map: the maps a memo stores
-        (`stored_maps`)."""
-        yield self.map
-        for _, h in self.parts:
-            yield h
-
 
 def _assemble(parts, obj: Rep, side: str) -> Approximation:
     if not parts:
@@ -589,22 +578,11 @@ def minimal_left_approximation(members: list[Rep], obj: Rep) -> Approximation:
 
 
 def _approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:
-    """Memoised by side, the members' names and content in order, the
-    content of obj and where obj sits among the members, if it is one.
-    The map is bound to the caller's obj and a fresh copy of the stored
-    sum, the parts to the caller's members: a member that is obj itself
-    stands in both roles, so a copy of obj that is no member has an entry
-    of its own."""
-    own = (obj, *members)
-    at = members.index(obj) if obj in members else -1  # Reps compare by identity
-    key = (side, tuple((m.name, m.key) for m in members), obj.key, at)
-    value = WORKSPACE.memo(
-        "approximation", key, stored_maps, own, _minimal_approximation, side, members, obj
-    )
-    f, *hs = bound_maps(own, value)
-    if side == "right":
-        return Approximation(obj, f.source, f, [(h.source, h) for h in hs], side)
-    return Approximation(obj, f.target, f, [(h.target, h) for h in hs], side)
+    """Memoised by side, the members' names and content in order, and the
+    content of obj: a hit returns the stored approximation, whose modules
+    are those its miss was given and built.  Callers must not mutate it."""
+    key = (side, tuple((m.name, m.key) for m in members), obj.key)
+    return WORKSPACE.memo("approximation", key, _minimal_approximation, side, members, obj)
 
 
 def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:

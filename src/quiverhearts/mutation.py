@@ -26,13 +26,11 @@ from .algebra import (
     IndecSet,
     Rep,
     RepMap,
-    bound_maps,
     composite_columns,
     decompose,
     direct_sum,
     map_from_coords,
     matrix_map,
-    stored_maps,
     zero_rep,
 )
 from .cotorsion import (
@@ -209,14 +207,14 @@ def right_hd_approximation(
     outer_pair: CotorsionPair, inner: Subcategory, x: Rep
 ) -> HdApproximation:
     """R(x), memoised by the classes (with the atlas's content) and the
-    content of x, and bound to the caller's x; the failed-clause checks
-    run when it is first built, and only Z >-> Y ->> X is stored."""
+    content of x: a hit returns the stored R(x), of the module its miss was
+    given; the failed-clause checks run when it is first built, and only
+    Z >-> Y ->> X is kept."""
     key = (outer_pair.u.key, outer_pair.v.names, inner.key, x.key)
-    value = WORKSPACE.memo(
-        "right_hd_approximation", key, stored_maps, (x,),
-        lambda: _right_hd_maps(outer_pair, inner, x)[:2],
+    return WORKSPACE.memo(
+        "right_hd_approximation", key,
+        lambda: HdApproximation(x, Conflation(*_right_hd_maps(outer_pair, inner, x)[:2])),
     )
-    return HdApproximation(x, Conflation(*bound_maps((x,), value)))
 
 
 def _right_hd_maps(outer_pair: CotorsionPair, inner: Subcategory, x: Rep) -> list[RepMap]:
@@ -232,6 +230,9 @@ def _right_hd_maps(outer_pair: CotorsionPair, inner: Subcategory, x: Rep) -> lis
         conf = Conflation(RepMap.zero(z, u0_conf.b), u0_conf.defl)
         return _validated(conf, conf, outer_pair, inner)
     gens = inner.omega_generators
+    # Equal generators share a key, holding the last one's conflation: the
+    # strip keeps only the last one's parts, as the earlier ones' maps
+    # factor through it.
     confs = dict(gens)
     approx = minimal_right_approximation([g for g, _ in gens], y0)
     if not approx.map.is_surjective():
@@ -508,13 +509,13 @@ def reflection(twin: TwinData, b: Rep) -> Reflection:
     """B >-> B+ with B+ in Cone(M', N); the inflation is a left approximation.
 
     Memoised by the mutation input's classes (with the atlas's content) and
-    the content of b, and bound to the caller's b; the checks run when it
-    is first built, and only B >-> B+ ->> S is stored."""
+    the content of b: a hit returns the stored reflection, of the module
+    its miss was given; the checks run when it is first built, and only
+    B >-> B+ ->> S is kept."""
     key = (twin.inp.c.key, twin.inp.d.names, b.key)
-    value = WORKSPACE.memo(
-        "reflection", key, stored_maps, (b,), lambda: _reflection_maps(twin, b)[:2]
+    return WORKSPACE.memo(
+        "reflection", key, lambda: Reflection(b, Conflation(*_reflection_maps(twin, b)[:2]))
     )
-    return Reflection(b, Conflation(*bound_maps((b,), value)))
 
 
 def _reflection_maps(twin: TwinData, b: Rep) -> list[RepMap]:

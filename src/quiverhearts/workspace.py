@@ -1,8 +1,9 @@
 """One memo for results that depend only on content.
 
 A module's content key (`Rep.key`) is its algebra, its dimension vector
-and the blocks of its arrow maps, compared by equality and hashed once,
-so two `Rep`s with the same matrices share entries whatever their names
+and the blocks of its arrow maps, compared by equality and hashed once.
+A `Rep` is a value that compares and hashes by that key, so two `Rep`s
+with the same matrices are equal and share entries whatever their names
 or ids.  The tables:
 
 - `hom_space` and `decompose_with_maps` (in `algebra`);
@@ -20,22 +21,26 @@ or ids.  The tables:
   (Phi(f)), `phi_module` (Phi(X)) and `quotient_hom` (a quotient
   category's Hom data) in `heart`.
 
-Each memo site stores names, booleans, reports and plain immutable
-blocks under a key that holds everything its result depends on: the
-classes' member names and the atlas's content (`Subcategory.key`, whose
-atlas part is a `ContentKey`, hashed once), an ideal's member contents,
-and the argument's content.  A value that holds maps is one
-`algebra.stored_maps` value (but in `hom_space`: bare blocks between the
-caller's two modules), which `algebra.bound_maps` binds to the caller's
-modules on every lookup, every other module a fresh copy.  So no stored
-value refers to a caller's `Rep`, atlas or `Subcategory`: a class is
-rebuilt over the caller's atlas from its names, and a checked cotorsion
-pair builds a witness when it is first looked up
+Each memo site stores under a key that holds everything its result
+depends on: the classes' member names and the atlas's content
+(`Subcategory.key`, whose atlas part is a `ContentKey`, hashed once), an
+ideal's member contents, and the argument's content.  A hit returns the
+value its miss stored, as it is: names, booleans, reports and immutable
+blocks, and the modules and maps of a syzygy, a conflation, an
+approximation, a decomposition, R(X), a reflection, H(X) and Phi's
+cocycles, whose modules are the ones the miss was given, equal to the
+caller's, and the ones it built.  Callers must not mutate a value.  Only
+`hom_space` binds on lookup: it stores the bare blocks of a Hom basis,
+which `algebra.hom_space` binds to the caller's two modules.  No value
+holds an atlas or a
+`Subcategory`: a class is rebuilt over the caller's atlas from its names,
+and a checked cotorsion pair builds a witness when it is first looked up
 (`CotorsionPair.witnesses`).  Only constructions and checks that a value
 passes when it is built are shared; a check that raises stores nothing,
-and every certificate still runs its own verdicts.  A module with an
-atlas member's content decomposes as that member without a lookup
-(`IndecSet.by_key`), so `decompose_with_maps` holds only other modules.
+and every certificate still runs its own verdicts.  A module equal to an
+atlas member decomposes as that member without a lookup
+(`IndecSet.by_content`), so `decompose_with_maps` holds only other
+modules.
 The `algebra` table maps an algebra's content, the plain tuple that its
 equality compares, to its one live object (`BoundQuiverAlgebra`), so the
 content keys above all hold that one object and match by identity.

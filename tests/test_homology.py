@@ -46,20 +46,30 @@ def test_conflation_validate():
 
 
 def test_conflations_are_memoised_and_bound_to_the_caller():
-    """Content-equal maps under other names share one entry; each call's
-    end carries the caller's names and its maps run from and to the
-    caller's modules."""
+    """Content-equal maps under other names share one entry.  Each call's
+    conflation holds the caller's own map and the stored cokernel (kernel)
+    map, which a hit returns as it is: it runs from (to) the middle term
+    the miss was given, which equals the caller's, and its blocks and end
+    are those the uncached `_end_map` builds."""
     atlas = fx.ex61().atlas
     WORKSPACE.clear()
+    stored = {}
     for tag in ("", "'"):
         m, n, s = (atlas[x].renamed(x + tag) for x in ("34/5", "2/34/5", "2"))
+        assert n == atlas["2/34/5"] and hash(n) == hash(atlas["2/34/5"])
         infl, defl = hom_space(m, n)[0], hom_space(n, s)[0]
         c = ho.conflation_from_infl(infl)
-        assert c.infl is infl and c.defl.source is n and c.defl.target is c.c
-        assert c.c.name == f"coker(2/34/5{tag})" and c.c.algebra is n.algebra
         k = ho.conflation_from_defl(defl)
-        assert k.defl is defl and k.infl.target is n and k.infl.source is k.a
-        assert k.a.name == f"ker(2/34/5{tag})"
+        assert c.infl is infl and k.defl is defl
+        assert c.defl is stored.setdefault("infl", c.defl)
+        assert k.infl is stored.setdefault("defl", k.infl)
+        assert c.defl.source == n and k.infl.target == n
+        for got, want, end in ((c.defl, ho._end_map("infl", infl), "target"),
+                               (k.infl, ho._end_map("defl", defl), "source")):
+            assert got.blocks == want.blocks
+            assert getattr(got, end) == getattr(want, end)
+        # the ends keep the names they were built under
+        assert c.c.name == "coker(2/34/5)" and k.a.name == "ker(2/34/5)"
         assert is_isomorphic(c.c, s)[0] and is_isomorphic(k.a, m)[0]
         assert WORKSPACE.stats()["conflation"] == {
             "hits": 2 if tag else 0, "misses": 2, "entries": 2

@@ -7,10 +7,10 @@ sum.  `cotorsion` answers a module B with a class member's content (the
 member, or a copy of it) with 1_B, without asking for an approximation:
 the strip would keep that member alone, with an invertible map, so the
 answers agree up to isomorphism.  One-summand sums and maps
-bind their summand's read-only blocks.  An ideal member of a quotient is a
-zero object without a solve, and a module with a member's content
-decomposes as that member without the split search, with what the solve
-and the split search give.
+bind their summand's read-only blocks.  A module equal to an ideal member
+of a quotient is a zero object without a solve, and a module equal to a
+member decomposes as that member without the split search, with what the
+solve and the split search give.
 """
 
 import contextlib
@@ -72,14 +72,14 @@ def assert_same_approximation(got: ho.Approximation, want: ho.Approximation):
     assert got.total.name == want.total.name
     assert got.total.key == want.total.key
     assert same_blocks(got.map.blocks, want.map.blocks)
-    assert [m for m, _ in got.parts] == [m for m, _ in want.parts]  # Reps compare by identity
+    assert all(m is w for (m, _), (w, _) in zip(got.parts, want.parts, strict=True))
     assert all(same_blocks(h.blocks, w.blocks) for (_, h), (_, w) in zip(got.parts, want.parts))
 
 
 def member_like(cls: ct.Subcategory, b):
-    """The class member with b's content (b itself, a renamed copy, a
+    """The class member equal to b (b itself, a renamed copy, a
     one-summand sum, ...), or None."""
-    return next((m for m in cls.members if m.key == b.key), None)
+    return next((m for m in cls.members if m == b), None)
 
 
 def member_of(cls: ct.Subcategory, b) -> bool:
@@ -216,7 +216,9 @@ def member_copies(b) -> list:
 
 def test_a_member_copy_gets_the_identity_answer():
     """Witnesses and Cone/CoCone answers for copies of the members of both
-    classes of the ex61 pair (C, C-perp), next to the pair's own witnesses."""
+    classes of the ex61 pair (C, C-perp), next to the pair's own witnesses:
+    a copy equals its member, with the same hash, and is answered through
+    its own identity, which equals the member's answer."""
     c = fx.ex61().subcat_obj("C")
     asked = []
 
@@ -228,13 +230,17 @@ def test_a_member_copy_gets_the_identity_answer():
         ]:
             for b in cls.members:
                 for copy in member_copies(b):
-                    assert copy is not b and copy.key == b.key
+                    assert copy is not b and copy == b and hash(copy) == hash(b)
                     asked.append(copy)
-                    pair.witness(side, copy)
+                    conf, ref = pair.witness(side, copy), pair.witness(side, b)
+                    assert conf.b is copy and (conf.a, conf.c) == (ref.a, ref.c)
+                    assert same_blocks(conf.infl.blocks, ref.infl.blocks)
+                    assert same_blocks(conf.defl.blocks, ref.defl.blocks)
                     assert membership(copy, pair.v, pair.u)[0]
 
     rec = recorded_answers(run)
-    copies = [b for _, cls, b, _, _ in rec["answers"] if member_like(cls, b) not in (None, b)]
+    copies = [b for _, cls, b, _, _ in rec["answers"]
+              if member_like(cls, b) is not None and member_like(cls, b) is not b]
     assert len(copies) == 2 * len(asked) and set(map(id, copies)) == set(map(id, asked))
     check_member_answers(rec)
 
@@ -292,14 +298,17 @@ def test_an_ideal_member_is_a_zero_object_without_solving():
     atlas = fx.ex61().atlas
     ideal = ct.projectives_of(atlas).members
     qc = ht.QuotientCategory(list(atlas.members), ideal)
+    copies = [ideal[0].renamed("copy"), al.direct_sum([ideal[0]])]
     with contextlib.ExitStack() as stack:
         spies = linalg_spies(stack)
         homs = stack.enter_context(mock.patch.object(ht, "homs", wraps=ht.homs))
         assert all(qc.is_zero_object(x) for x in ideal)
+        # a copy of a member equals it, so it is zero at once too
+        assert all(qc.is_zero_object(x) for x in copies)
         assert not homs.called and not any(s.called for s in spies)
-        # a copy of a member is not a member (Reps compare by identity):
-        # it takes the quotient test, which finds it zero as well
-        assert qc.is_zero_object(ideal[0].renamed("copy")) and homs.called
+        # a sum of two members is no member: it takes the quotient test,
+        # which finds it zero as well
+        assert qc.is_zero_object(al.direct_sum(ideal[:2])) and homs.called
 
 
 def quotient_cases():

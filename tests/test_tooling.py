@@ -3,25 +3,32 @@ and reads blocks as it expects, the CLI imports no numpy, the package
 imports nothing it does not use (no linter is installed), no
 module but the fixtures draws random numbers, no module keeps a memo of
 its own, every workspace table is documented, only `algebra` binds maps to
-stored blocks, and every public function and class is used somewhere."""
+stored blocks, every public function and class is used somewhere, and the
+CLI's output does not depend on the hash seed."""
 
 import ast
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+from test_acceptance import DETERMINISM_COMMANDS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_child(code: str) -> str:
+def run_child(code: str, **env: str) -> str:
     """Run `code` in a fresh interpreter with src/ and perfbench/ first on
-    the path; its standard output."""
+    the path, and `env` over this process's environment; its standard
+    output."""
     run = subprocess.run(
         [sys.executable, "-c", "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n" + code,
          str(ROOT / "src"), str(ROOT / "perfbench")],
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, **env},
     )
     assert run.returncode == 0, run.stderr
     return run.stdout
@@ -265,24 +272,29 @@ def test_every_workspace_table_is_documented():
     assert not missing, missing
 
 
-def bound_calls(path: Path) -> list[str]:
-    """Every call of a `_bound` attribute (`RepMap._bound(...)`)."""
+def binding_names(path: Path) -> list[str]:
+    """Every name, attribute, definition or import of a binding layer
+    (`stored_maps`, `bound_maps`, `_bound`, `__copy__`) or of `_hom_basis`,
+    the one table of bare blocks."""
+    banned = {"stored_maps", "bound_maps", "_bound", "__copy__", "_hom_basis"}
     return [
-        f"{path.name}:{node.lineno}"
+        f"{path.name}:{getattr(node, 'lineno', 0)} {getattr(node, field)}"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "_bound"
+        for field in ("id", "attr", "name")
+        if getattr(node, field, None) in banned
     ]
 
 
 def test_only_algebra_binds_stored_blocks():
-    # A memo value that holds maps is a `stored_maps` value, bound to its
-    # caller by `bound_maps`; a map bound to stored blocks anywhere else
-    # would be a second stored form with binding rules of its own.
+    # Modules compare by content, so a memo hit returns the value its miss
+    # stored, modules and maps as they were built.  The one exception is
+    # `hom_space`, whose entries are bare blocks that `algebra.hom_space`
+    # binds to the caller's two modules: nothing outside `algebra` reads
+    # them, and no module keeps a layer that copies or rebinds modules.
     modules = sorted((ROOT / "src" / "quiverhearts").glob("*.py"))
-    found = [c for path in modules if path.name != "algebra.py" for c in bound_calls(path)]
-    assert not found, found
+    found = [u for path in modules for u in binding_names(path)]
+    assert all(u.startswith("algebra.py:") and u.endswith(" _hom_basis") for u in found), found
+    assert found
 
 
 def public_definitions(path: Path) -> list[str]:
@@ -345,3 +357,25 @@ def test_memo_rule_flags_a_per_object_memo(tmp_path):
         "shapes.py:7 per-object memo _hom_cache",
         "shapes.py:8 per-object memo _cache",
     ]
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # Modules hash by content, so a set or dict of modules iterates in an
+    # order that may change with the hash seed; the benchmark's workers pin
+    # PYTHONHASHSEED=0, and `test_10` compares two runs in one process.
+    code = (
+        "import contextlib, io, json\n"
+        "from quiverhearts import cli\n"
+        "runs = []\n"
+        f"for argv in {DETERMINISM_COMMANDS!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = cli.main(list(argv))\n"
+        "    runs.append((code, out.getvalue()))\n"
+        "print(json.dumps(runs))\n"
+    )
+    first, second = (json.loads(run_child(code, PYTHONHASHSEED=seed)) for seed in ("0", "1"))
+    assert len(first) == len(DETERMINISM_COMMANDS) == 11
+    for argv, (code0, out0), (code1, out1) in zip(DETERMINISM_COMMANDS, first, second):
+        assert code0 == code1, argv
+        assert out0.encode() == out1.encode(), argv

@@ -1,7 +1,8 @@
-"""The content-addressed memo: same answers as the uncached paths, results
-bound to the caller's objects, one miss per distinct content key, and no
-growth when the same instance is certified again, and nothing kept alive
-once it is cleared."""
+"""The content-addressed memo: same answers as the uncached paths, a hit
+that returns the value its miss stored, modules that compare by content
+(a renamed copy is equal, with the same hash, and gets the same entry),
+one miss per distinct content key, no growth when the same instance is
+certified again, and nothing kept alive once it is cleared."""
 
 import gc
 import weakref
@@ -135,10 +136,19 @@ def test_approximations_match_uncached(atlas, side):
             )
 
 
+def same_map(f: RepMap, g: RepMap) -> bool:
+    """Equal ends and equal blocks."""
+    return f.source == g.source and f.target == g.target and same_blocks(f.blocks, g.blocks)
+
+
 def test_results_are_bound_to_the_callers_objects():
+    """Hom bases run between the caller's two modules.  The other tables
+    return on a hit the value their miss stored, whose modules are the ones
+    the miss was given, equal to the caller's, and the ones it built."""
     atlas = fx.ex61().atlas
     m = atlas["2/34"]
     a, b = m.renamed("a"), m.renamed("b")
+    assert a == b == m and hash(a) == hash(b) == hash(m)
     WORKSPACE.clear()
     for x in (a, b):
         assert all(f.source is x and f.target is x for f in al.hom_space(x, x))
@@ -146,12 +156,15 @@ def test_results_are_bound_to_the_callers_objects():
 
     omega1, conf1 = ho.syzygy(a)
     omega2, conf2 = ho.syzygy(b)
-    assert conf1.defl.target is a and conf2.defl.target is b
-    assert omega1 is not omega2 and conf1.b is not conf2.b
+    assert conf2 is conf1 and omega2 is omega1 is conf1.a
+    assert conf1.defl.target is a and conf2.defl.target == b
     assert conf1.infl.source is omega1 and conf1.infl.target is conf1.defl.source
+    assert all(map(same_map, conf2, ho._syzygy(b)))
 
     s = direct_sum([atlas["1"], m])
-    for member, inc, prj in al.decompose_with_maps(s, atlas):
+    got = al.decompose_with_maps(s, atlas)
+    assert al.decompose_with_maps(direct_sum([atlas["1"], b]), atlas) is got
+    for member, inc, prj in got:
         assert member is atlas[member.name]
         assert inc.source is member and inc.target is s
         assert prj.source is s and prj.target is member
@@ -160,11 +173,47 @@ def test_results_are_bound_to_the_callers_objects():
     twins = [x.renamed(x.name + "'") for x in members]
     for mem in (members, twins):
         r = ho.minimal_right_approximation(mem, a)
+        assert ho.minimal_right_approximation(mem, b) is r
         assert r.obj is a and r.map.target is a and r.map.source is r.total
         assert all(any(x is y for y in mem) and h.target is a for x, h in r.parts)
     # names are part of the key: the renamed members get their own entry
     names = {x.name for x, _ in ho.minimal_right_approximation(twins, a).parts}
     assert names and all(n.endswith("'") for n in names)
+
+
+def test_equal_summands_do_not_collapse():
+    """Equal modules are one dict key, but equal summands stay apart: x + x
+    + y decomposes with multiplicities {x: 2, y: 1}, its inclusions and
+    projections form a biproduct of the sum, and x + x has a minimal right
+    approximation by a class that holds x; each equals its uncached
+    builder."""
+    atlas = fx.ex61().atlas
+    x, y = atlas["2/34"], atlas["3/5"]
+    WORKSPACE.clear()
+    s = direct_sum([x, x, y])
+    got = al.decompose_with_maps(s, atlas)
+    assert al.decompose(s, atlas) == {x.name: 2, y.name: 1}
+    assert sorted(m.name for m, _, _ in got) == sorted([x.name, x.name, y.name])
+    split = RepMap.zero(s, s)
+    for i, (mi, inc, prj) in enumerate(got):
+        split = split.add(inc.compose(prj))
+        for j, (_, other, _) in enumerate(got):
+            back = prj.compose(other)
+            one = RepMap.identity(mi)
+            assert same_blocks(back.blocks, one.blocks) if i == j else back.is_zero()
+    assert same_blocks(split.blocks, RepMap.identity(s).blocks)
+    want = al._decompose_with_maps(s, atlas)
+    assert [m for m, _, _ in got] == [m for m, _, _ in want]
+    for (_, inc, prj), (_, winc, wprj) in zip(got, want, strict=True):
+        assert same_map(inc, winc) and same_map(prj, wprj)
+
+    members = ct.subcat(atlas, [x.name, y.name]).members
+    xx = direct_sum([x, x])
+    got = ho.minimal_right_approximation(members, xx)
+    want = ho._minimal_approximation("right", members, xx)
+    assert [m.name for m, _ in got.parts] == [x.name, x.name] and got.map.is_isomorphism()
+    assert got.total == want.total and same_map(got.map, want.map)
+    assert all(m is w and same_map(h, v) for (m, h), (w, v) in zip(got.parts, want.parts))
 
 
 def test_hits_bind_the_stored_blocks():
@@ -264,73 +313,99 @@ def test_phi_model_pins_no_module_it_was_asked_about():
 
 
 def test_certificate_values_are_bound_to_a_renamed_copy():
-    """R(X), the reflection and H(X) of a renamed copy are bound to the
-    copy, with modules of their own and the blocks of the original; their
-    conflations validate, and a second lookup adds no miss.  The second
+    """R(X), the reflection and H(X) of a renamed copy: the copy equals X,
+    with the same hash, and gets X's entry, the very value the miss stored,
+    whose ends equal the copy; its maps equal those the uncached builders
+    give for the copy, and a second lookup adds no miss.  The second
     conflation of R(X) (Y0 >-> Z ->> D1) and of the reflection
-    (V_B >-> T ->> B+) are not stored: the uncached builders give them for
-    the copy as for the original."""
+    (V_B >-> T ->> B+) are not stored: the uncached builders give equal
+    ones for the copy and for X."""
     f = fx.ex61()
     inp = MutationInput(f.atlas, f.subcat_obj("C"), f.subcat_obj("D")).validate()
     model = LocalizationModel.build(inp)
     twin = TwinData.build(inp)
     hd = model.quotient.nonzero_objects()
-    # (table, objects, value, where the copy must sit, conflations)
+    # (table, objects, value, its ends that must equal the copy, its maps,
+    # the uncached builder's maps)
     cases = [
         ("right_hd_approximation", f.atlas.members, model.r_object,
-         lambda r: [r.x, r.f.target],
-         lambda r: [r.conf, Conflation(*_right_hd_maps(model.pair, inp.d, r.x)[2:])]),
+         lambda r: [r.x, r.f.target], lambda r: list(r.conf),
+         lambda x: _right_hd_maps(model.pair, inp.d, x)),
         ("reflection", hd, lambda b: reflection(twin, b),
-         lambda r: [r.b, r.f.source],
-         lambda r: [r.conf, Conflation(*_reflection_maps(twin, r.b)[2:])]),
+         lambda r: [r.b, r.f.source], lambda r: list(r.conf),
+         lambda x: _reflection_maps(twin, x)),
         ("h_object", f.atlas.members, model.heart.h.h_object,
-         lambda h: [h.x, h.defl.target], lambda h: []),
+         lambda h: [h.x, h.defl.target], lambda h: [h.defl],
+         lambda x: [model.heart.h._h_object(x).defl]),
     ]
-    for table, objs, value, ends, conflations in cases:
+    for table, objs, value, ends, maps_of, uncached in cases:
         for x in objs:
             want = value(x)
             copy = x.renamed("copy")
+            assert copy == x and hash(copy) == hash(x)
             misses = WORKSPACE.stats()[table]["misses"]
             for _ in range(2):
                 got = value(copy)
-                assert all(end is copy for end in ends(got)), (table, x.name)
-                for conf, ref in zip(conflations(got), conflations(want), strict=True):
-                    assert conf.validate().b is not ref.b
-                    assert same_blocks(conf.infl.blocks, ref.infl.blocks)
-                    assert same_blocks(conf.defl.blocks, ref.defl.blocks)
-                if table == "h_object":
-                    assert got.defl.is_surjective() and got.obj.key == want.obj.key
-                    assert same_blocks(got.defl.blocks, want.defl.blocks)
+                assert got is want, (table, x.name)
+                assert all(end == copy for end in ends(got)), (table, x.name)
+            fresh = uncached(copy)
+            assert all(map(same_map, maps_of(got), fresh)), (table, x.name)
+            assert all(map(same_map, fresh, uncached(x))), (table, x.name)
+            if len(fresh) > 2:
+                Conflation(*fresh[2:]).validate()
+            if table == "h_object":
+                assert got.defl.is_surjective() and got.obj == got.defl.source
             assert WORKSPACE.stats()[table]["misses"] == misses, (table, x.name)
 
 
-def decomposition_maps(x, atlas):
-    return [f for _, inc, prj in al.decompose_with_maps(x, atlas) for f in (inc, prj)]
+def decomposition_maps(x, atlas, cached=True):
+    decompose = al.decompose_with_maps if cached else al._decompose_with_maps
+    return [f for _, inc, prj in decompose(x, atlas) for f in (inc, prj)]
 
 
-def conflation_maps(x, atlas):
+def conflation_maps(x, atlas, cached=True):
     """The kernel conflations of the deflations out of x and the cokernel
     conflations of the inflations into x, among the Hom basis maps."""
+
+    def conflation(kind, h):
+        if cached:
+            return (ho.conflation_from_defl if kind == "defl" else ho.conflation_from_infl)(h)
+        g = ho._end_map(kind, h)
+        return Conflation(g, h) if kind == "defl" else Conflation(h, g)
+
     out = []
     for y in atlas:
         for h in al.hom_space(x, y):
-            out += ho.conflation_from_defl(h) if h.is_surjective() else []
+            out += conflation("defl", h) if h.is_surjective() else []
         for h in al.hom_space(y, x):
-            out += ho.conflation_from_infl(h) if h.is_injective() else []
+            out += conflation("infl", h) if h.is_injective() else []
     return out
 
 
-# (table, the objects, their maps from the table, given the atlas)
+def approximation_parts_maps(a: ho.Approximation) -> list[RepMap]:
+    """The map, then each part's map."""
+    return [a.map, *(h for _, h in a.parts)]
+
+
+def approximation_maps(x, atlas, cached=True):
+    right = ct.projectives_of(atlas).members, ho.minimal_right_approximation
+    left = ct.injectives_of(atlas).members, ho.minimal_left_approximation
+    out = []
+    for side, (members, approx) in (("right", right), ("left", left)):
+        got = approx(members, x) if cached else ho._minimal_approximation(side, members, x)
+        out += approximation_parts_maps(got)
+    return out
+
+
+# (table, the objects, their maps from the table, given the atlas, or from
+# the uncached builders)
 CONTENT_TABLES = {
-    "syzygy": (lambda atlas: atlas.members, lambda x, atlas: list(ho.syzygy(x)[1])),
-    "conflation": (lambda atlas: atlas.members, conflation_maps),
-    "approximation": (
+    "syzygy": (
         lambda atlas: atlas.members,
-        lambda x, atlas: [
-            *ho.minimal_right_approximation(ct.projectives_of(atlas).members, x),
-            *ho.minimal_left_approximation(ct.injectives_of(atlas).members, x),
-        ],
+        lambda x, atlas, cached=True: list(ho.syzygy(x)[1] if cached else ho._syzygy(x)),
     ),
+    "conflation": (lambda atlas: atlas.members, conflation_maps),
+    "approximation": (lambda atlas: atlas.members, approximation_maps),
     "decompose_with_maps": (
         lambda atlas: [direct_sum([m, atlas.members[-1]]) for m in atlas],
         decomposition_maps,
@@ -340,58 +415,58 @@ CONTENT_TABLES = {
 
 @pytest.mark.parametrize("table", sorted(CONTENT_TABLES))
 def test_content_values_are_bound_to_a_renamed_copy(atlas, table):
-    """The maps a renamed copy b gets from a table are the maps of another
-    copy a, bound by role: where a's map meets a, b's meets b; where it
-    meets an atlas member, the same member; and where it meets any other
-    module, a fresh one with that module's content, shared by the same maps
-    as there.  The blocks are the same, and b's lookups add no miss."""
+    """A renamed copy b of a module a equals it, with the same hash, and
+    gets a's entries: each of b's maps is a's map that the table stores
+    (all but the maps a caller hands `conflation_from_defl` and
+    `conflation_from_infl`, which come back as given), so its ends equal
+    a's ends by role, and are the very atlas members where a's are.  The
+    blocks and ends equal those of the uncached builders, and b's lookups
+    add no miss."""
     objects, maps_of = CONTENT_TABLES[table]
     for x in objects(atlas):
         a, b = x.renamed("a"), x.renamed("b")
+        assert a == b == x and hash(a) == hash(b) == hash(x)
         want = maps_of(a, atlas)
         misses = WORKSPACE.stats()[table]["misses"]
         for _ in range(2):
             got = maps_of(b, atlas)
             assert len(got) == len(want) > 0, (table, x.name)
-            ends = [(g.source, w.source) for g, w in zip(got, want)]
-            ends += [(g.target, w.target) for g, w in zip(got, want)]
-            for g, w in ends:
-                if w is a:
-                    assert g is b
-                elif any(w is m for m in atlas):
-                    assert g is w
-                else:
-                    assert g.key == w.key and all(g is not v for _, v in ends)
-                    assert g is not b and not any(g is m for m in atlas)
-            assert [[g is h for h, _ in ends] for g, _ in ends] == [
-                [w is v for _, v in ends] for _, w in ends
-            ], (table, x.name)
-            assert any(g is b for g, _ in ends)
-            assert all(same_blocks(g.blocks, w.blocks) for g, w in zip(got, want))
+            for g, w in zip(got, want):
+                assert g is w or any(e is b for e in (g.source, g.target)), (table, x.name)
+                for ge, we in ((g.source, w.source), (g.target, w.target)):
+                    assert ge == we and hash(ge) == hash(we), (table, x.name)
+                    assert ge is we or not any(we is m for m in atlas), (table, x.name)
+            assert all(map(same_map, got, maps_of(b, atlas, cached=False))), (table, x.name)
         assert WORKSPACE.stats()[table]["misses"] == misses, (table, x.name)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_an_approximated_member_binds_parts_and_map_by_role(atlas, side):
     """A member approximated by a class that holds it, and then a renamed
-    copy of it: the miss and the hit of each bind the parts to the members
-    and the map to the object, as a fresh `_minimal_approximation` does."""
+    copy of it, equal to it with the same hash: both get the approximation
+    the miss stored, which equals a fresh `_minimal_approximation` of
+    either, with the parts on the members and the map between the object
+    and the sum, by role."""
     approx = {"right": ho.minimal_right_approximation, "left": ho.minimal_left_approximation}
     members = ct.projectives_of(atlas).members
+    total = {"right": 0, "left": 1}[side]
     WORKSPACE.clear()
     for x in members:
+        stored = approx[side](members, x)
+        assert stored.obj is x
         for obj in (x, x.renamed("copy")):
+            assert obj == x and hash(obj) == hash(x)
             want = ho._minimal_approximation(side, members, obj)
             for _ in range(2):
                 got = approx[side](members, obj)
-                assert got.obj is obj and got.total is not want.total
-                ends = [(f.source, f.target) for f in got]
-                want_ends = [(f.source, f.target) for f in want]
-                total = {"right": 0, "left": 1}[side]
-                assert ends[0][1 - total] is obj and ends[0][total] is got.total
-                assert ends[1:] == want_ends[1:]  # Reps compare by identity
-                assert [m for m, _ in got.parts] == [m for m, _ in want.parts]
-                assert all(same_blocks(g.blocks, w.blocks) for g, w in zip(got, want))
+                assert got is stored and got.obj == obj and got.total == want.total
+                ends = [(f.source, f.target) for f in approximation_parts_maps(got)]
+                assert ends[0][1 - total] is x and ends[0][total] is got.total
+                assert ends == [(f.source, f.target) for f in approximation_parts_maps(want)]
+                assert all(m is w for (m, _), (w, _) in zip(got.parts, want.parts, strict=True))
+                pairs = zip(approximation_parts_maps(got), approximation_parts_maps(want))
+                assert all(same_map(g, w) for g, w in pairs)
+    assert WORKSPACE.stats()["approximation"]["misses"] == len(members)
 
 
 def test_quotient_hom_data_ignores_a_reused_id():
@@ -476,8 +551,9 @@ def test_a_failed_pair_check_stores_nothing():
 
 
 def test_a_checked_pair_builds_the_witnesses_of_the_miss_path():
-    """A pair returned from a hit builds each member's witnesses on lookup,
-    with the blocks of the witnesses its check built."""
+    """A pair returned from a hit builds each member's witnesses on lookup:
+    equal to the witnesses its check built, and made of the maps that the
+    check stored wherever it approximated."""
     first = fx.ex61()
     WORKSPACE.clear()
     c = first.subcat_obj("C")
@@ -491,9 +567,12 @@ def test_a_checked_pair_builds_the_witnesses_of_the_miss_path():
     for b in second.atlas:
         for conf, ref in zip(pair.witnesses[b.name], built.witnesses[b.name], strict=True):
             conf.validate()
-            assert conf.b is not ref.b
+            assert (conf.a, conf.b, conf.c) == (ref.a, ref.b, ref.c)
             assert same_blocks(conf.infl.blocks, ref.infl.blocks)
             assert same_blocks(conf.defl.blocks, ref.defl.blocks)
+            # a witness through 1_b is built again; an approximated one is
+            # made of the maps that the check stored
+            assert conf.b == b or conf.infl is ref.infl and conf.defl is ref.defl
         assert pair.witness("right", b) is pair.witnesses[b.name][0]
     assert len(pair.witnesses) == len(second.atlas)
     # the stored check does not stand in for classes over two atlases
