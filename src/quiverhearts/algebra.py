@@ -378,27 +378,39 @@ class RepMap:
 
     The public constructor reduces every block mod p, checks its shape and
     checks that the blocks intertwine.  Maps built inside the package from
-    blocks that are valid by construction (arithmetic on maps, hom bases,
-    matrices of components, kernels, cokernels, images, duals) go through `_trusted`,
-    which skips that work.
+    blocks that `linalg` returned reduced, but whose intertwining is not
+    known (universal maps, covers, envelopes, divided cocycles), go through
+    `_checked`, which skips the reduction.  Maps from blocks that are valid
+    by construction (arithmetic on maps, hom bases, matrices of components,
+    kernels, cokernels, images, duals) go through `_trusted`, which checks
+    nothing.
     """
 
     def __init__(self, source: Rep, target: Rep, blocks):
+        p = source.algebra.p
+        self._check(source, target, [
+            la.zeros(t, s) if blocks[i] is None else la.modmat(blocks[i], p)
+            for i, (s, t) in enumerate(zip(source.dims, target.dims))
+        ])
+
+    @classmethod
+    def _checked(cls, source: Rep, target: Rep, blocks) -> "RepMap":
+        """Build a map from blocks reduced mod p, checking their shapes and
+        that they intertwine: the public constructor without its reduction."""
+        f = cls.__new__(cls)
+        f._check(source, target, blocks)
+        return f
+
+    def _check(self, source: Rep, target: Rep, blocks) -> None:
         if source.algebra is not target.algebra and source.algebra != target.algebra:
             raise AlgebraError("morphism between representations of different algebras")
         self.source = source
         self.target = target
         self.p = source.algebra.p
-        q = source.algebra.quiver
-        bl = []
-        for i, v in enumerate(q.vertices):
-            m = la.modmat(blocks[i], self.p) if blocks[i] is not None else la.zeros(
-                target.dims[i], source.dims[i]
-            )
-            if m.shape != (target.dims[i], source.dims[i]):
+        for v, m, s, t in zip(source.algebra.quiver.vertices, blocks, source.dims, target.dims):
+            if m.shape != (t, s):
                 raise AlgebraError(f"block at {v} has shape {m.shape}")
-            bl.append(m)
-        self.blocks = tuple(bl)
+        self.blocks = tuple(blocks)
         if not self.intertwines():
             raise AlgebraError("blocks do not intertwine the arrow maps")
 

@@ -5,7 +5,7 @@ fixed atlas, so summand-closure is structural.  Cotorsion pairs carry witness
 conflations for every atlas object; Cone/CoCone membership is decided by a
 minimal-approximation criterion that is exact whenever Ext^1 from the cokernel
 class to the middle class vanishes (which covers every use in the engine), and
-otherwise falls back to a bounded exhaustive search.
+otherwise falls back to a complete search.
 
 The answers about whole classes, (RCP) reports, perpendicular classes,
 Cone/CoCone classes and the check of a claimed cotorsion pair, are
@@ -13,18 +13,20 @@ memoised by the classes' content in the workspace, as names and reports;
 a pair whose check is stored builds each witness when it is looked up.
 
 The search (`_search`, also behind the brute-force oracles and
-`star_membership`) runs through the direct sums S of a class up to a total
-dimension, in a fixed order, and tries every map between S and X.  The far end
-of a conflation built from such a map has a dimension vector fixed by S and X
-alone, so a sum is skipped unless that vector is a sum of dimension vectors
-of the far class; for every other sum each map is tried and each conflation
-checked, so the first one found does not depend on the skipping.  A Hom space
-with more than 200,000 maps stops the search with `Inconclusive`.
+`star_membership`) runs through the direct sums S of a class that hold each
+member B at most dim Hom(B, X) (or dim Hom(X, B)) times, and tries the maps
+between S and X whose components into (out of) the copies of B span each
+subspace of that Hom space once; `_search` proves that no conflation is
+missed.  The far end of a conflation built from such a map has a dimension
+vector fixed by S and X alone, so a sum is skipped unless that vector is a
+sum of dimension vectors of the far class.  A sum with more than 200,000
+candidate maps stops the search with `Inconclusive`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,6 +38,7 @@ from .algebra import (
     decompose,
     direct_sum,
     map_from_coords,
+    matrix_map,
     zero_rep,
 )
 from .homology import (
@@ -51,7 +54,10 @@ from .workspace import WORKSPACE
 
 
 class Inconclusive(Exception):
-    """A bounded search was exhausted without a decision."""
+    """A search stopped at its cap without a decision."""
+
+
+MAX_CANDIDATES = 200_000  # candidate maps of one sum in `_search`
 
 
 @dataclass(frozen=True)
@@ -362,7 +368,9 @@ def cocone_membership(x: Rep, bp: Subcategory, bpp: Subcategory) -> tuple[bool, 
     in add(bpp).  Exact when Ext^1(bpp, bp) = 0 (every witness inflation is
     then itself a left approximation, and minimal approximations are
     summands).  Without that hypothesis a positive answer is still a
-    witness; a negative answer falls back to bounded search.
+    witness; a negative answer falls back to `cocone_membership_bruteforce`,
+    a complete search whose "no" is proven (`_search`), or raises
+    `Inconclusive` when one sum of that search has too many candidates.
     """
     return _membership("left", x, bp, bpp)
 
@@ -371,7 +379,8 @@ def cone_membership(x: Rep, bp: Subcategory, bpp: Subcategory) -> tuple[bool, Co
     """X in Cone(bp, bpp): a conflation B' >-> B'' ->> X.
 
     Dual criterion: minimal right bpp-approximation surjective with kernel
-    in add(bp); exact when Ext^1(bpp, bp) = 0.
+    in add(bp); exact when Ext^1(bpp, bp) = 0.  Otherwise a negative answer
+    falls back to the complete `cone_membership_bruteforce`.
     """
     return _membership("right", x, bp, bpp)
 
@@ -381,7 +390,8 @@ def _membership(
 ) -> tuple[bool, Conflation | None]:
     """Cone (right) or CoCone (left) membership by the criterion above; a
     zero x, or an x with the content of a member of bpp (bp), is in through
-    1_x."""
+    1_x.  When the criterion fails and Ext^1(bpp, bp) != 0, the complete
+    search decides: its witness, or a proven "no"."""
     right = side == "right"
     if x.is_zero() or _owns(bpp if right else bp, x):
         return True, _identity_conflation(side, x)
@@ -419,39 +429,6 @@ def _object_names(side: str, bp: Subcategory, bpp: Subcategory) -> tuple[str, ..
     return tuple(x.name for x in bp.atlas if member(x, bp, bpp)[0])
 
 
-def _candidate_sums(members: list[Rep], max_total: int):
-    """All direct sums from `members` (with multiplicity) up to a size bound."""
-    nonzero = [m for m in members if not m.is_zero()]
-    nonzero.sort(key=lambda m: (m.total_dim, m.name))
-
-    def rec(start: int, budget: int):
-        yield []
-        for i in range(start, len(nonzero)):
-            m = nonzero[i]
-            if m.total_dim <= budget:
-                for rest in rec(i, budget - m.total_dim):
-                    yield [m] + rest
-
-    for combo in rec(0, max_total):
-        if combo:
-            yield combo
-
-
-def _all_maps(x: Rep, b: Rep):
-    """Every morphism x -> b (field must be small for this to be sane)."""
-    basis = homs(x, b)
-    p = x.algebra.p
-    if len(basis) == 0:
-        yield RepMap.zero(x, b)
-        return
-    if p ** len(basis) > 200000:
-        raise Inconclusive(
-            f"morphism space too large to enumerate: p^{len(basis)} with p={p}"
-        )
-    for coords in itertools.product(range(p), repeat=len(basis)):
-        yield map_from_coords(basis, coords)
-
-
 def _dim_sums(end_class: Subcategory):
     """Is a dimension vector the dimension vector of an object of
     add(end_class), that is, a sum of members' dimension vectors?  The
@@ -470,26 +447,76 @@ def _dim_sums(end_class: Subcategory):
 
 
 def _search(
-    side: str, x: Rep, members: list[Rep], max_total: int, into_x: bool, end_class: Subcategory
+    side: str, x: Rep, members: list[Rep], into_x: bool, end_class: Subcategory
 ) -> Conflation | None:
-    """The first conflation with deflation (right) or inflation (left) a map
-    S -> x (into_x) or x -> S, S a sum of `members` of total dimension at
-    most max_total, whose far end lies in add(end_class); every map whose
-    far end can lie in add(end_class) is tried.
+    """A conflation with deflation (right) or inflation (left) a map f:
+    S -> x (into_x) or x -> S, S a sum of `members`, whose far end lies in
+    add(end_class), or None when there is none; the search is complete.
+
+    Each member B occurs in S at most h_B = dim Hom(B, x) (into_x) or
+    dim Hom(x, B) times, and its k copies are tried only as the
+    k-dimensional subspaces of that Hom space, each through the rows of its
+    reduced row echelon basis.
+
+    Proof that nothing is missed.  Let f have components f_1 ... f_k
+    between the k copies of B and x.  An automorphism of B^k is a matrix g
+    in GL_k(F_p); composing f with it replaces the components by their
+    combinations with g's coefficients and gives a conflation with
+    isomorphic ends.  If the components are linearly dependent, some g
+    makes one of them zero.  For a surjection S ->> x that copy of B then
+    lies in the kernel, and for an injection x >-> S it splits off the
+    cokernel: the rest of f is a surjection (injection) between x and a
+    smaller S whose far end is a summand of the old one, so still in
+    add(end_class), which is closed under summands.  An injection S >-> x
+    (the search of `star_membership`) has no zero component at all.  So if
+    a conflation exists, one exists whose components at each B are linearly
+    independent, which needs k <= h_B; and independent k-tuples that span
+    the same subspace differ by some g, so they give isomorphic
+    conflations, and one basis per subspace is enough.
 
     The far end of a surjection (injection) src -> tgt is its kernel
     (cokernel), of dimension vector dim src - dim tgt (dim tgt - dim src)
     whatever the map, so a sum for which that vector is not a sum of
-    end_class dimension vectors is skipped before it is built."""
+    end_class dimension vectors is skipped before it is built.  A sum with
+    more than MAX_CANDIDATES candidates (the product of the Gaussian
+    binomials [h_B, k_B]_p, the subspace counts) stops the search with
+    `Inconclusive` before any of its maps is built."""
     reachable = _dim_sums(end_class)
     sign = 1 if (side == "right") == into_x else -1
-    for combo in _candidate_sums(members, max_total):
-        dims = tuple(map(sum, zip(*(m.dims for m in combo))))
-        if not reachable(tuple(sign * (s - d) for s, d in zip(dims, x.dims))):
+    p = x.algebra.p
+    # Largest member first, so that the last, smallest one varies fastest
+    # and the first sums tried are the small ones.
+    spaces = []
+    nonzero = (m for m in members if not m.is_zero())
+    for m in sorted(nonzero, key=lambda m: (m.total_dim, m.name), reverse=True):
+        basis = homs(m, x) if into_x else homs(x, m)
+        if basis:
+            spaces.append((m, basis))
+    for mults in itertools.product(*(range(len(basis) + 1) for _, basis in spaces)):
+        chosen = [(m, basis, k) for (m, basis), k in zip(spaces, mults) if k]
+        if not chosen:
             continue
-        total = direct_sum(combo)
-        src, tgt = (total, x) if into_x else (x, total)
-        for f in _all_maps(src, tgt):
+        far = tuple(
+            sign * (sum(k * m.dims[i] for m, _, k in chosen) - d) for i, d in enumerate(x.dims)
+        )
+        if not reachable(far):
+            continue
+        count = math.prod(_subspace_count(len(basis), k, p) for _, basis, k in chosen)
+        if count > MAX_CANDIDATES:
+            raise Inconclusive(
+                f"{count} candidate maps for one sum, more than {MAX_CANDIDATES}"
+            )
+        total = direct_sum([m for m, _, k in chosen for _ in range(k)])
+        for rows in itertools.product(*(_subspaces(len(b), k, p) for _, b, k in chosen)):
+            comps = [
+                map_from_coords(basis, row)
+                for (_, basis, _), some in zip(chosen, rows)
+                for row in some
+            ]
+            if into_x:
+                f = matrix_map(total, x, [comps])
+            else:
+                f = matrix_map(x, total, [[c] for c in comps])
             if f.is_surjective() if side == "right" else f.is_injective():
                 conf, end = _conflation(side, f)
                 if end_class.contains(end):
@@ -497,14 +524,42 @@ def _search(
     return None
 
 
+def _subspace_count(h: int, k: int, p: int) -> int:
+    """The Gaussian binomial [h, k]_p: the number of k-dimensional subspaces
+    of F_p^h."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (h - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _subspaces(h: int, k: int, p: int):
+    """Every k-dimensional subspace of F_p^h once, as the k rows of its
+    reduced row echelon basis: pivot columns, a 1 at each pivot, and any
+    entries right of a pivot outside the pivot columns."""
+    for pivots in itertools.combinations(range(h), k):
+        free = [(i, j) for i, c in enumerate(pivots) for j in range(c + 1, h) if j not in pivots]
+        for values in itertools.product(range(p), repeat=len(free)):
+            rows = [[0] * h for _ in pivots]
+            for i, c in enumerate(pivots):
+                rows[i][c] = 1
+            for (i, j), value in zip(free, values):
+                rows[i][j] = value
+            yield rows
+
+
 def cocone_membership_bruteforce(x: Rep, bp: Subcategory, bpp: Subcategory) -> Conflation | None:
-    """Exhaustive search over conflations X >-> B' ->> B'' with B' of total
-    dimension at most dim X plus twice the largest atlas dimension."""
+    """Complete search over conflations X >-> B' ->> B'': each member B of
+    bp at most dim Hom(X, B) times in B', its copies one subspace of
+    Hom(X, B) at a time (`_search` has the proof)."""
     return _bruteforce("left", x, bp, bpp)
 
 
 def cone_membership_bruteforce(x: Rep, bp: Subcategory, bpp: Subcategory) -> Conflation | None:
-    """Exhaustive search over conflations B' >-> B'' ->> X, bounded as above."""
+    """Complete search over conflations B' >-> B'' ->> X: each member B of
+    bpp at most dim Hom(B, X) times in B'', its copies one subspace of
+    Hom(B, X) at a time (`_search` has the proof)."""
     return _bruteforce("right", x, bp, bpp)
 
 
@@ -513,16 +568,18 @@ def _bruteforce(side: str, x: Rep, bp: Subcategory, bpp: Subcategory) -> Conflat
     if x.is_zero():
         return _identity_conflation(side, x)
     sums, end_class = (bpp, bp) if right else (bp, bpp)
-    max_total = x.total_dim + 2 * max((m.total_dim for m in sums.atlas), default=0)
-    return _search(side, x, sums.members, max_total, right, end_class)
+    return _search(side, x, sums.members, right, end_class)
 
 
 def star_membership(x: Rep, pair: CotorsionPair) -> bool:
     """X in add(U * V) for a cotorsion pair (U, V).
 
     When U is rigid, U is contained in V and a long exact sequence shows
-    add(U*V) = V exactly; dually add(U*V) = U when V is rigid.  Otherwise a
-    bounded search over conflations U0 >-> X' ->> V0 decides it.
+    add(U*V) = V exactly; dually add(U*V) = U when V is rigid.  Otherwise
+    a complete search over conflations U0 >-> X' ->> V0, one for each
+    summand X' of X outside U and V, decides it: U0 injects into X', so each
+    member B of U occurs in U0 at most dim Hom(B, X') times, with linearly
+    independent components (`_search`).
     """
     if x.is_zero():
         return True
@@ -539,6 +596,6 @@ def _star_bruteforce(x: Rep, u: Subcategory, v: Subcategory) -> bool:
         member = u.atlas[name]
         if u.contains(member) or v.contains(member):
             continue
-        if _search("left", member, u.members, member.total_dim, True, v) is None:
+        if _search("left", member, u.members, True, v) is None:
             return False
     return True

@@ -207,7 +207,7 @@ def pushout_couniversal(po, b_map: RepMap, c_map: RepMap) -> RepMap:
         if sol is None:
             raise AlgebraError("pushout couniversal map does not exist")
         blocks.append(sol.T)
-    return RepMap(p_rep, b_map.target, blocks)
+    return RepMap._checked(p_rep, b_map.target, blocks)
 
 
 def pullback(f: RepMap, g: RepMap):
@@ -239,7 +239,7 @@ def pullback_universal(pb, b_map: RepMap, c_map: RepMap) -> RepMap:
         if sol is None:
             raise AlgebraError("pullback universal map does not exist")
         blocks.append(sol)
-    return RepMap(b_map.source, p_rep, blocks)
+    return RepMap._checked(b_map.source, p_rep, blocks)
 
 
 def pushout_conflation(conf: Conflation, f: RepMap) -> tuple[Conflation, RepMap]:
@@ -302,7 +302,7 @@ def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
     epi = matrix_map(total, m, [part_maps])
     if not epi.is_surjective():
         raise AlgebraError("projective cover construction not surjective")
-    return total, RepMap(total, m, epi.blocks)
+    return total, RepMap._checked(total, m, epi.blocks)
 
 
 def _map_from_projective(pv: Rep, v: str, m: Rep, x: tuple) -> RepMap:
@@ -351,7 +351,7 @@ def injective_envelope(m: Rep) -> tuple[Rep, RepMap]:
     i_rep = dual_rep(dp, f"I>{m.name}")
     ddm = dual_rep(dm)  # same matrices as m
     mono0 = dual_map(depi, ddm, i_rep)
-    return i_rep, RepMap(m, i_rep, mono0.blocks)
+    return i_rep, RepMap._checked(m, i_rep, mono0.blocks)
 
 
 def cosyzygy(m: Rep) -> tuple[Rep, Conflation]:
@@ -458,7 +458,7 @@ class Ext1:
             if s is None:
                 raise AlgebraError("cocycle division failed")
             blocks.append(s)
-        return self.classes([RepMap(self.omega, self.a, blocks)]).data
+        return self.classes([RepMap._checked(self.omega, self.a, blocks)]).data
 
 
 def class_columns(flat: Block, qmap: Block, cols: Block, p: int) -> Block:

@@ -7,6 +7,11 @@ the algebra relations, and coboundaries come from block-triangular base
 change.  No syzygies, covers, or approximations are involved.
 
 The quiver-isomorphism oracle tries every bijection of the nodes.
+
+The plain Cone/CoCone search tries every map between X and every direct sum
+of the middle class up to dim X plus twice the largest atlas dimension, the
+search that `cotorsion._search` replaced with a complete one; the tests
+compare the two.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ import itertools
 import numpy as np
 
 from . import linalg as la
-from .algebra import Rep, path_endpoints
+from .algebra import Rep, RepMap, direct_sum, map_from_coords, path_endpoints
+from .cotorsion import Inconclusive, Subcategory, _conflation, _dim_sums
+from .homology import Conflation, homs
 
 
 def _eval_path(m: Rep, path, start: str) -> np.ndarray:
@@ -146,3 +153,59 @@ def quivers_isomorphic_bruteforce(q1, q2) -> bool:
         ) and sum(q1.arrows.values()) == sum(q2.arrows.values()):
             return True
     return False
+
+
+def candidate_sums(members: list[Rep], max_total: int):
+    """All direct sums from `members` (with multiplicity) up to a size bound."""
+    nonzero = [m for m in members if not m.is_zero()]
+    nonzero.sort(key=lambda m: (m.total_dim, m.name))
+
+    def rec(start: int, budget: int):
+        yield []
+        for i in range(start, len(nonzero)):
+            m = nonzero[i]
+            if m.total_dim <= budget:
+                for rest in rec(i, budget - m.total_dim):
+                    yield [m] + rest
+
+    for combo in rec(0, max_total):
+        if combo:
+            yield combo
+
+
+def all_maps(x: Rep, b: Rep):
+    """Every morphism x -> b (field must be small for this to be sane)."""
+    basis = homs(x, b)
+    p = x.algebra.p
+    if len(basis) == 0:
+        yield RepMap.zero(x, b)
+        return
+    if p ** len(basis) > 200000:
+        raise Inconclusive(
+            f"morphism space too large to enumerate: p^{len(basis)} with p={p}"
+        )
+    for coords in itertools.product(range(p), repeat=len(basis)):
+        yield map_from_coords(basis, coords)
+
+
+def plain_search(side: str, x: Rep, bp: Subcategory, bpp: Subcategory) -> Conflation | None:
+    """The first conflation B' >-> B'' ->> X (right) or X >-> B' ->> B''
+    (left) with ends in the classes, over every sum of the middle class of
+    total dimension at most dim X plus twice the largest atlas dimension and
+    every map between it and X; a sum whose far end has a dimension vector
+    outside add(far class) is skipped, as in `cotorsion._search`."""
+    right = side == "right"
+    sums, end_class = (bpp, bp) if right else (bp, bpp)
+    max_total = x.total_dim + 2 * max((m.total_dim for m in sums.atlas), default=0)
+    reachable = _dim_sums(end_class)
+    for combo in candidate_sums(sums.members, max_total):
+        dims = tuple(map(sum, zip(*(m.dims for m in combo))))
+        if not reachable(tuple(s - d for s, d in zip(dims, x.dims))):
+            continue
+        total = direct_sum(combo)
+        for f in all_maps(total, x) if right else all_maps(x, total):
+            if f.is_surjective() if right else f.is_injective():
+                conf, end = _conflation(side, f)
+                if end_class.contains(end):
+                    return conf
+    return None

@@ -10,8 +10,8 @@ from quiverhearts import fixtures as fx
 from quiverhearts import heart as ht
 from quiverhearts import homology as ho
 from quiverhearts import linalg as la
-from quiverhearts.cotorsion import _all_maps
 from quiverhearts.linalg import Block
+from quiverhearts.oracles import all_maps
 from quiverhearts.algebra import (
     AlgebraError,
     BoundQuiverAlgebra,
@@ -274,7 +274,7 @@ def kronecker_module(p: int, a, b) -> Rep:
 def has_only_trivial_idempotents(m: Rep) -> bool:
     """Reference: End(m) enumerated element by element."""
     one = RepMap.identity(m)
-    for e in _all_maps(m, m):
+    for e in all_maps(m, m):
         if not (e.is_zero() or e.sub(one).is_zero()) and e.compose(e).sub(e).is_zero():
             return False
     return True

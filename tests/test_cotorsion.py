@@ -1,13 +1,23 @@
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from quiverhearts import cotorsion as ct
 from quiverhearts import fixtures as fx
 from quiverhearts import oracles
-from quiverhearts.algebra import AlgebraError, decompose, direct_sum
-from quiverhearts.homology import conflation_from_defl, conflation_from_infl, ext1_dim
+from quiverhearts.algebra import (
+    AlgebraError,
+    BoundQuiverAlgebra,
+    IndecSet,
+    Quiver,
+    Rep,
+    RepMap,
+    decompose,
+    direct_sum,
+)
+from quiverhearts.homology import conflation_from_defl, conflation_from_infl, ext1_dim, homs
 
 
 @pytest.fixture(scope="module")
@@ -273,21 +283,25 @@ def test_searched_membership_witness_a3(side, x, bp, bpp):
 
 
 # ---------------------------------------------------------------------------
-# The shared exhaustive search against one search per conflation shape.
+# The shared complete search against one plain search per conflation shape.
 #
-# The references below enumerate the same sums and maps in the same order as
-# `cotorsion._search`, each written out for its own shape, so the first
-# conflation found must be the same map, not only the same yes/no answer.
+# The references below try every sum up to the old size bound and every map
+# between it and x, each written out for its own shape.  `cotorsion._search`
+# tries each member at most dim Hom times and one map per subspace, so it
+# may find a smaller first conflation (1/2/3 ->> 1, the projective cover,
+# where a reference finds 3+3+3+3+1/2/3 ->> 1 with four split copies of 3 in
+# the kernel): the answers must agree, and every witness must be a
+# conflation with its ends in the classes.
 
 
 def cocone_search_reference(x, bp, bpp):
     """X >-> B' ->> B'': injections from x into sums of bp."""
     cap = x.total_dim + 2 * max(m.total_dim for m in bp.atlas)
-    for combo in ct._candidate_sums(bp.members, cap):
+    for combo in oracles.candidate_sums(bp.members, cap):
         total = direct_sum(combo)
         if total.total_dim < x.total_dim:
             continue
-        for f in ct._all_maps(x, total):
+        for f in oracles.all_maps(x, total):
             if f.is_injective():
                 conf = conflation_from_infl(f)
                 if bpp.contains(conf.c):
@@ -298,11 +312,11 @@ def cocone_search_reference(x, bp, bpp):
 def cone_search_reference(x, bp, bpp):
     """B' >-> B'' ->> X: surjections onto x from sums of bpp."""
     cap = x.total_dim + 2 * max(m.total_dim for m in bpp.atlas)
-    for combo in ct._candidate_sums(bpp.members, cap):
+    for combo in oracles.candidate_sums(bpp.members, cap):
         total = direct_sum(combo)
         if total.total_dim < x.total_dim:
             continue
-        for f in ct._all_maps(total, x):
+        for f in oracles.all_maps(total, x):
             if f.is_surjective():
                 conf = conflation_from_defl(f)
                 if bp.contains(conf.a):
@@ -312,8 +326,8 @@ def cone_search_reference(x, bp, bpp):
 
 def star_conflation_reference(member, u, v):
     """The first U0 >-> member ->> V0: injections into member from sums of u."""
-    for combo in ct._candidate_sums(u.members, member.total_dim):
-        for f in ct._all_maps(direct_sum(combo), member):
+    for combo in oracles.candidate_sums(u.members, member.total_dim):
+        for f in oracles.all_maps(direct_sum(combo), member):
             if f.is_injective():
                 conf = conflation_from_infl(f)
                 if v.contains(conf.c):
@@ -330,6 +344,21 @@ def star_search_reference(x, u, v):
         if star_conflation_reference(member, u, v) is None:
             return False
     return True
+
+
+def assert_witness(shape, conf, x, bp, bpp):
+    """conf is a conflation B' >-> B'' ->> x (cone), x >-> B' ->> B''
+    (cocone) or B' >-> x ->> B'' (star) with B' in bp and B'' in bpp."""
+    conf.validate()
+    ends = {"cone": (conf.a, conf.b, conf.c), "cocone": (conf.b, conf.c, conf.a),
+            "star": (conf.a, conf.c, conf.b)}[shape]
+    assert bp.contains(ends[0]) and bpp.contains(ends[1]) and ends[2] == x, (shape, x.name)
+
+
+def assert_same_answer(shape, got, want, x, bp, bpp):
+    assert (got is None) == (want is None), (shape, x.name, bp.names, bpp.names)
+    if got is not None:
+        assert_witness(shape, got, x, bp, bpp)
 
 
 def same_conflation(got, want) -> bool:
@@ -386,12 +415,10 @@ def test_shared_search_matches_per_shape_searches_a3():
     # pairs take seconds to enumerate and add no new shape)
     for bp, bpp in ((example.u, example.v), (example.v, example.u)):
         for x in atlas:
-            assert same_conflation(
-                ct.cocone_membership_bruteforce(x, bp, bpp), cocone_search_reference(x, bp, bpp)
-            ), ("cocone", x.name, bp.names)
-            assert same_conflation(
-                ct.cone_membership_bruteforce(x, bp, bpp), cone_search_reference(x, bp, bpp)
-            ), ("cone", x.name, bp.names)
+            assert_same_answer("cocone", ct.cocone_membership_bruteforce(x, bp, bpp),
+                               cocone_search_reference(x, bp, bpp), x, bp, bpp)
+            assert_same_answer("cone", ct.cone_membership_bruteforce(x, bp, bpp),
+                               cone_search_reference(x, bp, bpp), x, bp, bpp)
 
 
 # ---------------------------------------------------------------------------
@@ -412,20 +439,23 @@ def test_dim_sums_decides_sums_of_member_dimension_vectors():
 
 
 def test_pruned_search_returns_the_unpruned_first_conflation(monkeypatch):
-    """Every shape of search finds the same first conflation as the
-    references, which try every sum, while enumerating fewer maps."""
+    """Every shape of search gives the references' answer, with a witness
+    whose ends lie in the classes, while trying fewer maps: one spy on the
+    injectivity and surjectivity tests counts the maps both sides try."""
     atlas = fx.a3_atlas(2)
     classes = [ct.projectives_of(atlas), ct.injectives_of(atlas)]
     classes += [ct.subcat(atlas, [n]) for n in atlas.names]
     calls = {"pruned": 0, "reference": 0}
     phase = ["pruned"]
-    all_maps = ct._all_maps
 
-    def counting_all_maps(src, tgt):
-        calls[phase[0]] += 1
-        return all_maps(src, tgt)
+    def counting(test):
+        def spy(f):
+            calls[phase[0]] += 1
+            return test(f)
+        return spy
 
-    monkeypatch.setattr(ct, "_all_maps", counting_all_maps)
+    for test in ("is_injective", "is_surjective"):
+        monkeypatch.setattr(RepMap, test, counting(getattr(RepMap, test)))
 
     def run(side, fn, *args):
         phase[0] = side
@@ -435,20 +465,112 @@ def test_pruned_search_returns_the_unpruned_first_conflation(monkeypatch):
     for bp in classes:
         for bpp in classes:
             for x in atlas:
-                for search, reference in (
-                    (ct.cocone_membership_bruteforce, cocone_search_reference),
-                    (ct.cone_membership_bruteforce, cone_search_reference),
+                for shape, search, reference in (
+                    ("cocone", ct.cocone_membership_bruteforce, cocone_search_reference),
+                    ("cone", ct.cone_membership_bruteforce, cone_search_reference),
                 ):
                     got = run("pruned", search, x, bp, bpp)
                     want = run("reference", reference, x, bp, bpp)
-                    assert same_conflation(got, want), (search.__name__, x.name, bp.names, bpp.names)
+                    assert_same_answer(shape, got, want, x, bp, bpp)
                     found += got is not None
-                got = run("pruned", ct._search, "left", x, bp.members, x.total_dim, True, bpp)
+                got = run("pruned", ct._search, "left", x, bp.members, True, bpp)
                 want = run("reference", star_conflation_reference, x, bp, bpp)
-                assert same_conflation(got, want), ("star", x.name, bp.names, bpp.names)
+                assert_same_answer("star", got, want, x, bp, bpp)
                 found += got is not None
                 assert run("pruned", ct._star_bruteforce, x, bp, bpp) == run(
                     "reference", star_search_reference, x, bp, bpp
                 ), ("star", x.name, bp.names, bpp.names)
     assert found > 0
     assert 0 < calls["pruned"] < calls["reference"], calls
+
+
+def test_proven_search_agrees_with_the_plain_search():
+    """The complete search and the plain one (every sum up to dim X plus
+    twice the largest atlas dimension, every map) give the same answers on
+    test_4's A2 and A3 classes plus the singletons, and on the Auslander
+    atlas of A3 over F_2 with its projectives and injectives."""
+    cases = []
+    for atlas in (fx.a2_atlas(2), fx.a3_atlas(2)):
+        rng = np.random.default_rng(4)
+        classes = [
+            ct.projectives_of(atlas),
+            ct.injectives_of(atlas),
+            ct.full_subcat(atlas),
+            fx.random_rigid_subcat(atlas, rng),
+            fx.random_rigid_subcat(atlas, rng, stop_chance=0.3),
+        ]
+        classes += [ct.subcat(atlas, [n]) for n in atlas.names]
+        # test_4's random classes repeat the projectives; ask each question once
+        cases.append((atlas, list({c.names: c for c in classes}.values())))
+    ausl = fx.auslander_a3_atlas(2)
+    cases.append((ausl, [ct.projectives_of(ausl), ct.injectives_of(ausl)]))
+    assert [len(classes) for _, classes in cases] == [6, 9, 2]
+    triples = 0
+    for atlas, classes in cases:
+        for bp in classes:
+            for bpp in classes:
+                for x in atlas:
+                    for shape, side, search in (
+                        ("cocone", "left", ct.cocone_membership_bruteforce),
+                        ("cone", "right", ct.cone_membership_bruteforce),
+                    ):
+                        want = oracles.plain_search(side, x, bp, bpp)
+                        assert_same_answer(shape, search(x, bp, bpp), want, x, bp, bpp)
+                        triples += 1
+    assert triples == 2 * (6 * 6 * 3 + 9 * 9 * 6 + 2 * 2 * 17)
+
+
+def kronecker_atlas(p):
+    """Indecomposables of the Kronecker algebra 1 => 2 (arrows a, b) over
+    F_p: the simples, P1, I2, three of the (1, 1) modules and the
+    preprojective M23 of dimension (2, 3); Hom(S2, P1) has dimension 2."""
+    kron = BoundQuiverAlgebra(Quiver(("1", "2"), (("a", "1", "2"), ("b", "1", "2"))), p)
+    return IndecSet([
+        Rep(kron, "S1", (1, 0), {}),
+        Rep(kron, "S2", (0, 1), {}),
+        Rep(kron, "P1", (1, 2), {"a": [[1], [0]], "b": [[0], [1]]}),
+        Rep(kron, "I2", (2, 1), {"a": [[1, 0]], "b": [[0, 1]]}),
+        Rep(kron, "R0", (1, 1), {"a": [[1]], "b": [[0]]}),
+        Rep(kron, "R1", (1, 1), {"a": [[1]], "b": [[1]]}),
+        Rep(kron, "Rinf", (1, 1), {"a": [[0]], "b": [[1]]}),
+        Rep(kron, "M23", (2, 3), {"a": [[1, 0], [0, 1], [0, 0]], "b": [[0, 0], [1, 0], [0, 1]]}),
+    ])
+
+
+@pytest.mark.parametrize(
+    "side, x, bp, bpp, middle",
+    [
+        ("left", "S2", "P1", "M23", "(P1+P1)"),  # S2 >-> P1 + P1 ->> M23
+        ("right", "M23", "S2", "P1", "(P1+P1)"),  # S2 >-> P1 + P1 ->> M23
+        ("left", "S2", "P1", "R1", "(P1)"),  # the line spanned by (1, 1)
+        ("left", "S2", "P1", "R0", "(P1)"),
+        ("left", "S2", "P1", "Rinf", "(P1)"),
+    ],
+)
+def test_the_search_takes_copies_and_lines_that_thin_atlases_never_need(side, x, bp, bpp, middle):
+    """Over F_2, a conflation with two copies of P1, whose two components
+    S2 -> P1 must be independent, and one for each line of Hom(S2, P1),
+    (1, 1) included; the plain search agrees."""
+    atlas = kronecker_atlas(2)
+    x, bp, bpp = atlas[x], ct.subcat(atlas, [bp]), ct.subcat(atlas, [bpp])
+    got = ct._bruteforce(side, x, bp, bpp)
+    shape = "cone" if side == "right" else "cocone"
+    assert_same_answer(shape, got, oracles.plain_search(side, x, bp, bpp), x, bp, bpp)
+    assert got.b.name == middle
+
+
+def test_a_search_past_the_cap_is_inconclusive_before_building_a_map(monkeypatch):
+    """Over F_p with p = 2^31 - 1, Hom(S2, P1) has dimension 2, so one copy
+    of P1 can take any of its p + 1 lines: the CoCone search for
+    S2 >-> P1 ->> R1 stops before it builds a map."""
+    p = 2**31 - 1
+    atlas = kronecker_atlas(p)
+    assert len(homs(atlas["S2"], atlas["P1"])) == 2
+    built = []
+    monkeypatch.setattr(ct, "matrix_map", lambda *args: built.append(args))
+    monkeypatch.setattr(ct, "map_from_coords", lambda *args: built.append(args))
+    with pytest.raises(ct.Inconclusive, match=str(p + 1)):
+        ct.cocone_membership_bruteforce(
+            atlas["S2"], ct.subcat(atlas, ["P1"]), ct.subcat(atlas, ["R1"])
+        )
+    assert built == []

@@ -1,5 +1,6 @@
 """Tooling checks: the benchmark's tracer still finds every target it wraps
-and reads blocks as it expects, the CLI imports no numpy, the package
+and reads blocks as it expects, the CLI imports no numpy, `cotorsion`
+keeps no plain Cone/CoCone enumeration, the package
 imports nothing it does not use (no linter is installed), no
 module but the fixtures draws random numbers, no module keeps a memo of
 its own, every workspace table is documented, only `algebra` binds maps to
@@ -45,6 +46,13 @@ def test_the_cli_imports_no_numpy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
     assert out == "[]\n"
+
+
+def test_cotorsion_keeps_only_the_complete_search():
+    # The plain enumeration of sums and maps is the tests' reference in
+    # `oracles`; `cotorsion` neither defines nor calls it.
+    source = (ROOT / "src" / "quiverhearts" / "cotorsion.py").read_text(encoding="utf-8")
+    assert "candidate_sums" not in source and "all_maps" not in source
 
 
 def test_benchmark_tracer_reads_blocks():
