@@ -584,7 +584,8 @@ def _hom_blocks(m: Rep, n: Rep) -> tuple[tuple[Block, ...], ...]:
 
 
 def hom_dim(m: Rep, n: Rep) -> int:
-    return len(hom_space(m, n))
+    """dim Hom(m, n), read off the `hom_space` entry without binding a map."""
+    return len(_hom_basis(m, n))
 
 
 def map_from_coords(basis: list[RepMap], coords) -> RepMap:
@@ -757,11 +758,6 @@ def dual_rep(m: Rep, name: str | None = None) -> Rep:
     op_alg = m.algebra.opposite
     maps = {aid: m.arrow_maps[aid].T for aid, _, _ in op_alg.quiver.arrows}
     return Rep(op_alg, name or f"D({m.name})", m.dims, maps)
-
-
-def dual_map(f: RepMap, dsrc: Rep, dtgt: Rep) -> RepMap:
-    """Dual of f: given duals of f.target (dsrc) and f.source (dtgt)."""
-    return RepMap._trusted(dsrc, dtgt, [b.T for b in f.blocks])
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from .cotorsion import (
 from .homology import (
     Conflation,
     Ext1,
-    class_columns,
     cokernel,
     conflation_from_defl,
     ext1_dim,
@@ -393,43 +392,6 @@ class CohomologicalH:
 # The module-category model: Gamma = stable End(G), Phi = Ext^1(G, -).
 
 
-@dataclass(frozen=True)
-class _ExtBlock:
-    """Ext^1(C, X) as a memo value: its dimension and, when that is
-    nonzero, the flat entries of the Hom(Omega C, X) basis as columns, the
-    quotient map onto Ext^1 and one cocycle Omega C -> X per basis
-    class."""
-
-    dim: int
-    flat: Block | None = None
-    qmap: Block | None = None
-    cocycles: tuple[RepMap, ...] = ()
-
-    def classes(self, cols: Block, p: int) -> Block:
-        """The classes of the cocycles whose flat entries are the columns of
-        `cols`, for a nonzero block (`homology.class_columns`)."""
-        return class_columns(self.flat, self.qmap, cols, p)
-
-
-_ZERO_BLOCK = _ExtBlock(0)
-
-
-def _ext_block(c: Rep, x: Rep) -> _ExtBlock:
-    """Ext^1(c, x) as an `_ExtBlock`.  The shared `ext1_dim` entry is read
-    first, so a zero block builds no `Ext1`; a nonzero one is memoised by
-    the content of c and x, and takes the `Ext1` that a miss of the
-    dimension built, so a cold block builds one."""
-    built: list[Ext1] = []
-    if not ext1_dim(c, x, built):
-        return _ZERO_BLOCK
-    return WORKSPACE.memo("phi_ext", (c.key, x.key), _nonzero_block, c, x, built)
-
-
-def _nonzero_block(c: Rep, x: Rep, built: list[Ext1]) -> _ExtBlock:
-    e = built[0] if built else Ext1(c, x)
-    return _ExtBlock(e.dim, e._flat, e.qmap, tuple(e.cocycles))
-
-
 class PhiModel:
     """Phi(X) = Ext^1(G, X) as a right module over Gamma = End(G)/[P].
 
@@ -513,11 +475,16 @@ class PhiModel:
 
     def dim(self, x: Rep) -> int:
         """dim Phi(x), read off the member blocks that `phi_map` builds."""
-        return sum(e.dim for e in self._blocks(x))
+        return sum(_dims(self._blocks(x)))
 
-    def _blocks(self, x: Rep) -> list[_ExtBlock]:
-        """Ext^1(C_i, x) per non-projective member (`_ext_block`)."""
-        return [_ext_block(c, x) for c in self.members]
+    def _blocks(self, x: Rep) -> list[Ext1 | None]:
+        """Ext^1(C_i, x) per non-projective member, None where it is zero.
+        The shared `ext1_dim` entry is read first, so a zero block builds no
+        `Ext1`; a nonzero one is memoised by the content of C_i and x."""
+        return [
+            WORKSPACE.memo("phi_ext", (c.key, x.key), Ext1, c, x) if ext1_dim(c, x) else None
+            for c in self.members
+        ]
 
     def module(self, x: Rep) -> Rep:
         """Phi(x), on which loop gi acts as the i-th Gamma basis element;
@@ -528,19 +495,18 @@ class PhiModel:
     def _module(self, x: Rep) -> Rep:
         blocks = self._blocks(x)
         acts = {f"g{i}": self._action(blocks, act) for i, act in enumerate(self._omega_acts)}
-        return Rep(self.gamma, f"Phi({x.name})", [sum(e.dim for e in blocks)], acts)
+        return Rep(self.gamma, f"Phi({x.name})", [sum(_dims(blocks))], acts)
 
-    def _action(self, blocks: list[_ExtBlock], act: dict) -> Block:
+    def _action(self, blocks: list[Ext1 | None], act: dict) -> Block:
         """The matrix of one Gamma basis element on sum_i Ext^1(C_i, X):
         block (j, i) takes the cocycles of Ext^1(C_i, X) along the
         restriction Omega C_j -> Omega C_i of its component into
         Ext^1(C_j, X)."""
         cells = [[None] * len(blocks) for _ in blocks]
         for (i, j), w in act.items():
-            if blocks[i].dim and blocks[j].dim:
-                cols = composite_columns(blocks[i].cocycles, [w])
-                cells[j][i] = blocks[j].classes(cols, self.p)
-        dims = [e.dim for e in blocks]
+            if blocks[i] and blocks[j]:
+                cells[j][i] = blocks[j].column_classes(composite_columns(blocks[i].cocycles, [w]))
+        dims = _dims(blocks)
         return la.grid(cells, dims, dims)
 
     def phi_map(self, f: RepMap) -> Block:
@@ -554,9 +520,9 @@ class PhiModel:
     def _phi_matrix(self, f: RepMap) -> Block:
         src, tgt = self._blocks(f.source), self._blocks(f.target)
         return la.block_diag([
-            ey.classes(composite_columns([f], ex.cocycles), self.p)
-            if ex.dim and ey.dim else la.zeros(ey.dim, ex.dim)
-            for ex, ey in zip(src, tgt)
+            ey.column_classes(composite_columns([f], ex.cocycles))
+            if ex and ey else la.zeros(rows, cols)
+            for ex, ey, cols, rows in zip(src, tgt, _dims(src), _dims(tgt))
         ])
 
     def module_map(self, f: RepMap) -> RepMap:
@@ -585,6 +551,11 @@ class PhiModel:
                 if lhs != la.matmul(acts[j], acts[i], self.p):
                     return False
         return True
+
+
+def _dims(blocks: list[Ext1 | None]) -> list[int]:
+    """The dimension of each block, 0 for a zero one."""
+    return [e.dim if e else 0 for e in blocks]
 
 
 @dataclass

@@ -2,12 +2,16 @@
 
 Everything here is exact linear algebra over F_p: kernels and cokernels are
 computed vertexwise, short exact sequences are represented as Conflation
-objects, Ext^1(C, A) is the cokernel of Hom(P0, A) -> Hom(syzygy, A) for a
-projective cover P0 of C, and approximations by a subcategory are built
-from Hom bases and greedily stripped to minimal ones.  Syzygies, Ext^1
-dimensions, minimal approximations and the conflations of a map's kernel
-and cokernel are memoised by module content in the shared `Workspace`,
-like the Hom bases; a hit returns the value its miss stored.
+objects, and approximations by a subcategory are built from Hom bases and
+greedily stripped to minimal ones.  A projective cover is the minimal right
+approximation by the indecomposable projectives, and an injective envelope
+the minimal left one by the indecomposable injectives.  Ext^1(C, A) is the
+cokernel of Hom(P0, A) -> Hom(Omega C, A) on the syzygy conflation
+Omega C >-> P0 ->> C, and its dimension is read off the exact sequence of
+Hom dimensions along it.  Syzygies, Ext^1 dimensions, minimal
+approximations and the conflations of a map's kernel and cokernel are
+memoised by module content in the shared `Workspace`, like the Hom bases; a
+hit returns the value its miss stored.
 """
 
 from __future__ import annotations
@@ -22,10 +26,9 @@ from .algebra import (
     RepMap,
     composite_columns,
     direct_sum,
-    dual_map,
-    dual_rep,
     end_radical,
     flat_columns,
+    hom_dim,
     hom_space,
     map_from_coords,
     matrix_map,
@@ -184,7 +187,7 @@ def pushout(f: RepMap, g: RepMap):
     Returns (P, iB: B -> P, iC: C -> P, proj) with iB f = iC g, where proj:
     B + C ->> P is the cokernel of [f; -g] and the legs are its columns.
     """
-    if f.source is not g.source and f.source.dims != g.source.dims:
+    if f.source != g.source:
         raise AlgebraError("pushout legs must share a source")
     bc = direct_sum([f.target, g.target])
     p_rep, proj = cokernel(matrix_map(f.source, bc, [[f], [g.neg()]]))
@@ -216,7 +219,7 @@ def pullback(f: RepMap, g: RepMap):
     Returns (P, pB: P -> B, pC: P -> C, inc) with f pB = g pC, where inc:
     P >-> B + C is the kernel of [f | -g] and the legs are its rows.
     """
-    if f.target is not g.target and f.target.dims != g.target.dims:
+    if f.target != g.target:
         raise AlgebraError("pullback legs must share a target")
     bc = direct_sum([f.source, g.source])
     p_rep, inc = kernel(matrix_map(bc, f.target, [[f, g.neg()]]))
@@ -268,60 +271,13 @@ def pullback_conflation(conf: Conflation, g: RepMap) -> tuple[Conflation, RepMap
 # Projective covers, injective envelopes, syzygies.
 
 
-def _top_generators(m: Rep):
-    """Per vertex: columns of M_v spanning a complement of the radical."""
-    alg = m.algebra
-    q = alg.quiver
-    p = alg.p
-    out = {}
-    for j, v in enumerate(q.vertices):
-        imgs = [m.arrow_maps[aid] for aid, s, t in q.arrows if t == v]
-        qm = la.quotient_map(la.hstack(imgs, m.dims[j]), m.dims[j], p)
-        lift = la.right_inverse(qm, p) if qm.rows else la.zeros(m.dims[j], 0)
-        out[v] = lift  # columns: generators of the top at v
-    return out
-
-
 def projective_cover(m: Rep) -> tuple[Rep, RepMap]:
-    """(P, epi) a projective cover of m."""
-    alg = m.algebra
-    if m.is_zero():
-        z = zero_rep(alg)
-        return z, RepMap.zero(z, m)
-    projs = alg.projectives
-    gens = _top_generators(m)
-    parts, part_maps = [], []
-    for v in alg.quiver.vertices:
-        lift = gens[v]
-        for col in range(lift.cols):
-            pv = projs[v]
-            f = _map_from_projective(pv, v, m, lift.column(col))
-            parts.append(pv)
-            part_maps.append(f)
-    total = direct_sum(parts)
-    epi = matrix_map(total, m, [part_maps])
-    if not epi.is_surjective():
-        raise AlgebraError("projective cover construction not surjective")
-    return total, RepMap._checked(total, m, epi.blocks)
-
-
-def _map_from_projective(pv: Rep, v: str, m: Rep, x: tuple) -> RepMap:
-    """The map P(v) -> m sending the trivial-path generator to x in m_v.
-
-    In the standard projective the trivial path is the first basis slot at
-    vertex v, so this is the unique hom whose block at v has first column x.
-    """
-    basis = homs(pv, m)
-    vi = pv.algebra.quiver.vertex_index(v)
-    if not basis:
-        if any(x):
-            raise AlgebraError("no hom supports the requested generator")
-        return RepMap.zero(pv, m)
-    cols = la.columns([b.blocks[vi].column(0) for b in basis], len(x))
-    sol = la.solve(cols, la.column(x), pv.algebra.p)
-    if sol is None:
-        raise AlgebraError("generator not reachable from the projective")
-    return map_from_coords(basis, sol.data)
+    """(P, epi) a projective cover of m: the minimal right approximation of
+    m by the indecomposable projectives, onto since A is a sum of them."""
+    cover = minimal_right_approximation(list(m.algebra.projectives.values()), m)
+    if not cover.map.is_surjective():
+        raise AlgebraError("projective cover not surjective")
+    return cover.total, cover.map
 
 
 def syzygy(m: Rep) -> tuple[Rep, Conflation]:
@@ -341,17 +297,13 @@ def _syzygy(m: Rep) -> Conflation:
 
 
 def injective_envelope(m: Rep) -> tuple[Rep, RepMap]:
-    """(I, mono) an injective envelope of m, via duality."""
-    alg = m.algebra
-    if m.is_zero():
-        z = zero_rep(alg)
-        return z, RepMap.zero(m, z)
-    dm = dual_rep(m)
-    dp, depi = projective_cover(dm)
-    i_rep = dual_rep(dp, f"I>{m.name}")
-    ddm = dual_rep(dm)  # same matrices as m
-    mono0 = dual_map(depi, ddm, i_rep)
-    return i_rep, RepMap._checked(m, i_rep, mono0.blocks)
+    """(I, mono) an injective envelope of m: the minimal left approximation
+    of m by the indecomposable injectives, into since DA is a sum of them."""
+    injectives = m.algebra.standard_modules["injective"]
+    envelope = minimal_left_approximation(list(injectives.values()), m)
+    if not envelope.map.is_injective():
+        raise AlgebraError("injective envelope not injective")
+    return envelope.total, envelope.map
 
 
 def cosyzygy(m: Rep) -> tuple[Rep, Conflation]:
@@ -426,7 +378,16 @@ class Ext1:
         per map, (dim, len(maps)); every class of a zero Ext^1 is zero."""
         if not (self.dim and maps):
             return la.zeros(self.dim, len(maps))
-        return class_columns(self._flat, self.qmap, flat_columns(maps), self.p)
+        return self.column_classes(flat_columns(maps))
+
+    def column_classes(self, cols: Block) -> Block:
+        """The classes in a nonzero Ext^1 of the cocycles whose flat entries
+        are the columns of `cols`, from one solve against the Hom(Omega C, A)
+        basis."""
+        sol = la.solve(self._flat, cols, self.p)
+        if sol is None:
+            raise AlgebraError("cocycle outside Hom(Omega C, A)")
+        return la.matmul(self.qmap, sol, self.p)
 
     def realize(self, coords) -> Conflation:
         """A conflation A >-> E ->> C representing the class."""
@@ -438,7 +399,7 @@ class Ext1:
 
     def coords_of(self, conf: Conflation) -> tuple[int, ...]:
         """Class of a conflation A >-> E ->> C in quotient coordinates."""
-        if conf.a.dims != self.a.dims or conf.c.dims != self.c.dims:
+        if conf.a != self.a or conf.c != self.c:
             raise AlgebraError("conflation end terms do not match")
         # lift the cover epi P0 ->> C through the deflation E ->> C
         lifts = homs(self.cover_conf.b, conf.b)
@@ -461,30 +422,19 @@ class Ext1:
         return self.classes([RepMap._checked(self.omega, self.a, blocks)]).data
 
 
-def class_columns(flat: Block, qmap: Block, cols: Block, p: int) -> Block:
-    """The classes in a nonzero Ext^1(C, A) of the cocycles whose flat
-    entries are the columns of `cols`, from one solve against `flat`, the
-    Hom(Omega C, A) basis as columns, and `qmap` onto Ext^1."""
-    sol = la.solve(flat, cols, p)
-    if sol is None:
-        raise AlgebraError("cocycle outside Hom(Omega C, A)")
-    return la.matmul(qmap, sol, p)
+def ext1_dim(c: Rep, a: Rep) -> int:
+    """dim Ext^1(c, a), memoised by the content of c and a.  On the syzygy
+    conflation Omega c >-> P ->> c the sequence 0 -> Hom(c, a) -> Hom(P, a)
+    -> Hom(Omega c, a) -> Ext^1(c, a) -> 0 is exact, so the dimension is
+    read off three Hom dimensions and builds no `Ext1`."""
+    return WORKSPACE.memo("ext1_dim", (c.key, a.key), _ext1_dim, c, a)
 
 
-def ext1_dim(c: Rep, a: Rep, built: list | None = None) -> int:
-    """dim Ext^1(c, a), memoised by the content of c and a.  A miss builds
-    an `Ext1`, which goes into `built` when that is given, so a caller that
-    goes on to use the space builds it once."""
-    return WORKSPACE.memo("ext1_dim", (c.key, a.key), _ext1_dim, c, a, built)
-
-
-def _ext1_dim(c: Rep, a: Rep, built: list | None = None) -> int:
+def _ext1_dim(c: Rep, a: Rep) -> int:
     if c.is_zero() or a.is_zero():
         return 0
-    e = Ext1(c, a)
-    if built is not None:
-        built.append(e)
-    return e.dim
+    omega, conf = syzygy(c)
+    return hom_dim(omega, a) - hom_dim(conf.b, a) + hom_dim(c, a)
 
 
 def ext_dim(c: Rep, a: Rep, n: int) -> int:

@@ -17,7 +17,7 @@ or ids.  The tables:
   Ext^1(U, V) = 0 and both witnesses of every atlas object);
 - the certificate's values: `right_hd_approximation` (R(X), and the
   coreflections) and `reflection` (in `mutation`), and `h_object` (H(X)),
-  `phi_ext` (the nonzero member blocks Ext^1(C_i, X) of Phi), `phi_map`
+  `phi_ext` (the `Ext1` of each nonzero member block of Phi), `phi_map`
   (Phi(f)), `phi_module` (Phi(X)) and `quotient_hom` (a quotient
   category's Hom data) in `heart`.
 
@@ -27,8 +27,8 @@ depends on: the classes' member names and the atlas's content
 ideal's member contents, and the argument's content.  A hit returns the
 value its miss stored, as it is: names, booleans, reports and immutable
 blocks, and the modules and maps of a syzygy, a conflation, an
-approximation, a decomposition, R(X), a reflection, H(X) and Phi's
-cocycles, whose modules are the ones the miss was given, equal to the
+approximation, a decomposition, R(X), a reflection, H(X) and a Phi
+block's `Ext1`, whose modules are the ones the miss was given, equal to the
 caller's, and the ones it built.  Callers must not mutate a value.  Only
 `hom_space` binds on lookup: it stores the bare blocks of a Hom basis,
 which `algebra.hom_space` binds to the caller's two modules.  No value

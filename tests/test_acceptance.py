@@ -6,7 +6,7 @@ demo data or against an independent oracle:
  1. the full equivalence certificate on the first demo fixture,
  2. the non-rigid mutation on the second demo fixture,
  3. Ext dimensions against a brute-force extension enumerator,
- 4. cocone membership against bounded exhaustive conflation search,
+ 4. cocone membership against the complete conflation search,
  5. the half-exact functor H (exactness, kernel class, heart restriction),
  6. the approximation pipeline clauses on every atlas object,
  7. density / fullness / faithfulness of both localization functors,
@@ -157,7 +157,7 @@ def test_3_ext_dimensions_match_bruteforce():
 
 
 # ---------------------------------------------------------------------------
-# 4. Cocone membership against bounded exhaustive search.
+# 4. Cocone membership against the complete search.
 
 
 def test_4_cocone_matches_exhaustive_search():

@@ -387,10 +387,15 @@ def ext1_qmap_reference(c: Rep, a: Rep) -> Block:
 
 
 def test_ext1_equals_per_restriction_solves(ausl):
-    objs = [x for x in objects(ausl) if not x.is_zero()]
-    for c in objs:
-        for a in objs:
-            want = ext1_qmap_reference(c, a)
+    """The quotient route equals the per-restriction solves, and the
+    exact-sequence route of `ext1_dim` reads its dimension, on the sums and
+    on the zero module too."""
+    for c in objects(ausl):
+        for a in objects(ausl):
             got = ho.Ext1(c, a)
+            assert ho.ext1_dim(c, a) == got.dim, (c.name, a.name)
+            if c.is_zero() or a.is_zero():
+                continue
+            want = ext1_qmap_reference(c, a)
             assert got.qmap == want
             assert got.dim == want.rows

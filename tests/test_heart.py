@@ -468,15 +468,15 @@ def test_phi_dim_reads_the_ext_that_phi_map_built(monkeypatch):
     phi.phi_map(RepMap.identity(x))
     before = WORKSPACE.stats()
     nonzero = [m for m in phi.members if ext1_dim(m, x)]
-    # one Ext^1 per member: its dimension, and a nonzero block from that same one
-    assert nonzero and built == [(m, x) for m in phi.members]
+    # one Ext^1 per nonzero block, and none for a zero block or a dimension
+    assert 0 < len(nonzero) < len(phi.members) and built == [(m, x) for m in nonzero]
     assert before["ext1_dim"]["misses"] == len(phi.members)
     assert before["phi_ext"]["entries"] == len(nonzero)
     got = phi.dim(x)
     after = WORKSPACE.stats()
     # dim read what phi_map stored: no table missed, and no second Ext^1 was built
     assert all(after[t]["misses"] == counts["misses"] for t, counts in before.items())
-    assert len(built) == len(phi.members)
+    assert len(built) == len(nonzero)
     assert got == ext1_dim(direct_sum(c.members), x)
 
 
@@ -500,24 +500,24 @@ def test_phi_dim_sums_the_member_ext1_entries():
 
 
 def test_phi_builds_an_ext1_only_for_a_nonzero_block(monkeypatch):
-    """On a certificate, Phi stores one block per nonzero member block, each
-    from an `Ext1` built once, and none for the zero blocks, which it reads
-    off `ext1_dim`."""
+    """On a certificate, an `Ext1` is built only for a nonzero member block
+    of Phi, once per content, and stored as that block; a zero block is read
+    off `ext1_dim`, which builds none."""
     f = fx.ex61()
     built = ext1_spy(monkeypatch)
     asked = []
     real_dim = ht.ext1_dim
 
-    def dim(c, x, into=None):
+    def dim(c, x):
         asked.append((c, x))
-        return real_dim(c, x, into)
+        return real_dim(c, x)
 
     monkeypatch.setattr(ht, "ext1_dim", dim)
     WORKSPACE.clear()
     assert verify_main_theorem(f.atlas, f.subcat_obj("C"), f.subcat_obj("D"))["ok"]
     stored = WORKSPACE.tables["phi_ext"]
     keys = [(c.key, x.key) for c, x in built]
-    assert len(keys) == len(set(keys)) and len(stored) > 0 and set(stored) <= set(keys)
+    assert len(keys) == len(set(keys)) and len(stored) > 0 and set(stored) == set(keys)
     assert all(block.dim > 0 for block in stored.values())
     zero = {(c.key, x.key) for c, x in asked if not real_dim(c, x)}
     assert zero and not zero & set(stored)
@@ -526,8 +526,7 @@ def test_phi_builds_an_ext1_only_for_a_nonzero_block(monkeypatch):
 @pytest.mark.parametrize("n, k, c, d", EX61_AND_LADDER[:2])
 def test_a_certificate_builds_one_ext1_per_content(monkeypatch, n, k, c, d):
     """From a cleared workspace a certificate builds one `Ext1` per distinct
-    (C_i, X) content: a cold Phi block takes the one its dimension was read
-    from."""
+    (C_i, X) content."""
     atlas, outer, inner = instance(n, k, c, d)
     built = ext1_spy(monkeypatch)
     WORKSPACE.clear()

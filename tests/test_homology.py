@@ -12,8 +12,10 @@ from quiverhearts.algebra import (
     direct_sum,
     hom_space,
     is_isomorphic,
+    matrix_map,
 )
 from quiverhearts.workspace import WORKSPACE
+from test_batched import objects
 
 
 def test_kernel_cokernel_a2():
@@ -106,6 +108,48 @@ def test_injective_envelope():
     i, mono = ho.injective_envelope(atlas["2"])
     iso, _ = is_isomorphic(i, atlas["1/2"])
     assert iso and mono.is_injective()
+
+
+def test_cover_and_envelope_multiplicities_are_the_top_and_the_socle():
+    """Counted without the approximations that build them: P(v) occurs in
+    the projective cover of m as often as S(v) in its top, dim m_v less the
+    rank of the arrow maps into v side by side, and I(v) in the injective
+    envelope as often as S(v) in its socle, dim m_v less the rank of the
+    arrow maps out of v stacked.  Both maps are minimal."""
+    atlas = fx.auslander_a3_atlas()
+    alg = atlas.members[0].algebra
+    q, p = alg.quiver, alg.p
+    std = alg.standard_modules
+    for m in [*atlas, *objects(atlas)]:
+        p_rep, epi = ho.projective_cover(m)
+        i_rep, mono = ho.injective_envelope(m)
+        assert ho.is_right_minimal(epi) and ho.is_left_minimal(mono), m.name
+        tops, socles = decompose(p_rep, atlas), decompose(i_rep, atlas)
+        for j, v in enumerate(q.vertices):
+            into = [m.arrow_maps[aid] for aid, _, t in q.arrows if t == v]
+            out = [m.arrow_maps[aid] for aid, s, _ in q.arrows if s == v]
+            top = m.dims[j] - la.rank(la.hstack(into, m.dims[j]), p)
+            socle = m.dims[j] - la.rank(la.vstack(out, m.dims[j]), p)
+            assert tops.get(atlas.by_content[std["projective"][v]].name, 0) == top, (m.name, v)
+            assert socles.get(atlas.by_content[std["injective"][v]].name, 0) == socle, (m.name, v)
+
+
+def test_pushout_pullback_and_coords_of_refuse_ends_of_equal_dimensions():
+    """Legs or end terms must be the same module, not modules with the same
+    dimension vector: 3 + 4/5 has the dimensions of 34/5."""
+    atlas = fx.auslander_a3_atlas()
+    m = atlas["34/5"]
+    other = direct_sum([atlas["3"], atlas["4/5"]])
+    assert other.dims == m.dims and other != m
+    with pytest.raises(AlgebraError, match="share a source"):
+        ho.pushout(RepMap.identity(m), RepMap.zero(other, m))
+    with pytest.raises(AlgebraError, match="share a target"):
+        ho.pullback(RepMap.identity(m), RepMap.zero(m, other))
+    c = atlas["2"]
+    column = [[RepMap.identity(other)], [RepMap.zero(other, c)]]
+    split = ho.conflation_from_infl(matrix_map(other, direct_sum([other, c]), column))
+    with pytest.raises(AlgebraError, match="end terms do not match"):
+        ho.Ext1(c, m).coords_of(split)
 
 
 def is_projective(m) -> bool:
