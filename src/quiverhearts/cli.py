@@ -31,7 +31,8 @@ from .cotorsion import (
     satisfies_rcp,
     verify_cotorsion_pair,
 )
-from .heart import GabrielQuiver, HeartModel, QuotientCategory, gabriel_quiver
+from .heart import GabrielQuiver, HeartModel, gabriel_quiver
+from .homology import homs
 from .mutation import (
     LocalizationModel,
     MutationInput,
@@ -278,8 +279,7 @@ def cmd_classify_morphism(ctx: Context) -> int:
     ctx.args.names = saved
     inp = MutationInput(ctx.atlas, c, d).validate()
     twin = TwinData.build(inp)
-    qc = QuotientCategory(list(ctx.atlas.members), [])
-    basis = qc.qbasis(ctx.atlas[src], ctx.atlas[tgt])
+    basis = homs(ctx.atlas[src], ctx.atlas[tgt])
     if not basis:
         ctx.say(f"hom({src}, {tgt}) = 0")
         return 0
@@ -350,6 +350,7 @@ def _load_file(path: str, field_override: int | None):
     atlas = pf.atlas()
     if not atlas.members:
         raise ProblemFileError("no module declared: the atlas is empty")
+    atlas.validate()  # indecomposable, pairwise non-isomorphic members
     fx = fixtures.Fixture(atlas.members[0].algebra, atlas, dict(pf.subcats))
     return fx, pf.tasks
 

@@ -125,7 +125,7 @@ class Subcategory:
             if not om.is_zero():
                 gens.append((om, conf))
         for pv in projectives_of(self.atlas).members:
-            gens.append((pv, conflation_from_infl(RepMap.identity(pv))))
+            gens.append((pv, _identity_conflation("left", pv)))
         return gens
 
     def __iter__(self):
@@ -305,7 +305,8 @@ def _conflation(side: str, f: RepMap) -> tuple[Conflation, Rep]:
 
 def _identity_conflation(side: str, x: Rep) -> Conflation:
     """0 >-> x ->> x (right) or x >-> x ->> 0 (left), through 1_x: the
-    conflation of a zero x, and of a module with a class member's content."""
+    conflation of a zero x, of a module with a class member's content, and
+    of a projective among the Omega generators."""
     z = zero_rep(x.algebra)
     if side == "right":
         return Conflation(RepMap.zero(z, x), RepMap.identity(x))

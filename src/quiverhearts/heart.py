@@ -9,7 +9,9 @@ Gamma's loop quiver (one vertex, one loop per basis element of Gamma), so
 its Hom spaces, kernels and cokernels come from `hom_space`, `kernel` and
 `cokernel` like any module's.  The two presentations are bridged by
 dimension assertions; epi/mono/kernel/cokernel questions are answered in
-the module model where they are plain linear algebra.
+the module model where they are plain linear algebra.  H(X) is the
+conflation V0 >-> B^- ->> X built from the pair's own witnesses
+(`CotorsionPair.witness`), and is stored as that conflation.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .algebra import (
     RepMap,
     _radical_of_span,
     composite_columns,
-    decompose_with_maps,
     direct_sum,
     flat_columns,
     hom_dim,
@@ -314,66 +315,43 @@ def quivers_isomorphic(q1: GabrielQuiver, q2: GabrielQuiver, mapping: dict | Non
 # The cohomological functor H of a cotorsion pair with rigid first class.
 
 
-@dataclass
-class HObject:
-    """H(X), presented by a deflation b_minus ->> X with kernel in V."""
-
-    x: Rep
-    obj: Rep  # the object B^- of H representing H(X)
-    defl: RepMap  # B^- ->> X, a right H-approximation with kernel in V
-
-
 class CohomologicalH:
     """H: B -> H/U for a cotorsion pair (U, V) with U rigid.
 
     H(X) is the pullback B^- of the witness diagram: X >-> V^X ->> U^X and
-    the right witness U0 ->> V^X with kernel V0; then B^- ->> X has kernel
-    V0 in V and is a right H-approximation, which makes morphism transport
-    a linear solve, well-defined modulo [U].
+    the right witness V0 >-> U0 ->> V^X; then V0 >-> B^- ->> X has kernel
+    V0 in V and its deflation is a right H-approximation, which makes
+    morphism transport a linear solve, well-defined modulo [U].  H(X) is
+    stored as that conflation.
     """
 
     def __init__(self, pair: CotorsionPair, atlas: IndecSet):
         if not pair.u.rigid:
             raise AlgebraError("cohomological functor needs a rigid first class")
         self.pair = pair
-        self.atlas = atlas
         self.h_objects = cocone_objects(pair.u, pair.u)
         self.quotient = QuotientCategory(
             [atlas[n] for n in self.h_objects.names], pair.u.members
         )
 
-    def h_object(self, x: Rep) -> HObject:
-        """H(x), memoised by the pair's classes, the atlas and the content of
-        x: a hit returns the stored H(x), of the module its miss was given;
-        the check that B^- lies in CoCone(U, U) runs when it is first built."""
-        key = (self.pair.u.key, self.pair.v.names, self.atlas.key, x.key)
+    def h_object(self, x: Rep) -> Conflation:
+        """H(x) as V0 >-> B^- ->> x, memoised by the pair's classes and the
+        content of x: a hit returns the stored conflation, of the module its
+        miss was given; the check that B^- lies in CoCone(U, U) runs when it
+        is first built."""
+        key = (self.pair.u.key, self.pair.v.names, x.key)
         return WORKSPACE.memo("h_object", key, self._h_object, x)
 
-    def _h_object(self, x: Rep) -> HObject:
+    def _h_object(self, x: Rep) -> Conflation:
         """H(x), checked, uncached."""
         if x.is_zero():
-            return HObject(x, x, RepMap.identity(x))
+            return _identity_conflation("right", x)
         wl = self.pair.witness("left", x)  # X >-> V^X ->> U^X
-        vx = wl.b
-        wr = self._right_witness_of(vx)  # V0 >-> U0 ->> V^X
+        wr = self.pair.witness("right", wl.b)  # V0 >-> U0 ->> V^X
         conf, _ = pullback_conflation(wr, wl.infl)  # V0 >-> B^- ->> X
         if not self.h_objects.contains(conf.b):
             raise AlgebraError(f"H({x.name}) fell outside CoCone(U, U)")
-        return HObject(x, conf.b, conf.defl)
-
-    def _right_witness_of(self, b: Rep) -> Conflation:
-        """V0 >-> U0 ->> b assembled summand-wise from the pair's witnesses."""
-        if b.is_zero():
-            return _identity_conflation("right", b)
-        triples = decompose_with_maps(b, self.atlas)
-        parts = [self.pair.witness("right", m) for m, _, _ in triples]
-        mid = direct_sum([c.b for c in parts])
-        top = direct_sum([c.a for c in parts])
-        n = len(parts)
-        diagonal = [[c.infl if j == k else None for k in range(n)] for j, c in enumerate(parts)]
-        infl = matrix_map(top, mid, diagonal)
-        defl = matrix_map(mid, b, [[inc.compose(c.defl) for c, (_, inc, _) in zip(parts, triples)]])
-        return Conflation(infl, defl).validate()
+        return conf
 
     def h_map(self, f: RepMap) -> RepMap:
         """A representative of H(f): H(X) -> H(Y), well-defined mod [U]."""
@@ -385,7 +363,7 @@ class CohomologicalH:
 
     def is_zero_h(self, x: Rep) -> bool:
         """H(X) = 0, i.e. every summand of B^- lies in U."""
-        return self.pair.u.contains(self.h_object(x).obj)
+        return self.pair.u.contains(self.h_object(x).b)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +608,7 @@ def realize_heart_kernel(model: HeartModel, g: RepMap) -> tuple[Rep, RepMap, Rep
     if not heart_epi(model, g):
         raise AlgebraError("not exact: the morphism is not an epimorphism in the heart")
     c = g.target
-    wr = model.h._right_witness_of(c)  # V_C >-> W_C ->> C
+    wr = model.pair.witness("right", c)  # V_C >-> W_C ->> C
     pb = pullback(g, wr.defl)
     kobj, to_b, _to_w = pb[0], pb[1], pb[2]
     # exactness certificate in the Phi model
@@ -650,7 +628,7 @@ def realize_ses_in_heart(model: HeartModel, g: RepMap) -> Conflation:
     """Conflation K_g >-> B + W_C ->> C realizing 0 -> ker -> B -> C -> 0."""
     kobj, to_b, wc = realize_heart_kernel(model, g)
     total = direct_sum([g.source, wc])
-    wr = model.h._right_witness_of(g.target)
+    wr = model.pair.witness("right", g.target)
     defl = matrix_map(total, g.target, [[g, wr.defl]])
     conf = conflation_from_defl(defl)
     return conf.validate()

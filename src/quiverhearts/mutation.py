@@ -12,7 +12,10 @@ The co-side (left mutations, the dual heart, its localization) is computed
 by running the same machinery over the opposite algebra via vector-space
 duality.  Reflections B -> B+ and coreflections B- -> B connect the two
 quotients; their round trips are certified to be naturally isomorphic to
-the identities, object by object and on hom bases.
+the identities, object by object and on hom bases.  R(X), the reflections
+and the coreflections are stored as the conflations that build them
+(Z >-> Y ->> X, B >-> B+ ->> S and Z >-> B- ->> B), and the witnesses
+they start from are the pairs' own (`CotorsionPair.witness`).
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .cotorsion import (
     CotorsionPair,
     Subcategory,
     _identity_conflation,
-    _witness,
     build_cotorsion_pair,
     cocone_membership,
     cocone_objects,
@@ -185,35 +187,17 @@ def ext2_rigidity_criterion(inp: MutationInput) -> bool:
 # push the U0-conflation along Y0 -> Z.
 
 
-@dataclass
-class HdApproximation:
-    x: Rep
-    conf: Conflation  # Z >-> Y ->> X
-
-    @property
-    def y(self) -> Rep:
-        return self.conf.b
-
-    @property
-    def z(self) -> Rep:
-        return self.conf.a
-
-    @property
-    def f(self) -> RepMap:
-        return self.conf.defl
-
-
 def right_hd_approximation(
     outer_pair: CotorsionPair, inner: Subcategory, x: Rep
-) -> HdApproximation:
-    """R(x), memoised by the classes (with the atlas's content) and the
-    content of x: a hit returns the stored R(x), of the module its miss was
-    given; the failed-clause checks run when it is first built, and only
-    Z >-> Y ->> X is kept."""
+) -> Conflation:
+    """R(x) = Z >-> Y ->> x, memoised by the classes (with the atlas's
+    content) and the content of x: a hit returns the stored R(x), of the
+    module its miss was given; the failed-clause checks run when it is
+    first built, and only Z >-> Y ->> X is kept."""
     key = (outer_pair.u.key, outer_pair.v.names, inner.key, x.key)
     return WORKSPACE.memo(
         "right_hd_approximation", key,
-        lambda: HdApproximation(x, Conflation(*_right_hd_maps(outer_pair, inner, x)[:2])),
+        lambda: Conflation(*_right_hd_maps(outer_pair, inner, x)[:2]),
     )
 
 
@@ -275,12 +259,12 @@ def _validated(conf, z_conf, outer_pair, inner) -> list[RepMap]:
     return [*conf, *z_conf]
 
 
-def verify_hd_approximation(res: HdApproximation, hd: Subcategory) -> bool:
+def verify_hd_approximation(res: Conflation, hd: Subcategory) -> bool:
     """Every map from an H_D object to X factors through the deflation."""
-    return is_approximation("right", hd.members, res.f)
+    return is_approximation("right", hd.members, res.defl)
 
 
-def verify_hd_moreover(res: HdApproximation, outer_perp: Subcategory, atlas: IndecSet) -> bool:
+def verify_hd_moreover(res: Conflation, outer_perp: Subcategory, atlas: IndecSet) -> bool:
     """If x' o f factors through outer-perp then so does x' itself.
 
     Decided for all x': X -> T at once, for every atlas object T: over the
@@ -291,11 +275,11 @@ def verify_hd_moreover(res: HdApproximation, outer_perp: Subcategory, atlas: Ind
     """
     q = QuotientCategory(list(atlas.members), outer_perp.members)
     for t in atlas:
-        basis = homs(res.x, t)
+        basis = homs(res.c, t)
         if not basis:
             continue
-        m1 = q.qcolumns(res.y, t, composite_columns(basis, [res.f]))
-        m2 = q.qmatrix(res.x, t)
+        m1 = q.qcolumns(res.b, t, composite_columns(basis, [res.defl]))
+        m2 = q.qmatrix(res.c, t)
         if la.rank(la.vstack([m1, m2], len(basis)), q.p) != la.rank(m1, q.p):
             return False
     return True
@@ -327,29 +311,29 @@ class LocalizationModel:
     def object_names(self) -> tuple[str, ...]:
         return tuple(sorted(x.name for x in self.quotient.nonzero_objects()))
 
-    def r_object(self, x: Rep) -> HdApproximation:
+    def r_object(self, x: Rep) -> Conflation:
         return right_hd_approximation(self.pair, self.inp.d, x)
 
-    def r_map(self, a: RepMap, r1: HdApproximation, r2: HdApproximation) -> RepMap:
+    def r_map(self, a: RepMap, r1: Conflation, r2: Conflation) -> RepMap:
         """R(a): R(X1) -> R(X2) with f2 R(a) = a f1, for a: X1 -> X2 given
-        r1 = R(X1) and r2 = R(X2); linear in a."""
-        lift = solve_through(a.compose(r1.f), r2.f)
+        r1 = R(X1) and r2 = R(X2) with deflations f1, f2; linear in a."""
+        lift = solve_through(a.compose(r1.defl), r2.defl)
         if lift is None:
             raise AlgebraError("morphism transport through the localization failed")
         return lift
 
-    def r_qcoords(self, r1: HdApproximation, r2: HdApproximation) -> Block:
+    def r_qcoords(self, r1: Conflation, r2: Conflation) -> Block:
         """Quotient coordinates of R(u) for every Hom(X1, X2) basis map u, one
         column each, given r1 = R(X1) and r2 = R(X2), from one solve: the
         lifts of u o f1 through f2 come as coordinates over the Hom(Y1, Y2)
         basis, which is the basis whose quotient map the quotient keeps."""
-        cols = composite_columns(homs(r1.x, r2.x), [r1.f])
-        _, lifts = solve_columns("right", r2.f, r1.y, r2.y, cols)
+        cols = composite_columns(homs(r1.c, r2.c), [r1.defl])
+        _, lifts = solve_columns("right", r2.defl, r1.b, r2.b, cols)
         if lifts is None:
             raise AlgebraError("morphism transport through the localization failed")
-        return la.matmul(self.quotient.qmatrix(r1.y, r2.y), lifts, self.quotient.p)
+        return la.matmul(self.quotient.qmatrix(r1.b, r2.b), lifts, self.quotient.p)
 
-    def inverts(self, a: RepMap, r1: HdApproximation, r2: HdApproximation) -> bool:
+    def inverts(self, a: RepMap, r1: Conflation, r2: Conflation) -> bool:
         """Is R(a) invertible mod [C'], given the R of a's ends."""
         return self.quotient.invertible(self.r_map(a, r1, r2))[0]
 
@@ -368,7 +352,7 @@ def a_objects(model: LocalizationModel) -> Subcategory:
     }
     via_h = set()
     for x in model.dperp.members:
-        hobj = model.heart.h.h_object(x).obj
+        hobj = model.heart.h.h_object(x).b
         for name in decompose(hobj, atlas):
             if not model.inp.c.contains_name(name):
                 via_h.add(name)
@@ -410,7 +394,7 @@ def verify_localization(model: LocalizationModel) -> dict:
     hd_objs = q.nonzero_objects()
     heart_objs = [atlas[n] for n in model.heart.heart_object_names()]
     r_of = {x: model.r_object(x) for x in hd_objs + heart_objs}
-    report["density"] = all(q.invertible(r_of[b].f)[0] for b in hd_objs)
+    report["density"] = all(q.invertible(r_of[b].defl)[0] for b in hd_objs)
 
     full_ok = True
     faithful_ok = True
@@ -421,7 +405,7 @@ def verify_localization(model: LocalizationModel) -> dict:
                 continue
             mat = model.r_qcoords(r_of[b1], r_of[b2])
             rank = la.rank(mat, p)
-            if rank != q.qdim(r_of[b1].y, r_of[b2].y):
+            if rank != q.qdim(r_of[b1].b, r_of[b2].b):
                 full_ok = False
             # over the basis, f is in [C'] on ker(qmap) and R(f) on ker(mat);
             # the kernels agree iff both row spaces equal their sum
@@ -455,21 +439,9 @@ def verify_localization(model: LocalizationModel) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Reflections and coreflections between the two quotients.
-
-
-@dataclass
-class Reflection:
-    b: Rep
-    conf: Conflation  # B >-f-> B+ ->> S  with S in C-perp
-
-    @property
-    def f(self) -> RepMap:
-        return self.conf.infl
-
-    @property
-    def b_plus(self) -> Rep:
-        return self.conf.b
+# Reflections and coreflections between the two quotients.  A reflection
+# is stored as B >-> B+ ->> S with S in C-perp, a coreflection as
+# Z >-> B- ->> B with Z in C'-perp.
 
 
 @dataclass
@@ -505,8 +477,9 @@ class TwinData:
         )
 
 
-def reflection(twin: TwinData, b: Rep) -> Reflection:
-    """B >-> B+ with B+ in Cone(M', N); the inflation is a left approximation.
+def reflection(twin: TwinData, b: Rep) -> Conflation:
+    """B >-> B+ ->> S with B+ in Cone(M', N); the inflation is a left
+    approximation.
 
     Memoised by the mutation input's classes (with the atlas's content) and
     the content of b: a hit returns the stored reflection, of the module
@@ -514,7 +487,7 @@ def reflection(twin: TwinData, b: Rep) -> Reflection:
     B >-> B+ ->> S is kept."""
     key = (twin.inp.c.key, twin.inp.d.names, b.key)
     return WORKSPACE.memo(
-        "reflection", key, lambda: Reflection(b, Conflation(*_reflection_maps(twin, b)[:2]))
+        "reflection", key, lambda: Conflation(*_reflection_maps(twin, b)[:2])
     )
 
 
@@ -522,7 +495,7 @@ def _reflection_maps(twin: TwinData, b: Rep) -> list[RepMap]:
     """The maps of B >-> B+ ->> S and V_B >-> T ->> B+, checked, uncached."""
     wr = twin.pair_dn.witness("right", b)  # V_B >-> U_B ->> B
     u_b = wr.b
-    wl = _witness("left", twin.cperp, twin.m, u_b)  # U_B >-> T ->> S
+    wl = twin.pair_cm.witness("left", u_b)  # U_B >-> T ->> S
     conf, t_to_bplus = pushout_conflation(wl, wr.defl)  # B >-> B+ ->> S
     mid = Conflation(wl.infl.compose(wr.infl), t_to_bplus).validate()
     ok, _ = cone_membership(conf.b, twin.m_mut, twin.n)
@@ -531,14 +504,14 @@ def _reflection_maps(twin: TwinData, b: Rep) -> list[RepMap]:
     return [*conf, *mid]
 
 
-def coreflection(twin: TwinData, b: Rep) -> HdApproximation:
+def coreflection(twin: TwinData, b: Rep) -> Conflation:
     """B- ->> B with B- in H_D = CoCone(C', D) and kernel in C'-perp."""
     return right_hd_approximation(twin.inp.d.rigid_pair, twin.cmut, b)
 
 
-def verify_reflection_property(twin: TwinData, refl: Reflection) -> bool:
+def verify_reflection_property(twin: TwinData, refl: Conflation) -> bool:
     """Every map B -> (H'_N object) extends along the reflection inflation."""
-    return is_approximation("left", twin.hn.members, refl.f)
+    return is_approximation("left", twin.hn.members, refl.infl)
 
 
 @dataclass
@@ -557,24 +530,23 @@ class PseudoMoritaData:
         hn = QuotientCategory([atlas[n] for n in twin.hn.names], twin.m.members)
         return cls(twin, model.quotient, hn)
 
-    def refl(self, b: Rep) -> Reflection:
+    def refl(self, b: Rep) -> Conflation:
         return reflection(self.twin, b)
 
-    def coref(self, b: Rep) -> HdApproximation:
+    def coref(self, b: Rep) -> Conflation:
         return coreflection(self.twin, b)
 
 
-
-def k_maps(xs: list[RepMap], r0: Reflection, r1: Reflection) -> list[RepMap]:
+def k_maps(xs: list[RepMap], r0: Conflation, r1: Conflation) -> list[RepMap]:
     """K(x): B0+ -> B1+ extending x along the reflections r0 of B0 and r1
     of B1, for maps x: B0 -> B1."""
-    return _transport("left", xs, r0.f, r1.f)
+    return _transport("left", xs, r0.infl, r1.infl)
 
 
-def kprime_maps(xs: list[RepMap], c0: HdApproximation, c1: HdApproximation) -> list[RepMap]:
+def kprime_maps(xs: list[RepMap], c0: Conflation, c1: Conflation) -> list[RepMap]:
     """K'(x): B0- -> B1- lifting x through the coreflections c0 of B0 and c1
     of B1, for maps x: B0 -> B1."""
-    return _transport("right", xs, c0.f, c1.f)
+    return _transport("right", xs, c0.defl, c1.defl)
 
 
 def _transport(side: str, xs: list[RepMap], f0: RepMap, f1: RepMap) -> list[RepMap]:
@@ -640,8 +612,9 @@ def _round_trip(data: PseudoMoritaData, side: str, objs: list[Rep]) -> tuple[dic
     ok = True
     for b in objs:
         out = first(b)
-        back = then(out.conf.b)
-        e = solve_through(out.f, back.f) if right else solve_extend(out.f, back.f)
+        back = then(out.b)
+        f, g = (out.infl, back.defl) if right else (out.defl, back.infl)
+        e = solve_through(f, g) if right else solve_extend(f, g)
         if e is None or not q.invertible(e)[0]:
             ok = False
         trips[b] = (out, back, e)
@@ -679,7 +652,7 @@ def object_correspondence(data: PseudoMoritaData, unit: dict):
     m_names = set(data.twin.m.names)
     mapping: dict = {}
     for b, (refl, _, _) in unit.items():
-        names = [nm for nm in decompose(refl.b_plus, atlas) if nm not in m_names]
+        names = [nm for nm in decompose(refl.b, atlas) if nm not in m_names]
         if len(names) != 1:
             return None, False
         mapping[b.name] = names[0]

@@ -62,6 +62,8 @@ class ProblemFile:
         return BoundQuiverAlgebra(Quiver(self.vertices, self.arrows), self.p, self.relations)
 
     def atlas(self) -> IndecSet:
+        """The declared modules, unvalidated as an atlas: `cli` validates
+        it once it has refused an empty one, which cannot be validated."""
         alg = self.algebra()
         members = []
         for name in sorted(self.modules):
@@ -179,6 +181,8 @@ def parse(text: str) -> ProblemFile:
                 if not match:
                     raise ProblemFileError(f"undeclared arrow `{aid}`", ln)
                 _, s, t = match[0]
+                if s not in vertices or t not in vertices:
+                    raise ProblemFileError(f"arrow {aid} has undeclared endpoint", ln)
                 rows = cur_dims[vertices.index(t)]
                 cols = cur_dims[vertices.index(s)]
                 try:

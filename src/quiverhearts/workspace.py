@@ -17,9 +17,10 @@ or ids.  The tables:
   Ext^1(U, V) = 0 and both witnesses of every atlas object);
 - the certificate's values: `right_hd_approximation` (R(X), and the
   coreflections) and `reflection` (in `mutation`), and `h_object` (H(X)),
-  `phi_ext` (the `Ext1` of each nonzero member block of Phi), `phi_map`
-  (Phi(f)), `phi_module` (Phi(X)) and `quotient_hom` (a quotient
-  category's Hom data) in `heart`.
+  each stored as the `Conflation` its build returns, and `phi_ext` (the
+  `Ext1` of each nonzero member block of Phi), `phi_map` (Phi(f)),
+  `phi_module` (Phi(X)) and `quotient_hom` (a quotient category's Hom
+  data) in `heart`.
 
 Each memo site stores under a key that holds everything its result
 depends on: the classes' member names and the atlas's content

@@ -197,7 +197,7 @@ def test_5_half_exact_functor(ex61, model):
                 conf = e.realize([int(i == j) for i in range(e.dim)])
                 m1 = hm.phi.phi_map(hm.h.h_map(conf.infl))
                 m2 = hm.phi.phi_map(hm.h.h_map(conf.defl))
-                mid = hm.phi.module(hm.h.h_object(conf.b).obj).total_dim
+                mid = hm.phi.module(hm.h.h_object(conf.b).b).total_dim
                 assert not la.matmul(m2, m1, p).any()
                 assert la.rank(m1, p) == mid - la.rank(m2, p), (c.name, a.name)
     # kernel class: H kills exactly the extension-closed sum class
@@ -216,13 +216,13 @@ def test_5_half_exact_functor(ex61, model):
 def test_6_pipeline_clauses_every_object(ex61, twin, model):
     for x in ex61.atlas:
         res = model.r_object(x)
-        res.conf.validate()
+        res.validate()
         # Y0 >-> Z ->> D1, which R(X) does not keep, from the uncached builder
         Conflation(*_right_hd_maps(model.pair, model.inp.d, x)[2:]).validate()
         # (i) middle term in the cocone class
-        assert ct.cocone_membership(res.y, model.inp.d, model.pair.u)[0], x.name
+        assert ct.cocone_membership(res.b, model.inp.d, model.pair.u)[0], x.name
         # (ii) kernel orthogonal to the inner class
-        assert all(ext1_dim(m, res.z) == 0 for m in model.inp.d.members), x.name
+        assert all(ext1_dim(m, res.a) == 0 for m in model.inp.d.members), x.name
         assert verify_hd_approximation(res, model.hd), x.name  # (iii)
         assert verify_hd_moreover(res, twin.cperp, ex61.atlas), x.name  # (iv)
 

@@ -178,6 +178,59 @@ def test_a_file_without_modules_is_refused_as_bad_input(capsys, tmp_path):
     assert err.startswith("input error: ") and "no module declared" in err
 
 
+A2_F5 = """field 5
+quiver
+  vertices 1 2
+  arrow a 1 2
+module 1
+  dims 1 0
+module 1/2
+  dims 1 1
+  map a 1
+module 2
+  dims 0 1
+subcat C
+  members 1/2 2
+"""
+
+
+@pytest.mark.parametrize(
+    "extra, fragment",
+    [
+        ("module X\n  dims 1 1\n", "X is not indecomposable"),  # 1 + 2
+        ("module Y\n  dims 1 1\n  map a 2\n", "1/2 and Y are isomorphic"),
+    ],
+    ids=["decomposable member", "isomorphic members"],
+)
+@pytest.mark.parametrize("argv", [("check",), ("cotorsion", "C")], ids=" ".join)
+def test_an_invalid_atlas_is_refused_as_bad_input(capsys, tmp_path, extra, fragment, argv):
+    """A problem file's atlas is validated: a decomposable member, or two
+    isomorphic ones, is bad input (exit 2), not an atlas that passes
+    `check` or a cotorsion claim that is falsified."""
+    good = tmp_path / "a2.qh"
+    good.write_text(A2_F5)
+    assert run(capsys, argv[0], str(good), *argv[1:])[0] == 0
+    path = tmp_path / "bad.qh"
+    path.write_text(A2_F5 + extra)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and not out
+    assert err.startswith("input error: ") and fragment in err
+
+
+def test_a_map_on_an_arrow_with_an_undeclared_endpoint_is_bad_input(capsys, tmp_path):
+    """A `map` line on such an arrow gets the error the file gets without
+    it, not a traceback."""
+    text = "field 5\nquiver\n  vertices 1 2\n  arrow a 1 3\nmodule m\n  dims 1 1\n"
+    with pytest.raises(pfm.ProblemFileError, match="arrow a has undeclared endpoint"):
+        pfm.parse(text + "  map a 1\n")
+    for body in (text, text + "  map a 1\n"):
+        path = tmp_path / "endpoint.qh"
+        path.write_text(body)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and not out
+        assert err.startswith("input error: ") and "arrow a has undeclared endpoint" in err
+
+
 @pytest.mark.parametrize(
     "case", ["problem file is a directory", "not UTF-8", "--dot is a directory"]
 )

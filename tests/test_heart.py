@@ -236,7 +236,7 @@ def test_half_exactness_on_ext_basis(ex61, model):
                 conf = e.realize([int(i == j) for i in range(e.dim)])
                 m1 = model.phi.phi_map(model.h.h_map(conf.infl))
                 m2 = model.phi.phi_map(model.h.h_map(conf.defl))
-                mid = model.phi.module(model.h.h_object(conf.b).obj).total_dim
+                mid = model.phi.module(model.h.h_object(conf.b).b).total_dim
                 assert not la.matmul(m2, m1, p).any()
                 assert la.rank(m1, p) == mid - la.rank(m2, p), (c.name, a.name)
 

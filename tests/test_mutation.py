@@ -160,11 +160,11 @@ def test_intermediate_class_two_descriptions(inp, twin):
 def test_pipeline_approximation_all_atlas(fx, model):
     for x in fx.atlas:
         res = model.r_object(x)
-        res.conf.validate()
+        res.validate()
         # Y0 >-> Z ->> D1, which R(X) does not keep, from the uncached builder
         Conflation(*mu._right_hd_maps(model.pair, model.inp.d, x)[2:]).validate()
-        assert cocone_membership(res.y, model.inp.d, model.pair.u)[0]
-        assert all(ext1_dim(m, res.z) == 0 for m in model.inp.d.members)
+        assert cocone_membership(res.b, model.inp.d, model.pair.u)[0]
+        assert all(ext1_dim(m, res.a) == 0 for m in model.inp.d.members)
         assert verify_hd_approximation(res, model.hd)
 
 
@@ -179,9 +179,9 @@ def test_coreflection_kernel_orthogonality(fx, twin, morita):
     # orthogonal to the mutation
     for b in morita.q_hn.nonzero_objects():
         res = morita.coref(b)
-        assert cocone_membership(res.y, twin.cmut, twin.inp.d.rigid_pair.u)[0]
-        assert all(ext1_dim(m, res.z) == 0 for m in twin.cmut.members)
-        assert twin.hd.contains(res.y)
+        assert cocone_membership(res.b, twin.cmut, twin.inp.d.rigid_pair.u)[0]
+        assert all(ext1_dim(m, res.a) == 0 for m in twin.cmut.members)
+        assert twin.hd.contains(res.b)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def test_faithfulness_catches_r_changed_on_one_basis_map(model, monkeypatch):
 
         def r_qcoords(r1, r2, b1=b1, b2=b2, j=j):
             image = honest(r1, r2)
-            if r1.x is b1 and r2.x is b2:
+            if r1.c is b1 and r2.c is b2:
                 zero = (0,) * image.rows
                 cols = [zero if i == j else image.column(i) for i in range(image.cols)]
                 image = la.columns(cols, image.rows)
@@ -245,7 +245,7 @@ def test_r_of_a_whole_basis_is_r_of_each_map(fx, model):
             if basis:
                 r1, r2 = model.r_object(b1), model.r_object(b2)
                 want = la.columns([q.qcoords(model.r_map(u, r1, r2)) for u in basis],
-                                  q.qdim(r1.y, r2.y))
+                                  q.qdim(r1.b, r2.b))
                 assert model.r_qcoords(r1, r2) == want
                 seen += want.any()
     assert seen
@@ -626,9 +626,9 @@ def test_pseudo_morita_shares_the_localization_quotient(fx, inp, twin, model):
 def transport_reference(data: PseudoMoritaData, side: str, x: RepMap) -> RepMap:
     """K(x) (left) or K'(x) (right) of one map, by its own solve."""
     if side == "right":
-        f0, f1 = data.coref(x.source).f, data.coref(x.target).f
+        f0, f1 = data.coref(x.source).defl, data.coref(x.target).defl
         return solve_through(x.compose(f0), f1)
-    f0, f1 = data.refl(x.source).f, data.refl(x.target).f
+    f0, f1 = data.refl(x.source).infl, data.refl(x.target).infl
     return solve_extend(f1.compose(x), f0)
 
 

@@ -126,7 +126,6 @@ def recorded_answers(run) -> dict[str, list]:
     with contextlib.ExitStack() as stack:
         for module, name, fake in [
             (ct, "_witness", witness),
-            (mu, "_witness", witness),
             (ct, "_membership", membership),
             (ct, "_rcp", rcp),
             (ct, "_approximation", approximation),

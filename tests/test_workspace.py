@@ -315,8 +315,9 @@ def test_phi_model_pins_no_module_it_was_asked_about():
 def test_certificate_values_are_bound_to_a_renamed_copy():
     """R(X), the reflection and H(X) of a renamed copy: the copy equals X,
     with the same hash, and gets X's entry, the very value the miss stored,
-    whose ends equal the copy; its maps equal those the uncached builders
-    give for the copy, and a second lookup adds no miss.  The second
+    a `Conflation` that validates, whose ends equal the copy; its maps
+    equal those the uncached builders give for the copy, and a second
+    lookup adds no miss.  The second
     conflation of R(X) (Y0 >-> Z ->> D1) and of the reflection
     (V_B >-> T ->> B+) are not stored: the uncached builders give equal
     ones for the copy and for X."""
@@ -329,13 +330,13 @@ def test_certificate_values_are_bound_to_a_renamed_copy():
     # the uncached builder's maps)
     cases = [
         ("right_hd_approximation", f.atlas.members, model.r_object,
-         lambda r: [r.x, r.f.target], lambda r: list(r.conf),
+         lambda r: [r.c, r.defl.target], lambda r: list(r),
          lambda x: _right_hd_maps(model.pair, inp.d, x)),
         ("reflection", hd, lambda b: reflection(twin, b),
-         lambda r: [r.b, r.f.source], lambda r: list(r.conf),
+         lambda r: [r.a, r.infl.source], lambda r: list(r),
          lambda x: _reflection_maps(twin, x)),
         ("h_object", f.atlas.members, model.heart.h.h_object,
-         lambda h: [h.x, h.defl.target], lambda h: [h.defl],
+         lambda h: [h.c, h.defl.target], lambda h: [h.defl],
          lambda x: [model.heart.h._h_object(x).defl]),
     ]
     for table, objs, value, ends, maps_of, uncached in cases:
@@ -347,6 +348,7 @@ def test_certificate_values_are_bound_to_a_renamed_copy():
             for _ in range(2):
                 got = value(copy)
                 assert got is want, (table, x.name)
+                assert isinstance(got, Conflation) and got.validate() is got, (table, x.name)
                 assert all(end == copy for end in ends(got)), (table, x.name)
             fresh = uncached(copy)
             assert all(map(same_map, maps_of(got), fresh)), (table, x.name)
@@ -354,7 +356,7 @@ def test_certificate_values_are_bound_to_a_renamed_copy():
             if len(fresh) > 2:
                 Conflation(*fresh[2:]).validate()
             if table == "h_object":
-                assert got.defl.is_surjective() and got.obj == got.defl.source
+                assert got.defl.is_surjective() and got.b == got.defl.source
             assert WORKSPACE.stats()[table]["misses"] == misses, (table, x.name)
 
 
