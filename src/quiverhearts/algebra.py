@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import chain
 
 from . import linalg as la
-from .linalg import Block
+from .linalg import Block, _new
 from .workspace import WORKSPACE, ContentKey
 
 
@@ -443,9 +443,8 @@ class RepMap:
 
     @staticmethod
     def zero(source: Rep, target: Rep) -> "RepMap":
-        return RepMap._trusted(
-            source, target, [Block(t, s, (0,) * (t * s)) for s, t in zip(source.dims, target.dims)]
-        )
+        blocks = [_new(Block, (t, s, (0,) * (t * s))) for s, t in zip(source.dims, target.dims)]
+        return RepMap._trusted(source, target, blocks)
 
     @staticmethod
     def identity(m: Rep) -> "RepMap":
@@ -504,7 +503,7 @@ def _product(a: Block, b: Block, p: int) -> Block:
     a 0-dimensional space, is a zero block made without a call."""
     if a.rows and a.cols and b.cols:
         return la.matmul(a, b, p)
-    return Block(a.rows, b.cols, (0,) * (a.rows * b.cols))
+    return _new(Block, (a.rows, b.cols, (0,) * (a.rows * b.cols)))
 
 
 def _rank(b: Block, p: int) -> int:
@@ -573,10 +572,10 @@ def _hom_blocks(m: Rep, n: Rep) -> tuple[tuple[Block, ...], ...]:
     ns = la.nullspace(la.modmat(eqs, m.algebra.p), m.algebra.p) if eqs else la.eye(total)
     # One column per basis map, cut into its blocks; an empty block is one
     # block per shape, shared by every map.
-    empty = {(r, c): Block(r, c, ()) for _, r, c in layout if not r * c}
+    empty = {(r, c): _new(Block, (r, c, ())) for _, r, c in layout if not r * c}
     return tuple(
         tuple(
-            Block(r, c, vec[off : off + r * c]) if r * c else empty[r, c]
+            _new(Block, (r, c, vec[off : off + r * c])) if r * c else empty[r, c]
             for (_, r, c), off in zip(layout, offsets)
         )
         for vec in map(ns.column, range(ns.cols))
@@ -602,7 +601,8 @@ def map_from_coords(basis: list[RepMap], coords) -> RepMap:
             blocks.append(b0)
             continue
         entries = zip(*[f.blocks[i].data for f in basis])
-        blocks.append(Block(*b0.shape, tuple(sum(map(operator.mul, c, e)) % p for e in entries)))
+        data = tuple(sum(map(operator.mul, c, e)) % p for e in entries)
+        blocks.append(_new(Block, (b0.rows, b0.cols, data)))
     return RepMap._trusted(f0.source, f0.target, blocks)
 
 

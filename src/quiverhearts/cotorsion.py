@@ -207,15 +207,17 @@ def satisfies_rcp_dual(v: Subcategory) -> tuple[bool, dict]:
 def _rcp(side: str, c: Subcategory) -> tuple[bool, dict]:
     """Every atlas object has a right (left) c-approximation that is a
     deflation (inflation); the report keys name the side.  Callers must
-    not mutate the report: it is the stored one."""
+    not mutate the report: it is the stored one.
+
+    A class holding the projectives (right) needs no approximation: the
+    projective cover P ->> X has P in add(c), so it factors through every
+    right add(c)-approximation of X, which is then onto.  Dually for the
+    injectives (left) and the injective envelope.  Other classes are checked per object."""
     right = side == "right"
-    report = {}
-    if right:
-        report["contains_projectives"] = projectives_of(c.atlas).issubset(c)
-    else:
-        report["contains_injectives"] = injectives_of(c.atlas).issubset(c)
+    holds = "contains_projectives" if right else "contains_injectives"
+    report = {holds: (projectives_of if right else injectives_of)(c.atlas).issubset(c)}
     report["rigid"] = c.rigid
-    finite = all(_owns(c, x) or _approximation(side, c, x)[1] for x in c.atlas)
+    finite = report[holds] or all(_owns(c, x) or _approximation(side, c, x)[1] for x in c.atlas)
     report["fully_contravariantly_finite" if right else "fully_covariantly_finite"] = finite
     report["summand_closed"] = True  # structural: membership by indecomposables
     return all(report.values()), report

@@ -541,8 +541,7 @@ def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approxima
     The parts are the pairs (x, h) of a member x and a Hom-basis map h:
     x -> obj (right) or obj -> x (left), scanned once in order.  Part i is
     dropped iff h_i lies in the span of the composites h_j o u (right,
-    u: x_i -> x_j) or u o h_j (left, u: x_j -> x_i) over the kept parts
-    j != i: one block of composite columns per member, one solve.
+    u: x_i -> x_j) or u o h_j (left, u: x_j -> x_i) over the kept parts j != i.
 
     That is the greedy strip "drop a part while the rest still
     approximates".  The full list approximates, since every basis map h
@@ -551,6 +550,12 @@ def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approxima
     map h_i, and for (<=) each composite h_i o v is the combination of
     the h_j o (u o v).  By nilpotency of the radical the endpoint is
     right (left) minimal.  It runs for every obj it is handed.
+
+    One pass per member x: only x's keep flags change while its parts are
+    scanned, so each other member's composites make one block per pass.
+    If one map h spans Hom(x, obj) (Hom(obj, x)), every composite lies in
+    span(h): h is dropped iff one is nonzero, without a solve.  Otherwise
+    each part adds x's other kept parts composed with End(x), one solve.
     """
     p = obj.algebra.p
     right = side == "right"
@@ -559,22 +564,26 @@ def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approxima
         """Hom(x, y) on the right side, Hom(y, x) on the left."""
         return homs(x, y) if right else homs(y, x)
 
+    def composites(hs: list[RepMap], ks: list[bool], us: list[RepMap]) -> list[Block]:
+        """The kept maps among hs composed with the links us: one block, or none."""
+        kept = [g for g, kg in zip(hs, ks) if kg]
+        return [composite_columns(*((kept, us) if right else (us, kept)))] if kept and us else []
+
     to_obj = [toward(x, obj) for x in members]
     keep = [[True] * len(hs) for hs in to_obj]
-    for x, x_to_obj, x_keep in zip(members, to_obj, keep):
+    for i, (x, x_to_obj, x_keep) in enumerate(zip(members, to_obj, keep)):
         if not x_to_obj:
             continue
-        links = [toward(x, y) if hs else [] for y, hs in zip(members, to_obj)]
+        others = (b for j, (y, hs, ks) in enumerate(zip(members, to_obj, keep))
+                  if j != i and any(ks) for b in composites(hs, ks, toward(x, y)))
+        if len(x_to_obj) == 1:
+            x_keep[0] = not any(b.any() for b in others)
+            continue
+        others, end_x = list(others), toward(x, x)
         for k, h in enumerate(x_to_obj):
             x_keep[k] = False
-            blocks = []
-            for hs, ks, us in zip(to_obj, keep, links):
-                kept = [g for g, kg in zip(hs, ks) if kg]
-                if kept and us:
-                    outer, inner = (kept, us) if right else (us, kept)
-                    blocks.append(composite_columns(outer, inner))
             target = la.column(h.flat())
-            cols = la.hstack(blocks, target.rows)
+            cols = la.hstack(others + composites(x_to_obj, x_keep, end_x), target.rows)
             x_keep[k] = not cols.cols or la.solve(cols, target, p) is None
     parts = [(x, h) for x, hs, ks in zip(members, to_obj, keep) for h, kh in zip(hs, ks) if kh]
     return _assemble(parts, obj, side)

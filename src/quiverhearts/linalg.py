@@ -21,6 +21,9 @@ from itertools import chain
 from operator import mul
 
 _flatten = chain.from_iterable
+# `_new(Block, (rows, cols, data))` is `Block(rows, cols, data)` without the
+# Python frame of the namedtuple's `__new__`, for the hot constructors.
+_new = tuple.__new__
 
 
 class Block(namedtuple("Block", "rows cols data")):
@@ -43,8 +46,8 @@ class Block(namedtuple("Block", "rows cols data")):
     def T(self) -> "Block":
         rows, cols, data = self.rows, self.cols, self.data
         if rows <= 1 or cols <= 1:  # a row or a column: the same entries
-            return Block(cols, rows, data)
-        return Block(cols, rows, tuple(_flatten(data[j::cols] for j in range(cols))))
+            return _new(Block, (cols, rows, data))
+        return _new(Block, (cols, rows, tuple(_flatten(data[j::cols] for j in range(cols)))))
 
     def any(self) -> bool:
         return any(self.data)
@@ -78,36 +81,36 @@ def modmat(a, p: int) -> Block:
     """A block with entries reduced mod p, from a block or from a nested
     sequence of rows (a flat sequence of ints is one row)."""
     if isinstance(a, Block):
-        return Block(a.rows, a.cols, tuple(x % p for x in a.data))
+        return _new(Block, (a.rows, a.cols, tuple(x % p for x in a.data)))
     rows = list(a)
     if rows and not hasattr(rows[0], "__len__"):
         rows = [rows]
     cols = len(rows[0]) if rows else 0
     if any(len(r) != cols for r in rows):
         raise ValueError("rows of different lengths")
-    return Block(len(rows), cols, tuple(int(x) % p for x in _flatten(rows)))
+    return _new(Block, (len(rows), cols, tuple(int(x) % p for x in _flatten(rows))))
 
 
 def zeros(rows: int, cols: int) -> Block:
-    return Block(rows, cols, (0,) * (rows * cols))
+    return _new(Block, (rows, cols, (0,) * (rows * cols)))
 
 
 def eye(n: int) -> Block:
     data = [0] * (n * n)
     data[:: n + 1] = [1] * n
-    return Block(n, n, tuple(data))
+    return _new(Block, (n, n, tuple(data)))
 
 
 def column(vec) -> Block:
     """The (n, 1) block of a vector of n reduced entries."""
     vec = tuple(vec)
-    return Block(len(vec), 1, vec)
+    return _new(Block, (len(vec), 1, vec))
 
 
 def columns(vecs, n: int) -> Block:
     """The (n, len(vecs)) block whose columns are the given n-vectors."""
     vecs = list(vecs)
-    return Block(n, len(vecs), tuple(_flatten(zip(*vecs))) if vecs else ())
+    return _new(Block, (n, len(vecs), tuple(_flatten(zip(*vecs))) if vecs else ()))
 
 
 def matmul(a: Block, b: Block, p: int) -> Block:
@@ -116,32 +119,32 @@ def matmul(a: Block, b: Block, p: int) -> Block:
         raise ValueError(f"cannot multiply a {a.shape} block by a {b.shape} block")
     if n == 1:  # an outer product, 1x1 included
         if m == k == 1:
-            return Block(1, 1, (a.data[0] * b.data[0] % p,))
-        return Block(m, k, tuple(x * y % p for x in a.data for y in b.data))
+            return _new(Block, (1, 1, (a.data[0] * b.data[0] % p,)))
+        return _new(Block, (m, k, tuple(x * y % p for x in a.data for y in b.data)))
     if not (m and n and k):
         return zeros(m, k)
     ad, bd = a.data, b.data
     cols = [bd[j::k] for j in range(k)]
-    return Block(m, k, tuple(
+    return _new(Block, (m, k, tuple(
         sum(map(mul, ad[i : i + n], col)) % p for i in range(0, m * n, n) for col in cols
-    ))
+    )))
 
 
 def add(a: Block, b: Block, p: int) -> Block:
     if a.shape != b.shape:
         raise ValueError(f"cannot add a {a.shape} block to a {b.shape} block")
-    return Block(a.rows, a.cols, tuple((x + y) % p for x, y in zip(a.data, b.data)))
+    return _new(Block, (a.rows, a.cols, tuple((x + y) % p for x, y in zip(a.data, b.data))))
 
 
 def sub(a: Block, b: Block, p: int) -> Block:
     if a.shape != b.shape:
         raise ValueError(f"cannot subtract a {b.shape} block from a {a.shape} block")
-    return Block(a.rows, a.cols, tuple((x - y) % p for x, y in zip(a.data, b.data)))
+    return _new(Block, (a.rows, a.cols, tuple((x - y) % p for x, y in zip(a.data, b.data))))
 
 
 def scale(c: int, a: Block, p: int) -> Block:
     c %= p
-    return Block(a.rows, a.cols, tuple(c * x % p for x in a.data))
+    return _new(Block, (a.rows, a.cols, tuple(c * x % p for x in a.data)))
 
 
 def _rref_ints(rows: list[list[int]], p: int) -> list[int]:
@@ -171,10 +174,10 @@ def _rref_ints(rows: list[list[int]], p: int) -> list[int]:
 def rref(a: Block, p: int) -> tuple[Block, list[int]]:
     """Reduced row echelon form mod p; returns (R, pivot column indices)."""
     if a.rows * a.cols <= 1:
-        return (Block(1, 1, (1,)), [0]) if a.data and a.data[0] else (a, [])
+        return (_new(Block, (1, 1, (1,))), [0]) if a.data and a.data[0] else (a, [])
     rows = a.tolist()
     pivots = _rref_ints(rows, p)
-    return Block(a.rows, a.cols, tuple(_flatten(rows))), pivots
+    return _new(Block, (a.rows, a.cols, tuple(_flatten(rows)))), pivots
 
 
 def rank(a: Block, p: int) -> int:
@@ -189,7 +192,7 @@ def nullspace(a: Block, p: int) -> Block:
     if not (rows and cols):
         return eye(cols)
     if rows == cols == 1:
-        return Block(1, 0, ()) if a.data[0] else Block(1, 1, (1,))
+        return _new(Block, (1, 0, ())) if a.data[0] else _new(Block, (1, 1, (1,)))
     r = a.tolist()
     pivots = _rref_ints(r, p)
     pivot_cols = set(pivots)
@@ -217,7 +220,7 @@ def solve(a: Block, b: Block, p: int) -> Block | None:
         if not x:
             return None if b.any() else zeros(1, k)
         inv = pow(x, -1, p)
-        return b if inv == 1 else Block(1, k, tuple(y * inv % p for y in b.data))
+        return b if inv == 1 else _new(Block, (1, k, tuple(y * inv % p for y in b.data)))
     ad, bd = a.data, b.data
     r = [list(ad[i * cols : (i + 1) * cols] + bd[i * k : (i + 1) * k]) for i in range(rows)]
     pivots = _rref_ints(r, p)
@@ -226,7 +229,7 @@ def solve(a: Block, b: Block, p: int) -> Block | None:
     x = [[0] * k] * cols
     for i, pc in enumerate(pivots):
         x[pc] = r[i][cols:]  # replaces a whole row, so shared zero rows stay zero
-    return Block(cols, k, tuple(_flatten(x)))
+    return _new(Block, (cols, k, tuple(_flatten(x))))
 
 
 def inv(a: Block, p: int) -> Block | None:
@@ -261,7 +264,7 @@ def right_inverse(a: Block, p: int) -> Block | None:
 def submatrix(a: Block, rows: range, cols: range) -> Block:
     """The entries of a in the given rows and columns, in their order."""
     c, data = a.cols, a.data
-    return Block(len(rows), len(cols), tuple(data[i * c + j] for i in rows for j in cols))
+    return _new(Block, (len(rows), len(cols), tuple(data[i * c + j] for i in rows for j in cols)))
 
 
 def vstack(mats: list[Block], cols: int) -> Block:
@@ -280,7 +283,7 @@ def hstack(mats: list[Block], rows: int) -> Block:
 
 def grid(cells, heights: list[int], widths: list[int]) -> Block:
     """The block matrix whose cell (j, k), of heights[j] rows and widths[k]
-    columns, is cells[j][k], or zero where that is None."""
+    columns, is cells[j][k] (its shape checked, empty or not), or zero if None."""
     data: list[int] = []
     for row, h in zip(cells, heights):
         for cell, w in zip(row, widths):
@@ -288,11 +291,16 @@ def grid(cells, heights: list[int], widths: list[int]) -> Block:
                 raise ValueError(f"a {cell.shape} cell in a ({h}, {w}) place")
         for i in range(h):
             for cell, w in zip(row, widths):
-                data.extend(cell.data[i * w : (i + 1) * w] if cell is not None else (0,) * w)
-    return Block(sum(heights), sum(widths), tuple(data))
+                data += cell.data[i * w : i * w + w] if cell is not None else (0,) * w
+    return _new(Block, (sum(heights), sum(widths), tuple(data)))
 
 
 def block_diag(mats: list[Block]) -> Block:
-    """The blocks along the diagonal, zero elsewhere."""
-    cells = [[m if j == k else None for k in range(len(mats))] for j, m in enumerate(mats)]
-    return grid(cells, [m.rows for m in mats], [m.cols for m in mats])
+    """The blocks along the diagonal, zero elsewhere: rows zeros | block row | zeros."""
+    width, left, data = sum(m.cols for m in mats), 0, []
+    for m in mats:
+        c, pad = m.cols, (0,) * (width - m.cols)
+        for i in range(m.rows):
+            data += pad[:left] + m.data[i * c : i * c + c] + pad[left:]
+        left += c
+    return _new(Block, (sum(m.rows for m in mats), width, tuple(data)))

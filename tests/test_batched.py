@@ -19,6 +19,8 @@ from quiverhearts import homology as ho
 from quiverhearts import linalg as la
 from quiverhearts.algebra import Rep, RepMap
 from quiverhearts.linalg import Block
+from test_algebra import kronecker_module
+from test_cotorsion import kronecker_atlas
 from test_direct_sums import structure_maps
 from test_workspace import nakayama_atlas
 
@@ -243,6 +245,26 @@ def test_approximations_equal_reference_over_each_field(ausl, side):
     check_approximations(ausl, side, objects(ausl))
     nakayama = nakayama_atlas(4, 2, ausl.members[0].algebra.p)
     check_approximations(nakayama, side, nakayama.members)
+
+
+def kronecker_with_a_non_brick(p: int) -> al.IndecSet:
+    """`kronecker_atlas`, where Hom(S2, P1) has dimension 2, and the (2, 2)
+    module K with a = 1 and b nilpotent: End(K) = F_p[x]/(x^2), dimension 2."""
+    atlas = kronecker_atlas(p)
+    k = kronecker_module(p, la.eye(2), [[0, 0], [1, 0]])
+    return al.IndecSet([*atlas.members, Rep(atlas.members[0].algebra, "K", k.dims, k.arrow_maps)])
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("p", [5, 101, 2**31 - 1])  # `end_radical` of K needs p > 4
+def test_strip_over_members_with_several_maps_equals_reference(p, side):
+    """Members x with dim Hom(x, obj) >= 2 (S2 toward P1, K toward K) take
+    the strip's branch that composes with End(x), which for K is not F_p."""
+    atlas = kronecker_with_a_non_brick(p)
+    m = atlas.by_name
+    assert len(ho.homs(m["S2"], m["P1"])) == 2
+    assert len(ho.homs(m["K"], m["K"])) == 2 and len(al.end_radical(m["K"])[1]) == 1
+    check_approximations(atlas, side, [*atlas.members, al.direct_sum([m["K"], m["R0"]], "KR")])
 
 
 def is_minimal_reference(f: RepMap, side: str) -> bool:

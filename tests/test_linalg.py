@@ -441,3 +441,30 @@ def test_grid_places_each_cell(p, data):
     assert got == la.vstack(rows, sum(widths))
     with pytest.raises(ValueError):
         la.grid([[la.zeros(1, 1)]], [2], [1])
+
+
+@pytest.mark.parametrize(
+    "cells, heights, widths",
+    [
+        ([[la.zeros(1, 2)], [la.eye(2)]], [0, 2], [2]),  # entries in a zero-height row
+        ([[la.zeros(0, 3)], [la.eye(2)]], [0, 2], [2]),  # too wide, in a zero-height row
+        ([[la.eye(2), la.zeros(2, 1)]], [2], [2, 0]),  # entries in a zero-width column
+        ([[la.eye(2), la.zeros(3, 0)]], [2], [2, 0]),  # too high, in a zero-width column
+    ],
+)
+def test_grid_checks_cells_in_empty_rows_and_columns(cells, heights, widths):
+    """A place without entries still checks its cell's shape."""
+    with pytest.raises(ValueError):
+        la.grid(cells, heights, widths)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_block_diag_is_the_diagonal_grid(p, data):
+    """Rows written as zeros | block row | zeros make the grid with the
+    blocks on its diagonal, empty blocks included."""
+    mats = data.draw(st.lists(mat_strategy(p, 3), max_size=4))
+    cells = [[m if j == k else None for k in range(len(mats))] for j, m in enumerate(mats)]
+    want = la.grid(cells, [m.rows for m in mats], [m.cols for m in mats])
+    got = la.block_diag(mats)
+    assert got == want and type(got) is Block

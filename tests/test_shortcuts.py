@@ -274,6 +274,53 @@ def test_a_non_brick_member_gets_the_identity_witness(side):
         assert minimal(got.map)
 
 
+FINITE = {"right": "fully_contravariantly_finite", "left": "fully_covariantly_finite"}
+
+
+def rcp_cases() -> list:
+    """(side, class) per (RCP) check: ex61's C, D and C_mut (right) and M, N
+    and M_mut (left); the first recorded ladder instance's C and D (right)
+    and their right perpendiculars, which hold the injectives (left)."""
+    f = fx.ex61()
+    cases = [("right", f.subcat_obj(k)) for k in ("C", "D", "C_mut")]
+    cases += [("left", f.subcat_obj(k)) for k in ("M", "N", "M_mut")]
+    n, k, c, d = ladder_instances()[0].values
+    atlas = nakayama_atlas(n, k)
+    for names in (c, d):
+        cls = ct.subcat(atlas, names)
+        cases += [("right", cls), ("left", ct.perp_right(cls))]
+    return cases
+
+
+def onto(side: str, c: ct.Subcategory, x) -> bool:
+    """Is the minimal right (left) approximation of x by c, rebuilt by the
+    uncached strip, onto (into)?"""
+    f = ho._minimal_approximation(side, c.members, x).map
+    return f.is_surjective() if side == "right" else f.is_injective()
+
+
+def test_rcp_of_a_class_holding_the_projectives_approximates_nothing():
+    """A class holding the projectives (injectives) is fully contra- (co-)
+    variantly finite without an approximation, and every atlas object's
+    approximation by it is indeed onto (into)."""
+    for side, c in rcp_cases():
+        with mock.patch.object(ct, "_approximation", wraps=ct._approximation) as spy:
+            _, report = ct._rcp(side, c)
+        assert spy.call_count == 0, (side, c.names)
+        assert report[FINITE[side]] is True
+        assert all(onto(side, c, x) for x in c.atlas), (side, c.names)
+
+
+def test_rcp_of_a_class_missing_a_projective_approximates_each_object():
+    for side, c in rcp_cases():
+        ends = ct.projectives_of(c.atlas) if side == "right" else ct.injectives_of(c.atlas)
+        smaller = ct.subcat(c.atlas, [n for n in c.names if n != ends.names[0]])
+        with mock.patch.object(ct, "_approximation", wraps=ct._approximation) as spy:
+            _, report = ct._rcp(side, smaller)
+        assert spy.call_count > 0
+        assert report[FINITE[side]] == all(onto(side, smaller, x) for x in c.atlas)
+
+
 def test_a_one_summand_sum_binds_its_summand():
     x = fx.ex61().atlas["2/34/5"]
     s = al.direct_sum([x])
