@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import chain
 
 from . import linalg as la
-from .linalg import Block, _new
+from .linalg import _SHARED, Block, _new
 from .workspace import WORKSPACE, ContentKey
 
 
@@ -443,7 +443,7 @@ class RepMap:
 
     @staticmethod
     def zero(source: Rep, target: Rep) -> "RepMap":
-        blocks = [_new(Block, (t, s, (0,) * (t * s))) for s, t in zip(source.dims, target.dims)]
+        blocks = [_zero(t, s) for s, t in zip(source.dims, target.dims)]
         return RepMap._trusted(source, target, blocks)
 
     @staticmethod
@@ -503,7 +503,16 @@ def _product(a: Block, b: Block, p: int) -> Block:
     a 0-dimensional space, is a zero block made without a call."""
     if a.rows and a.cols and b.cols:
         return la.matmul(a, b, p)
-    return _new(Block, (a.rows, b.cols, (0,) * (a.rows * b.cols)))
+    return _zero(a.rows, b.cols)
+
+
+def _zero(rows: int, cols: int) -> Block:
+    """`la.zeros(rows, cols)`, read off `linalg`'s shared blocks without a
+    call: a zero map, or a product through a 0-dimensional space, makes no
+    `linalg` call."""
+    data = (0,) * (rows * cols)
+    shared = _SHARED.get((rows, cols, data)) if rows * cols <= 1 else None
+    return _new(Block, (rows, cols, data)) if shared is None else shared
 
 
 def _rank(b: Block, p: int) -> int:
@@ -570,14 +579,10 @@ def _hom_blocks(m: Rep, n: Rep) -> tuple[tuple[Block, ...], ...]:
                 if any(eq):
                     eqs.append(eq)
     ns = la.nullspace(la.modmat(eqs, m.algebra.p), m.algebra.p) if eqs else la.eye(total)
-    # One column per basis map, cut into its blocks; an empty block is one
-    # block per shape, shared by every map.
-    empty = {(r, c): _new(Block, (r, c, ())) for _, r, c in layout if not r * c}
+    # One column per basis map, cut into its blocks: an empty block, or a
+    # 1x1 block 0 or 1, is `linalg`'s shared one.
     return tuple(
-        tuple(
-            _new(Block, (r, c, vec[off : off + r * c])) if r * c else empty[r, c]
-            for (_, r, c), off in zip(layout, offsets)
-        )
+        tuple(la._block(r, c, vec[off : off + r * c]) for (_, r, c), off in zip(layout, offsets))
         for vec in map(ns.column, range(ns.cols))
     )
 
@@ -602,7 +607,7 @@ def map_from_coords(basis: list[RepMap], coords) -> RepMap:
             continue
         entries = zip(*[f.blocks[i].data for f in basis])
         data = tuple(sum(map(operator.mul, c, e)) % p for e in entries)
-        blocks.append(_new(Block, (b0.rows, b0.cols, data)))
+        blocks.append(la._block(b0.rows, b0.cols, data))
     return RepMap._trusted(f0.source, f0.target, blocks)
 
 

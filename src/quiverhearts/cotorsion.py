@@ -209,16 +209,18 @@ def _rcp(side: str, c: Subcategory) -> tuple[bool, dict]:
     deflation (inflation); the report keys name the side.  Callers must
     not mutate the report: it is the stored one.
 
-    A class holding the projectives (right) needs no approximation: the
-    projective cover P ->> X has P in add(c), so it factors through every
-    right add(c)-approximation of X, which is then onto.  Dually for the
-    injectives (left) and the injective envelope.  Other classes are checked per object."""
+    Finiteness holds iff c holds the projectives (right), and no object
+    is approximated.  If it does, the projective cover P ->> X has P in
+    add(c), so it factors through every right add(c)-approximation of X,
+    which is then onto.  If not, an indecomposable projective P misses c,
+    and an epimorphism onto P splits, so P's right approximation is onto
+    only if P is a summand of add(c), that is in c.  Dually for the
+    injectives (left) and the injective envelope."""
     right = side == "right"
     holds = "contains_projectives" if right else "contains_injectives"
     report = {holds: (projectives_of if right else injectives_of)(c.atlas).issubset(c)}
     report["rigid"] = c.rigid
-    finite = report[holds] or all(_owns(c, x) or _approximation(side, c, x)[1] for x in c.atlas)
-    report["fully_contravariantly_finite" if right else "fully_covariantly_finite"] = finite
+    report["fully_contravariantly_finite" if right else "fully_covariantly_finite"] = report[holds]
     report["summand_closed"] = True  # structural: membership by indecomposables
     return all(report.values()), report
 

@@ -531,7 +531,7 @@ def _approximation(side: str, members: list[Rep], obj: Rep) -> Approximation:
     """Memoised by side, the members' names and content in order, and the
     content of obj: a hit returns the stored approximation, whose modules
     are those its miss was given and built.  Callers must not mutate it."""
-    key = (side, tuple((m.name, m.key) for m in members), obj.key)
+    key = (side, tuple(m.name for m in members), tuple(m.key for m in members), obj.key)
     return WORKSPACE.memo("approximation", key, _minimal_approximation, side, members, obj)
 
 

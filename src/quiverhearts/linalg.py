@@ -11,6 +11,16 @@ One path: `rref`, `rank`, `solve` and `nullspace` (and so `quotient_map`)
 row-reduce lists of Python-int rows with `_rref_ints`.  A 1x1 or empty
 operand of these and of `matmul` takes a fast path without elimination,
 which returns exactly what the general path returns.
+
+Shared blocks: the blocks without entries, of either side up to
+`SHARED_SIDE`, and the 1x1 blocks 0 and 1 exist once each, in `_SHARED`,
+a constant built at import.  Every constructor here (`_block`) and every
+block builder of `algebra` returns the shared object for such a value; an
+operand returned as given stays that operand.  Thin modules and maps are
+made almost only of such blocks, so the memo holds references, not
+copies.  The table is bounded whatever p or the instance: a larger empty
+block, or a 1x1 block of another value, is allocated as before.  Blocks
+still compare and hash by content; no code compares them by identity.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ class Block(namedtuple("Block", "rows cols data")):
     def T(self) -> "Block":
         rows, cols, data = self.rows, self.cols, self.data
         if rows <= 1 or cols <= 1:  # a row or a column: the same entries
-            return _new(Block, (cols, rows, data))
+            return _block(cols, rows, data)
         return _new(Block, (cols, rows, tuple(_flatten(data[j::cols] for j in range(cols)))))
 
     def any(self) -> bool:
@@ -77,40 +87,57 @@ class Block(namedtuple("Block", "rows cols data")):
     __len__ = __iter__ = __add__ = __radd__ = __mul__ = __rmul__ = _not_a_sequence
 
 
+SHARED_SIDE = 16
+# A Block hashes and compares as its plain (rows, cols, data) tuple, so the
+# table is looked up by the fields without building a block.
+_SHARED = {b: b for b in [
+    *(_new(Block, (r, c, ())) for r in range(SHARED_SIDE + 1) for c in range(SHARED_SIDE + 1)
+      if not r * c),
+    _new(Block, (1, 1, (0,))),
+    _new(Block, (1, 1, (1,))),
+]}
+
+
+def _block(rows: int, cols: int, data: tuple) -> Block:
+    """The block of these fields: the shared one if `_SHARED` holds its value."""
+    shared = _SHARED.get((rows, cols, data)) if len(data) <= 1 else None
+    return _new(Block, (rows, cols, data)) if shared is None else shared
+
+
 def modmat(a, p: int) -> Block:
     """A block with entries reduced mod p, from a block or from a nested
     sequence of rows (a flat sequence of ints is one row)."""
     if isinstance(a, Block):
-        return _new(Block, (a.rows, a.cols, tuple(x % p for x in a.data)))
+        return _block(a.rows, a.cols, tuple(x % p for x in a.data))
     rows = list(a)
     if rows and not hasattr(rows[0], "__len__"):
         rows = [rows]
     cols = len(rows[0]) if rows else 0
     if any(len(r) != cols for r in rows):
         raise ValueError("rows of different lengths")
-    return _new(Block, (len(rows), cols, tuple(int(x) % p for x in _flatten(rows))))
+    return _block(len(rows), cols, tuple(int(x) % p for x in _flatten(rows)))
 
 
 def zeros(rows: int, cols: int) -> Block:
-    return _new(Block, (rows, cols, (0,) * (rows * cols)))
+    return _block(rows, cols, (0,) * (rows * cols))
 
 
 def eye(n: int) -> Block:
     data = [0] * (n * n)
     data[:: n + 1] = [1] * n
-    return _new(Block, (n, n, tuple(data)))
+    return _block(n, n, tuple(data))
 
 
 def column(vec) -> Block:
     """The (n, 1) block of a vector of n reduced entries."""
     vec = tuple(vec)
-    return _new(Block, (len(vec), 1, vec))
+    return _block(len(vec), 1, vec)
 
 
 def columns(vecs, n: int) -> Block:
     """The (n, len(vecs)) block whose columns are the given n-vectors."""
     vecs = list(vecs)
-    return _new(Block, (n, len(vecs), tuple(_flatten(zip(*vecs))) if vecs else ()))
+    return _block(n, len(vecs), tuple(_flatten(zip(*vecs))) if vecs else ())
 
 
 def matmul(a: Block, b: Block, p: int) -> Block:
@@ -119,32 +146,32 @@ def matmul(a: Block, b: Block, p: int) -> Block:
         raise ValueError(f"cannot multiply a {a.shape} block by a {b.shape} block")
     if n == 1:  # an outer product, 1x1 included
         if m == k == 1:
-            return _new(Block, (1, 1, (a.data[0] * b.data[0] % p,)))
-        return _new(Block, (m, k, tuple(x * y % p for x in a.data for y in b.data)))
+            return _block(1, 1, (a.data[0] * b.data[0] % p,))
+        return _block(m, k, tuple(x * y % p for x in a.data for y in b.data))
     if not (m and n and k):
         return zeros(m, k)
     ad, bd = a.data, b.data
     cols = [bd[j::k] for j in range(k)]
-    return _new(Block, (m, k, tuple(
+    return _block(m, k, tuple(
         sum(map(mul, ad[i : i + n], col)) % p for i in range(0, m * n, n) for col in cols
-    )))
+    ))
 
 
 def add(a: Block, b: Block, p: int) -> Block:
     if a.shape != b.shape:
         raise ValueError(f"cannot add a {a.shape} block to a {b.shape} block")
-    return _new(Block, (a.rows, a.cols, tuple((x + y) % p for x, y in zip(a.data, b.data))))
+    return _block(a.rows, a.cols, tuple((x + y) % p for x, y in zip(a.data, b.data)))
 
 
 def sub(a: Block, b: Block, p: int) -> Block:
     if a.shape != b.shape:
         raise ValueError(f"cannot subtract a {b.shape} block from a {a.shape} block")
-    return _new(Block, (a.rows, a.cols, tuple((x - y) % p for x, y in zip(a.data, b.data))))
+    return _block(a.rows, a.cols, tuple((x - y) % p for x, y in zip(a.data, b.data)))
 
 
 def scale(c: int, a: Block, p: int) -> Block:
     c %= p
-    return _new(Block, (a.rows, a.cols, tuple(c * x % p for x in a.data)))
+    return _block(a.rows, a.cols, tuple(c * x % p for x in a.data))
 
 
 def _rref_ints(rows: list[list[int]], p: int) -> list[int]:
@@ -174,7 +201,7 @@ def _rref_ints(rows: list[list[int]], p: int) -> list[int]:
 def rref(a: Block, p: int) -> tuple[Block, list[int]]:
     """Reduced row echelon form mod p; returns (R, pivot column indices)."""
     if a.rows * a.cols <= 1:
-        return (_new(Block, (1, 1, (1,))), [0]) if a.data and a.data[0] else (a, [])
+        return (_block(1, 1, (1,)), [0]) if a.data and a.data[0] else (a, [])
     rows = a.tolist()
     pivots = _rref_ints(rows, p)
     return _new(Block, (a.rows, a.cols, tuple(_flatten(rows)))), pivots
@@ -192,7 +219,7 @@ def nullspace(a: Block, p: int) -> Block:
     if not (rows and cols):
         return eye(cols)
     if rows == cols == 1:
-        return _new(Block, (1, 0, ())) if a.data[0] else _new(Block, (1, 1, (1,)))
+        return _block(1, 0, ()) if a.data[0] else _block(1, 1, (1,))
     r = a.tolist()
     pivots = _rref_ints(r, p)
     pivot_cols = set(pivots)
@@ -220,7 +247,7 @@ def solve(a: Block, b: Block, p: int) -> Block | None:
         if not x:
             return None if b.any() else zeros(1, k)
         inv = pow(x, -1, p)
-        return b if inv == 1 else _new(Block, (1, k, tuple(y * inv % p for y in b.data)))
+        return b if inv == 1 else _block(1, k, tuple(y * inv % p for y in b.data))
     ad, bd = a.data, b.data
     r = [list(ad[i * cols : (i + 1) * cols] + bd[i * k : (i + 1) * k]) for i in range(rows)]
     pivots = _rref_ints(r, p)
@@ -229,7 +256,7 @@ def solve(a: Block, b: Block, p: int) -> Block | None:
     x = [[0] * k] * cols
     for i, pc in enumerate(pivots):
         x[pc] = r[i][cols:]  # replaces a whole row, so shared zero rows stay zero
-    return _new(Block, (cols, k, tuple(_flatten(x))))
+    return _block(cols, k, tuple(_flatten(x)))
 
 
 def inv(a: Block, p: int) -> Block | None:
@@ -264,7 +291,7 @@ def right_inverse(a: Block, p: int) -> Block | None:
 def submatrix(a: Block, rows: range, cols: range) -> Block:
     """The entries of a in the given rows and columns, in their order."""
     c, data = a.cols, a.data
-    return _new(Block, (len(rows), len(cols), tuple(data[i * c + j] for i in rows for j in cols)))
+    return _block(len(rows), len(cols), tuple(data[i * c + j] for i in rows for j in cols))
 
 
 def vstack(mats: list[Block], cols: int) -> Block:
@@ -292,7 +319,7 @@ def grid(cells, heights: list[int], widths: list[int]) -> Block:
         for i in range(h):
             for cell, w in zip(row, widths):
                 data += cell.data[i * w : i * w + w] if cell is not None else (0,) * w
-    return _new(Block, (sum(heights), sum(widths), tuple(data)))
+    return _block(sum(heights), sum(widths), tuple(data))
 
 
 def block_diag(mats: list[Block]) -> Block:
@@ -303,4 +330,4 @@ def block_diag(mats: list[Block]) -> Block:
         for i in range(m.rows):
             data += pad[:left] + m.data[i * c : i * c + c] + pad[left:]
         left += c
-    return _new(Block, (sum(m.rows for m in mats), width, tuple(data)))
+    return _block(sum(m.rows for m in mats), width, tuple(data))

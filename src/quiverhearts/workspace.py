@@ -30,7 +30,9 @@ value its miss stored, as it is: names, booleans, reports and immutable
 blocks, and the modules and maps of a syzygy, a conflation, an
 approximation, a decomposition, R(X), a reflection, H(X) and a Phi
 block's `Ext1`, whose modules are the ones the miss was given, equal to the
-caller's, and the ones it built.  Callers must not mutate a value.  Only
+caller's, and the ones it built.  Their empty blocks and 1x1 blocks 0 and 1
+are `linalg`'s shared objects, so a value holds references to those, not
+copies.  Callers must not mutate a value.  Only
 `hom_space` binds on lookup: it stores the bare blocks of a Hom basis,
 which `algebra.hom_space` binds to the caller's two modules.  No value
 holds an atlas or a

@@ -468,3 +468,74 @@ def test_block_diag_is_the_diagonal_grid(p, data):
     want = la.grid(cells, [m.rows for m in mats], [m.cols for m in mats])
     got = la.block_diag(mats)
     assert got == want and type(got) is Block
+
+
+# ---------------------------------------------------------------------------
+# Shared blocks: one object per empty shape up to SHARED_SIDE, and per 1x1
+# block 0 and 1.  The operands below are built with `Block`, so none of them
+# is a shared object.  A result that is an operand as given (`hstack` of one
+# block, `solve` by 1, `rref` of a zero) is that operand.
+
+
+def fresh(rows, cols, *data):
+    return Block(rows, cols, tuple(data))
+
+
+SHARED_RESULTS = {
+    "zeros": lambda: la.zeros(0, 3),
+    "zeros 1x1": lambda: la.zeros(1, 1),
+    "eye 0": lambda: la.eye(0),
+    "eye 1": lambda: la.eye(1),
+    "T": lambda: fresh(3, 0).T,
+    "T 1x1": lambda: fresh(1, 1, 1).T,
+    "submatrix": lambda: la.submatrix(fresh(2, 2, 1, 0, 0, 1), range(1, 2), range(1, 2)),
+    "submatrix empty": lambda: la.submatrix(fresh(2, 2, 1, 0, 0, 1), range(0), range(2)),
+    "column": lambda: la.column([1]),
+    "column empty": lambda: la.column(()),
+    "columns": lambda: la.columns([(0,)], 1),
+    "columns empty": lambda: la.columns([], 4),
+    "grid": lambda: la.grid([[None]], [1], [1]),
+    "grid empty": lambda: la.grid([[fresh(2, 0)]], [2], [0]),
+    "block_diag": lambda: la.block_diag([fresh(1, 0), fresh(0, 1)]),
+    "block_diag empty": lambda: la.block_diag([]),
+    "hstack": lambda: la.hstack([fresh(0, 1), fresh(0, 2)], 0),
+    "hstack empty": lambda: la.hstack([], 2),
+    "vstack": lambda: la.vstack([fresh(0, 1), fresh(1, 1, 0)], 1),
+    "modmat": lambda: la.modmat([[102]], 101),
+    "modmat block": lambda: la.modmat(fresh(1, 1, -101), 101),
+    "matmul 1x1": lambda: la.matmul(fresh(1, 1, 3), fresh(1, 1, 34), 101),
+    "matmul dot": lambda: la.matmul(fresh(1, 2, 1, 1), fresh(2, 1, 1, 100), 101),
+    "matmul empty": lambda: la.matmul(fresh(0, 2), fresh(2, 3, 0, 0, 0, 0, 0, 0), 7),
+    "matmul outer": lambda: la.matmul(fresh(2, 1, 1, 1), fresh(1, 0), 7),
+    "solve 1x1": lambda: la.solve(fresh(1, 1, 2), fresh(1, 1, 2), 7),
+    "solve": lambda: la.solve(fresh(2, 1, 1, 1), fresh(2, 1, 0, 0), 7),
+    "solve empty": lambda: la.solve(fresh(0, 2), fresh(0, 0), 7),
+    "nullspace 1x1": lambda: la.nullspace(fresh(1, 1, 0), 7),
+    "nullspace 1x1 unit": lambda: la.nullspace(fresh(1, 1, 3), 7),
+    "nullspace empty": lambda: la.nullspace(fresh(0, 1), 7),
+    "rref": lambda: la.rref(fresh(1, 1, 5), 7)[0],
+    "add": lambda: la.add(fresh(1, 1, 3), fresh(1, 1, 5), 7),
+    "sub": lambda: la.sub(fresh(1, 1, 1), fresh(1, 1, 1), 7),
+    "scale": lambda: la.scale(5, fresh(0, 3), 7),
+}
+
+
+@pytest.mark.parametrize("make", SHARED_RESULTS.values(), ids=SHARED_RESULTS)
+def test_an_empty_or_unit_result_is_the_shared_block(make):
+    got = make()
+    assert type(got) is Block and got.size <= 1
+    assert got is la._SHARED[got]
+
+
+def test_the_shared_table_is_bounded():
+    """Empty shapes up to SHARED_SIDE and the 1x1 blocks 0 and 1, whatever
+    p: a larger empty block and a 1x1 block of another value are new
+    objects, equal by content as before."""
+    side = la.SHARED_SIDE
+    assert len(la._SHARED) == 2 * side + 1 + 2
+    assert all(b.size == 0 and max(b.shape) <= side or b.shape == (1, 1) and b.data[0] in (0, 1)
+               for b in la._SHARED)
+    for make in (lambda: la.zeros(0, side + 1), lambda: la.modmat([[-1]], 101)):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a not in la._SHARED

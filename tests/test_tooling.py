@@ -218,11 +218,43 @@ def per_object_memos(tree) -> list[tuple[int, str]]:
     return found
 
 
+TABLE_WRITES = ("setdefault", "update", "add", "append", "extend")
+
+
+def module_table_writes(tree) -> list[tuple[int, str]]:
+    """(line, name) of every write, inside a function, to a name that the
+    module binds at its top level: an assignment to or deletion of one of
+    its items, or a call of one of `TABLE_WRITES` on it.  A table filled
+    while the module is imported is a constant; one filled by a call is a
+    memo, whatever it held when it was bound."""
+    names = {
+        t.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(t, ast.Name)
+    }
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                table = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                table = node.func.value if node.func.attr in TABLE_WRITES else None
+            else:
+                continue
+            if isinstance(table, ast.Name) and table.id in names:
+                found.add((node.lineno, table.id))
+    return sorted(found)
+
+
 def memo_rule_breaks(path: Path) -> list[str]:
     """Calls to the builtin `id`, module-level names bound to an empty table
-    (weak ones too), `functools.cache` or `lru_cache` decorators and
-    per-object memo dicts: the shapes of an id-keyed cache and of a second
-    memo beside the Workspace."""
+    (weak ones too) or written inside a function, `functools.cache` or
+    `lru_cache` decorators and per-object memo dicts: the shapes of an
+    id-keyed cache and of a second memo beside the Workspace."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = [
         f"{path.name}:{node.lineno} id()"
@@ -242,6 +274,8 @@ def memo_rule_breaks(path: Path) -> list[str]:
         if last_name(dec) in ("cache", "lru_cache")
     ]
     found += [f"{path.name}:{line} per-object memo {name}" for line, name in per_object_memos(tree)]
+    found += [f"{path.name}:{line} write to module-level {name}"
+              for line, name in module_table_writes(tree)]
     return found
 
 
@@ -364,6 +398,36 @@ def test_memo_rule_flags_a_per_object_memo(tmp_path):
         "shapes.py:4 per-object memo _r_cache",
         "shapes.py:7 per-object memo _hom_cache",
         "shapes.py:8 per-object memo _cache",
+    ]
+
+
+def test_memo_rule_flags_a_write_to_a_module_level_table(tmp_path):
+    path = tmp_path / "writes.py"
+    path.write_text(
+        "TABLE = {'seed': 1}\n"
+        "ORDER = [1]\n"
+        "SEEN = {0}\n"
+        "TABLE['import'] = 2\n"
+        "def f(k, v):\n"
+        "    TABLE[k] = v\n"
+        "    TABLE.setdefault(k, v)\n"
+        "    ORDER.append(v)\n"
+        "    local = {}\n"
+        "    local[k] = TABLE[k]\n"
+        "    local.update(TABLE)\n"
+        "    return TABLE.get(k)\n"
+        "class A:\n"
+        "    def g(self, k):\n"
+        "        SEEN.add(k)\n"
+        "        ORDER.extend([k])\n"
+        "        TABLE.update({k: k})\n"
+        "        del TABLE[k]\n",
+        encoding="utf-8",
+    )
+    assert memo_rule_breaks(path) == [
+        f"writes.py:{line} write to module-level {name}"
+        for line, name in [(6, "TABLE"), (7, "TABLE"), (8, "ORDER"), (15, "SEEN"),
+                           (16, "ORDER"), (17, "TABLE"), (18, "TABLE")]
     ]
 
 

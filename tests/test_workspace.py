@@ -4,17 +4,24 @@ that returns the value its miss stored, modules that compare by content
 one miss per distinct content key, no growth when the same instance is
 certified again, and nothing kept alive once it is cleared."""
 
+import contextlib
 import gc
+import io
+import json
+import types
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from quiverhearts import algebra as al
+from quiverhearts import cli
 from quiverhearts import cotorsion as ct
 from quiverhearts import fixtures as fx
 from quiverhearts import heart as ht
 from quiverhearts import homology as ho
+from quiverhearts import linalg as la
 from quiverhearts.algebra import (
     BoundQuiverAlgebra,
     IndecSet,
@@ -497,6 +504,55 @@ def test_clear_releases_the_algebra():
     WORKSPACE.clear()
     gc.collect()
     assert ref() is None
+
+
+def reachable_blocks(root) -> list[Block]:
+    """Every block reachable from `root`, each object once, through
+    containers and instance dicts; types, modules and functions are not
+    followed."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if type(obj) is Block:
+            found.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_stored_values_hold_the_shared_blocks():
+    """After a recorded A6/rad^3 certificate, every empty or unit block that
+    the memo reaches is `linalg`'s shared object for its value.  The other
+    blocks of at most one entry are 1x1 blocks of p - 1, whose value depends
+    on p, so the table keeps none."""
+    ladder = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+    rung = json.loads((ladder / "nakayama-ladder.json").read_text())["rungs"][0]
+    inst = rung["pool"][0]
+    atlas = nakayama_atlas(rung["n"], rung["k"])
+    WORKSPACE.clear()
+    rep = verify_main_theorem(atlas, ct.subcat(atlas, inst["c"]), ct.subcat(atlas, inst["d"]))
+    assert (rung["n"], rung["k"]) == (6, 3) and rep["ok"], rep["checks"]
+    small = [b for b in reachable_blocks(WORKSPACE.tables) if b.size <= 1]
+    shared = [b for b in small if b in la._SHARED]
+    assert shared and len(shared) == len(set(shared))  # one object per value
+    assert all(b is la._SHARED[b] for b in shared)
+    p = atlas.members[0].algebra.p
+    assert all(b.shape == (1, 1) and b.data == (p - 1,) for b in small if b not in la._SHARED)
+
+
+def test_a_large_field_adds_no_shared_block():
+    """The shared table is a constant: a certificate over F_65537 leaves it
+    as it was, object for object."""
+    before = {k: id(v) for k, v in la._SHARED.items()}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["demo", "ex61", "verify-main-theorem", "--field", "65537"])
+    assert code == 0 and out.getvalue().endswith("ok: true\n")
+    assert {k: id(v) for k, v in la._SHARED.items()} == before
 
 
 def class_answers(f) -> dict:
