@@ -611,14 +611,6 @@ def map_from_coords(basis: list[RepMap], coords) -> RepMap:
     return RepMap._trusted(f0.source, f0.target, blocks)
 
 
-def coords_in_basis(basis: list[RepMap], f: RepMap, p: int) -> tuple | None:
-    """Coordinates of f in a spanning list of RepMaps, or None."""
-    if not basis:
-        return () if f.is_zero() else None
-    sol = la.solve(flat_columns(basis), la.column(f.flat()), p)
-    return None if sol is None else sol.data
-
-
 def flat_columns(maps: list[RepMap]) -> Block:
     """The flat entries of a nonempty list of maps, one column per map."""
     flats = [m.flat() for m in maps]
@@ -793,14 +785,6 @@ def _radical_of_span(mats: list[Block], p: int) -> Block:
     transposes = [m.T.data for m in mats]
     gram = [sum(map(operator.mul, a.data, bt)) % p for a in mats for bt in transposes]
     return la.nullspace(Block(k, k, tuple(gram)), p)
-
-
-def end_radical(m: Rep) -> tuple[list[RepMap], list[RepMap]]:
-    """(basis of End(m), basis of rad End(m))."""
-    endos = hom_space(m, m)
-    mats = _as_matrix_algebra(endos)
-    radc = _radical_of_span(mats, m.algebra.p)
-    return endos, [map_from_coords(endos, radc.column(j)) for j in range(radc.cols)]
 
 
 def is_indecomposable(m: Rep) -> bool:

@@ -106,12 +106,11 @@ class Context:
             raise UsageError(f"unexpected name `{names[k]}`")
         return names
 
-    def pick_subcat(self, position: int = 0, default: str | None = None) -> Subcategory:
-        names = self.names(position + 1)
-        if len(names) > position:
-            return self.subcat(names[position])
-        key = ("subcat", "c", "d")[min(position + 1, 2)] if position else "c"
-        fallback = self._param("subcat") or self._param(key)
+    def pick_subcat(self, default: str | None = None) -> Subcategory:
+        names = self.names(1)
+        if names:
+            return self.subcat(names[0])
+        fallback = self._param("subcat") or self._param("c")
         if fallback:
             return self.subcat(fallback)
         if default and default in self.fixture.subcats:
@@ -170,14 +169,14 @@ def self_validate(ctx: Context):
 
 
 def cmd_perp(ctx: Context) -> int:
-    sub = ctx.pick_subcat(0, default="C")
+    sub = ctx.pick_subcat(default="C")
     res = perp_right(sub)
     ctx.say("perp: " + " ".join(sorted(res.names)))
     return 0
 
 
 def cmd_rigid(ctx: Context) -> int:
-    sub = ctx.pick_subcat(0, default="C")
+    sub = ctx.pick_subcat(default="C")
     ok, report = satisfies_rcp(sub)
     ctx.say(f"rigid: {_bool(report['rigid'])}")
     for key in sorted(report):
@@ -188,7 +187,7 @@ def cmd_rigid(ctx: Context) -> int:
 
 
 def cmd_cotorsion(ctx: Context) -> int:
-    sub = ctx.pick_subcat(0, default="C")
+    sub = ctx.pick_subcat(default="C")
     pair = cotorsion_pair_from_rigid(sub)  # AlgebraError -> exit 2
     ctx.say("first class: " + " ".join(sorted(pair.u.names)))
     ctx.say("second class: " + " ".join(sorted(pair.v.names)))
@@ -201,7 +200,7 @@ def cmd_cotorsion(ctx: Context) -> int:
 
 
 def cmd_heart(ctx: Context) -> int:
-    sub = ctx.pick_subcat(0, default="C")
+    sub = ctx.pick_subcat(default="C")
     pair = cotorsion_pair_from_rigid(sub)
     model = HeartModel.build(pair, ctx.atlas)
     names = model.heart_object_names()
@@ -295,7 +294,7 @@ def cmd_export_dot(ctx: Context) -> int:
     what = names[0] if names else "heart"
     ctx.args.names = names[1:]
     if what == "heart":
-        sub = ctx.pick_subcat(0, default="C")
+        sub = ctx.pick_subcat(default="C")
         pair = cotorsion_pair_from_rigid(sub)
         qv = gabriel_quiver(HeartModel.build(pair, ctx.atlas).quotient)
     elif what in ("localized", "localized-dual"):

@@ -139,10 +139,6 @@ def subcat(atlas: IndecSet, names) -> Subcategory:
     return Subcategory(atlas, tuple(names))
 
 
-def full_subcat(atlas: IndecSet) -> Subcategory:
-    return Subcategory(atlas, tuple(atlas.names))
-
-
 def projectives_of(atlas: IndecSet) -> Subcategory:
     return Subcategory(atlas, atlas.standard_names("projective"))
 

@@ -1,8 +1,8 @@
 """Vector-space duality onto the opposite algebra.
 
-The left mutation and the dual localization (`mutation.left_mutation`,
-`mutation.dual_localization_model`) dualize into modules over the opposite
-algebra, run the right-sided machinery there, and read the answer back;
+The dual localization (`mutation.dual_localization_model`), whose mutated
+class is the left mutation, dualizes into modules over the opposite
+algebra, runs the right-sided machinery there, and reads the answer back;
 Cone and CoCone membership run directly (`cotorsion._membership`).  Atlas
 member names are preserved, so subcategories transport by name.
 """

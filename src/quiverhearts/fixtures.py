@@ -6,7 +6,7 @@ modules.  Two bundles of named subcategories on it (`ex61`, `ex62`) drive
 the demo commands: the first satisfies all mutation hypotheses, the second
 deliberately breaks rigidity of the mutated subcategory.
 
-Small A2 / A3 path algebras are included for cross-checking the homological
+A small A3 path algebra is included for cross-checking the homological
 machinery against hand-computable values.
 """
 
@@ -122,23 +122,6 @@ def ex62(p: int = DEFAULT_P) -> Fixture:
 
 # ---------------------------------------------------------------------------
 # Small path algebras for oracle-style cross checks.
-
-
-def a2_algebra(p: int = DEFAULT_P) -> BoundQuiverAlgebra:
-    q = Quiver(("1", "2"), (("a", "1", "2"),))
-    return BoundQuiverAlgebra(q, p)
-
-
-def a2_atlas(p: int = DEFAULT_P) -> IndecSet:
-    alg = a2_algebra(p)
-    return IndecSet(
-        [
-            Rep(alg, "1", (1, 0)),
-            Rep(alg, "2", (0, 1)),
-            Rep(alg, "1/2", (1, 1), {"a": [[1]]}),
-        ],
-        validate=False,
-    )
 
 
 def a3_algebra(p: int = DEFAULT_P) -> BoundQuiverAlgebra:

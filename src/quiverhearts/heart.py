@@ -34,7 +34,6 @@ from .algebra import (
     flat_columns,
     hom_dim,
     map_from_coords,
-    matrix_map,
     meets,
 )
 from .cotorsion import (
@@ -48,7 +47,6 @@ from .homology import (
     Conflation,
     Ext1,
     cokernel,
-    conflation_from_defl,
     ext1_dim,
     homs,
     kernel,
@@ -90,18 +88,6 @@ def solve_columns(side: str, g: RepMap, src: Rep, tgt: Rep, cols: Block):
     else:
         a = composite_columns([g], basis) if side == "right" else composite_columns(basis, [g])
     return basis, la.solve(a, cols, g.p)
-
-
-def is_approximation(side: str, members: list[Rep], f: RepMap) -> bool:
-    """Every map from a member into the target of f factors through f
-    (right), or every map from the source of f into a member extends along
-    f (left)."""
-    right = side == "right"
-    for m in members:
-        for h in homs(m, f.target) if right else homs(f.source, m):
-            if (solve_through(h, f) if right else solve_extend(h, f)) is None:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +177,6 @@ class QuotientCategory:
     def qbasis(self, x: Rep, y: Rep) -> list[RepMap]:
         """Representative morphisms whose classes form a basis."""
         return self._hom_data(x, y)[3]
-
-    def equal(self, f: RepMap, g: RepMap) -> bool:
-        return self.is_ideal(f.sub(g))
 
     def invertible(self, f: RepMap) -> tuple[bool, RepMap | None]:
         """Is f invertible modulo the ideal; returns a two-sided quasi-inverse.
@@ -598,8 +581,8 @@ def heart_cokernel_module(model: HeartModel, f: RepMap) -> Rep:
     return cokernel(model.phi.module_map(f))[0]
 
 
-def realize_heart_kernel(model: HeartModel, g: RepMap) -> tuple[Rep, RepMap, Rep]:
-    """For a heart epi g: B -> C, the kernel object K_g >-k-> B and W_C.
+def realize_heart_kernel(model: HeartModel, g: RepMap) -> Rep:
+    """For a heart epi g: B -> C, the kernel object K_g.
 
     K_g is the pullback of g along the witness deflation W_C ->> C; the
     conflation K_g >-> B + W_C ->> C exhibits 0 -> K_g -> B -> C -> 0 in
@@ -609,8 +592,7 @@ def realize_heart_kernel(model: HeartModel, g: RepMap) -> tuple[Rep, RepMap, Rep
         raise AlgebraError("not exact: the morphism is not an epimorphism in the heart")
     c = g.target
     wr = model.pair.witness("right", c)  # V_C >-> W_C ->> C
-    pb = pullback(g, wr.defl)
-    kobj, to_b, _to_w = pb[0], pb[1], pb[2]
+    kobj, to_b, _, _ = pullback(g, wr.defl)
     # exactness certificate in the Phi model
     mk = model.phi.phi_map(to_b)
     mg = model.phi.phi_map(g)
@@ -621,75 +603,17 @@ def realize_heart_kernel(model: HeartModel, g: RepMap) -> tuple[Rep, RepMap, Rep
         raise AlgebraError("not exact: kernel inclusion is not a heart mono")
     if la.rank(mk, p) + la.rank(mg, p) != model.phi.dim(g.source):
         raise AlgebraError("not exact: rank identity fails")
-    return kobj, to_b, wr.b
-
-
-def realize_ses_in_heart(model: HeartModel, g: RepMap) -> Conflation:
-    """Conflation K_g >-> B + W_C ->> C realizing 0 -> ker -> B -> C -> 0."""
-    kobj, to_b, wc = realize_heart_kernel(model, g)
-    total = direct_sum([g.source, wc])
-    wr = model.pair.witness("right", g.target)
-    defl = matrix_map(total, g.target, [[g, wr.defl]])
-    conf = conflation_from_defl(defl)
-    return conf.validate()
+    return kobj
 
 
 # ---------------------------------------------------------------------------
 # Syzygy approximations.
 
 
-@dataclass
-class SyzygyApproximation:
-    """The witness diagram: U0 -f0->> X with Y0 >-g0-> U0 over the cover of T0."""
-
-    x: Rep
-    t0_conf: Conflation  # X >-> T0 ->> C0
-    cover_conf: Conflation  # Y0 >-> P0 ->> T0
-    u0_conf: Conflation  # Y0 >-g0-> U0 -f0->> X
-    u0_to_p0: RepMap
-
-    @property
-    def f0(self) -> RepMap:
-        return self.u0_conf.defl
-
-    @property
-    def g0(self) -> RepMap:
-        return self.u0_conf.infl
-
-
-def syzygy_approximation(pair: CotorsionPair, x: Rep) -> SyzygyApproximation:
-    """The right Omega(U)-approximation deflation U0 ->> X of the pair."""
+def syzygy_approximation(pair: CotorsionPair, x: Rep) -> Conflation:
+    """Y0 >-> U0 ->> X, whose deflation is the right Omega(U)-approximation
+    of the pair: the projective cover P0 ->> T0 of the middle term of the
+    left witness X >-> T0 ->> C0, pulled back along the inflation."""
     wl = pair.witness("left", x)
-    t0 = wl.b
-    _y0, cover_conf = syzygy(t0)
-    u0_conf, u0_to_p0 = pullback_conflation(cover_conf, wl.infl)
-    return SyzygyApproximation(x, wl, cover_conf, u0_conf, u0_to_p0)
-
-
-def omega_subcat(c: Subcategory) -> Subcategory:
-    """Omega(C) = CoCone(P, C) as atlas object set."""
-    return cocone_objects(projectives_of(c.atlas), c)
-
-
-def verify_syzygy_approximation(pair: CotorsionPair, x: Rep) -> bool:
-    """f0 is a right Omega(U)-approximation: every U -> X factors through it."""
-    sa = syzygy_approximation(pair, x)
-    return is_approximation("right", omega_subcat(pair.u).members, sa.f0)
-
-
-def verify_factors_through_p(pair: CotorsionPair, x: Rep, b: Rep) -> bool:
-    """If Ext^1(T0, B) = 0 then Hom(g0, B) is surjective."""
-    sa = syzygy_approximation(pair, x)
-    if ext1_dim(sa.t0_conf.b, b) != 0:
-        return True  # hypothesis empty; nothing to check
-    return is_approximation("left", [b], sa.g0)
-
-
-def check_syzygyepi(model: HeartModel, g: RepMap) -> bool:
-    """For a heart-epi deflation g between H-objects, Hom(X, g) is surjective
-    for every X in Omega(U)."""
-    if not g.is_surjective():
-        raise AlgebraError("precondition violation: g is not a deflation")
-    if not heart_epi(model, g):
-        raise AlgebraError("precondition violation: g is not an epimorphism in the heart")
-    return is_approximation("right", omega_subcat(model.pair.u).members, g)
+    _y0, cover_conf = syzygy(wl.b)
+    return pullback_conflation(cover_conf, wl.infl)[0]

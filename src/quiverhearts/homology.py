@@ -26,7 +26,6 @@ from .algebra import (
     RepMap,
     composite_columns,
     direct_sum,
-    end_radical,
     flat_columns,
     hom_dim,
     hom_space,
@@ -86,32 +85,6 @@ def cokernel(f: RepMap) -> tuple[Rep, RepMap]:
     # `linalg` returns reduced blocks, (dims[j], dims[i]) per arrow.
     c = Rep._trusted(alg, f"coker({f.target.name})", dims, maps)
     return c, RepMap._trusted(f.target, c, projs)
-
-
-def image(f: RepMap) -> tuple[Rep, RepMap, RepMap]:
-    """(I, mono: I -> target, epi: source -> I) with mono o epi = f."""
-    p = f.p
-    alg = f.target.algebra
-    q = alg.quiver
-    monos, epis = [], []
-    for b in f.blocks:
-        r, pivots = la.rref(b.T, p)
-        k = len(pivots)
-        cols = Block(k, r.cols, r.data[: k * r.cols]).T  # basis of column space of b
-        monos.append(cols)
-        sol = la.solve(cols, b, p)
-        epis.append(sol)
-    dims = [m.cols for m in monos]
-    maps = {}
-    for aid, i, j in q._arrow_ends:
-        rhs = la.matmul(f.target.arrow_maps[aid], monos[i], p)
-        sol = la.solve(monos[j], rhs, p)
-        if sol is None:
-            raise AlgebraError("image arrow map failed")
-        maps[aid] = sol
-    # `linalg` returns reduced blocks, (dims[j], dims[i]) per arrow.
-    im = Rep._trusted(alg, f"im({f.source.name})", dims, maps)
-    return im, RepMap._trusted(im, f.target, monos), RepMap._trusted(f.source, im, epis)
 
 
 @dataclass
@@ -317,31 +290,30 @@ def cosyzygy(m: Rep) -> tuple[Rep, Conflation]:
 
 
 class Ext1:
-    """Ext^1(C, A) = Hom(Omega C, A) / image Hom(P0, A), with realization.
+    """Ext^1(C, A) = Hom(Omega C, A) / image Hom(P0, A).
 
     Elements are coordinate vectors with respect to a chosen complement
     basis of the quotient.  `cocycles` holds one representative
-    Omega C -> A per basis class, and `classes` reads the coordinates of
-    any list of cocycles off one solve, so a map between Ext^1 spaces is
-    `classes` of the cocycles pushed or pulled along it.
+    Omega C -> A per basis class, and `column_classes` reads the
+    coordinates of any columns of cocycles off one solve, so a map between
+    Ext^1 spaces is `column_classes` of the cocycles pushed or pulled
+    along it.
     """
 
     def __init__(self, c: Rep, a: Rep):
         self.c = c
         self.a = a
         self.p = c.algebra.p
-        self.omega, self.cover_conf = syzygy(c)
-        self.omega_inc = self.cover_conf.infl  # Omega C >-> P0
-        self.cover_epi = self.cover_conf.defl  # P0 ->> C
-        self.hom_omega_a = homs(self.omega, a)
+        omega, self.cover_conf = syzygy(c)  # Omega C >-> P0 ->> C
+        self.hom_omega_a = homs(omega, a)
         n = len(self.hom_omega_a)
         if n == 0:
             self.qmap = la.zeros(0, 0)
             self.dim = 0
             return
         self._flat = flat_columns(self.hom_omega_a)
-        # The restrictions h o omega_inc of Hom(P0, A), solved in one go.
-        restricted = composite_columns(homs(self.cover_conf.b, a), [self.omega_inc])
+        # The restrictions of Hom(P0, A) to Omega C, solved in one go.
+        restricted = composite_columns(homs(self.cover_conf.b, a), [self.cover_conf.infl])
         img = la.zeros(n, 0)
         if restricted.cols:
             img = la.solve(self._flat, restricted, self.p)
@@ -357,14 +329,6 @@ class Ext1:
         n = len(self.hom_omega_a)
         return la.right_inverse(self.qmap, self.p) if self.dim else la.zeros(n, 0)
 
-    def cocycle(self, coords) -> RepMap:
-        """A representative Omega C -> A of the class with these coordinates."""
-        coords = la.column(int(c) % self.p for c in coords)
-        full = la.matmul(self._lift, coords, self.p).data
-        if not self.hom_omega_a:
-            return RepMap.zero(self.omega, self.a)
-        return map_from_coords(self.hom_omega_a, full)
-
     @cached_property
     def cocycles(self) -> list[RepMap]:
         """One representative Omega C -> A per basis class, in order."""
@@ -372,13 +336,6 @@ class Ext1:
             return []
         lift = self._lift
         return [map_from_coords(self.hom_omega_a, lift.column(j)) for j in range(lift.cols)]
-
-    def classes(self, maps: list[RepMap]) -> Block:
-        """Coordinates of the classes of cocycles Omega C -> A, one column
-        per map, (dim, len(maps)); every class of a zero Ext^1 is zero."""
-        if not (self.dim and maps):
-            return la.zeros(self.dim, len(maps))
-        return self.column_classes(flat_columns(maps))
 
     def column_classes(self, cols: Block) -> Block:
         """The classes in a nonzero Ext^1 of the cocycles whose flat entries
@@ -388,38 +345,6 @@ class Ext1:
         if sol is None:
             raise AlgebraError("cocycle outside Hom(Omega C, A)")
         return la.matmul(self.qmap, sol, self.p)
-
-    def realize(self, coords) -> Conflation:
-        """A conflation A >-> E ->> C representing the class."""
-        g = self.cocycle(coords)
-        conf, _ = pushout_conflation(
-            Conflation(self.omega_inc, self.cover_epi), g
-        )
-        return conf
-
-    def coords_of(self, conf: Conflation) -> tuple[int, ...]:
-        """Class of a conflation A >-> E ->> C in quotient coordinates."""
-        if conf.a != self.a or conf.c != self.c:
-            raise AlgebraError("conflation end terms do not match")
-        # lift the cover epi P0 ->> C through the deflation E ->> C
-        lifts = homs(self.cover_conf.b, conf.b)
-        if lifts:
-            flat = flat_columns([conf.defl.compose(h) for h in lifts])
-            sol = la.solve(flat, la.column(self.cover_epi.flat()), self.p)
-        else:
-            sol = None
-        if sol is None:
-            raise AlgebraError("projective lifting failed")
-        h = map_from_coords(lifts, sol.data)
-        # h o omega_inc lands in ker(defl) = im(infl); divide by the inflation
-        rest = h.compose(self.omega_inc)
-        blocks = []
-        for ib, rb in zip(conf.infl.blocks, rest.blocks):
-            s = la.solve(ib, rb, self.p)
-            if s is None:
-                raise AlgebraError("cocycle division failed")
-            blocks.append(s)
-        return self.classes([RepMap._checked(self.omega, self.a, blocks)]).data
 
 
 def ext1_dim(c: Rep, a: Rep) -> int:
@@ -452,35 +377,7 @@ def ext_dim(c: Rep, a: Rep, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Factorization through a subcategory, and approximations.
-
-
-def factors_through(f: RepMap, through: list[Rep]) -> bool:
-    """Does f factor as X -> T -> Y with T a finite sum from `through`?"""
-    return factor_witness(f, through) is not None
-
-
-def factor_witness(f: RepMap, through: list[Rep]):
-    """(T, u: X -> T, v: T -> Y) with v u = f, or None."""
-    target_flat = f.flat()
-    pairs = []
-    blocks = []
-    for t in through:
-        into, outof = homs(f.source, t), homs(t, f.target)
-        pairs += [(t, u, v) for u in into for v in outof]  # the column order
-        blocks.append(composite_columns(outof, into))
-    mat = la.hstack(blocks, len(target_flat))  # no column when no pair: only f = 0 factors
-    sol = la.solve(mat, la.column(target_flat), f.p)
-    if sol is None:
-        return None
-    used = [(pairs[i], c) for i, c in enumerate(sol.data) if c]
-    if not used:
-        z = zero_rep(f.source.algebra)
-        return z, RepMap.zero(f.source, z), RepMap.zero(z, f.target)
-    total = direct_sum([t for (t, _, _), _ in used])
-    u_acc = matrix_map(f.source, total, [[u.scale(c)] for (_, u, _), c in used])
-    v_acc = matrix_map(total, f.target, [[v for (_, _, v), _ in used]])
-    return total, u_acc, v_acc
+# Approximations.
 
 
 @dataclass
@@ -587,33 +484,3 @@ def _minimal_approximation(side: str, members: list[Rep], obj: Rep) -> Approxima
             x_keep[k] = not cols.cols or la.solve(cols, target, p) is None
     parts = [(x, h) for x, hs, ks in zip(members, to_obj, keep) for h, kh in zip(hs, ks) if kh]
     return _assemble(parts, obj, side)
-
-
-def is_right_minimal(f: RepMap) -> bool:
-    """f right minimal iff every g with f g = f is invertible."""
-    return _is_minimal(f, "right")
-
-
-def is_left_minimal(f: RepMap) -> bool:
-    """f left minimal iff every g with g f = f is invertible."""
-    return _is_minimal(f, "left")
-
-
-def _is_minimal(f: RepMap, side: str) -> bool:
-    """Right (left) minimality of f: the one-sided ideal of endomorphisms h
-    of its source (target) with f h = 0 (h f = 0) sits inside the radical."""
-    right = side == "right"
-    x = f.source if right else f.target
-    endos = homs(x, x)
-    if not endos:
-        return True
-    comp_flat = composite_columns([f], endos) if right else composite_columns(endos, [f])
-    ker = la.nullspace(comp_flat, f.p)
-    if ker.cols == 0:
-        return True
-    _, rad = end_radical(x)
-    if not rad:
-        return False
-    endo_flat = flat_columns(endos)
-    rad_flat = flat_columns(rad)
-    return la.solve(rad_flat, la.matmul(endo_flat, ker, f.p), f.p) is not None

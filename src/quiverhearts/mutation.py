@@ -57,7 +57,6 @@ from .heart import (
     QuotientCategory,
     gabriel_quiver,
     heart_epi,
-    is_approximation,
     quivers_isomorphic,
     realize_heart_kernel,
     solve_columns,
@@ -72,7 +71,6 @@ from .homology import (
     cosyzygy,
     ext1_dim,
     ext_dim,
-    factors_through,
     homs,
     minimal_right_approximation,
     pullback_conflation,
@@ -136,17 +134,6 @@ def right_mutation(inp: MutationInput) -> Subcategory:
     return inp.cmut
 
 
-def left_mutation(atlas: IndecSet, m_outer: Subcategory, n: Subcategory) -> Subcategory:
-    """Cone(M', N) intersect left-perp-of-N, via the opposite algebra.
-
-    For the co-class M' of a mutated pair this recovers the co-class M of
-    the original: the co-side analogue of the right mutation.
-    """
-    ctx = dual_context(atlas)
-    op = MutationInput(ctx.datlas, ctx.dsub(m_outer), ctx.dsub(n)).validate()
-    return subcat(atlas, right_mutation(op).names)
-
-
 def mutation_condition_equivalence(
     inp: MutationInput, cmut: Subcategory
 ) -> tuple[bool, bool]:
@@ -206,8 +193,7 @@ def _right_hd_maps(outer_pair: CotorsionPair, inner: Subcategory, x: Rep) -> lis
     if x.is_zero():
         conf = _identity_conflation("right", x)
         return [*conf, *conf]
-    sa = syzygy_approximation(outer_pair, x)
-    u0_conf = sa.u0_conf  # Y0 >-> U0 ->> X
+    u0_conf = syzygy_approximation(outer_pair, x)  # Y0 >-> U0 ->> X
     y0 = u0_conf.a
     if y0.is_zero():
         z = zero_rep(x.algebra)
@@ -257,32 +243,6 @@ def _validated(conf, z_conf, outer_pair, inner) -> list[RepMap]:
     if not cocone_membership(conf.b, inner, outer_pair.u)[0]:
         raise AlgebraError("failed clause: the middle term is not in CoCone(inner, outer)")
     return [*conf, *z_conf]
-
-
-def verify_hd_approximation(res: Conflation, hd: Subcategory) -> bool:
-    """Every map from an H_D object to X factors through the deflation."""
-    return is_approximation("right", hd.members, res.defl)
-
-
-def verify_hd_moreover(res: Conflation, outer_perp: Subcategory, atlas: IndecSet) -> bool:
-    """If x' o f factors through outer-perp then so does x' itself.
-
-    Decided for all x': X -> T at once, for every atlas object T: over the
-    Hom(X, T) basis, x' o f lies in [outer-perp] on the kernel of M1 (the
-    quotient coordinates of x' o f) and x' on the kernel of M2 (those of
-    x'), and ker M1 lies in ker M2 exactly when stacking M2 under M1 adds
-    no rank.
-    """
-    q = QuotientCategory(list(atlas.members), outer_perp.members)
-    for t in atlas:
-        basis = homs(res.c, t)
-        if not basis:
-            continue
-        m1 = q.qcolumns(res.b, t, composite_columns(basis, [res.defl]))
-        m2 = q.qmatrix(res.c, t)
-        if la.rank(la.vstack([m1, m2], len(basis)), q.p) != la.rank(m1, q.p):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +325,7 @@ def in_s_a(model: LocalizationModel, a_sub: Subcategory, f: RepMap) -> bool:
     """Is f a heart epimorphism whose heart kernel lies in the class A."""
     if not heart_epi(model.heart, f):
         return False
-    kobj, _, _ = realize_heart_kernel(model.heart, f)
+    kobj = realize_heart_kernel(model.heart, f)
     for name in decompose(kobj, model.inp.atlas):
         if model.inp.c.contains_name(name):
             continue  # zero in the heart
@@ -507,11 +467,6 @@ def _reflection_maps(twin: TwinData, b: Rep) -> list[RepMap]:
 def coreflection(twin: TwinData, b: Rep) -> Conflation:
     """B- ->> B with B- in H_D = CoCone(C', D) and kernel in C'-perp."""
     return right_hd_approximation(twin.inp.d.rigid_pair, twin.cmut, b)
-
-
-def verify_reflection_property(twin: TwinData, refl: Conflation) -> bool:
-    """Every map B -> (H'_N object) extends along the reflection inflation."""
-    return is_approximation("left", twin.hn.members, refl.infl)
 
 
 @dataclass
@@ -722,11 +677,14 @@ def diamond_diagram(f: RepMap) -> DiamondDiagram:
 
 
 def classify_r(twin: TwinData, f: RepMap) -> dict:
-    """Flags R0 <= R1 <= R2 and R1 <= R1_tilde for a morphism Y -> X."""
+    """Flags R0 <= R1 <= R2 and R1 <= R1_tilde for a morphism Y -> X.  A map
+    factors through add T when it lies in the ideal [T] of a quotient."""
     dd = diamond_diagram(f)
-    g_through_dperp = factors_through(dd.g, twin.dperp.members)
-    h_through_cperp = factors_through(dd.h, twin.cperp.members)
-    h_through_dperp = factors_through(dd.h, twin.dperp.members)
+    dperp = QuotientCategory([], twin.dperp.members)
+    cperp = QuotientCategory([], twin.cperp.members)
+    g_through_dperp = dperp.is_ideal(dd.g)
+    h_through_cperp = cperp.is_ideal(dd.h)
+    h_through_dperp = dperp.is_ideal(dd.h)
     z1 = dd.row1.b
     z1_in_dperp = twin.dperp.contains(z1)
     z1_in_cperp = twin.cperp.contains(z1)
@@ -736,17 +694,6 @@ def classify_r(twin: TwinData, f: RepMap) -> dict:
         "R1_tilde": g_through_dperp and h_through_cperp,
         "R2": z1_in_dperp and h_through_dperp,
     }
-
-
-def check_g1_property(
-    model: LocalizationModel, a_sub: Subcategory, twin: TwinData, f: RepMap
-) -> bool:
-    """Members of the widest first-row class map to S_A under the heart functor."""
-    flags = classify_r(twin, f)
-    if not flags["R1_tilde"]:
-        return True  # nothing claimed
-    hf = model.heart.h.h_map(f)
-    return in_s_a(model, a_sub, hf)
 
 
 # ---------------------------------------------------------------------------

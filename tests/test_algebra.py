@@ -23,7 +23,6 @@ from quiverhearts.algebra import (
     decompose_with_maps,
     direct_sum,
     dual_rep,
-    end_radical,
     hom_dim,
     hom_space,
     is_indecomposable,
@@ -35,12 +34,13 @@ from quiverhearts.algebra import (
     standard_modules,
 )
 from quiverhearts.workspace import WORKSPACE
+from lemmas import a2_algebra, a2_atlas, end_radical
 from test_linalg import matmul_reference, nullspace_reference, rref_reference
 from test_workspace import nakayama_atlas
 
 
 def test_a2_path_basis():
-    pb = path_basis(fx.a2_algebra())
+    pb = path_basis(a2_algebra())
     assert len(pb.basis) == 1  # only the arrow itself
 
 
@@ -81,7 +81,7 @@ def test_standard_injectives_match_atlas():
 
 
 def test_a2_hom_dims():
-    atlas = fx.a2_atlas()
+    atlas = a2_atlas()
     s1, s2, p1 = atlas["1"], atlas["2"], atlas["1/2"]
     table = {
         ("1", "1"): 1, ("2", "2"): 1, ("1/2", "1/2"): 1,
@@ -124,21 +124,21 @@ def test_equal_algebras_are_one_object():
 
 
 def test_a_refused_algebra_leaves_no_entry():
-    alg = fx.a2_algebra()
+    alg = a2_algebra()
     WORKSPACE.clear()
     with pytest.raises(AlgebraError, match="not prime"):
         dataclasses.replace(alg, p=4)
-    assert fx.a2_algebra() is not alg
+    assert a2_algebra() is not alg
     assert WORKSPACE.stats()["algebra"] == {"hits": 0, "misses": 1, "entries": 1}
 
 
 def test_clear_forgets_the_one_object():
-    old = fx.a2_algebra()
-    assert fx.a2_algebra() is old
+    old = a2_algebra()
+    assert a2_algebra() is old
     WORKSPACE.clear()
-    new = fx.a2_algebra()
+    new = a2_algebra()
     assert new is not old and new == old and hash(new) == hash(old)
-    assert fx.a2_algebra() is new
+    assert a2_algebra() is new
 
 
 def test_demo_commands_build_each_path_basis_once(capsys):
@@ -214,7 +214,7 @@ def test_rep_validation_catches_bad_relation():
 
 
 def test_rep_refuses_a_map_for_an_undeclared_arrow():
-    alg = fx.a2_algebra()
+    alg = a2_algebra()
     assert Rep(alg, "x", (1, 1), {"a": [[1]]}).arrow_maps["a"].tolist() == [[1]]
     with pytest.raises(AlgebraError, match="unknown arrow zz"):
         Rep(alg, "x", (1, 1), {"zz": [[1]]})
@@ -230,25 +230,25 @@ def test_atlas_full_validation():
 
 @pytest.mark.parametrize("p", [2, 3, 101, 1009, 2147483647])
 def test_primes_are_accepted(p):
-    assert fx.a2_algebra(p).p == p
+    assert a2_algebra(p).p == p
 
 
 @pytest.mark.parametrize("n", [0, 1, 4, 1022117, 2147483649])  # 1009*1013, 3*715827883
 def test_composites_are_refused(n):
     with pytest.raises(AlgebraError, match="not prime"):
-        fx.a2_algebra(n)
+        a2_algebra(n)
 
 
 @pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 2**61 - 1])
 def test_fields_past_the_int64_bound_are_refused(n):
     # Refused on size alone: two strong pseudoprimes to small bases and a prime.
     with pytest.raises(AlgebraError, match="too large"):
-        fx.a2_algebra(n)
+        a2_algebra(n)
 
 
 def test_largest_accepted_prime_is_exact():
     p = 3037000493  # the largest prime with (p-1)^2 < 2^63
-    alg = fx.a2_algebra(p)
+    alg = a2_algebra(p)
     s1, s2 = Rep(alg, "1", (1, 0)), Rep(alg, "2", (0, 1))
     assert is_indecomposable(s1)
     # End(S1 + S2) = F_p x F_p: Frobenius fixes both factors, so its fixed

@@ -18,6 +18,7 @@ from quiverhearts.algebra import (
     direct_sum,
 )
 from quiverhearts.homology import conflation_from_defl, conflation_from_infl, ext1_dim, homs
+from lemmas import a2_atlas
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +57,7 @@ def test_rigidity(ex61):
     assert ct.is_rigid(ex61.subcat_obj("M"))
     assert ct.is_rigid(ex61.subcat_obj("N"))
     assert ct.is_rigid(ex61.subcat_obj("M_mut"))
-    assert not ct.is_rigid(ct.full_subcat(ex61.atlas))
+    assert not ct.is_rigid(ct.subcat(ex61.atlas, ex61.atlas.names))
 
 
 def test_rcp(ex61):
@@ -199,7 +200,7 @@ def test_ex62_panels():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_ext_oracle_a2(p):
-    atlas = fx.a2_atlas(p)
+    atlas = a2_atlas(p)
     for a in atlas:
         for c in atlas:
             assert ext1_dim(c, a) == oracles.ext1_dim_bruteforce(c, a), (c.name, a.name)
@@ -224,7 +225,7 @@ def test_cocone_vs_bruteforce_a3():
     atlas = fx.a3_atlas(2)
     projs = ct.projectives_of(atlas)
     injs = ct.injectives_of(atlas)
-    subs = [projs, injs, ct.full_subcat(atlas)]
+    subs = [projs, injs, ct.subcat(atlas, atlas.names)]
     # a couple of rigid non-trivial choices
     subs.append(ct.subcat(atlas, [n for n in atlas.names if n != "2"]))
     for bp in subs:
@@ -242,7 +243,7 @@ def test_cone_vs_bruteforce_a3():
     projs = ct.projectives_of(atlas)
     injs = ct.injectives_of(atlas)
     for bp in (projs, injs):
-        for bpp in (projs, injs, ct.full_subcat(atlas)):
+        for bpp in (projs, injs, ct.subcat(atlas, atlas.names)):
             for x in atlas:
                 got, conf = ct.cone_membership(x, bp, bpp)
                 brute = ct.cone_membership_bruteforce(x, bp, bpp)
@@ -490,12 +491,12 @@ def test_proven_search_agrees_with_the_plain_search():
     test_4's A2 and A3 classes plus the singletons, and on the Auslander
     atlas of A3 over F_2 with its projectives and injectives."""
     cases = []
-    for atlas in (fx.a2_atlas(2), fx.a3_atlas(2)):
+    for atlas in (a2_atlas(2), fx.a3_atlas(2)):
         rng = np.random.default_rng(4)
         classes = [
             ct.projectives_of(atlas),
             ct.injectives_of(atlas),
-            ct.full_subcat(atlas),
+            ct.subcat(atlas, atlas.names),
             fx.random_rigid_subcat(atlas, rng),
             fx.random_rigid_subcat(atlas, rng, stop_chance=0.3),
         ]

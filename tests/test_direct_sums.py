@@ -17,6 +17,7 @@ from quiverhearts import linalg as la
 from quiverhearts.algebra import Rep, RepMap
 from quiverhearts.homology import Ext1
 from quiverhearts.linalg import Block
+from lemmas import realize
 
 PRIMES = [2, 3, 101, 2**31 - 1]
 
@@ -156,7 +157,7 @@ def realized_conflations(atlas):
         for a in atlas:
             e = Ext1(c, a)
             for j in range(e.dim):
-                out.append(e.realize([int(i == j) for i in range(e.dim)]))
+                out.append(realize(e, [int(i == j) for i in range(e.dim)]))
     return out
 
 

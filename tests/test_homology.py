@@ -14,12 +14,14 @@ from quiverhearts.algebra import (
     is_isomorphic,
     matrix_map,
 )
+from quiverhearts.heart import QuotientCategory
 from quiverhearts.workspace import WORKSPACE
+from lemmas import a2_atlas, classes, coords_of, is_minimal, realize
 from test_batched import objects
 
 
 def test_kernel_cokernel_a2():
-    atlas = fx.a2_atlas()
+    atlas = a2_atlas()
     p1, s1 = atlas["1/2"], atlas["1"]
     f = hom_space(p1, s1)[0]  # the projection 1/2 ->> 1
     k, inc = ho.kernel(f)
@@ -30,16 +32,8 @@ def test_kernel_cokernel_a2():
     assert iso
 
 
-def test_image_factorization():
-    atlas = fx.a3_atlas()
-    f = hom_space(atlas["1/2/3"], atlas["1/2"])[0]
-    im, mono, epi = ho.image(f)
-    assert mono.compose(epi).sub(f).is_zero()
-    assert mono.is_injective() and epi.is_surjective()
-
-
 def test_conflation_validate():
-    atlas = fx.a2_atlas()
+    atlas = a2_atlas()
     f = hom_space(atlas["2"], atlas["1/2"])[0]
     conf = ho.conflation_from_infl(f)
     iso, _ = is_isomorphic(conf.c, atlas["1"])
@@ -123,7 +117,7 @@ def test_cover_and_envelope_multiplicities_are_the_top_and_the_socle():
     for m in [*atlas, *objects(atlas)]:
         p_rep, epi = ho.projective_cover(m)
         i_rep, mono = ho.injective_envelope(m)
-        assert ho.is_right_minimal(epi) and ho.is_left_minimal(mono), m.name
+        assert is_minimal(epi, "right") and is_minimal(mono, "left"), m.name
         tops, socles = decompose(p_rep, atlas), decompose(i_rep, atlas)
         for j, v in enumerate(q.vertices):
             into = [m.arrow_maps[aid] for aid, _, t in q.arrows if t == v]
@@ -149,7 +143,7 @@ def test_pushout_pullback_and_coords_of_refuse_ends_of_equal_dimensions():
     column = [[RepMap.identity(other)], [RepMap.zero(other, c)]]
     split = ho.conflation_from_infl(matrix_map(other, direct_sum([other, c]), column))
     with pytest.raises(AlgebraError, match="end terms do not match"):
-        ho.Ext1(c, m).coords_of(split)
+        coords_of(ho.Ext1(c, m), split)
 
 
 def is_projective(m) -> bool:
@@ -175,7 +169,7 @@ def test_ext_dim_refuses_a_negative_degree():
 
 
 def test_ext1_a2():
-    atlas = fx.a2_atlas()
+    atlas = a2_atlas()
     assert ho.ext1_dim(atlas["1"], atlas["2"]) == 1
     assert ho.ext1_dim(atlas["2"], atlas["1"]) == 0
     assert ho.ext1_dim(atlas["1/2"], atlas["2"]) == 0
@@ -189,19 +183,19 @@ def test_ext1_a3_nonsplit():
 
 
 def test_ext1_realize_and_coords_roundtrip():
-    atlas = fx.a2_atlas()
+    atlas = a2_atlas()
     ext = ho.Ext1(atlas["1"], atlas["2"])
     assert ext.dim == 1
-    conf = ext.realize([1])
+    conf = realize(ext, [1])
     conf.validate()
     iso, _ = is_isomorphic(conf.b, atlas["1/2"])
     assert iso
-    coords = ext.coords_of(conf)
+    coords = coords_of(ext, conf)
     assert list(coords) == [1]
     # the zero class realizes as a split extension
-    conf0 = ext.realize([0])
+    conf0 = realize(ext, [0])
     assert decompose(conf0.b, atlas) == {"1": 1, "2": 1}
-    assert list(ext.coords_of(conf0)) == [0]
+    assert list(coords_of(ext, conf0)) == [0]
 
 
 def test_ext1_classes_of_its_cocycles_are_the_unit_vectors():
@@ -211,8 +205,8 @@ def test_ext1_classes_of_its_cocycles_are_the_unit_vectors():
         for a in atlas:
             ext = ho.Ext1(c, a)
             assert len(ext.cocycles) == ext.dim
-            assert ext.classes(ext.cocycles) == la.eye(ext.dim)
-            assert ext.classes([]).shape == (ext.dim, 0)
+            assert classes(ext, ext.cocycles) == la.eye(ext.dim)
+            assert classes(ext, []).shape == (ext.dim, 0)
             seen += ext.dim > 0
     assert seen
 
@@ -231,7 +225,7 @@ def test_ext1_builds_its_lift_on_first_use(monkeypatch):
     assert ho.ext1_dim(c, a) == 1 and ho.Ext1(c, a).dim == 1
     assert solves == []
     ext = ho.Ext1(c, a)
-    assert ext.classes([ext.cocycle([1])]).data == (1,)
+    assert classes(ext, ext.cocycles).data == (1,)
     assert len(ext.cocycles) == 1 and len(solves) == 1
     empty = ho.Ext1(atlas["2"], atlas["1"])
     assert empty.dim == 0 and empty.cocycles == [] and len(solves) == 1
@@ -255,7 +249,7 @@ def test_ext1_auslander_known_values():
 def test_pushout_pullback_conflation():
     atlas = fx.auslander_a3_atlas()
     ext = ho.Ext1(atlas["1"], atlas["2"])
-    conf = ext.realize([1])
+    conf = realize(ext, [1])
     # pushing forward along 2 -> 1/2 (the socle inclusion)
     f = hom_space(atlas["2"], atlas["1/2"])[0]
     conf2, bmap = ho.pushout_conflation(conf, f)
@@ -273,12 +267,8 @@ def test_factors_through():
     atlas = fx.auslander_a3_atlas()
     # 2/34/5 ->> 2 ->> ... every map 2/34/5 -> 1/2 hits the socle through 2
     f = hom_space(atlas["2/34/5"], atlas["1/2"])[0]
-    assert ho.factors_through(f, [atlas["2"]])
-    assert not ho.factors_through(f, [atlas["3"]])
-    wit = ho.factor_witness(f, [atlas["2"]])
-    assert wit is not None
-    t, u, v = wit
-    assert v.compose(u).sub(f).is_zero()
+    assert QuotientCategory([], [atlas["2"]]).is_ideal(f)
+    assert not QuotientCategory([], [atlas["3"]]).is_ideal(f)
 
 
 def test_minimal_right_approximation_projectives():
@@ -289,7 +279,7 @@ def test_minimal_right_approximation_projectives():
     iso, _ = is_isomorphic(approx.total, atlas["2/34/5"])
     assert iso
     assert approx.map.is_surjective()
-    assert ho.is_right_minimal(approx.map)
+    assert is_minimal(approx.map, "right")
 
 
 def test_minimal_left_approximation_injectives():
@@ -299,7 +289,7 @@ def test_minimal_left_approximation_injectives():
     iso, _ = is_isomorphic(approx.total, atlas["1/2"])
     assert iso
     assert approx.map.is_injective()
-    assert ho.is_left_minimal(approx.map)
+    assert is_minimal(approx.map, "left")
 
 
 def test_ext_dim_higher():

@@ -34,6 +34,7 @@ from quiverhearts.duality import dual_context
 from quiverhearts.workspace import WORKSPACE
 from test_acceptance import DETERMINISM_COMMANDS
 from test_algebra import kronecker_module
+from lemmas import is_minimal
 from test_batched import assemble_reference
 from test_workspace import nakayama_atlas, same_blocks
 
@@ -256,12 +257,11 @@ def test_a_non_brick_member_gets_the_identity_witness(side):
     brick = al.Rep(kron.algebra, "B", (1, 1), {"a": [[1]], "b": [[0]]})
     atlas = IndecSet([kron, brick], validate=False)
     assert len(ho.homs(kron, kron)) == 2 and len(ho.homs(brick, brick)) == 1
-    cls = ct.full_subcat(atlas)
+    cls = ct.subcat(atlas, atlas.names)
     conf = ct._witness(side, cls, cls, kron).validate()
     right = side == "right"
     one, far = (conf.defl, conf.a) if right else (conf.infl, conf.c)
-    minimal = ho.is_right_minimal if right else ho.is_left_minimal
-    assert one.source is one.target is kron and far.is_zero() and minimal(one)
+    assert one.source is one.target is kron and far.is_zero() and is_minimal(one, side)
     assert same_blocks(one.blocks, [la.eye(d) for d in kron.dims])
     for obj in (kron, brick):
         # the strip runs for every object: it reads Hom toward obj from
@@ -271,7 +271,7 @@ def test_a_non_brick_member_gets_the_identity_witness(side):
         assert spy.call_count > 1
         assert_same_approximation(got, strip_reference(side, atlas.members, obj))
         assert [m for m, _ in got.parts] == [obj]
-        assert minimal(got.map)
+        assert is_minimal(got.map, side)
 
 
 FINITE = {"right": "fully_contravariantly_finite", "left": "fully_covariantly_finite"}

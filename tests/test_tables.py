@@ -116,7 +116,7 @@ def test_perps_equal_a_per_pair_reference():
         assert ct.perp_right(c).names == tuple(sorted(right))
         assert ct.perp_left(c).names == tuple(sorted(left))
         assert ct.is_rigid(c)
-    assert not ct.is_rigid(ct.full_subcat(atlas))
+    assert not ct.is_rigid(ct.subcat(atlas, atlas.names))
 
 
 def test_an_incomplete_atlas_is_refused():
@@ -162,7 +162,7 @@ def test_a_certificate_builds_each_rcp_report_once():
 def test_mutation_input_checks_run_once():
     f = fx.ex61()
     good = mu.MutationInput(f.atlas, f.subcat_obj("C"), f.subcat_obj("D"))
-    bad = mu.MutationInput(f.atlas, ct.full_subcat(f.atlas), f.subcat_obj("D"))
+    bad = mu.MutationInput(f.atlas, ct.subcat(f.atlas, f.atlas.names), f.subcat_obj("D"))
     with mock.patch.object(mu, "satisfies_rcp", wraps=mu.satisfies_rcp) as spy:
         for _ in range(3):
             assert good.validate() is good

@@ -4,14 +4,17 @@ keeps no plain Cone/CoCone enumeration, the package
 imports nothing it does not use (no linter is installed), no
 module but the fixtures draws random numbers, no module keeps a memo of
 its own, every workspace table is documented, only `algebra` binds maps to
-stored blocks, every public function and class is used somewhere, and the
-CLI's output does not depend on the hash seed."""
+stored blocks, every public function, class, method and property is used
+somewhere, every definition is reached by the CLI, the benchmark or the
+scripts (a short list waits for ROADMAP items), and the CLI's output does
+not depend on the hash seed."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 from test_acceptance import DETERMINISM_COMMANDS
@@ -339,44 +342,154 @@ def test_only_algebra_binds_stored_blocks():
     assert found
 
 
-def public_definitions(path: Path) -> list[str]:
-    """Top-level functions and classes of a module whose names are public."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    return [
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-    ]
+def package_imports(tree) -> dict[str, str]:
+    """Local name -> `module` or `module.name` for each `from .module import
+    name`, `from quiverhearts import module` and the like in a file."""
+    bound = {}
+    for node in ast.walk(tree):
+        module = getattr(node, "module", None) or ""
+        if isinstance(node, ast.ImportFrom) and (node.level or module.startswith("quiverhearts")):
+            base = module.removeprefix("quiverhearts").lstrip(".")
+            bound.update({a.asname or a.name: f"{base}.{a.name}".lstrip(".") for a in node.names})
+    return bound
 
 
-def reads(path: Path) -> set[str]:
-    """Names a file reads: loaded names and attributes, and imported names.
-    A definition binds its name without reading it."""
-    found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.add(node.name.rsplit(".", 1)[-1])
-    return found
+def unreached_definitions(root: Path, allowed=()) -> list[str]:
+    """The functions, classes, methods and properties in `src/` that no CLI
+    command, benchmark workload or script reaches, nor an `allowed` one,
+    each marked as read by tests only or by nothing.  A read resolves
+    through the reader's imports: a bare name only if the file imports or
+    defines it, `m.f` and `C.f` through the module or class bound as m or
+    C; any other `.f` reads every method named f, and a string spelling a
+    definition (the benchmark's span names) reads it.  A class reads its
+    dunder methods and its body outside its methods, where a bare name may
+    be a method; the package's module-level code is reached."""
+    package = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((root / "src" / "quiverhearts").glob("*.py"))}
+    defs, methods = {}, {}
+    for module, tree in package.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{module}.{node.name}"] = node
+            for f in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(f, ast.FunctionDef):
+                    defs[f"{module}.{node.name}.{f.name}"] = f
+                    methods.setdefault(f.name, set()).add(f"{module}.{node.name}.{f.name}")
+
+    def reads(nodes, bound: dict) -> set[str]:
+        found = set()
+        for node in (n for top in nodes for n in ast.walk(top)):
+            if isinstance(node, ast.Name):
+                found.add(bound.get(node.id))
+            elif isinstance(node, ast.Attribute):
+                name = f"{bound.get(getattr(node.value, 'id', None))}.{node.attr}"
+                found |= {name} if name in defs else methods.get(node.attr, set())
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+        return found & defs.keys()
+
+    edges, module_level = {}, set()
+    for module, tree in package.items():
+        mine = [name for name in defs if name.startswith(module + ".")]
+        bound = {**package_imports(tree), **{n.split(".")[1]: n for n in mine if n.count(".") == 1}}
+        top = [n for n in tree.body if not isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        module_level |= reads(top, bound)
+        for name in mine:
+            node = defs[name]
+            if isinstance(node, ast.ClassDef):
+                own = {n.rsplit(".", 1)[1]: n for n in mine if n.startswith(name + ".")}
+                rest = [s for s in node.body if not isinstance(s, ast.FunctionDef)]
+                edges[name] = reads(node.bases + node.keywords + node.decorator_list + rest,
+                                    {**bound, **own}) | {own[f] for f in own if f.startswith("__")}
+            else:
+                edges[name] = reads([node], bound)
+
+    def reached(where: list[str], extra=()) -> set[str]:
+        todo = [*module_level, *extra]
+        for path in (p for w in where for p in sorted((root / w).rglob("*.py"))):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            todo += reads([tree], package_imports(tree))
+        seen = set()
+        while todo:
+            if (name := todo.pop()) not in seen:
+                seen.add(name)
+                todo += edges.get(name, ())
+        return seen
+
+    live, tested = reached(["perfbench", "scripts"], allowed), reached(["tests"])
+    return [f"{name} ({'only tests read it' if name in tested else 'nothing reads it'})"
+            for name in sorted(defs.keys() - live)]
 
 
 def test_no_dead_public_names():
-    read = set()
-    for where in ("src", "tests", "perfbench", "scripts"):
-        for path in sorted((ROOT / where).rglob("*.py")):
-            read |= reads(path)
-    modules = sorted((ROOT / "src" / "quiverhearts").glob("*.py"))
-    dead = [
-        f"{path.name} {name}"
-        for path in modules
-        for name in public_definitions(path)
-        if name not in read
-    ]
+    # Every function, class, method and property, public or not, is read by
+    # a command, the benchmark, a script or a test.
+    dead = [line for line in unreached_definitions(ROOT) if line.endswith("(nothing reads it)")]
     assert not dead, dead
+
+
+# Definitions only tests reach, kept until the ROADMAP item named above
+# them or as an API; an entry is a root, so what it calls needs no entry.
+TEST_ONLY_ALLOWED = (
+    # item 16: the bridges between H/U and mod Gamma
+    "heart.HeartModel.validate_equivalence", "heart.PhiModel.validate_action",
+    "heart.PhiModel.module_map", "heart.heart_mono", "heart.heart_kernel_dim",
+    "heart.heart_kernel_module", "heart.heart_cokernel_module",
+    "heart.CohomologicalH.is_zero_h", "heart.CohomologicalH.h_map",
+    # item 2: the brute-force references, which move with the spans naming them
+    "oracles.plain_search", "oracles.quivers_isomorphic_bruteforce",
+    # item 14: module names
+    "algebra.Rep.renamed",
+    # the public memo API
+    "workspace.Workspace.stats", "workspace.Workspace.clear",
+    # the add(U*V) search that the pruned-search tests pin
+    "cotorsion.star_membership", "cotorsion._star_bruteforce",
+)
+
+
+def test_no_test_only_definitions():
+    # The package ships what the CLI, the benchmark and the scripts run; a
+    # check only tests call lives beside them, in `tests/lemmas.py`.
+    unreached = unreached_definitions(ROOT, TEST_ONLY_ALLOWED)
+    assert not unreached, unreached
+    # every entry is a definition the engine does not reach
+    flagged = {line.split()[0] for line in unreached_definitions(ROOT)}
+    assert set(TEST_ONLY_ALLOWED) <= flagged
+
+
+def test_test_only_rule_flags_what_only_a_test_reaches(tmp_path):
+    files = """
+    == src/quiverhearts/shapes.py
+    def area(x): return x
+    def image(x): return x
+    == src/quiverhearts/core.py
+    from .shapes import area
+    def engine(x):
+        image = area(x)  # a local name, not shapes.image
+        return image
+    def lemma(x): return engine(x)
+    def traced(x): return x
+    def unused(): return lemma(1)
+    class Box:
+        def size(self): return 1
+        def checked(self): return self.size()
+    == perfbench/run.py
+    from quiverhearts import core
+    SPANS = ["core.traced"]
+    core.engine(core.Box().size())
+    == tests/test_core.py
+    from quiverhearts import core, shapes
+    assert core.lemma(1) and core.Box().checked() and shapes.image(1)
+    """
+    for part in textwrap.dedent(files).split("== ")[1:]:
+        name, _, text = part.partition("\n")
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    tested = ["core.Box.checked (only tests read it)", "shapes.image (only tests read it)"]
+    assert unreached_definitions(tmp_path) == [
+        tested[0], "core.lemma (only tests read it)", "core.unused (nothing reads it)", tested[1]
+    ]
+    assert unreached_definitions(tmp_path, ["core.unused"]) == tested
 
 
 def test_memo_rule_flags_a_per_object_memo(tmp_path):

@@ -598,7 +598,7 @@ def test_a_failed_pair_check_stores_nothing():
     """A build that raises, in the witness loop or on Ext-orthogonality,
     leaves no entry and raises again."""
     f = fx.ex61()
-    c, full = f.subcat_obj("C"), ct.full_subcat(f.atlas)
+    c, full = f.subcat_obj("C"), ct.subcat(f.atlas, f.atlas.names)
     for u, v, why in ((c, c, "not in the second class"), (full, full, "does not vanish")):
         for _ in range(2):
             misses = WORKSPACE.stats().get("cotorsion_pair", {}).get("misses", 0)
