@@ -99,7 +99,6 @@ class BoundQuiverAlgebra(metaclass=_Interned):
     quiver: Quiver
     p: int
     relations: tuple[Relation, ...] = ()
-    max_path_length: int = 24
 
     # Content keys hash and compare the algebra on every memo lookup, so both
     # read one tuple of plain fields, built once, in place of the dataclass's.
@@ -114,7 +113,7 @@ class BoundQuiverAlgebra(metaclass=_Interned):
     @cached_property
     def _content(self) -> tuple:
         q = self.quiver
-        return (q.vertices, q.arrows, self.p, self.relations, self.max_path_length)
+        return (q.vertices, q.arrows, self.p, self.relations)
 
     @cached_property
     def _hash(self) -> int:
@@ -164,7 +163,7 @@ class BoundQuiverAlgebra(metaclass=_Interned):
         oprels = tuple(
             tuple((c, tuple(reversed(path))) for c, path in rel) for rel in self.relations
         )
-        op = BoundQuiverAlgebra(opq, self.p, oprels, self.max_path_length)
+        op = BoundQuiverAlgebra(opq, self.p, oprels)
         op.__dict__["opposite"] = self  # so duals of duals land on this very object
         return op
 
@@ -203,10 +202,12 @@ def _enumerate_paths(q: Quiver, max_len: int) -> list[tuple[Path, str, str]]:
     return out
 
 
-# Paths enumerated before `path_basis` gives up: each cap row-reduces one
-# column per path against every generator that fits, so an algebra whose
-# arrow ideal is not nilpotent (a loop quiver whose products never vanish)
-# is refused in well under a second instead of running to `max_path_length`.
+# Path lengths and paths enumerated before `path_basis` gives up: each cap
+# row-reduces one column per path against every generator that fits, so an
+# algebra whose arrow ideal is not nilpotent (a loop quiver whose products
+# never vanish) is refused in well under a second instead of running to
+# `MAX_PATH_LENGTH`.
+MAX_PATH_LENGTH = 24
 MAX_PATHS = 500
 
 
@@ -216,7 +217,7 @@ def path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
     Certification: find L with every length-L path inside the truncated
     ideal span, so the arrow ideal is nilpotent modulo the relations.
     """
-    for cap in range(2, alg.max_path_length + 1):
+    for cap in range(2, MAX_PATH_LENGTH + 1):
         paths = _enumerate_paths(alg.quiver, cap)
         if len(paths) > MAX_PATHS:
             break
@@ -239,7 +240,7 @@ def path_basis(alg: BoundQuiverAlgebra) -> PathBasis:
         return PathBasis(alg, tuple(paths), basis_idx, reduction)
     raise AlgebraError(
         "could not certify nilpotency of the arrow ideal within "
-        f"max_path_length={alg.max_path_length} and {MAX_PATHS} paths"
+        f"MAX_PATH_LENGTH={MAX_PATH_LENGTH} and MAX_PATHS={MAX_PATHS}"
     )
 
 

@@ -10,19 +10,10 @@ member names are preserved, so subcategories transport by name.
 from __future__ import annotations
 
 from .algebra import IndecSet
-from .cotorsion import Subcategory
 
 
-class DualContext:
-    """The atlas and its subcategories carried to the opposite algebra."""
-
-    def __init__(self, atlas: IndecSet):
-        self.datlas = atlas.dual
-
-    def dsub(self, sub: Subcategory) -> Subcategory:
-        return Subcategory(self.datlas, sub.names)
-
-
-def dual_context(atlas: IndecSet) -> DualContext:
-    """The transport of `atlas` onto the opposite algebra by its one dual atlas."""
-    return DualContext(atlas)
+def dual_context(atlas: IndecSet) -> IndecSet:
+    """The atlas carried to the opposite algebra: its one dual atlas, whose
+    members keep their names, so a class moves over as
+    `Subcategory(dual_context(atlas), names)`."""
+    return atlas.dual

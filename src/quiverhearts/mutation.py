@@ -632,8 +632,8 @@ def dual_localization_model(
     Objects and subcategories keep their primal names; Gabriel quivers of
     the op-side quotient must be reversed before comparing primal-side.
     """
-    ctx = dual_context(atlas)
-    op_inp = MutationInput(ctx.datlas, ctx.dsub(m_mut), ctx.dsub(n))
+    datlas = dual_context(atlas)
+    op_inp = MutationInput(datlas, Subcategory(datlas, m_mut.names), Subcategory(datlas, n.names))
     return LocalizationModel.build(op_inp)
 
 

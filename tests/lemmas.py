@@ -1,6 +1,13 @@
 """The paper's lemmas that the certificate does not run, decided on whole
 Hom spaces, with the Ext^1 and minimality helpers, random heart morphisms
-and the A2 fixture that the tests share."""
+and the A2 fixture that the tests share; and the brute-force references
+the tests hold the engine to: the plain Cone/CoCone search, which tries
+every map between X and every direct sum of the middle class up to
+dim X plus twice the largest atlas dimension (the search that
+`cotorsion._search` replaced with a complete one), and the quiver
+isomorphism search, which tries every bijection of the nodes."""
+
+import itertools
 
 import numpy as np
 
@@ -10,7 +17,10 @@ from quiverhearts.algebra import (
     _radical_of_span, composite_columns, direct_sum, flat_columns, hom_space, map_from_coords,
     matrix_map,
 )
-from quiverhearts.cotorsion import CotorsionPair, Subcategory, cocone_objects, projectives_of
+from quiverhearts.cotorsion import (
+    CotorsionPair, Inconclusive, Subcategory, _conflation, _dim_sums, cocone_objects,
+    projectives_of,
+)
 from quiverhearts.fixtures import DEFAULT_P
 from quiverhearts.heart import (
     HeartModel, QuotientCategory, heart_epi, realize_heart_kernel, solve_extend, solve_through,
@@ -191,3 +201,74 @@ def a2_atlas(p: int = DEFAULT_P) -> IndecSet:
     alg = a2_algebra(p)
     mods = [Rep(alg, "1", (1, 0)), Rep(alg, "2", (0, 1)), Rep(alg, "1/2", (1, 1), {"a": [[1]]})]
     return IndecSet(mods, validate=False)
+
+
+def quivers_isomorphic_bruteforce(q1, q2) -> bool:
+    """Digraph isomorphism with arrow multiplicities, by trying every
+    bijection of the nodes (quivers with `nodes` and an `arrows` dict
+    (source, target) -> multiplicity)."""
+    if len(q1.nodes) != len(q2.nodes):
+        return False
+    for perm in itertools.permutations(q2.nodes):
+        m = dict(zip(q1.nodes, perm))
+        if all(
+            q2.arrows.get((m[s], m[t]), 0) == k for (s, t), k in q1.arrows.items()
+        ) and sum(q1.arrows.values()) == sum(q2.arrows.values()):
+            return True
+    return False
+
+
+def candidate_sums(members: list[Rep], max_total: int):
+    """All direct sums from `members` (with multiplicity) up to a size bound."""
+    nonzero = [m for m in members if not m.is_zero()]
+    nonzero.sort(key=lambda m: (m.total_dim, m.name))
+
+    def rec(start: int, budget: int):
+        yield []
+        for i in range(start, len(nonzero)):
+            m = nonzero[i]
+            if m.total_dim <= budget:
+                for rest in rec(i, budget - m.total_dim):
+                    yield [m] + rest
+
+    for combo in rec(0, max_total):
+        if combo:
+            yield combo
+
+
+def all_maps(x: Rep, b: Rep):
+    """Every morphism x -> b (field must be small for this to be sane)."""
+    basis = homs(x, b)
+    p = x.algebra.p
+    if len(basis) == 0:
+        yield RepMap.zero(x, b)
+        return
+    if p ** len(basis) > 200000:
+        raise Inconclusive(
+            f"morphism space too large to enumerate: p^{len(basis)} with p={p}"
+        )
+    for coords in itertools.product(range(p), repeat=len(basis)):
+        yield map_from_coords(basis, coords)
+
+
+def plain_search(side: str, x: Rep, bp: Subcategory, bpp: Subcategory) -> Conflation | None:
+    """The first conflation B' >-> B'' ->> X (right) or X >-> B' ->> B''
+    (left) with ends in the classes, over every sum of the middle class of
+    total dimension at most dim X plus twice the largest atlas dimension and
+    every map between it and X; a sum whose far end has a dimension vector
+    outside add(far class) is skipped, as in `cotorsion._search`."""
+    right = side == "right"
+    sums, end_class = (bpp, bp) if right else (bp, bpp)
+    max_total = x.total_dim + 2 * max((m.total_dim for m in sums.atlas), default=0)
+    reachable = _dim_sums(end_class)
+    for combo in candidate_sums(sums.members, max_total):
+        dims = tuple(map(sum, zip(*(m.dims for m in combo))))
+        if not reachable(tuple(s - d for s, d in zip(dims, x.dims))):
+            continue
+        total = direct_sum(combo)
+        for f in all_maps(total, x) if right else all_maps(x, total):
+            if f.is_surjective() if right else f.is_injective():
+                conf, end = _conflation(side, f)
+                if end_class.contains(end):
+                    return conf
+    return None

@@ -11,7 +11,6 @@ from quiverhearts import heart as ht
 from quiverhearts import homology as ho
 from quiverhearts import linalg as la
 from quiverhearts.linalg import Block
-from quiverhearts.oracles import all_maps
 from quiverhearts.algebra import (
     AlgebraError,
     BoundQuiverAlgebra,
@@ -34,7 +33,7 @@ from quiverhearts.algebra import (
     standard_modules,
 )
 from quiverhearts.workspace import WORKSPACE
-from lemmas import a2_algebra, a2_atlas, end_radical
+from lemmas import a2_algebra, a2_atlas, all_maps, end_radical
 from test_linalg import matmul_reference, nullspace_reference, rref_reference
 from test_workspace import nakayama_atlas
 
@@ -607,10 +606,10 @@ def _unpruned_generators(alg, paths, cap):
 PATH_ALGEBRAS = {
     "ex61": fx.auslander_a3_algebra,
     "A6/rad^3": lambda: nakayama_atlas(6, 3).members[0].algebra,
-    # a a = b b = 0 leaves ab, aba, ... nonzero: never certified
+    # a a = b b = 0 leaves ab, aba, ... nonzero: refused at cap 8, with 510 paths
     "two loops": lambda: BoundQuiverAlgebra(
         Quiver(("1",), (("a", "1", "1"), ("b", "1", "1"))), 101,
-        (((1, ("a", "a")),), ((1, ("b", "b")),)), max_path_length=6,
+        (((1, ("a", "a")),), ((1, ("b", "b")),)),
     ),
 }
 

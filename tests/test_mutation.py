@@ -9,7 +9,6 @@ import pytest
 
 from quiverhearts import linalg as la
 from quiverhearts import mutation as mu
-from quiverhearts import oracles
 from quiverhearts.algebra import (
     AlgebraError,
     RepMap,
@@ -17,6 +16,7 @@ from quiverhearts.algebra import (
     map_from_coords,
 )
 from quiverhearts.cotorsion import (
+    Subcategory,
     cocone_membership,
     cone_objects,
     cocone_objects,
@@ -25,7 +25,6 @@ from quiverhearts.cotorsion import (
     satisfies_rcp,
     subcat,
 )
-from quiverhearts.duality import dual_context
 from quiverhearts.fixtures import (
     a3_atlas,
     auslander_a3_atlas,
@@ -60,7 +59,9 @@ from quiverhearts.mutation import (
     verify_main_theorem,
     verify_pseudo_morita,
 )
-from lemmas import check_g1_property, is_approximation, verify_hd_moreover
+from lemmas import (
+    check_g1_property, is_approximation, quivers_isomorphic_bruteforce, verify_hd_moreover,
+)
 from test_shortcuts import ladder_instances
 from test_workspace import nakayama_atlas, same_blocks
 
@@ -128,8 +129,9 @@ def test_co_classes_match_panels(fx, twin):
 def test_co_mutation_recovers_co_class(fx, twin):
     # Cone(M', N) meet the left perp of N: the right mutation over the
     # opposite algebra
-    ctx = dual_context(fx.atlas)
-    op = MutationInput(ctx.datlas, ctx.dsub(twin.m_mut), ctx.dsub(twin.n)).validate()
+    dual = fx.atlas.dual
+    op = MutationInput(dual, Subcategory(dual, twin.m_mut.names),
+                       Subcategory(dual, twin.n.names)).validate()
     got = subcat(fx.atlas, right_mutation(op).names)
     assert set(got.names) == set(twin.m.names)
 
@@ -258,8 +260,8 @@ def test_localized_quiver_shape(fx, model):
 
 
 def test_dual_heart_objects_panel(fx, twin):
-    ctx = dual_context(fx.atlas)
-    hm = HeartModel.build(ctx.dsub(twin.m_mut).rigid_pair, ctx.datlas)
+    dual = fx.atlas.dual
+    hm = HeartModel.build(Subcategory(dual, twin.m_mut.names).rigid_pair, dual)
     assert set(hm.heart_object_names()) == set(fx.subcats["heart_mut"])
     # the heart of the mutated pair has the same nonzero objects
     hm2 = HeartModel.build(twin.cmut.rigid_pair, fx.atlas)
@@ -317,7 +319,7 @@ def test_object_map_is_the_localized_quiver_isomorphism(monkeypatch, n, k, c, d)
     [(q1, q2, mapping, ok)] = calls
     assert ok and mapping is report["morita"]["object_map"]
     assert (q1, q2) == (report["quiver"], report["quiver_dual"])
-    assert oracles.quivers_isomorphic_bruteforce(q1, q2)
+    assert quivers_isomorphic_bruteforce(q1, q2)
 
 
 def test_a_corrupted_object_map_fails_the_quiver_check(monkeypatch, fx, model):
@@ -487,7 +489,7 @@ def test_main_theorem_rejects_inadmissible_input(fx):
 @pytest.mark.parametrize("drawn", ["both dual", "inner dual", "second ex61", "one on a copy"])
 def test_main_theorem_refuses_classes_from_another_atlas(fx, drawn):
     c, d = fx.subcat_obj("C"), fx.subcat_obj("D")
-    dual = dual_context(fx.atlas).datlas
+    dual = fx.atlas.dual
     other = ex61()
     assert other.atlas is not fx.atlas
     if drawn == "second ex61":

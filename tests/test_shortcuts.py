@@ -30,7 +30,6 @@ from quiverhearts import homology as ho
 from quiverhearts import linalg as la
 from quiverhearts import mutation as mu
 from quiverhearts.algebra import AlgebraError, IndecSet, RepMap
-from quiverhearts.duality import dual_context
 from quiverhearts.workspace import WORKSPACE
 from test_acceptance import DETERMINISM_COMMANDS
 from test_algebra import kronecker_module
@@ -399,7 +398,7 @@ def test_a_member_copy_decomposes_as_the_split_search_finds_it(name, dual):
     of a member (renamed, or a one-summand sum) makes no memo entry."""
     atlas = fx.ex61().atlas if name == "ex61" else nakayama_atlas(8, 3)
     if dual:
-        atlas = dual_context(atlas).datlas
+        atlas = atlas.dual
     WORKSPACE.clear()
     for member in atlas:
         identity = [la.eye(d) for d in member.dims]

@@ -32,7 +32,7 @@ ATLASES = {
 def any_atlas(request):
     name, side = request.param
     atlas = ATLASES[name]()
-    return dual_context(atlas).datlas if side else atlas
+    return atlas.dual if side else atlas
 
 
 def whole_table(atlas, kind: str) -> list[list[int]]:
@@ -69,7 +69,7 @@ def test_one_dual_atlas_fills_each_dual_ext1_row_once():
             mu.dual_localization_model(f.atlas, twin.m_mut, twin.n)
             after.append(len(filled))
     assert filled and len(set(filled)) == len(filled) and after[0] == after[1]
-    assert dual_context(f.atlas).datlas is f.atlas.dual and f.atlas.dual.dual is f.atlas
+    assert dual_context(f.atlas) is f.atlas.dual and f.atlas.dual.dual is f.atlas
 
 
 def test_ext1_rows_agree_with_the_bruteforce_oracle():

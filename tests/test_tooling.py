@@ -1,5 +1,5 @@
 """Tooling checks: the benchmark's tracer still finds every target it wraps
-and reads blocks as it expects, the CLI imports no numpy, `cotorsion`
+and reads blocks as it expects, no module of the package imports numpy, `cotorsion`
 keeps no plain Cone/CoCone enumeration, the package
 imports nothing it does not use (no linter is installed), no
 module but the fixtures draws random numbers, no module keeps a memo of
@@ -43,9 +43,12 @@ def test_benchmark_tracer_installs():
     run_child("from tracer import Tracer\nTracer().install()\n")
 
 
-def test_the_cli_imports_no_numpy():
+def test_the_package_imports_no_numpy():
+    # Every module, the CLI and the Ext^1 oracle included, imports without numpy.
     out = run_child(
-        "import quiverhearts.cli\n"
+        "import importlib, pkgutil, quiverhearts\n"
+        "for m in pkgutil.iter_modules(quiverhearts.__path__):\n"
+        "    importlib.import_module('quiverhearts.' + m.name)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
     assert out == "[]\n"
@@ -53,7 +56,7 @@ def test_the_cli_imports_no_numpy():
 
 def test_cotorsion_keeps_only_the_complete_search():
     # The plain enumeration of sums and maps is the tests' reference in
-    # `oracles`; `cotorsion` neither defines nor calls it.
+    # `tests/lemmas.py`; `cotorsion` neither defines nor calls it.
     source = (ROOT / "src" / "quiverhearts" / "cotorsion.py").read_text(encoding="utf-8")
     assert "candidate_sums" not in source and "all_maps" not in source
 
@@ -436,8 +439,6 @@ TEST_ONLY_ALLOWED = (
     "heart.PhiModel.module_map", "heart.heart_mono", "heart.heart_kernel_dim",
     "heart.heart_kernel_module", "heart.heart_cokernel_module",
     "heart.CohomologicalH.is_zero_h", "heart.CohomologicalH.h_map",
-    # item 2: the brute-force references, which move with the spans naming them
-    "oracles.plain_search", "oracles.quivers_isomorphic_bruteforce",
     # item 14: module names
     "algebra.Rep.renamed",
     # the public memo API
