@@ -50,7 +50,6 @@ from .homology import (
     ext1_dim,
     homs,
     kernel,
-    pullback,
     pullback_conflation,
     syzygy,
 )
@@ -302,10 +301,11 @@ class CohomologicalH:
     """H: B -> H/U for a cotorsion pair (U, V) with U rigid.
 
     H(X) is the pullback B^- of the witness diagram: X >-> V^X ->> U^X and
-    the right witness V0 >-> U0 ->> V^X; then V0 >-> B^- ->> X has kernel
-    V0 in V and its deflation is a right H-approximation, which makes
-    morphism transport a linear solve, well-defined modulo [U].  H(X) is
-    stored as that conflation.
+    the right witness V0 >-> U0 ->> V^X; then V0 >-> B^- ->> X, the right
+    witness pulled back along X >-> V^X (`pullback_conflation`, so B^- is
+    V0 + X at each vertex), has kernel V0 in V and its deflation is a
+    right H-approximation, which makes morphism transport a linear solve,
+    well-defined modulo [U].  H(X) is stored as that conflation.
     """
 
     def __init__(self, pair: CotorsionPair, atlas: IndecSet):
@@ -584,26 +584,26 @@ def heart_cokernel_module(model: HeartModel, f: RepMap) -> Rep:
 def realize_heart_kernel(model: HeartModel, g: RepMap) -> Rep:
     """For a heart epi g: B -> C, the kernel object K_g.
 
-    K_g is the pullback of g along the witness deflation W_C ->> C; the
-    conflation K_g >-> B + W_C ->> C exhibits 0 -> K_g -> B -> C -> 0 in
-    the heart.
+    K_g is the pullback of g along the witness deflation W_C ->> C: the
+    middle term of the witness V_C >-> W_C ->> C pulled back along g,
+    V_C >-> K_g ->> B, whose deflation is the map K_g -> B.  It exhibits
+    0 -> K_g -> B -> C -> 0 in the heart, certified in the Phi model.
     """
     if not heart_epi(model, g):
         raise AlgebraError("not exact: the morphism is not an epimorphism in the heart")
-    c = g.target
-    wr = model.pair.witness("right", c)  # V_C >-> W_C ->> C
-    kobj, to_b, _, _ = pullback(g, wr.defl)
+    wr = model.pair.witness("right", g.target)  # V_C >-> W_C ->> C
+    to_b = pullback_conflation(wr, g)[0].defl  # V_C >-> K_g ->> B
     # exactness certificate in the Phi model
     mk = model.phi.phi_map(to_b)
     mg = model.phi.phi_map(g)
     p = model.phi.p
     if la.matmul(mg, mk, p).any():
         raise AlgebraError("not exact: kernel composite does not vanish")
-    if la.rank(mk, p) != model.phi.dim(kobj):
+    if la.rank(mk, p) != model.phi.dim(to_b.source):
         raise AlgebraError("not exact: kernel inclusion is not a heart mono")
     if la.rank(mk, p) + la.rank(mg, p) != model.phi.dim(g.source):
         raise AlgebraError("not exact: rank identity fails")
-    return kobj
+    return to_b.source
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,18 @@
 Everything here is exact linear algebra over F_p: kernels and cokernels are
 computed vertexwise, short exact sequences are represented as Conflation
 objects, and approximations by a subcategory are built from Hom bases and
-greedily stripped to minimal ones.  A projective cover is the minimal right
-approximation by the indecomposable projectives, and an injective envelope
-the minimal left one by the indecomposable injectives.  Ext^1(C, A) is the
-cokernel of Hom(P0, A) -> Hom(Omega C, A) on the syzygy conflation
-Omega C >-> P0 ->> C, and its dimension is read off the exact sequence of
-Hom dimensions along it.  Syzygies, Ext^1 dimensions, minimal
-approximations and the conflations of a map's kernel and cokernel are
-memoised by module content in the shared `Workspace`, like the Hom bases; a
-hit returns the value its miss stored.
+greedily stripped to minimal ones.  A conflation is pulled back or pushed
+out along a map in split normal form: the new middle term is the sum of its
+end terms at each vertex, and each arrow's corner block is read off a
+section and a retraction of the old conflation, with no kernel to take.  A
+projective cover is the minimal right approximation by the indecomposable
+projectives, and an injective envelope the minimal left one by the
+indecomposable injectives.  Ext^1(C, A) is the cokernel of Hom(P0, A) ->
+Hom(Omega C, A) on the syzygy conflation Omega C >-> P0 ->> C, and its
+dimension is read off the exact sequence of Hom dimensions along it.
+Syzygies, Ext^1 dimensions, minimal approximations and the conflations of a
+map's kernel and cokernel are memoised by module content in the shared
+`Workspace`, like the Hom bases; a hit returns the value its miss stored.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .algebra import (
     AlgebraError,
     Rep,
     RepMap,
+    _product,
     composite_columns,
     direct_sum,
     flat_columns,
@@ -154,90 +158,86 @@ def _end_map(kind: str, f: RepMap) -> RepMap:
     return g
 
 
-def pushout(f: RepMap, g: RepMap):
-    """Pushout of B <--f-- A --g--> C.
-
-    Returns (P, iB: B -> P, iC: C -> P, proj) with iB f = iC g, where proj:
-    B + C ->> P is the cokernel of [f; -g] and the legs are its columns.
-    """
-    if f.source != g.source:
-        raise AlgebraError("pushout legs must share a source")
-    bc = direct_sum([f.target, g.target])
-    p_rep, proj = cokernel(matrix_map(f.source, bc, [[f], [g.neg()]]))
-    legs = [(b, range(b.rows), d) for b, d in zip(proj.blocks, f.target.dims)]
-    ib = RepMap._trusted(f.target, p_rep, [la.submatrix(b, r, range(d)) for b, r, d in legs])
-    ic = RepMap._trusted(
-        g.target, p_rep, [la.submatrix(b, r, range(d, b.cols)) for b, r, d in legs]
-    )
-    return p_rep, ib, ic, proj
-
-
-def pushout_couniversal(po, b_map: RepMap, c_map: RepMap) -> RepMap:
-    """Map out of a pushout induced by b_map, c_map with b_map f = c_map g."""
-    p_rep, _, _, proj = po
-    comb = matrix_map(proj.source, b_map.target, [[b_map, c_map]])
-    p = b_map.p
-    blocks = []
-    for pj, cb in zip(proj.blocks, comb.blocks):
-        sol = la.solve(pj.T, cb.T, p)
-        if sol is None:
-            raise AlgebraError("pushout couniversal map does not exist")
-        blocks.append(sol.T)
-    return RepMap._checked(p_rep, b_map.target, blocks)
-
-
-def pullback(f: RepMap, g: RepMap):
-    """Pullback of B --f--> D <--g-- C.
-
-    Returns (P, pB: P -> B, pC: P -> C, inc) with f pB = g pC, where inc:
-    P >-> B + C is the kernel of [f | -g] and the legs are its rows.
-    """
-    if f.target != g.target:
-        raise AlgebraError("pullback legs must share a target")
-    bc = direct_sum([f.source, g.source])
-    p_rep, inc = kernel(matrix_map(bc, f.target, [[f, g.neg()]]))
-    legs = [(b, range(b.cols), d) for b, d in zip(inc.blocks, f.source.dims)]
-    pb = RepMap._trusted(p_rep, f.source, [la.submatrix(b, range(d), c) for b, c, d in legs])
-    pc = RepMap._trusted(
-        p_rep, g.source, [la.submatrix(b, range(d, b.rows), c) for b, c, d in legs]
-    )
-    return p_rep, pb, pc, inc
-
-
-def pullback_universal(pb, b_map: RepMap, c_map: RepMap) -> RepMap:
-    """Map into a pullback induced by b_map, c_map with f b_map = g c_map."""
-    p_rep, _, _, inc = pb
-    comb = matrix_map(b_map.source, inc.target, [[b_map], [c_map]])
-    p = b_map.p
-    blocks = []
-    for bi, cb in zip(inc.blocks, comb.blocks):
-        sol = la.solve(bi, cb, p)
-        if sol is None:
-            raise AlgebraError("pullback universal map does not exist")
-        blocks.append(sol)
-    return RepMap._checked(b_map.source, p_rep, blocks)
-
-
 def pushout_conflation(conf: Conflation, f: RepMap) -> tuple[Conflation, RepMap]:
-    """Push A >-> B ->> C forward along f: A -> A'.
+    """Push A >-i-> B -d->> C forward along f: A -> A'.
 
-    Returns the conflation A' >-> P ->> C and the map B -> P.
+    Returns the conflation A' >-> P ->> C and the map B -> P, in split
+    normal form (`_split`): P_v = A'_v + C_v, and the leg is [f_v r_v; d_v]
+    for a retraction r_v of i_v.  An arrow a: v -> w has the corner
+    (f_w r_w B_a - A'_a f_v r_v) s_v for a section s_v of d_v: the one
+    block for which the leg, built checked, intertwines, as d_v is onto.
     """
-    po = pushout(f, conf.infl)
-    p_rep, i_aprime, i_b = po[0], po[1], po[2]
-    defl = pushout_couniversal(po, RepMap.zero(f.target, conf.c), conf.defl)
-    return Conflation(i_aprime, defl).validate(), i_b
+    if f.source != conf.a:
+        raise AlgebraError("pushout legs must share a source")
+    a2, b, c, p = f.target, conf.b, conf.c, f.p
+    fr = [_product(fv, _section(iv.T, p).T, p) if fv.any() else la.zeros(fv.rows, bv)
+          for fv, iv, bv in zip(f.blocks, conf.infl.blocks, b.dims)]
+    corners = {}  # a section is taken only where the corner is nonzero
+    for aid, v, w in b.algebra.quiver._arrow_ends:
+        t = la.sub(_product(fr[w], b.arrow_maps[aid], p), _product(a2.arrow_maps[aid], fr[v], p), p)
+        if t.any():
+            corners[aid] = _product(t, _section(conf.defl.blocks[v], p), p)
+    new = _split(f"coker(({a2.name}+{b.name}))", a2, c, corners)
+    legs = [la.vstack([x, d], bv) for x, d, bv in zip(fr, conf.defl.blocks, b.dims)]
+    return new, RepMap._checked(b, new.b, legs)
 
 
 def pullback_conflation(conf: Conflation, g: RepMap) -> tuple[Conflation, RepMap]:
-    """Pull A >-> B ->> C back along g: C' -> C.
+    """Pull A >-i-> B -d->> C back along g: C' -> C.
 
-    Returns the conflation A >-> P ->> C' and the map P -> B.
+    Returns the conflation A >-> P ->> C' and the map P -> B, in split
+    normal form (`_split`): P_v = A_v + C'_v, and the leg is [i_v | s_v g_v]
+    for a section s_v of d_v.  An arrow a: v -> w has the corner
+    r_w (B_a s_v g_v - s_w g_w C'_a) for a retraction r_w of i_w: the one
+    block for which the leg, built checked, intertwines, as i_w is into.
     """
-    pb = pullback(conf.defl, g)
-    p_rep, p_b, p_cprime = pb[0], pb[1], pb[2]
-    infl = pullback_universal(pb, conf.infl, RepMap.zero(conf.a, g.source))
-    return Conflation(infl, p_cprime).validate(), p_b
+    if g.target != conf.c:
+        raise AlgebraError("pullback legs must share a target")
+    a, b, c2, p = conf.a, conf.b, g.source, g.p
+    sg = [_product(_section(dv, p), gv, p) if gv.any() else la.zeros(bv, gv.cols)
+          for dv, gv, bv in zip(conf.defl.blocks, g.blocks, b.dims)]
+    corners = {}  # a retraction is taken only where the corner is nonzero
+    for aid, v, w in b.algebra.quiver._arrow_ends:
+        t = la.sub(_product(b.arrow_maps[aid], sg[v], p), _product(sg[w], c2.arrow_maps[aid], p), p)
+        if t.any():
+            corners[aid] = _product(_section(conf.infl.blocks[w].T, p).T, t, p)
+    new = _split(f"ker(({b.name}+{c2.name}))", a, c2, corners)
+    legs = [la.hstack([i, x], bv) for i, x, bv in zip(conf.infl.blocks, sg, b.dims)]
+    return new, RepMap._checked(new.b, b, legs)
+
+
+def _section(d: Block, p: int) -> Block:
+    """s with d s = 1 for the block d of a deflation; for the transpose of
+    an inflation's block, the transpose of a retraction."""
+    s = la.right_inverse(d, p)
+    if s is None:
+        raise AlgebraError("conflation is not exact at a vertex")
+    return s
+
+
+def _split(name: str, top: Rep, bottom: Rep, corners: dict[str, Block]) -> Conflation:
+    """top >-[1; 0]-> M -[0 1]->> bottom, validated, for the module M with
+    M_v = top_v + bottom_v on which an arrow a acts as
+    [[top_a, corners[a]], [0, bottom_a]], a zero corner where a has none.
+    M is built unchecked.  Its caller builds a leg checked: a map M -> B
+    that embeds M in B + bottom beside [0 1], or a map B -> M that maps
+    top + B onto M beside [1; 0]; either way M satisfies the relations."""
+    maps = {}
+    for aid, v, w in top.algebra.quiver._arrow_ends:
+        if aid not in corners and not (bottom.dims[v] or bottom.dims[w]):
+            maps[aid] = top.arrow_maps[aid]  # bound as it is, like a sum of one
+        elif aid not in corners and not (top.dims[v] or top.dims[w]):
+            maps[aid] = bottom.arrow_maps[aid]
+        else:
+            cells = [[top.arrow_maps[aid], corners.get(aid)], [None, bottom.arrow_maps[aid]]]
+            maps[aid] = la.grid(cells, [top.dims[w], bottom.dims[w]], [top.dims[v], bottom.dims[v]])
+    mid = Rep._trusted(top.algebra, name, [t + u for t, u in zip(top.dims, bottom.dims)], maps)
+    ins, outs = [], []
+    for t, n in zip(top.dims, mid.dims):
+        e = la.eye(n)
+        ins.append(e if t == n else la.submatrix(e, range(n), range(t)))
+        outs.append(e if not t else la.submatrix(e, range(t, n), range(n)))
+    return Conflation(RepMap._trusted(top, mid, ins), RepMap._trusted(mid, bottom, outs)).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 `algebra.matrix_map` builds each block as the grid of the component blocks.
 The references here are what it replaced: sums of composites over the
 inclusions and projections of each direct sum, built from identity blocks
-by `structure_maps`.  Pushouts and pullbacks are checked against the old
-formulas the same way, on the ex61 atlas.
+by `structure_maps`.  The pushouts and pullbacks of conflations, built in
+split normal form, are checked against the old kernel and cokernel
+constructions on the ex61 atlas, through the old universal maps.
 """
 
 import numpy as np
@@ -118,8 +119,9 @@ def test_matrix_map_rejects_components_of_the_wrong_sum():
 
 
 # ---------------------------------------------------------------------------
-# Pushouts and pullbacks: the legs are column or row slices of the
-# cokernel or kernel map, equal to the old composites with the structure maps.
+# Pushouts and pullbacks of conflations: the split normal form is isomorphic
+# to the old construction, the cokernel (kernel) of the column [f; -g] (the
+# row [f | -g]) on the direct sum, by the old universal map.
 
 
 def pushout_reference(f: RepMap, g: RepMap):
@@ -161,29 +163,36 @@ def realized_conflations(atlas):
     return out
 
 
+def commutes(f: RepMap, g: RepMap, h: RepMap, k: RepMap) -> bool:
+    """f o g == h o k."""
+    return same_blocks(f.compose(g), h.compose(k))
+
+
 def test_pushout_pullback_equal_the_old_formulas():
     atlas = fx.ex61().atlas
     checked = 0
     for conf in realized_conflations(atlas)[::3]:
         for t in atlas.members[::2]:
             for f in al.hom_space(conf.a, t):  # push forward along f: A -> t
-                got, want = ho.pushout(f, conf.infl), pushout_reference(f, conf.infl)
-                assert got[0].key == want[0].key
-                assert all(same_blocks(a, b) for a, b in zip(got[1:4], want[1:4]))
-                b_map, c_map = RepMap.zero(f.target, conf.c), conf.defl
-                assert same_blocks(
-                    ho.pushout_couniversal(got, b_map, c_map),
-                    couniversal_reference(want, b_map, c_map),
-                )
+                new, leg = ho.pushout_conflation(conf, f)  # t >-> P ->> C, B -> P
+                new.validate()
+                assert commutes(leg, conf.infl, new.infl, f)
+                assert commutes(new.defl, leg, conf.defl, RepMap.identity(conf.b))
+                want = pushout_reference(f, conf.infl)  # t -> P_ref <- B
+                u = couniversal_reference(want, new.infl, leg)  # P_ref -> P
+                assert u.is_isomorphism()
+                assert same_blocks(u.compose(want[1]), new.infl)
+                assert same_blocks(u.compose(want[2]), leg)
                 checked += 1
             for g in al.hom_space(t, conf.c):  # pull back along g: t -> C
-                got, want = ho.pullback(conf.defl, g), pullback_reference(conf.defl, g)
-                assert got[0].key == want[0].key
-                assert all(same_blocks(a, b) for a, b in zip(got[1:4], want[1:4]))
-                b_map, c_map = conf.infl, RepMap.zero(conf.a, g.source)
-                assert same_blocks(
-                    ho.pullback_universal(got, b_map, c_map),
-                    universal_reference(want, b_map, c_map),
-                )
+                new, leg = ho.pullback_conflation(conf, g)  # A >-> P ->> t, P -> B
+                new.validate()
+                assert commutes(conf.defl, leg, g, new.defl)
+                assert commutes(leg, new.infl, conf.infl, RepMap.identity(conf.a))
+                want = pullback_reference(conf.defl, g)  # B <- P_ref -> t
+                u = universal_reference(want, leg, new.defl)  # P -> P_ref
+                assert u.is_isomorphism()
+                assert same_blocks(want[1].compose(u), leg)
+                assert same_blocks(want[2].compose(u), new.defl)
                 checked += 1
     assert checked >= 20

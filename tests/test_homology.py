@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 
@@ -135,10 +136,12 @@ def test_pushout_pullback_and_coords_of_refuse_ends_of_equal_dimensions():
     m = atlas["34/5"]
     other = direct_sum([atlas["3"], atlas["4/5"]])
     assert other.dims == m.dims and other != m
+    onto_m = ho.conflation_from_infl(RepMap.identity(m))  # m >-> m ->> 0
     with pytest.raises(AlgebraError, match="share a source"):
-        ho.pushout(RepMap.identity(m), RepMap.zero(other, m))
+        ho.pushout_conflation(onto_m, RepMap.zero(other, m))
+    into_m = ho.conflation_from_defl(RepMap.identity(m))  # 0 >-> m ->> m
     with pytest.raises(AlgebraError, match="share a target"):
-        ho.pullback(RepMap.identity(m), RepMap.zero(m, other))
+        ho.pullback_conflation(into_m, RepMap.zero(m, other))
     c = atlas["2"]
     column = [[RepMap.identity(other)], [RepMap.zero(other, c)]]
     split = ho.conflation_from_infl(matrix_map(other, direct_sum([other, c]), column))
@@ -254,13 +257,44 @@ def test_pushout_pullback_conflation():
     f = hom_space(atlas["2"], atlas["1/2"])[0]
     conf2, bmap = ho.pushout_conflation(conf, f)
     conf2.validate()
-    assert conf2.a.name.startswith("1/2") or conf2.a.dims == atlas["1/2"].dims
+    assert conf2.a == atlas["1/2"]
     # pulling back the cover conflation of 2 along 34/5 -> 0 is trivial-safe
     g = RepMap.zero(atlas["3"], conf.c)
     conf3, pmap = ho.pullback_conflation(conf, g)
     conf3.validate()
     s = direct_sum([conf.a, atlas["3"]])
     assert decompose(conf3.b, atlas) == decompose(s, atlas) == {"2": 1, "3": 1}
+
+
+@pytest.mark.parametrize("build", ["pullback_conflation", "pushout_conflation"])
+def test_a_wrong_section_or_retraction_fails_the_checked_leg(monkeypatch, build):
+    """The corner blocks of the split middle term are certified by the leg's
+    intertwining check: a section or retraction that comes back zero at one
+    vertex, whichever, makes the construction raise instead of returning a
+    conflation."""
+    atlas = fx.auslander_a3_atlas()
+    conf = realize(ho.Ext1(atlas["1/2"], atlas["2/3"]), [1])  # 2/3 >-> B ->> 1/2
+    along = RepMap.identity(conf.c if build == "pullback_conflation" else conf.a)
+    honest, made = ho._section, []
+
+    def recorded(block, p):
+        made.append(honest(block, p))
+        return made[-1]
+
+    monkeypatch.setattr(ho, "_section", recorded)
+    honest_conf, _ = getattr(ho, build)(conf, along)
+    assert is_isomorphic(honest_conf.b, conf.b)[0]
+    nonzero = [k for k, s in enumerate(made) if s.any()]
+    assert len(nonzero) == 3  # sections and retractions both: two of one, one of the other
+    for k in nonzero:
+
+        def zeroed_at_k(block, p, k=k, calls=itertools.count()):
+            s = honest(block, p)
+            return la.zeros(s.rows, s.cols) if next(calls) == k else s
+
+        monkeypatch.setattr(ho, "_section", zeroed_at_k)
+        with pytest.raises(AlgebraError, match="do not intertwine"):
+            getattr(ho, build)(conf, along)
 
 
 def test_factors_through():

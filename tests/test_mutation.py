@@ -219,7 +219,7 @@ def test_faithfulness_catches_r_changed_on_one_basis_map(model, monkeypatch):
 
         def r_qcoords(r1, r2, b1=b1, b2=b2, j=j):
             image = honest(r1, r2)
-            if r1.c is b1 and r2.c is b2:
+            if r1.c == b1 and r2.c == b2:  # by content: a memo hit may hand back an equal copy
                 zero = (0,) * image.rows
                 cols = [zero if i == j else image.column(i) for i in range(image.cols)]
                 image = la.columns(cols, image.rows)
