@@ -12,15 +12,16 @@ Cone/CoCone classes and the check of a claimed cotorsion pair, are
 memoised by the classes' content in the workspace, as names and reports;
 a pair whose check is stored builds each witness when it is looked up.
 
-The search (`_search`, also behind the brute-force oracles and
-`star_membership`) runs through the direct sums S of a class that hold each
-member B at most dim Hom(B, X) (or dim Hom(X, B)) times, and tries the maps
-between S and X whose components into (out of) the copies of B span each
-subspace of that Hom space once; `_search` proves that no conflation is
-missed.  The far end of a conflation built from such a map has a dimension
-vector fixed by S and X alone, so a sum is skipped unless that vector is a
-sum of dimension vectors of the far class.  A sum with more than 200,000
-candidate maps stops the search with `Inconclusive`.
+The search (`_search`, also behind the brute-force oracles and the tests'
+add(U*V) search, `star_membership` in `tests/lemmas.py`) runs through the
+direct sums S of a class that hold each member B at most dim Hom(B, X) (or
+dim Hom(X, B)) times, and tries the maps between S and X whose components
+into (out of) the copies of B span each subspace of that Hom space once;
+`_search` proves that no conflation is missed.  The far end of a
+conflation built from such a map has a dimension vector fixed by S and X
+alone, so a sum is skipped unless that vector is a sum of dimension
+vectors of the far class.  A sum with more than 200,000 candidate maps
+stops the search with `Inconclusive`.
 """
 
 from __future__ import annotations
@@ -469,11 +470,12 @@ def _search(
     cokernel: the rest of f is a surjection (injection) between x and a
     smaller S whose far end is a summand of the old one, so still in
     add(end_class), which is closed under summands.  An injection S >-> x
-    (the search of `star_membership`) has no zero component at all.  So if
-    a conflation exists, one exists whose components at each B are linearly
-    independent, which needs k <= h_B; and independent k-tuples that span
-    the same subspace differ by some g, so they give isomorphic
-    conflations, and one basis per subspace is enough.
+    (the search of `star_membership` in `tests/lemmas.py`) has no zero
+    component at all.  So if a conflation exists, one exists whose
+    components at each B are linearly independent, which needs k <= h_B;
+    and independent k-tuples that span the same subspace differ by some g,
+    so they give isomorphic conflations, and one basis per subspace is
+    enough.
 
     The far end of a surjection (injection) src -> tgt is its kernel
     (cokernel), of dimension vector dim src - dim tgt (dim tgt - dim src)
@@ -570,33 +572,3 @@ def _bruteforce(side: str, x: Rep, bp: Subcategory, bpp: Subcategory) -> Conflat
         return _identity_conflation(side, x)
     sums, end_class = (bpp, bp) if right else (bp, bpp)
     return _search(side, x, sums.members, right, end_class)
-
-
-def star_membership(x: Rep, pair: CotorsionPair) -> bool:
-    """X in add(U * V) for a cotorsion pair (U, V).
-
-    When U is rigid, U is contained in V and a long exact sequence shows
-    add(U*V) = V exactly; dually add(U*V) = U when V is rigid.  Otherwise
-    a complete search over conflations U0 >-> X' ->> V0, one for each
-    summand X' of X outside U and V, decides it: U0 injects into X', so each
-    member B of U occurs in U0 at most dim Hom(B, X') times, with linearly
-    independent components (`_search`).
-    """
-    if x.is_zero():
-        return True
-    if pair.u.rigid:
-        return pair.v.contains(x)
-    if pair.v.rigid:
-        return pair.u.contains(x)
-    return _star_bruteforce(x, pair.u, pair.v)
-
-
-def _star_bruteforce(x: Rep, u: Subcategory, v: Subcategory) -> bool:
-    # search for U0 >-> X ->> V0 directly (add-closure: check each summand)
-    for name in decompose(x, u.atlas):
-        member = u.atlas[name]
-        if u.contains(member) or v.contains(member):
-            continue
-        if _search("left", member, u.members, True, v) is None:
-            return False
-    return True

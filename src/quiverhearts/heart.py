@@ -486,6 +486,17 @@ class PhiModel:
             for ex, ey, cols, rows in zip(src, tgt, _dims(src), _dims(tgt))
         ])
 
+    def block_ranks(self, f: RepMap) -> list[tuple[int, int, int]]:
+        """(rank, rows, columns) of each block Ext^1(C_i, f) of `phi_map(f)`,
+        in member order."""
+        m = self.phi_map(f)
+        rows, cols = _dims(self._blocks(f.target)), _dims(self._blocks(f.source))
+        tops, lefts = accumulate(rows, initial=0), accumulate(cols, initial=0)
+        return [
+            (la.rank(la.submatrix(m, range(t, t + r), range(l, l + c)), self.p), r, c)
+            for r, c, t, l in zip(rows, cols, tops, lefts)
+        ]
+
     def module_map(self, f: RepMap) -> RepMap:
         """Phi(f) as a map of Gamma-modules; checks that it is one."""
         return RepMap(self.module(f.source), self.module(f.target), [self.phi_map(f)])
@@ -555,10 +566,6 @@ class HeartModel:
         return report
 
 
-def heart_epi(model: HeartModel, f: RepMap) -> bool:
-    return heart_cokernel_dim(model, f) == 0
-
-
 def heart_mono(model: HeartModel, f: RepMap) -> bool:
     return heart_kernel_dim(model, f) == 0
 
@@ -568,42 +575,12 @@ def heart_kernel_dim(model: HeartModel, f: RepMap) -> int:
     return model.phi.dim(f.source) - la.rank(m, model.phi.p)
 
 
-def heart_cokernel_dim(model: HeartModel, f: RepMap) -> int:
-    m = model.phi.phi_map(f)
-    return model.phi.dim(f.target) - la.rank(m, model.phi.p)
-
-
 def heart_kernel_module(model: HeartModel, f: RepMap) -> Rep:
     return kernel(model.phi.module_map(f))[0]
 
 
 def heart_cokernel_module(model: HeartModel, f: RepMap) -> Rep:
     return cokernel(model.phi.module_map(f))[0]
-
-
-def realize_heart_kernel(model: HeartModel, g: RepMap) -> Rep:
-    """For a heart epi g: B -> C, the kernel object K_g.
-
-    K_g is the pullback of g along the witness deflation W_C ->> C: the
-    middle term of the witness V_C >-> W_C ->> C pulled back along g,
-    V_C >-> K_g ->> B, whose deflation is the map K_g -> B.  It exhibits
-    0 -> K_g -> B -> C -> 0 in the heart, certified in the Phi model.
-    """
-    if not heart_epi(model, g):
-        raise AlgebraError("not exact: the morphism is not an epimorphism in the heart")
-    wr = model.pair.witness("right", g.target)  # V_C >-> W_C ->> C
-    to_b = pullback_conflation(wr, g)[0].defl  # V_C >-> K_g ->> B
-    # exactness certificate in the Phi model
-    mk = model.phi.phi_map(to_b)
-    mg = model.phi.phi_map(g)
-    p = model.phi.p
-    if la.matmul(mg, mk, p).any():
-        raise AlgebraError("not exact: kernel composite does not vanish")
-    if la.rank(mk, p) != model.phi.dim(to_b.source):
-        raise AlgebraError("not exact: kernel inclusion is not a heart mono")
-    if la.rank(mk, p) + la.rank(mg, p) != model.phi.dim(g.source):
-        raise AlgebraError("not exact: rank identity fails")
-    return to_b.source
 
 
 # ---------------------------------------------------------------------------

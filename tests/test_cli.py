@@ -11,6 +11,7 @@ import pytest
 
 from quiverhearts import cli, fixtures, problemfile as pfm
 from quiverhearts.cotorsion import projectives_of
+from test_acceptance import DETERMINISM_COMMANDS
 
 
 def run(capsys, *argv):
@@ -256,13 +257,25 @@ def test_field_size_limits(capsys):
 
 
 def test_the_certificate_does_not_depend_on_the_field(capsys):
-    # ex61's modules have entries 0 and 1, so the certificate reads the same
-    # over every prime field.  At p = 2 and 3 few scalars are units, which
-    # the solves behind Hom bases, sections and retractions must survive.
+    # ex61's and ex62's modules have entries 0 and 1, so every demo command
+    # prints the same over every prime field, apart from `check`'s field
+    # line.  At p = 2 and 3 few scalars are units, which the solves behind
+    # Hom bases, sections and retractions, and the ranks of Phi's member
+    # blocks, must survive.
     outs = {p: run(capsys, "demo", "ex61", "verify-main-theorem", "--field", str(p))
             for p in (2, 3, 5, 101)}
     assert outs[101][0] == 0 and "check localization: true" in outs[101][1]
     assert all(out == outs[101] for out in outs.values()), sorted(outs)
+    commands = [argv for argv in DETERMINISM_COMMANDS if argv[1] == "ex61"]
+    assert len(commands) == 10
+    for demo in ("ex61", "ex62"):
+        for _, _, *args in commands:
+            outs = {}
+            for p in (2, 3, 5, 101):
+                code, out, _ = run(capsys, "demo", demo, *args, "--field", str(p))
+                lines = [line for line in out.splitlines() if not line.startswith("field ")]
+                outs[p] = (code, lines)
+            assert all(out == outs[101] for out in outs.values()), (demo, args)
 
 
 def test_demo_check(capsys):

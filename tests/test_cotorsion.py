@@ -19,7 +19,9 @@ from quiverhearts.algebra import (
 )
 from quiverhearts.homology import conflation_from_defl, conflation_from_infl, ext1_dim, homs
 from quiverhearts.workspace import WORKSPACE
-from lemmas import a2_atlas, all_maps, candidate_sums, plain_search
+from lemmas import (
+    a2_atlas, all_maps, candidate_sums, plain_search, star_bruteforce, star_membership,
+)
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +148,7 @@ def test_cocone_witness_valid(ex61):
 def test_star_membership_rigid_pair(ex61):
     pair = ct.cotorsion_pair_from_rigid(ex61.subcat_obj("C"))
     for x in ex61.atlas:
-        assert ct.star_membership(x, pair) == pair.v.contains(x)
+        assert star_membership(x, pair) == pair.v.contains(x)
 
 
 @dataclass
@@ -415,10 +417,10 @@ def test_shared_search_matches_per_shape_searches_a3():
     assert len(searched) == 3
     for pair in searched:
         for x in atlas:
-            assert ct.star_membership(x, pair) == star_search_reference(x, pair.u, pair.v), (
+            assert star_membership(x, pair) == star_search_reference(x, pair.u, pair.v), (
                 x.name, pair.u.names)
     example = next(pr for pr in searched if pr.u.names == ("1", "1/2/3", "2/3", "3"))
-    assert [x.name for x in atlas if not ct.star_membership(x, example)] == ["2"]
+    assert [x.name for x in atlas if not star_membership(x, example)] == ["2"]
     # There the search only ever answers no (for `2`).  Single-object classes
     # also give answers it finds: the non-split U0 >-> X ->> V0 of A3.
     singles = [ct.subcat(atlas, [n]) for n in atlas.names]
@@ -426,7 +428,7 @@ def test_shared_search_matches_per_shape_searches_a3():
     for u in singles:
         for v in singles:
             for x in atlas:
-                got = ct._star_bruteforce(x, u, v)
+                got = star_bruteforce(x, u, v)
                 assert got == star_search_reference(x, u, v), (x.name, u.names, v.names)
                 if got and not (u.contains(x) or v.contains(x)):
                     found.add((u.names[0], x.name, v.names[0]))
@@ -499,7 +501,7 @@ def test_pruned_search_returns_the_unpruned_first_conflation(monkeypatch):
                 want = run("reference", star_conflation_reference, x, bp, bpp)
                 assert_same_answer("star", got, want, x, bp, bpp)
                 found += got is not None
-                assert run("pruned", ct._star_bruteforce, x, bp, bpp) == run(
+                assert run("pruned", star_bruteforce, x, bp, bpp) == run(
                     "reference", star_search_reference, x, bp, bpp
                 ), ("star", x.name, bp.names, bpp.names)
     assert found > 0

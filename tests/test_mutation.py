@@ -60,7 +60,8 @@ from quiverhearts.mutation import (
     verify_pseudo_morita,
 )
 from lemmas import (
-    check_g1_property, is_approximation, quivers_isomorphic_bruteforce, verify_hd_moreover,
+    check_g1_property, heart_epi, in_s_a_by_kernel, is_approximation,
+    quivers_isomorphic_bruteforce, verify_hd_moreover,
 )
 from test_shortcuts import ladder_instances
 from test_workspace import nakayama_atlas, same_blocks
@@ -378,32 +379,68 @@ def rigid_classes_with_projectives(atlas) -> list:
     return out
 
 
+def admissible_pairs(atlas) -> list[MutationInput]:
+    """Every nested pair D in C of rigid classes containing the projectives
+    that is admissible and whose mutation is rigid and satisfies (RCP)."""
+    classes = rigid_classes_with_projectives(atlas)
+    out = []
+    for c in classes:
+        for d in classes:
+            if not d.issubset(c):
+                continue
+            inp = MutationInput(atlas, c, d)
+            try:
+                inp.validate()
+            except AlgebraError:
+                continue
+            cmut = right_mutation(inp)
+            if is_rigid(cmut) and satisfies_rcp(cmut)[0]:
+                out.append(inp)
+    return out
+
+
 def test_every_nested_rigid_pair_on_the_auslander_atlas():
     # Every nested pair D in C of rigid classes containing the projectives;
     # each admissible one whose mutation is rigid and satisfies (RCP) is
     # certified through the round trips.
     atlas = auslander_a3_atlas()
     classes = rigid_classes_with_projectives(atlas)
-    pairs = [(c, d) for c in classes for d in classes if d.issubset(c)]
-    assert len(classes) == 20 and len(pairs) == 99
+    assert len(classes) == 20
+    assert sum(d.issubset(c) for c in classes for d in classes) == 99
     done = moved = 0
-    for c, d in pairs:
-        inp = MutationInput(atlas, c, d)
-        try:
-            inp.validate()
-        except AlgebraError:
-            continue
-        cmut = right_mutation(inp)
-        if not (is_rigid(cmut) and satisfies_rcp(cmut)[0]):
-            continue  # the round trips require a rigid mutation
+    for inp in admissible_pairs(atlas):
         twin = TwinData.build(inp)
         lhs, rhs = mutation_condition_equivalence(inp, twin.cmut)
         assert lhs and rhs
         rep = verify_pseudo_morita(PseudoMoritaData.build(twin, LocalizationModel.build(inp)))
-        assert rep["ok"], (c.names, d.names, rep)
+        assert rep["ok"], (inp.c.names, inp.d.names, rep)
         done += 1
-        moved += cmut.names != c.names
+        moved += twin.cmut.names != inp.c.names
     assert (done, moved) == (24, 4)
+
+
+@pytest.mark.parametrize("name", ["ex61", "A6/rad^3"])
+def test_s_a_by_block_ranks_equals_the_kernel_object_route(name):
+    """On every admissible pair D < C, `in_s_a` (ranks of Phi's member
+    blocks) answers as the route that builds the heart kernel and
+    decomposes it, on every Hom basis map between heart objects; it says
+    None exactly where the map is no heart epimorphism."""
+    atlas = ex61().atlas if name == "ex61" else nakayama_atlas(6, 3)
+    pairs = [inp for inp in admissible_pairs(atlas) if inp.d.names != inp.c.names]
+    assert len(pairs) == {"ex61": 4, "A6/rad^3": 14}[name]
+    seen = {None: 0, False: 0, True: 0}
+    for inp in pairs:
+        model = LocalizationModel.build(inp)
+        a_sub = a_objects(model)
+        hobjs = [atlas[n] for n in model.heart.heart_object_names()]
+        for x in hobjs:
+            for y in hobjs:
+                for g in homs(x, y):
+                    got = in_s_a(model, g)
+                    seen[got] += 1
+                    want = in_s_a_by_kernel(model, a_sub, g) if heart_epi(model.heart, g) else None
+                    assert got == want, (inp.c.names, inp.d.names, x.name, y.name)
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +486,6 @@ def test_classification_flag_monotonicity(fx, twin):
 
 
 def test_widest_class_maps_into_inverted_morphisms(fx, twin, model):
-    a_sub = a_objects(model)
     hobjs = [fx.atlas[n] for n in model.heart.heart_object_names()]
     harvested = 0
     for x in hobjs:
@@ -457,11 +493,11 @@ def test_widest_class_maps_into_inverted_morphisms(fx, twin, model):
             for f in homs(x, y):
                 flags = classify_r(twin, f)
                 if flags["R1_tilde"]:
-                    assert check_g1_property(model, a_sub, twin, f)
+                    assert check_g1_property(model, twin, f)
                     harvested += 1
                 if flags["R1"]:
                     hf = model.heart.h.h_map(f)
-                    assert in_s_a(model, a_sub, hf)
+                    assert in_s_a(model, hf)
                     assert model.inverts(hf, *map(model.r_object, (hf.source, hf.target)))
     assert harvested >= 1
 
@@ -533,7 +569,8 @@ def test_omega_generators_are_over_the_callers_algebra():
 
 
 # ---------------------------------------------------------------------------
-# Quotient coordinates of whole Hom bases against the per-map route.
+# ex61 and every recorded ladder instance: inversion counts, and quotient
+# coordinates of whole Hom bases against the per-map route.
 
 EX61_AND_LADDER = [pytest.param(None, None, None, None, id="ex61")] + ladder_instances()
 
@@ -545,6 +582,33 @@ def instance(n, k, c, d):
         return f.atlas, f.subcat_obj("C"), f.subcat_obj("D")
     atlas = nakayama_atlas(n, k)
     return atlas, subcat(atlas, c), subcat(atlas, d)
+
+
+# s_a_inverted and non_s_a_separated of the primal and the dual localization
+# reports, as recorded before S_A was read off Phi's block ranks.
+S_A_COUNTS = {
+    "ex61": ((5, 2), (7, 3)),
+    "A6-rad3-0": ((3, 1), (3, 1)), "A6-rad3-1": ((3, 1), (3, 1)),
+    "A6-rad3-2": ((3, 1), (3, 1)), "A6-rad3-3": ((5, 0), (5, 0)),
+    "A6-rad3-4": ((4, 0), (2, 0)),
+    "A8-rad3-0": ((7, 1), (7, 1)), "A8-rad3-1": ((6, 2), (6, 2)),
+    "A8-rad3-2": ((6, 0), (6, 0)), "A8-rad3-3": ((7, 1), (7, 1)),
+    "A8-rad3-4": ((7, 1), (7, 1)), "A8-rad3-5": ((5, 1), (7, 1)),
+    "A8-rad3-6": ((6, 2), (6, 2)), "A8-rad3-7": ((6, 0), (6, 0)),
+    "A10-rad3-0": ((7, 2), (7, 2)),
+}
+
+
+@pytest.mark.parametrize("n, k, c, d", EX61_AND_LADDER)
+def test_inversion_counts_of_both_localizations(request, n, k, c, d):
+    atlas, c, d = instance(n, k, c, d)
+    inp = MutationInput(atlas, c, d).validate()
+    twin = TwinData.build(inp)
+    reports = [verify_localization(LocalizationModel.build(inp)),
+               verify_localization(dual_localization_model(atlas, twin.m_mut, twin.n))]
+    assert all(r["ok"] for r in reports)
+    got = tuple((r["s_a_inverted"], r["non_s_a_separated"]) for r in reports)
+    assert got == S_A_COUNTS[request.node.callspec.id]
 
 
 def qcoords_reference(q, f):

@@ -443,8 +443,6 @@ TEST_ONLY_ALLOWED = (
     "algebra.Rep.renamed",
     # the public memo API
     "workspace.Workspace.stats", "workspace.Workspace.clear",
-    # the add(U*V) search that the pruned-search tests pin
-    "cotorsion.star_membership", "cotorsion._star_bruteforce",
 )
 
 

@@ -278,7 +278,13 @@ def test_certifying_a_fresh_copy_adds_nothing():
     for table, counts in before.items():
         assert after[table]["misses"] == counts["misses"], table
         assert after[table]["entries"] == counts["entries"], table
-        assert after[table]["hits"] > counts["hits"], table
+    # Every table answers the copy from memory, except three the copy never
+    # asks: it builds no witness, conflation or split decomposition, since
+    # each one the certificate needs lies under a stored H(X), R(X),
+    # reflection or quotient.
+    unread = {"approximation", "conflation", "decompose_with_maps"}
+    for table, counts in before.items():
+        assert (after[table]["hits"] > counts["hits"]) == (table not in unread), table
 
 
 def rep_taking_id(freed: int, make) -> Rep:
