@@ -4,10 +4,12 @@ For a cotorsion pair (U, V) with U rigid, the heart is the ideal quotient
 H/U where H = CoCone(U, U).  The engine carries the heart both as a
 quotient category (hom spaces modulo morphisms factoring through U) and as
 a module category over the stable endomorphism algebra Gamma of G = the
-sum of the U-members, via X |-> Ext^1(G, X).  A Gamma-module is a `Rep` of
-Gamma's loop quiver (one vertex, one loop per basis element of Gamma), so
-its Hom spaces, kernels and cokernels come from `hom_space`, `kernel` and
-`cokernel` like any module's.  The two presentations are bridged by
+sum of the U-members, via X |-> Ext^1(G, X).  Gamma is a bound quiver
+algebra: a vertex per non-projective member, an arrow per representative
+of rad/rad^2 between two of them, and the relations their paths satisfy
+modulo projectives.  A Gamma-module is a `Rep` of it, so its Hom spaces,
+kernels and cokernels come from `hom_space`, `kernel` and `cokernel` like
+any module's.  The two presentations are bridged by
 dimension assertions; epi/mono/kernel/cokernel questions are answered in
 the module model where they are plain linear algebra.  H(X) is the
 conflation V0 >-> B^- ->> X built from the pair's own witnesses
@@ -23,14 +25,15 @@ from itertools import accumulate
 from . import linalg as la
 from .algebra import (
     AlgebraError,
+    MAX_PATH_LENGTH,
     BoundQuiverAlgebra,
     IndecSet,
     Quiver,
     Rep,
     RepMap,
+    _enumerate_paths,
     _radical_of_span,
     composite_columns,
-    direct_sum,
     flat_columns,
     hom_dim,
     map_from_coords,
@@ -248,19 +251,18 @@ def _local_radical(qc: QuotientCategory, x: Rep) -> list[RepMap]:
     return [map_from_coords(reps, radc.column(j)) for j in range(radc.cols)]
 
 
-def gabriel_quiver(qc: QuotientCategory) -> GabrielQuiver:
-    """Quiver of the quotient category on its nonzero objects.
-
-    Arrows X -> Y counted as dim rad(X,Y)/rad^2(X,Y), where rad(X,Y) is the
-    whole quotient hom space for X != Y and the non-invertible classes for
-    X = Y.  Per pair, the radical basis and every composite g o f through
-    a third object t take one `qcolumns` solve.
-    """
+def irreducible_maps(qc: QuotientCategory) -> dict[tuple[Rep, Rep], list[RepMap]]:
+    """Per ordered pair (x, y) of nonzero objects with rad(x, y) != 0,
+    representatives of a basis of rad(x, y)/rad^2(x, y), where rad(x, y) is
+    the whole quotient hom space for x != y and the non-invertible classes
+    for x = y.  Per pair, one `qcolumns` solve of every composite g o f
+    through a third object and the radical basis after them, and one rref:
+    the basis maps at its pivots span rad modulo rad^2."""
     objs = qc.nonzero_objects()
     rad_basis = {
         (x, y): _local_radical(qc, x) if x is y else qc.qbasis(x, y) for x in objs for y in objs
     }
-    arrows = {}
+    reps = {}
     for x in objs:
         for y in objs:
             basis = rad_basis[(x, y)]
@@ -268,13 +270,17 @@ def gabriel_quiver(qc: QuotientCategory) -> GabrielQuiver:
                 continue
             sq = [composite_columns(rad_basis[(t, y)], rad_basis[(x, t)]) for t in objs]
             span = flat_columns(basis)
-            cols = qc.qcolumns(x, y, la.hstack([span, *sq], span.rows))
-            b, rows = len(basis), range(cols.rows)
-            k = (la.rank(la.submatrix(cols, rows, range(b)), qc.p)
-                 - la.rank(la.submatrix(cols, rows, range(b, cols.cols)), qc.p))
-            if k > 0:
-                arrows[(x.name, y.name)] = k
-    return GabrielQuiver(tuple(o.name for o in objs), arrows)
+            cols = qc.qcolumns(x, y, la.hstack([*sq, span], span.rows))
+            k = cols.cols - len(basis)
+            reps[(x, y)] = [basis[c - k] for c in la.rref(cols, qc.p)[1] if c >= k]
+    return reps
+
+
+def gabriel_quiver(qc: QuotientCategory) -> GabrielQuiver:
+    """Quiver of the quotient category on its nonzero objects: an arrow
+    x -> y per representative that `irreducible_maps` picks."""
+    arrows = {(x.name, y.name): len(r) for (x, y), r in irreducible_maps(qc).items() if r}
+    return GabrielQuiver(tuple(o.name for o in qc.nonzero_objects()), arrows)
 
 
 def quivers_isomorphic(q1: GabrielQuiver, q2: GabrielQuiver, mapping: dict | None) -> bool:
@@ -350,7 +356,7 @@ class CohomologicalH:
 
 
 # ---------------------------------------------------------------------------
-# The module-category model: Gamma = stable End(G), Phi = Ext^1(G, -).
+# The module-category model: Gamma = stable End(G) as kQ/I, Phi = Ext^1(G, -).
 
 
 class PhiModel:
@@ -361,13 +367,14 @@ class PhiModel:
     members C_i, and a projective member adds nothing (Ext^1(P, -) = 0),
     so Phi(X) is carried as the blocks Ext^1(C_i, X) of the non-projective
     members, in member order, Phi(f) is block-diagonal, and no Ext^1 is
-    taken on the sum G.  Morphisms factoring through projectives act as
-    zero on Ext^1, so the action descends to Gamma; a Gamma basis element
-    acts through its components C_j -> C_i, one block each.  A right
-    Gamma-module is a representation of `gamma`, the quiver with one vertex
-    and one loop per basis element of Gamma, so Phi(X) is a `Rep` of it and
-    its Hom spaces, kernels and cokernels are the ones of every other
-    module.
+    taken on the sum G.  Gamma is the stable category of those members,
+    presented as the bound quiver algebra `gamma`: one vertex per C_i, an
+    arrow i -> j per representative C_j -> C_i of rad/rad^2 that
+    `irreducible_maps` picks (Phi is contravariant, so it acts
+    Ext^1(C_i, X) -> Ext^1(C_j, X)), and as relations the linear
+    dependences of the paths in the stable category.  Phi(X) is a `Rep` of
+    `gamma` with the block dimensions as its dimension vector, so its Hom
+    spaces, kernels and cokernels are the ones of every other module.
     """
 
     def __init__(self, c: Subcategory):
@@ -381,57 +388,66 @@ class PhiModel:
     # Gamma and its action are built on first use: the certificate needs
     # only dimensions and Phi(f), never the action.
     @cached_property
-    def g(self) -> Rep:
-        """G, the sum of all the members, projective ones included."""
-        return direct_sum(self.c.members)
-
-    @cached_property
     def stable(self) -> QuotientCategory:
-        """End(G) modulo the maps that factor through projectives."""
-        return QuotientCategory([self.g], self.projectives.members)
+        """The non-projective members modulo the maps that factor through
+        projectives."""
+        return QuotientCategory(self.members, self.projectives.members)
 
     @cached_property
-    def gamma_basis(self) -> list[RepMap]:
-        return self.stable.qbasis(self.g, self.g)
+    def _arrows(self) -> dict[str, tuple[int, int, RepMap]]:
+        """Arrow id -> (i, j, a) for the arrow i -> j of a representative
+        a: C_j -> C_i, by positions in `members`."""
+        at = {m.name: i for i, m in enumerate(self.members)}
+        reps = irreducible_maps(self.stable).items()
+        arrows = [(at[y.name], at[x.name], a) for (x, y), maps in reps for a in maps]
+        return {f"a{n}": arrow for n, arrow in enumerate(arrows)}
 
     @cached_property
     def gamma(self) -> BoundQuiverAlgebra:
-        """Vertex `*` with loops g0 .. g{k-1}, one per `gamma_basis` element,
-        and no relations.  Its path algebra is infinite: never ask it for
-        `path_basis` or `projectives`."""
-        loops = tuple((f"g{i}", "*", "*") for i in range(len(self.gamma_basis)))
-        return BoundQuiverAlgebra(Quiver(("*",), loops), self.p)
+        """kQ/I: the relations span, per pair of vertices, the nullspace of
+        the quotient coordinates of the paths of length >= 2 between them,
+        up to the first length at which every path lies in [P]."""
+        names = [m.name for m in self.members]
+        quiver = Quiver(tuple(names), tuple(
+            (aid, names[i], names[j]) for aid, (i, j, _) in self._arrows.items()
+        ))
+        maps = {(aid,): a for aid, (_, _, a) in self._arrows.items()}
+        for length in range(2, MAX_PATH_LENGTH + 1):
+            paths = [pt for pt in _enumerate_paths(quiver, length) if len(pt[0]) > 1]
+            for path, _, _ in paths:  # C_t -> C_s for a path s -> t
+                if path not in maps:
+                    maps[path] = maps[path[:-1]].compose(maps[path[-1:]])
+            if all(self.stable.is_ideal(maps[pt[0]]) for pt in paths if len(pt[0]) == length):
+                break
+        else:
+            raise AlgebraError("the radical of Gamma is not nilpotent within MAX_PATH_LENGTH")
+        ends = {}
+        for path, s, t in paths:
+            ends.setdefault((s, t), []).append(path)
+        relations = []
+        for (s, t), group in ends.items():
+            x, y = self.members[names.index(t)], self.members[names.index(s)]
+            coords = self.stable.qcolumns(x, y, flat_columns([maps[q] for q in group]))
+            null = la.nullspace(coords, self.p)
+            relations += [
+                tuple((c, q) for c, q in zip(null.column(k), group) if c) for k in range(null.cols)
+            ]
+        return BoundQuiverAlgebra(quiver, self.p, tuple(relations))
 
     @cached_property
-    def _omega_acts(self) -> list[dict[tuple[int, int], RepMap]]:
-        """Per Gamma basis element, keyed (i, j) by positions in `members`:
-        the syzygy restriction Omega C_j -> Omega C_i of each nonzero
-        component C_j -> C_i."""
-        summands = self.c.members
-        # where each of `members` has its rows and columns in G's block, per vertex
-        at = [summands.index(m) for m in self.members]
-        starts = [list(accumulate([m.dims[v] for m in summands], initial=0))
-                  for v in range(len(self.g.dims))]
-        spans = [[range(s[a], s[a + 1]) for a in at] for s in starts]
+    def _omega_acts(self) -> dict[str, RepMap]:
+        """Per arrow of a: C_j -> C_i, its syzygy restriction
+        Omega C_j -> Omega C_i."""
         covers = [syzygy(m)[1] for m in self.members]
-        acts = []
-        for gmap in self.gamma_basis:
-            act = {}
-            for i, ci in enumerate(self.members):
-                for j, cj in enumerate(self.members):
-                    blocks = [la.submatrix(b, sp[i], sp[j]) for b, sp in zip(gmap.blocks, spans)]
-                    comp = RepMap._trusted(cj, ci, blocks)
-                    if comp.is_zero():
-                        continue
-                    lift = solve_through(comp.compose(covers[j].defl), covers[i].defl)
-                    if lift is None:
-                        raise AlgebraError("projective lifting failed for Gamma element")
-                    # restrict to the syzygies: solve infl_i o w = lift o infl_j
-                    w = solve_through(lift.compose(covers[j].infl), covers[i].infl)
-                    if w is None:
-                        raise AlgebraError("syzygy restriction failed for Gamma element")
-                    act[(i, j)] = w
-            acts.append(act)
+        acts = {}
+        for aid, (i, j, a) in self._arrows.items():
+            lift = solve_through(a.compose(covers[j].defl), covers[i].defl)
+            if lift is None:
+                raise AlgebraError("projective lifting failed for a Gamma arrow")
+            # restrict to the syzygies: solve infl_i o w = lift o infl_j
+            acts[aid] = solve_through(lift.compose(covers[j].infl), covers[i].infl)
+            if acts[aid] is None:
+                raise AlgebraError("syzygy restriction failed for a Gamma arrow")
         return acts
 
     def dim(self, x: Rep) -> int:
@@ -448,27 +464,20 @@ class PhiModel:
         ]
 
     def module(self, x: Rep) -> Rep:
-        """Phi(x), on which loop gi acts as the i-th Gamma basis element;
-        memoised by the class and the content of x, and named after x."""
+        """Phi(x) as a `Rep` of `gamma`; memoised by the class and the
+        content of x, and named after x."""
         got = WORKSPACE.memo("phi_module", (self.c.key, x.key), self._module, x)
         return Rep._trusted(got.algebra, f"Phi({x.name})", got.dims, got.arrow_maps)
 
     def _module(self, x: Rep) -> Rep:
-        blocks = self._blocks(x)
-        acts = {f"g{i}": self._action(blocks, act) for i, act in enumerate(self._omega_acts)}
-        return Rep(self.gamma, f"Phi({x.name})", [sum(_dims(blocks))], acts)
-
-    def _action(self, blocks: list[Ext1 | None], act: dict) -> Block:
-        """The matrix of one Gamma basis element on sum_i Ext^1(C_i, X):
-        block (j, i) takes the cocycles of Ext^1(C_i, X) along the
-        restriction Omega C_j -> Omega C_i of its component into
-        Ext^1(C_j, X)."""
-        cells = [[None] * len(blocks) for _ in blocks]
-        for (i, j), w in act.items():
+        """The arrow i -> j takes the cocycles of Ext^1(C_i, X) along its
+        syzygy restriction into Ext^1(C_j, X)."""
+        blocks, acts = self._blocks(x), {}
+        for aid, (i, j, _) in self._arrows.items():
             if blocks[i] and blocks[j]:
-                cells[j][i] = blocks[j].column_classes(composite_columns(blocks[i].cocycles, [w]))
-        dims = _dims(blocks)
-        return la.grid(cells, dims, dims)
+                w = self._omega_acts[aid]
+                acts[aid] = blocks[j].column_classes(composite_columns(blocks[i].cocycles, [w]))
+        return Rep(self.gamma, f"Phi({x.name})", _dims(blocks), acts)
 
     def phi_map(self, f: RepMap) -> Block:
         """Matrix of Phi(f) in quotient coordinates: block i is
@@ -486,43 +495,23 @@ class PhiModel:
             for ex, ey, cols, rows in zip(src, tgt, _dims(src), _dims(tgt))
         ])
 
-    def block_ranks(self, f: RepMap) -> list[tuple[int, int, int]]:
-        """(rank, rows, columns) of each block Ext^1(C_i, f) of `phi_map(f)`,
-        in member order."""
+    def _diagonal(self, f: RepMap) -> list[Block]:
+        """The blocks Ext^1(C_i, f) of `phi_map(f)`, in member order."""
         m = self.phi_map(f)
         rows, cols = _dims(self._blocks(f.target)), _dims(self._blocks(f.source))
         tops, lefts = accumulate(rows, initial=0), accumulate(cols, initial=0)
-        return [
-            (la.rank(la.submatrix(m, range(t, t + r), range(l, l + c)), self.p), r, c)
-            for r, c, t, l in zip(rows, cols, tops, lefts)
-        ]
+        return [la.submatrix(m, range(t, t + r), range(l, l + c))
+                for r, c, t, l in zip(rows, cols, tops, lefts)]
+
+    def block_ranks(self, f: RepMap) -> list[tuple[int, int, int]]:
+        """(rank, rows, columns) of each block Ext^1(C_i, f) of `phi_map(f)`,
+        in member order."""
+        return [(la.rank(b, self.p), b.rows, b.cols) for b in self._diagonal(f)]
 
     def module_map(self, f: RepMap) -> RepMap:
-        """Phi(f) as a map of Gamma-modules; checks that it is one."""
-        return RepMap(self.module(f.source), self.module(f.target), [self.phi_map(f)])
-
-    def validate_action(self, x: Rep) -> bool:
-        """Associativity/unitality of the action on Phi(x), and [P] acts as 0."""
-        mod = self.module(x)
-        acts = list(mod.arrow_maps.values())
-        d = mod.total_dim
-
-        def act(coords) -> Block:
-            acc = la.zeros(d, d)
-            for c, r in zip(coords, acts):
-                acc = la.add(acc, la.scale(c, r, self.p), self.p)
-            return acc
-
-        # unit: the identity's class expands over the basis; its action is id
-        if d and act(self.stable.qcoords(RepMap.identity(self.g))) != la.eye(d):
-            return False
-        # right modules act by precomposition: R_{g1 o g2} = R_{g2} R_{g1}
-        for i, g1 in enumerate(self.gamma_basis):
-            for j, g2 in enumerate(self.gamma_basis):
-                lhs = act(self.stable.qcoords(g1.compose(g2)))
-                if lhs != la.matmul(acts[j], acts[i], self.p):
-                    return False
-        return True
+        """Phi(f) as a map of Gamma-modules, its blocks the diagonal blocks
+        of `phi_map(f)`; checks that it is one."""
+        return RepMap(self.module(f.source), self.module(f.target), self._diagonal(f))
 
 
 def _dims(blocks: list[Ext1 | None]) -> list[int]:

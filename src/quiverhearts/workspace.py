@@ -19,7 +19,8 @@ or ids.  The tables:
   coreflections) and `reflection` (in `mutation`), and `h_object` (H(X)),
   each stored as the `Conflation` its build returns, and `phi_ext` (the
   `Ext1` of each nonzero member block of Phi), `phi_map` (Phi(f)),
-  `phi_module` (Phi(X)) and `quotient_hom` (a quotient category's Hom
+  `phi_module` (Phi(X) as a `Rep` of Gamma's bound quiver algebra, a
+  vertex per member block) and `quotient_hom` (a quotient category's Hom
   data) in `heart`.
 
 Each memo site stores under a key that holds everything its result

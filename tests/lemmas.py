@@ -7,10 +7,13 @@ brute-force references the tests hold the engine to: the plain Cone/CoCone
 search, which tries every map between X and every direct sum of the middle
 class up to dim X plus twice the largest atlas dimension (the search that
 `cotorsion._search` replaced with a complete one), the add(U*V) search
-(`star_membership`), and the quiver isomorphism search, which tries every
-bijection of the nodes."""
+(`star_membership`), the quiver isomorphism search, which tries every
+bijection of the nodes, and the action of Gamma = End(G)/[P] on Phi(X)
+built straight from Ext^1 (`validate_action`), which a Gamma-module must
+carry through the arrows of `PhiModel.gamma`."""
 
 import itertools
+from itertools import accumulate
 
 import numpy as np
 
@@ -25,12 +28,13 @@ from quiverhearts.cotorsion import (
     projectives_of,
 )
 from quiverhearts.fixtures import DEFAULT_P
+from quiverhearts.linalg import Block
 from quiverhearts.heart import (
-    HeartModel, QuotientCategory, solve_extend, solve_through, syzygy_approximation,
+    HeartModel, PhiModel, QuotientCategory, solve_extend, solve_through, syzygy_approximation,
 )
 from quiverhearts.homology import (
     Conflation, Ext1, conflation_from_defl, ext1_dim, homs, pullback_conflation,
-    pushout_conflation,
+    pushout_conflation, syzygy,
 )
 from quiverhearts.mutation import LocalizationModel, TwinData, classify_r, in_s_a
 
@@ -154,6 +158,110 @@ def check_syzygyepi(model: HeartModel, g: RepMap) -> bool:
         raise AlgebraError("precondition violation: g is not an epimorphism in the heart")
     u = model.pair.u
     return is_approximation("right", cocone_objects(projectives_of(u.atlas), u).members, g)
+
+
+# The action of Gamma = End(G)/[P] on Phi(X), G the sum of the members of
+# U, projective ones included: once straight from Ext^1, as `PhiModel`
+# built it while Gamma was a loop algebra on G, and once through the
+# arrows of the bound quiver algebra `PhiModel.gamma`.
+
+
+def path_map(phi: PhiModel, path) -> RepMap:
+    """The composite C_t -> C_s of the arrow representatives along a path
+    s -> t of `phi.gamma`."""
+    out = phi._arrows[path[0]][2]
+    for aid in path[1:]:
+        out = out.compose(phi._arrows[aid][2])
+    return out
+
+
+def components(phi: PhiModel, gmap: RepMap):
+    """(i, j, the component C_j -> C_i) of an endomorphism of G, for the
+    non-projective members C_i and C_j, by positions in `phi.members`."""
+    summands = phi.c.members
+    at = [summands.index(m) for m in phi.members]
+    starts = [list(accumulate([m.dims[v] for m in summands], initial=0))
+              for v in range(len(gmap.source.dims))]
+    spans = [[range(s[a], s[a + 1]) for a in at] for s in starts]
+    for i, ci in enumerate(phi.members):
+        for j, cj in enumerate(phi.members):
+            blocks = [la.submatrix(b, sp[i], sp[j]) for b, sp in zip(gmap.blocks, spans)]
+            yield i, j, RepMap(cj, ci, blocks)
+
+
+def ext1_action(phi: PhiModel, x: Rep, gmap: RepMap) -> Block:
+    """The matrix of gmap on Phi(x) = sum_i Ext^1(C_i, x): block (j, i)
+    takes the cocycles of Ext^1(C_i, x) along the syzygy restriction
+    Omega C_j -> Omega C_i of the component C_j -> C_i into Ext^1(C_j, x)."""
+    blocks = phi._blocks(x)
+    covers = [syzygy(m)[1] for m in phi.members]
+    cells = [[None] * len(blocks) for _ in blocks]
+    for i, j, comp in components(phi, gmap):
+        if comp.is_zero() or not (blocks[i] and blocks[j]):
+            continue
+        lift = solve_through(comp.compose(covers[j].defl), covers[i].defl)
+        w = solve_through(lift.compose(covers[j].infl), covers[i].infl)
+        cells[j][i] = blocks[j].column_classes(composite_columns(blocks[i].cocycles, [w]))
+    dims = [e.dim if e else 0 for e in blocks]
+    return la.grid(cells, dims, dims)
+
+
+def path_action(phi: PhiModel, mod: Rep, gmap: RepMap) -> Block | None:
+    """The matrix of gmap on `mod`, a `Rep` of `phi.gamma`, through its
+    arrows: each component C_j -> C_i expanded over the basis paths i -> j
+    of gamma, and the vertex when i = j; None when a component lies outside
+    their span."""
+    pb, names = mod.algebra.path_basis, mod.algebra.quiver.vertices
+    cells = [[None] * len(names) for _ in names]
+    for i, j, comp in components(phi, gmap):
+        paths = [pb.paths[k][0] for k in pb.basis if pb.paths[k][1:] == (names[i], names[j])]
+        maps = [path_map(phi, q) for q in paths] + [RepMap.identity(comp.source)] * (i == j)
+        target = la.column(phi.stable.qcoords(comp))
+        if not maps:
+            if target.any():
+                return None
+            continue
+        sol = la.solve(phi.stable.qcolumns(comp.source, comp.target, flat_columns(maps)),
+                       target, phi.p)
+        if sol is None:
+            return None
+        mats = [mod.evaluate_path(q) for q in paths] + [la.eye(mod.dims[i])] * (i == j)
+        acc = la.zeros(mod.dims[j], mod.dims[i])
+        for c, m in zip(sol.data, mats):
+            acc = la.add(acc, la.scale(c, m, phi.p), phi.p)
+        cells[j][i] = acc
+    return la.grid(cells, mod.dims, mod.dims)
+
+
+def validate_action(phi: PhiModel, x: Rep, mod: Rep | None = None) -> bool:
+    """Associativity/unitality of the action of Gamma on Phi(x) that
+    `ext1_action` builds, and [P] acts as 0; and `mod`, Phi(x) by default,
+    carries that action through its arrows (`path_action`)."""
+    g = direct_sum(phi.c.members)
+    stable = QuotientCategory([g], phi.projectives.members)
+    gamma_basis = stable.qbasis(g, g)
+    mod = phi.module(x) if mod is None else mod
+    acts = [ext1_action(phi, x, b) for b in gamma_basis]
+    if any(path_action(phi, mod, b) != a for a, b in zip(acts, gamma_basis)):
+        return False
+    d = mod.total_dim
+
+    def act(coords) -> Block:
+        acc = la.zeros(d, d)
+        for c, r in zip(coords, acts):
+            acc = la.add(acc, la.scale(c, r, phi.p), phi.p)
+        return acc
+
+    # unit: the identity's class expands over the basis; its action is id
+    if d and act(stable.qcoords(RepMap.identity(g))) != la.eye(d):
+        return False
+    # right modules act by precomposition: R_{g1 o g2} = R_{g2} R_{g1}
+    for i, g1 in enumerate(gamma_basis):
+        for j, g2 in enumerate(gamma_basis):
+            lhs = act(stable.qcoords(g1.compose(g2)))
+            if lhs != la.matmul(acts[j], acts[i], phi.p):
+                return False
+    return True
 
 
 def classes(ext: Ext1, maps: list[RepMap]):

@@ -278,6 +278,54 @@ def test_the_certificate_does_not_depend_on_the_field(capsys):
             assert all(out == outs[101] for out in outs.values()), (demo, args)
 
 
+def test_the_certificate_prints_the_same_over_larger_fields(capsys):
+    # The same bytes and exit code at the default p = 101 and at primes
+    # around it, up to 65537.
+    want = run(capsys, "demo", "ex61", "verify-main-theorem")
+    assert want[0] == 0 and "ok: true" in want[1]
+    for p in (7, 11, 13, 17, 19, 23, 103, 65537):
+        got = run(capsys, "demo", "ex61", "verify-main-theorem", "--field", str(p))
+        assert got == want, p
+
+
+def reordered(text: str, seed: int) -> str:
+    """A problem file with its module sections and its vertices in a seeded
+    random order, each module's dims following its vertices."""
+    rng = np.random.default_rng(seed)
+    sections = text.rstrip("\n").split("\n\n")
+    modules = [s for s in sections if s.startswith("module ")]
+    shuffled = iter([modules[k] for k in rng.permutation(len(modules))])
+    sections = [next(shuffled) if s.startswith("module ") else s for s in sections]
+    n = next(len(line.split()) - 1 for line in text.splitlines() if line.startswith("  vertices "))
+    order = rng.permutation(n)
+
+    def permuted(line: str) -> str:
+        head, *items = line.split()
+        if head not in ("vertices", "dims"):
+            return line
+        return "  " + " ".join([head] + [items[k] for k in order])
+
+    return "\n\n".join("\n".join(map(permuted, s.splitlines())) for s in sections) + "\n"
+
+
+def test_a_reordered_problem_file_prints_the_same_certificate(capsys, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    dump = subprocess.run(
+        [sys.executable, str(root / "scripts" / "dump_problem.py"), "ex61"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    ).stdout
+    texts = [dump] + [reordered(dump, seed) for seed in (1, 2, 3, 4)]
+    assert len(set(texts)) == 5
+    outs = []
+    for k, text in enumerate(texts):
+        path = tmp_path / f"ex61-{k}.qh"
+        path.write_text(text)
+        outs.append(run(capsys, "verify-main-theorem", str(path), "C", "D"))
+    assert outs[0][0] == 0 and "ok: true" in outs[0][1]
+    assert all(out == outs[0] for out in outs)
+
+
 def test_demo_check(capsys):
     code, out, _ = run(capsys, "demo", "ex61", "check")
     assert code == 0

@@ -7,17 +7,21 @@ from quiverhearts import cotorsion as ct
 from quiverhearts import fixtures as fx
 from quiverhearts import heart as ht
 from quiverhearts import linalg as la
-from quiverhearts.algebra import AlgebraError, RepMap, direct_sum, hom_dim, map_from_coords, meets
+from quiverhearts.algebra import (
+    AlgebraError, BoundQuiverAlgebra, Rep, RepMap, direct_sum, flat_columns, hom_dim,
+    map_from_coords, meets,
+)
 from quiverhearts.homology import Ext1, ext1_dim, homs
 from quiverhearts.linalg import Block
 from quiverhearts.mutation import verify_main_theorem
 from quiverhearts.workspace import WORKSPACE
 from lemmas import (
-    check_syzygyepi, classes, heart_cokernel_dim, heart_epi, heart_morphisms,
+    check_syzygyepi, classes, heart_cokernel_dim, heart_epi, heart_morphisms, path_map,
     quivers_isomorphic_bruteforce, realize, realize_heart_kernel, realize_ses_in_heart,
-    star_membership,
+    star_membership, validate_action,
 )
-from test_mutation import EX61_AND_LADDER, instance
+from test_mutation import EX61_AND_LADDER, instance, rigid_classes_with_projectives
+from test_workspace import nakayama_atlas
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +261,19 @@ def test_phi_respects_sums(ex61, model):
 
 def test_phi_action_axioms(ex61, model):
     for n in fx._PANELS_61["heart"]:
-        assert model.phi.validate_action(ex61.atlas[n]), n
+        assert validate_action(model.phi, ex61.atlas[n]), n
+
+
+def test_zeroing_an_arrow_fails_the_action_check(ex61, model):
+    """Phi(3) with one arrow acting by zero still satisfies Gamma's zero
+    relations, but no longer carries the action built from Ext^1."""
+    mod = model.phi.module(ex61.atlas["3"])
+    aid = next(a for a, m in mod.arrow_maps.items() if m.any())
+    zero = la.zeros(*mod.arrow_maps[aid].shape)
+    bad = Rep(mod.algebra, "bad", mod.dims, {**mod.arrow_maps, aid: zero})
+    assert not bad.relation_defect()
+    assert validate_action(model.phi, ex61.atlas["3"])
+    assert not validate_action(model.phi, ex61.atlas["3"], bad)
 
 
 def test_identity_mono_epi(ex61, model):
@@ -296,15 +312,25 @@ def test_kernel_module_matches(ex61, model):
         assert cm.total_dim == heart_cokernel_dim(model, f)
 
 
-# Reference Gamma-module algebra: a module is (dimension, one action matrix
-# per Gamma basis element), and Hom, submodules and quotients are solved
-# directly on those matrices, independently of `hom_space`, `kernel` and
-# `cokernel`.
+# Reference Gamma-module algebra: a module is (dimension, one matrix on its
+# whole space per vertex idempotent and per arrow), and Hom, submodules and
+# quotients are solved directly on those matrices, independently of
+# `hom_space`, `kernel` and `cokernel`.
 
 
 def action_of(mod):
-    """A Gamma-module `Rep` as (dimension, action matrices in loop order)."""
-    return mod.total_dim, list(mod.arrow_maps.values())
+    """A Gamma-module `Rep` as (dimension, the projection onto each vertex,
+    then each arrow's map placed in its (target, source) block)."""
+    dims = mod.dims
+
+    def placed(i, j, m):
+        n = len(dims)
+        cells = [[m if (r, c) == (j, i) else None for c in range(n)] for r in range(n)]
+        return la.grid(cells, dims, dims)
+
+    idempotents = [placed(v, v, la.eye(d)) for v, d in enumerate(dims)]
+    ends = mod.algebra.quiver._arrow_ends
+    return mod.total_dim, idempotents + [placed(i, j, mod.arrow_maps[a]) for a, i, j in ends]
 
 
 def ref_gamma_hom(m, n, p):
@@ -376,16 +402,77 @@ def test_kernel_and_cokernel_modules_match_the_reference(ex61, model):
 def test_module_map_checks_the_gamma_action(ex61, model, monkeypatch):
     x = ex61.atlas["3"]
     mod = model.phi.module(x)
-    # some basis element acts by a matrix that is not diagonal ...
-    assert mod.total_dim == 2
-    assert any(a[0, 1] or a[1, 0] for a in mod.arrow_maps.values())
+    # an arrow acts by 1 between the two vertices where Phi(3) is nonzero ...
+    assert mod.dims == (0, 1, 1)
+    assert [m.data for m in mod.arrow_maps.values() if m.size] == [(1,)]
     ident = RepMap.identity(x)
     assert model.phi.module_map(ident).is_isomorphism()
-    # ... so diag(2, 1), which commutes with diagonal matrices only, is no module map
+    # ... so diag(2, 1), which scales the two vertices apart, is no module map
     perturbed = Block(2, 2, (2, 0, 0, 1))
     monkeypatch.setattr(model.phi, "phi_map", lambda f: perturbed)
     with pytest.raises(AlgebraError, match="intertwine"):
         model.phi.module_map(ident)
+
+
+def presents(phi, alg) -> bool:
+    """Does `alg`, on Gamma's quiver, present the stable category of phi's
+    members: every relation vanishes modulo [P], and dim kQ/I (basis paths
+    and vertices) is the sum of the stable Hom dimensions."""
+    for rel in alg.relations:
+        maps = [path_map(phi, path) for _, path in rel]
+        coords = phi.stable.qcolumns(maps[0].source, maps[0].target, flat_columns(maps))
+        if la.matmul(coords, la.column([c for c, _ in rel]), phi.p).any():
+            return False
+    want = sum(phi.stable.qdim(x, y) for x in phi.members for y in phi.members)
+    return len(alg.quiver.vertices) + len(alg.path_basis.basis) == want
+
+
+@pytest.mark.parametrize("name, counts", [("ex61", (20, 40, 16, 4)), ("A6/rad^3", (17, 28, 7, 0))])
+def test_gamma_presents_the_stable_category(name, counts):
+    """On every rigid class containing the projectives, Gamma has a vertex
+    per non-projective member, the stable quiver's arrows reversed, and a
+    finite path algebra of the dimension of the stable category."""
+    atlas = fx.ex61().atlas if name == "ex61" else nakayama_atlas(6, 3)
+    classes = rigid_classes_with_projectives(atlas)
+    totals = [len(classes), 0, 0, 0]
+    for c in classes:
+        phi = ht.PhiModel(c)
+        gamma = phi.gamma
+        assert gamma.quiver.vertices == tuple(m.name for m in phi.members)
+        assert presents(phi, gamma), c.names
+        arrows = {}
+        for _, s, t in gamma.quiver.arrows:
+            arrows[(t, s)] = arrows.get((t, s), 0) + 1
+        assert arrows == ht.gabriel_quiver(phi.stable).arrows, c.names
+        for i, part in enumerate((gamma.quiver.vertices, gamma.quiver.arrows, gamma.relations)):
+            totals[i + 1] += len(part)
+    assert tuple(totals) == counts
+
+
+def test_gamma_does_not_depend_on_the_field():
+    got = {}
+    for p in (2, 3, 5, 101):
+        gamma = ht.PhiModel(fx.ex61(p).subcat_obj("C")).gamma
+        got[p] = (gamma.quiver, len(gamma.relations))
+    assert got[101][0].arrows and got[101][1]
+    assert all(g == got[101] for g in got.values()), got
+
+
+def test_gamma_of_the_projectives_has_no_vertex(ex61):
+    phi = ht.PhiModel(ct.projectives_of(ex61.atlas))
+    assert not phi.members and phi.gamma.quiver.vertices == ()
+    mod = phi.module(ex61.atlas["3"])
+    assert mod.dims == () and mod.is_zero() and phi.dim(ex61.atlas["3"]) == 0
+
+
+def test_a_changed_relation_coefficient_breaks_the_presentation(model):
+    phi = model.phi
+    gamma = phi.gamma
+    assert presents(phi, gamma) and gamma.relations
+    (c, path), *rest = gamma.relations[0]
+    changed = ((0, path), *rest)
+    wrong = BoundQuiverAlgebra(gamma.quiver, gamma.p, (changed, *gamma.relations[1:]))
+    assert not presents(phi, wrong)
 
 
 def test_syzygyepi(ex61, model):
@@ -537,11 +624,16 @@ def test_member_wise_phi_matches_ext1_of_the_sum(n, k, c, d):
             for z in objs:
                 for h in homs(y, z)[:2]:
                     assert phi.phi_map(h.compose(f)) == la.matmul(phi.phi_map(h), got, p)
-    # the action assembled from member blocks: a right Gamma-module on which
-    # Hom dimensions are those of the quotient H/[U]
+    # Phi(x) is a module of the bound quiver algebra Gamma, with the member
+    # blocks as its dimension vector, that carries the action of End(G)/[P]
+    # and whose Hom dimensions are those of the quotient H/[U]
     model = ht.HeartModel(c.rigid_pair, atlas, ht.CohomologicalH(c.rigid_pair, atlas), phi)
     names = model.heart_object_names()
-    assert names and all(phi.validate_action(atlas[n]) for n in names)
+    assert names
+    for n in names:
+        mod = phi.module(atlas[n])
+        assert list(mod.dims) == [e.dim if e else 0 for e in phi._blocks(atlas[n])], n
+        assert not mod.relation_defect() and validate_action(phi, atlas[n]), n
     assert model.validate_equivalence()["ok"]
 
 
@@ -560,13 +652,17 @@ def test_phi_map_is_computed_once_per_map():
 
 
 def test_certificate_builds_no_gamma_action(monkeypatch):
-    built = []
-    omega_acts = ht.PhiModel._omega_acts.func
-    monkeypatch.setattr(
-        ht.PhiModel, "_omega_acts", property(lambda self: built.append(self) or omega_acts(self))
-    )
+    """A certificate builds neither Gamma nor the arrows' syzygy
+    restrictions; Phi(3) as a module builds each once."""
+    built = {"gamma": [], "_omega_acts": []}
+    for name, calls in built.items():
+        real = getattr(ht.PhiModel, name).func
+        monkeypatch.setattr(ht.PhiModel, name, property(
+            lambda self, real=real, calls=calls: calls.append(self) or real(self)
+        ))
     f = fx.ex61()
     assert verify_main_theorem(f.atlas, f.subcat_obj("C"), f.subcat_obj("D"))["ok"]
-    assert built == []
+    assert built == {"gamma": [], "_omega_acts": []}
     WORKSPACE.clear()  # an earlier test may have stored Phi(3) already
-    assert ht.PhiModel(f.subcat_obj("C")).validate_action(f.atlas["3"]) and len(built) == 1
+    assert ht.PhiModel(f.subcat_obj("C")).module(f.atlas["3"]).total_dim == 2
+    assert [len(calls) for calls in built.values()] == [1, 1]
