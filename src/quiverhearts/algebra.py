@@ -349,11 +349,16 @@ class Rep:
         return m
 
     def relation_defect(self) -> list[Relation]:
-        """Relations of the algebra that do not evaluate to zero on this Rep."""
+        """Relations of the algebra that do not evaluate to zero on this Rep.
+        A relation's paths share their ends; where one end has dimension 0
+        its block has no entries, so it is zero and is not evaluated."""
         bad = []
         for rel in self.algebra.relations:
             src, tgt = path_endpoints(self.algebra.quiver, rel[0][1])
-            acc = la.zeros(self.dim_at(tgt), self.dim_at(src))
+            rows, cols = self.dim_at(tgt), self.dim_at(src)
+            if not (rows and cols):
+                continue
+            acc = la.zeros(rows, cols)
             for coeff, path in rel:
                 acc = la.add(acc, la.scale(coeff, self.evaluate_path(path), self.algebra.p),
                              self.algebra.p)
@@ -971,7 +976,6 @@ class IndecSet:
         self.by_name = {r.name: r for r in self.members}
         if len(self.by_name) != len(self.members):
             raise AlgebraError("duplicate names in IndecSet")
-        self._standard_names: dict[str, tuple[str, ...]] = {}
         if validate:
             self.validate()
 
@@ -989,19 +993,20 @@ class IndecSet:
 
     def standard_names(self, kind: str) -> tuple[str, ...]:
         """Per vertex, the first member isomorphic to the standard module of
-        this kind ("projective", "injective" or "simple"); memoised per kind."""
-        if kind not in self._standard_names:
-            names = []
-            for v, s in self.members[0].algebra.standard_modules[kind].items():
-                hit = next(
-                    (r.name for r in self.members if r.dims == s.dims and is_isomorphic(r, s)[0]),
-                    None,
-                )
-                if hit is None:
-                    raise AlgebraError(f"{kind} module at vertex {v} missing from atlas")
-                names.append(hit)
-            self._standard_names[kind] = tuple(names)
-        return self._standard_names[kind]
+        this kind ("projective", "injective" or "simple"); kept by content."""
+        return WORKSPACE.memo("standard_names", (kind, self.key), self._find_standard, kind)
+
+    def _find_standard(self, kind: str) -> tuple[str, ...]:
+        names = []
+        for v, s in self.members[0].algebra.standard_modules[kind].items():
+            hit = next(
+                (r.name for r in self.members if r.dims == s.dims and is_isomorphic(r, s)[0]),
+                None,
+            )
+            if hit is None:
+                raise AlgebraError(f"{kind} module at vertex {v} missing from atlas")
+            names.append(hit)
+        return tuple(names)
 
     @cached_property
     def dual(self) -> "IndecSet":
@@ -1031,9 +1036,14 @@ class IndecSet:
 
     # dim Hom(members[i], members[j]) and dim Ext^1(members[i], members[j]),
     # each row a tuple filled on first use (None marks a row not filled yet).
+    # They depend only on the atlas's content, so every atlas with this key
+    # reads and fills the same rows, from one lookup.
     @cached_property
     def _tables(self) -> dict[str, list]:
-        return {kind: [None] * len(self) for kind in ("hom", "ext1")}
+        return WORKSPACE.memo(
+            "dimension_tables", self.key,
+            lambda: {kind: [None] * len(self) for kind in ("hom", "ext1")},
+        )
 
     def rows(self, kind: str, idx) -> list[tuple[int, ...]]:
         """Rows idx of the "hom" or "ext1" dimension table."""

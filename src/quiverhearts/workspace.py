@@ -6,7 +6,11 @@ A `Rep` is a value that compares and hashes by that key, so two `Rep`s
 with the same matrices are equal and share entries whatever their names
 or ids.  The tables:
 
-- `hom_space` and `decompose_with_maps` (in `algebra`);
+- `hom_space` and `decompose_with_maps` (in `algebra`), and an atlas's
+  tables, keyed by `IndecSet.key` (its member names and content):
+  `dimension_tables` (its rows of dim Hom and dim Ext^1 between members)
+  and `standard_names` (by kind, the members that are the projectives,
+  injectives or simples);
 - `syzygy`, `ext1_dim`, `approximation` and `conflation` (in `homology`;
   the last keyed by the kind and the map's source, target and blocks);
 - the answers about classes, in `cotorsion`: `rcp` (a class's (RCP) or
@@ -33,7 +37,8 @@ approximation, a decomposition, R(X), a reflection, H(X) and a Phi
 block's `Ext1`, whose modules are the ones the miss was given, equal to the
 caller's, and the ones it built.  Their empty blocks and 1x1 blocks 0 and 1
 are `linalg`'s shared objects, so a value holds references to those, not
-copies.  Callers must not mutate a value.  Only
+copies.  Callers must not mutate a value; a `dimension_tables` value fills
+its rows in place (below).  Only
 `hom_space` binds on lookup: it stores the bare blocks of a Hom basis,
 which `algebra.hom_space` binds to the caller's two modules.  No value
 holds an atlas or a
@@ -57,16 +62,20 @@ new objects and missed every one of them.  The answers about classes
 followed for the same reason: every CLI command builds its own atlas and
 classes, so a `cached_property` on a `Subcategory` answered the same
 (RCP), perpendicular, Cone/CoCone and cotorsion-pair questions once per
-command.  Nothing else belongs here.  Data derived from one object (an
-algebra's path basis, projectives, standard modules and opposite, an
-atlas's dual atlas and its Hom and Ext^1 dimension tables, a
-subcategory's rigidity, its pair `rigid_pair` and its `omega_generators`,
-a mutation input's classes, a quotient category's nonzero objects) lives
-on that object as a `cached_property` and goes when the object goes.  The
-dimension tables belong to their `IndecSet`, not here: a row is read off
-the `hom_space` entries of its members.  A table that a second
-certificate of the same instance would never hit does not belong here
-either.
+command.  The atlas's tables followed last, since every command's fresh
+copy of an atlas refilled the same rows.  A `dimension_tables` value holds
+two lists, "hom" and "ext1", with one slot per member in member order,
+which every atlas with that key reads: a row is filled in place on first
+use (a Hom row read off the `hom_space` entries of its member, an Ext^1
+row off its syzygy's long exact sequence) and never changes once filled.
+A row is a tuple of ints, so the value holds no module and no atlas.
+Nothing else belongs here.  Data derived from one object (an algebra's
+path basis, projectives, standard modules and opposite, an atlas's dual
+atlas, a subcategory's rigidity, its pair `rigid_pair` and its
+`omega_generators`, a mutation input's classes, a quotient category's
+nonzero objects) lives on that object as a `cached_property` and goes
+when the object goes.  A table that a second certificate of the same
+instance would never hit does not belong here either.
 """
 
 from __future__ import annotations

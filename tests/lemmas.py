@@ -361,6 +361,29 @@ def a2_atlas(p: int = DEFAULT_P) -> IndecSet:
     return IndecSet(mods, validate=False)
 
 
+def relation_defect_reference(m: Rep) -> list:
+    """The relations of m's algebra that do not vanish on m, each evaluated
+    in full as a sum of products of arrow matrices, whatever the dimensions
+    at its ends (`Rep.relation_defect` skips an end of dimension 0)."""
+    alg, bad = m.algebra, []
+
+    def matrix(aid):
+        blk = m.arrow_maps[aid]
+        return np.array(blk.tolist(), dtype=np.int64).reshape(blk.shape)
+
+    for rel in alg.relations:
+        src = alg.quiver.arrow(rel[0][1][0])[1]
+        total = 0
+        for coeff, path in rel:
+            product = np.eye(m.dim_at(src), dtype=np.int64)
+            for aid in path:
+                product = matrix(aid) @ product % alg.p
+            total = (total + coeff * product) % alg.p
+        if np.any(total):
+            bad.append(rel)
+    return bad
+
+
 def quivers_isomorphic_bruteforce(q1, q2) -> bool:
     """Digraph isomorphism with arrow multiplicities, by trying every
     bijection of the nodes (quivers with `nodes` and an `arrows` dict

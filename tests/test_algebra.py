@@ -33,7 +33,8 @@ from quiverhearts.algebra import (
     standard_modules,
 )
 from quiverhearts.workspace import WORKSPACE
-from lemmas import a2_algebra, a2_atlas, all_maps, end_radical
+from lemmas import a2_algebra, a2_atlas, all_maps, end_radical, relation_defect_reference
+from test_cotorsion import kronecker_atlas
 from test_linalg import matmul_reference, nullspace_reference, rref_reference
 from test_workspace import nakayama_atlas
 
@@ -210,6 +211,37 @@ def test_rep_validation_catches_bad_relation():
     bad = Rep(alg, "bad", (0, 0, 0, 1, 1, 1), {"e": [[1]], "b": [[1]]})
     with pytest.raises(AlgebraError):
         bad.validate()
+
+
+def test_skipping_relations_at_a_zero_vertex_matches_full_evaluation():
+    # A relation with an end of dimension 0 has an empty block, which is
+    # zero, so `relation_defect` skips it; the full evaluation agrees on the
+    # members of ex61 and of the Kronecker atlas, on modules of k[x]/(x^2),
+    # whose loop has one vertex at both ends, and on random modules of
+    # ex61's algebra, most of which break a relation.
+    dual_numbers = BoundQuiverAlgebra(Quiver(("1",), (("x", "1", "1"),)), 101,
+                                      (((1, ("x", "x")),),))
+    loop = [Rep(dual_numbers, "0", (0,)), Rep(dual_numbers, "S", (1,), {"x": [[0]]}),
+            Rep(dual_numbers, "P", (2,), {"x": [[0, 0], [1, 0]]})]
+    for m in [*fx.ex61().atlas, *kronecker_atlas(101), *loop]:
+        assert m.relation_defect() == relation_defect_reference(m) == [], m.name
+    x_squared_one = Rep(dual_numbers, "X", (2,), {"x": [[0, 1], [1, 0]]})
+    assert x_squared_one.relation_defect() == relation_defect_reference(x_squared_one)
+    assert x_squared_one.relation_defect() == list(dual_numbers.relations)
+    with pytest.raises(AlgebraError, match="violates relations"):
+        x_squared_one.validate()
+    alg = fx.auslander_a3_algebra()
+    q = alg.quiver
+    rng = np.random.default_rng(0)
+    defects = []
+    for k in range(300):
+        dims = rng.integers(0, 3, size=len(q.vertices))
+        shapes = {aid: (dims[q.vertex_index(t)], dims[q.vertex_index(s)]) for aid, s, t in q.arrows}
+        maps = {aid: rng.integers(0, 2, size=shape) for aid, shape in shapes.items() if all(shape)}
+        m = Rep(alg, f"r{k}", dims, maps)
+        defects.append(m.relation_defect())
+        assert defects[-1] == relation_defect_reference(m), (dims, maps)
+    assert {len(d) for d in defects} == {0, 1, 2, 3}
 
 
 def test_rep_refuses_a_map_for_an_undeclared_arrow():

@@ -1,20 +1,28 @@
 """The atlas's Hom and Ext^1 dimension tables and the class facts read off
-them: every row equals the per-pair answer, the perpendicular classes equal
-a per-pair reference, and a certificate builds each class fact once."""
+them: every row equals the per-pair answer, every atlas with the same
+content reads the same rows, the perpendicular classes equal a per-pair
+reference, and a certificate builds each class fact once."""
 
+import contextlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from quiverhearts import cli, problemfile
 from quiverhearts import cotorsion as ct
 from quiverhearts import fixtures as fx
 from quiverhearts import mutation as mu
-from quiverhearts.algebra import AlgebraError, IndecSet, hom_space
+from quiverhearts.algebra import AlgebraError, IndecSet, hom_dim, hom_space
 from quiverhearts.duality import dual_context
 from quiverhearts.homology import ext1_dim
 from quiverhearts.oracles import ext1_dim_bruteforce
 from quiverhearts.workspace import WORKSPACE
+from test_acceptance import DETERMINISM_COMMANDS
 from test_workspace import nakayama_atlas
 
 ATLASES = {
@@ -51,6 +59,7 @@ def test_ext1_rows_equal_ext1_dim(any_atlas):
 
 
 def test_one_dual_atlas_fills_each_dual_ext1_row_once():
+    WORKSPACE.clear()  # the rows are kept by content: an earlier test may have filled them
     f = fx.ex61()
     filled = []
     real = IndecSet._ext1_row
@@ -81,11 +90,102 @@ def test_ext1_rows_agree_with_the_bruteforce_oracle():
 
 
 def test_rows_fill_one_at_a_time():
+    WORKSPACE.clear()  # the rows are kept by content: an earlier test may have filled them
     atlas = nakayama_atlas(6, 3)
     i = atlas.position["2/3"]
     atlas.rows("hom", [i])
     filled = [row is not None for row in atlas._tables["hom"]]
     assert filled == [j == i for j in range(len(atlas))]
+
+
+@contextlib.contextmanager
+def recorded_fills():
+    """(kind, atlas key, row) of every Hom and Ext^1 row filled in the block."""
+    filled = []
+
+    def recording(kind, real):
+        def fill(self, i):
+            filled.append((kind, self.key, i))
+            return real(self, i)
+        return fill
+
+    with mock.patch.object(IndecSet, "_hom_row", recording("hom", IndecSet._hom_row)), \
+            mock.patch.object(IndecSet, "_ext1_row", recording("ext1", IndecSet._ext1_row)):
+        yield filled
+
+
+def both_tables(atlas) -> dict[str, list[list[int]]]:
+    return {kind: whole_table(atlas, kind) for kind in ("hom", "ext1")}
+
+
+def dumped_ex61_atlas() -> IndecSet:
+    """The atlas of the problem file that `scripts/dump_problem.py ex61` writes."""
+    root = Path(__file__).resolve().parents[1]
+    text = subprocess.run(
+        [sys.executable, str(root / "scripts" / "dump_problem.py"), "ex61"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    ).stdout
+    return problemfile.parse(text).atlas()
+
+
+def test_a_copy_of_an_atlas_fills_no_row_another_copy_filled():
+    WORKSPACE.clear()
+    first = fx.ex61().atlas
+    with recorded_fills() as filled:
+        want = both_tables(first)
+        assert sorted((kind, i) for kind, _, i in filled) == sorted(
+            (kind, i) for kind in ("hom", "ext1") for i in range(len(first))
+        )
+        del filled[:]
+        for copy in (fx.ex61().atlas, dumped_ex61_atlas()):
+            assert copy is not first and copy.key == first.key
+            assert both_tables(copy) == want
+        assert filled == []
+    ms = first.members
+    assert want == {
+        "hom": [[hom_dim(m, n) for n in ms] for m in ms],
+        "ext1": [[ext1_dim(c, a) for a in ms] for c in ms],
+    }
+
+
+def renamed_member(atlas: IndecSet) -> IndecSet:
+    """The atlas with its first member under a new name."""
+    first, *rest = atlas.members
+    return IndecSet([first.renamed(first.name + "'"), *rest], validate=False)
+
+
+@pytest.mark.parametrize("other", [lambda: fx.ex61(2).atlas,
+                                   lambda: renamed_member(fx.ex61().atlas)],
+                         ids=["p=2", "renamed"])
+def test_atlases_of_other_content_fill_their_own_rows(other):
+    WORKSPACE.clear()
+    both_tables(fx.ex61(101).atlas)
+    atlas = other()
+    with recorded_fills() as filled:
+        got = both_tables(atlas)
+    assert len(filled) == 2 * len(atlas)
+    assert {key for _, key, _ in filled} == {atlas.key}
+    ms = atlas.members
+    assert got["hom"] == [[hom_dim(m, n) for n in ms] for m in ms]
+    assert got["ext1"] == [[ext1_dim(c, a) for a in ms] for c in ms]
+
+
+def test_one_demo_pass_fills_each_row_of_ex61_and_its_dual_at_most_once(tmp_path):
+    # The benchmark's ex61-demo pass: the determinism commands and
+    # `verify-main-theorem` on the ex61 problem file, in one process.  Every
+    # command builds its own atlas, all with ex61's content or its dual's.
+    path = tmp_path / "ex61.qh"
+    path.write_text(problemfile.serialize(problemfile.problem_from_fixture(fx.ex61())),
+                    encoding="utf-8")
+    WORKSPACE.clear()
+    with recorded_fills() as filled:
+        for argv in [*DETERMINISM_COMMANDS, ["verify-main-theorem", str(path), "C", "D"]]:
+            assert cli.main(list(argv)) == 0, argv
+    for kind in ("hom", "ext1"):
+        rows = [(key, i) for k, key, i in filled if k == kind]
+        n, distinct = len(rows), len(set(rows))
+        assert n == distinct <= 34, kind
 
 
 def rigid_classes(names, ext) -> list[tuple[str, ...]]:
